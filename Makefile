@@ -6,41 +6,17 @@ GO ?= go
 # exactly what to install.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet lint staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve bench bench-dispatch bench-obs bench-backends bench-trace bench-check bench-warmstart bench-warmstart-check bench-smc bench-smc-check bench-peephole bench-peephole-check bench-serve bench-serve-check experiments linkcheck
+.PHONY: ci vet lint staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve bench bench-e2e bench-obs bench-serve bench-serve-check experiments linkcheck
 
 ci: lint build race test-backends test-faults test-persistence test-smc test-serve linkcheck bench
 
-# Opt-in wall-clock gate: `CHECK_TRACE=1 make ci` re-measures the
-# dispatch arms and fails unless the superblock engine beats both
-# recorded BENCH_dispatch.json baselines. Off by default because ns/op
-# on shared CI machines is too noisy to block every merge on.
-ifeq ($(CHECK_TRACE),1)
-ci: bench-trace bench-check
-endif
-
-# Same opt-in, same noise rationale, for the write-tracking overhead
-# gate: `CHECK_SMC=1 make ci` re-measures BenchmarkSMC and fails unless
-# the tracked arm stays within 2% of the recorded superblock baseline.
-ifeq ($(CHECK_SMC),1)
-ci: bench-smc bench-smc-check
-endif
-
-# Same opt-in for the codegen-quality gate: `CHECK_PEEPHOLE=1 make ci`
-# re-measures BenchmarkPeephole and fails unless the validator-licensed
-# peephole pass keeps the risc host-insts/guest-inst ratio below the
-# as-lowered stream and below +6.7% of x86. The gated ratio is a
-# retired-instruction count (deterministic), but the arms take a
-# measurement-length run, hence opt-in.
-ifeq ($(CHECK_PEEPHOLE),1)
-ci: bench-peephole bench-peephole-check
-endif
-
-# Same opt-in for the serving-load gate: `CHECK_SERVE=1 make ci`
-# re-drives the 1000-tenant load harness and fails unless the shared
-# service beats N independent engines on translations and resident
-# heap with zero divergences (docs/SERVING.md). The functional serving
-# suite runs un-gated via test-serve; only the wall-clock load run is
-# opt-in.
+# Opt-in serving-load gate: `CHECK_SERVE=1 make ci` re-drives the
+# 1000-tenant load harness and fails unless the shared service beats N
+# independent engines on translations and resident heap with zero
+# divergences (docs/SERVING.md) — counts and heap from one run on one
+# machine, not wall clock against a number recorded elsewhere. The
+# functional serving suite runs un-gated via test-serve; only the
+# minutes-long load run is opt-in.
 ifeq ($(CHECK_SERVE),1)
 ci: bench-serve bench-serve-check
 endif
@@ -125,8 +101,8 @@ test-persistence:
 # fault-injected code pokes, the TraceBudget refund, the builder-panic
 # recovery and the artifact page-checksum reject — functionally and
 # under the race detector (the async scenarios run guest
-# self-modification against the background builder and the speculative
-# worker pool).
+# self-modification against the background pool's superblock and
+# speculative jobs).
 test-smc:
 	$(GO) test -count=1 -run TestSMC ./internal/workload ./internal/dbt
 	$(GO) test -race -count=1 -run TestSMC ./internal/workload ./internal/dbt
@@ -142,17 +118,6 @@ test-serve:
 	$(GO) test -race -count=1 -run 'TestService|TestAdaptive|TestStoreReseed' ./internal/dbt
 	$(GO) test -race -count=1 ./internal/serve
 
-# Warm-start wall-clock and translation-count measurement: runs the
-# cold/warm artifact-store comparison and records both arms in
-# BENCH_warmstart.json.
-bench-warmstart:
-	$(GO) test -run NONE -bench BenchmarkWarmstart -benchtime 20x . 		| tee /dev/stderr | $(GO) run ./tools/benchtrace -record-warmstart BENCH_warmstart.json
-
-# Regression gate for the warm-start result: fails unless the recorded
-# warm arm demand-translates strictly fewer blocks than the cold arm.
-bench-warmstart-check:
-	$(GO) run ./tools/benchtrace -check-warmstart BENCH_warmstart.json
-
 # Dead-link check over README/docs markdown (relative links and
 # [[file:line]] source references).
 linkcheck:
@@ -163,49 +128,12 @@ linkcheck:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./...
 
-# The dispatch/lookup microbenchmarks at measurement benchtime; raw
-# output is recorded in BENCH_dispatch.json.
-bench-dispatch:
-	$(GO) test -run NONE -bench 'BenchmarkDispatchChaining|BenchmarkLookupKey' \
-		-benchtime 100x -benchmem .
-
-# Hot-trace superblock wall-clock measurement: runs the dispatch
-# strategy comparison and records chained vs no-chain vs superblocks
-# ns/op (plus the superblock arm's trace metrics) in BENCH_trace.json.
-bench-trace:
-	$(GO) test -run NONE -bench BenchmarkDispatchChaining -benchtime 20x . 		| tee /dev/stderr | $(GO) run ./tools/benchtrace -record BENCH_trace.json
-
-# Regression gate for the superblock result: fails unless the recorded
-# superblock ns/op beats BOTH dispatch baselines in BENCH_dispatch.json
-# (beating chained but not no-chain would mean trace translation still
-# costs more than the superblocks save).
-bench-check:
-	$(GO) run ./tools/benchtrace -check BENCH_trace.json -against BENCH_dispatch.json
-
-# Write-tracking overhead measurement: runs the tracked/untracked
-# superblock arms plus the hostile smc-async workload and records all
-# three in BENCH_smc.json.
-bench-smc:
-	$(GO) test -run NONE -bench BenchmarkSMC -benchtime 20x . 		| tee /dev/stderr | $(GO) run ./tools/benchtrace -record-smc BENCH_smc.json
-
-# Regression gate for the write tracker's fast path: fails unless the
-# recorded tracked arm stays within 2% of the BENCH_trace.json
-# superblock arm (same workload and configuration, recorded before
-# write tracking existed).
-bench-smc-check:
-	$(GO) run ./tools/benchtrace -check-smc BENCH_smc.json -against-trace BENCH_trace.json
-
-# Peephole payoff measurement: runs the risc as-lowered / risc-peephole
-# / x86 arms on the chained gcc workload and records each arm's
-# host-insts/guest-inst in BENCH_peephole.json.
-bench-peephole:
-	$(GO) test -run NONE -bench BenchmarkPeephole -benchtime 20x . 		| tee /dev/stderr | $(GO) run ./tools/benchtrace -record-peephole BENCH_peephole.json
-
-# Regression gate for the peephole result: fails unless the recorded
-# optimized risc ratio is strictly below the as-lowered ratio and below
-# the +6.7% legalization-overhead line against the recorded x86 arm.
-bench-peephole-check:
-	$(GO) run ./tools/benchtrace -check-peephole BENCH_peephole.json
+# The repository's one performance measurement (bench/README.md): every
+# BENCHMARK.json workload untraced, then traced for the per-layer table
+# and the interleaved strategy arms, into bench/out/. Compare two
+# results from the same machine with `go run ./bench -compare`.
+bench-e2e:
+	$(GO) run ./bench -all
 
 # Serving load measurement: drives 1000 concurrent tenants through one
 # shared translation service and through N independent engines, and
@@ -230,11 +158,6 @@ codeaudit:
 # The disabled-telemetry overhead guard (must stay 0 allocs/op, ~sub-ns).
 bench-obs:
 	$(GO) test -run NONE -bench BenchmarkObsDisabledOverhead -benchmem .
-
-# The cross-backend dispatch/workload benchmarks; raw output is recorded
-# in BENCH_backend.json.
-bench-backends:
-	$(GO) test -run NONE -bench 'BenchmarkBackend' -benchtime 20x -benchmem .
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -494,8 +494,9 @@ func BenchmarkDispatchChaining(b *testing.B) {
 // registered host backend, with each backend getting its own freshly
 // parameterized store (engines rekey the store's retrieval index to
 // their backend's fingerprint namespace, so sharing one store across
-// backends would measure rekeying, not execution). Raw output is
-// recorded in BENCH_backend.json.
+// backends would measure rekeying, not execution). The measured
+// cross-backend comparison is `go run ./bench -workload steady -trace 1`
+// (the dbt.arm.risc.guest_mips arm).
 func BenchmarkBackendDispatch(b *testing.B) {
 	c := getCorpus(b)
 	for _, name := range backend.Names() {
@@ -547,9 +548,9 @@ func BenchmarkBackendWorkload(b *testing.B) {
 // same workload run cold (a fresh artifact store each op — every block
 // demand-translated, then published) versus warm (a store populated
 // once up front — the code cache and traces restored before dispatch).
-// Both arms report their demand-translation count; `make bench-warmstart`
-// records the two arms in BENCH_warmstart.json, and the benchtrace
-// -check-warmstart gate fails unless warm stays strictly below cold.
+// Both arms report their demand-translation count (warm must stay
+// strictly below cold; `go run ./cmd/experiments -only warmstart` checks
+// that for the whole suite).
 func BenchmarkWarmstart(b *testing.B) {
 	c := getCorpus(b)
 	const bench = "gcc"
@@ -601,8 +602,8 @@ func BenchmarkWarmstart(b *testing.B) {
 // "tracked" and "untracked" arms run the exact superblock configuration
 // of BenchmarkDispatchChaining/superblocks on a guest that never writes
 // code — their gap is the write tracker's pure overhead (page lookups
-// on stores plus the fence check per dispatch), which `make bench-smc-check`
-// gates at 2% against the recorded superblock arm in BENCH_trace.json.
+// on stores plus the fence check per dispatch; the bench's
+// mem.write32_tracked_ns layer metric prices the store half).
 // The "smc-heavy" arm runs the hostile smc-async workload (an
 // instruction toggled every four iterations under asynchronous trace
 // formation) and reports what each hazard costs in invalidations and
@@ -663,15 +664,14 @@ func BenchmarkSMC(b *testing.B) {
 
 // BenchmarkPeephole measures what the validator-licensed peephole pass
 // buys back of the risc legalizer's +6.7% host-instruction overhead
-// (the BENCH_backend.json note on BenchmarkBackendDispatch/risc). Three
+// (BenchmarkBackendDispatch/risc's host-insts/guest-inst vs x86). Three
 // arms on the same chained gcc workload: risc as lowered, risc with
 // Config.Peephole (every optimized stream proved by the translation
 // validator before install — see docs/ANALYSIS.md), and the x86
 // baseline the overhead is measured against. The headline metric is
-// host-insts/guest-inst, which is deterministic — `make bench-peephole`
-// records the arms in BENCH_peephole.json and the benchtrace
-// -check-peephole gate fails unless the optimized risc ratio drops
-// below the +6.7% line.
+// host-insts/guest-inst, which is deterministic; what the pass costs
+// and buys in wall clock is the bench's `validate` workload and the
+// dbt.arm.risc-peephole.guest_mips arm of `steady`.
 func BenchmarkPeephole(b *testing.B) {
 	c := getCorpus(b)
 	for _, bc := range []struct {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"paramdbt/internal/backend"
+	"paramdbt/internal/dbt"
 	"paramdbt/internal/exp"
 )
 
@@ -40,11 +41,10 @@ func main() {
 	peephole := flag.Bool("peephole", false, "enable the validator-licensed peephole optimizer for all engine runs")
 	flag.Parse()
 
-	switch *validate {
-	case "", "off", "optimized", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -validate mode %q (want off, optimized or all)\n", *validate)
-		os.Exit(1)
+	if _, err := dbt.ParseValidate(*validate); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	be := backend.Default()

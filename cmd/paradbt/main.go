@@ -131,7 +131,7 @@ func main() {
 	hotThreshold := flag.Uint64("hot-threshold", 0, "form hot-trace superblocks once a block's entry count crosses this threshold (0 disables formation; needs chaining)")
 	traceMax := flag.Int("trace-max", 0, "cap trace growth at this many basic blocks (default 8 when -hot-threshold is set)")
 	traceBudget := flag.Int("trace-budget", 0, "cap how many traces the engine may form (0 = unlimited)")
-	syncTraces := flag.Bool("sync-traces", false, "translate traces on the dispatch loop instead of the background builder (deterministic, but formation latency stalls the run)")
+	syncTraces := flag.Bool("sync-traces", false, "translate traces on the dispatch loop instead of the background pool (deterministic, but formation latency stalls the run)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (JSON snapshot), /trace and /debug/pprof on this address (e.g. :6060); enables telemetry")
 	traceN := flag.Int("trace", 0, "record the last N block transitions in a ring buffer, dumped to stderr after the run and on panic")
 	shadowRate := flag.Float64("shadow-rate", 0, "shadow-verify this fraction of block executions against the reference interpreter (1 = every execution)")
@@ -143,11 +143,11 @@ func main() {
 	validate := flag.String("validate", "", "translation validation: \"optimized\" validates only peephole candidates (the default when -peephole is set), \"all\" validates every finalized translation, \"off\" disables")
 	flag.Parse()
 
-	switch *validate {
-	case "", "off", "optimized", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -validate mode %q (want off, optimized or all)\n", *validate)
-		os.Exit(1)
+	validateAll, err := dbt.ParseValidate(*validate)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	be := backend.Default()
@@ -372,7 +372,7 @@ func main() {
 	if cfg.Rules != nil {
 		fmt.Printf("rule table size    %d\n", cfg.Rules.Len())
 	}
-	if cfg.Peephole || (cfg.Validate != "" && cfg.Validate != "off") {
+	if cfg.Peephole || validateAll {
 		fmt.Printf("blocks validated   %d\n", st.BlocksValidated)
 		fmt.Printf("validate fallbacks %d\n", st.ValidateFallbacks)
 	}

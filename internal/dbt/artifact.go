@@ -89,7 +89,7 @@ func (e *Engine) initArtifacts() {
 	}
 	e.artKey = artifact.Key{
 		CodeHash: e.Mem.Checksum(env.CodeBase, env.DataBase),
-		Backend:  e.be.ID(),
+		Backend:  e.tr.be.ID(),
 		RuleFp:   fp,
 		Version:  EngineVersion,
 	}
@@ -190,7 +190,7 @@ func (e *Engine) restoreManifest(m *artifact.BlockManifest) {
 		// translateSuperblock validates every seam against the recorded
 		// successor, so a trace that does not match this code image fails
 		// here and is skipped — restore keeps the plain blocks.
-		sbtb, err := e.translateSuperblock(pcs, blocks, &e.tx)
+		sbtb, err := e.tr.translateSuperblock(pcs, blocks, &e.tx)
 		if err != nil {
 			continue
 		}

@@ -3,7 +3,7 @@ package dbt
 import "sync"
 
 // The code cache is sharded so the main execution loop and the
-// speculative translation workers can hit it concurrently without a
+// background pool's speculative jobs can hit it concurrently without a
 // global lock: a power-of-two shard count indexed by a multiplicative
 // hash of the block pc, one RWMutex per shard (QEMU's tb_jmp_cache /
 // region-tree split collapsed to the needs of a simulator).
@@ -25,8 +25,7 @@ type codeCache struct {
 	// shard placement per backend exactly like rule.KeyFpSeedFor
 	// namespaces retrieval keys — a cache warmed under one backend can
 	// never alias the shard layout of another. Zero for backend 0, so
-	// the historical x86 placement (and BENCH_dispatch.json) is
-	// unchanged.
+	// the historical x86 placement is unchanged.
 	bmix uint32
 }
 

@@ -9,9 +9,18 @@
 // once into the 16-shard code cache, and block exits with statically
 // known successors are lazily patched into direct links so chained
 // execution skips the dispatcher entirely (Config.NoChain restores the
-// dispatch-every-block ablation baseline). Optional background workers
-// (Config.TranslateWorkers) pre-translate successor blocks from a
-// memory snapshot.
+// dispatch-every-block ablation baseline).
+//
+// Translation itself is one immutable translator (translate.go): a pure
+// function of {code bytes, rule store, backend, codegenOptions} with no
+// guest memory, CPU or statistics of its own. The Engine holds one and
+// calls it on demand misses; everything that translates off the Run
+// goroutine — speculative successor pre-translation from a code snapshot
+// (Config.TranslateWorkers), asynchronous superblock formation, and the
+// shared Service's demand and speculative queues — runs as jobs on one
+// two-priority worker pool (pool.go) through one panic-to-PanicError
+// wrapper. The pool is dumb; staleness stays with the submitter
+// (first-writer-wins cache inserts, cacheGen-stamped superblock results).
 //
 // Every evaluation metric — dynamic coverage, dispatch/chain traffic,
 // category-tagged host instruction counts — is counted on atomic
@@ -49,7 +58,11 @@ const HaltPC = 0xffffffff
 const maxBlockInsts = 512
 
 // Config selects the translation strategy; the experiment harness builds
-// one Engine per paper configuration.
+// one Engine per paper configuration. Rules, Backend and the six codegen
+// knobs (DelegateFlags, FlagWindow, NoBlockRegAlloc, ManualABI, Peephole,
+// Validate — see codegenOptions) are everything translation output
+// depends on besides the guest code bytes, and what a shared Service
+// compares at attach; every other field is per-engine policy.
 type Config struct {
 	// Rules is the rule store (nil for the pure-QEMU baseline).
 	Rules *rule.Store
@@ -75,10 +88,12 @@ type Config struct {
 	// learning can never cover (push/pop/clz/mla/umla, and the pure-stub
 	// control terminators) — the paper's §V-B2 path to ~100% coverage.
 	ManualABI bool
-	// TranslateWorkers starts this many background translation workers
-	// for the duration of each Run; they speculatively translate direct
-	// successor blocks discovered at block-emit time (0 = off). Results
-	// are deterministic: workers only pre-warm the code cache.
+	// TranslateWorkers turns on speculative translation for the duration
+	// of each Run, with this many workers in the engine's background pool
+	// (0 = off; the pool then has the one worker asynchronous superblock
+	// formation needs): direct successor blocks discovered at block-emit
+	// time are translated ahead of execution from a code snapshot.
+	// Results are deterministic: workers only pre-warm the code cache.
 	TranslateWorkers int
 	// NoChain disables translation-block chaining, forcing every block
 	// boundary back through the dispatcher — the ablation baseline for
@@ -106,7 +121,7 @@ type Config struct {
 	// hottest ones.
 	TraceBudget int
 	// SyncTraces forms superblocks synchronously on the dispatch loop
-	// instead of handing them to the background builder goroutine.
+	// instead of handing them to the background pool.
 	// Deterministic — the superblock is installed before the head
 	// executes again — but puts trace translation latency on the run's
 	// critical path, which on short workloads costs more than the
@@ -218,12 +233,13 @@ type Config struct {
 	// counts a dbt.validate_fallbacks. See docs/ANALYSIS.md
 	// "Translation validation".
 	Peephole bool
-	// Validate selects translation-validation coverage: "" or "off"
-	// validates nothing beyond what Peephole requires, "optimized" is
-	// the explicit spelling of that default, and "all" validates every
-	// finalized translation (blocks and superblocks), recording per-
-	// verdict analysis.validate_* counters — the experiments harness'
-	// -validate mode.
+	// Validate selects translation-validation coverage: "", "off" and
+	// "optimized" are three spellings of "validate nothing beyond what
+	// Peephole requires", and "all" validates every finalized
+	// translation (blocks and superblocks), recording per-verdict
+	// analysis.validate_* counters — the experiments harness' -validate
+	// mode. Any other value is a programming error New panics on (see
+	// ParseValidate; the CLIs reject it as a usage error first).
 	Validate string
 	// ValidateHook, when non-nil, observes every translation-validation
 	// report the engine produces (peephole candidates and Validate:"all"
@@ -253,7 +269,8 @@ type Stats struct {
 	// Translations counts demand translations performed during the run.
 	// A warm-started engine restores its code cache in New, before any
 	// Run begins, so this stays near zero on a warm replay — the
-	// headline number the warm-start bench gates on (BENCH_warmstart).
+	// headline number of the warm-start comparison (experiments -only
+	// warmstart, BenchmarkWarmstart).
 	Translations uint64
 
 	// Hot-trace superblock counters (zero unless Config.HotThreshold is
@@ -270,8 +287,8 @@ type Stats struct {
 	// SMCInvalidations counts translations fenced out after guest writes
 	// into translated pages, SMCSelfAborts executions aborted because
 	// they stored into their own guest bytes, SBBuilderPanics background
-	// trace-formation panics absorbed (the builder demotes the trace to
-	// per-block execution instead of dying).
+	// trace-formation panics absorbed (the trace is demoted to per-block
+	// execution instead of the worker dying).
 	SMCInvalidations uint64
 	SMCSelfAborts    uint64
 	SBBuilderPanics  uint64
@@ -352,8 +369,8 @@ type Engine struct {
 	Mem   *mem.Memory
 	CPU   *host.CPU
 	cache *codeCache
-	tx    txctx     // translation scratch (Run goroutine only)
-	spec  *specPool // live while Run executes with TranslateWorkers > 0
+	tr    *translator // the pipeline itself: rules, backend, codegen knobs
+	tx    txctx       // translation scratch (Run goroutine only)
 	met   *engineMetrics
 	guard *guardState // non-nil when shadow verification is configured
 
@@ -372,28 +389,33 @@ type Engine struct {
 	// formation is never retried there (see shadowCheckSB).
 	sbIndex map[uint32][]*tblock
 	sbBan   map[uint32]bool
-	// sbb is the background superblock builder, started lazily at the
-	// first hot head (nil while no trace has gone hot, and always nil
-	// under Config.SyncTraces). cacheGen counts invalidation events
-	// (Invalidate, quarantine purges); a builder result stamped with an
-	// older generation was translated from state that no longer holds
-	// and is discarded instead of installed.
-	sbb      *sbBuilder
+	// cacheGen counts invalidation events (Invalidate, quarantine
+	// purges); a background superblock result stamped with an older
+	// generation was translated from state that no longer holds and is
+	// discarded instead of installed.
 	cacheGen uint64
-	// sbSpent counts traces formed plus builder jobs in flight against
+	// sbSpent counts traces formed plus superblock jobs in flight against
 	// Config.TraceBudget (Run goroutine only).
 	sbSpent int
+
+	// Background translation (Run goroutine only). bg is the worker pool,
+	// started by background and closed by closeBackground. specCode is the
+	// code snapshot speculative jobs decode from — non-nil exactly while
+	// speculation is on (a Run with TranslateWorkers > 0, until the first
+	// guest code write). sbResults carries finished superblock jobs back
+	// to the dispatch loop, which alone may install over live cache
+	// entries; sbPending marks heads with a job queued, sbInFlight counts
+	// queued minus drained.
+	bg         *pool
+	specCode   *mem.Memory
+	sbResults  chan sbResult
+	sbPending  map[uint32]bool
+	sbInFlight int
 
 	// smcOn mirrors !Config.NoWriteTrack: guest-write tracking is
 	// installed on Mem and the dispatch loop runs the SMC fence and
 	// self-abort machinery (see smc.go).
 	smcOn bool
-
-	// be is the resolved host backend; blockRegs/tempPool cache its
-	// register policy so the translation hot path never re-queries it.
-	be        backend.Backend
-	blockRegs []host.Reg
-	tempPool  []host.Reg
 
 	// Warm-start persistence (nil/zero unless Config.ArtifactDir is
 	// set): art is the open store, artKey the engine's four-component
@@ -508,9 +530,6 @@ func (tb *tblock) patch(next uint32, to *tblock) int {
 // New creates an engine over the given memory. The CPUState block and
 // host stack are established per the env layout.
 func New(m *mem.Memory, cfg Config) *Engine {
-	if cfg.FlagWindow == 0 {
-		cfg.FlagWindow = 3
-	}
 	if cfg.HotThreshold > 0 && cfg.TraceMaxBlocks <= 0 {
 		cfg.TraceMaxBlocks = defaultTraceMaxBlocks
 	}
@@ -522,17 +541,6 @@ func New(m *mem.Memory, cfg Config) *Engine {
 		// Guarded runs degrade gracefully instead of aborting.
 		cfg.InterpFallback = true
 	}
-	be := cfg.Backend
-	if be == nil {
-		be = backend.Default()
-		cfg.Backend = be
-	}
-	if cfg.Rules != nil {
-		// Rekey retrieval fingerprints (and hence every MissSet memo)
-		// into the backend's namespace; quarantine state is
-		// backend-neutral and survives the rekey.
-		cfg.Rules.SetBackendID(be.ID())
-	}
 	cpu := host.NewCPU(m)
 	cpu.R[host.EBP] = env.StateBase
 	cpu.R[host.ESP] = env.HostStackTop
@@ -543,8 +551,9 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	if cfg.Trace != nil {
 		reg.SetTraceRing(cfg.Trace)
 	}
-	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: newCodeCache(be.ID()), met: newEngineMetrics(reg),
-		be: be, blockRegs: be.BlockRegs(), tempPool: be.TempPool()}
+	met := newEngineMetrics(reg)
+	tr := newTranslator(&cfg, met.blocksValidated, met.validateFallbacks)
+	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: newCodeCache(tr.be.ID()), tr: tr, met: met}
 	if shadowOn {
 		e.guard = &guardState{sampler: guard.NewSampler(guard.Policy{
 			Rate:         cfg.ShadowRate,
@@ -562,10 +571,9 @@ func New(m *mem.Memory, cfg Config) *Engine {
 		}
 	}
 	if cfg.Service != nil && cfg.Faults == nil {
-		// Attach after the backend/rule setup above so the compatibility
-		// check sees resolved values; a refused attachment leaves the
-		// engine a plain single-tenant translator.
-		if t := cfg.Service.attach(e, m); t != nil {
+		// A refused attachment leaves the engine a plain single-tenant
+		// translator.
+		if t := cfg.Service.attach(tr, m); t != nil {
 			e.svc, e.tnt = cfg.Service, t
 		}
 	}
@@ -612,31 +620,20 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		st.UncoveredOps = uncovered
 		return st
 	}
-	// A service-attached tenant never starts a private speculative pool:
-	// the service's workers already chase successors for it, shared
-	// across every tenant (see Service.enqueueSpec).
+	// A service-attached tenant never speculates privately: the service's
+	// workers already chase successors for it, shared across every tenant
+	// (see Service.speculate). The snapshot is code-only: translation
+	// reads nothing else, and cloning the full image made turning
+	// speculation on cost more than chaining ever saved on short runs.
 	if e.Cfg.TranslateWorkers > 0 && e.svc == nil {
-		e.spec = e.startSpec()
-		// The SMC fence shuts the pool down mid-run on the first guest
-		// code write (its startup snapshot is stale from then on), so the
-		// hook must re-check the field.
-		defer func() {
-			if e.spec != nil {
-				e.spec.shutdown()
-				e.spec = nil
-			}
-		}()
+		e.specCode = e.Mem.CloneBelow(env.DataBase)
 	}
-	// The superblock builder starts lazily at the first hot head, so the
-	// shutdown hook must re-check the field at exit. Jobs still in
-	// flight are discarded with the builder and hand their TraceBudget
-	// claims back — a later Run on this engine may form those traces.
+	// Superblock jobs still in flight at exit are discarded with the pool
+	// and hand their TraceBudget claims back — a later Run on this engine
+	// may form those traces.
 	defer func() {
-		if e.sbb != nil {
-			e.sbSpent -= e.sbb.inFlight
-			e.sbb.shutdown()
-			e.sbb = nil
-		}
+		e.closeBackground()
+		e.specCode = nil
 	}()
 	pc := entry
 	var prev *tblock
@@ -702,11 +699,11 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			e.smcFence()
 			prev = nil
 		}
-		// Install any superblocks the background builder finished. Doing
+		// Install any superblocks the background pool finished. Doing
 		// this before chain-follow/dispatch means a head installed here is
 		// entered through its superblock on this very iteration (installSB
 		// repoints the incoming chain links).
-		if e.sbb != nil && e.sbb.inFlight > 0 {
+		if e.sbInFlight > 0 {
 			e.drainSB()
 		}
 		var tb *tblock
@@ -932,7 +929,7 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 		if e.guard != nil || e.Cfg.Faults != nil {
 			tb, err = e.translateGuarded(pc)
 		} else {
-			tb, err = e.translateIn(e.Mem, pc, &e.tx)
+			tb, err = e.tr.translate(e.Mem, pc, &e.tx, nil, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -952,10 +949,87 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 	if on {
 		e.met.cachedBlocks.Set(int64(e.cache.size()))
 	}
-	if e.spec != nil {
-		e.spec.enqueue(tb)
+	if e.specCode != nil {
+		e.speculate(e.background(), e.specCode, tb)
 	}
 	return tb, nil
+}
+
+// background returns the engine's worker pool, starting it on first use:
+// TranslateWorkers workers, or the single one asynchronous superblock
+// formation needs when speculation is off.
+func (e *Engine) background() *pool {
+	if e.bg == nil {
+		w, specDepth := e.Cfg.TranslateWorkers, specQueueDepth
+		if w < 1 {
+			w, specDepth = 1, 0 // formation only: no speculative queue
+		}
+		e.bg = newPool(w, sbQueueDepth, specDepth)
+		e.sbResults = make(chan sbResult, sbQueueDepth)
+		e.sbPending = map[uint32]bool{}
+	}
+	return e.bg
+}
+
+// closeBackground stops the pool, waiting out the jobs its workers are
+// running — so the cache holds every speculative insert once it returns —
+// and abandons everything queued or undrained: superblock jobs in flight
+// hand their TraceBudget claims back. The next submission starts a fresh
+// pool.
+func (e *Engine) closeBackground() {
+	if e.bg == nil {
+		return
+	}
+	e.bg.close(false)
+	e.bg = nil
+	e.sbSpent -= e.sbInFlight
+	e.sbInFlight = 0
+	e.sbResults, e.sbPending = nil, nil
+}
+
+// specQueueDepth bounds the engine's speculative (lo) queue.
+const specQueueDepth = 256
+
+// speculate queues the not-yet-translated direct successors of tb as lo
+// jobs on p, so workers translate ahead of the execution front and the
+// dispatch loop's next miss mostly hits a warm cache. Jobs decode from
+// code, the snapshot taken when the Run started, so guest stores never
+// race with speculative fetches; a worker-produced block is bit-identical
+// to the one demand translation would build, and the cache's
+// first-writer-wins insert keeps one canonical translation per pc. A
+// full queue drops the hint — speculation is best-effort. p and code are
+// arguments, not engine fields, because jobs re-enter here off the Run
+// goroutine.
+func (e *Engine) speculate(p *pool, code *mem.Memory, tb *tblock) {
+	for i := range tb.links {
+		pc := tb.links[i].target
+		if _, ok := e.cache.get(pc); ok {
+			continue
+		}
+		p.submit(p.lo, func(tx *txctx) {
+			// Fault injection loses individual jobs, never a worker — they
+			// also form superblocks — so only speculation degrades.
+			if f := e.Cfg.Faults; f != nil && f.FailSpecWorker() {
+				return
+			}
+			if _, ok := e.cache.get(pc); ok {
+				return
+			}
+			// A speculative target can be garbage (e.g. a computed pc the
+			// program never takes); errors and panics are dropped — if the
+			// pc is really executed, the demand path reports them.
+			succ, err := recoverTranslate(pc, func() (*tblock, error) {
+				return e.tr.translate(code, pc, tx, nil, nil)
+			})
+			if err != nil {
+				return
+			}
+			if obs.On() {
+				e.met.specTranslations.Inc()
+			}
+			e.speculate(p, code, e.cache.putIfAbsent(pc, succ)) // chase successors ahead of execution
+		})
+	}
 }
 
 // Invalidate removes the translation at pc (after guest code changes)
@@ -976,17 +1050,11 @@ func (e *Engine) Invalidate(pc uint32) bool {
 	if tb == nil && len(covering) == 0 {
 		return false
 	}
-	// In-flight builder jobs were grown and translated against the
-	// pre-invalidation cache and code image: discard the builder (its
-	// code snapshot is stale) and stamp a new generation so any result
-	// already in the queue is dropped instead of installed.
+	// In-flight superblock jobs were grown against the pre-invalidation
+	// cache and code image: stamp a new generation and discard them with
+	// the pool (closeBackground refunds their TraceBudget claims).
 	e.cacheGen++
-	if e.sbb != nil {
-		// Discarded in-flight jobs hand their TraceBudget claims back.
-		e.sbSpent -= e.sbb.inFlight
-		e.sbb.shutdown()
-		e.sbb = nil
-	}
+	e.closeBackground()
 	if len(covering) > 0 {
 		// teardownSB edits sbIndex[pc]; iterate a copy.
 		for _, s := range append([]*tblock(nil), covering...) {
@@ -1033,7 +1101,7 @@ func (e *Engine) BlockListing(pc uint32) (string, error) {
 
 // fetchBlockIn decodes guest instructions from pc up to and including
 // the terminator, reading code from m (the live memory on the demand
-// path, a snapshot on the speculative path).
+// path, a code snapshot for pool jobs).
 func fetchBlockIn(m *mem.Memory, pc uint32) ([]guest.Inst, error) {
 	var out []guest.Inst
 	for len(out) < maxBlockInsts {

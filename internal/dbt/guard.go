@@ -36,8 +36,9 @@ type FaultInjector interface {
 	// DropCacheShard reports whether a code-cache shard should be
 	// dropped at this dispatch, and which one.
 	DropCacheShard() (int, bool)
-	// FailSpecWorker reports whether a speculative-translation worker
-	// should terminate (polled per job).
+	// FailSpecWorker reports whether a speculative-translation job
+	// should be lost (polled per job). Only speculation degrades: the
+	// pool's workers survive, so superblock formation never stalls.
 	FailSpecWorker() bool
 }
 
@@ -46,8 +47,9 @@ type FaultInjector interface {
 // error" without matching the concrete type.
 var ErrTranslatorPanic = errors.New("translator panic")
 
-// PanicError is a panic converted into an error: by the guarded
-// translation path (bounded retry) or by Run's top-level recovery
+// PanicError is a panic converted into an error: by recoverTranslate
+// (guarded demand translation retries on it, pool jobs drop it) or by
+// Run's top-level recovery
 // (which leaves the CPUState PC pointing at the faulting block so the
 // run is resumable).
 type PanicError struct {
@@ -221,7 +223,7 @@ func (e *Engine) shadowCheck(tb *tblock, sc *shadowCtx, pc, gotNext uint32) (uin
 	}
 	if len(e.guard.divergences) < maxDivergenceLog {
 		e.guard.divergences = append(e.guard.divergences, guard.Divergence{
-			PC: pc, Exec: sc.exec, Backend: e.be.Name(), Mismatches: mm, Blamed: blamed,
+			PC: pc, Exec: sc.exec, Backend: e.tr.be.Name(), Mismatches: mm, Blamed: blamed,
 		})
 	}
 
@@ -276,7 +278,7 @@ func (e *Engine) shadowCheckSB(tb *tblock, sc *shadowCtx, pc, gotNext uint32, ne
 	}
 	if len(e.guard.divergences) < maxDivergenceLog {
 		e.guard.divergences = append(e.guard.divergences, guard.Divergence{
-			PC: pc, Exec: sc.exec, Backend: e.be.Name(), Mismatches: mm,
+			PC: pc, Exec: sc.exec, Backend: e.tr.be.Name(), Mismatches: mm,
 		})
 	}
 	e.teardownSB(tb)
@@ -324,7 +326,7 @@ func (e *Engine) trialExcluding(sc *shadowCtx, pc uint32, ref *guest.State, refN
 	}()
 	m := sc.preMem.Clone()
 	var tx txctx
-	ttb, err := e.translateWith(m, pc, &tx, func(x *rule.Template) bool { return x == t }, nil)
+	ttb, err := e.tr.translate(m, pc, &tx, func(x *rule.Template) bool { return x == t }, nil)
 	if err != nil {
 		return false
 	}
@@ -415,25 +417,21 @@ func (e *Engine) translateGuarded(pc uint32) (*tblock, error) {
 }
 
 // tryTranslate is one guarded translation attempt: fault hooks first,
-// then the real translator under a recover that converts panics into
-// PanicErrors and reports the rule being instantiated when the panic
-// hit (nil when the panic was not inside rule emission).
+// then the real translator, both under recoverTranslate, which converts
+// panics into PanicErrors; culprit reports the rule being instantiated
+// when the panic hit (nil when the panic was not inside rule emission).
 func (e *Engine) tryTranslate(pc uint32) (tb *tblock, culprit *rule.Template, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tb = nil
-			err = &PanicError{PC: pc, Cause: r}
+	tb, err = recoverTranslate(pc, func() (*tblock, error) {
+		if f := e.Cfg.Faults; f != nil {
+			if f.DecodeError(pc) {
+				return nil, fmt.Errorf("dbt: injected decode error at pc=%#x", pc)
+			}
+			if f.TranslatePanic(pc) {
+				panic(fmt.Sprintf("injected translator panic at pc=%#x", pc))
+			}
 		}
-	}()
-	if f := e.Cfg.Faults; f != nil {
-		if f.DecodeError(pc) {
-			return nil, nil, fmt.Errorf("dbt: injected decode error at pc=%#x", pc)
-		}
-		if f.TranslatePanic(pc) {
-			panic(fmt.Sprintf("injected translator panic at pc=%#x", pc))
-		}
-	}
-	tb, err = e.translateWith(e.Mem, pc, &e.tx, nil, &culprit)
+		return e.tr.translate(e.Mem, pc, &e.tx, nil, &culprit)
+	})
 	return tb, culprit, err
 }
 

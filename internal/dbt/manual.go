@@ -37,8 +37,8 @@ func manualEmittable(in guest.Inst) bool {
 // emitManual translates one instruction with its hand-written recipe.
 // Guest registers are accessed through the block mapping (or their
 // CPUState slots), using the temp pool for staging.
-func (e *Engine) emitManual(a *host.Asm, in guest.Inst, mapping map[guest.Reg]host.Reg) error {
-	regmap := e.regmap(mapping)
+func (tr *translator) emitManual(a *host.Asm, in guest.Inst, mapping map[guest.Reg]host.Reg) error {
+	regmap := tr.regmap(mapping)
 
 	// loadTo stages a guest register into a specific host register.
 	loadTo := func(dst host.Reg, r guest.Reg) {

@@ -77,8 +77,9 @@ var (
 
 // ServiceConfig configures a shared translation service. The
 // translation-shape fields (DelegateFlags … Validate) mirror Config:
-// a tenant engine attaches only when its own values agree, because the
-// prototypes the service hands out were emitted under these knobs.
+// a tenant engine attaches only when its own values resolve to the same
+// codegen options, because the prototypes the service hands out were
+// emitted under these knobs.
 type ServiceConfig struct {
 	// Rules is the shared rule store. Tenants must be constructed over
 	// the same *rule.Store instance to attach.
@@ -136,13 +137,6 @@ type svcCall struct {
 	fresh bool // this call performed the translation (vs found it cached)
 }
 
-// specJob is one speculative translation request (a direct successor of
-// a block just translated).
-type specJob struct {
-	key  serviceKey
-	snap *mem.Memory
-}
-
 // tenant is one engine's registration with the service: its code hash
 // and the shared read-only code snapshot translations are decoded from.
 type tenant struct {
@@ -164,14 +158,10 @@ type tenant struct {
 //
 // All methods are safe for concurrent use.
 type Service struct {
-	cfg ServiceConfig
-	be  backend.Backend
-	// tpl is the template engine the workers translate with: it holds
-	// the resolved translation configuration (flag delegation, register
-	// policy, peephole/validator) and never runs guest code. Workers
-	// share it with per-worker translation scratch, exactly like the
-	// single-engine speculative pool shares its engine.
-	tpl *Engine
+	// tr is the translator the workers share (with per-worker scratch),
+	// exactly as an engine's pool jobs share the engine's. Its validator
+	// verdict counters live on the service registry.
+	tr  *translator
 	met *serviceMetrics
 
 	cache sync.Map // serviceKey -> *tblock (finished prototypes)
@@ -180,18 +170,18 @@ type Service struct {
 	inflight map[serviceKey]*svcCall
 	snaps    map[uint64]*mem.Memory // code hash -> shared code snapshot
 
-	demand   chan *svcCall
-	spec     chan specJob // nil when speculation is disabled
-	draining chan struct{}
-	wg       sync.WaitGroup
+	// pool runs demand requests as hi jobs and speculation as lo jobs (no
+	// lo queue when speculation is disabled). Its quit channel, closed as
+	// Close starts the drain, also releases tenants parked in request.
+	pool     *pool
 	closed   atomic.Bool
 	maxDepth atomic.Int64
 }
 
-// NewService builds a translation service and starts its workers. The
-// template engine's construction rekeys the rule store for the
-// service's backend, so build the service before (or concurrently with
-// — the store tolerates it) its tenants.
+// NewService builds a translation service and starts its workers.
+// Building the translator rekeys the rule store for the service's
+// backend, so build the service before (or concurrently with — the store
+// tolerates it) its tenants.
 func NewService(cfg ServiceConfig) *Service {
 	workers := cfg.Workers
 	switch {
@@ -207,57 +197,40 @@ func NewService(cfg ServiceConfig) *Service {
 	if specDepth == 0 {
 		specDepth = 1024
 	}
-	be := cfg.Backend
-	if be == nil {
-		be = backend.Default()
-		cfg.Backend = be
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	tpl := New(mem.New(), Config{
+	// Exactly what ServiceConfig carries: no fault plan or per-engine
+	// observer (ValidateHook, ShadowElevate) reaches a shared prototype.
+	tc := Config{
 		Rules:           cfg.Rules,
-		Backend:         be,
+		Backend:         cfg.Backend,
 		DelegateFlags:   cfg.DelegateFlags,
 		FlagWindow:      cfg.FlagWindow,
 		NoBlockRegAlloc: cfg.NoBlockRegAlloc,
 		ManualABI:       cfg.ManualABI,
 		Peephole:        cfg.Peephole,
 		Validate:        cfg.Validate,
-		// The template engine never executes guest code and its memory
-		// holds none; tracking would only cost the workers.
-		NoWriteTrack: true,
-	})
-	s := &Service{
-		cfg:      cfg,
-		be:       be,
-		tpl:      tpl,
+	}
+	return &Service{
+		tr:       newTranslator(&tc, reg.Counter(MetBlocksValidated), reg.Counter(MetValidateFallbacks)),
 		met:      newServiceMetrics(reg),
 		inflight: map[serviceKey]*svcCall{},
 		snaps:    map[uint64]*mem.Memory{},
-		demand:   make(chan *svcCall, cfg.QueueDepth),
-		draining: make(chan struct{}),
+		pool:     newPool(workers, cfg.QueueDepth, specDepth),
 	}
-	if specDepth > 0 {
-		s.spec = make(chan specJob, specDepth)
-	}
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.work()
-	}
-	return s
 }
 
 // Metrics returns the registry holding the dbt.serve_* metrics.
 func (s *Service) Metrics() *obs.Registry { return s.met.reg }
 
 // Backend returns the service's resolved host backend.
-func (s *Service) Backend() backend.Backend { return s.be }
+func (s *Service) Backend() backend.Backend { return s.tr.be }
 
 // Rules returns the shared rule store. Tenant engines must be
 // constructed over this exact store to attach.
-func (s *Service) Rules() *rule.Store { return s.cfg.Rules }
+func (s *Service) Rules() *rule.Store { return s.tr.rules }
 
 // ServiceStats is a point-in-time snapshot of the service counters.
 type ServiceStats struct {
@@ -313,26 +286,18 @@ func (s *Service) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	close(s.draining)
-	s.wg.Wait()
+	s.pool.close(true)
 }
 
 // attach registers an engine as a tenant. It returns nil — and the
 // engine translates locally, with no service — when the configurations
 // are incompatible: prototypes are emitted once under the service's
 // translation knobs, so a tenant wanting different codegen must not
-// adopt them. Identical-program tenants share one code snapshot.
-func (s *Service) attach(e *Engine, m *mem.Memory) *tenant {
-	if s.closed.Load() {
-		return nil
-	}
-	if e.be.ID() != s.be.ID() || e.Cfg.Rules != s.cfg.Rules {
-		return nil
-	}
-	tc, sc := e.Cfg, s.tpl.Cfg
-	if tc.DelegateFlags != sc.DelegateFlags || tc.FlagWindow != sc.FlagWindow ||
-		tc.NoBlockRegAlloc != sc.NoBlockRegAlloc || tc.ManualABI != sc.ManualABI ||
-		tc.Peephole != sc.Peephole || normalizeValidate(tc.Validate) != normalizeValidate(sc.Validate) {
+// adopt them. Compatible means the tenant's translator would emit the
+// same code: same rule store instance, same backend, equal
+// codegenOptions. Identical-program tenants share one code snapshot.
+func (s *Service) attach(tr *translator, m *mem.Memory) *tenant {
+	if s.closed.Load() || tr.translatorID != s.tr.translatorID {
 		return nil
 	}
 	code := m.Checksum(env.CodeBase, env.DataBase)
@@ -345,14 +310,6 @@ func (s *Service) attach(e *Engine, m *mem.Memory) *tenant {
 	s.mu.Unlock()
 	s.met.tenants.Inc()
 	return &tenant{code: code, snap: snap}
-}
-
-// normalizeValidate folds the two spellings of "no extra validation".
-func normalizeValidate(v string) string {
-	if v == "off" {
-		return ""
-	}
-	return v
 }
 
 // request resolves one demand miss through the service. It returns the
@@ -390,31 +347,28 @@ func (s *Service) request(t *tenant, pc uint32) (*tblock, bool, error) {
 
 	if dup {
 		s.met.dedupHits.Inc()
-	} else {
-		select {
-		case s.demand <- c:
-			d := int64(len(s.demand))
-			for {
-				cur := s.maxDepth.Load()
-				if d <= cur || s.maxDepth.CompareAndSwap(cur, d) {
-					break
-				}
+	} else if s.pool.submit(s.pool.hi, func(tx *txctx) { s.serve(c, tx) }) {
+		d := int64(len(s.pool.hi))
+		for {
+			cur := s.maxDepth.Load()
+			if d <= cur || s.maxDepth.CompareAndSwap(cur, d) {
+				break
 			}
-			if obs.On() {
-				s.met.queueDepth.Set(d)
-			}
-		default:
-			// Backpressure: the queue is full. Retire the in-flight entry
-			// so duplicates are not parked behind a request that never
-			// entered the queue, and fail fast with the typed error.
-			s.mu.Lock()
-			delete(s.inflight, key)
-			s.mu.Unlock()
-			c.err = ErrServiceOverloaded
-			close(c.done)
-			s.met.overloads.Inc()
-			return nil, false, ErrServiceOverloaded
 		}
+		if obs.On() {
+			s.met.queueDepth.Set(d)
+		}
+	} else {
+		// Backpressure: the queue is full. Retire the in-flight entry
+		// so duplicates are not parked behind a request that never
+		// entered the queue, and fail fast with the typed error.
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		c.err = ErrServiceOverloaded
+		close(c.done)
+		s.met.overloads.Inc()
+		return nil, false, ErrServiceOverloaded
 	}
 
 	on := obs.On()
@@ -424,21 +378,18 @@ func (s *Service) request(t *tenant, pc uint32) (*tblock, bool, error) {
 	}
 	select {
 	case <-c.done:
-	case <-s.draining:
-		// Shutdown raced the request. The call may still be served by the
-		// drain sweep (its result lands in the cache either way); the
-		// tenant just stops waiting and translates locally.
-		select {
-		case <-c.done:
-		default:
-			if on {
-				s.met.waitNs.ObserveSince(t0)
-			}
-			return nil, false, ErrServiceClosed
-		}
+	case <-s.pool.quit:
 	}
 	if on {
 		s.met.waitNs.ObserveSince(t0)
+	}
+	select {
+	case <-c.done:
+	default:
+		// Shutdown raced the request. The call may still be served by the
+		// drain sweep (its result lands in the cache either way); the
+		// tenant just stops waiting and translates locally.
+		return nil, false, ErrServiceClosed
 	}
 	if c.err != nil {
 		return nil, false, c.err
@@ -446,57 +397,39 @@ func (s *Service) request(t *tenant, pc uint32) (*tblock, bool, error) {
 	return c.tb, !dup && c.fresh, nil
 }
 
-// work is one translation worker: demand requests take strict priority
-// over speculation, and on shutdown the remaining demand queue is
-// drained (closing tenants' done channels) before the worker exits.
-func (s *Service) work() {
-	defer s.wg.Done()
-	var tx txctx
-	for {
-		select {
-		case c := <-s.demand:
-			s.serveCall(c, &tx)
-			continue
-		default:
-		}
-		select {
-		case c := <-s.demand:
-			s.serveCall(c, &tx)
-		case j := <-s.spec: // nil (blocks forever) when speculation is off
-			s.serveSpec(j, &tx)
-		case <-s.draining:
-			for {
-				select {
-				case c := <-s.demand:
-					s.serveCall(c, &tx)
-				default:
-					return
-				}
-			}
-		}
+// resolve returns the prototype for key, translating it from the shared
+// code snapshot unless it is already cached. fresh reports that this
+// call's translation is the one that was published (first writer wins).
+// Translator panics come back as errors: a worker must survive any
+// single bad block. Failed translations are not cached, so a later
+// request retries from scratch.
+func (s *Service) resolve(key serviceKey, snap *mem.Memory, tx *txctx) (tb *tblock, fresh bool, err error) {
+	if v, ok := s.cache.Load(key); ok {
+		return v.(*tblock), false, nil
 	}
+	tb, err = recoverTranslate(key.pc, func() (*tblock, error) {
+		return s.tr.translate(snap, key.pc, tx, nil, nil)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	if prev, loaded := s.cache.LoadOrStore(key, tb); loaded {
+		return prev.(*tblock), false, nil
+	}
+	return tb, true, nil
 }
 
-// serveCall resolves one demand request and wakes every waiter.
-func (s *Service) serveCall(c *svcCall, tx *txctx) {
+// serve is the demand (hi) job: resolve one request and wake every
+// waiter. Pool priority puts it ahead of all speculation, and Close
+// drains the queued ones before the workers exit.
+func (s *Service) serve(c *svcCall, tx *txctx) {
 	if obs.On() {
-		s.met.queueDepth.Set(int64(len(s.demand)))
+		s.met.queueDepth.Set(int64(len(s.pool.hi)))
 	}
-	if tb, ok := s.cache.Load(c.key); ok {
-		c.tb = tb.(*tblock)
-	} else {
-		tb, err := s.translateSnap(c.key, c.snap, tx)
-		if err != nil {
-			// Failed translations are not cached and the in-flight entry is
-			// retired below, so a later request retries from scratch.
-			c.err = err
-		} else {
-			c.tb, c.fresh = s.store(c.key, tb)
-			if c.fresh {
-				s.met.translations.Inc()
-				s.enqueueSpec(c.key.code, c.snap, c.tb)
-			}
-		}
+	c.tb, c.fresh, c.err = s.resolve(c.key, c.snap, tx)
+	if c.fresh {
+		s.met.translations.Inc()
+		s.speculate(c.key.code, c.snap, c.tb)
 	}
 	s.mu.Lock()
 	delete(s.inflight, c.key)
@@ -504,47 +437,12 @@ func (s *Service) serveCall(c *svcCall, tx *txctx) {
 	close(c.done)
 }
 
-// serveSpec resolves one speculative job (best-effort: errors are
-// dropped, the demand path will retry and report them).
-func (s *Service) serveSpec(j specJob, tx *txctx) {
-	if _, ok := s.cache.Load(j.key); ok {
-		return
-	}
-	tb, err := s.translateSnap(j.key, j.snap, tx)
-	if err != nil {
-		return
-	}
-	if tb, fresh := s.store(j.key, tb); fresh {
-		s.met.specTranslations.Inc()
-		s.enqueueSpec(j.key.code, j.snap, tb)
-	}
-}
-
-// translateSnap translates the block at key.pc from the shared code
-// snapshot, converting translator panics into errors (a worker must
-// survive any single bad block).
-func (s *Service) translateSnap(key serviceKey, snap *mem.Memory, tx *txctx) (tb *tblock, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tb, err = nil, &PanicError{PC: key.pc, Cause: r}
-		}
-	}()
-	return s.tpl.translateIn(snap, key.pc, tx)
-}
-
-// store publishes a prototype, keeping the first on a race. It returns
-// the resident prototype and whether tb won.
-func (s *Service) store(key serviceKey, tb *tblock) (*tblock, bool) {
-	if prev, loaded := s.cache.LoadOrStore(key, tb); loaded {
-		return prev.(*tblock), false
-	}
-	return tb, true
-}
-
-// enqueueSpec offers the block's direct successors to the speculative
-// queue (non-blocking: a full queue drops, it never backpressures).
-func (s *Service) enqueueSpec(code uint64, snap *mem.Memory, tb *tblock) {
-	if s.spec == nil {
+// speculate offers the block's direct successors to the lo queue
+// (non-blocking: a full queue drops, it never backpressures; no queue at
+// all when speculation is disabled). Jobs are best-effort: errors are
+// dropped, the demand path will retry and report them.
+func (s *Service) speculate(code uint64, snap *mem.Memory, tb *tblock) {
+	if s.pool.lo == nil {
 		return
 	}
 	for i := range tb.links {
@@ -552,10 +450,12 @@ func (s *Service) enqueueSpec(code uint64, snap *mem.Memory, tb *tblock) {
 		if _, ok := s.cache.Load(key); ok {
 			continue
 		}
-		select {
-		case s.spec <- specJob{key: key, snap: snap}:
-		default:
-		}
+		s.pool.submit(s.pool.lo, func(tx *txctx) {
+			if succ, fresh, _ := s.resolve(key, snap, tx); fresh {
+				s.met.specTranslations.Inc()
+				s.speculate(code, snap, succ)
+			}
+		})
 	}
 }
 
@@ -611,6 +511,6 @@ func (e *Engine) adoptProto(pc uint32, p *tblock) *tblock {
 		rules:      p.rules,
 		flagsExact: p.flagsExact,
 		links:      directLinks(pc, p.insts),
-		elevated:   e.elevates(p.rules),
+		elevated:   e.tr.elevates(p.rules),
 	}
 }

@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -31,9 +32,9 @@ func serveRules(t *testing.T) *rule.Store {
 // (any extra knobs via cfg; Rules/Service are filled in here).
 func startTenant(t *testing.T, c *minic.Compiled, svc *Service, cfg Config) *Engine {
 	t.Helper()
-	cfg.Rules = svc.cfg.Rules
+	cfg.Rules = svc.Rules()
 	cfg.Service = svc
-	cfg.DelegateFlags = svc.cfg.DelegateFlags
+	cfg.DelegateFlags = svc.tr.opt.DelegateFlags
 	return startEngine(t, c, cfg)
 }
 
@@ -171,7 +172,7 @@ func TestServiceOverloadFallsBack(t *testing.T) {
 	defer svc.Close()
 	// Fill the queue: nothing drains it (Workers < 0), so every tenant
 	// enqueue hits the full-queue branch deterministically.
-	svc.demand <- &svcCall{done: make(chan struct{})}
+	svc.pool.hi <- func(*txctx) {}
 
 	e := startTenant(t, c, svc, Config{})
 	st, err := e.Run(env.CodeBase, 100_000_000)
@@ -241,8 +242,9 @@ func TestServiceShutdownDrains(t *testing.T) {
 	key := serviceKey{code: e.tnt.code, pc: env.CodeBase}
 	calls := make([]*svcCall, 8)
 	for i := range calls {
-		calls[i] = &svcCall{key: key, snap: e.tnt.snap, done: make(chan struct{})}
-		svc.demand <- calls[i]
+		c := &svcCall{key: key, snap: e.tnt.snap, done: make(chan struct{})}
+		calls[i] = c
+		svc.pool.hi <- func(tx *txctx) { svc.serve(c, tx) }
 	}
 	svc.Close()
 
@@ -313,7 +315,9 @@ func TestServicePurgeOnQuarantine(t *testing.T) {
 
 // TestServiceIncompatibleTenant: tenants whose translation shape or
 // fault plan disagrees with the service must be refused at attach and
-// run correctly on the local path.
+// run correctly on the local path — one case per codegen knob, so a knob
+// that stops reaching the attach comparison fails here by name.
+// Spellings that resolve to the same options must attach.
 func TestServiceIncompatibleTenant(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
@@ -321,17 +325,25 @@ func TestServiceIncompatibleTenant(t *testing.T) {
 	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true})
 	defer svc.Close()
 
-	cases := []struct {
+	with := func(f func(*Config)) Config {
+		cfg := Config{Rules: par, DelegateFlags: true, Service: svc}
+		f(&cfg)
+		return cfg
+	}
+	refused := []struct {
 		name string
 		cfg  Config
 	}{
-		{"peephole mismatch", Config{Rules: par, DelegateFlags: true, Peephole: true, Service: svc}},
-		{"flags mismatch", Config{Rules: par, Service: svc}},
-		{"different store", Config{Rules: serveRules(t), DelegateFlags: true, Service: svc}},
-		{"fault plan", Config{Rules: par, DelegateFlags: true, Service: svc,
-			Faults: faultinject.New(faultinject.Plan{})}},
+		{"DelegateFlags", with(func(c *Config) { c.DelegateFlags = false })},
+		{"FlagWindow", with(func(c *Config) { c.FlagWindow = 2 })},
+		{"NoBlockRegAlloc", with(func(c *Config) { c.NoBlockRegAlloc = true })},
+		{"ManualABI", with(func(c *Config) { c.ManualABI = true })},
+		{"Peephole", with(func(c *Config) { c.Peephole = true })},
+		{"Validate all", with(func(c *Config) { c.Validate = "all" })},
+		{"different store", with(func(c *Config) { c.Rules = serveRules(t) })},
+		{"fault plan", with(func(c *Config) { c.Faults = faultinject.New(faultinject.Plan{}) })},
 	}
-	for _, tc := range cases {
+	for _, tc := range refused {
 		e := startEngine(t, c, tc.cfg)
 		if e.svc != nil {
 			t.Fatalf("%s: tenant attached", tc.name)
@@ -343,6 +355,105 @@ func TestServiceIncompatibleTenant(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Tenants != 0 || st.Requests != 0 {
 		t.Fatalf("refused tenants still reached the service: %+v", st)
+	}
+
+	accepted := []Config{
+		with(func(c *Config) { c.Validate = "off" }),
+		with(func(c *Config) { c.Validate = "optimized" }),
+		with(func(c *Config) { c.FlagWindow = 3 }), // the default, spelled out
+	}
+	for i, cfg := range accepted {
+		if e := startEngine(t, c, cfg); e.svc == nil {
+			t.Fatalf("equivalent spelling %d (Validate %q, FlagWindow %d) refused", i, cfg.Validate, cfg.FlagWindow)
+		}
+	}
+}
+
+// TestConfigFieldsClassified pins the attach gate against drift: every
+// Config field is either a codegen knob (a codegenOptions field, which
+// codegenOf demonstrably copies), part of the translator's identity
+// (compared through translatorID), or on the per-engine list below. A
+// new field fails here until someone decides which it is.
+func TestConfigFieldsClassified(t *testing.T) {
+	knobs := map[string]bool{}
+	ot := reflect.TypeOf(codegenOptions{})
+	for i := 0; i < ot.NumField(); i++ {
+		knobs[ot.Field(i).Name] = true
+	}
+	renamed := map[string]string{"Validate": "validateAll"} // enum resolved to a bool
+	identity := map[string]bool{"Rules": true, "Backend": true}
+	perEngine := map[string]bool{
+		"TranslateWorkers": true, "NoChain": true, "HotThreshold": true, "TraceMaxBlocks": true,
+		"TraceBudget": true, "SyncTraces": true, "TraceBlock": true, "Metrics": true, "Trace": true,
+		"ShadowRate": true, "ShadowFirstN": true, "ShadowSeed": true, "ShadowElevatedRate": true,
+		"ShadowElevate": true, "AdaptiveShadow": true, "ShadowMinRate": true, "ShadowHalfLife": true,
+		"Service": true, "ArtifactDir": true, "InterpFallback": true, "Faults": true,
+		"NoWriteTrack": true, "ValidateHook": true,
+	}
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		name := ct.Field(i).Name
+		knob := name
+		if r, ok := renamed[name]; ok {
+			knob = r
+		}
+		classes := 0
+		for _, in := range []bool{knobs[knob], identity[name], perEngine[name]} {
+			if in {
+				classes++
+			}
+		}
+		if classes != 1 {
+			t.Errorf("Config.%s is in %d classes, want exactly 1: add it to codegenOptions (and codegenOf) if it changes translation output, else to the per-engine list", name, classes)
+			continue
+		}
+		if !knobs[knob] {
+			continue
+		}
+		delete(knobs, knob)
+		var cfg Config
+		switch f := reflect.ValueOf(&cfg).Elem().Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.String:
+			f.SetString("all")
+		default:
+			t.Fatalf("Config.%s: unhandled knob kind %s", name, f.Kind())
+		}
+		if codegenOf(&cfg) == codegenOf(&Config{}) {
+			t.Errorf("codegenOf ignores Config.%s", name)
+		}
+	}
+	for k := range knobs {
+		t.Errorf("codegenOptions.%s has no Config field", k)
+	}
+}
+
+// TestServiceValidationCountersVisible: the validator verdicts of
+// service-translated prototypes must land on the Service's registry (the
+// one /metrics serves), not on a registry nothing reads. With Validate
+// "all" every prototype gets a verdict, so the two counters together
+// account for every service translation.
+func TestServiceValidationCountersVisible(t *testing.T) {
+	c := compileT(t, testProgram())
+	want := interpret(t, c)
+	par := serveRules(t)
+	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true, Validate: "all"})
+	e := startTenant(t, c, svc, Config{Validate: "all"})
+	if e.svc == nil {
+		t.Fatal("tenant did not attach")
+	}
+	if _, err := e.Run(env.CodeBase, 100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, want, e.GuestState(), "validated tenant")
+	svc.Close() // speculation settled: the counters are final
+	st, reg := svc.Stats(), svc.Metrics()
+	verdicts := reg.Counter(MetBlocksValidated).Value() + reg.Counter(MetValidateFallbacks).Value()
+	if total := st.Translations + st.SpecTranslations; verdicts == 0 || verdicts < total {
+		t.Fatalf("service registry shows %d validator verdicts for %d translations", verdicts, total)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 //     drains the tracker's dirty pages and invalidates every cached
 //     translation overlapping one (smcFence) — Engine.Invalidate tears
 //     down covering superblocks through sbIndex, unpatches chain links,
-//     bumps cacheGen so in-flight builder results are discarded, and
-//     shuts the builder down. The very next dispatch retranslates from
+//     bumps cacheGen so in-flight superblock results are discarded, and
+//     closes the background pool. The very next dispatch retranslates from
 //     the current bytes.
 //   - the self case: a store inside the executing translation's own
 //     guest ranges cannot wait for the fence — the stale host code is
@@ -118,14 +118,15 @@ func (e *Engine) smcFence() int {
 	if len(pages) == 0 {
 		return 0
 	}
-	// The speculative pool translates from a startup snapshot of the
-	// code image; the first guest code write makes that snapshot
+	// Speculative jobs translate from a snapshot of the code image taken
+	// when the Run started; the first guest code write makes it
 	// permanently stale. Demote to demand-only translation for the rest
-	// of the run (the pool's shutdown waits out in-flight jobs, so the
-	// cache scan below sees every worker insert).
-	if e.spec != nil {
-		e.spec.shutdown()
-		e.spec = nil
+	// of the run (closing the pool waits out in-flight jobs, so the cache
+	// scan below sees every worker insert; superblock formation restarts
+	// the pool on its next submission).
+	if e.specCode != nil {
+		e.closeBackground()
+		e.specCode = nil
 	}
 	// Same staleness argument detaches a shared translation service:
 	// its prototypes were built from the code image this tenant

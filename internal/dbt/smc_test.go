@@ -228,28 +228,27 @@ func TestSMCNoWriteTrackOptOut(t *testing.T) {
 	}
 }
 
-// TestSMCBuilderPanicRecovered: a panic inside the background builder's
-// translation must be absorbed by safeTranslate, surface as a failed
-// job (not a crashed goroutine) and increment dbt.sb_builder_panics.
+// TestSMCBuilderPanicRecovered: a panic inside a background superblock
+// job's translation must be absorbed by recoverTranslate — the single
+// recovery wrapper — surface as a failed result (not a crashed worker)
+// and increment dbt.sb_builder_panics.
 func TestSMCBuilderPanicRecovered(t *testing.T) {
 	e := New(mem.New(), Config{})
-	b := &sbBuilder{e: e}
 	var tx txctx
 	// Two constituents but only one instruction list: translateSuperblock
 	// indexes out of range, the kind of internal inconsistency the
 	// recover exists to contain.
-	job := sbJob{
-		head:   env.CodeBase,
-		pcs:    []uint32{env.CodeBase, env.CodeBase + 4},
-		blocks: [][]guest.Inst{guest.MustAssemble("b skip\nskip:\nhlt")[:1]},
-	}
-	tb, err := b.safeTranslate(job, &tx)
-	if tb != nil || err == nil {
-		t.Fatalf("safeTranslate = (%v, %v), want nil tb and an error", tb, err)
-	}
+	pcs := []uint32{env.CodeBase, env.CodeBase + 4}
+	blocks := [][]guest.Inst{guest.MustAssemble("b skip\nskip:\nhlt")[:1]}
+	tb, err := recoverTranslate(env.CodeBase, func() (*tblock, error) {
+		return e.tr.translateSuperblock(pcs, blocks, &tx)
+	})
 	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v is not a PanicError", err)
+	if tb != nil || !errors.As(err, &pe) || pe.PC != env.CodeBase {
+		t.Fatalf("recoverTranslate = (%v, %v), want nil tb and a PanicError at the head", tb, err)
+	}
+	if r := e.buildSuperblock(env.CodeBase, 7, pcs, blocks, &tx); r.tb != nil || r.head != env.CodeBase || r.gen != 7 {
+		t.Fatalf("buildSuperblock = %+v, want a failed result for the head at gen 7", r)
 	}
 	if n := e.met.sbBuilderPanics.Value(); n != 1 {
 		t.Fatalf("sb_builder_panics = %d, want 1", n)

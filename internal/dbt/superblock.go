@@ -1,9 +1,9 @@
 package dbt
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"paramdbt/internal/analysis"
 	"paramdbt/internal/core"
@@ -78,10 +78,10 @@ type sbMeta struct {
 // non-superblock translation while HotThreshold is set: count the
 // entry, and at the (backoff-scaled) threshold grow a trace and either
 // translate it inline (Config.SyncTraces) or hand it to the background
-// builder. Returns the block to execute — the new superblock when a
+// pool. Returns the block to execute — the new superblock when a
 // synchronous formation succeeded, tb unchanged otherwise (an
 // asynchronous superblock is entered on a later iteration, after the
-// dispatch loop drains the builder's result).
+// dispatch loop drains the job's result).
 func (e *Engine) maybeSuperblock(pc uint32, tb *tblock) *tblock {
 	if tb.sbTries >= sbMaxTries {
 		return tb
@@ -138,7 +138,7 @@ func (e *Engine) formSuperblock(head uint32, htb *tblock) *tblock {
 	if len(pcs) < 2 {
 		return nil
 	}
-	sbtb, err := e.translateSuperblock(pcs, e.traceBlocks(pcs), &e.tx)
+	sbtb, err := e.tr.translateSuperblock(pcs, e.traceBlocks(pcs), &e.tx)
 	if err != nil {
 		return nil
 	}
@@ -152,8 +152,7 @@ func (e *Engine) formSuperblock(head uint32, htb *tblock) *tblock {
 // their cached per-block translations — growTrace only walks cached
 // blocks, so every pc is present and trace translation re-fetches and
 // re-decodes nothing. The insts slices are immutable after
-// construction, which also makes them safe to hand to the builder
-// goroutine.
+// construction, which also makes them safe to hand to a pool worker.
 func (e *Engine) traceBlocks(pcs []uint32) [][]guest.Inst {
 	blocks := make([][]guest.Inst, len(pcs))
 	for i, pc := range pcs {
@@ -169,66 +168,84 @@ func (e *Engine) traceBlocks(pcs []uint32) [][]guest.Inst {
 // submitSuperblock is the asynchronous formation path: grow the trace
 // on the dispatch loop (a cheap link walk over profile data only the
 // Run goroutine may touch) and queue its translation — the expensive
-// part, ~two orders of magnitude more than a dispatch — on the builder
-// goroutine. The head keeps executing its per-block translations until
-// the finished superblock is drained and installed, so trace
-// translation latency never stalls guest progress. Failures surface
-// through the drained result and back off exactly like synchronous
-// formation.
+// part, ~two orders of magnitude more than a dispatch — as a hi job on
+// the background pool, the way tiered JITs run their optimizing compiler
+// on a separate thread. The job needs no guest-memory snapshot: it
+// carries the constituents' decoded instructions (immutable, lifted from
+// the cache here), and translation reads only those and the immutable
+// rule store. Its output is not a cache insert but a message back to the
+// Run goroutine, stamped with the cache generation the trace was grown
+// under. The head keeps executing its per-block translations until the
+// finished superblock is drained and installed, so trace translation
+// latency never stalls guest progress. Failures surface through the
+// drained result and back off exactly like synchronous formation.
 func (e *Engine) submitSuperblock(head uint32, htb *tblock) {
 	if e.sbBan[head] {
 		htb.sbTries = sbMaxTries
 		return
 	}
-	if e.sbb != nil && e.sbb.pending[head] {
-		htb.hot = 0 // a job for this head is already in flight
-		return
+	htb.hot = 0 // every outcome below re-heats the head from zero
+	if e.sbPending[head] {
+		return // a job for this head is already in flight
 	}
 	pcs := e.growTrace(head)
-	if len(pcs) < 2 {
-		htb.hot = 0
-		htb.sbTries++
-		return
-	}
 	blocks := e.traceBlocks(pcs)
-	if blocks == nil {
-		htb.hot = 0
+	if len(pcs) < 2 || blocks == nil {
 		htb.sbTries++
 		return
 	}
-	if e.sbb == nil {
-		e.sbb = e.startSBBuilder()
-	}
-	select {
-	case e.sbb.jobs <- sbJob{head: head, pcs: pcs, blocks: blocks, gen: e.cacheGen}:
-		e.sbb.pending[head] = true
-		e.sbb.inFlight++
+	p := e.background() // first: it makes sbResults and sbPending
+	results, gen := e.sbResults, e.cacheGen
+	// Jobs in flight are capped at the results buffer, so a job's send
+	// never blocks its worker. At the cap, or with the queue full, the
+	// hint is dropped without a backoff penalty — the head re-heats and
+	// resubmits once the workers catch up.
+	if e.sbInFlight < cap(results) && p.submit(p.hi, func(tx *txctx) {
+		results <- e.buildSuperblock(head, gen, pcs, blocks, tx)
+	}) {
+		e.sbPending[head] = true
+		e.sbInFlight++
 		// The job claims budget up front; failed or stale results refund
-		// it in finishSBResult.
+		// it in finishSBResult, abandoned ones in closeBackground.
 		e.sbSpent++
-		htb.hot = 0
-	default:
-		// Queue full: drop the hint without a backoff penalty — the head
-		// re-heats and resubmits once the builder catches up.
-		htb.hot = 0
 	}
 }
 
-// drainSB installs every superblock the builder has finished. Called
+// sbQueueDepth bounds superblock jobs in flight per engine.
+const sbQueueDepth = 32
+
+// buildSuperblock is the pool-worker half of asynchronous formation.
+// Panics (e.g. a corrupted rule template) become a result with tb nil:
+// finishSBResult refunds the budget claim and backs the head off, and
+// execution continues per-block — a panic in background trace formation
+// costs the superblock, never the process. Each absorbed panic counts
+// into dbt.sb_builder_panics (the counter is atomic; this runs off the
+// Run goroutine).
+func (e *Engine) buildSuperblock(head uint32, gen uint64, pcs []uint32, blocks [][]guest.Inst, tx *txctx) sbResult {
+	tb, err := recoverTranslate(head, func() (*tblock, error) {
+		return e.tr.translateSuperblock(pcs, blocks, tx)
+	})
+	if errors.Is(err, ErrTranslatorPanic) {
+		e.met.sbBuilderPanics.Inc()
+	}
+	return sbResult{head: head, gen: gen, tb: tb}
+}
+
+// drainSB installs every superblock the pool has finished. Called
 // from the dispatch loop only while jobs are in flight, so the idle
 // cost is one counter load. When jobs remain after the drain, the
 // dispatch goroutine yields its processor once: with GOMAXPROCS > 1
 // that is practically free, and on a single processor it is what lets
-// the builder run at all — a dispatch loop never blocks, so without
+// the workers run at all — a dispatch loop never blocks, so without
 // the yield background translation would only progress at the
 // runtime's coarse async-preemption ticks and finished superblocks
 // would land too late to matter.
 func (e *Engine) drainSB() {
-	for e.sbb.inFlight > 0 {
+	for e.sbInFlight > 0 {
 		select {
-		case r := <-e.sbb.results:
-			e.sbb.inFlight--
-			delete(e.sbb.pending, r.head)
+		case r := <-e.sbResults:
+			e.sbInFlight--
+			delete(e.sbPending, r.head)
 			e.finishSBResult(r)
 		default:
 			runtime.Gosched()
@@ -237,7 +254,7 @@ func (e *Engine) drainSB() {
 	}
 }
 
-// finishSBResult applies one builder result on the Run goroutine: the
+// finishSBResult applies one background result on the Run goroutine: the
 // asynchronous half of formSuperblock's install-or-back-off.
 func (e *Engine) finishSBResult(r sbResult) {
 	htb, ok := e.cache.get(r.head)
@@ -263,100 +280,13 @@ func (e *Engine) finishSBResult(r sbResult) {
 	e.met.tracesFormed.Inc()
 }
 
-// sbJob is one trace queued for background translation: the pcs plus
-// their already-decoded instructions (immutable, lifted from the cache
-// at submit time, so the builder touches no guest memory at all); gen
-// stamps the cache generation the trace was grown under.
-type sbJob struct {
-	head   uint32
-	pcs    []uint32
-	blocks [][]guest.Inst
-	gen    uint64
-}
-
-// sbResult is the builder's reply: tb is nil when translation failed
-// (the head backs off as in synchronous formation).
+// sbResult is a superblock job's reply: gen stamps the cache generation
+// the trace was grown under, and tb is nil when translation failed (the
+// head backs off as in synchronous formation).
 type sbResult struct {
 	head uint32
 	gen  uint64
 	tb   *tblock
-}
-
-// sbBuilder runs superblock translation off the dispatch loop, the way
-// tiered JITs run their optimizing compiler on a separate thread.
-// Unlike the speculative translation pool it needs no guest-memory
-// snapshot: jobs arrive with the constituents' decoded instructions,
-// and translation reads only those and the immutable rule store. Its
-// output is not a shared-cache insert but a message back to the Run
-// goroutine, which alone may install over live cache entries. pending
-// and inFlight are Run-goroutine state kept here only for lifetime
-// symmetry.
-type sbBuilder struct {
-	e       *Engine
-	jobs    chan sbJob
-	results chan sbResult
-	quit    chan struct{}
-	wg      sync.WaitGroup
-
-	pending  map[uint32]bool // Run goroutine only: heads with a queued job
-	inFlight int             // Run goroutine only: queued minus drained
-}
-
-func (e *Engine) startSBBuilder() *sbBuilder {
-	b := &sbBuilder{
-		e:       e,
-		jobs:    make(chan sbJob, 32),
-		results: make(chan sbResult, 32),
-		quit:    make(chan struct{}),
-		pending: map[uint32]bool{},
-	}
-	b.wg.Add(1)
-	go b.work()
-	return b
-}
-
-// shutdown stops the builder and discards undrained results.
-func (b *sbBuilder) shutdown() {
-	close(b.quit)
-	b.wg.Wait()
-}
-
-func (b *sbBuilder) work() {
-	defer b.wg.Done()
-	var tx txctx
-	for {
-		select {
-		case <-b.quit:
-			return
-		case j := <-b.jobs:
-			r := sbResult{head: j.head, gen: j.gen}
-			if tb, err := b.safeTranslate(j, &tx); err == nil {
-				r.tb = tb
-			}
-			select {
-			case b.results <- r:
-			case <-b.quit:
-				return
-			}
-		}
-	}
-}
-
-// safeTranslate converts panics (e.g. a corrupted rule template) into
-// errors so the builder goroutine never takes the process down: the
-// result arrives with tb nil, finishSBResult refunds the budget claim
-// and backs the head off, and execution continues per-block — a panic
-// in background trace formation costs the superblock, never the
-// process. Each absorbed panic counts into dbt.sb_builder_panics (the
-// counter is atomic; this runs off the Run goroutine).
-func (b *sbBuilder) safeTranslate(j sbJob, tx *txctx) (tb *tblock, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.e.met.sbBuilderPanics.Inc()
-			tb, err = nil, &PanicError{PC: j.head, Cause: r}
-		}
-	}()
-	return b.e.translateSuperblock(j.pcs, j.blocks, tx)
 }
 
 // installSB makes the superblock the head pc's cache entry and repoints
@@ -448,10 +378,9 @@ type sbStub struct {
 // dead flag-store elimination, backend Finalize. blocks holds the
 // constituents' decoded instructions (from their cached per-block
 // translations — nothing is re-fetched or re-decoded) and tx the
-// caller's arena; like translateWith, the function reads only those and
-// the rule store, so it is safe off the Run goroutine with a private
-// arena.
-func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *txctx) (*tblock, error) {
+// caller's arena; like translate, the function reads only those and the
+// rule store, so it is safe off the Run goroutine with a private arena.
+func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *txctx) (*tblock, error) {
 	if blocks == nil {
 		return nil, fmt.Errorf("dbt: trace constituents not cached")
 	}
@@ -469,15 +398,15 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 	// Window fingerprints are position-independent, so the miss memo
 	// carries usefully across constituents within the unit.
 	for i := range blocks {
-		plans[i] = e.planBlock(blocks[i], tx, nil)
+		plans[i] = tr.planBlock(blocks[i], tx, nil)
 	}
-	mapping := e.allocRegs(all)
+	mapping := tr.allocRegs(all)
 	for i := range blocks {
-		e.finishPlan(&plans[i], blocks[i], mapping)
+		tr.finishPlan(&plans[i], blocks[i], mapping)
 	}
 
 	a := host.NewAsm()
-	e.emitPrologue(a, mapping)
+	tr.emitPrologue(a, mapping)
 	sb := &sbMeta{
 		pcs:        pcs,
 		insts:      blocks,
@@ -492,7 +421,7 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 	for i := range blocks {
 		insts := blocks[i]
 		bp := plans[i]
-		em, err := e.emitBody(a, pcs[i], insts, bp.plans, mapping, nil)
+		em, err := tr.emitBody(a, pcs[i], insts, bp.plans, mapping, nil)
 		if err != nil {
 			return nil, fmt.Errorf("trace block %d @%#x: %w", i, pcs[i], err)
 		}
@@ -514,17 +443,17 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 		bcov := em.covered
 		var termCovered bool
 		if i == k-1 {
-			termCovered, err = e.emitTerminator(a, term, termPC, bp.plans, bp.termRule, mapping)
+			termCovered, err = tr.emitTerminator(a, term, termPC, bp.plans, bp.termRule, mapping)
 		} else {
-			termCovered, err = e.emitSeam(a, term, termPC, pcs[i+1], bp.plans, bp.termRule, mapping, i, &stubs)
+			termCovered, err = tr.emitSeam(a, term, termPC, pcs[i+1], bp.plans, bp.termRule, mapping, i, &stubs)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("trace block %d @%#x terminator %q: %w", i, pcs[i], term, err)
 		}
-		// Same terminator coverage accounting as translateWith, per
+		// Same terminator coverage accounting as translate, per
 		// constituent, so superblock coverage matches per-block coverage
 		// for identical execution paths.
-		if !termCovered && e.Cfg.ManualABI && manualTerminatorCovered(term) {
+		if !termCovered && tr.opt.ManualABI && manualTerminatorCovered(term) {
 			termCovered = true
 		}
 		if termCovered {
@@ -552,7 +481,7 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 		a.SetCat(host.CatControl)
 		a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffSBExit), host.Imm(int32(st.seam))))
 		a.SetCat(host.CatCompute)
-		e.exitTo(a, st.target, mapping)
+		tr.exitTo(a, st.target, mapping)
 	}
 
 	// Cross-block optimization: NZCV stores a later constituent provably
@@ -564,7 +493,7 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 		sb.elided = removed
 	}
 
-	hb, err := e.be.Finalize(a)
+	hb, err := tr.be.Finalize(a)
 	if err != nil {
 		return nil, err
 	}
@@ -574,7 +503,7 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 	}
 	// Superblocks delegate/elide flags across seams by design, so the
 	// NZCV words are never exact at exits: validate everything else.
-	hb = e.finishBlock(hb, segs, false)
+	hb = tr.finishBlock(hb, segs, false)
 
 	return &tblock{
 		hb:     hb,
@@ -587,7 +516,7 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 		// CPUState NZCV words are not exact at every exit; the shadow
 		// verifier compares registers and memory only.
 		flagsExact: false,
-		elevated:   e.elevates(used),
+		elevated:   tr.elevates(used),
 		sb:         sb,
 	}, nil
 }
@@ -596,7 +525,7 @@ func (e *Engine) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *tx
 // through into the next block's body, the off-trace direction (if any)
 // branches to a deferred side-exit stub. Reports whether the guest
 // branch counts as rule-covered (same meaning as emitTerminator).
-func (e *Engine) emitSeam(a *host.Asm, term guest.Inst, termPC, next uint32, plans []iplan, termRule *iplan, mapping map[guest.Reg]host.Reg, seam int, stubs *[]sbStub) (bool, error) {
+func (tr *translator) emitSeam(a *host.Asm, term guest.Inst, termPC, next uint32, plans []iplan, termRule *iplan, mapping map[guest.Reg]host.Reg, seam int, stubs *[]sbStub) (bool, error) {
 	fall := termPC + guest.InstBytes
 	switch term.Op {
 	case guest.B:
@@ -656,7 +585,7 @@ func (e *Engine) emitSeam(a *host.Asm, term guest.Inst, termPC, next uint32, pla
 				br = tcg.Brz // off-trace when it does not (next == target)
 			}
 			g.Insts = append(g.Insts, tcg.Inst{Op: br, A: v, Label: lbl, Dst: -1})
-			if err := e.lowerIR(a, g, mapping); err != nil {
+			if err := tr.lowerIR(a, g, mapping); err != nil {
 				return false, err
 			}
 			retag(a, start, host.CatControl)

@@ -5,19 +5,140 @@ import (
 	"sort"
 
 	"paramdbt/internal/analysis"
+	"paramdbt/internal/backend"
 	"paramdbt/internal/core"
 	"paramdbt/internal/env"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 	"paramdbt/internal/mem"
+	"paramdbt/internal/obs"
 	"paramdbt/internal/rule"
 	"paramdbt/internal/tcg"
 )
 
-// The engine's blockRegs (host registers available for block-lifetime
-// guest register mapping) and tempPool (TCG temporaries, rule operand
-// staging, flag materialization) are the backend's register policy,
-// cached on the Engine at construction.
+// codegenOptions is every knob that shapes translation output. It is
+// comparable on purpose: two translators with equal options over the
+// same rule store and backend emit identical host code for identical
+// guest bytes — which is the shared service's whole attach test, and
+// why a worker-translated block is interchangeable with a
+// demand-translated one.
+type codegenOptions struct {
+	DelegateFlags   bool
+	FlagWindow      int
+	NoBlockRegAlloc bool
+	ManualABI       bool
+	Peephole        bool
+	validateAll     bool // Config.Validate, resolved by ParseValidate
+}
+
+// codegenOf is the one place the codegen knobs are read off a Config
+// (the FlagWindow default applied, the Validate enum resolved). A
+// Config field that changes translation output must be copied here — and
+// so into the attach comparison — or classified per-engine in
+// TestConfigFieldsClassified.
+func codegenOf(c *Config) codegenOptions {
+	all, err := ParseValidate(c.Validate)
+	if err != nil {
+		panic(err)
+	}
+	o := codegenOptions{
+		DelegateFlags:   c.DelegateFlags,
+		FlagWindow:      c.FlagWindow,
+		NoBlockRegAlloc: c.NoBlockRegAlloc,
+		ManualABI:       c.ManualABI,
+		Peephole:        c.Peephole,
+		validateAll:     all,
+	}
+	if o.FlagWindow == 0 {
+		o.FlagWindow = 3
+	}
+	return o
+}
+
+// ParseValidate resolves a Config.Validate spelling: "", "off" and
+// "optimized" all mean "validate only what Peephole requires" (false),
+// "all" validates every finalized translation (true). Anything else is
+// an error — the CLIs report it as a usage error, New panics on it — so
+// a typo can no longer silently mean off.
+func ParseValidate(mode string) (all bool, err error) {
+	switch mode {
+	case "", "off", "optimized":
+		return false, nil
+	case "all":
+		return true, nil
+	}
+	return false, fmt.Errorf("dbt: unknown Validate mode %q (want off, optimized or all)", mode)
+}
+
+// translator is the paper's pipeline — rule lookup, instantiate, TCG
+// fallback, flag delegation, backend Finalize, validate — as what it is:
+// a pure function of {code bytes, rule store, backend, codegenOptions}.
+// It owns no guest memory, CPU, code cache or statistics, and is
+// immutable after construction, so the Run goroutine, the background
+// pool's workers and blame-isolation trials all call one instance
+// concurrently, each with its own txctx. Engine and Service each hold
+// one; equal translatorIDs mean interchangeable output.
+type translator struct {
+	translatorID
+	be backend.Backend
+	// blockRegs (host registers available for block-lifetime guest
+	// register mapping) and tempPool (TCG temporaries, rule operand
+	// staging, flag materialization) cache the backend's register policy
+	// so the translation hot path never re-queries it.
+	blockRegs []host.Reg
+	tempPool  []host.Reg
+
+	// Observers of the translation, none of which changes what is emitted
+	// for a healthy rule store: the validator's verdict counters (on the
+	// owner's registry), Config.ValidateHook, Config.ShadowElevate, and
+	// the fault injector's optimized-stream mutation (the adversarial
+	// hook the validator-rejects-broken-peephole tests use).
+	validated    *obs.Counter
+	fallbacks    *obs.Counter
+	validateHook func(*analysis.BlockReport)
+	elevate      func(*rule.Template) bool
+	mutateOpt    func(*host.Block) *host.Block
+}
+
+// translatorID is everything translation output depends on besides the
+// code bytes — what Service.attach compares with one ==.
+type translatorID struct {
+	rules   *rule.Store // nil for the pure-TCG baseline
+	backend uint8       // be.ID()
+	opt     codegenOptions
+}
+
+// newTranslator resolves c's translation-relevant half: the backend
+// (nil selects backend.Default(), i.e. x86 or the PARAMDBT_BACKEND
+// override), the rule store rekeyed into that backend's namespace, and
+// the codegen knobs. validated and fallbacks are the owner's
+// dbt.blocks_validated / dbt.validate_fallbacks counters.
+func newTranslator(c *Config, validated, fallbacks *obs.Counter) *translator {
+	be := c.Backend
+	if be == nil {
+		be = backend.Default()
+	}
+	if c.Rules != nil {
+		// Rekey retrieval fingerprints (and hence every MissSet memo)
+		// into the backend's namespace; quarantine state is
+		// backend-neutral and survives the rekey.
+		c.Rules.SetBackendID(be.ID())
+	}
+	tr := &translator{
+		translatorID: translatorID{rules: c.Rules, backend: be.ID(), opt: codegenOf(c)},
+		be:           be, blockRegs: be.BlockRegs(), tempPool: be.TempPool(),
+		validated:    validated,
+		fallbacks:    fallbacks,
+		validateHook: c.ValidateHook,
+		elevate:      c.ShadowElevate,
+	}
+	if f, ok := c.Faults.(interface {
+		MutateOptimized(*host.Block) *host.Block
+	}); ok {
+		tr.mutateOpt = f.MutateOptimized
+	}
+	return tr
+}
 
 type pathKind uint8
 
@@ -46,8 +167,8 @@ type iplan struct {
 // rule window. Lookups write into the next free slot (rule.LookupInto),
 // and the slot is kept only when the window is accepted — so a warm
 // arena makes the whole rule fast path allocation-free per block. The
-// engine owns one for the Run goroutine (Engine.tx); speculative
-// workers and blame-isolation trials carry their own.
+// engine owns one for the Run goroutine (Engine.tx); every pool worker
+// and blame-isolation trial carries its own.
 type txctx struct {
 	miss  rule.MissSet
 	binds []rule.Binding
@@ -78,24 +199,20 @@ type blockPlan struct {
 	termRule *iplan
 }
 
-// translateIn builds the host block for the guest block at pc, fetching
-// code from m (live memory on the demand path, a snapshot for the
-// speculative workers — see specPool). tx holds the per-goroutine
-// translation scratch (miss memo + binding arena). Translation is a
-// pure function of the code bytes and the engine configuration, so
-// concurrent callers produce identical blocks.
-func (e *Engine) translateIn(m *mem.Memory, pc uint32, tx *txctx) (*tblock, error) {
-	return e.translateWith(m, pc, tx, nil, nil)
-}
-
-// translateWith is translateIn with the guard layer's extension
-// points: skip excludes individual rule templates from retrieval (the
+// translate builds the host block for the guest block at pc, fetching
+// code from m (live memory on the demand path, a code snapshot for pool
+// workers). tx holds the per-goroutine translation scratch (miss memo +
+// binding arena). Translation is a pure function of the code bytes and
+// the translator, so concurrent callers produce identical blocks.
+//
+// skip and cur are the guard layer's extension points (nil elsewhere):
+// skip excludes individual rule templates from retrieval (the
 // blame-isolation trials translate with one suspect excluded —
 // quarantined rules are excluded on every path by the store itself),
 // and cur, when non-nil, tracks the template currently being
 // instantiated so a panic inside rule emission can be attributed to
 // the rule that caused it.
-func (e *Engine) translateWith(m *mem.Memory, pc uint32, tx *txctx, skip func(*rule.Template) bool, cur **rule.Template) (*tblock, error) {
+func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*rule.Template) bool, cur **rule.Template) (*tblock, error) {
 	insts, err := fetchBlockIn(m, pc)
 	if err != nil {
 		return nil, err
@@ -106,26 +223,26 @@ func (e *Engine) translateWith(m *mem.Memory, pc uint32, tx *txctx, skip func(*r
 	// Passes 1-4: rule windows, register allocation, staging demotion,
 	// flag delegation.
 	tx.reset()
-	bp := e.planBlock(insts, tx, skip)
-	mapping := e.allocRegs(insts)
-	e.finishPlan(&bp, insts, mapping)
+	bp := tr.planBlock(insts, tx, skip)
+	mapping := tr.allocRegs(insts)
+	tr.finishPlan(&bp, insts, mapping)
 
 	// Pass 5: emission. Alongside the host code, record the block's rule
 	// provenance (the distinct templates whose code it contains) and
 	// whether its NZCV state stays exact in the CPUState — both feed the
 	// guard layer's shadow verification and blame isolation.
 	a := host.NewAsm()
-	e.emitPrologue(a, mapping)
-	em, err := e.emitBody(a, pc, insts, bp.plans, mapping, cur)
+	tr.emitPrologue(a, mapping)
+	em, err := tr.emitBody(a, pc, insts, bp.plans, mapping, cur)
 	if err != nil {
 		return nil, err
 	}
 	covered := em.covered
-	termCovered, err := e.emitTerminator(a, term, pc+uint32((n-1)*guest.InstBytes), bp.plans, bp.termRule, mapping)
+	termCovered, err := tr.emitTerminator(a, term, pc+uint32((n-1)*guest.InstBytes), bp.plans, bp.termRule, mapping)
 	if err != nil {
 		return nil, fmt.Errorf("terminator %q: %w", term, err)
 	}
-	if !termCovered && e.Cfg.ManualABI && manualTerminatorCovered(term) {
+	if !termCovered && tr.opt.ManualABI && manualTerminatorCovered(term) {
 		termCovered = true
 	}
 	if termCovered {
@@ -146,11 +263,11 @@ func (e *Engine) translateWith(m *mem.Memory, pc uint32, tx *txctx, skip func(*r
 	// The backend finalizes the complete assembled stream — rule bodies
 	// and TCG-lowered code alike — applying any legalization its encoder
 	// requires before the block becomes executable.
-	hb, err := e.be.Finalize(a)
+	hb, err := tr.be.Finalize(a)
 	if err != nil {
 		return nil, err
 	}
-	hb = e.finishBlock(hb, []analysis.GuestSeg{{PC: pc, Insts: insts}}, em.flagsExact)
+	hb = tr.finishBlock(hb, []analysis.GuestSeg{{PC: pc, Insts: insts}}, em.flagsExact)
 
 	return &tblock{
 		hb:         hb,
@@ -162,19 +279,19 @@ func (e *Engine) translateWith(m *mem.Memory, pc uint32, tx *txctx, skip func(*r
 		links:      directLinks(pc, insts),
 		rules:      em.used,
 		flagsExact: em.flagsExact,
-		elevated:   e.elevates(em.used),
+		elevated:   tr.elevates(em.used),
 	}, nil
 }
 
 // planBlock is pass 1: choose rule windows greedily (longest match
 // first) over one basic block. The window may extend through the
 // terminator when a branch-tail rule (compare-and-branch) matches it.
-func (e *Engine) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.Template) bool) blockPlan {
+func (tr *translator) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.Template) bool) blockPlan {
 	n := len(insts)
 	plans := make([]iplan, n)
 	plans[n-1] = iplan{kind: pathTerm}
 	bp := blockPlan{plans: plans}
-	if e.Cfg.Rules == nil {
+	if tr.rules == nil {
 		return bp
 	}
 	body := insts[:n-1]
@@ -186,8 +303,8 @@ func (e *Engine) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.Templa
 			continue
 		}
 		b := tx.slot()
-		tmpl, l := e.Cfg.Rules.LookupInto(insts[i:], &tx.miss, skip, b)
-		usable, needsDeleg := e.ruleUsable(tmpl)
+		tmpl, l := tr.rules.LookupInto(insts[i:], &tx.miss, skip, b)
+		usable, needsDeleg := tr.ruleUsable(tmpl)
 		if tmpl != nil && usable {
 			tx.keep()
 			plans[i] = iplan{kind: pathRule, tmpl: tmpl, bind: *b, needsDeleg: needsDeleg}
@@ -211,7 +328,7 @@ func (e *Engine) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.Templa
 // exceeds the temp pool, then plan condition-flag delegation for the
 // block's terminator branch; rules that required delegation but did
 // not get it fall back to TCG.
-func (e *Engine) finishPlan(bp *blockPlan, insts []guest.Inst, mapping map[guest.Reg]host.Reg) {
+func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping map[guest.Reg]host.Reg) {
 	body := insts[:len(insts)-1]
 	plans := bp.plans
 	for i := range body {
@@ -219,15 +336,15 @@ func (e *Engine) finishPlan(bp *blockPlan, insts []guest.Inst, mapping map[guest
 		if p.kind != pathRule {
 			continue
 		}
-		need := e.stagingNeed(p.tmpl, p.bind, mapping)
+		need := tr.stagingNeed(p.tmpl, p.bind, mapping)
 		if body[i].SetsFlags() {
 			need++ // flag materialization needs one free register
 		}
-		if need > len(e.tempPool) {
+		if need > len(tr.tempPool) {
 			demote(plans, i)
 		}
 	}
-	e.planDelegation(insts, plans)
+	tr.planDelegation(insts, plans)
 	for i := range body {
 		if plans[i].kind == pathRule && plans[i].needsDeleg && !plans[i].delegated {
 			demote(plans, i)
@@ -247,7 +364,7 @@ type emitted struct {
 
 // emitBody emits the body (all but the terminator) of one basic block
 // into the shared assembler.
-func (e *Engine) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans []iplan, mapping map[guest.Reg]host.Reg, cur **rule.Template) (emitted, error) {
+func (tr *translator) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans []iplan, mapping map[guest.Reg]host.Reg, cur **rule.Template) (emitted, error) {
 	em := emitted{flagsExact: true}
 	body := insts[:len(insts)-1]
 	for i := range body {
@@ -273,7 +390,7 @@ func (e *Engine) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans []ip
 			if cur != nil {
 				*cur = p.tmpl
 			}
-			if err := e.emitRule(a, body[i], p, mapping); err != nil {
+			if err := tr.emitRule(a, body[i], p, mapping); err != nil {
 				return em, fmt.Errorf("inst %d %q: %w", i, body[i], err)
 			}
 			if cur != nil {
@@ -287,15 +404,15 @@ func (e *Engine) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans []ip
 		case pathRuleTail:
 			// emitted by the head
 		case pathTCG:
-			if e.Cfg.ManualABI && manualEmittable(body[i]) {
-				if err := e.emitManual(a, body[i], mapping); err != nil {
+			if tr.opt.ManualABI && manualEmittable(body[i]) {
+				if err := tr.emitManual(a, body[i], mapping); err != nil {
 					return em, fmt.Errorf("inst %d %q: %w", i, body[i], err)
 				}
 				em.covered++
 				continue
 			}
 			em.uncovered = append(em.uncovered, body[i].Op)
-			if err := e.emitTCG(a, body[i], pc+uint32(i*guest.InstBytes), mapping); err != nil {
+			if err := tr.emitTCG(a, body[i], pc+uint32(i*guest.InstBytes), mapping); err != nil {
 				return em, fmt.Errorf("inst %d %q: %w", i, body[i], err)
 			}
 		}
@@ -305,12 +422,12 @@ func (e *Engine) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans []ip
 
 // elevates reports whether any used rule is flagged for elevated-rate
 // shadow sampling.
-func (e *Engine) elevates(used []*rule.Template) bool {
-	if e.Cfg.ShadowElevate == nil {
+func (tr *translator) elevates(used []*rule.Template) bool {
+	if tr.elevate == nil {
 		return false
 	}
 	for _, t := range used {
-		if e.Cfg.ShadowElevate(t) {
+		if tr.elevate(t) {
 			return true
 		}
 	}
@@ -345,20 +462,20 @@ func directLinks(pc uint32, insts []guest.Inst) []blockLink {
 // accepted flag-setting rule must either be materializable or — for
 // rules with no materialization recipe, like S-shifts — actually get
 // delegated (checked later; needsDeleg marks them for demotion if not).
-func (e *Engine) ruleUsable(t *rule.Template) (usable, needsDeleg bool) {
+func (tr *translator) ruleUsable(t *rule.Template) (usable, needsDeleg bool) {
 	if t == nil {
 		return false, false
 	}
 	if !t.SetsFlags || t.BranchTail {
 		return true, false
 	}
-	if t.Origin != rule.OriginLearned && !e.Cfg.DelegateFlags {
+	if t.Origin != rule.OriginLearned && !tr.opt.DelegateFlags {
 		return false, false
 	}
 	if core.FlagsMaterializable(t.Flags, t.FlagSrc == rule.FamLogic) {
 		return true, false
 	}
-	if e.Cfg.DelegateFlags && t.Flags.NZMatch {
+	if tr.opt.DelegateFlags && t.Flags.NZMatch {
 		return true, true
 	}
 	return false, false
@@ -373,8 +490,8 @@ func demote(plans []iplan, head int) {
 }
 
 // allocRegs maps the most-used guest registers onto blockRegs.
-func (e *Engine) allocRegs(insts []guest.Inst) map[guest.Reg]host.Reg {
-	if e.Cfg.NoBlockRegAlloc {
+func (tr *translator) allocRegs(insts []guest.Inst) map[guest.Reg]host.Reg {
+	if tr.opt.NoBlockRegAlloc {
 		return map[guest.Reg]host.Reg{}
 	}
 	var counts [guest.NumRegs]int
@@ -408,8 +525,8 @@ func (e *Engine) allocRegs(insts []guest.Inst) map[guest.Reg]host.Reg {
 		return list[i].r < list[j].r
 	})
 	m := map[guest.Reg]host.Reg{}
-	for i := 0; i < len(list) && i < len(e.blockRegs); i++ {
-		m[list[i].r] = e.blockRegs[i]
+	for i := 0; i < len(list) && i < len(tr.blockRegs); i++ {
+		m[list[i].r] = tr.blockRegs[i]
 	}
 	return m
 }
@@ -417,7 +534,7 @@ func (e *Engine) allocRegs(insts []guest.Inst) map[guest.Reg]host.Reg {
 // stagingNeed counts temp-pool registers a rule application requires:
 // one per distinct unmapped bound guest register plus the template's
 // scratch demand.
-func (e *Engine) stagingNeed(t *rule.Template, b rule.Binding, mapping map[guest.Reg]host.Reg) int {
+func (tr *translator) stagingNeed(t *rule.Template, b rule.Binding, mapping map[guest.Reg]host.Reg) int {
 	seen := map[guest.Reg]bool{}
 	need := t.NScratch
 	for p, k := range t.Params {
@@ -435,8 +552,8 @@ func (e *Engine) stagingNeed(t *rule.Template, b rule.Binding, mapping map[guest
 
 // planDelegation decides, per flag-setting instruction, whether its
 // flags can stay in the host EFLAGS for the terminator branch.
-func (e *Engine) planDelegation(insts []guest.Inst, plans []iplan) {
-	if !e.Cfg.DelegateFlags {
+func (tr *translator) planDelegation(insts []guest.Inst, plans []iplan) {
+	if !tr.opt.DelegateFlags {
 		return
 	}
 	n := len(insts)
@@ -460,7 +577,7 @@ func (e *Engine) planDelegation(insts []guest.Inst, plans []iplan) {
 		return
 	}
 	// Window check (paper: 3 instructions).
-	if n-1-setter > e.Cfg.FlagWindow {
+	if n-1-setter > tr.opt.FlagWindow {
 		return
 	}
 	// No other consumer may sit between setter and terminator, and the
@@ -494,7 +611,7 @@ func (e *Engine) planDelegation(insts []guest.Inst, plans []iplan) {
 }
 
 // emitPrologue loads mapped guest registers from the CPUState.
-func (e *Engine) emitPrologue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
+func (tr *translator) emitPrologue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
 	a.SetCat(host.CatDataTransfer)
 	for _, gr := range sortedRegs(mapping) {
 		a.Emit(host.I(host.MOVL, host.R(mapping[gr]), host.Mem(host.EBP, env.OffReg(int(gr)))))
@@ -503,7 +620,7 @@ func (e *Engine) emitPrologue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
 }
 
 // emitEpilogue stores mapped guest registers back to the CPUState.
-func (e *Engine) emitEpilogue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
+func (tr *translator) emitEpilogue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
 	a.SetCat(host.CatDataTransfer)
 	for _, gr := range sortedRegs(mapping) {
 		a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(int(gr))), host.R(mapping[gr])))
@@ -523,10 +640,10 @@ func sortedRegs(m map[guest.Reg]host.Reg) []guest.Reg {
 // emitRule applies a matched rule: stage unmapped guest registers into
 // temp registers, instantiate the template, materialize flags unless
 // delegated, and write back.
-func (e *Engine) emitRule(a *host.Asm, head guest.Inst, p iplan, mapping map[guest.Reg]host.Reg) error {
+func (tr *translator) emitRule(a *host.Asm, head guest.Inst, p iplan, mapping map[guest.Reg]host.Reg) error {
 	t, b := p.tmpl, p.bind
 
-	free := append([]host.Reg(nil), e.tempPool...)
+	free := append([]host.Reg(nil), tr.tempPool...)
 	take := func() (host.Reg, error) {
 		if len(free) == 0 {
 			return 0, fmt.Errorf("temp pool exhausted")
@@ -576,7 +693,7 @@ func (e *Engine) emitRule(a *host.Asm, head guest.Inst, p iplan, mapping map[gue
 		}
 		return 0, false
 	}
-	insts, err := rule.InstantiateChecked(t, b, regOf, scratch, e.be.CheckRuleInst)
+	insts, err := rule.InstantiateChecked(t, b, regOf, scratch, tr.be.CheckRuleInst)
 	if err != nil {
 		return err
 	}
@@ -654,20 +771,20 @@ func writtenRegs(t *rule.Template, b rule.Binding) []guest.Reg {
 // entry both the TCG fallback and the terminator's condition
 // evaluation use (they previously duplicated the NewGen/regmap/Lower
 // plumbing).
-func (e *Engine) lowerIR(a *host.Asm, g *tcg.Gen, mapping map[guest.Reg]host.Reg) error {
-	return e.be.Lower(a, g, e.regmap(mapping), e.tempPool)
+func (tr *translator) lowerIR(a *host.Asm, g *tcg.Gen, mapping map[guest.Reg]host.Reg) error {
+	return tr.be.Lower(a, g, tr.regmap(mapping), tr.tempPool)
 }
 
 // emitTCG lowers one guest instruction through the TCG pipeline.
-func (e *Engine) emitTCG(a *host.Asm, in guest.Inst, pc uint32, mapping map[guest.Reg]host.Reg) error {
+func (tr *translator) emitTCG(a *host.Asm, in guest.Inst, pc uint32, mapping map[guest.Reg]host.Reg) error {
 	g := tcg.NewGen(a.NewLabel)
 	if err := g.Translate(in, pc); err != nil {
 		return err
 	}
-	return e.lowerIR(a, g, mapping)
+	return tr.lowerIR(a, g, mapping)
 }
 
-func (e *Engine) regmap(mapping map[guest.Reg]host.Reg) func(guest.Reg) host.Operand {
+func (tr *translator) regmap(mapping map[guest.Reg]host.Reg) func(guest.Reg) host.Operand {
 	return func(r guest.Reg) host.Operand {
 		if hr, ok := mapping[r]; ok {
 			return host.R(hr)
@@ -683,9 +800,9 @@ func (e *Engine) regmap(mapping map[guest.Reg]host.Reg) func(guest.Reg) host.Ope
 // branch-tail rule and for a delegated conditional branch — in both
 // cases no emulation code is emitted for it, only the universal exit
 // stubs.
-func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans []iplan, termRule *iplan, mapping map[guest.Reg]host.Reg) (bool, error) {
+func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans []iplan, termRule *iplan, mapping map[guest.Reg]host.Reg) (bool, error) {
 	fall := pc + guest.InstBytes
-	exitImm := func(target uint32) { e.exitTo(a, target, mapping) }
+	exitImm := func(target uint32) { tr.exitTo(a, target, mapping) }
 
 	switch term.Op {
 	case guest.HLT:
@@ -728,7 +845,7 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 			g := tcg.NewGen(a.NewLabel)
 			v := g.EvalCond(term.Cond)
 			g.Insts = append(g.Insts, tcg.Inst{Op: tcg.Brnz, A: v, Label: taken, Dst: -1})
-			if err := e.lowerIR(a, g, mapping); err != nil {
+			if err := tr.lowerIR(a, g, mapping); err != nil {
 				return false, err
 			}
 			retag(a, start, host.CatControl)
@@ -753,7 +870,7 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 	case guest.BX:
 		r := term.Ops[0].Reg
 		if hr, ok := mapping[r]; ok {
-			e.emitEpilogue(a, mapping)
+			tr.emitEpilogue(a, mapping)
 			a.SetCat(host.CatControl)
 			a.Emit(host.Exit(host.R(hr)))
 			a.SetCat(host.CatCompute)
@@ -762,7 +879,7 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 		a.SetCat(host.CatControl)
 		a.Emit(host.I(host.MOVL, host.R(host.EAX), host.Mem(host.EBP, env.OffReg(int(r)))))
 		a.SetCat(host.CatCompute)
-		e.emitEpilogue(a, mapping)
+		tr.emitEpilogue(a, mapping)
 		a.SetCat(host.CatControl)
 		a.Emit(host.Exit(host.R(host.EAX)))
 		a.SetCat(host.CatCompute)
@@ -774,16 +891,16 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 		list := term.Ops[0].List &^ (1 << uint(guest.PC))
 		if list != 0 {
 			sub := guest.NewInst(guest.POP, guest.Operand{Kind: guest.KindRegList, List: list})
-			if err := e.emitTCG(a, sub, pc, mapping); err != nil {
+			if err := tr.emitTCG(a, sub, pc, mapping); err != nil {
 				return false, err
 			}
 		}
 		bump := guest.NewInst(guest.ADD, guest.RegOp(guest.SP), guest.RegOp(guest.SP), guest.ImmOp(4))
-		if err := e.emitTCG(a, bump, pc, mapping); err != nil {
+		if err := tr.emitTCG(a, bump, pc, mapping); err != nil {
 			return false, err
 		}
 		a.SetCat(host.CatControl)
-		spOp := e.regmap(mapping)(guest.SP)
+		spOp := tr.regmap(mapping)(guest.SP)
 		if spOp.Kind == host.KindReg {
 			a.Emit(host.I(host.MOVL, host.R(host.EAX), host.Mem(spOp.Reg, -4)))
 		} else {
@@ -791,7 +908,7 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 			a.Emit(host.I(host.MOVL, host.R(host.EAX), host.Mem(host.EAX, -4)))
 		}
 		a.SetCat(host.CatCompute)
-		e.emitEpilogue(a, mapping)
+		tr.emitEpilogue(a, mapping)
 		a.SetCat(host.CatControl)
 		a.Emit(host.Exit(host.R(host.EAX)))
 		a.SetCat(host.CatCompute)
@@ -803,10 +920,10 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 		term.Cond == guest.AL && term.Ops[1].Kind == guest.KindReg {
 		src := term.Ops[1].Reg
 		a.SetCat(host.CatControl)
-		srcOp := e.regmap(mapping)(src)
+		srcOp := tr.regmap(mapping)(src)
 		a.Emit(host.I(host.MOVL, host.R(host.EAX), srcOp))
 		a.SetCat(host.CatCompute)
-		e.emitEpilogue(a, mapping)
+		tr.emitEpilogue(a, mapping)
 		a.SetCat(host.CatControl)
 		a.Emit(host.Exit(host.R(host.EAX)))
 		a.SetCat(host.CatCompute)
@@ -819,8 +936,8 @@ func (e *Engine) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans [
 // exitTo emits one complete immediate exit path: epilogue (store mapped
 // guest registers) plus the exit_tb carrying the next guest pc (QEMU's
 // goto_tb stub). Shared by block terminators and superblock side exits.
-func (e *Engine) exitTo(a *host.Asm, target uint32, mapping map[guest.Reg]host.Reg) {
-	e.emitEpilogue(a, mapping)
+func (tr *translator) exitTo(a *host.Asm, target uint32, mapping map[guest.Reg]host.Reg) {
+	tr.emitEpilogue(a, mapping)
 	a.SetCat(host.CatControl)
 	a.Emit(host.Exit(host.Imm(int32(target))))
 	a.SetCat(host.CatCompute)

@@ -13,72 +13,53 @@ import (
 // the guest segments (anything else falls back to the finalized stream
 // and bumps dbt.validate_fallbacks); when Config.Validate is "all",
 // the installed stream itself is validated too, so every block's
-// verdict lands in the analysis.validate_* counters.
+// verdict lands in the analysis.validate_* counters. The dbt.* verdict
+// counters live on the translator's owner's registry — the engine's for
+// local translations, the Service's for shared prototypes.
 //
 // Validation never fails a translation: an inconclusive or refuted
 // verdict only suppresses optimization. The unoptimized stream remains
 // covered by the shadow-verification layer, which is what the refuted
 // path's "demonstrably falls back" acceptance criterion leans on.
-func (e *Engine) finishBlock(hb *host.Block, segs []analysis.GuestSeg, flagsExact bool) *host.Block {
-	mode := e.Cfg.Validate
-	validateAll := mode == "all"
-	peep := e.Cfg.Peephole
-	if !peep && !validateAll {
+func (tr *translator) finishBlock(hb *host.Block, segs []analysis.GuestSeg, flagsExact bool) *host.Block {
+	if !tr.opt.Peephole && !tr.opt.validateAll {
 		return hb
 	}
 	opts := analysis.ValidateOpts{CheckFlags: flagsExact, HaltPC: HaltPC}
-	out := hb
-	installedProved := false
-	if peep {
-		if opt, ok := e.be.(backend.Optimizer); ok {
-			ob, st, err := opt.OptimizeBlock(hb)
-			if err == nil && st.Deleted() > 0 {
-				ob = e.faultOptimized(ob)
-				rep := e.validate(segs, ob, opts)
-				if rep.Verdict == analysis.VerdictProved {
-					out = ob
-					installedProved = true
-					e.met.blocksValidated.Inc()
-				} else {
-					e.met.validateFallbacks.Inc()
+	if opt, ok := tr.be.(backend.Optimizer); ok && tr.opt.Peephole {
+		ob, st, err := opt.OptimizeBlock(hb)
+		if err == nil && st.Deleted() > 0 {
+			if tr.mutateOpt != nil {
+				if nb := tr.mutateOpt(ob); nb != nil {
+					ob = nb
 				}
+			}
+			if tr.validate(segs, ob, opts) {
+				return ob // proved: no second verdict for the same unit
 			}
 		}
 	}
-	if validateAll && !installedProved {
-		rep := e.validate(segs, out, opts)
-		if rep.Verdict == analysis.VerdictProved {
-			e.met.blocksValidated.Inc()
-		} else {
-			e.met.validateFallbacks.Inc()
-		}
+	if tr.opt.validateAll {
+		tr.validate(segs, hb, opts)
 	}
-	return out
+	return hb
 }
 
-// validate runs the block validator, stamps the report with engine
-// context, and feeds it to Config.ValidateHook when installed.
-func (e *Engine) validate(segs []analysis.GuestSeg, hb *host.Block, opts analysis.ValidateOpts) *analysis.BlockReport {
-	rep := analysis.ValidateBlock(e.be, segs, hb, opts)
-	rep.Backend = e.be.Name()
+// validate runs the block validator, stamps the report with backend
+// context, feeds it to Config.ValidateHook when installed, and counts
+// the verdict (dbt.blocks_validated when proved, which it reports, else
+// dbt.validate_fallbacks).
+func (tr *translator) validate(segs []analysis.GuestSeg, hb *host.Block, opts analysis.ValidateOpts) bool {
+	rep := analysis.ValidateBlock(tr.be, segs, hb, opts)
+	rep.Backend = tr.be.Name()
 	rep.PC = segs[0].PC
-	if e.Cfg.ValidateHook != nil {
-		e.Cfg.ValidateHook(rep)
+	if tr.validateHook != nil {
+		tr.validateHook(rep)
 	}
-	return rep
-}
-
-// faultOptimized routes an optimized stream through the configured
-// fault injector when it implements OptimizedFaults — the adversarial
-// hook the validator-rejects-broken-peephole tests use.
-func (e *Engine) faultOptimized(ob *host.Block) *host.Block {
-	type optFaults interface {
-		MutateOptimized(*host.Block) *host.Block
+	if rep.Verdict == analysis.VerdictProved {
+		tr.validated.Inc()
+		return true
 	}
-	if f, ok := e.Cfg.Faults.(optFaults); ok && f != nil {
-		if nb := f.MutateOptimized(ob); nb != nil {
-			return nb
-		}
-	}
-	return ob
+	tr.fallbacks.Inc()
+	return false
 }

@@ -62,8 +62,8 @@ func ServeExperiment(c *Corpus, names []string, tenants int) (*ServeSection, err
 		if err != nil {
 			return nil, err
 		}
-		// A fresh parameterized store per backend: the service template
-		// engine keys it for be, and tenant construction keeps it there.
+		// A fresh parameterized store per backend: the service's
+		// translator keys it for be, and tenant construction keeps it there.
 		full, _ := core.Parameterize(c.Union(c.Names), core.Config{Opcode: true, AddrMode: true})
 		svc := dbt.NewService(dbt.ServiceConfig{Rules: full, DelegateFlags: true, Backend: be})
 		res := ServeResults{Backend: be.Name(), AllMatch: true}

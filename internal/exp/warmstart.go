@@ -44,8 +44,7 @@ type WarmstartRow struct {
 }
 
 // WarmstartSection is the cold-vs-warm report: per-benchmark rows plus
-// the pack-import funnel and the aggregate deltas BENCH_warmstart.json
-// records.
+// the pack-import funnel and the aggregate deltas.
 type WarmstartSection struct {
 	Rows []WarmstartRow `json:"rows"`
 

@@ -23,9 +23,9 @@ package workload
 //	  trace constituent and rewrites an instruction of the same trace,
 //	  after the superblock has formed (HotThreshold + SyncTraces).
 //	smc-async — periodic toggling between two encodings of the same
-//	  instruction while the background builder keeps re-forming the
+//	  instruction while background formation keeps re-forming the
 //	  trace, so invalidations race in-flight formation (the cacheGen
-//	  discard seam) and the speculative pool's stale-snapshot shutdown.
+//	  discard seam) and speculation's stale-snapshot shutdown.
 //
 // Every profile is architecturally deterministic: the DBT result must
 // equal a pure interpreter run instruction for instruction, which is
@@ -203,7 +203,7 @@ func smcSBMid() []guest.Inst {
 
 // smcAsync: toggles the accumulate instruction between two encodings
 // every 4 iterations (r1&7 == 0 picks variant B, r1&7 == 4 restores A)
-// while the background builder and speculative pool keep working, so
+// while background superblock and speculative jobs keep working, so
 // invalidations land during in-flight trace formation.
 func smcAsync() []guest.Inst {
 	variantB := mustEncode("add r0, r0, #2")
