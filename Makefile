@@ -6,9 +6,9 @@ GO ?= go
 # exactly what to install.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet lint staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve bench bench-e2e bench-obs bench-serve bench-serve-check experiments linkcheck
+.PHONY: ci vet lint staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve fuzz-host bench bench-e2e bench-pairs bench-obs bench-serve bench-serve-check experiments linkcheck
 
-ci: lint build race test-backends test-faults test-persistence test-smc test-serve linkcheck bench
+ci: lint build race test-backends test-faults test-persistence test-smc test-serve fuzz-host linkcheck bench
 
 # Opt-in serving-load gate: `CHECK_SERVE=1 make ci` re-drives the
 # 1000-tenant load harness and fails unless the shared service beats N
@@ -118,6 +118,14 @@ test-serve:
 	$(GO) test -race -count=1 -run 'TestService|TestAdaptive|TestStoreReseed' ./internal/dbt
 	$(GO) test -race -count=1 ./internal/serve
 
+# Ten seconds of the host simulator's differential fuzzer: random
+# instruction streams through CPU.Exec's pre-decoded loop and through
+# the per-instruction reference interpreter kept in internal/host's
+# tests, which must agree on the result or on the panic. The committed
+# seed corpus (internal/host/testdata/fuzz) also runs as plain tests.
+fuzz-host:
+	$(GO) test -run '^$$' -fuzz '^FuzzExecVsReference$$' -fuzztime 10s -fuzzminimizetime 50x ./internal/host
+
 # Dead-link check over README/docs markdown (relative links and
 # [[file:line]] source references).
 linkcheck:
@@ -134,6 +142,17 @@ bench:
 # results from the same machine with `go run ./bench -compare`.
 bench-e2e:
 	$(GO) run ./bench -all
+
+# The A/B a performance claim rests on (choosing-metrics §8): ./bench
+# built from a git worktree of BASE and from the working tree, run on
+# workload W in N pairs alternating which side goes first; prints every
+# pair, each side's median and quartiles, and the pairs won.
+#   make bench-pairs BASE=HEAD~1 W=steady N=10
+BASE ?= HEAD
+W ?= steady
+N ?= 10
+bench-pairs:
+	$(GO) run ./tools/benchpairs -base $(BASE) -workload $(W) -n $(N)
 
 # Serving load measurement: drives 1000 concurrent tenants through one
 # shared translation service and through N independent engines, and

@@ -614,10 +614,18 @@ func (e *Engine) GuestState() *guest.State { return readGuestState(e.Mem) }
 // direct-exit target that has been translated.
 func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error) {
 	base := e.met.base()
-	uncovered := map[guest.Op]uint64{}
+	// Emulated instructions by opcode, bumped once per uncovered op of
+	// every block execution: an array indexed by the (uint8) opcode, made
+	// into Stats.UncoveredOps' map only when the run ends.
+	var uncovered [1 << 8]uint64
 	snapshot := func() Stats {
 		st := e.met.delta(base)
-		st.UncoveredOps = uncovered
+		st.UncoveredOps = map[guest.Op]uint64{}
+		for op, n := range uncovered {
+			if n != 0 {
+				st.UncoveredOps[guest.Op(op)] = n
+			}
+		}
 		return st
 	}
 	// A service-attached tenant never speculates privately: the service's

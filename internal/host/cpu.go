@@ -68,49 +68,6 @@ func (f Flags) String() string {
 	return string(b)
 }
 
-// Block is a sequence of host instructions with resolved label targets,
-// the unit of execution produced by the translators (a translation
-// block in QEMU terms).
-type Block struct {
-	Insts  []Inst
-	labels map[int]int // label id -> instruction index
-	// jt[i] is the resolved target index of the JMP/JCC at i (-1 when
-	// instruction i is not a jump or its label is unbound). Resolving
-	// labels once at block-build time keeps the Exec hot loop free of
-	// map lookups on taken branches.
-	jt []int
-}
-
-// NewBlock builds a block, resolving labels. A label with id L binds to
-// the instruction index recorded via MarkLabel during emission.
-func NewBlock(insts []Inst, labels map[int]int) *Block {
-	b := &Block{Insts: insts, labels: labels, jt: make([]int, len(insts))}
-	for i, in := range insts {
-		b.jt[i] = -1
-		if (in.Op == JMP || in.Op == JCC) && in.Dst.Kind == KindLabel {
-			if t, ok := labels[in.Dst.Label]; ok {
-				b.jt[i] = t
-			}
-		}
-	}
-	return b
-}
-
-// Labels returns the label-id -> instruction-index map the block was
-// built with. Static analyzers (the translation validator, the peephole
-// pass) need it to rebuild or walk the control-flow structure; Exec
-// itself never consults it.
-func (b *Block) Labels() map[int]int { return b.labels }
-
-// Target returns the resolved target index of the JMP/JCC at
-// instruction i, or -1 when i is not a jump (or its label is unbound).
-func (b *Block) Target(i int) int {
-	if i < 0 || i >= len(b.jt) {
-		return -1
-	}
-	return b.jt[i]
-}
-
 // CPU is the host machine simulator.
 type CPU struct {
 	R     [NumRegs]uint32
@@ -136,7 +93,7 @@ func (c *CPU) Total() uint64 {
 // ResetCounts zeroes the execution counters.
 func (c *CPU) ResetCounts() { c.Executed = [3]uint64{} }
 
-func (c *CPU) addr(o Operand) uint32 {
+func (c *CPU) addr(o *Operand) uint32 {
 	a := uint32(o.Disp) + c.R[o.Base]
 	if o.Scale != 0 {
 		a += c.R[o.Index] * uint32(o.Scale)
@@ -144,7 +101,7 @@ func (c *CPU) addr(o Operand) uint32 {
 	return a
 }
 
-func (c *CPU) read(o Operand) uint32 {
+func (c *CPU) read(o *Operand) uint32 {
 	switch o.Kind {
 	case KindReg:
 		return c.R[o.Reg]
@@ -158,7 +115,7 @@ func (c *CPU) read(o Operand) uint32 {
 	return 0
 }
 
-func (c *CPU) write(o Operand, v uint32) {
+func (c *CPU) write(o *Operand, v uint32) {
 	switch o.Kind {
 	case KindReg:
 		c.R[o.Reg] = v
@@ -211,180 +168,349 @@ func (e *ExecError) Error() string {
 
 // Exec runs the block from its first instruction until ExitTB or RET.
 // It returns the exit result; maxSteps bounds runaway blocks.
+//
+// This is the one instruction loop. It walks the block's pre-decoded
+// program: a micro-op's kind says where the operands are, so they are
+// loaded straight from the register file, the micro-op or guest memory,
+// and moves, jumps and exits finish in the first switch; the ALU group
+// goes on to a second switch on the opcode and a write-back by kind.
+// Retired instructions are counted per category in a packed local and
+// flushed into Executed on every way out (exit, error, and before each
+// kSlow micro-op, so a panic in step sees the counters it always saw).
+// kSlow micro-ops run through step one at a time and come back here.
 func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
-	var steps uint64
-	ip := 0
-	insts := b.Insts
+	var (
+		prog  = b.prog
+		m     = c.Mem
+		ip    int
+		steps uint64 // instructions retired and flushed into c.Executed
+		acc   uint64 // per-category counts since the last flush, catBits each
+		left  uint64 // instructions until the next flush and budget check
+	)
 	for {
-		if ip < 0 || ip >= len(insts) {
+		if uint(ip) >= uint(len(prog)) {
+			c.retire(acc)
 			return ExitResult{}, &ExecError{ip, Inst{}, "instruction pointer out of block"}
 		}
-		if steps >= maxSteps {
-			return ExitResult{}, &ExecError{ip, insts[ip], "step budget exhausted"}
+		if left == 0 {
+			steps += c.retire(acc)
+			acc = 0
+			if steps >= maxSteps {
+				return ExitResult{}, &ExecError{ip, b.Insts[ip], "step budget exhausted"}
+			}
+			left = min(maxSteps-steps, countChunk)
 		}
-		in := insts[ip]
-		steps++
-		c.Executed[in.Cat]++
+		left--
+		u := prog[ip]
+		acc += 1 << u.cat()
 
-		switch in.Op {
-		case MOVL:
-			c.write(in.Dst, c.read(in.Src))
-		case LEAL:
-			if in.Src.Kind != KindMem {
-				return ExitResult{}, &ExecError{ip, in, "lea needs memory source"}
+		// a is the destination's value, v the source's, ea the memory
+		// operand's address; which of them a kind sets is its definition.
+		var a, v, ea uint32
+		switch u.kind() {
+		case kMovRR:
+			c.R[u.r()] = c.R[u.s()]
+			ip++
+			continue
+		case kMovRI:
+			c.R[u.r()] = u.imm
+			ip++
+			continue
+		case kLoad:
+			c.R[u.r()] = m.Read32(u.ea(c))
+			ip++
+			continue
+		case kStoreR:
+			m.Write32(u.ea(c), c.R[u.r()])
+			ip++
+			continue
+		case kStoreI:
+			m.Write32(u.ea(c), u.imm)
+			ip++
+			continue
+		case kLea:
+			c.R[u.r()] = u.ea(c)
+			ip++
+			continue
+		case kJmp:
+			ip = int(u.imm)
+			continue
+		case kJcc:
+			if c.Flags.Eval(u.cond()) {
+				ip = int(u.imm)
+			} else {
+				ip++
 			}
-			c.write(in.Dst, c.addr(in.Src))
+			continue
+		case kExitI:
+			steps += c.retire(acc)
+			return ExitResult{NextPC: u.imm, Steps: steps}, nil
+		case kExitR:
+			steps += c.retire(acc)
+			return ExitResult{NextPC: c.R[u.r()], Steps: steps}, nil
+		case kAluRR:
+			a, v = c.R[u.r()], c.R[u.s()]
+		case kAluRI:
+			a, v = c.R[u.r()], u.imm
+		case kAluRM:
+			a, v = c.R[u.r()], m.Read32(u.ea(c))
+		case kAluMR:
+			ea = u.ea(c)
+			a, v = m.Read32(ea), c.R[u.r()]
+		case kAluMI:
+			ea = u.ea(c)
+			a, v = m.Read32(ea), u.imm
+		default: // kSlow
+			steps += c.retire(acc) + 1
+			acc = 0
+			next, pc, why := c.step(b, ip)
+			switch {
+			case next >= 0:
+				ip = next
+				continue
+			case next == stepExit:
+				return ExitResult{NextPC: pc, Steps: steps}, nil
+			}
+			return ExitResult{}, &ExecError{ip, b.Insts[ip], why}
+		}
+
+		switch u.op() {
 		case ADDL:
-			v, f := addFlags32(c.read(in.Dst), c.read(in.Src), 0)
-			c.write(in.Dst, v)
-			c.Flags = f
+			a, c.Flags = addFlags32(a, v, 0)
 		case ADCL:
-			ci := uint32(0)
-			if c.Flags.CF {
-				ci = 1
-			}
-			v, f := addFlags32(c.read(in.Dst), c.read(in.Src), ci)
-			c.write(in.Dst, v)
-			c.Flags = f
+			a, c.Flags = addFlags32(a, v, b2u(c.Flags.CF))
 		case SUBL:
-			v, f := subFlags32(c.read(in.Dst), c.read(in.Src), 0)
-			c.write(in.Dst, v)
-			c.Flags = f
+			a, c.Flags = subFlags32(a, v, 0)
 		case SBBL:
-			bi := uint32(0)
-			if c.Flags.CF {
-				bi = 1
-			}
-			v, f := subFlags32(c.read(in.Dst), c.read(in.Src), bi)
-			c.write(in.Dst, v)
-			c.Flags = f
+			a, c.Flags = subFlags32(a, v, b2u(c.Flags.CF))
 		case ANDL:
-			v := c.read(in.Dst) & c.read(in.Src)
-			c.write(in.Dst, v)
-			c.Flags = logicFlags32(v)
+			a &= v
+			c.Flags = logicFlags32(a)
 		case ORL:
-			v := c.read(in.Dst) | c.read(in.Src)
-			c.write(in.Dst, v)
-			c.Flags = logicFlags32(v)
+			a |= v
+			c.Flags = logicFlags32(a)
 		case XORL:
-			v := c.read(in.Dst) ^ c.read(in.Src)
-			c.write(in.Dst, v)
-			c.Flags = logicFlags32(v)
+			a ^= v
+			c.Flags = logicFlags32(a)
 		case NOTL:
-			c.write(in.Dst, ^c.read(in.Dst))
+			a = ^a
 		case NEGL:
-			v, f := subFlags32(0, c.read(in.Dst), 0)
-			c.write(in.Dst, v)
-			c.Flags = f
+			a, c.Flags = subFlags32(0, a, 0)
 		case IMULL:
-			c.write(in.Dst, c.read(in.Dst)*c.read(in.Src))
+			a *= v
 		case SHLL:
-			sh := c.read(in.Src) & 31
-			v := c.read(in.Dst) << sh
-			c.write(in.Dst, v)
-			if sh != 0 {
-				c.Flags = logicFlags32(v)
+			if v &= 31; v != 0 {
+				a <<= v
+				c.Flags = logicFlags32(a)
 			}
 		case SHRL:
-			sh := c.read(in.Src) & 31
-			v := c.read(in.Dst) >> sh
-			c.write(in.Dst, v)
-			if sh != 0 {
-				c.Flags = logicFlags32(v)
+			if v &= 31; v != 0 {
+				a >>= v
+				c.Flags = logicFlags32(a)
 			}
 		case SARL:
-			sh := c.read(in.Src) & 31
-			v := uint32(int32(c.read(in.Dst)) >> sh)
-			c.write(in.Dst, v)
-			if sh != 0 {
-				c.Flags = logicFlags32(v)
+			if v &= 31; v != 0 {
+				a = uint32(int32(a) >> v)
+				c.Flags = logicFlags32(a)
 			}
 		case RORL:
-			sh := c.read(in.Src) & 31
-			c.write(in.Dst, bits.RotateLeft32(c.read(in.Dst), -int(sh)))
+			a = bits.RotateLeft32(a, -int(v&31))
 		case CMPL:
-			_, f := subFlags32(c.read(in.Dst), c.read(in.Src), 0)
-			c.Flags = f
-		case TESTL:
-			c.Flags = logicFlags32(c.read(in.Dst) & c.read(in.Src))
-		case MOVZBL:
-			var v uint32
-			if in.Src.Kind == KindMem {
-				v = uint32(c.Mem.Read8(c.addr(in.Src)))
-			} else {
-				v = c.read(in.Src) & 0xff
-			}
-			c.write(in.Dst, v)
-		case MOVB:
-			if in.Dst.Kind == KindMem {
-				c.Mem.Write8(c.addr(in.Dst), byte(c.read(in.Src)))
-			} else {
-				c.write(in.Dst, c.read(in.Dst)&^uint32(0xff)|c.read(in.Src)&0xff)
-			}
-		case BSRL:
-			v := c.read(in.Src)
-			if v == 0 {
-				c.Flags.ZF = true
-			} else {
-				c.Flags.ZF = false
-				c.write(in.Dst, uint32(31-bits.LeadingZeros32(v)))
-			}
-		case PUSHL:
-			c.R[ESP] -= 4
-			c.Mem.Write32(c.R[ESP], c.read(in.Dst))
-		case POPL:
-			c.write(in.Dst, c.Mem.Read32(c.R[ESP]))
-			c.R[ESP] += 4
-		case SETCC:
-			v := uint32(0)
-			if c.Flags.Eval(in.Cond) {
-				v = 1
-			}
-			c.write(in.Dst, v)
-		case JMP:
-			t := b.jt[ip]
-			if t < 0 {
-				return ExitResult{}, &ExecError{ip, in, "unresolved label"}
-			}
-			ip = t
+			_, c.Flags = subFlags32(a, v, 0)
+			ip++
 			continue
-		case JCC:
-			if c.Flags.Eval(in.Cond) {
-				t := b.jt[ip]
-				if t < 0 {
-					return ExitResult{}, &ExecError{ip, in, "unresolved label"}
-				}
-				ip = t
-				continue
-			}
-		case MOVSS:
-			c.write(in.Dst, c.read(in.Src))
-		case ADDSS:
-			c.writeF(in.Dst, c.readF(in.Dst)+c.readF(in.Src))
-		case SUBSS:
-			c.writeF(in.Dst, c.readF(in.Dst)-c.readF(in.Src))
-		case MULSS:
-			c.writeF(in.Dst, c.readF(in.Dst)*c.readF(in.Src))
-		case DIVSS:
-			c.writeF(in.Dst, c.readF(in.Dst)/c.readF(in.Src))
-		case UCOMISS:
-			a, s := c.readF(in.Dst), c.readF(in.Src)
-			// x86 ucomiss: ZF=equal-or-unordered, CF=less-or-unordered.
-			un := a != a || s != s
-			c.Flags = Flags{ZF: a == s || un, CF: a < s || un, SF: false, OF: false}
-		case RET:
-			return ExitResult{NextPC: 0, Steps: steps}, nil
-		case ExitTB:
-			return ExitResult{NextPC: c.read(in.Dst), Steps: steps}, nil
-		default:
-			return ExitResult{}, &ExecError{ip, in, "unimplemented opcode"}
+		case TESTL:
+			c.Flags = logicFlags32(a & v)
+			ip++
+			continue
+		}
+		if u.kind() >= kAluMR {
+			m.Write32(ea, a)
+		} else {
+			c.R[u.r()] = a
 		}
 		ip++
 	}
 }
 
-func (c *CPU) readF(o Operand) float32     { return math.Float32frombits(c.read(o)) }
-func (c *CPU) writeF(o Operand, v float32) { c.write(o, math.Float32bits(v)) }
+// ea is the address of the micro-op's memory operand. A micro-op
+// without an index register has scale 0 and index 0.
+func (u uop) ea(c *CPU) uint32 {
+	return u.disp + c.R[u.base()] + c.R[u.index()]*u.scale()
+}
+
+// retire adds a packed per-category count to Executed and returns the
+// number of instructions it held.
+func (c *CPU) retire(acc uint64) uint64 {
+	n0, n1, n2 := acc&catMask, acc>>catBits&catMask, acc>>(2*catBits)&catMask
+	c.Executed[CatCompute] += n0
+	c.Executed[CatDataTransfer] += n1
+	c.Executed[CatControl] += n2
+	return n0 + n1 + n2
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// step's non-index results: the block exited with the returned next
+// guest pc, or the instruction faulted for the returned reason.
+const (
+	stepExit  = -1
+	stepFault = -2
+)
+
+// step executes Insts[ip] the general way — any opcode, any operand
+// kinds, through read/write/addr — and returns the next instruction
+// index, or stepExit with the next guest pc, or stepFault with the
+// reason. It is how Exec runs the micro-ops NewBlock did not pre-decode;
+// it counts the instruction itself.
+func (c *CPU) step(b *Block, ip int) (next int, nextPC uint32, why string) {
+	in := &b.Insts[ip]
+	c.Executed[in.Cat]++
+
+	switch in.Op {
+	case MOVL:
+		c.write(&in.Dst, c.read(&in.Src))
+	case LEAL:
+		if in.Src.Kind != KindMem {
+			return stepFault, 0, "lea needs memory source"
+		}
+		c.write(&in.Dst, c.addr(&in.Src))
+	case ADDL:
+		v, f := addFlags32(c.read(&in.Dst), c.read(&in.Src), 0)
+		c.write(&in.Dst, v)
+		c.Flags = f
+	case ADCL:
+		v, f := addFlags32(c.read(&in.Dst), c.read(&in.Src), b2u(c.Flags.CF))
+		c.write(&in.Dst, v)
+		c.Flags = f
+	case SUBL:
+		v, f := subFlags32(c.read(&in.Dst), c.read(&in.Src), 0)
+		c.write(&in.Dst, v)
+		c.Flags = f
+	case SBBL:
+		v, f := subFlags32(c.read(&in.Dst), c.read(&in.Src), b2u(c.Flags.CF))
+		c.write(&in.Dst, v)
+		c.Flags = f
+	case ANDL:
+		v := c.read(&in.Dst) & c.read(&in.Src)
+		c.write(&in.Dst, v)
+		c.Flags = logicFlags32(v)
+	case ORL:
+		v := c.read(&in.Dst) | c.read(&in.Src)
+		c.write(&in.Dst, v)
+		c.Flags = logicFlags32(v)
+	case XORL:
+		v := c.read(&in.Dst) ^ c.read(&in.Src)
+		c.write(&in.Dst, v)
+		c.Flags = logicFlags32(v)
+	case NOTL:
+		c.write(&in.Dst, ^c.read(&in.Dst))
+	case NEGL:
+		v, f := subFlags32(0, c.read(&in.Dst), 0)
+		c.write(&in.Dst, v)
+		c.Flags = f
+	case IMULL:
+		c.write(&in.Dst, c.read(&in.Dst)*c.read(&in.Src))
+	case SHLL:
+		sh := c.read(&in.Src) & 31
+		v := c.read(&in.Dst) << sh
+		c.write(&in.Dst, v)
+		if sh != 0 {
+			c.Flags = logicFlags32(v)
+		}
+	case SHRL:
+		sh := c.read(&in.Src) & 31
+		v := c.read(&in.Dst) >> sh
+		c.write(&in.Dst, v)
+		if sh != 0 {
+			c.Flags = logicFlags32(v)
+		}
+	case SARL:
+		sh := c.read(&in.Src) & 31
+		v := uint32(int32(c.read(&in.Dst)) >> sh)
+		c.write(&in.Dst, v)
+		if sh != 0 {
+			c.Flags = logicFlags32(v)
+		}
+	case RORL:
+		sh := c.read(&in.Src) & 31
+		c.write(&in.Dst, bits.RotateLeft32(c.read(&in.Dst), -int(sh)))
+	case CMPL:
+		_, f := subFlags32(c.read(&in.Dst), c.read(&in.Src), 0)
+		c.Flags = f
+	case TESTL:
+		c.Flags = logicFlags32(c.read(&in.Dst) & c.read(&in.Src))
+	case MOVZBL:
+		var v uint32
+		if in.Src.Kind == KindMem {
+			v = uint32(c.Mem.Read8(c.addr(&in.Src)))
+		} else {
+			v = c.read(&in.Src) & 0xff
+		}
+		c.write(&in.Dst, v)
+	case MOVB:
+		if in.Dst.Kind == KindMem {
+			c.Mem.Write8(c.addr(&in.Dst), byte(c.read(&in.Src)))
+		} else {
+			c.write(&in.Dst, c.read(&in.Dst)&^uint32(0xff)|c.read(&in.Src)&0xff)
+		}
+	case BSRL:
+		v := c.read(&in.Src)
+		if v == 0 {
+			c.Flags.ZF = true
+		} else {
+			c.Flags.ZF = false
+			c.write(&in.Dst, uint32(31-bits.LeadingZeros32(v)))
+		}
+	case PUSHL:
+		c.R[ESP] -= 4
+		c.Mem.Write32(c.R[ESP], c.read(&in.Dst))
+	case POPL:
+		c.write(&in.Dst, c.Mem.Read32(c.R[ESP]))
+		c.R[ESP] += 4
+	case SETCC:
+		c.write(&in.Dst, b2u(c.Flags.Eval(in.Cond)))
+	case JMP, JCC:
+		if in.Op == JCC && !c.Flags.Eval(in.Cond) {
+			break
+		}
+		t := b.resolve(in)
+		if t < 0 {
+			return stepFault, 0, "unresolved label"
+		}
+		return t, 0, ""
+	case MOVSS:
+		c.write(&in.Dst, c.read(&in.Src))
+	case ADDSS:
+		c.writeF(&in.Dst, c.readF(&in.Dst)+c.readF(&in.Src))
+	case SUBSS:
+		c.writeF(&in.Dst, c.readF(&in.Dst)-c.readF(&in.Src))
+	case MULSS:
+		c.writeF(&in.Dst, c.readF(&in.Dst)*c.readF(&in.Src))
+	case DIVSS:
+		c.writeF(&in.Dst, c.readF(&in.Dst)/c.readF(&in.Src))
+	case UCOMISS:
+		a, s := c.readF(&in.Dst), c.readF(&in.Src)
+		// x86 ucomiss: ZF=equal-or-unordered, CF=less-or-unordered.
+		un := a != a || s != s
+		c.Flags = Flags{ZF: a == s || un, CF: a < s || un, SF: false, OF: false}
+	case RET:
+		return stepExit, 0, ""
+	case ExitTB:
+		return stepExit, c.read(&in.Dst), ""
+	default:
+		return stepFault, 0, "unimplemented opcode"
+	}
+	return ip + 1, 0, ""
+}
+
+func (c *CPU) readF(o *Operand) float32     { return math.Float32frombits(c.read(o)) }
+func (c *CPU) writeF(o *Operand, v float32) { c.write(o, math.Float32bits(v)) }
 
 // Asm is a small emission helper used by all translators: append
 // instructions, allocate and bind labels, and finish into a Block.
@@ -448,19 +574,3 @@ func (a *Asm) SetProgram(insts []Inst, labels map[int]int) {
 
 // Block finalizes into an executable block.
 func (a *Asm) Block() *Block { return NewBlock(a.insts, a.labels) }
-
-// Listing formats the block's instructions one per line with labels.
-func (b *Block) Listing() string {
-	rev := map[int][]int{}
-	for id, idx := range b.labels {
-		rev[idx] = append(rev[idx], id)
-	}
-	s := ""
-	for i, in := range b.Insts {
-		for _, id := range rev[i] {
-			s += fmt.Sprintf(".L%d:\n", id)
-		}
-		s += fmt.Sprintf("\t%-30s ; %s\n", in.String(), in.Cat)
-	}
-	return s
-}

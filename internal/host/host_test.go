@@ -319,3 +319,55 @@ func TestRorl(t *testing.T) {
 		t.Fatalf("ror = %#x", c.R[EAX])
 	}
 }
+
+// BenchmarkExecMicroloop is the benchmark's host.microloop drive: a
+// five-instruction backward-JCC loop with one load and one store per
+// iteration, run to completion under a budget it never reaches.
+func BenchmarkExecMicroloop(b *testing.B) {
+	a := NewAsm()
+	top := a.NewLabel()
+	a.Emit(I(MOVL, R(ECX), Imm(20000)))
+	a.Bind(top)
+	a.Emit(I(ADDL, R(EAX), Mem(EBP, 0)))
+	a.Emit(I(MOVL, Mem(EBP, 4), R(EAX)))
+	a.Emit(I(XORL, R(EAX), R(ECX)))
+	a.Emit(I(SUBL, R(ECX), Imm(1)))
+	a.Emit(Jcc(NE, top))
+	a.Emit(Exit(Imm(0)))
+	loop := a.Block()
+	cpu := NewCPU(mem.New())
+	cpu.R[EBP] = 0x0f00_0000
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cpu.Exec(loop, 1<<40); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cpu.Total()), "ns/inst")
+}
+
+// BenchmarkNewBlock prices pre-decoding on the translate path: a
+// 50-instruction block of the translators' usual mix.
+func BenchmarkNewBlock(b *testing.B) {
+	a := NewAsm()
+	l := a.NewLabel()
+	for i := 0; i < 8; i++ {
+		a.Emit(I(MOVL, R(EAX), Mem(EBP, int32(4*i))))
+		a.Emit(I(ADDL, R(EAX), Imm(int32(i))))
+		a.Emit(I(MOVL, Mem(EBP, int32(4*i)), R(EAX)))
+		a.Emit(I(CMPL, R(EAX), R(ECX)))
+		a.Emit(I(MOVZBL, R(EDX), Mem(ESI, 0)))
+		a.Emit(I(LEAL, R(EDI), MemIdx(ESI, EDX, 4, 8)))
+	}
+	a.Emit(Jcc(NE, l))
+	a.Bind(l)
+	a.Emit(Exit(Imm(0x10000)))
+	insts, labels := a.Insts(), a.Labels()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBlock = NewBlock(insts, labels)
+	}
+}
+
+var sinkBlock *Block

@@ -4,6 +4,30 @@
 // code blocks. Every instruction a translator emits carries a category
 // tag (compute / data-transfer / control) so the per-guest-instruction
 // expansion breakdown of the paper's Table II is measured directly.
+//
+// Translators build []Inst; NewBlock turns it into a Block, compiling
+// each instruction once into a pre-decoded micro-op (block.go): a
+// dispatch kind naming the operand shape — reg/reg, reg/imm, reg/mem,
+// mem/reg, mem/imm, jump, exit — with the register indices,
+// displacement, immediate, resolved jump target and category pulled out
+// of the Operands. CPU.Exec (cpu.go) is the one instruction loop and
+// runs that program: it loads operands by kind, counts categories and
+// steps in locals it flushes on every exit, and handles backward
+// branches and the step budget itself. The fallback rule: an
+// instruction NewBlock does not pre-decode (float ops, PUSHL/POPL,
+// MOVB/MOVZBL, BSRL, SETCC, memory-to-memory, ExitTB through memory,
+// out-of-range registers or categories, unbound labels) becomes a kSlow
+// micro-op that the same loop hands, one instruction at a time, to
+// CPU.step — the general interpreter over Operands. There is no second
+// Exec and nothing selects between two.
+//
+// A Block is immutable once NewBlock returns. Insts, Labels, Target and
+// Listing are the static view the validator, the peephole pass and the
+// artifact store read; Exec reads only the pre-decoded program; nothing
+// writes either, so a Block may be shared by any number of CPUs and
+// goroutines. The per-Inst loop Exec used to be is kept in the tests
+// (ref_test.go) as the reference the differential tests and
+// FuzzExecVsReference compare against.
 package host
 
 import "fmt"

@@ -1,5 +1,7 @@
 package mem
 
+import "encoding/binary"
+
 // Guest-write tracking is the memory half of self-modifying-code (SMC)
 // safety (the engine half lives in internal/dbt; docs/ROBUSTNESS.md
 // "Self-modifying code" is the design). The engine registers every page
@@ -27,9 +29,10 @@ package mem
 //     achieving the precise-exit rule.
 //
 // Everything here is nil-guarded: a Memory without a tracker (the
-// default — New installs none) pays one pointer compare per store.
+// default — New installs none) pays two pointer compares per store.
 // Clones never inherit the tracker; they are snapshots, not the
-// execution image.
+// execution image (the tracker lives in Memory.hot beside the
+// lookaside, which clones do not carry either).
 
 // trackerWords sizes the page bitmaps in uint64 words for a given
 // exclusive page-key bound.
@@ -68,11 +71,22 @@ type writeTracker struct {
 // engine calls it once per Memory at construction; enabling is what
 // turns every Write8/Write32 into a tracked store.
 func (m *Memory) EnableWriteTracking() {
-	m.wt = &writeTracker{journal: make([]jwrite, 0, 256)}
+	if m.hot == nil {
+		m.hot = new(hotState)
+	}
+	m.hot.wt = &writeTracker{journal: make([]jwrite, 0, 256)}
+}
+
+// tracker returns the installed write tracker, or nil.
+func (m *Memory) tracker() *writeTracker {
+	if m.hot == nil {
+		return nil
+	}
+	return m.hot.wt
 }
 
 // WriteTrackingEnabled reports whether the tracker is installed.
-func (m *Memory) WriteTrackingEnabled() bool { return m.wt != nil }
+func (m *Memory) WriteTrackingEnabled() bool { return m.tracker() != nil }
 
 // ensure grows the bitmaps to cover page keys below limitKey.
 func (t *writeTracker) ensure(limitKey uint32) {
@@ -86,7 +100,7 @@ func (t *writeTracker) ensure(limitKey uint32) {
 // TrackRange registers every page overlapping [lo, hi) as holding
 // translated code. No-op without a tracker.
 func (m *Memory) TrackRange(lo, hi uint32) {
-	t := m.wt
+	t := m.tracker()
 	if t == nil || hi <= lo {
 		return
 	}
@@ -104,7 +118,7 @@ func (m *Memory) TrackRange(lo, hi uint32) {
 // page once no cached translation overlaps it, so stores there return
 // to the fast path.
 func (m *Memory) UntrackPage(key uint32) {
-	t := m.wt
+	t := m.tracker()
 	if t == nil || int(key>>6) >= len(t.tracked) {
 		return
 	}
@@ -113,7 +127,7 @@ func (m *Memory) UntrackPage(key uint32) {
 
 // TrackedPage reports whether the page holding addr is registered.
 func (m *Memory) TrackedPage(addr uint32) bool {
-	t := m.wt
+	t := m.tracker()
 	if t == nil {
 		return false
 	}
@@ -123,13 +137,16 @@ func (m *Memory) TrackedPage(addr uint32) bool {
 
 // CodeDirty reports whether any tracked page has been stored to since
 // the last TakeDirtyPages. This is the dispatch loop's per-iteration
-// fence check; it must stay a pointer compare plus a length load.
-func (m *Memory) CodeDirty() bool { return m.wt != nil && len(m.wt.dirty) > 0 }
+// fence check; it must stay two pointer compares plus a length load.
+func (m *Memory) CodeDirty() bool {
+	t := m.tracker()
+	return t != nil && len(t.dirty) > 0
+}
 
 // TakeDirtyPages returns the dirty page keys (first-write order) and
 // clears the dirty set.
 func (m *Memory) TakeDirtyPages() []uint32 {
-	t := m.wt
+	t := m.tracker()
 	if t == nil || len(t.dirty) == 0 {
 		return nil
 	}
@@ -145,7 +162,7 @@ func (m *Memory) TakeDirtyPages() []uint32 {
 // path clears stale dirt after rolling the journal back, then lets the
 // interpreter replay re-dirty exactly what it really stores).
 func (m *Memory) ClearDirty() {
-	t := m.wt
+	t := m.tracker()
 	if t == nil {
 		return
 	}
@@ -163,7 +180,7 @@ func (m *Memory) ClearDirty() {
 // retained until the next call; callers pass the translation's cached
 // slice, so arming allocates nothing.
 func (m *Memory) ArmSMC(hasStores bool, self [][2]uint32) {
-	t := m.wt
+	t := m.tracker()
 	if t == nil {
 		return
 	}
@@ -182,7 +199,7 @@ func (m *Memory) ArmSMC(hasStores bool, self [][2]uint32) {
 // translated executions, and before interpreter replay — interpreter
 // stores are authoritative and must not be journaled).
 func (m *Memory) DisarmSMC() {
-	t := m.wt
+	t := m.tracker()
 	if t == nil {
 		return
 	}
@@ -194,14 +211,18 @@ func (m *Memory) DisarmSMC() {
 
 // SMCSelfHit reports whether a store since the last ArmSMC landed
 // inside one of the armed self ranges.
-func (m *Memory) SMCSelfHit() bool { return m.wt != nil && m.wt.selfHit }
+func (m *Memory) SMCSelfHit() bool {
+	t := m.tracker()
+	return t != nil && t.selfHit
+}
 
 // JournalLen reports the current undo-journal length (tests).
 func (m *Memory) JournalLen() int {
-	if m.wt == nil {
+	t := m.tracker()
+	if t == nil {
 		return 0
 	}
-	return len(m.wt.journal)
+	return len(t.journal)
 }
 
 // RollbackJournal undoes every store recorded since the last ArmSMC,
@@ -210,7 +231,7 @@ func (m *Memory) JournalLen() int {
 // the caller's next step (interpreter replay) must run with the journal
 // off.
 func (m *Memory) RollbackJournal() {
-	t := m.wt
+	t := m.tracker()
 	if t == nil {
 		return
 	}
@@ -230,18 +251,13 @@ func (m *Memory) RollbackJournal() {
 
 // rawWrite8 stores without tracker hooks (journal rollback only).
 func (m *Memory) rawWrite8(addr uint32, b byte) {
-	m.page(addr, true)[addr&pageMask] = b
+	m.touch(addr)[addr&pageMask] = b
 }
 
 // rawWrite32 stores without tracker hooks (journal rollback only).
 func (m *Memory) rawWrite32(addr uint32, v uint32) {
-	if addr&pageMask <= PageSize-4 {
-		p := m.page(addr, true)
-		off := addr & pageMask
-		p[off] = byte(v)
-		p[off+1] = byte(v >> 8)
-		p[off+2] = byte(v >> 16)
-		p[off+3] = byte(v >> 24)
+	if off := addr & pageMask; off <= PageSize-4 {
+		binary.LittleEndian.PutUint32(m.touch(addr)[off:off+4], v)
 		return
 	}
 	m.rawWrite8(addr, byte(v))
@@ -250,20 +266,21 @@ func (m *Memory) rawWrite32(addr uint32, v uint32) {
 	m.rawWrite8(addr+3, byte(v>>24))
 }
 
-// note8 records a byte store about to happen at addr.
-func (t *writeTracker) note8(m *Memory, addr uint32) {
+// note8 records a byte store about to happen at addr, over the byte old.
+func (t *writeTracker) note8(addr uint32, old byte) {
 	if t.journalOn {
-		t.journal = append(t.journal, jwrite{addr: addr, old: uint32(m.Read8(addr))})
+		t.journal = append(t.journal, jwrite{addr: addr, old: uint32(old)})
 	}
 	if addr < t.limit {
 		t.noteTracked(addr, 1)
 	}
 }
 
-// note32 records a non-straddling word store about to happen at addr.
-func (t *writeTracker) note32(m *Memory, addr uint32) {
+// note32 records a non-straddling word store about to happen at addr,
+// over the word old.
+func (t *writeTracker) note32(addr, old uint32) {
 	if t.journalOn {
-		t.journal = append(t.journal, jwrite{addr: addr, old: m.Read32(addr), wide: true})
+		t.journal = append(t.journal, jwrite{addr: addr, old: old, wide: true})
 	}
 	if addr < t.limit {
 		t.noteTracked(addr, 4)

@@ -1,0 +1,197 @@
+// Command benchpairs is the A/B procedure a performance claim needs on
+// a small, noisy machine (choosing-metrics §8): it builds ./bench from
+// a git worktree of a base revision and from the working tree, runs the
+// two binaries on one workload in N pairs, alternating which side goes
+// first, and prints every pair, each side's median and quartiles per
+// end-to-end metric, and the pairs the change won.
+//
+//	go run ./tools/benchpairs -base HEAD~1 -workload steady -n 10
+//
+// It reads BENCHMARK.json for the metric names, their better direction,
+// their bounds and the run length, and only reads ./bench's result line;
+// nothing under bench/ is touched. Exit status is 0 whatever the
+// numbers say: the tool reports, the reader judges.
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+type spec struct {
+	RunSeconds float64 `json:"run_seconds"`
+	EndToEnd   []struct {
+		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
+}
+
+// result is the last stdout line of `bench -workload W`.
+type result struct {
+	Attempted int `json:"attempted"`
+	Failed    int `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+func main() {
+	base := flag.String("base", "HEAD", "revision the change is compared against")
+	workload := flag.String("workload", "steady", "BENCHMARK.json workload to run")
+	n := flag.Int("n", 10, "pairs to run")
+	seconds := flag.Float64("seconds", 0, "run length per side (default: BENCHMARK.json run_seconds)")
+	seed := flag.Int64("seed", 1, "workload seed, the same on both sides")
+	flag.Parse()
+	if err := run(*base, *workload, *n, *seconds, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpairs:", err)
+		os.Exit(1)
+	}
+}
+
+func run(base, workload string, n int, seconds float64, seed int64) error {
+	var sp spec
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		return fmt.Errorf("run from the repository root: %w", err)
+	}
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if seconds <= 0 {
+		seconds = sp.RunSeconds
+	}
+
+	tmp, err := os.MkdirTemp("", "benchpairs-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	tree := filepath.Join(tmp, "base")
+	if out, err := exec.Command("git", "worktree", "add", "--detach", tree, base).CombinedOutput(); err != nil {
+		return fmt.Errorf("git worktree add %s: %v\n%s", base, err, out)
+	}
+	defer exec.Command("git", "worktree", "remove", "--force", tree).Run()
+
+	cwd, err := os.Getwd()
+	if err != nil {
+		return err
+	}
+	// Each binary runs from the tree it was built from, as the driver
+	// runs `go run ./bench` from its checkout.
+	sides := [2]struct{ name, dir, bin string }{
+		{"base", tree, filepath.Join(tmp, "bench-base")},
+		{"change", cwd, filepath.Join(tmp, "bench-change")},
+	}
+	for _, s := range sides {
+		cmd := exec.Command("go", "build", "-o", s.bin, "./bench")
+		cmd.Dir = s.dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("building %s: %v\n%s", s.name, err, out)
+		}
+	}
+
+	fmt.Printf("benchpairs: %s vs working tree, workload %s, %d pairs of %gs, seed %d\n", base, workload, n, seconds, seed)
+	values := map[string]*[2][]float64{} // metric -> per side, one value per pair
+	for _, m := range sp.EndToEnd {
+		values[m.Name] = &[2][]float64{}
+	}
+	var failed, attempted [2]int
+	for pair := 0; pair < n; pair++ {
+		order := [2]int{0, 1}
+		if pair%2 == 1 {
+			order = [2]int{1, 0}
+		}
+		var rs [2]result
+		for _, side := range order {
+			s := sides[side]
+			cmd := exec.Command(s.bin, "-workload", workload, "-trace", "0",
+				"-seconds", fmt.Sprint(seconds), "-seed", fmt.Sprint(seed))
+			cmd.Dir = s.dir
+			cmd.Stderr = os.Stderr
+			out, err := cmd.Output()
+			if err != nil {
+				return fmt.Errorf("pair %d, %s: %v\n%s", pair+1, s.name, err, out)
+			}
+			if err := json.Unmarshal(lastLine(out), &rs[side]); err != nil {
+				return fmt.Errorf("pair %d, %s: result line: %v", pair+1, s.name, err)
+			}
+			failed[side] += rs[side].Failed
+			attempted[side] += rs[side].Attempted
+		}
+		fmt.Printf("pair %2d (%s first):", pair+1, sides[order[0]].name)
+		for _, m := range sp.EndToEnd {
+			b, c := rs[0].Metrics[m.Name].Value, rs[1].Metrics[m.Name].Value
+			values[m.Name][0] = append(values[m.Name][0], b)
+			values[m.Name][1] = append(values[m.Name][1], c)
+			fmt.Printf("  %s %.4g→%.4g (%+.1f%%)", m.Name, b, c, pct(b, c))
+		}
+		fmt.Println()
+	}
+
+	fmt.Printf("\n%-12s %-8s %31s %31s %8s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change", "pairs won/lost/tied")
+	for _, m := range sp.EndToEnd {
+		v := values[m.Name]
+		won, lost, tied := 0, 0, 0
+		for i := range v[0] {
+			switch d := v[1][i] - v[0][i]; {
+			case d == 0:
+				tied++
+			case (d > 0) == (m.Better == "higher"):
+				won++
+			default:
+				lost++
+			}
+		}
+		bq, cq := quartiles(v[0]), quartiles(v[1])
+		fmt.Printf("%-12s %-8s %12.4g [%7.4g, %7.4g] %12.4g [%7.4g, %7.4g] %+7.1f%%  %d/%d/%d (%s is better, bound %g)\n",
+			m.Name, m.Unit, bq[1], bq[0], bq[2], cq[1], cq[0], cq[2], pct(bq[1], cq[1]), won, lost, tied, m.Better, m.Bound)
+	}
+	for i, s := range sides {
+		fmt.Printf("fail share %s: %d/%d\n", s.name, failed[i], attempted[i])
+	}
+	return nil
+}
+
+func lastLine(out []byte) []byte {
+	var last []byte
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	sc.Buffer(nil, 1<<22)
+	for sc.Scan() {
+		if l := strings.TrimSpace(sc.Text()); l != "" {
+			last = []byte(l)
+		}
+	}
+	return last
+}
+
+func pct(base, change float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return (change - base) / base * 100
+}
+
+// quartiles returns the first quartile, median and third quartile by
+// linear interpolation between order statistics.
+func quartiles(vs []float64) [3]float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	var q [3]float64
+	for i, p := range []float64{0.25, 0.5, 0.75} {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(s)-1)
+		q[i] = s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+	}
+	return q
+}
