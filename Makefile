@@ -79,13 +79,18 @@ race:
 # Focused race pass over the observability layer, its hottest consumer,
 # and the guard/quarantine paths that intentionally race live lookups.
 race-obs:
-	$(GO) test -race -count=1 ./internal/obs ./internal/dbt ./internal/rule ./internal/guard/...
+	$(GO) test -race -count=1 ./internal/obs ./internal/dbt ./internal/mem ./internal/rule ./internal/guard/...
 
 # The engine suite's fault-injection scenarios, including the canned
 # plan in internal/dbt/testdata/faultplan.json (the robustness
-# acceptance run; see docs/ROBUSTNESS.md).
+# acceptance run; see docs/ROBUSTNESS.md). TestShadow* covers the
+# journal-based shadow check: its unit tests and the differential runs
+# against the old clone-based checker kept in guard_ref_test.go; those,
+# the write-set model test and the CompareWrites property test run a
+# second time under the race detector.
 test-faults:
 	$(GO) test -count=1 -run 'TestFaultPlanCanned|TestShadow|TestTranslatorPanicRecovery|TestRunPanicReturnsTypedError|TestInterpFallback|TestDropShardSurvives' ./internal/dbt
+	$(GO) test -race -count=1 -run 'TestShadow|TestJournalWrites|TestCompareWrites' ./internal/dbt ./internal/mem ./internal/guard
 
 # The warm-start persistence suite: the artifact store's hardening
 # tests (corruption, key mismatches, quarantine-shard merge) plus the
@@ -132,7 +137,9 @@ linkcheck:
 	$(GO) run ./cmd/linkcheck
 
 # One pass over every benchmark: smoke-checks the harness without the
-# full measurement run.
+# full measurement run. For numbers, name one, e.g. the cost of a
+# shadow check over the unsampled execution of the same block:
+#   go test -run NONE -bench BenchmarkShadowCheck -benchmem ./internal/dbt
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./...
 

@@ -146,8 +146,8 @@ type Config struct {
 	Trace *obs.TraceRing
 
 	// ShadowRate enables shadow differential verification: each block
-	// execution is, with this probability, re-executed on the reference
-	// interpreter over a pre-block snapshot and compared (see
+	// execution is, with this probability, also executed on the reference
+	// interpreter from the same pre-block state and the two compared (see
 	// docs/ROBUSTNESS.md). 0 disables steady-state sampling; 1 verifies
 	// everything. Divergences are recovered (the interpreter result
 	// wins), blamed rules are quarantined and their blocks purged.
@@ -222,7 +222,10 @@ type Config struct {
 	// safety layer (see smc.go and docs/ROBUSTNESS.md). Tracking is on by
 	// default and costs one pointer compare per guest store while no code
 	// page is dirty; this switch exists to measure that cost and must
-	// never be set for a guest that may write its own code.
+	// never be set for a guest that may write its own code. With shadow
+	// verification on, the tracker is still installed for its undo
+	// journal; only the code-page registration, the fence and self-range
+	// detection are off.
 	NoWriteTrack bool
 
 	// Peephole enables the post-Finalize peephole optimizer for backends
@@ -373,6 +376,10 @@ type Engine struct {
 	tx    txctx       // translation scratch (Run goroutine only)
 	met   *engineMetrics
 	guard *guardState // non-nil when shadow verification is configured
+	// shadow is the sampled execution in flight (guarded Run only): the
+	// reference interpreter's result and write set, kept between
+	// shadowBegin and shadowCheck.
+	shadow shadowCtx
 
 	// svc/tnt are the shared translation service and this engine's
 	// tenant registration (nil when Config.Service is unset or the
@@ -386,7 +393,7 @@ type Engine struct {
 	// constituent pc of an installed superblock to the superblocks
 	// covering it, so Invalidate on a mid-trace pc tears the whole trace
 	// down; sbBan marks heads whose superblock shadow-diverged —
-	// formation is never retried there (see shadowCheckSB).
+	// formation is never retried there (see shadowCheck).
 	sbIndex map[uint32][]*tblock
 	sbBan   map[uint32]bool
 	// cacheGen counts invalidation events (Invalidate, quarantine
@@ -412,9 +419,11 @@ type Engine struct {
 	sbPending  map[uint32]bool
 	sbInFlight int
 
-	// smcOn mirrors !Config.NoWriteTrack: guest-write tracking is
-	// installed on Mem and the dispatch loop runs the SMC fence and
-	// self-abort machinery (see smc.go).
+	// smcOn mirrors !Config.NoWriteTrack: the dispatch loop registers
+	// translated pages with Mem's write tracker and runs the SMC fence and
+	// self-abort machinery (see smc.go). A guarded engine installs the
+	// tracker either way — shadow verification reads the write sets of a
+	// sampled execution off its undo journal.
 	smcOn bool
 
 	// Warm-start persistence (nil/zero unless Config.ArtifactDir is
@@ -579,9 +588,10 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	}
 	// Install write tracking before the warm restore: restored
 	// translations register their pages exactly like demand-translated
-	// ones.
+	// ones. Shadow verification needs the tracker for its journal even
+	// when NoWriteTrack turns the SMC machinery off.
 	e.smcOn = !cfg.NoWriteTrack
-	if e.smcOn {
+	if e.smcOn || shadowOn {
 		m.EnableWriteTracking()
 	}
 	e.initArtifacts()
@@ -602,7 +612,11 @@ func (e *Engine) LiveStats() Stats { return e.met.delta(statsBase{}) }
 func (e *Engine) SetGuestState(st *guest.State) { writeGuestState(e.Mem, st) }
 
 // GuestState reads the guest architectural state out of the CPUState.
-func (e *Engine) GuestState() *guest.State { return readGuestState(e.Mem) }
+func (e *Engine) GuestState() *guest.State {
+	st := new(guest.State)
+	readGuestState(e.Mem, st)
+	return st
+}
 
 // Run executes guest code from entry until HLT, collecting statistics.
 // maxHostSteps bounds total host instructions (runaway protection).
@@ -642,16 +656,20 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	defer func() {
 		e.closeBackground()
 		e.specCode = nil
+		// Whatever the last execution armed: stores made between Runs are
+		// the caller's and must not pile up in the journal.
+		e.Mem.DisarmSMC()
 	}()
 	pc := entry
 	var prev *tblock
-	var curShadow *shadowCtx // pre-block snapshot of the block in flight, if sampled
+	sampled := false // the block in flight is being shadow-verified
 	// A panic escaping to here (a translator or simulator bug the
 	// guarded translation path could not absorb) must not take the
-	// process down with partially-applied block effects: unwind to the
-	// pre-block snapshot when one exists, leave the architectural PC at
-	// the faulting block so the run is resumable, and surface the cause
-	// as a typed error (errors.Is(err, ErrTranslatorPanic)).
+	// process down with partially-applied block effects: when the block
+	// in flight was sampled its stores are in the undo journal, so unwind
+	// to the pre-block image; leave the architectural PC at the faulting
+	// block so the run is resumable, and surface the cause as a typed
+	// error (errors.Is(err, ErrTranslatorPanic)).
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -662,9 +680,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			e.Cfg.Trace.Dump(os.Stderr)
 		}
 		e.met.panicsUnrecovered.Inc()
-		if curShadow != nil {
-			e.Mem.RestoreBelow(curShadow.preMem, env.StateBase)
-			writeGuestState(e.Mem, &curShadow.pre)
+		if sampled {
+			e.Mem.RollbackJournal()
+			writeGuestState(e.Mem, &e.shadow.pre)
 		}
 		e.Mem.Write32(env.StateBase+uint32(env.OffReg(int(guest.PC))), pc)
 		stats = snapshot()
@@ -784,14 +802,17 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		if guarded {
 			tb.execs++
-			if e.guard.sampler.SelectWith(tb.execs, tb.elevated) {
-				curShadow = e.beginShadow(tb.execs)
-			}
+			sampled = e.guard.sampler.SelectWith(tb.execs, tb.elevated)
 		}
 		if hostSteps+fallbackSteps >= maxHostSteps {
 			return snapshot(), fmt.Errorf("dbt: host step budget exhausted at pc=%#x", pc)
 		}
-		if smcOn {
+		if sampled {
+			// The reference interpreter goes first, over live memory, and
+			// is rolled back; the journal comes back armed for the
+			// translated pass.
+			e.shadowBegin(tb, pc)
+		} else if smcOn {
 			// Arm self-range detection and the undo journal for this
 			// execution (a no-op pair of clears when the translation has no
 			// guest stores).
@@ -815,7 +836,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			}
 			hostSteps = e.CPU.Total()
 			fallbackSteps += n
-			curShadow = nil
+			sampled = false
 			prev = nil
 			pc = next
 			continue
@@ -855,23 +876,17 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 				}
 			}
 		}
-		if curShadow != nil {
-			var next uint32
-			var diverged bool
-			if sb != nil {
-				next, diverged = e.shadowCheckSB(tb, curShadow, pc, res.NextPC, nexec)
-			} else {
-				next, diverged = e.shadowCheck(tb, curShadow, pc, res.NextPC)
-			}
-			curShadow = nil
+		if sampled {
+			next, verdict := e.shadowCheck(tb, pc, res.NextPC)
+			sampled = false
 			// Feed the adaptive controller, if configured: clean checks
-			// decay the steady-state rate, a divergence snaps it back.
-			if diverged {
-				e.guardEvent()
-			} else {
+			// decay the steady-state rate, a divergence snaps it back, and
+			// an execution that could not be verified does neither.
+			switch verdict {
+			case shadowClean:
 				e.guardClean()
-			}
-			if diverged {
+			case shadowDiverged:
+				e.guardEvent()
 				// The block's translation was purged; break the chain and
 				// resume from the corrected state.
 				prev = nil

@@ -127,17 +127,42 @@ func (e *Engine) ShadowRateNow() float64 {
 	return e.guard.sampler.Rate()
 }
 
-// shadowCtx is the pre-block snapshot taken for a sampled execution.
+// shadowVerdict is the outcome of one sampled execution's shadow check.
+type shadowVerdict uint8
+
+const (
+	// shadowClean: the translated block agreed with the reference
+	// interpreter on every architectural effect.
+	shadowClean shadowVerdict = iota
+	// shadowDiverged: it did not; the reference result was installed and
+	// the caller must break the chain and resume at the returned pc.
+	shadowDiverged
+	// shadowUnverifiable: the reference interpreter could not execute the
+	// block, so nothing was compared. The execution earns no trust and
+	// costs none.
+	shadowUnverifiable
+)
+
+// shadowCtx is the state of the sampled execution in flight. The engine
+// owns one and reuses it, so a clean check allocates nothing.
 type shadowCtx struct {
-	preMem *mem.Memory // pristine pre-block memory (guest + CPUState)
-	pre    guest.State // pre-block registers/flags (Mem is nil)
-	exec   uint64      // 1-based execution ordinal of the block
+	exec uint64      // 1-based execution ordinal of the block
+	pre  guest.State // registers/flags at block entry
+	ref  guest.State // the reference interpreter's post-block state
+
+	refNext uint32 // the reference's exit pc
+	refErr  error  // non-nil: the reference could not run the block
+
+	// Write sets below env.StateBase: the reference's, taken before its
+	// stores were rolled back, and the translated block's.
+	refWrites []mem.WriteByte
+	gotWrites []mem.WriteByte
 }
 
-// readGuestState reads the guest architectural state out of the
-// CPUState block stored in m; the returned state is bound to m.
-func readGuestState(m *mem.Memory) *guest.State {
-	st := &guest.State{Mem: m}
+// readGuestState fills st with the guest architectural state held in
+// the CPUState block stored in m, and binds st to m.
+func readGuestState(m *mem.Memory, st *guest.State) {
+	*st = guest.State{Mem: m}
 	for i := 0; i < guest.NumRegs; i++ {
 		st.R[i] = m.Read32(env.StateBase + uint32(env.OffReg(i)))
 	}
@@ -148,7 +173,6 @@ func readGuestState(m *mem.Memory) *guest.State {
 	for i := 0; i < guest.NumFRegs; i++ {
 		st.F[i] = m.Read32(env.StateBase + uint32(env.OffFReg(i)))
 	}
-	return st
 }
 
 // writeGuestState writes a guest architectural state into the CPUState
@@ -173,52 +197,96 @@ func writeGuestState(m *mem.Memory, st *guest.State) {
 	}
 }
 
-// beginShadow snapshots the pre-block state for a sampled execution.
-func (e *Engine) beginShadow(exec uint64) *shadowCtx {
-	pre := *readGuestState(e.Mem)
-	pre.Mem = nil
-	return &shadowCtx{preMem: e.Mem.Clone(), pre: pre, exec: exec}
+// shadowBegin runs the reference half of a sampled execution, before
+// the translated block: the reference interpreter executes the block
+// over live memory with the undo journal armed, its final state, exit
+// pc and write set are kept, and its stores are rolled back so the
+// translated block starts from the exact pre-block image. Going first
+// is what makes a clean check free of copies — live memory ends up as
+// the translated block left it. The journal is armed without self
+// ranges (the interpreter storing into the block's own bytes is the
+// guest's business, not stale host code), and the pages its stores
+// dirtied are forgotten with the stores; the translated pass re-dirties
+// what it really writes. It returns with the journal armed again for
+// the translated pass — whether or not the translation is supposed to
+// store: a corrupted rule may store where the guest does not.
+func (e *Engine) shadowBegin(tb *tblock, pc uint32) {
+	sc := &e.shadow
+	sc.exec = tb.execs
+	readGuestState(e.Mem, &sc.pre)
+	sc.ref = sc.pre
+	e.Mem.ArmSMC(true, nil)
+	if sb := tb.sb; sb == nil {
+		sc.refNext, sc.refErr = guard.RunReference(&sc.ref, pc, tb.insts, HaltPC)
+	} else {
+		// A superblock: step the trace's constituents until the
+		// reference's own control flow leaves it. If the translation left
+		// elsewhere, the comparison reports it.
+		sc.refNext, sc.refErr = pc, nil
+		for j := 0; j < len(sb.pcs) && sc.refNext == sb.pcs[j] && sc.refErr == nil; j++ {
+			sc.refNext, sc.refErr = guard.RunReference(&sc.ref, sb.pcs[j], sb.insts[j], HaltPC)
+		}
+	}
+	sc.refWrites = e.Mem.JournalWrites(sc.refWrites[:0], env.StateBase)
+	e.Mem.RollbackJournal()
+	e.Mem.ClearDirty()
+	var self [][2]uint32
+	if tb.hasStores {
+		self = tb.smcRanges
+	}
+	e.Mem.ArmSMC(true, self)
 }
 
-// shadowCheck compares the just-executed block's effects against the
-// reference interpreter run on the pre-block snapshot. On agreement it
-// returns (gotNext, false). On divergence it records the event,
-// restores the architecturally correct (reference) state, quarantines
-// the blamed rules, purges every cached block built from them, and
-// returns the corrected next pc with diverged=true — the caller must
-// break the chain (prev=nil) and continue from there.
-func (e *Engine) shadowCheck(tb *tblock, sc *shadowCtx, pc, gotNext uint32) (uint32, bool) {
+// shadowCheck compares the just-executed translation's effects against
+// what shadowBegin recorded of the reference interpreter: registers,
+// flags where the block keeps them exact, the exit pc, and the two
+// write sets below env.StateBase. On agreement it returns (gotNext,
+// shadowClean) and live memory is untouched. On divergence it records
+// the event, rolls the translated stores back, re-applies the
+// reference's, quarantines the blamed rules and purges every cached
+// block built from them (a superblock is instead torn down and its head
+// banned), and returns the corrected next pc — the caller must break
+// the chain (prev=nil) and continue from there.
+func (e *Engine) shadowCheck(tb *tblock, pc, gotNext uint32) (uint32, shadowVerdict) {
+	sc := &e.shadow
 	e.met.shadowChecks.Inc()
-	refMem := sc.preMem.Clone()
-	ref := sc.pre.WithMem(refMem)
-	refNext, err := guard.RunReference(ref, pc, tb.insts, HaltPC)
-	if err != nil {
+	if sc.refErr != nil {
 		// The reference cannot execute the block (should not happen for
-		// decodable code); treat as unverifiable rather than divergent.
-		return gotNext, false
+		// decodable code): nothing to compare against.
+		e.Mem.DisarmSMC()
+		return gotNext, shadowUnverifiable
 	}
-	got := readGuestState(e.Mem)
-	mm := guard.CompareStates(ref, got, tb.flagsExact)
-	if refNext != gotNext {
-		mm = append(mm, guard.Mismatch{Kind: guard.MismatchNextPC, Want: refNext, Got: gotNext})
+	var got guest.State
+	readGuestState(e.Mem, &got)
+	mm := guard.CompareStates(&sc.ref, &got, tb.flagsExact)
+	if sc.refNext != gotNext {
+		mm = append(mm, guard.Mismatch{Kind: guard.MismatchNextPC, Want: sc.refNext, Got: gotNext})
 	}
-	mm = append(mm, guard.CompareMemory(refMem, e.Mem, env.StateBase, 4)...)
+	sc.gotWrites = e.Mem.JournalWrites(sc.gotWrites[:0], env.StateBase)
+	mm = append(mm, guard.CompareWrites(sc.refWrites, sc.gotWrites, e.Mem, 4)...)
 	if len(mm) == 0 {
-		return gotNext, false
+		e.Mem.DisarmSMC()
+		return gotNext, shadowClean
 	}
 
 	// Divergence: the interpreter is the semantic oracle, so its result
-	// is the correct post-block state.
+	// is the correct post-block state. Everything from here on is the
+	// rare path and may copy images.
 	e.met.divergences.Inc()
 	if e.Cfg.Trace != nil {
 		e.Cfg.Trace.Record(obs.EvDiverge, pc)
 	}
-	guilty := e.isolateBlame(sc, pc, tb, ref, refNext)
+	e.Mem.RollbackJournal() // live memory is the pre-block image again
+	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
+	var guilty []*rule.Template
 	var blamed []string
-	for _, t := range guilty {
-		blamed = append(blamed, t.Fingerprint())
-		if e.Cfg.Rules.Quarantine(t, fmt.Sprintf("shadow divergence at pc=%#x", pc)) {
-			e.met.quarantined.Inc()
+	if tb.sb == nil {
+		guilty = e.isolateBlame(pc, tb)
+		for _, t := range guilty {
+			blamed = append(blamed, t.Fingerprint())
+			if e.Cfg.Rules.Quarantine(t, fmt.Sprintf("shadow divergence at pc=%#x", pc)) {
+				e.met.quarantined.Inc()
+			}
 		}
 	}
 	if len(e.guard.divergences) < maxDivergenceLog {
@@ -227,84 +295,58 @@ func (e *Engine) shadowCheck(tb *tblock, sc *shadowCtx, pc, gotNext uint32) (uin
 		})
 	}
 
-	// Recover: overwrite the mis-executed block's effects with the
-	// reference result, then drop every translation built from a
-	// now-quarantined rule so retranslation excludes it.
-	e.Mem.RestoreBelow(refMem, env.StateBase)
-	writeGuestState(e.Mem, ref)
-	e.purgeRules(guilty)
-	return refNext, true
+	// Recover: replace the mis-executed block's effects with the
+	// reference result — through the tracked store path, so reference
+	// stores into translated code are fenced like any guest store.
+	applyWrites(e.Mem, sc.refWrites)
+	writeGuestState(e.Mem, &sc.ref)
+	if tb.sb == nil {
+		// Drop every translation built from a now-quarantined rule so
+		// retranslation excludes it.
+		e.purgeRules(guilty)
+	} else {
+		// A superblock is torn down and its head banned from re-formation
+		// rather than blamed: blame isolation retranslates single basic
+		// blocks, so it cannot attribute a trace-level fault, and the
+		// constituent basic blocks stay cached — if one of them is
+		// individually mistranslated, its own sampled executions catch and
+		// quarantine it through the normal path.
+		e.teardownSB(tb)
+		if e.sbBan == nil {
+			e.sbBan = map[uint32]bool{}
+		}
+		e.sbBan[pc] = true
+	}
+	return sc.refNext, shadowDiverged
 }
 
-// shadowCheckSB is shadowCheck for superblock executions. The
-// reference interpreter steps the executed constituent prefix (nexec
-// blocks, from the exit slot) block by block, stopping early if its own
-// control flow leaves the trace — a next-pc divergence the comparison
-// then reports. On divergence the superblock is torn down and its head
-// banned from re-formation rather than blamed: blame isolation
-// retranslates single basic blocks, so it cannot attribute a
-// trace-level fault, and the constituent basic blocks stay cached — if
-// one of them is individually mistranslated, its own sampled
-// executions catch and quarantine it through the normal path.
-func (e *Engine) shadowCheckSB(tb *tblock, sc *shadowCtx, pc, gotNext uint32, nexec int) (uint32, bool) {
-	sb := tb.sb
-	e.met.shadowChecks.Inc()
-	refMem := sc.preMem.Clone()
-	ref := sc.pre.WithMem(refMem)
-	refNext := pc
-	for j := 0; j < nexec && refNext == sb.pcs[j]; j++ {
-		var err error
-		refNext, err = guard.RunReference(ref, sb.pcs[j], sb.insts[j], HaltPC)
-		if err != nil {
-			return gotNext, false // unverifiable, not divergent
-		}
-		if refNext == HaltPC {
-			break
-		}
+// applyWrites stores a write set's final values into m.
+func applyWrites(m *mem.Memory, ws []mem.WriteByte) {
+	for _, w := range ws {
+		m.Write8(w.Addr, w.New)
 	}
-	got := readGuestState(e.Mem)
-	mm := guard.CompareStates(ref, got, false)
-	if refNext != gotNext {
-		mm = append(mm, guard.Mismatch{Kind: guard.MismatchNextPC, Want: refNext, Got: gotNext})
-	}
-	mm = append(mm, guard.CompareMemory(refMem, e.Mem, env.StateBase, 4)...)
-	if len(mm) == 0 {
-		return gotNext, false
-	}
-
-	e.met.divergences.Inc()
-	if e.Cfg.Trace != nil {
-		e.Cfg.Trace.Record(obs.EvDiverge, pc)
-	}
-	if len(e.guard.divergences) < maxDivergenceLog {
-		e.guard.divergences = append(e.guard.divergences, guard.Divergence{
-			PC: pc, Exec: sc.exec, Backend: e.tr.be.Name(), Mismatches: mm,
-		})
-	}
-	e.teardownSB(tb)
-	if e.sbBan == nil {
-		e.sbBan = map[uint32]bool{}
-	}
-	e.sbBan[pc] = true
-	e.Mem.RestoreBelow(refMem, env.StateBase)
-	writeGuestState(e.Mem, ref)
-	return refNext, true
 }
 
 // isolateBlame attributes a divergence to specific rules: for each
 // distinct rule the block used, the block is retranslated with that
-// rule excluded and re-executed on a copy of the pre-block snapshot —
-// if the result then matches the reference, the excluded rule is
-// guilty. When no single exclusion fixes the block (compound faults,
-// or a translator rather than rule bug) every used rule is blamed
-// conservatively; a block that used no rules blames none.
-func (e *Engine) isolateBlame(sc *shadowCtx, pc uint32, tb *tblock, ref *guest.State, refNext uint32) []*rule.Template {
+// rule excluded and re-executed on a copy of the pre-block image — if
+// the result then matches the reference, the excluded rule is guilty.
+// When no single exclusion fixes the block (compound faults, or a
+// translator rather than rule bug) every used rule is blamed
+// conservatively; a block that used no rules blames none. Called with
+// live memory rolled back to the pre-block image.
+func (e *Engine) isolateBlame(pc uint32, tb *tblock) []*rule.Template {
 	if len(tb.rules) == 0 {
 		return nil
 	}
+	sc := &e.shadow
+	pre := e.Mem.Clone()
+	ref := sc.ref
+	ref.Mem = pre.Clone()
+	applyWrites(ref.Mem, sc.refWrites)
 	var guilty []*rule.Template
 	for _, t := range tb.rules {
-		if e.trialExcluding(sc, pc, ref, refNext, t) {
+		if e.trialExcluding(pre, pc, &ref, sc.refNext, t) {
 			guilty = append(guilty, t)
 		}
 	}
@@ -315,16 +357,17 @@ func (e *Engine) isolateBlame(sc *shadowCtx, pc uint32, tb *tblock, ref *guest.S
 }
 
 // trialExcluding reports whether retranslating the block without t and
-// executing it on the pre-block snapshot reproduces the reference
-// result. Trial translation or execution failures (including panics
-// from a corrupted template) exonerate nothing and simply return false.
-func (e *Engine) trialExcluding(sc *shadowCtx, pc uint32, ref *guest.State, refNext uint32, t *rule.Template) (fixed bool) {
+// executing it on a copy of the pre-block image reproduces the
+// reference result (ref, bound to the reference's post-block image).
+// Trial translation or execution failures (including panics from a
+// corrupted template) exonerate nothing and simply return false.
+func (e *Engine) trialExcluding(pre *mem.Memory, pc uint32, ref *guest.State, refNext uint32, t *rule.Template) (fixed bool) {
 	defer func() {
 		if recover() != nil {
 			fixed = false
 		}
 	}()
-	m := sc.preMem.Clone()
+	m := pre.Clone()
 	var tx txctx
 	ttb, err := e.tr.translate(m, pc, &tx, func(x *rule.Template) bool { return x == t }, nil)
 	if err != nil {
@@ -337,8 +380,9 @@ func (e *Engine) trialExcluding(sc *shadowCtx, pc uint32, ref *guest.State, refN
 	if err != nil || res.NextPC != refNext {
 		return false
 	}
-	got := readGuestState(m)
-	if len(guard.CompareStates(ref, got, ttb.flagsExact)) != 0 {
+	var got guest.State
+	readGuestState(m, &got)
+	if len(guard.CompareStates(ref, &got, ttb.flagsExact)) != 0 {
 		return false
 	}
 	return len(guard.CompareMemory(ref.Mem, m, env.StateBase, 1)) == 0
@@ -440,7 +484,8 @@ func (e *Engine) tryTranslate(pc uint32) (tb *tblock, culprit *rule.Template, er
 // path when translation fails persistently. It returns the next pc
 // (HaltPC when the guest halted) and the instructions retired.
 func (e *Engine) interpFallbackBlock(pc uint32) (uint32, uint64, error) {
-	st := readGuestState(e.Mem)
+	st := new(guest.State)
+	readGuestState(e.Mem, st)
 	st.SetPC(pc)
 	var n uint64
 	for i := 0; i < maxBlockInsts; i++ {

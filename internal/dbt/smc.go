@@ -191,7 +191,8 @@ func smcReplayCap(tb *tblock) uint64 {
 func (e *Engine) smcSelfAbort(tb *tblock, pc uint32) (uint32, uint64, error) {
 	e.Mem.RollbackJournal() // also disarms: replay stores are authoritative
 	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
-	st := readGuestState(e.Mem)
+	st := new(guest.State)
+	readGuestState(e.Mem, st)
 	st.SetPC(pc)
 	var n uint64
 	cap := smcReplayCap(tb)

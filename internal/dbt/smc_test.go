@@ -67,6 +67,77 @@ func TestSMCSelfStorePreciseExit(t *testing.T) {
 	}
 }
 
+// TestSMCShadowReferencePassIsInvisible: a sampled execution runs the
+// reference interpreter over live memory first. For a block that stores
+// into its own code page that pass must leave nothing behind — no self
+// hit (the interpreter has no stale host code), no dirty page, the code
+// word as it was — so that the translated pass that follows flags the
+// self hit and dirties exactly the pages it would have without sampling.
+func TestSMCShadowReferencePassIsInvisible(t *testing.T) {
+	p := smcProfile(t, "smc-patch")
+	// The loop block with r1 one short of the patch iteration: this
+	// execution is the one that rewrites the block's first instruction.
+	setup := func(shadow float64) (*Engine, *tblock, uint32, uint32) {
+		m := mem.New()
+		if err := guest.LoadProgram(m, env.CodeBase, p.Prog); err != nil {
+			t.Fatal(err)
+		}
+		e := New(m, Config{ShadowRate: shadow})
+		// Interpret to the top of the iteration that patches: r1 == 99 at
+		// the loop head (r5 holds its address).
+		st := guest.State{Mem: m}
+		st.SetPC(env.CodeBase)
+		for i := 0; !(st.R[guest.R1] == 99 && st.PCVal() == st.R[guest.R5]); i++ {
+			in, err := guest.Decode(m.Read32(st.PCVal()))
+			if err == nil {
+				err = st.Step(in)
+			}
+			if err != nil || i > 10_000 {
+				t.Fatalf("interpreting to the patch iteration: step %d, %v", i, err)
+			}
+		}
+		e.SetGuestState(&st)
+		pc := st.PCVal()
+		tb, err := e.block(pc)
+		if err != nil || !tb.hasStores {
+			t.Fatalf("loop block at %#x: %v (hasStores %v)", pc, err, tb != nil && tb.hasStores)
+		}
+		return e, tb, pc, m.Read32(pc)
+	}
+
+	e, tb, pc, word := setup(1)
+	tb.execs++
+	e.shadowBegin(tb, pc)
+	if e.Mem.SMCSelfHit() || e.Mem.CodeDirty() || e.Mem.JournalLen() != 0 || e.Mem.Read32(pc) != word {
+		t.Fatalf("reference pass left a trace: self hit %v, dirty %v, journal %d, code word %#x (was %#x)",
+			e.Mem.SMCSelfHit(), e.Mem.CodeDirty(), e.Mem.JournalLen(), e.Mem.Read32(pc), word)
+	}
+	if len(e.shadow.refWrites) != 4 || e.shadow.refWrites[0].Addr != pc {
+		t.Fatalf("reference write set %v, want the four bytes at %#x", e.shadow.refWrites, pc)
+	}
+	if _, err := e.CPU.Exec(tb.hb, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Mem.SMCSelfHit() {
+		t.Fatal("sampled translated pass did not flag its self-modifying store")
+	}
+	sampled := e.Mem.TakeDirtyPages()
+
+	// The same execution, never sampled.
+	u, utb, upc, _ := setup(0)
+	u.Mem.ArmSMC(utb.hasStores, utb.smcRanges)
+	if _, err := u.CPU.Exec(utb.hb, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	alone := u.Mem.TakeDirtyPages()
+	if !u.Mem.SMCSelfHit() || len(alone) != 1 || alone[0] != upc>>mem.PageBits {
+		t.Fatalf("unsampled pass: self hit %v, dirty pages %x", u.Mem.SMCSelfHit(), alone)
+	}
+	if len(sampled) != len(alone) || sampled[0] != alone[0] {
+		t.Fatalf("dirty pages after a sampled execution %x, after the translated pass alone %x", sampled, alone)
+	}
+}
+
 // TestSMCCrossBlockInvalidate: a store into another block's bytes takes
 // the fence path (no self-abort) and the stale translation never runs.
 func TestSMCCrossBlockInvalidate(t *testing.T) {

@@ -10,9 +10,13 @@
 // symbolically at derivation time, but a bug anywhere downstream — rule
 // serialization, parameter binding, host emission, or a corrupted rule
 // table — silently produces wrong guest state. Shadow verification
-// re-executes a sampled block on the reference interpreter over a
-// pre-block snapshot and compares every architectural effect, turning
-// silent corruption into an attributable, recoverable divergence.
+// executes a sampled block twice from one pre-block image — on the
+// reference interpreter, whose stores are then undone, and as
+// translated — and compares every architectural effect: registers,
+// flags, exit pc (CompareStates) and the two executions' write sets
+// (CompareWrites), turning silent corruption into an attributable,
+// recoverable divergence. CompareMemory is the same comparison over two
+// whole images, for callers that have them.
 package guard
 
 import (

@@ -1,6 +1,8 @@
 package guard
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,6 +167,70 @@ func TestCompareMemory(t *testing.T) {
 	mm := CompareMemory(a, b, 0x0F00_0000, 4)
 	if len(mm) != 1 || mm[0].Index != 0x100 || mm[0].Want != 1 || mm[0].Got != 2 {
 		t.Fatalf("bad memory mismatches: %v", mm)
+	}
+}
+
+// TestCompareWritesMatchesCompareMemory: over random pairs of
+// executions from one image — byte and word stores, overlapping,
+// unaligned, some equal on both sides, some above the limit —
+// CompareWrites on the two write sets must report exactly what
+// CompareMemory reports on the two post-images, for every max.
+func TestCompareWritesMatchesCompareMemory(t *testing.T) {
+	const limit = 0x0F00_0000
+	diverged := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		spots := []uint32{0x100, 0x104, 0x2ffe, 0x0100_0000, 0x0200_0040, limit - 4, limit, limit + 0x40}
+		live := mem.New()
+		live.EnableWriteTracking()
+		for _, a := range spots {
+			live.Write32(a, r.Uint32())
+		}
+		store := func(m *mem.Memory, r *rand.Rand) {
+			a := spots[r.Intn(len(spots))] + uint32(r.Intn(6))
+			if r.Intn(3) == 0 {
+				m.Write8(a, byte(r.Intn(4)))
+			} else {
+				m.Write32(a, uint32(r.Intn(4))*0x01010101)
+			}
+		}
+		// One store stream replayed on both sides, with a few stores
+		// dropped, added or changed on the translated side.
+		refSeed := r.Int63()
+		n := r.Intn(8)
+		play := func(divergent bool) {
+			rr := rand.New(rand.NewSource(refSeed))
+			for i := 0; i < n; i++ {
+				if divergent && r.Intn(4) == 0 {
+					if r.Intn(2) == 0 {
+						store(live, r) // a store the reference never made
+					}
+					store(mem.New(), rr) // the reference's store, not made
+					continue
+				}
+				store(live, rr)
+			}
+		}
+		live.ArmSMC(true, nil)
+		play(false)
+		ref := live.JournalWrites(nil, limit)
+		refImage := live.Clone()
+		live.RollbackJournal()
+		live.ArmSMC(true, nil)
+		play(true)
+		got := live.JournalWrites(nil, limit)
+		if len(CompareMemory(refImage, live, limit, 1)) > 0 {
+			diverged++
+		}
+		for _, max := range []int{1, 2, 4, 64} {
+			want := CompareMemory(refImage, live, limit, max)
+			if have := CompareWrites(ref, got, live, max); !reflect.DeepEqual(have, want) {
+				t.Fatalf("seed %d max %d:\n write sets %v\n images     %v", seed, max, have, want)
+			}
+		}
+	}
+	if diverged < 50 || diverged > 150 {
+		t.Fatalf("%d of 200 pairs diverged: the generator no longer mixes clean and divergent pairs", diverged)
 	}
 }
 

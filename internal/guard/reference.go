@@ -12,8 +12,9 @@ import (
 // order (a block is straight-line by construction — only its final
 // instruction redirects control). It returns the block's exit pc, or
 // haltPC when the guest halted inside the block. The caller provides a
-// state bound to a pre-block memory snapshot; after the call the state
-// and snapshot hold the reference post-block result.
+// state bound to the memory the block should run over — the engine's
+// live image under the undo journal, or a copy; after the call the state
+// and that memory hold the reference post-block result.
 func RunReference(st *guest.State, pc uint32, insts []guest.Inst, haltPC uint32) (uint32, error) {
 	st.SetPC(pc)
 	for i, in := range insts {
@@ -73,6 +74,50 @@ func CompareMemory(ref, got *mem.Memory, limit uint32, max int) []Mismatch {
 	var out []Mismatch
 	for _, addr := range ref.DiffBelow(got, limit, max) {
 		out = append(out, Mismatch{Kind: MismatchMem, Index: addr, Want: ref.Read32(addr), Got: got.Read32(addr)})
+	}
+	return out
+}
+
+// CompareWrites is CompareMemory for two executions of one block from
+// one pre-block image, given their write sets (mem.JournalWrites)
+// instead of two images: ref is the reference interpreter's, taken
+// before its stores were rolled back, got the translated block's, whose
+// stores live still holds. A byte only the reference wrote must already
+// have held the reference's value, a byte only the translation wrote
+// must have been left as it was, and a byte both wrote must agree.
+// Every other byte of memory is equal by construction. The result is
+// what CompareMemory would report for the two post-block images: up to
+// max differing words, lowest address first.
+func CompareWrites(ref, got []mem.WriteByte, live *mem.Memory, max int) []Mismatch {
+	var out []Mismatch
+	for i, j := 0, 0; i < len(ref) || j < len(got); {
+		var addr uint32
+		var want, have byte
+		switch {
+		case j == len(got) || i < len(ref) && ref[i].Addr < got[j].Addr:
+			addr, want, have = ref[i].Addr, ref[i].New, ref[i].Old
+			i++
+		case i == len(ref) || got[j].Addr < ref[i].Addr:
+			addr, want, have = got[j].Addr, got[j].Old, got[j].New
+			j++
+		default:
+			addr, want, have = ref[i].Addr, ref[i].New, got[j].New
+			i++
+			j++
+		}
+		if want == have {
+			continue
+		}
+		word, shift := addr&^3, 8*(addr&3)
+		if n := len(out); n == 0 || out[n-1].Index != word {
+			if n == max {
+				break
+			}
+			w := live.Read32(word)
+			out = append(out, Mismatch{Kind: MismatchMem, Index: word, Want: w, Got: w})
+		}
+		m := &out[len(out)-1]
+		m.Want = m.Want&^(0xff<<shift) | uint32(want)<<shift
 	}
 	return out
 }

@@ -108,8 +108,8 @@ func (s *State) Clone() *State {
 }
 
 // WithMem returns a register/flag copy of the state bound to a
-// different memory. The shadow verifier uses it to re-execute a block's
-// instructions on a pre-block memory snapshot without cloning twice.
+// different memory, for re-executing from one register state over a
+// copy of the image (differential tests).
 func (s *State) WithMem(m *mem.Memory) *State {
 	c := *s
 	c.Mem = m

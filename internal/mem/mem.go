@@ -11,12 +11,17 @@
 // simulated host code — nearly all of them into the CPUState page and a
 // handful of data and stack pages — cost one compare instead of a map
 // probe. It is a lookaside over the map and not a flat or two-level
-// page table because images are tiny (≈6 pages) and snapshots are
-// frequent: shadow verification clones the image per sampled block, and
-// a table that every clone must allocate and fill measured −19…−54 %
-// requests per second on the serving workload for +3–7 % on the
-// execution-bound one, while the lookaside matched it there and leaves
-// clones exactly as cheap as a bare map copy.
+// page table because images are tiny (≈6 pages) and, when the choice
+// was made, snapshots were frequent: shadow verification cloned the
+// image per sampled block, and a table that every clone must allocate
+// and fill measured −19…−54 % requests per second on the serving
+// workload for +3–7 % on the execution-bound one, while the lookaside
+// matched it there and leaves clones exactly as cheap as a bare map
+// copy. Shadow verification has since stopped cloning — it compares the
+// write sets of two executions read off the undo journal (track.go:
+// ArmSMC, JournalWrites, RollbackJournal), so an image is now copied
+// once per engine at most, or after a detected divergence — and the
+// table's A/B can be re-run on its merits (ROADMAP item 3).
 //
 // Snapshots (Clone, CloneBelow) and the zero value carry no lookaside
 // and no write tracker; every access goes to the map. That is also the
@@ -279,8 +284,9 @@ func (m *Memory) CloneBelow(limit uint32) *Memory {
 // (a page-aligned boundary separating guest-visible memory from
 // host-private regions) and returns up to max differing word-aligned
 // addresses, lowest first. Pages absent on one side compare as zero,
-// matching read semantics. Used by the shadow verifier to compare the
-// reference interpreter's stores against a translated block's.
+// matching read semantics. Used wherever two whole images are compared:
+// the translation validator's concrete replay, blame-isolation trials
+// after a shadow divergence (guard.CompareMemory) and the tests.
 func (m *Memory) DiffBelow(other *Memory, limit uint32, max int) []uint32 {
 	limitKey := limit >> PageBits
 	keys := map[uint32]bool{}
@@ -329,16 +335,17 @@ func (m *Memory) DiffBelow(other *Memory, limit uint32, max int) []uint32 {
 // RestoreBelow overwrites every page of m below limit with src's
 // content (missing src pages zero the destination page), leaving pages
 // at or above limit untouched. After the call the two memories read
-// identically below limit. Used by the divergence-recovery path to
-// replace a mis-executed block's stores with the reference
-// interpreter's.
+// identically below limit. Nothing on the execution path needs it any
+// more (divergence recovery rolls the undo journal back and re-applies
+// the reference's write set); the benchmark's layer table and the tests
+// restore images with it.
 func (m *Memory) RestoreBelow(src *Memory, limit uint32) {
 	limitKey := limit >> PageBits
 	// With write tracking on, a tracked page whose content the restore
-	// changes must be reported dirty like any other store — the
-	// divergence-recovery path may rewrite guest code the engine has
-	// translated, and the stale translations must be fenced out exactly
-	// as if the guest had stored the bytes itself.
+	// changes must be reported dirty like any other store — a restore
+	// may rewrite guest code the engine has translated, and the stale
+	// translations must be fenced out exactly as if the guest had stored
+	// the bytes itself.
 	markChanged := func(k uint32, before, after *page) {
 		t := m.tracker()
 		if t == nil || *before == *after {

@@ -1,6 +1,10 @@
 package mem
 
-import "encoding/binary"
+import (
+	"cmp"
+	"encoding/binary"
+	"slices"
+)
 
 // Guest-write tracking is the memory half of self-modifying-code (SMC)
 // safety (the engine half lives in internal/dbt; docs/ROBUSTNESS.md
@@ -27,6 +31,12 @@ import "encoding/binary"
 //     exact memory image at block entry. The engine then replays the
 //     block on the reference interpreter up to the faulting store,
 //     achieving the precise-exit rule.
+//
+// The journal has a second user: shadow verification (internal/dbt
+// guard.go) arms it — with no self ranges — around each of the two
+// executions of a sampled block, reads the execution's write set off it
+// (JournalWrites) and rolls the reference interpreter's stores back, so
+// checking a block costs in proportion to its stores and copies nothing.
 //
 // Everything here is nil-guarded: a Memory without a tracker (the
 // default — New installs none) pays two pointer compares per store.
@@ -158,9 +168,10 @@ func (m *Memory) TakeDirtyPages() []uint32 {
 	return out
 }
 
-// ClearDirty drops the dirty set without returning it (the self-abort
-// path clears stale dirt after rolling the journal back, then lets the
-// interpreter replay re-dirty exactly what it really stores).
+// ClearDirty drops the dirty set without returning it: whoever rolls
+// the journal back clears the dirt the undone stores left, and lets
+// what runs next — the self-abort's interpreter replay, a shadow check's
+// translated pass — re-dirty exactly what it really stores.
 func (m *Memory) ClearDirty() {
 	t := m.tracker()
 	if t == nil {
@@ -176,9 +187,12 @@ func (m *Memory) ClearDirty() {
 // guest source ranges are self: the undo journal restarts empty and a
 // store into any self range will set SMCSelfHit. Passing hasStores
 // false disarms instead (the translation contains no guest stores, so
-// neither journal nor self detection is needed). The ranges slice is
-// retained until the next call; callers pass the translation's cached
-// slice, so arming allocates nothing.
+// neither journal nor self detection is needed). A shadow-verified
+// execution arms with hasStores true whatever the translation contains
+// — it is the journal that would show a store that should not be there
+// — and with nil ranges where no self hit can be meant. The ranges slice
+// is retained until the next call; callers pass the translation's
+// cached slice, so arming allocates nothing.
 func (m *Memory) ArmSMC(hasStores bool, self [][2]uint32) {
 	t := m.tracker()
 	if t == nil {
@@ -223,6 +237,53 @@ func (m *Memory) JournalLen() int {
 		return 0
 	}
 	return len(t.journal)
+}
+
+// WriteByte is one byte of an execution's write set, read off the undo
+// journal: the byte's content when the journal was armed and its content
+// when the set was taken.
+type WriteByte struct {
+	Addr     uint32
+	Old, New byte
+}
+
+// JournalWrites appends to dst the write set the armed journal has
+// recorded below limit (page-aligned): one entry per distinct byte
+// stored to since ArmSMC, in ascending address order, however often and
+// at whatever width it was stored. Old is the first journaled prior
+// value — the byte at arm time — and New the byte in memory now. The
+// journal itself is left as it is, so the caller may still roll it back.
+// Shadow verification compares two executions of one block through
+// their write sets, at a cost proportional to the stores made rather
+// than to the image (see internal/guard.CompareWrites).
+func (m *Memory) JournalWrites(dst []WriteByte, limit uint32) []WriteByte {
+	t := m.tracker()
+	if t == nil {
+		return dst
+	}
+	base := len(dst)
+	for _, e := range t.journal {
+		// A wide entry never straddles a page, so its first byte decides.
+		if e.addr >= limit {
+			continue
+		}
+		n := uint32(1)
+		if e.wide {
+			n = 4
+		}
+		for i := uint32(0); i < n; i++ {
+			at, found := slices.BinarySearchFunc(dst[base:], e.addr+i, func(w WriteByte, addr uint32) int {
+				return cmp.Compare(w.Addr, addr)
+			})
+			if !found { // else an earlier entry holds the arm-time value
+				dst = slices.Insert(dst, base+at, WriteByte{Addr: e.addr + i, Old: byte(e.old >> (8 * i))})
+			}
+		}
+	}
+	for i := base; i < len(dst); i++ {
+		dst[i].New = m.Read8(dst[i].Addr)
+	}
+	return dst
 }
 
 // RollbackJournal undoes every store recorded since the last ArmSMC,
