@@ -6,9 +6,9 @@ GO ?= go
 # exactly what to install.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet lint staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve fuzz-host bench bench-e2e bench-pairs bench-obs bench-serve bench-serve-check experiments linkcheck
+.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs bench-obs bench-serve bench-serve-check experiments linkcheck
 
-ci: lint build race test-backends test-faults test-persistence test-smc test-serve fuzz-host linkcheck bench
+ci: lint build race test-backends test-faults test-persistence test-smc test-serve test-validate fuzz-host linkcheck bench
 
 # Opt-in serving-load gate: `CHECK_SERVE=1 make ci` re-drives the
 # 1000-tenant load harness and fails unless the shared service beats N
@@ -24,14 +24,18 @@ endif
 vet:
 	$(GO) vet ./...
 
-# Repo lint: standard vet, the two vettool checkers (tools/lint/obsgate
-# for telemetry gating, tools/lint/counterdoc for the metric catalog —
-# both directions: every Met* constant documented, every documented
-# name declared), and the pinned staticcheck.
-lint: vet obsgate counterdoc staticcheck
+# Repo lint: gofmt, standard vet, the two vettool checkers
+# (tools/lint/obsgate for telemetry gating, tools/lint/counterdoc for the
+# metric catalog — both directions: every Met* constant documented,
+# every documented name declared), and the pinned staticcheck.
+lint: gofmt vet obsgate counterdoc staticcheck
 	$(GO) vet -vettool=bin/obsgate ./...
 	$(GO) vet -vettool=bin/counterdoc ./...
 	bin/counterdoc -reverse docs/OBSERVABILITY.md
+
+# Fails listing every Go file gofmt would change.
+gofmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt: unformatted files:"; echo "$$files"; exit 1; fi
 
 # staticcheck runs un-gated in ci (via lint) whenever the binary is on
 # PATH, pinned to $(STATICCHECK_VERSION) so two machines cannot
@@ -122,6 +126,22 @@ test-serve:
 	$(GO) test -count=1 ./internal/serve
 	$(GO) test -race -count=1 -run 'TestService|TestAdaptive|TestStoreReseed' ./internal/dbt
 	$(GO) test -race -count=1 ./internal/serve
+
+# Translation validation and licensing the risc peephole
+# (docs/ANALYSIS.md "Translation validation"): both validators' units
+# (they share the host side's frame evaluation, pinned by
+# TestHStateFrame), the rewrite validator's mutants and its
+# differential over every candidate the twelve profiles produce, and
+# the engine's peephole and validation tests — functionally and under
+# the race detector — then the offline audit of the installed streams
+# with the rewrite verdicts reported apart, failing on any refutation.
+test-validate:
+	$(GO) test -count=1 -run 'TestHStateFrame' ./internal/symexec
+	$(GO) test -count=1 -run 'TestValidate' ./internal/analysis
+	$(GO) test -count=1 -run 'TestPeephole|TestValidat' ./internal/dbt
+	$(GO) test -race -count=1 -run 'TestValidate' ./internal/analysis
+	$(GO) test -race -count=1 -run 'TestPeephole|TestValidat' ./internal/dbt
+	$(GO) run ./cmd/codeaudit -backend risc -peephole -summary -fail-refuted
 
 # Ten seconds of the host simulator's differential fuzzer: random
 # instruction streams through CPU.Exec's pre-decoded loop and through

@@ -38,7 +38,7 @@ func main() {
 	beName := flag.String("backend", "", "host backend for all engine runs (default: $"+backend.EnvVar+" or x86); one of "+strings.Join(backend.Names(), ","))
 	artifactDir := flag.String("artifact-dir", "", "directory for the warmstart section's artifact store (default: a fresh temporary directory; an already-populated store would make the cold pass warm)")
 	validate := flag.String("validate", "", "translation-validation mode for all engine runs: off, optimized, or all (see dbt.Config.Validate)")
-	peephole := flag.Bool("peephole", false, "enable the validator-licensed peephole optimizer for all engine runs")
+	peephole := flag.Bool("peephole", false, "enable the rewrite-validated peephole optimizer for all engine runs")
 	flag.Parse()
 
 	if _, err := dbt.ParseValidate(*validate); err != nil {

@@ -139,8 +139,8 @@ func main() {
 	injectPath := flag.String("inject", "", "fault-injection plan (JSON, see docs/ROBUSTNESS.md); corruptRules entries are applied to rules the benchmark actually uses")
 	beName := flag.String("backend", "", "host backend to translate for (default: $"+backend.EnvVar+" or x86); one of "+strings.Join(backend.Names(), ","))
 	artifactDir := flag.String("artifact-dir", "", "warm-start artifact store: reuse a previously published rule pack instead of re-deriving, restore the code cache from a prior run of the same guest, and publish both back on a clean halt (see docs/PERSISTENCE.md)")
-	peephole := flag.Bool("peephole", false, "enable the backend's post-Finalize peephole optimizer; the optimized stream is installed only when the translation validator proves it equivalent (see docs/ANALYSIS.md)")
-	validate := flag.String("validate", "", "translation validation: \"optimized\" validates only peephole candidates (the default when -peephole is set), \"all\" validates every finalized translation, \"off\" disables")
+	peephole := flag.Bool("peephole", false, "enable the backend's post-Finalize peephole optimizer; the optimized stream is installed only when it is proved equivalent to the unoptimized one (see docs/ANALYSIS.md)")
+	validate := flag.String("validate", "", "translation validation: \"optimized\" proves only peephole candidates against the stream they rewrote (the default when -peephole is set), \"all\" also proves every installed translation against its guest block, \"off\" disables")
 	flag.Parse()
 
 	validateAll, err := dbt.ParseValidate(*validate)

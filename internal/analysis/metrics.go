@@ -15,8 +15,8 @@ const (
 	MetWitnesses    = "analysis.witnesses"        // confirmed divergence witnesses
 	MetGateRejects  = "analysis.gate_rejects"     // admission-gate rejections
 
-	// Translation-validation telemetry (validate.go).
-	MetValidateBlocks  = "analysis.validate_blocks"       // ValidateBlock calls
+	// Translation-validation telemetry (validate.go, rewrite.go).
+	MetValidateBlocks  = "analysis.validate_blocks"       // ValidateBlock and ValidateRewrite calls
 	MetValidateProved  = "analysis.validate_proved"       // proved verdicts
 	MetValidateInconcl = "analysis.validate_inconclusive" // inconclusive verdicts
 	MetValidateRefuted = "analysis.validate_refuted"      // refuted verdicts (confirmed witness)

@@ -5,10 +5,10 @@
 // immediate domain; this file proves the *emitted code* — after backend
 // lowering, the risc legalizer, superblock flag elision and the
 // peephole optimizer — still implements the guest block. The validator
-// symbolically executes both sides, lifts the host state out of the
-// CPUState frame back into guest terms, and decides each observable
-// effect with the same structural → abstract → concrete proof ladder
-// the auditor uses. Refuted verdicts require a concretely replayed
+// symbolically executes both sides, the host side with the CPUState as
+// a symbolic frame so its effects come out in guest terms
+// (enumHostPaths), and decides each observable effect with the same
+// structural → abstract → concrete proof ladder the auditor uses. Refuted verdicts require a concretely replayed
 // witness (host.CPU vs guest interpreter); a divergence the replay
 // cannot reproduce only ever yields "inconclusive", so modeling gaps in
 // the symbolic evaluators can suppress optimization but never condemn
@@ -69,18 +69,32 @@ type ValidateOpts struct {
 	HaltPC uint32
 }
 
+// Obligation names what a BlockReport proves a host stream against.
+type Obligation string
+
+const (
+	// ObligationGuest is ValidateBlock's: the host stream against the
+	// guest block it translates. It is the zero value, so guest reports
+	// serialize exactly as they did before rewrite reports existed.
+	ObligationGuest Obligation = ""
+	// ObligationRewrite is ValidateRewrite's: an optimized host stream
+	// against the host stream it was optimized from.
+	ObligationRewrite Obligation = "rewrite"
+)
+
 // BlockReport is the validation outcome for one translated block.
 type BlockReport struct {
-	Backend   string   `json:"backend,omitempty"`
-	PC        uint32   `json:"pc"`
-	Verdict   Verdict  `json:"verdict"`
-	Proof     Proof    `json:"proof,omitempty"`
-	Reason    string   `json:"reason,omitempty"`
-	Paths     int      `json:"paths"`           // execution paths paired
-	Checks    int      `json:"checks"`          // comparisons decided
-	Swept     int      `json:"swept,omitempty"` // concrete points evaluated
-	HostInsts int      `json:"host_insts"`      // size of the validated stream
-	Witness   *Witness `json:"witness,omitempty"`
+	Backend    string     `json:"backend,omitempty"`
+	PC         uint32     `json:"pc"`
+	Obligation Obligation `json:"obligation,omitempty"`
+	Verdict    Verdict    `json:"verdict"`
+	Proof      Proof      `json:"proof,omitempty"`
+	Reason     string     `json:"reason,omitempty"`
+	Paths      int        `json:"paths"`           // execution paths paired
+	Checks     int        `json:"checks"`          // comparisons decided
+	Swept      int        `json:"swept,omitempty"` // concrete points evaluated
+	HostInsts  int        `json:"host_insts"`      // size of the validated stream
+	Witness    *Witness   `json:"witness,omitempty"`
 }
 
 // validateDebug dumps diverging expressions while tuning the modeling
@@ -103,29 +117,19 @@ const (
 // opts.CheckFlags — the NZCV words. Anything the symbolic evaluators
 // cannot model yields "inconclusive"; "refuted" is only returned with a
 // concretely confirmed witness attached.
-func ValidateBlock(ev HostEvaluator, segs []GuestSeg, hb *host.Block, opts ValidateOpts) *BlockReport {
+//
+// hb is finalized code: its backend's Finalize already admitted every
+// instruction, so it is evaluated under plain symexec host semantics,
+// and the caller stamps the report's backend.
+func ValidateBlock(segs []GuestSeg, hb *host.Block, opts ValidateOpts) *BlockReport {
 	if opts.MaxPaths <= 0 {
 		opts.MaxPaths = defaultMaxPaths
 	}
-	rep := &BlockReport{Backend: ev.Name(), Verdict: VerdictInconclusive, HostInsts: len(hb.Insts)}
+	rep := &BlockReport{Verdict: VerdictInconclusive, HostInsts: len(hb.Insts)}
 	if len(segs) > 0 {
 		rep.PC = segs[0].PC
 	}
-	if obs.On() {
-		metValidateBlocks.Inc()
-	}
-	defer func() {
-		if obs.On() {
-			switch rep.Verdict {
-			case VerdictProved:
-				metValidateProved.Inc()
-			case VerdictRefuted:
-				metValidateRefuted.Inc()
-			default:
-				metValidateInconcl.Inc()
-			}
-		}
-	}()
+	defer countVerdict(rep)
 	if len(segs) == 0 || len(hb.Insts) == 0 {
 		rep.Reason = "empty translation unit"
 		return rep
@@ -136,7 +140,9 @@ func ValidateBlock(ev HostEvaluator, segs []GuestSeg, hb *host.Block, opts Valid
 		rep.Reason = "guest: " + why
 		return rep
 	}
-	hps, why := enumHostPaths(hb, opts.MaxPaths)
+	multiseg := len(segs) > 1
+	words := guestWords(opts.CheckFlags, multiseg)
+	hps, why := enumHostPaths(hb, opts.MaxPaths, words)
 	if why != "" {
 		rep.Reason = "host: " + why
 		return rep
@@ -147,9 +153,8 @@ func ValidateBlock(ev HostEvaluator, segs []GuestSeg, hb *host.Block, opts Valid
 			return rep
 		}
 	}
-	multiseg := len(segs) > 1
 	for _, hp := range hps {
-		if why := hp.eval(ev, opts, multiseg); why != "" {
+		if why := hp.ungrounded(); why != "" {
 			rep.Reason = "host: " + why
 			return rep
 		}
@@ -162,44 +167,9 @@ func ValidateBlock(ev HostEvaluator, segs []GuestSeg, hb *host.Block, opts Valid
 		return rep
 	}
 
-	bestProof := ProofStructural
-	inconclusive := ""
-	refuted := false
-	// apply folds one check decision into the report; a confirmed
-	// witness short-circuits the whole validation as refuted.
-	apply := func(d decision, name string) {
-		rep.Checks++
-		rep.Swept += d.swept
-		if d.witness != nil {
-			if replayDiverges(segs, hb, opts, d.witness.Vals) {
-				d.witness.Confirmed = true
-				d.witness.ConfirmedBy = "replay"
-				rep.Verdict = VerdictRefuted
-				rep.Proof = ""
-				rep.Witness = d.witness
-				rep.Reason = "divergence on " + name
-				refuted = true
-				return
-			}
-			// The symbolic divergence did not reproduce on the real
-			// machines: a modeling artifact, not a refutation. Keep the
-			// witness (Confirmed=false) for diagnosis.
-			if inconclusive == "" {
-				inconclusive = "unconfirmed witness on " + name
-				rep.Witness = d.witness
-			}
-			return
-		}
-		if !d.proved {
-			if inconclusive == "" {
-				inconclusive = name + ": " + d.reason
-			}
-			return
-		}
-		if proofRank(d.proof) > proofRank(bestProof) {
-			bestProof = d.proof
-		}
-	}
+	l := &ladder{rep: rep, best: ProofStructural, replay: func(vals map[string]uint32) bool {
+		return replayDiverges(segs, hb, opts, vals)
+	}}
 	for gi, group := range groups {
 		gp := gps[gi]
 		// Predicate exhaustiveness: the guest predicate must agree with
@@ -209,41 +179,113 @@ func ValidateBlock(ev HostEvaluator, segs []GuestSeg, hb *host.Block, opts Valid
 		// agreement too.
 		if len(group) == 1 {
 			hp := hps[group[0]]
-			apply(decideBlockCheck(checkPair{
+			if l.apply(decideBlockCheck(checkPair{
 				name: "pred", g: conj(gp.preds), h: conj(hp.preds),
 				gStores: gp.gs.Stores, hStores: hp.gStores,
-			}, nil), "pred")
-		} else {
-			apply(sweepPredCover(gp, group, hps), "pred")
-		}
-		if refuted {
+			}, nil), "pred") {
+				return rep
+			}
+		} else if l.apply(sweepPredCover(gp, group, hps), "pred") {
 			return rep
 		}
+		ge := gp.effects()
 		for _, hi := range group {
 			hp := hps[hi]
-			checks, why := buildBlockChecks(gp, hp, opts, multiseg)
+			checks, why := buildBlockChecks(ge, hp.effects, words, guestSides)
 			if why != "" {
-				if inconclusive == "" {
-					inconclusive = why
-				}
+				l.fail(why)
 				continue
 			}
 			cond := &condPair{g: conj(gp.preds), h: conj(hp.preds)}
 			for _, c := range checks {
-				apply(decideBlockCheck(c, cond), c.name)
-				if refuted {
+				if l.apply(decideBlockCheck(c, cond), c.name) {
 					return rep
 				}
 			}
 		}
 	}
-	if inconclusive != "" {
-		rep.Reason = inconclusive
-		return rep
-	}
-	rep.Verdict = VerdictProved
-	rep.Proof = bestProof
+	l.close()
 	return rep
+}
+
+// countVerdict feeds a finished report into the analysis.validate_*
+// counters.
+func countVerdict(rep *BlockReport) {
+	if obs.On() {
+		metValidateBlocks.Inc()
+		switch rep.Verdict {
+		case VerdictProved:
+			metValidateProved.Inc()
+		case VerdictRefuted:
+			metValidateRefuted.Inc()
+		default:
+			metValidateInconcl.Inc()
+		}
+	}
+}
+
+// ladder folds check decisions into a report: the strongest proof rung
+// any check needed, the first reason a check stayed undecided, and a
+// refutation as soon as replay confirms a witness.
+type ladder struct {
+	rep          *BlockReport
+	best         Proof
+	inconclusive string
+	// replay runs a witness on the real machines and reports whether the
+	// divergence reproduces.
+	replay func(vals map[string]uint32) bool
+}
+
+// apply folds one check decision into the report and reports whether
+// it refuted the block, which ends the validation.
+func (l *ladder) apply(d decision, name string) bool {
+	rep := l.rep
+	rep.Checks++
+	rep.Swept += d.swept
+	if d.witness != nil {
+		if l.replay(d.witness.Vals) {
+			d.witness.Confirmed = true
+			d.witness.ConfirmedBy = "replay"
+			rep.Verdict = VerdictRefuted
+			rep.Proof = ""
+			rep.Witness = d.witness
+			rep.Reason = "divergence on " + name
+			return true
+		}
+		// The symbolic divergence did not reproduce on the real
+		// machines: a modeling artifact, not a refutation. Keep the
+		// witness (Confirmed=false) for diagnosis.
+		if l.inconclusive == "" {
+			l.inconclusive = "unconfirmed witness on " + name
+			rep.Witness = d.witness
+		}
+		return false
+	}
+	if !d.proved {
+		l.fail(name + ": " + d.reason)
+		return false
+	}
+	if proofRank(d.proof) > proofRank(l.best) {
+		l.best = d.proof
+	}
+	return false
+}
+
+// fail records why the block is not proved, keeping the first reason.
+func (l *ladder) fail(why string) {
+	if l.inconclusive == "" {
+		l.inconclusive = why
+	}
+}
+
+// close sets the final verdict of a validation no check refuted.
+func (l *ladder) close() {
+	if l.inconclusive != "" {
+		l.rep.Reason = l.inconclusive
+		return
+	}
+	l.rep.Verdict = VerdictProved
+	l.rep.Proof = l.best
 }
 
 // condPair holds the path predicates value checks are conditioned on:
@@ -602,39 +644,82 @@ func (p *gPath) exitExpr() *symexec.Expr {
 	return p.gs.R[p.exitReg]
 }
 
+// effects is the path's side of its checks. The side-exit slot holds
+// the seam index on a side exit and is untouched (the engine arms it)
+// on-trace.
+func (p *gPath) effects() effects {
+	e := effects{exitExpr: p.exitExpr(), gStores: p.gs.Stores}
+	for r := 0; r < 15; r++ {
+		e.words[env.OffReg(r)/4] = p.gs.R[r]
+	}
+	for i, f := range [4]*symexec.Expr{p.gs.N, p.gs.Z, p.gs.C, p.gs.V} {
+		e.words[nzcvWords[i]/4] = f
+	}
+	if p.seam >= 0 {
+		e.words[env.OffSBExit/4] = symexec.Const(uint32(p.seam))
+	} else {
+		e.words[env.OffSBExit/4] = envInitSym(env.OffSBExit)
+	}
+	return e
+}
+
 // ---------------------------------------------------------------------
 // Host path enumeration.
 
+// hDecision is one conditional choice along a host path: the JCC's
+// condition, the direction taken, and pred, the predicate (0/1) under
+// which the path takes it, read off the state at the branch.
 type hDecision struct {
-	prefix int // linear instructions evaluated before the JCC
-	cond   host.Cond
-	taken  bool
+	cond  host.Cond
+	taken bool
+	pred  *symexec.Expr
 }
 
 type hPath struct {
-	seq  []host.Inst
 	decs []hDecision
-	exit host.Operand
-
-	hs       *symexec.HState
-	regs     [15]*symexec.Expr
-	flags    [4]*symexec.Expr // N Z C V order
-	sbExit   *symexec.Expr
-	gStores  []symexec.SymStore
-	exitExpr *symexec.Expr
-	preds    []*symexec.Expr
+	effects
+	preds []*symexec.Expr
 }
 
+// effects is one side of a path pair in guest terms: everything the
+// per-path checks compare. words holds CPUState words by offset/4;
+// only the words a validation compares are set.
+type effects struct {
+	exitExpr *symexec.Expr
+	words    [env.Size / 4]*symexec.Expr
+	gStores  []symexec.SymStore
+}
+
+// hWalker enumerates a block's paths, JCC taken side first, evaluating
+// as it goes: the symbolic state forks at every JCC, so paths share the
+// evaluation of their common prefix.
 type hWalker struct {
 	b     *host.Block
 	max   int
+	words []uint32
 	paths []*hPath
 	fail  string
 }
 
-func enumHostPaths(b *host.Block, maxPaths int) ([]*hPath, string) {
-	w := &hWalker{b: b, max: maxPaths}
-	w.walk(0, nil, nil, 0)
+// enumHostPaths enumerates b's paths and evaluates them in one forking
+// pass, reading each path's effects in guest terms: the CPUState words
+// at the given offsets, the guest-visible store trace, the exit PC and
+// the decision predicates.
+//
+// Every path starts from one symbolic host state: EBP points at the
+// CPUState, every other register and EFLAGS bit is an initial-value
+// symbol, and the CPUState is a symexec frame (symexec.NewHStateFrame)
+// whose words start as their initial-value symbols (envInitSym). The
+// frame is the env lift: a word-aligned 32-bit access at a constant
+// address in the CPUState reads or writes a frame word, so every value
+// is already in terms of guest state, and every store left on the trace
+// is guest-visible (the frame assumption). A byte or misaligned
+// CPUState access leaves the words it touches unknown.
+func enumHostPaths(b *host.Block, maxPaths int, words []uint32) ([]*hPath, string) {
+	w := &hWalker{b: b, max: maxPaths, words: words}
+	s := symexec.NewHStateFrame(map[host.Reg]*symexec.Expr{host.EBP: symexec.Const(env.StateBase)},
+		env.StateBase, envInitSyms[:])
+	w.walk(0, nil, s, 0)
 	if w.fail != "" {
 		return nil, w.fail
 	}
@@ -644,7 +729,10 @@ func enumHostPaths(b *host.Block, maxPaths int) ([]*hPath, string) {
 	return w.paths, ""
 }
 
-func (w *hWalker) walk(i int, seq []host.Inst, decs []hDecision, steps int) {
+// walk follows one path from instruction i. Each call owns its decs and
+// s: the taken side of every fork gets copies, so straight-line code
+// extends them in place.
+func (w *hWalker) walk(i int, decs []hDecision, s *symexec.HState, steps int) {
 	for w.fail == "" {
 		if steps > 4*len(w.b.Insts)+16 {
 			w.fail = "path too long (loop?)"
@@ -670,88 +758,72 @@ func (w *hWalker) walk(i int, seq []host.Inst, decs []hDecision, steps int) {
 				w.fail = "unbound jump label"
 				return
 			}
-			w.walk(t, cloneSeq(seq), append(cloneHDecs(decs), hDecision{len(seq), in.Cond, true}), steps)
+			c := s.CondExpr(in.Cond)
+			w.walk(t, append(cloneHDecs(decs), hDecision{in.Cond, true, c}), s.Fork(), steps)
 			if w.fail != "" {
 				return
 			}
-			decs = append(cloneHDecs(decs), hDecision{len(seq), in.Cond, false})
+			decs = append(decs, hDecision{in.Cond, false, notExpr(c)})
 			i++
 		case host.ExitTB:
 			if len(w.paths) >= w.max {
 				w.fail = "path explosion"
 				return
 			}
-			w.paths = append(w.paths, &hPath{seq: seq, decs: decs, exit: in.Dst})
+			w.finish(decs, in.Dst, s)
 			return
 		case host.RET, host.CALL:
 			w.fail = fmt.Sprintf("unsupported control op %v", in.Op)
 			return
 		default:
-			seq = append(cloneSeq(seq), in)
+			if err := s.Step(in); err != nil {
+				w.fail = err.Error()
+				return
+			}
 			i++
 		}
 	}
 }
 
-// eval symbolically executes the path under the backend's evaluator and
-// lifts the final host state out of the CPUState frame.
-func (p *hPath) eval(ev HostEvaluator, opts ValidateOpts, multiseg bool) string {
-	init := map[host.Reg]*symexec.Expr{host.EBP: symexec.Const(env.StateBase)}
-	hs, err := ev.EvalHost(p.seq, init, nil)
-	if err != nil {
-		return err.Error()
+// finish records a path that reached an exit with final state s.
+func (w *hWalker) finish(decs []hDecision, exit host.Operand, s *symexec.HState) {
+	p := &hPath{decs: decs}
+	switch exit.Kind {
+	case host.KindImm:
+		p.exitExpr = symexec.Const(uint32(exit.Imm))
+	case host.KindReg:
+		p.exitExpr = s.R[exit.Reg]
+	default:
+		w.fail = "unsupported exit operand"
+		return
 	}
-	p.hs = hs
-	lc := newLiftCtx(hs.Stores)
+	for _, off := range w.words {
+		p.words[off/4] = s.FrameWord(int(off / 4))
+	}
+	p.gStores = s.Stores
+	for _, d := range decs {
+		p.preds = append(p.preds, d.pred)
+	}
+	w.paths = append(w.paths, p)
+}
 
-	var all []*symexec.Expr
-	for r := 0; r < 15; r++ {
-		p.regs[r] = lc.resolveEnv(uint32(env.OffReg(r)), 32, len(hs.Stores))
-		all = append(all, p.regs[r])
-	}
-	if opts.CheckFlags {
-		for fi, off := range [4]uint32{env.OffN, env.OffZ, env.OffC, env.OffV} {
-			p.flags[fi] = lc.resolveEnv(off, 32, len(hs.Stores))
-			all = append(all, p.flags[fi])
+// ungrounded is the guest-vs-host modeling-gap gate: every symbol in
+// the path's effects must be a guest register, a guest flag, or the
+// side-exit slot's initial value. Anything else (an uninitialized host
+// register, a host flag read before definition, an unexpected env slot)
+// means the evaluation could not ground the expression in guest terms,
+// and the reason says which symbol.
+func (p *hPath) ungrounded() string {
+	all := []*symexec.Expr{p.exitExpr}
+	for _, w := range p.words {
+		if w != nil {
+			all = append(all, w)
 		}
 	}
-	if multiseg {
-		p.sbExit = lc.resolveEnv(uint32(env.OffSBExit), 32, len(hs.Stores))
-		all = append(all, p.sbExit)
-	}
-	p.gStores = lc.liftGuestStores()
 	for _, st := range p.gStores {
 		all = append(all, st.Addr, st.Val)
 	}
-	switch p.exit.Kind {
-	case host.KindImm:
-		p.exitExpr = symexec.Const(uint32(p.exit.Imm))
-	case host.KindReg:
-		p.exitExpr = lc.lift(hs.R[p.exit.Reg])
-	default:
-		return "unsupported exit operand"
-	}
-	all = append(all, p.exitExpr)
-	for _, d := range p.decs {
-		// Same prefix property as guest decisions: the prefix store
-		// trace is a prefix of the full path's, so the lift context and
-		// load versions carry over unchanged.
-		phs, err := ev.EvalHost(p.seq[:d.prefix], init, nil)
-		if err != nil {
-			return err.Error()
-		}
-		pe := lc.lift(phs.CondExpr(d.cond))
-		if !d.taken {
-			pe = notExpr(pe)
-		}
-		p.preds = append(p.preds, pe)
-		all = append(all, pe)
-	}
-	// Modeling-gap gate: every symbol surviving the lift must be a guest
-	// register, a guest flag, or the side-exit slot's initial value.
-	// Anything else (an uninitialized host register, a host flag read
-	// before definition, an unexpected env slot) means the lift could
-	// not ground the expression in guest terms.
+	all = append(all, p.preds...)
 	for _, s := range symexec.SortedSymbols(all...) {
 		if !allowedSym(s) {
 			return "unmodeled symbol " + s
@@ -760,155 +832,36 @@ func (p *hPath) eval(ev HostEvaluator, opts ValidateOpts, multiseg bool) string 
 	return ""
 }
 
-// ---------------------------------------------------------------------
-// The env lift: host stores/loads against the CPUState frame become
-// guest initial-state symbols and guest-visible memory operations.
+// envInitSym is the initial value of the CPUState word at off, named in
+// the same vocabulary symexec.NewGState uses, so host-side expressions
+// compare structurally against guest-side expressions.
+func envInitSym(off uint32) *symexec.Expr { return envInitSyms[off/4] }
 
-type storeKind uint8
-
-const (
-	kindGuest storeKind = iota
-	kindEnv32
-	kindEnv8
-)
-
-type liftCtx struct {
-	stores []symexec.SymStore
-	kind   []storeKind
-	envOff []uint32
-	gVer   []int // gVer[i] = guest-visible stores among stores[:i]
-	memo   map[*symexec.Expr]*symexec.Expr
-}
-
-func newLiftCtx(stores []symexec.SymStore) *liftCtx {
-	lc := &liftCtx{
-		stores: stores,
-		kind:   make([]storeKind, len(stores)),
-		envOff: make([]uint32, len(stores)),
-		gVer:   make([]int, len(stores)+1),
-		memo:   map[*symexec.Expr]*symexec.Expr{},
-	}
-	g := 0
-	for i, st := range stores {
-		lc.gVer[i] = g
-		na := symexec.Normalize(st.Addr)
-		if na.Op == symexec.XConst && na.C >= env.StateBase && na.C < env.StateBase+env.Size {
-			lc.envOff[i] = na.C - env.StateBase
-			if st.Size == 8 {
-				lc.kind[i] = kindEnv8
-			} else {
-				lc.kind[i] = kindEnv32
-			}
-			continue
+// envInitSyms holds every CPUState word's initial-value symbol: the
+// words every host path's frame starts from. Each hash is computed
+// before the table is published, so Hash only reads the nodes and
+// concurrent translators may share them.
+var envInitSyms = func() (t [env.Size / 4]*symexec.Expr) {
+	for i := range t {
+		off := uint32(4 * i)
+		switch {
+		case off < env.OffN:
+			t[i] = symexec.Sym("g" + strconv.Itoa(i))
+		case off == env.OffN:
+			t[i] = symexec.Sym("fn")
+		case off == env.OffZ:
+			t[i] = symexec.Sym("fz")
+		case off == env.OffC:
+			t[i] = symexec.Sym("fc")
+		case off == env.OffV:
+			t[i] = symexec.Sym("fv")
+		default:
+			t[i] = symexec.Sym("env" + strconv.Itoa(int(off)))
 		}
-		lc.kind[i] = kindGuest
-		g++
+		t[i].Hash()
 	}
-	lc.gVer[len(stores)] = g
-	return lc
-}
-
-// lift rewrites a host-domain expression into the guest domain:
-// CPUState loads resolve through the env store trace to initial-state
-// symbols or forwarded values; guest-visible loads are renumbered
-// against the guest store trace.
-func (lc *liftCtx) lift(e *symexec.Expr) *symexec.Expr {
-	if e == nil {
-		return nil
-	}
-	if v, ok := lc.memo[e]; ok {
-		return v
-	}
-	var out *symexec.Expr
-	switch e.Op {
-	case symexec.XConst, symexec.XSym, symexec.XUnknown:
-		out = e
-	case symexec.XLoad8, symexec.XLoad32:
-		size := 32
-		if e.Op == symexec.XLoad8 {
-			size = 8
-		}
-		a := lc.lift(e.X)
-		na := symexec.Normalize(a)
-		if na.Op == symexec.XConst && na.C >= env.StateBase && na.C < env.StateBase+env.Size {
-			out = lc.resolveEnv(na.C-env.StateBase, size, e.Ver)
-		} else {
-			out = symexec.Load(size, a, lc.gVer[e.Ver])
-		}
-	default:
-		out = &symexec.Expr{
-			Op: e.Op, C: e.C, Name: e.Name, Ver: e.Ver,
-			X: lc.lift(e.X), Y: lc.lift(e.Y), Z: lc.lift(e.Z),
-		}
-	}
-	lc.memo[e] = out
-	return out
-}
-
-// resolveEnv resolves a CPUState slot read at store version ver: the
-// youngest env store covering the slot forwards its (lifted) value;
-// guest-visible stores are skipped under the frame assumption; with no
-// covering store the slot holds its initial-state symbol.
-func (lc *liftCtx) resolveEnv(off uint32, size, ver int) *symexec.Expr {
-	if size != 32 || off%4 != 0 {
-		return symexec.Unknown("env-partial")
-	}
-	for i := ver - 1; i >= 0; i-- {
-		switch lc.kind[i] {
-		case kindGuest:
-			continue
-		case kindEnv8:
-			b := lc.envOff[i]
-			if b >= off && b < off+4 {
-				return symexec.Unknown("env-byte-overlap")
-			}
-		case kindEnv32:
-			o := lc.envOff[i]
-			if o == off {
-				return lc.lift(lc.stores[i].Val)
-			}
-			if o+4 <= off || off+4 <= o {
-				continue
-			}
-			return symexec.Unknown("env-overlap")
-		}
-	}
-	return envInitSym(off)
-}
-
-func (lc *liftCtx) liftGuestStores() []symexec.SymStore {
-	var out []symexec.SymStore
-	for i, st := range lc.stores {
-		if lc.kind[i] != kindGuest {
-			continue
-		}
-		out = append(out, symexec.SymStore{
-			Addr: lc.lift(st.Addr),
-			Val:  lc.lift(st.Val),
-			Size: st.Size,
-		})
-	}
-	return out
-}
-
-// envInitSym names the initial value of a CPUState slot in the same
-// vocabulary symexec.NewGState uses, so lifted host expressions compare
-// structurally against guest-side expressions.
-func envInitSym(off uint32) *symexec.Expr {
-	switch {
-	case off < env.OffN:
-		return symexec.Sym("g" + strconv.Itoa(int(off/4)))
-	case off == env.OffN:
-		return symexec.Sym("fn")
-	case off == env.OffZ:
-		return symexec.Sym("fz")
-	case off == env.OffC:
-		return symexec.Sym("fc")
-	case off == env.OffV:
-		return symexec.Sym("fv")
-	}
-	return symexec.Sym("env" + strconv.Itoa(int(off)))
-}
+	return t
+}()
 
 func allowedSym(s string) bool {
 	switch s {
@@ -993,7 +946,7 @@ func seamCompatible(gp *gPath, hp *hPath, multiseg bool) bool {
 	if !multiseg {
 		return true
 	}
-	ns := symexec.Normalize(hp.sbExit)
+	ns := symexec.Normalize(hp.words[env.OffSBExit/4])
 	if gp.seam >= 0 {
 		return ns.Op == symexec.XConst && ns.C == uint32(gp.seam)
 	}
@@ -1039,57 +992,104 @@ func hostBelongs(gp *gPath, hp *hPath) bool {
 // ---------------------------------------------------------------------
 // Per-pair checks and the decision ladder.
 
-func buildBlockChecks(gp *gPath, hp *hPath, opts ValidateOpts, multiseg bool) ([]checkPair, string) {
-	gst, hst := gp.gs.Stores, hp.gStores
+// guestSides names the two sides of a guest-vs-host path pair in
+// mismatch reasons.
+var guestSides = [2]string{"guest", "host"}
+
+// nzcvWords are the CPUState offsets of the N, Z, C and V flag words.
+var nzcvWords = [4]uint32{env.OffN, env.OffZ, env.OffC, env.OffV}
+
+// guestWords lists the CPUState words a guest-vs-host path pair
+// compares: r0-r14, the NZCV words when flags is set (the
+// translation's flagsExact property), and the side-exit slot when
+// sbExit is (superblocks).
+func guestWords(flags, sbExit bool) []uint32 {
+	words := make([]uint32, 0, 20)
+	for r := 0; r < 15; r++ {
+		words = append(words, uint32(env.OffReg(r)))
+	}
+	if flags {
+		words = append(words, nzcvWords[:]...)
+	}
+	if sbExit {
+		words = append(words, env.OffSBExit)
+	}
+	return words
+}
+
+// wordNames names the check of each CPUState word: the guest registers
+// r0-r15, the flag words n z c v, the float registers f0-f15, sbexit,
+// and env<offset> for the rest.
+var wordNames = func() (t [env.Size / 4]string) {
+	for i := range t {
+		off := uint32(4 * i)
+		switch {
+		case off < env.OffN:
+			t[i] = "r" + strconv.Itoa(i)
+		case off < env.OffF0:
+			t[i] = [4]string{"n", "z", "c", "v"}[(off-env.OffN)/4]
+		case off < env.OffF0+64:
+			t[i] = "f" + strconv.Itoa(int(off-env.OffF0)/4)
+		case off == env.OffSBExit:
+			t[i] = "sbexit"
+		default:
+			t[i] = "env" + strconv.Itoa(int(off))
+		}
+	}
+	return t
+}()
+
+// buildBlockChecks lists the comparisons one path pair must pass: exit
+// PC, the CPUState words at the given offsets (ascending) and the
+// ordered guest store trace, which is checked after the guest-register
+// words and before the rest. A store trace that differs in length or
+// access size is a structural mismatch, reported with the side names.
+func buildBlockChecks(g, h effects, words []uint32, sides [2]string) ([]checkPair, string) {
+	gst, hst := g.gStores, h.gStores
 	mk := func(name string, g, h *symexec.Expr) checkPair {
 		return checkPair{name: name, g: g, h: h, gStores: gst, hStores: hst}
 	}
-	checks := []checkPair{
-		mk("exit", gp.exitExpr(), hp.exitExpr),
-	}
-	for r := 0; r < 15; r++ {
-		checks = append(checks, mk("r"+strconv.Itoa(r), gp.gs.R[r], hp.regs[r]))
-	}
 	if len(gst) != len(hst) {
-		return nil, fmt.Sprintf("store count mismatch: %d guest vs %d host", len(gst), len(hst))
+		return nil, fmt.Sprintf("store count mismatch: %d %s vs %d %s", len(gst), sides[0], len(hst), sides[1])
+	}
+	checks := make([]checkPair, 0, 1+len(words)+2*len(gst))
+	checks = append(checks, mk("exit", g.exitExpr, h.exitExpr))
+	split := 0
+	for split < len(words) && words[split] < env.OffN {
+		split++
+	}
+	for _, off := range words[:split] {
+		checks = append(checks, mk(wordNames[off/4], g.words[off/4], h.words[off/4]))
 	}
 	for i := range gst {
 		if gst[i].Size != hst[i].Size {
 			return nil, fmt.Sprintf("store %d size mismatch", i)
 		}
-		checks = append(checks, mk(fmt.Sprintf("store%d/addr", i), gst[i].Addr, hst[i].Addr))
+		name := "store" + strconv.Itoa(i)
+		checks = append(checks, mk(name+"/addr", gst[i].Addr, hst[i].Addr))
 		gv, hv := gst[i].Val, hst[i].Val
 		if gst[i].Size == 8 {
 			gv = symexec.Bin(symexec.XAnd, gv, symexec.Const(0xff))
 			hv = symexec.Bin(symexec.XAnd, hv, symexec.Const(0xff))
 		}
-		checks = append(checks, mk(fmt.Sprintf("store%d/val", i), gv, hv))
+		checks = append(checks, mk(name+"/val", gv, hv))
 	}
-	if opts.CheckFlags {
-		names := [4]string{"n", "z", "c", "v"}
-		gflags := [4]*symexec.Expr{gp.gs.N, gp.gs.Z, gp.gs.C, gp.gs.V}
-		for i := range names {
-			checks = append(checks, mk(names[i], gflags[i], hp.flags[i]))
-		}
-	}
-	if multiseg {
-		var want *symexec.Expr
-		if gp.seam >= 0 {
-			want = symexec.Const(uint32(gp.seam))
-		} else {
-			want = symexec.Sym("env" + strconv.Itoa(int(env.OffSBExit)))
-		}
-		checks = append(checks, mk("sbexit", want, hp.sbExit))
+	for _, off := range words[split:] {
+		checks = append(checks, mk(wordNames[off/4], g.words[off/4], h.words[off/4]))
 	}
 	return checks, ""
 }
 
 // decideBlockCheck runs the proof ladder on one comparison: structural
-// equality after normalization, then abstract-domain simplification,
-// then a predicate-conditioned concrete sweep. A sweep divergence
-// returns an (unconfirmed) witness; the caller replays it before
-// treating it as a refutation.
+// equality (as built, then after normalization), then abstract-domain
+// simplification, then a predicate-conditioned concrete sweep. A sweep
+// divergence returns an (unconfirmed) witness; the caller replays it
+// before treating it as a refutation.
 func decideBlockCheck(p checkPair, cond *condPair) decision {
+	if symexec.StructEqual(p.g, p.h) {
+		// Equal as built is equal after normalization: skip the rewrite.
+		return decision{proved: true, proof: ProofStructural}
+	}
 	ng, nh := symexec.Normalize(p.g), symexec.Normalize(p.h)
 	if symexec.StructEqual(ng, nh) {
 		return decision{proved: true, proof: ProofStructural}
@@ -1274,11 +1274,13 @@ func sweepPredCover(gp *gPath, group []int, hps []*hPath) decision {
 }
 
 // sampleSym draws a trial value: flag symbols respect the CPUState 0/1
-// flag-word invariant; other symbols mix a small collision-friendly
-// pool (so equality predicates get satisfied) with boundary values.
+// flag-word invariant (and host EFLAGS bits, which only rewrite
+// validation leaves symbolic, are bits); other symbols mix a small
+// collision-friendly pool (so equality predicates get satisfied) with
+// boundary values.
 func sampleSym(s string, rng *rand.Rand, trial int) uint32 {
 	switch s {
-	case "fn", "fz", "fc", "fv":
+	case "fn", "fz", "fc", "fv", "hz", "hs", "hc", "ho":
 		return rng.Uint32() & 1
 	}
 	small := [...]uint32{0, 1, 2, 4, 0x7fffffff, 0x80000000, 0xffffffff, 0x100}

@@ -6,18 +6,7 @@ import (
 	"paramdbt/internal/env"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
-	"paramdbt/internal/symexec"
 )
-
-// x86Eval mirrors the x86 backend's HostEvaluator without importing
-// internal/backend: the host ISA executes directly, so symbolic
-// evaluation is symexec.EvalHostImm verbatim.
-type x86Eval struct{}
-
-func (x86Eval) Name() string { return "x86" }
-func (x86Eval) EvalHost(seq []host.Inst, init map[host.Reg]*symexec.Expr, hook symexec.ImmHook) (*symexec.HState, error) {
-	return symexec.EvalHostImm(seq, init, hook)
-}
 
 const testHaltPC uint32 = 0xffffffff
 
@@ -29,7 +18,7 @@ func slot(r int) host.Operand { return host.Mem(host.EBP, env.OffR0+4*int32(r)) 
 func validateT(gseq []guest.Inst, pc uint32, insts []host.Inst, labels map[int]int) *BlockReport {
 	segs := []GuestSeg{{PC: pc, Insts: gseq}}
 	hb := host.NewBlock(insts, labels)
-	return ValidateBlock(x86Eval{}, segs, hb, ValidateOpts{HaltPC: testHaltPC})
+	return ValidateBlock(segs, hb, ValidateOpts{HaltPC: testHaltPC})
 }
 
 // branchTo builds a guest B instruction whose target, placed as the

@@ -27,9 +27,11 @@ import (
 // without touching EFLAGS, so the pass cannot perturb flag semantics;
 // anything flag-setting (the legalized op cores, SETCC flag reads,
 // compares) is left exactly where the legalizer put it. The pass is
-// licensed per block by the translation validator (internal/analysis):
-// the engine only installs the optimized stream when the validator
-// proves it equivalent to the guest block's reference semantics.
+// licensed per block by analysis.ValidateRewrite: the engine only
+// installs the optimized stream when it is proved equivalent to the
+// finalized stream it was optimized from. Because every deletion is a
+// redundant or dead move, the two streams lift to the same expressions
+// and the proof is structural.
 
 // Optimizer is implemented by backends that provide a post-Finalize
 // peephole pass over executable blocks.
@@ -111,10 +113,11 @@ func plainSlot(o host.Operand) bool {
 }
 
 // compact removes the instructions marked in del, remapping labels onto
-// the surviving indices (the same newStart scheme as legalize).
+// the surviving indices (the same newStart scheme as legalize). It
+// works in place: OptimizeBlock owns both insts and labels.
 func compact(insts []host.Inst, labels map[int]int, del []bool) ([]host.Inst, map[int]int) {
 	newStart := make([]int, len(insts)+1)
-	out := make([]host.Inst, 0, len(insts))
+	out := insts[:0]
 	for i, in := range insts {
 		newStart[i] = len(out)
 		if !del[i] {
@@ -122,11 +125,10 @@ func compact(insts []host.Inst, labels map[int]int, del []bool) ([]host.Inst, ma
 		}
 	}
 	newStart[len(insts)] = len(out)
-	newLabels := make(map[int]int, len(labels))
 	for id, idx := range labels {
-		newLabels[id] = newStart[idx]
+		labels[id] = newStart[idx]
 	}
-	return out, newLabels
+	return out, labels
 }
 
 // labelTargets returns the set of instruction indices some label binds
@@ -163,12 +165,12 @@ func redundantMoves(insts []host.Inst, labels map[int]int) []bool {
 	next := 1
 	reset := func() {
 		regVal = [host.NumRegs]int{}
-		slotVal = map[int32]int{}
+		clear(slotVal)
 	}
 	fresh := func() int { next++; return next }
 	// clobberSlots drops all slot knowledge — used for writes through
 	// non-EBP bases, which could alias the CPUState block.
-	clobberSlots := func() { slotVal = map[int32]int{} }
+	clobberSlots := func() { clear(slotVal) }
 
 	for i, in := range insts {
 		if joins[i] {
@@ -418,15 +420,7 @@ func deadMoves(insts []host.Inst, labels map[int]int) []bool {
 		if !candidate[i] {
 			continue
 		}
-		out := liveOut(i)
-		dead := true
-		for b := 0; b < liveBits; b++ {
-			if kill[i].has(b) && out.has(b) {
-				dead = false
-				break
-			}
-		}
-		if dead && kill[i] != 0 {
+		if kill[i] != 0 && kill[i]&liveOut(i) == 0 {
 			if del == nil {
 				del = make([]bool, len(insts))
 			}

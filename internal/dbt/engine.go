@@ -230,23 +230,26 @@ type Config struct {
 
 	// Peephole enables the post-Finalize peephole optimizer for backends
 	// that implement backend.Optimizer (today: risc). An optimized
-	// stream is installed only when the translation validator
-	// (internal/analysis.ValidateBlock) proves it equivalent to the
-	// guest block; anything else falls back to the finalized stream and
-	// counts a dbt.validate_fallbacks. See docs/ANALYSIS.md
-	// "Translation validation".
+	// stream is installed only when analysis.ValidateRewrite proves it
+	// equivalent to the finalized stream it was optimized from; anything
+	// else keeps the finalized stream and counts a
+	// dbt.validate_fallbacks. See docs/ANALYSIS.md "Licensing the
+	// peephole".
 	Peephole bool
 	// Validate selects translation-validation coverage: "", "off" and
 	// "optimized" are three spellings of "validate nothing beyond what
-	// Peephole requires", and "all" validates every finalized
-	// translation (blocks and superblocks), recording per-verdict
-	// analysis.validate_* counters — the experiments harness' -validate
-	// mode. Any other value is a programming error New panics on (see
-	// ParseValidate; the CLIs reject it as a usage error first).
+	// Peephole requires", and "all" also validates every installed
+	// translation (blocks and superblocks, optimized or not) against its
+	// guest block, recording per-verdict analysis.validate_* counters —
+	// the offline audit cmd/codeaudit and the experiments harness'
+	// -validate mode run. Any other value is a programming error New
+	// panics on (see ParseValidate; the CLIs reject it as a usage error
+	// first).
 	Validate string
 	// ValidateHook, when non-nil, observes every translation-validation
-	// report the engine produces (peephole candidates and Validate:"all"
-	// installs alike). cmd/codeaudit uses it to build its per-block
+	// report the engine produces: peephole candidates' rewrite verdicts
+	// (BlockReport.Obligation "rewrite") and Validate:"all" installs'
+	// guest verdicts alike. cmd/codeaudit uses it to build its per-block
 	// report; it must not retain the host block beyond the call.
 	ValidateHook func(rep *analysis.BlockReport)
 }
@@ -297,11 +300,12 @@ type Stats struct {
 	SBBuilderPanics  uint64
 
 	// Translation-validation counters (zero unless Config.Peephole or
-	// Config.Validate is set). BlocksValidated counts translations whose
-	// installed stream the validator proved equivalent to the guest
-	// block; ValidateFallbacks counts validations that did not prove
-	// (inconclusive or refuted) — for optimized streams that means the
-	// engine discarded the optimization and kept the finalized stream.
+	// Config.Validate is set), one per validation report.
+	// BlocksValidated counts the proved ones: peephole candidates the
+	// rewrite proof licensed, and with Validate:"all" installed streams
+	// proved against their guest block. ValidateFallbacks counts the
+	// rest (inconclusive or refuted) — for a peephole candidate that
+	// means the engine kept the finalized stream.
 	BlocksValidated   uint64
 	ValidateFallbacks uint64
 

@@ -58,6 +58,24 @@ func TestPeepholeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPeepholeInstallsNoFewer pins what the rewrite licence buys on
+// testProgram: the peephole installs on at least as many blocks as the
+// guest-vs-host licence it replaced did (8 of 9 candidates), and the run
+// retires no more host instructions than it did then (594).
+func TestPeepholeInstallsNoFewer(t *testing.T) {
+	c := compileT(t, testProgram())
+	_, rules := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
+	e, st := runEngine(t, c, Config{Rules: rules, DelegateFlags: true,
+		Backend: backend.MustLookup("risc"), Peephole: true})
+	if st.BlocksValidated < 8 {
+		t.Fatalf("peephole installed on %d blocks, want at least 8", st.BlocksValidated)
+	}
+	if got := e.CPU.Total(); got > 594 {
+		t.Fatalf("peephole run retired %d host instructions, want at most 594", got)
+	}
+	t.Logf("installed %d, fell back %d, %d host instructions", st.BlocksValidated, st.ValidateFallbacks, e.CPU.Total())
+}
+
 // TestValidateAllVerdicts runs both backends at Validate:"all" and
 // checks every report reaching the hook is stamped and every verdict
 // accounted: proved reports match dbt.blocks_validated, nothing is

@@ -36,11 +36,11 @@ const (
 	MetRunErrors = "serve.run_errors" // tenant workload runs that failed
 
 	// Per-tenant counter families (SLO accounting).
-	MetTenantBlocks      = "serve.tenant_blocks"       // distinct blocks the tenant executed
-	MetTenantGuestInsts  = "serve.tenant_guest_insts"  // guest instructions the tenant retired
-	MetTenantDivergences = "serve.tenant_divergences"  // shadow divergences charged to the tenant
-	MetTenantRateSnaps   = "serve.tenant_rate_snaps"   // adaptive-controller snaps in the tenant's runs
-	MetTenantShadowPPM   = "serve.tenant_shadow_ppm"   // gauge: tenant's shadow rate after its last run, ppm
+	MetTenantBlocks       = "serve.tenant_blocks"       // distinct blocks the tenant executed
+	MetTenantGuestInsts   = "serve.tenant_guest_insts"  // guest instructions the tenant retired
+	MetTenantDivergences  = "serve.tenant_divergences"  // shadow divergences charged to the tenant
+	MetTenantRateSnaps    = "serve.tenant_rate_snaps"   // adaptive-controller snaps in the tenant's runs
+	MetTenantShadowPPM    = "serve.tenant_shadow_ppm"   // gauge: tenant's shadow rate after its last run, ppm
 	MetTenantTranslations = "serve.tenant_translations" // translations the tenant led (single-flight leader)
 
 	// Histogram (telemetry).

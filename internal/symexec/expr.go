@@ -67,7 +67,30 @@ type Expr struct {
 }
 
 // Const returns a constant expression.
-func Const(v uint32) *Expr { return &Expr{Op: XConst, C: v} }
+func Const(v uint32) *Expr {
+	if v < uint32(len(smallConsts)) {
+		return smallConsts[v]
+	}
+	return &Expr{Op: XConst, C: v}
+}
+
+// smallConsts interns the constants evaluation builds over and over
+// (flag words, shift counts, masks). Exprs are immutable, and each hash
+// is computed before the table is published, so Hash only ever reads
+// them and any number of goroutines may share the nodes.
+var smallConsts = func() (t [256]*Expr) {
+	for v := range t {
+		t[v] = interned(&Expr{Op: XConst, C: uint32(v)})
+	}
+	return t
+}()
+
+// interned prepares a node for read-only sharing: its hash is memoized
+// now, so no later Hash call writes to it.
+func interned(e *Expr) *Expr {
+	e.Hash()
+	return e
+}
 
 // Sym returns a named symbol.
 func Sym(name string) *Expr { return &Expr{Op: XSym, Name: name} }

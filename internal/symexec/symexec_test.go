@@ -423,3 +423,57 @@ func TestMemIdxAddressing(t *testing.T) {
 		t.Fatalf("reg-offset ldr rejected: %s", res.Reason)
 	}
 }
+
+// TestHStateFrame pins the frame model: word accesses at constant
+// addresses in the frame (through EBP or any register holding a
+// constant) read and write its words and stay off the store trace;
+// byte and misaligned accesses leave the words unknown; stores outside
+// the frame still go to the trace; forks evolve independently.
+func TestHStateFrame(t *testing.T) {
+	const base = 0x1000
+	words := []*Expr{Sym("w0"), Sym("w1"), Sym("w2"), Sym("w3")}
+	s := NewHStateFrame(map[host.Reg]*Expr{host.EBP: Const(base)}, base, words)
+	steps := []host.Inst{
+		host.I(host.MOVL, host.R(host.EAX), host.Mem(host.EBP, 4)),          // eax = w1
+		host.I(host.ADDL, host.R(host.EAX), host.Imm(1)),                    // eax = w1+1
+		host.I(host.MOVL, host.Mem(host.EBP, 0), host.R(host.EAX)),          // w0 = w1+1
+		host.I(host.MOVL, host.R(host.ESI), host.Imm(base+8)),               // esi -> w2
+		host.I(host.MOVL, host.Mem(host.ESI, 0), host.R(host.EAX)),          // w2 = w1+1
+		host.I(host.MOVL, host.Mem(host.EBX, 0), host.R(host.EAX)),          // outside: trace
+		{Op: host.MOVB, Dst: host.Mem(host.EBP, 13), Src: host.R(host.EAX)}, // w3 unknown
+	}
+	for _, in := range steps {
+		if err := s.Step(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := Normalize(Bin(XAdd, Sym("w1"), Const(1)))
+	for _, w := range []int{0, 2} {
+		if got := Normalize(s.FrameWord(w)); !StructEqual(got, want) {
+			t.Fatalf("word %d = %v, want %v", w, got, want)
+		}
+	}
+	if s.FrameWord(1) != words[1] || s.FrameWord(3).Op != XUnknown {
+		t.Fatalf("words 1, 3 = %v, %v: want w1 untouched and w3 unknown", s.FrameWord(1), s.FrameWord(3))
+	}
+	if len(s.Stores) != 1 {
+		t.Fatalf("store trace %v: want only the store outside the frame", s.Stores)
+	}
+
+	f := s.Fork()
+	if err := f.Step(host.I(host.MOVL, host.Mem(host.EBP, 4), host.R(host.EBX))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Step(host.I(host.MOVL, host.Mem(host.EBX, 4), host.R(host.EBX))); err != nil {
+		t.Fatal(err)
+	}
+	if s.FrameWord(1) != words[1] || len(s.Stores) != 1 || len(f.Stores) != 2 {
+		t.Fatal("a fork's stores leaked into its parent")
+	}
+	if err := s.Step(host.I(host.MOVL, host.R(host.ECX), host.Mem(host.EBP, 2))); err != nil {
+		t.Fatal(err)
+	}
+	if s.R[host.ECX].Op != XUnknown {
+		t.Fatalf("misaligned frame read = %v, want unknown", s.R[host.ECX])
+	}
+}
