@@ -171,9 +171,10 @@ bench-e2e:
 	$(GO) run ./bench -all
 
 # The A/B a performance claim rests on (choosing-metrics §8): ./bench
-# built from a git worktree of BASE and from the working tree, run on
-# workload W in N pairs alternating which side goes first; prints every
-# pair, each side's median and quartiles, and the pairs won.
+# built from `git archive BASE | tar -x` in a temporary directory and
+# from the working tree, run on workload W in N pairs alternating which
+# side goes first; prints every pair, each side's median and quartiles,
+# the median per-pair ratio change/base, and the pairs won.
 #   make bench-pairs BASE=HEAD~1 W=steady N=10
 BASE ?= HEAD
 W ?= steady

@@ -608,8 +608,11 @@ func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 
 // LiveStats snapshots the engine-lifetime counter totals. Unlike Run's
 // return value it can be read at any time, from any goroutine — the
-// counters are atomic. UncoveredOps is not part of the live set (it is
-// accumulated per run); the returned map is nil.
+// counters are atomic. A running engine publishes its per-block counters
+// (guest instructions, rule coverage, dispatches, chained exits) every
+// publishEvery block executions, so mid-run they trail by at most that
+// many blocks; once Run returns they are exact. UncoveredOps is not part
+// of the live set (it is accumulated per run); the returned map is nil.
 func (e *Engine) LiveStats() Stats { return e.met.delta(statsBase{}) }
 
 // SetGuestState writes a guest architectural state into the CPUState.
@@ -636,7 +639,11 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	// every block execution: an array indexed by the (uint8) opcode, made
 	// into Stats.UncoveredOps' map only when the run ends.
 	var uncovered [1 << 8]uint64
+	// The per-block product counters, published every publishEvery block
+	// executions and here, on every way out of Run.
+	var pend runCounts
 	snapshot := func() Stats {
+		pend.publish(e.met)
 		st := e.met.delta(base)
 		st.UncoveredOps = map[guest.Op]uint64{}
 		for op, n := range uncovered {
@@ -746,14 +753,14 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		if tb != nil {
 			chained = true
-			e.met.chainedExits.Inc()
+			pend.chained++
 		} else {
 			if faults != nil {
 				if sh, ok := faults.DropCacheShard(); ok {
 					e.dropShard(sh)
 				}
 			}
-			e.met.dispatches.Inc()
+			pend.dispatches++
 			var terr error
 			tb, terr = e.block(pc)
 			if terr != nil {
@@ -761,7 +768,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 					next, n, ferr := e.interpFallbackBlock(pc)
 					if ferr == nil {
 						e.met.interpFallbacks.Inc()
-						e.met.guestInsts.Add(n)
+						pend.guest += n
 						fallbackSteps += n
 						if ring != nil {
 							ring.Record(obs.EvFallback, pc)
@@ -850,10 +857,13 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		hostSteps += res.Steps
 		nexec := 0 // superblock: constituent blocks executed
+		if pend.execs++; pend.execs == publishEvery {
+			pend.publish(e.met)
+		}
 		if sb == nil {
-			e.met.guestInsts.Add(tb.nGuest)
-			e.met.ruleCovered.Add(tb.nCovered)
-			e.met.seqRuleInsts.Add(tb.nSeq)
+			pend.guest += tb.nGuest
+			pend.covered += tb.nCovered
+			pend.seq += tb.nSeq
 			for _, op := range tb.uncovered {
 				uncovered[op]++
 			}
@@ -866,9 +876,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			if nexec < len(sb.pcs) {
 				e.met.sideExits.Inc()
 			}
-			e.met.guestInsts.Add(sb.cumGuest[nexec])
-			e.met.ruleCovered.Add(sb.cumCovered[nexec])
-			e.met.seqRuleInsts.Add(sb.cumSeq[nexec])
+			pend.guest += sb.cumGuest[nexec]
+			pend.covered += sb.cumCovered[nexec]
+			pend.seq += sb.cumSeq[nexec]
 			for j := 0; j < nexec; j++ {
 				for _, op := range sb.uncovered[j] {
 					uncovered[op]++

@@ -143,6 +143,32 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	}
 }
 
+// publishEvery is how many block executions Run lets pass between
+// publishes of its runCounts: at ≈0.3 µs per block execution on
+// steady, LiveStats trails a running engine by about 0.3 ms.
+const publishEvery = 1024
+
+// runCounts are the product counters Run bumps on every block
+// execution. Run keeps them in a local and publishes them into the
+// atomic counters every publishEvery block executions and on every
+// return, so the dispatch loop pays no atomic add per block while
+// LiveStats stays monotonic and nearly current.
+type runCounts struct {
+	guest, covered, seq uint64
+	dispatches, chained uint64
+	execs               uint32 // block executions since the last publish
+}
+
+// publish adds the pending counts to m's counters and clears them.
+func (r *runCounts) publish(m *engineMetrics) {
+	m.guestInsts.Add(r.guest)
+	m.ruleCovered.Add(r.covered)
+	m.seqRuleInsts.Add(r.seq)
+	m.dispatches.Add(r.dispatches)
+	m.chainedExits.Add(r.chained)
+	*r = runCounts{}
+}
+
 // statsBase is a point-in-time copy of the product counters; Run
 // captures one at entry so its returned Stats cover exactly that run
 // even when the engine (or a shared registry) has counted before.

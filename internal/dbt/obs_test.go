@@ -1,6 +1,9 @@
 package dbt
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -223,8 +226,20 @@ func TestTraceRingRecordsTransitions(t *testing.T) {
 
 // TestLiveStatsDuringRun reads LiveStats concurrently with Run — the
 // read the old non-atomic Stats fields could not serve; -race verifies.
+// Run publishes its per-block counters in batches of publishEvery block
+// executions: mid-run LiveStats may trail by one batch, never more, and
+// whichever way Run returns — halt, "host step budget exhausted", a
+// PanicError — it must have flushed the rest, so a fresh engine's
+// LiveStats equals its one run's Stats.
 func TestLiveStatsDuringRun(t *testing.T) {
-	e := newTestEngine(t, Config{})
+	// hotProgramN's loop is several blocks per iteration: thousands of
+	// block entries, so the runs publish mid-run and stop between publishes.
+	c := compileT(t, hotProgramN(600))
+	// The host steps retired before each block entry: the budget that
+	// runs out exactly there.
+	var steps []uint64
+	var e *Engine
+	e = startEngine(t, c, Config{TraceBlock: func(uint32) { steps = append(steps, e.CPU.Total()) }})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -251,7 +266,50 @@ func TestLiveStatsDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live := e.LiveStats(); live.GuestExec != st.GuestExec {
-		t.Fatalf("final LiveStats.GuestExec = %d, want %d", live.GuestExec, st.GuestExec)
+	if want := interpret(t, c).InstCount; st.GuestExec != want {
+		t.Fatalf("the run retired %d guest instructions, the interpreter %d", st.GuestExec, want)
+	}
+	sameLiveStats(t, "normal halt", e, st, len(steps))
+
+	// The runs below stop half way, after a publish.
+	entries := len(steps) / 2
+	if entries <= publishEvery || entries%publishEvery == 0 {
+		t.Fatalf("%d block entries: pick a program whose runs stop between publishes", len(steps))
+	}
+	e = startEngine(t, c, Config{})
+	budget := steps[entries]
+	st, err = e.Run(env.CodeBase, budget)
+	if err == nil || !strings.Contains(err.Error(), "host step budget exhausted") {
+		t.Fatalf("Run under a %d-step budget returned %v", budget, err)
+	}
+	sameLiveStats(t, "budget exhausted", e, st, entries+1)
+
+	blocks := 0
+	e = startEngine(t, c, Config{TraceBlock: func(uint32) {
+		// Entry number blocks has been counted, blocks-1 executed.
+		live := e.LiveStats()
+		if blocks++; live.Dispatches+live.ChainedExits+publishEvery < uint64(blocks) {
+			panic(fmt.Sprintf("LiveStats at block entry %d trails by more than %d: %+v", blocks, publishEvery, live))
+		}
+		if blocks == entries {
+			panic("injected simulator bug")
+		}
+	}})
+	st, err = e.Run(env.CodeBase, 100_000_000)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Cause != "injected simulator bug" {
+		t.Fatalf("Run with a panicking hook returned %v", err)
+	}
+	sameLiveStats(t, "panic", e, st, entries)
+}
+
+// sameLiveStats fails unless e's LiveStats equals st, a run's returned
+// Stats, on every counter, the run counted all of its block entries —
+// the batched counters were flushed — and it retired something.
+func sameLiveStats(t *testing.T, what string, e *Engine, st Stats, entries int) {
+	t.Helper()
+	st.UncoveredOps = nil
+	if live := e.LiveStats(); !reflect.DeepEqual(live, st) || st.Dispatches+st.ChainedExits != uint64(entries) || st.GuestExec == 0 {
+		t.Fatalf("%s: LiveStats\n %+v\nreturned Stats (want %d block entries)\n %+v", what, live, entries, st)
 	}
 }

@@ -263,10 +263,75 @@ func TestShadowRecoversByWriteSet(t *testing.T) {
 	}
 }
 
+// TestShadowRecoversFromFrameStores: a sampled translation that writes
+// wrong values into the guest registers and a spill slot through frame
+// stores (the CPUState page on the host CPU's journaled frame path)
+// diverges. Recovery must install exactly the reference's registers and
+// roll every frame store back with the journal: the spill slot, which
+// nothing rewrites, reads its block-entry value again.
+func TestShadowRecoversFromFrameStores(t *testing.T) {
+	c := compileT(t, testProgram())
+	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
+	e, entries := warmShadowEngine(t, c, Config{Rules: par, DelegateFlags: true})
+	pc, tb := hottestStoringBlock(t, e)
+	writeGuestState(e.Mem, entries[pc])
+	const spill = env.StateBase + env.OffScratch
+	e.Mem.Write32(spill, 0x5151)
+	want := entries[pc].WithMem(e.Mem.Clone())
+	wantNext, _ := guard.RunReference(want, pc, tb.insts, HaltPC)
+
+	// The block's own code behind frame stores of garbage into every
+	// guest register slot and the spill slot.
+	var pre []host.Inst
+	for r := 0; r < guest.NumRegs; r++ {
+		pre = append(pre, host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(r)), host.Imm(int32(0xbad0+r))))
+	}
+	pre = append(pre, host.I(host.MOVL, host.Mem(host.EBP, env.OffScratch), host.R(host.ESP)))
+	labels := map[int]int{}
+	for id, i := range tb.hb.Labels() {
+		labels[id] = i + len(pre)
+	}
+	tb.hb = host.NewBlock(append(pre, tb.hb.Insts...), labels)
+	if !frameStoresGuestSlot(tb.hb) {
+		t.Fatal("the corrupted block has no frame store")
+	}
+
+	tb.execs++
+	e.shadowBegin(tb, pc)
+	if f, journal := e.Mem.Frame(env.StateBase); f == nil || !journal {
+		t.Fatalf("sampled pass not on the journaled frame path (page %v, journal %v)", f != nil, journal)
+	}
+	res, err := e.CPU.Exec(tb.hb, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if journaledStateWords(e.Mem) <= guest.NumRegs {
+		t.Fatalf("the translated pass journaled %d CPUState words, want the %d frame stores at least", journaledStateWords(e.Mem), guest.NumRegs+1)
+	}
+	next, v := e.shadowCheck(tb, pc, res.NextPC)
+	if v != shadowDiverged || next != wantNext {
+		t.Fatalf("verdict %d next %#x, want diverged to %#x", v, next, wantNext)
+	}
+	got := e.GuestState()
+	want.R[guest.PC], got.R[guest.PC] = 0, 0 // exits are compared as next pcs
+	if got.R != want.R || got.F != want.F || got.Flags != want.Flags {
+		t.Fatalf("recovered registers\n%swant\n%s", got.Snapshot(), want.Snapshot())
+	}
+	if s := e.Mem.Read32(spill); s != 0x5151 {
+		t.Fatalf("spill slot after recovery = %#x, want its block-entry 0x5151", s)
+	}
+	if d := want.Mem.DiffBelow(e.Mem, env.StateBase, 1); len(d) > 0 {
+		t.Fatalf("recovered memory differs from the reference at %#x", d[0])
+	}
+}
+
 // TestShadowPanicRollsBackSampledBlock: a panic escaping a sampled
 // execution after it has already stored must leave memory and registers
 // as they were at block entry — from the undo journal now, not from a
-// pre-block copy — with the architectural pc at the faulting block.
+// pre-block copy — with the architectural pc at the faulting block. The
+// block writes guest registers and flags through frame stores of every
+// kind; the rollback covers the whole state page, spill slots included,
+// not only the words the restore of shadow.pre rewrites.
 func TestShadowPanicRollsBackSampledBlock(t *testing.T) {
 	c := compileT(t, testProgram())
 	e := startEngine(t, c, Config{ShadowRate: 1})
@@ -275,14 +340,27 @@ func TestShadowPanicRollsBackSampledBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = env.DataBase + 0x100
+	const spill = env.StateBase + env.OffScratch
 	e.Mem.Write32(victim, 0x1234)
-	// Host code that stores into guest data and a guest register slot,
-	// then faults in the simulator (no such host register).
+	e.Mem.Write32(spill, 0x5151)
+	// Host code that stores into guest data, guest register and flag
+	// slots and a spill slot, then faults in the simulator (no such host
+	// register).
 	tb.hb = host.NewBlock([]host.Inst{
 		host.I(host.MOVL, host.Mem(host.EBP, int32(victim)-int32(env.StateBase)), host.Imm(0xbad)),
 		host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(0)), host.Imm(0xbad)),
+		host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(1)), host.R(host.ESP)),
+		host.I(host.ADDL, host.Mem(host.EBP, env.OffReg(2)), host.Imm(5)),
+		host.I(host.XORL, host.Mem(host.EBP, env.OffZ), host.Imm(1)),
+		host.I(host.SUBL, host.Mem(host.EBP, env.OffScratch), host.R(host.ESP)),
 		host.I(host.MOVL, host.R(host.Reg(99)), host.Imm(1)),
 	}, nil)
+	if !frameStoresGuestSlot(tb.hb) {
+		t.Fatal("the block has no frame store")
+	}
+	if f, _ := e.Mem.Frame(env.StateBase); f == nil {
+		t.Fatal("CPUState page not on the frame path")
+	}
 	before := e.GuestState()
 	_, err = e.Run(env.CodeBase, 100_000_000)
 	var pe *PanicError
@@ -291,6 +369,9 @@ func TestShadowPanicRollsBackSampledBlock(t *testing.T) {
 	}
 	if got := e.Mem.Read32(victim); got != 0x1234 {
 		t.Fatalf("guest word after the panic = %#x, want the pre-block 0x1234", got)
+	}
+	if got := e.Mem.Read32(spill); got != 0x5151 {
+		t.Fatalf("spill slot after the panic = %#x, want the pre-block 0x5151", got)
 	}
 	after := e.GuestState()
 	before.R[guest.PC] = env.CodeBase

@@ -9,6 +9,7 @@ import (
 	"paramdbt/internal/env"
 	"paramdbt/internal/guard/faultinject"
 	"paramdbt/internal/guest"
+	"paramdbt/internal/host"
 	"paramdbt/internal/mem"
 	"paramdbt/internal/obs"
 	"paramdbt/internal/workload"
@@ -73,36 +74,42 @@ func TestSMCSelfStorePreciseExit(t *testing.T) {
 // hit (the interpreter has no stale host code), no dirty page, the code
 // word as it was — so that the translated pass that follows flags the
 // self hit and dirties exactly the pages it would have without sampling.
+// smcPatchEngine loads smc-patch under cfg, interprets it to the top of
+// the iteration that patches — r1 == 99 at the loop head, whose address
+// r5 holds: this execution of the loop block rewrites the block's first
+// instruction — and installs that state. It returns the engine, the loop
+// block's translation, its pc and the entry state.
+func smcPatchEngine(t *testing.T, cfg Config) (*Engine, *tblock, uint32, guest.State) {
+	t.Helper()
+	m := mem.New()
+	if err := guest.LoadProgram(m, env.CodeBase, smcProfile(t, "smc-patch").Prog); err != nil {
+		t.Fatal(err)
+	}
+	e := New(m, cfg)
+	st := guest.State{Mem: m}
+	st.SetPC(env.CodeBase)
+	for i := 0; !(st.R[guest.R1] == 99 && st.PCVal() == st.R[guest.R5]); i++ {
+		in, err := guest.Decode(m.Read32(st.PCVal()))
+		if err == nil {
+			err = st.Step(in)
+		}
+		if err != nil || i > 10_000 {
+			t.Fatalf("interpreting to the patch iteration: step %d, %v", i, err)
+		}
+	}
+	e.SetGuestState(&st)
+	pc := st.PCVal()
+	tb, err := e.block(pc)
+	if err != nil || !tb.hasStores {
+		t.Fatalf("loop block at %#x: %v (hasStores %v)", pc, err, tb != nil && tb.hasStores)
+	}
+	return e, tb, pc, st
+}
+
 func TestSMCShadowReferencePassIsInvisible(t *testing.T) {
-	p := smcProfile(t, "smc-patch")
-	// The loop block with r1 one short of the patch iteration: this
-	// execution is the one that rewrites the block's first instruction.
 	setup := func(shadow float64) (*Engine, *tblock, uint32, uint32) {
-		m := mem.New()
-		if err := guest.LoadProgram(m, env.CodeBase, p.Prog); err != nil {
-			t.Fatal(err)
-		}
-		e := New(m, Config{ShadowRate: shadow})
-		// Interpret to the top of the iteration that patches: r1 == 99 at
-		// the loop head (r5 holds its address).
-		st := guest.State{Mem: m}
-		st.SetPC(env.CodeBase)
-		for i := 0; !(st.R[guest.R1] == 99 && st.PCVal() == st.R[guest.R5]); i++ {
-			in, err := guest.Decode(m.Read32(st.PCVal()))
-			if err == nil {
-				err = st.Step(in)
-			}
-			if err != nil || i > 10_000 {
-				t.Fatalf("interpreting to the patch iteration: step %d, %v", i, err)
-			}
-		}
-		e.SetGuestState(&st)
-		pc := st.PCVal()
-		tb, err := e.block(pc)
-		if err != nil || !tb.hasStores {
-			t.Fatalf("loop block at %#x: %v (hasStores %v)", pc, err, tb != nil && tb.hasStores)
-		}
-		return e, tb, pc, m.Read32(pc)
+		e, tb, pc, _ := smcPatchEngine(t, Config{ShadowRate: shadow})
+		return e, tb, pc, e.Mem.Read32(pc)
 	}
 
 	e, tb, pc, word := setup(1)
@@ -135,6 +142,83 @@ func TestSMCShadowReferencePassIsInvisible(t *testing.T) {
 	}
 	if len(sampled) != len(alone) || sampled[0] != alone[0] {
 		t.Fatalf("dirty pages after a sampled execution %x, after the translated pass alone %x", sampled, alone)
+	}
+}
+
+// frameStoresGuestSlot reports whether hb stores into a guest-register
+// slot through a frame operand — base %ebp, no index, an offset below
+// the spill area, in a block that never writes %ebp — the stores
+// host.NewBlock gives a frame kind.
+func frameStoresGuestSlot(hb *host.Block) bool {
+	found := false
+	for _, in := range hb.Insts {
+		d := in.Dst
+		if d.Kind == host.KindReg && d.Reg == host.EBP {
+			return false
+		}
+		if d.Kind == host.KindMem && d.Base == host.EBP && d.Scale == 0 && d.Disp >= 0 && d.Disp < env.OffScratch {
+			found = true
+		}
+	}
+	return found
+}
+
+// journaledStateWords counts the CPUState words the armed journal holds
+// an undo entry for.
+func journaledStateWords(m *mem.Memory) int {
+	n := 0
+	for _, w := range m.JournalWrites(nil, 0xFFFF_F000) {
+		if w.Addr >= env.StateBase && w.Addr < env.StateBase+env.Size && w.Addr%4 == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSMCSelfAbortUndoesFrameStores: the smc-patch loop block writes
+// guest registers through frame stores — the CPUState page is on the
+// host CPU's frame path — and stores into its own first instruction. The
+// abort must roll the frame stores back with the rest of the journal, so
+// the replay starts from the block-entry registers and the engine
+// resumes with exactly the interpreter's.
+func TestSMCSelfAbortUndoesFrameStores(t *testing.T) {
+	e, tb, pc, entry := smcPatchEngine(t, Config{})
+	if !frameStoresGuestSlot(tb.hb) {
+		t.Fatalf("loop block stores no guest register through a frame operand\n%s", tb.hb.Listing())
+	}
+	// The interpreter's answer: from the entry state up to and including
+	// the store into the block's own first word.
+	want := entry.WithMem(e.Mem.Clone())
+	for word := want.Mem.Read32(pc); want.Mem.Read32(pc) == word; {
+		in, err := guest.Decode(want.Mem.Read32(want.PCVal()))
+		if err == nil {
+			err = want.Step(in)
+		}
+		if err != nil || want.Halted {
+			t.Fatalf("interpreting the patch iteration: %v", err)
+		}
+	}
+
+	e.Mem.ArmSMC(tb.hasStores, tb.smcRanges)
+	if f, journal := e.Mem.Frame(env.StateBase); f == nil || !journal {
+		t.Fatalf("CPUState page not on the journaled frame path (page %v, journal %v)", f != nil, journal)
+	}
+	if _, err := e.CPU.Exec(tb.hb, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Mem.SMCSelfHit() {
+		t.Fatal("the patching execution did not flag its self-modifying store")
+	}
+	if journaledStateWords(e.Mem) == 0 {
+		t.Fatal("the execution journaled no CPUState word")
+	}
+	next, _, err := e.smcSelfAbort(tb, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := e.GuestState()
+	if next != want.PCVal() || got.R != want.R || got.Flags != want.Flags {
+		t.Fatalf("resumed at %#x with\n%swant %#x with\n%s", next, got.Snapshot(), want.PCVal(), want.Snapshot())
 	}
 }
 

@@ -1,6 +1,10 @@
 package host
 
-import "fmt"
+import (
+	"fmt"
+
+	"paramdbt/internal/mem"
+)
 
 // Block is a sequence of host instructions with resolved label targets,
 // the unit of execution produced by the translators (a translation
@@ -56,26 +60,45 @@ func (u uop) scale() uint32 { return uint32(uint8(u.bits >> scaleShift)) }
 
 // Dispatch kinds. A kind names the operand shape; for everything but
 // the kAlu* group it names the operation too, so those finish in Exec's
-// first switch. kAluMR and kAluMI are last because Exec tests
-// kind >= kAluMR for "the destination is memory".
+// first switch. The memory-destination ALU kinds are last because Exec
+// tests kind >= kAluMR for "the destination is memory", and the frame
+// forms after them because it tests kind >= kAluFR for "... the frame".
+//
+// A frame kind (kLoadF, kStoreRF, kStoreIF, kAluRF, kAluFR, kAluFI) is
+// the plain kind whose memory operand is a word of the frame page, the
+// page %ebp points at (the CPUState): see frameOperand.
 const (
-	kSlow   uint8 = iota // not pre-decoded: CPU.step runs Insts[ip]
-	kMovRR               // movl %s, %r
-	kMovRI               // movl $imm, %r
-	kLoad                // movl mem, %r
-	kStoreR              // movl %r, mem
-	kStoreI              // movl $imm, mem
-	kLea                 // leal mem, %r
-	kJmp                 // jmp imm
-	kJcc                 // j<cond> imm
-	kExitI               // exit_tb $imm
-	kExitR               // exit_tb %r
-	kAluRR               // op %s, %r
-	kAluRI               // op $imm, %r (and the one-operand forms on a register)
-	kAluRM               // op mem, %r
-	kAluMR               // op %r, mem
-	kAluMI               // op $imm, mem (and the one-operand forms on memory)
+	kSlow    uint8 = iota // not pre-decoded: CPU.step runs Insts[ip]
+	kMovRR                // movl %s, %r
+	kMovRI                // movl $imm, %r
+	kLoad                 // movl mem, %r
+	kStoreR               // movl %r, mem
+	kStoreI               // movl $imm, mem
+	kLoadF                // movl disp(%ebp), %r
+	kStoreRF              // movl %r, disp(%ebp)
+	kStoreIF              // movl $imm, disp(%ebp)
+	kLea                  // leal mem, %r
+	kJmp                  // jmp imm
+	kJcc                  // j<cond> imm
+	kExitI                // exit_tb $imm
+	kExitR                // exit_tb %r
+	kAluRR                // op %s, %r
+	kAluRI                // op $imm, %r (and the one-operand forms on a register)
+	kAluRM                // op mem, %r
+	kAluRF                // op disp(%ebp), %r
+	kAluMR                // op %r, mem
+	kAluMI                // op $imm, mem (and the one-operand forms on memory)
+	kAluFR                // op %r, disp(%ebp)
+	kAluFI                // op $imm, disp(%ebp) (and the one-operand forms)
+	numKinds
 )
+
+// frameKinds maps a kind with a memory operand to its frame form; the
+// zero entries have none.
+var frameKinds = [numKinds]uint8{
+	kLoad: kLoadF, kStoreR: kStoreRF, kStoreI: kStoreIF,
+	kAluRM: kAluRF, kAluMR: kAluFR, kAluMI: kAluFI,
+}
 
 // Exec counts retired instructions per category in one uint64, a
 // catBits-wide field per category, and flushes it at least every
@@ -104,12 +127,38 @@ const (
 // memory-to-memory, ExitTB through memory, malformed instructions — is
 // a kSlow micro-op, which Exec hands to CPU.step one instruction at a
 // time inside the same loop.
+//
+// A pre-decoded memory operand gets a frame kind when it is a word of
+// the page %ebp points at for the whole block: base %ebp, no index
+// register, 0 <= disp <= PageSize-4, and no instruction of the block
+// has register %ebp as its Dst.
 func NewBlock(insts []Inst, labels map[int]int) *Block {
 	b := &Block{Insts: insts, labels: labels, prog: make([]uop, len(insts))}
+	frameOK := true
 	for i := range insts {
-		b.prog[i] = b.predecode(&insts[i])
+		if d := &insts[i].Dst; d.Kind == KindReg && d.Reg == EBP {
+			frameOK = false
+			break
+		}
+	}
+	for i := range insts {
+		u := b.predecode(&insts[i])
+		if fk := frameKinds[u.kind()]; fk != 0 && frameOK && frameOperand(&insts[i]) {
+			u.bits = u.bits&^0xff | uint64(fk)
+		}
+		b.prog[i] = u
 	}
 	return b
+}
+
+// frameOperand reports whether the memory operand of a pre-decoded
+// instruction is a word inside the page at %ebp, if %ebp is page-aligned.
+func frameOperand(in *Inst) bool {
+	m := &in.Dst
+	if m.Kind != KindMem {
+		m = &in.Src
+	}
+	return m.Base == EBP && m.Scale == 0 && m.Disp >= 0 && m.Disp <= mem.PageSize-4
 }
 
 // resolve returns the instruction index the jump in binds to, or -1

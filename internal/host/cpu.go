@@ -1,6 +1,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -178,6 +179,14 @@ func (e *ExecError) Error() string {
 // flushed into Executed on every way out (exit, error, and before each
 // kSlow micro-op, so a panic in step sees the counters it always saw).
 // kSlow micro-ops run through step one at a time and come back here.
+//
+// The frame kinds — the guest-state slots at disp(%ebp), half of what
+// translated code retires — index the page %ebp points at, resolved
+// once per call through mem.Memory.Frame: no address, no lookaside
+// probe. With the undo journal armed a frame store first journals the
+// old word, the entry Write32 would make. Where Frame declines (%ebp
+// not page-aligned, a snapshot, an untouched page, a page the write
+// tracker covers) they go through Read32/Write32 like the plain kinds.
 func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
 	var (
 		prog  = b.prog
@@ -186,6 +195,11 @@ func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
 		steps uint64 // instructions retired and flushed into c.Executed
 		acc   uint64 // per-category counts since the last flush, catBits each
 		left  uint64 // instructions until the next flush and budget check
+
+		// The page at %ebp (nil: the frame kinds use Read32/Write32), and
+		// whether each store into it is journaled first.
+		fbase          = c.R[EBP]
+		frame, journal = m.Frame(fbase)
 	)
 	for {
 		if uint(ip) >= uint(len(prog)) {
@@ -228,6 +242,26 @@ func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
 			m.Write32(u.ea(c), u.imm)
 			ip++
 			continue
+		case kLoadF:
+			if frame != nil {
+				c.R[u.r()] = binary.LittleEndian.Uint32(frame[u.disp:])
+			} else {
+				c.R[u.r()] = m.Read32(u.ea(c))
+			}
+			ip++
+			continue
+		case kStoreRF, kStoreIF:
+			v = u.imm
+			if u.kind() == kStoreRF {
+				v = c.R[u.r()]
+			}
+			if frame != nil {
+				frameStore(m, frame, journal, fbase, u.disp, v)
+			} else {
+				m.Write32(u.ea(c), v)
+			}
+			ip++
+			continue
 		case kLea:
 			c.R[u.r()] = u.ea(c)
 			ip++
@@ -260,6 +294,24 @@ func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
 		case kAluMI:
 			ea = u.ea(c)
 			a, v = m.Read32(ea), u.imm
+		case kAluRF:
+			a = c.R[u.r()]
+			if frame != nil {
+				v = binary.LittleEndian.Uint32(frame[u.disp:])
+			} else {
+				v = m.Read32(u.ea(c))
+			}
+		case kAluFR, kAluFI:
+			v = u.imm
+			if u.kind() == kAluFR {
+				v = c.R[u.r()]
+			}
+			if frame != nil {
+				a = binary.LittleEndian.Uint32(frame[u.disp:])
+			} else {
+				ea = u.ea(c)
+				a = m.Read32(ea)
+			}
 		default: // kSlow
 			steps += c.retire(acc) + 1
 			acc = 0
@@ -324,10 +376,13 @@ func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
 			ip++
 			continue
 		}
-		if u.kind() >= kAluMR {
-			m.Write32(ea, a)
-		} else {
+		switch k := u.kind(); {
+		case k < kAluMR:
 			c.R[u.r()] = a
+		case k >= kAluFR && frame != nil:
+			frameStore(m, frame, journal, fbase, u.disp, a)
+		default:
+			m.Write32(ea, a)
 		}
 		ip++
 	}
@@ -337,6 +392,16 @@ func (c *CPU) Exec(b *Block, maxSteps uint64) (ExitResult, error) {
 // without an index register has scale 0 and index 0.
 func (u uop) ea(c *CPU) uint32 {
 	return u.disp + c.R[u.base()] + c.R[u.index()]*u.scale()
+}
+
+// frameStore stores v at offset off of the frame page at base,
+// journaling the old word first when the journal is armed.
+func frameStore(m *mem.Memory, frame *[mem.PageSize]byte, journal bool, base, off, v uint32) {
+	w := frame[off : off+4]
+	if journal {
+		m.Journal32(base+off, binary.LittleEndian.Uint32(w))
+	}
+	binary.LittleEndian.PutUint32(w, v)
 }
 
 // retire adds a packed per-category count to Executed and returns the

@@ -80,7 +80,7 @@ func TestExecMatchesReferenceOnTranslatedCode(t *testing.T) {
 	}
 	full, _ := core.Parameterize(c.Union(c.Names), core.Config{Opcode: true, AddrMode: true})
 	for _, be := range backend.Names() {
-		total := 0
+		total, frames := 0, 0
 		for _, name := range c.Names {
 			rec := &recorder{Backend: backend.MustLookup(be)}
 			if _, err := c.Run(name, dbt.Config{Rules: full, DelegateFlags: true, Backend: rec}); err != nil {
@@ -91,10 +91,17 @@ func TestExecMatchesReferenceOnTranslatedCode(t *testing.T) {
 			}
 			for i, b := range rec.blocks {
 				twinSweep(t, fmt.Sprintf("%s/%s block %d", be, name, i), b)
+				// Every translated block but the halt (a lone exit_tb)
+				// reads or writes a guest register slot at disp(%ebp): the
+				// frame path must be what runs it.
+				if host.FrameOps(b) == 0 && len(b.Insts) > 1 {
+					t.Errorf("%s/%s block %d has no frame micro-op\n%s", be, name, i, b.Listing())
+				}
+				frames += host.FrameOps(b)
 			}
 			total += len(rec.blocks)
 		}
-		t.Logf("%s: %d blocks", be, total)
+		t.Logf("%s: %d blocks, %.1f frame micro-ops per block", be, total, float64(frames)/float64(total))
 	}
 }
 

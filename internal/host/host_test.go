@@ -320,6 +320,85 @@ func TestRorl(t *testing.T) {
 	}
 }
 
+// TestFrameKindRule pins when NewBlock gives a memory operand a frame
+// kind: base %ebp, no index, 0 <= disp <= PageSize-4, and no
+// instruction of the block with register %ebp as its Dst.
+func TestFrameKindRule(t *testing.T) {
+	cases := []struct {
+		in    Inst
+		frame bool
+	}{
+		{I(MOVL, R(EAX), Mem(EBP, 0)), true},
+		{I(MOVL, Mem(EBP, mem.PageSize-4), R(EAX)), true},
+		{I(MOVL, Mem(EBP, 2), Imm(1)), true},
+		{I(ADDL, R(EAX), Mem(EBP, 8)), true},
+		{I(SUBL, Mem(EBP, 8), R(ECX)), true},
+		{I(CMPL, Mem(EBP, 8), Imm(3)), true},
+		{I1(NEGL, Mem(EBP, 8)), true},
+		{I(MOVL, R(EAX), Mem(EBP, mem.PageSize-3)), false},
+		{I(MOVL, R(EAX), Mem(EBP, mem.PageSize)), false},
+		{I(MOVL, R(EAX), Mem(EBP, -4)), false},
+		{I(MOVL, R(EAX), Mem(ESI, 0)), false},
+		{I(MOVL, R(EAX), MemIdx(EBP, ESI, 4, 0)), false},
+		{I(LEAL, R(EAX), Mem(EBP, 8)), false},
+		{I(MOVZBL, R(EAX), Mem(EBP, 8)), false},
+	}
+	for _, c := range cases {
+		b := NewBlock([]Inst{c.in, Exit(Imm(0))}, nil)
+		if got := isFrameKind(b.prog[0].kind()); got != c.frame {
+			t.Errorf("%v: frame kind %v, want %v", c.in, got, c.frame)
+		}
+	}
+	for _, w := range []Inst{I(MOVL, R(EBP), Imm(0)), I(ADDL, R(EBP), Imm(4)), I1(POPL, R(EBP)), I(LEAL, R(EBP), Mem(EBP, 4))} {
+		b := NewBlock([]Inst{I(MOVL, R(EAX), Mem(EBP, 0)), w, I(MOVL, Mem(EBP, 4), R(EAX)), Exit(Imm(0))}, nil)
+		if FrameOps(b) != 0 {
+			t.Errorf("block writing %%ebp with %v got frame kinds", w)
+		}
+	}
+}
+
+// TestFrameStoresJournal: a frame store journals one entry per store,
+// the entry Write32 makes, so rolling the journal back restores the
+// state page; where Frame declines the plain path does the same.
+func TestFrameStoresJournal(t *testing.T) {
+	const state = 0x0f00_0000
+	b := NewBlock([]Inst{
+		I(MOVL, Mem(EBP, 0), Imm(1)),
+		I(MOVL, Mem(EBP, 4), R(EAX)),
+		I(ADDL, Mem(EBP, 0), Imm(2)),
+		I(MOVL, Mem(EBP, 0), Imm(3)),
+		Exit(Imm(0)),
+	}, nil)
+	for _, trackState := range []bool{false, true} {
+		m := mem.New()
+		c := NewCPU(m)
+		c.R[EBP], c.R[EAX] = state, 0x55
+		m.Write32(state, 0x11)
+		m.Write32(state+4, 0x22)
+		m.EnableWriteTracking()
+		if trackState {
+			m.TrackRange(state, state+8)
+		}
+		if p, _ := m.Frame(state); (p != nil) == trackState {
+			t.Fatalf("tracked %v: Frame returned %v", trackState, p)
+		}
+		m.ArmSMC(true, nil)
+		if _, err := c.Exec(b, 100); err != nil {
+			t.Fatal(err)
+		}
+		if m.Read32(state) != 3 || m.Read32(state+4) != 0x55 || m.JournalLen() != 4 {
+			t.Fatalf("tracked %v: words %#x %#x, journal %d, want 3 0x55 4", trackState, m.Read32(state), m.Read32(state+4), m.JournalLen())
+		}
+		if m.CodeDirty() != trackState {
+			t.Fatalf("tracked %v: state page dirty %v", trackState, m.CodeDirty())
+		}
+		m.RollbackJournal()
+		if m.Read32(state) != 0x11 || m.Read32(state+4) != 0x22 {
+			t.Fatalf("tracked %v: after rollback %#x %#x, want 0x11 0x22", trackState, m.Read32(state), m.Read32(state+4))
+		}
+	}
+}
+
 // BenchmarkExecMicroloop is the benchmark's host.microloop drive: a
 // five-instruction backward-JCC loop with one load and one store per
 // iteration, run to completion under a budget it never reaches.

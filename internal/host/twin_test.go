@@ -114,12 +114,14 @@ func runTwin(b *Block, init twinState, maxSteps uint64, tracked bool, trackLo, t
 
 // A fuzz input is an 8-byte header — six label bindings (0xff: unbound,
 // else an index modulo n+2, so one past the end and beyond are reachable),
-// a state seed, and a budget byte whose top bit turns write tracking on —
-// followed by 13-byte instructions: op, cond, cat, then kind, reg, mem,
-// shape and value bytes for Dst and for Src. The decoding reaches every
-// opcode (and undefined ones) with every operand kind (and an undefined
-// one), out-of-range registers and categories, unbound and out-of-block
-// labels, and backward jumps.
+// a state seed whose two low bits are also flags (fuzzPinEBP,
+// fuzzTrackState), and a budget byte whose top bit turns write tracking
+// on — followed by 13-byte instructions: op, cond, cat, then kind, reg,
+// mem, shape and value bytes for Dst and for Src. The decoding reaches
+// every opcode (and undefined ones) with every operand kind (and an
+// undefined one), out-of-range registers and categories, unbound and
+// out-of-block labels, backward jumps, and every frame kind both on the
+// fast path and where mem.Memory.Frame declines.
 const (
 	fuzzHeader   = 8
 	fuzzInstSize = 13
@@ -127,7 +129,25 @@ const (
 	fuzzLabels   = 6
 )
 
+// Flags in the seed byte. fuzzPinEBP points %ebp at the start of the
+// state page instead of a random word near it, so about half of all
+// inputs run the frame kinds' fast path. fuzzTrackState makes the
+// tracked range (with tracking on) the state page instead of the data
+// pages, where Frame must decline.
+const (
+	fuzzPinEBP     = 1
+	fuzzTrackState = 2
+)
+
+// fuzzState is the page the state-seeded registers and words sit around.
+const fuzzState = 0x0f00_0000
+
 var fuzzScales = [8]uint8{0, 0, 1, 2, 4, 8, 3, 255}
+
+// fuzzDispBases are the displacement bases a memory operand's shape
+// byte selects: near zero, the top of the page (up to 4093, one past the
+// last frame word), the next page, and the page below.
+var fuzzDispBases = [4]int32{0, mem.PageSize - 512, mem.PageSize, -mem.PageSize}
 
 func fuzzOperand(b []byte) Operand {
 	kind, reg, m, shape, val := b[0], b[1], b[2], b[3], b[4]
@@ -144,12 +164,22 @@ func fuzzOperand(b []byte) Operand {
 	o.Index = Reg(m >> 4 & mask)
 	o.Scale = fuzzScales[shape&7]
 	o.Imm = int32(int8(val)) << (shape >> 4 & 3 * 8)
-	o.Disp = int32(int8(val))*4 + int32(shape>>6&1)
+	o.Disp = fuzzDispBases[shape>>4&3] + int32(int8(val))*4 + int32(shape>>6&1)
 	o.Label = int(val % fuzzLabels)
 	return o
 }
 
-func fuzzDecode(data []byte) (b *Block, init twinState, maxSteps uint64, tracked bool) {
+// fuzzCase is one decoded fuzz input: the block, the initial state, the
+// step budget, and the write-tracking setup runTwin gets.
+type fuzzCase struct {
+	b                *Block
+	init             twinState
+	maxSteps         uint64
+	tracked          bool
+	trackLo, trackHi uint32
+}
+
+func fuzzDecode(data []byte) fuzzCase {
 	var hdr [fuzzHeader]byte
 	copy(hdr[:], data)
 	body := data[min(len(data), fuzzHeader):]
@@ -171,7 +201,7 @@ func fuzzDecode(data []byte) (b *Block, init twinState, maxSteps uint64, tracked
 		}
 	}
 	seed := uint32(hdr[6])*2654435761 + 1
-	init = func(c *CPU) {
+	init := func(c *CPU) {
 		s := seed
 		next := func() uint32 { s = s*1664525 + 1013904223; return s }
 		for i := range c.R {
@@ -182,10 +212,13 @@ func fuzzDecode(data []byte) (b *Block, init twinState, maxSteps uint64, tracked
 			case 0:
 				c.R[i] = v
 			case 1:
-				c.R[i] = 0x0f00_0000 + v>>20&^3
+				c.R[i] = fuzzState + v>>20&^3
 			default:
 				c.R[i] = 0x0100_0000 + v>>19
 			}
+		}
+		if hdr[6]&fuzzPinEBP != 0 {
+			c.R[EBP] = fuzzState
 		}
 		for i := range c.X {
 			c.X[i] = next()
@@ -193,15 +226,21 @@ func fuzzDecode(data []byte) (b *Block, init twinState, maxSteps uint64, tracked
 		f := next()
 		c.Flags = Flags{ZF: f&1 != 0, SF: f&2 != 0, CF: f&4 != 0, OF: f&8 != 0}
 		for i := uint32(0); i < 64; i++ {
-			c.Mem.Write32(0x0f00_0000+i*4, next())
+			c.Mem.Write32(fuzzState+i*4, next())
 			c.Mem.Write32(0x0100_0000+i*64, next())
 		}
 	}
-	return NewBlock(insts, labels), init, uint64(hdr[7]&0x7f) * 2, hdr[7]&0x80 != 0
+	fc := fuzzCase{b: NewBlock(insts, labels), init: init, maxSteps: uint64(hdr[7]&0x7f) * 2, tracked: hdr[7]&0x80 != 0,
+		trackLo: 0x0100_0000, trackHi: 0x0100_2000}
+	if hdr[6]&fuzzTrackState != 0 {
+		fc.trackLo, fc.trackHi = fuzzState, fuzzState+mem.PageSize
+	}
+	return fc
 }
 
 // fuzzEncode is fuzzDecode's inverse for well-formed instructions, used
-// to build the seed corpus from readable programs.
+// to build the seed corpus from readable programs. seed carries the
+// fuzzPinEBP and fuzzTrackState flags in its low bits.
 func fuzzEncode(insts []Inst, labels map[int]int, seed, budget byte) []byte {
 	out := make([]byte, fuzzHeader, fuzzHeader+len(insts)*fuzzInstSize)
 	for id := 0; id < fuzzLabels; id++ {
@@ -225,7 +264,7 @@ func fuzzEncode(insts []Inst, labels map[int]int, seed, budget byte) []byte {
 		val := byte(int8(o.Imm))
 		switch o.Kind {
 		case KindMem:
-			val = byte(int8(o.Disp / 4))
+			val, shape = fuzzEncodeDisp(o.Disp, shape)
 		case KindLabel:
 			val = byte(o.Label)
 		}
@@ -241,6 +280,18 @@ func fuzzEncode(insts []Inst, labels map[int]int, seed, budget byte) []byte {
 		out = append(out, operand(in.Src)...)
 	}
 	return out
+}
+
+// fuzzEncodeDisp returns the value byte and the shape byte, with its
+// base and low-bit fields filled in, that decode to disp.
+func fuzzEncodeDisp(disp int32, shape byte) (val, shapeOut byte) {
+	for k, base := range fuzzDispBases {
+		r := disp - base
+		if q := r >> 2; q >= -128 && q <= 127 && r&3 <= 1 {
+			return byte(int8(q)), shape | byte(k)<<4 | byte(r&3)<<6
+		}
+	}
+	panic(fmt.Sprintf("fuzzEncode: displacement %d is not encodable", disp))
 }
 
 // fuzzMatrix is every opcode (and one undefined one) with every operand
@@ -284,6 +335,54 @@ func fuzzSeeds() map[string][]byte {
 	seeds["falls-off-end"] = fuzzEncode([]Inst{I(MOVL, R(EAX), Imm(1))}, nil, 7, 10)
 	seeds["exit-through-memory"] = fuzzEncode([]Inst{I(MOVL, Mem(EBP, 0), Imm(0x44)), Exit(Mem(EBP, 0))}, nil, 8, 0x80|10)
 	seeds["push-pop"] = fuzzEncode([]Inst{I1(PUSHL, R(EDX)), I1(POPL, Mem(EBP, 8)), {Op: RET}}, nil, 9, 0x80|10)
+
+	// The frame kinds. Loads and stores at the first and last frame word
+	// and just outside the frame (the next page, the page below, a word
+	// straddling the page end), which must stay plain kinds.
+	edges := []Inst{
+		I(MOVL, R(EAX), Mem(EBP, 0)),
+		I(MOVL, Mem(EBP, 4092), R(EAX)),
+		I(MOVL, R(ECX), Mem(EBP, 4092)),
+		I(MOVL, Mem(EBP, 0), Imm(-7)),
+		I(MOVL, Mem(EBP, 4096), R(ECX)),
+		I(MOVL, R(EDX), Mem(EBP, 4096)),
+		I(MOVL, Mem(EBP, -4), Imm(9)),
+		I(MOVL, R(ESI), Mem(EBP, -4)),
+		I(MOVL, Mem(EBP, 4093), R(EDX)),
+		I(MOVL, R(EDI), Mem(EBP, 4093)),
+		Exit(R(EAX)),
+	}
+	seeds["frame-edges-journal"] = fuzzEncode(edges, nil, fuzzPinEBP|8, 0x80|40)
+	seeds["frame-edges-nojournal"] = fuzzEncode(edges, nil, fuzzPinEBP|8, 40)
+	// Every ALU opcode in each frame form: frame source, frame
+	// destination with a register and with an immediate source.
+	var alu []Inst
+	for _, op := range []Op{ADDL, ADCL, SUBL, SBBL, ANDL, ORL, XORL, IMULL, SHLL, SHRL, SARL, RORL, CMPL, TESTL} {
+		alu = append(alu,
+			I(op, R(EAX), Mem(EBP, 8)),
+			I(op, Mem(EBP, 12), R(ECX)),
+			I(op, Mem(EBP, 4092), Imm(3)))
+	}
+	alu = append(alu, I1(NOTL, Mem(EBP, 16)), I1(NEGL, Mem(EBP, 20)), Exit(R(EAX)))
+	seeds["frame-alu-journal"] = fuzzEncode(alu, nil, fuzzPinEBP|4, 0x80|60)
+	seeds["frame-alu-nojournal"] = fuzzEncode(alu, nil, fuzzPinEBP|4, 60)
+	// A block that moves %ebp before reading a slot: no frame kinds.
+	seeds["frame-ebp-written"] = fuzzEncode([]Inst{
+		I(MOVL, R(EAX), Mem(EBP, 0)),
+		I(LEAL, R(EBP), Mem(EBP, 64)),
+		I(MOVL, R(ECX), Mem(EBP, 0)),
+		I(MOVL, Mem(EBP, 4), R(EAX)),
+		I(ADDL, Mem(EBP, 8), R(ECX)),
+		Exit(R(ECX)),
+	}, nil, fuzzPinEBP|4, 0x80|10)
+	// Tracking covers the state page: Frame declines, and the stores must
+	// dirty the page and hit the self range exactly as Write32's do.
+	seeds["frame-state-tracked"] = fuzzEncode([]Inst{
+		I(MOVL, R(EAX), Mem(EBP, 4)),
+		I(MOVL, Mem(EBP, 0), R(EAX)),
+		I(ADDL, Mem(EBP, 8), Imm(1)),
+		Exit(R(EAX)),
+	}, nil, fuzzPinEBP|fuzzTrackState, 0x80|10)
 	return seeds
 }
 
@@ -311,9 +410,9 @@ func FuzzExecVsReference(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, init, maxSteps, tracked := fuzzDecode(data)
-		if d := runTwin(b, init, maxSteps, tracked, 0x0100_0000, 0x0100_2000); d != "" {
-			t.Fatalf("%s\nbudget %d tracked %v\n%s", d, maxSteps, tracked, b.Listing())
+		fc := fuzzDecode(data)
+		if d := runTwin(fc.b, fc.init, fc.maxSteps, fc.tracked, fc.trackLo, fc.trackHi); d != "" {
+			t.Fatalf("%s\nbudget %d tracked %v [%#x, %#x)\n%s", d, fc.maxSteps, fc.tracked, fc.trackLo, fc.trackHi, fc.b.Listing())
 		}
 	})
 }
@@ -326,16 +425,27 @@ func TestFuzzEncodeRoundTrip(t *testing.T) {
 		I(MOVL, MemIdx(EBP, ESI, 4, -16), Imm(-3)),
 		I(ADDL, R(Reg(11)), X(2)).WithCat(5),
 		{Op: SETCC, Cond: G, Dst: Mem(Reg(9), 4)},
+		I(MOVL, Mem(EBP, 4092), R(EAX)),
+		I(MOVL, R(EAX), Mem(EBP, 4093)),
+		I(MOVL, Mem(EBP, 4096), Imm(1)),
+		I(SUBL, R(ECX), Mem(EBP, -4)),
+		I(MOVL, R(ECX), Mem(EBP, -4095)),
 		Jcc(NE, 1),
 		Exit(Imm(7)),
 	}
 	labels := map[int]int{1: 0, 4: 6}
-	b, _, maxSteps, tracked := fuzzDecode(fuzzEncode(insts, labels, 3, 0x80|21))
-	if maxSteps != 42 || !tracked {
-		t.Fatalf("budget %d tracked %v", maxSteps, tracked)
+	fc := fuzzDecode(fuzzEncode(insts, labels, fuzzTrackState|fuzzPinEBP, 0x80|21))
+	if fc.maxSteps != 42 || !fc.tracked || fc.trackLo != fuzzState || fc.trackHi != fuzzState+mem.PageSize {
+		t.Fatalf("budget %d tracked %v [%#x, %#x)", fc.maxSteps, fc.tracked, fc.trackLo, fc.trackHi)
 	}
+	b := fc.b
 	if fmt.Sprint(b.Labels()) != fmt.Sprint(labels) {
 		t.Fatalf("labels %v, want %v", b.Labels(), labels)
+	}
+	cpu := NewCPU(mem.New())
+	fc.init(cpu)
+	if cpu.R[EBP] != fuzzState {
+		t.Fatalf("pinned %%ebp = %#x", cpu.R[EBP])
 	}
 	for i, in := range insts {
 		got := b.Insts[i]

@@ -7,10 +7,16 @@
 // The page map is the authority: every allocated page is an entry of
 // Memory.pages and nothing else owns one. In front of the map an
 // execution image (a Memory made by New) keeps a small direct-mapped
-// page-pointer lookaside, filled on a miss, so the loads and stores of
-// simulated host code — nearly all of them into the CPUState page and a
-// handful of data and stack pages — cost one compare instead of a map
-// probe. It is a lookaside over the map and not a flat or two-level
+// page-pointer lookaside, filled on a miss, so the guest data and stack
+// accesses of simulated host code cost one compare instead of a map
+// probe. Its CPUState accesses — half of all the micro-ops it retires —
+// skip even that: the host CPU resolves the CPUState page once per block
+// through Frame and indexes it directly, journaling each store with
+// Journal32 exactly as Write32 would. Frame declines (the CPU falls back
+// to Read32/Write32) on snapshots, untouched pages and pages below the
+// write tracker's limit.
+//
+// The lookaside is a lookaside over the map and not a flat or two-level
 // page table because images are tiny (≈6 pages) and, when the choice
 // was made, snapshots were frequent: shadow verification cloned the
 // image per sampled block, and a table that every clone must allocate
@@ -20,8 +26,9 @@
 // copy. Shadow verification has since stopped cloning — it compares the
 // write sets of two executions read off the undo journal (track.go:
 // ArmSMC, JournalWrites, RollbackJournal), so an image is now copied
-// once per engine at most, or after a detected divergence — and the
-// table's A/B can be re-run on its merits (ROADMAP item 3).
+// once per engine at most, or after a detected divergence — and, now
+// that the CPUState traffic no longer goes through it, the table's A/B
+// can be re-run on its merits (ROADMAP item 3).
 //
 // Snapshots (Clone, CloneBelow) and the zero value carry no lookaside
 // and no write tracker; every access goes to the map. That is also the
@@ -222,6 +229,40 @@ func (m *Memory) write32Slow(addr uint32, v uint32) {
 		t.note32(addr, binary.LittleEndian.Uint32(w))
 	}
 	binary.LittleEndian.PutUint32(w, v)
+}
+
+// Frame returns the page at addr for a caller that reads and writes
+// words inside it directly — the host CPU's accesses to the CPUState
+// page through %ebp — and whether the undo journal is armed, in which
+// case each word store into the page must first be recorded with
+// Journal32. The lookup goes through the lookaside, once per caller
+// rather than once per access.
+//
+// Frame returns nil, and the caller must use Read32 and Write32
+// instead, when addr is not page-aligned, when m is a snapshot (no hot
+// state), when the page was never touched, or when the page lies below
+// the write tracker's limit, where a store may need the dirty-page and
+// self-range checks. The page stays valid until Reset; the journal
+// flag until the next ArmSMC, DisarmSMC or RollbackJournal, and the
+// verdict on the limit until the next TrackRange.
+func (m *Memory) Frame(addr uint32) (*[PageSize]byte, bool) {
+	if m == nil || m.hot == nil || addr&pageMask != 0 {
+		return nil, false
+	}
+	t := m.hot.wt
+	if t != nil && addr < t.limit {
+		return nil, false
+	}
+	return m.find(addr), t != nil && t.journalOn
+}
+
+// Journal32 records in the armed undo journal the word old at addr,
+// which a store through a Frame page is about to overwrite: the entry
+// Write32 makes for the same store. A no-op while the journal is off.
+func (m *Memory) Journal32(addr, old uint32) {
+	if t := m.tracker(); t != nil && t.journalOn {
+		t.journal = append(t.journal, jwrite{addr: addr, old: old, wide: true})
+	}
 }
 
 // Write8s copies b into memory starting at addr.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -109,7 +110,7 @@ func TestLookasideAgainstModel(t *testing.T) {
 		for step := 0; step < 600; step++ {
 			mm := family[r.Intn(len(family))]
 			why := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := r.Intn(20); {
+			switch op := r.Intn(22); {
 			case op < 3:
 				a := addr()
 				if got, want := mm.m.Read8(a), mm.bytes[a]; got != want {
@@ -204,9 +205,23 @@ func TestLookasideAgainstModel(t *testing.T) {
 					mm.m.ArmSMC(true, nil)
 					mm.armed = copyBytes(mm.bytes, func(uint32) bool { return true })
 				}
+			case op < 21:
+				// A word store through Frame, as the host CPU makes one.
+				base := modelPages[r.Intn(len(modelPages))] << PageBits
+				if r.Intn(8) == 0 {
+					base += uint32(4 * (1 + r.Intn(8))) // not page-aligned
+				}
+				frameStep(t, why, mm, base, uint32(r.Intn(PageSize-3)), r.Uint32())
 			default:
 				if mm.armed != nil {
 					mm.m.RollbackJournal()
+					// Bytes first stored since the arm read zero again: keep
+					// them in the model so the checks look at them.
+					for a := range mm.bytes {
+						if _, ok := mm.armed[a]; !ok {
+							mm.armed[a] = 0
+						}
+					}
 					mm.bytes, mm.armed = mm.armed, nil
 				}
 			}
@@ -220,6 +235,37 @@ func TestLookasideAgainstModel(t *testing.T) {
 			f.check(t, fmt.Sprintf("seed %d end, family member %d", seed, i))
 		}
 	}
+}
+
+// frameStep asks mm's memory for the frame page at base and checks the
+// answer against the rule: a page exactly when base is page-aligned, the
+// memory is an execution image, the page exists and no tracked range
+// reaches it, and the journal flag exactly when the journal is armed.
+// With a page, it stores v at off through it, journaling like the host
+// CPU does, and folds the store into the model.
+func frameStep(t *testing.T, why string, mm *modelMem, base, off, v uint32) {
+	t.Helper()
+	p, journal := mm.m.Frame(base)
+	var wt *writeTracker
+	if mm.m.hot != nil {
+		wt = mm.m.hot.wt
+	}
+	want := base&pageMask == 0 && mm.m.hot != nil && mm.m.pages[base>>PageBits] != nil && (wt == nil || base >= wt.limit)
+	if (p != nil) != want {
+		t.Fatalf("%s: Frame(%#x) = %p, want a page %v", why, base, p, want)
+	}
+	if p == nil {
+		return
+	}
+	if p != mm.m.pages[base>>PageBits] || journal != (wt != nil && wt.journalOn) {
+		t.Fatalf("%s: Frame(%#x) returned a foreign page or journal flag %v", why, base, journal)
+	}
+	w := p[off : off+4]
+	if journal {
+		mm.m.Journal32(base+off, binary.LittleEndian.Uint32(w))
+	}
+	binary.LittleEndian.PutUint32(w, v)
+	mm.store32(base+off, v)
 }
 
 // TestCloneSharesNoPage is the direct form of the clone half of the

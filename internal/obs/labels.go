@@ -13,6 +13,20 @@ import "sync"
 // Only the base name belongs in the docs/OBSERVABILITY.md catalog:
 // derived names carry a label suffix, which keeps them outside the
 // counterdoc vettool's bare-name shape by construction.
+//
+// A family has at most MaxLabelValues members. The first
+// MaxLabelValues-1 distinct values get their own; every later value
+// shares the member OtherLabel. A family keyed by something unbounded —
+// one value per tenant of a long-running daemon — so keeps a bounded
+// registry, and its total over all members still counts everything.
+
+// MaxLabelValues is the most members one labeled family registers,
+// OtherLabel's included.
+const MaxLabelValues = 64
+
+// OtherLabel is the label value of the member that holds every value
+// past a family's first MaxLabelValues-1.
+const OtherLabel = "other"
 
 // LabelName derives the registry name of one family member:
 // base{key="value"}.
@@ -33,10 +47,17 @@ func (v *vec[M]) with(value string) *M {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	m, ok := v.by[value]
-	if !ok {
-		m = v.make(LabelName(v.base, v.key, value))
-		v.by[value] = m
+	if ok {
+		return m
 	}
+	if len(v.by) >= MaxLabelValues-1 && value != OtherLabel {
+		if m, ok = v.by[OtherLabel]; ok {
+			return m
+		}
+		value = OtherLabel
+	}
+	m = v.make(LabelName(v.base, v.key, value))
+	v.by[value] = m
 	return m
 }
 
@@ -64,7 +85,8 @@ func (r *Registry) CounterVec(base, key string) *CounterVec {
 	}}
 }
 
-// With returns the member counter for a label value.
+// With returns the member counter for a label value (OtherLabel's once
+// the family is full).
 func (v *CounterVec) With(value string) *Counter { return v.with(value) }
 
 // Labels returns the label values the family has materialized, in no
@@ -84,7 +106,8 @@ func (r *Registry) GaugeVec(base, key string) *GaugeVec {
 	}}
 }
 
-// With returns the member gauge for a label value.
+// With returns the member gauge for a label value (OtherLabel's once
+// the family is full).
 func (v *GaugeVec) With(value string) *Gauge { return v.with(value) }
 
 // Labels returns the label values the family has materialized.
@@ -103,7 +126,8 @@ func (r *Registry) HistogramVec(base, key string) *HistogramVec {
 	}}
 }
 
-// With returns the member histogram for a label value.
+// With returns the member histogram for a label value (OtherLabel's
+// once the family is full).
 func (v *HistogramVec) With(value string) *Histogram { return v.with(value) }
 
 // Labels returns the label values the family has materialized.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -54,6 +55,40 @@ func TestGaugeAndHistogramVec(t *testing.T) {
 	h.With("7").Observe(200)
 	if got := r.Histogram(`serve.tenant_block_ns{tenant="7"}`).Count(); got != 2 {
 		t.Fatalf("histogram member count = %d, want 2", got)
+	}
+}
+
+// TestVecFoldsPastCap: a family registers its first MaxLabelValues-1
+// values and then one OtherLabel member for all the rest, whatever the
+// order, and no count is lost.
+func TestVecFoldsPastCap(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("serve.tenant_blocks", "tenant")
+	h := r.HistogramVec("serve.tenant_block_ns", "tenant")
+	const n = 10 * MaxLabelValues
+	for i := 1; i <= n; i++ {
+		label := strconv.Itoa(i % (3 * MaxLabelValues))
+		v.With(label).Add(uint64(i))
+		h.With(label).Observe(uint64(i))
+	}
+	labels := v.Labels()
+	if len(labels) != MaxLabelValues || len(h.Labels()) != MaxLabelValues {
+		t.Fatalf("%d and %d members, want %d", len(labels), len(h.Labels()), MaxLabelValues)
+	}
+	var total, count uint64
+	for _, l := range labels {
+		total += v.With(l).Value()
+		count += h.With(l).Count()
+	}
+	if want := uint64(n * (n + 1) / 2); total != want || count != n {
+		t.Fatalf("members hold %d over %d observations, want %d over %d", total, count, want, n)
+	}
+	// A value that had its own member keeps it; a late one is other.
+	if v.With("1") == v.With(OtherLabel) || v.With("999999") != v.With(OtherLabel) {
+		t.Fatal("members not routed by first arrival")
+	}
+	if got := len(r.Names()); got != 2*MaxLabelValues {
+		t.Fatalf("registry holds %d names, want %d", got, 2*MaxLabelValues)
 	}
 }
 

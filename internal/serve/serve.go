@@ -29,7 +29,9 @@ import (
 
 // Server-level metric names (docs/OBSERVABILITY.md). The serve.tenant_*
 // names are vector bases: each tenant gets a member registered under
-// the derived name `base{tenant="<id>"}` (see obs.CounterVec).
+// the derived name `base{tenant="<id>"}` (see obs.CounterVec) — the
+// first obs.MaxLabelValues-1 tenants do; later ones share
+// `base{tenant="other"}`.
 const (
 	// Counters.
 	MetRuns      = "serve.runs"       // tenant workload runs completed
@@ -217,16 +219,9 @@ func (s *Server) RunTenant(bench string) (TenantResult, error) {
 		return TenantResult{}, fmt.Errorf("tenant %d %s: %w", id, bench, err)
 	}
 	s.runs.Inc()
-
-	label := strconv.FormatUint(id, 10)
-	s.tenantBlocks.With(label).Add(uint64(st.Blocks))
-	s.tenantInsts.With(label).Add(st.GuestExec)
-	s.tenantDivergences.With(label).Add(st.Divergences)
-	s.tenantSnaps.With(label).Add(st.RateSnaps)
-	s.tenantTranslations.With(label).Add(st.Translations)
+	s.charge(id, st, e.ShadowRateNow())
 	if obs.On() {
 		s.runNs.Observe(uint64(elapsed.Nanoseconds()))
-		s.tenantShadowPPM.With(label).Set(int64(e.ShadowRateNow() * 1e6))
 	}
 	return TenantResult{
 		Tenant:      id,
@@ -237,6 +232,24 @@ func (s *Server) RunTenant(bench string) (TenantResult, error) {
 		ElapsedNs:   elapsed.Nanoseconds(),
 		UsedService: e.Attached(),
 	}, nil
+}
+
+// charge books one tenant run into the per-tenant metric families under
+// the tenant's id. A family holds at most obs.MaxLabelValues members:
+// once the first tenants have filled it, later ones are charged to the
+// shared obs.OtherLabel member, so a daemon's registry stays bounded
+// however many requests it serves, and a family's total over its
+// members still counts every run.
+func (s *Server) charge(id uint64, st dbt.Stats, shadowRate float64) {
+	label := strconv.FormatUint(id, 10)
+	s.tenantBlocks.With(label).Add(uint64(st.Blocks))
+	s.tenantInsts.With(label).Add(st.GuestExec)
+	s.tenantDivergences.With(label).Add(st.Divergences)
+	s.tenantSnaps.With(label).Add(st.RateSnaps)
+	s.tenantTranslations.With(label).Add(st.Translations)
+	if obs.On() {
+		s.tenantShadowPPM.With(label).Set(int64(shadowRate * 1e6))
+	}
 }
 
 // RunSummary aggregates one RunTenants fan-out (the /run response

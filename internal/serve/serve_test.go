@@ -172,6 +172,67 @@ func TestServerLoadSmoke(t *testing.T) {
 	}
 }
 
+// TestServerTenantSeriesBounded: every request is charged to a fresh
+// tenant id. Ten thousand of them, and then a real run, must leave each
+// per-tenant family at obs.MaxLabelValues members, so the registry's
+// series count stays bounded, and each family's total over its members
+// must equal everything charged to it.
+func TestServerTenantSeriesBounded(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	s := sharedServer(t)
+	families := map[string]*obs.CounterVec{
+		MetTenantBlocks: s.tenantBlocks, MetTenantGuestInsts: s.tenantInsts,
+		MetTenantDivergences: s.tenantDivergences, MetTenantRateSnaps: s.tenantSnaps,
+		MetTenantTranslations: s.tenantTranslations,
+	}
+	totals := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for name, v := range families {
+			for _, l := range v.Labels() {
+				out[name] += v.With(l).Value()
+			}
+		}
+		return out
+	}
+	before, names := totals(), len(s.Metrics().Names())
+	charged := map[string]uint64{}
+	add := func(st dbt.Stats) {
+		charged[MetTenantBlocks] += uint64(st.Blocks)
+		charged[MetTenantGuestInsts] += st.GuestExec
+		charged[MetTenantDivergences] += st.Divergences
+		charged[MetTenantRateSnaps] += st.RateSnaps
+		charged[MetTenantTranslations] += st.Translations
+	}
+	for i := 0; i < 10_000; i++ {
+		st := dbt.Stats{Blocks: i%7 + 1, GuestExec: uint64(1000 + i), Divergences: uint64(i % 3),
+			RateSnaps: uint64(i % 5), Translations: uint64(i % 11)}
+		s.charge(s.next.Add(1), st, 0.5)
+		add(st)
+	}
+	r, err := s.RunTenant("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(r.Stats)
+
+	after := totals()
+	for name, v := range families {
+		if n := len(v.Labels()); n != obs.MaxLabelValues {
+			t.Errorf("%s: %d members, want %d", name, n, obs.MaxLabelValues)
+		}
+		if got := after[name] - before[name]; got != charged[name] {
+			t.Errorf("%s: members gained %d, charged %d", name, got, charged[name])
+		}
+	}
+	if n := len(s.tenantShadowPPM.Labels()); n > obs.MaxLabelValues {
+		t.Errorf("%s: %d members", MetTenantShadowPPM, n)
+	}
+	if got := len(s.Metrics().Names()); got > names+6*obs.MaxLabelValues {
+		t.Fatalf("registry grew from %d to %d series over 10001 requests", names, got)
+	}
+}
+
 // TestServerGracefulShutdown: Close drains the shared service, flushes
 // the final metrics snapshot, and turns the server away cleanly —
 // idempotently.

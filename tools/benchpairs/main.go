@@ -1,9 +1,13 @@
 // Command benchpairs is the A/B procedure a performance claim needs on
 // a small, noisy machine (choosing-metrics §8): it builds ./bench from
-// a git worktree of a base revision and from the working tree, runs the
-// two binaries on one workload in N pairs, alternating which side goes
-// first, and prints every pair, each side's median and quartiles per
-// end-to-end metric, and the pairs the change won.
+// an export of a base revision (`git archive <base> | tar -x` into a
+// temporary directory, so it needs no worktree) and from the working
+// tree, runs the two binaries on one workload in N pairs, alternating
+// which side goes first, and prints every pair and, per end-to-end
+// metric, each side's median and quartiles, the median of the per-pair
+// ratios change/base, and the pairs the change won. The machine's speed
+// drifts in waves minutes long; a ratio taken within one pair cancels
+// most of it, a median over each side's runs does not.
 //
 //	go run ./tools/benchpairs -base HEAD~1 -workload steady -n 10
 //
@@ -77,10 +81,9 @@ func run(base, workload string, n int, seconds float64, seed int64) error {
 	}
 	defer os.RemoveAll(tmp)
 	tree := filepath.Join(tmp, "base")
-	if out, err := exec.Command("git", "worktree", "add", "--detach", tree, base).CombinedOutput(); err != nil {
-		return fmt.Errorf("git worktree add %s: %v\n%s", base, err, out)
+	if err := export(base, tree); err != nil {
+		return err
 	}
-	defer exec.Command("git", "worktree", "remove", "--force", tree).Run()
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -138,10 +141,12 @@ func run(base, workload string, n int, seconds float64, seed int64) error {
 		fmt.Println()
 	}
 
-	fmt.Printf("\n%-12s %-8s %31s %31s %8s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change", "pairs won/lost/tied")
+	fmt.Printf("\n%-12s %-8s %31s %31s %8s %27s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change",
+		"pair ratio median [q1, q3]", "pairs won/lost/tied")
 	for _, m := range sp.EndToEnd {
 		v := values[m.Name]
 		won, lost, tied := 0, 0, 0
+		var ratios []float64
 		for i := range v[0] {
 			switch d := v[1][i] - v[0][i]; {
 			case d == 0:
@@ -151,13 +156,44 @@ func run(base, workload string, n int, seconds float64, seed int64) error {
 			default:
 				lost++
 			}
+			if v[0][i] != 0 {
+				ratios = append(ratios, v[1][i]/v[0][i])
+			}
 		}
-		bq, cq := quartiles(v[0]), quartiles(v[1])
-		fmt.Printf("%-12s %-8s %12.4g [%7.4g, %7.4g] %12.4g [%7.4g, %7.4g] %+7.1f%%  %d/%d/%d (%s is better, bound %g)\n",
-			m.Name, m.Unit, bq[1], bq[0], bq[2], cq[1], cq[0], cq[2], pct(bq[1], cq[1]), won, lost, tied, m.Better, m.Bound)
+		bq, cq, rq := quartiles(v[0]), quartiles(v[1]), quartiles(ratios)
+		fmt.Printf("%-12s %-8s %12.4g [%7.4g, %7.4g] %12.4g [%7.4g, %7.4g] %+7.1f%% %9.4f [%6.4f, %6.4f]  %d/%d/%d (%s is better, bound %g)\n",
+			m.Name, m.Unit, bq[1], bq[0], bq[2], cq[1], cq[0], cq[2], pct(bq[1], cq[1]), rq[1], rq[0], rq[2], won, lost, tied, m.Better, m.Bound)
 	}
 	for i, s := range sides {
 		fmt.Printf("fail share %s: %d/%d\n", s.name, failed[i], attempted[i])
+	}
+	return nil
+}
+
+// export writes the tree of revision rev into dir: git archive piped
+// into tar.
+func export(rev, dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	archive := exec.Command("git", "archive", rev)
+	untar := exec.Command("tar", "-x", "-C", dir)
+	var archiveErr, untarErr bytes.Buffer
+	archive.Stderr, untar.Stderr = &archiveErr, &untarErr
+	pipe, err := archive.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	untar.Stdin = pipe
+	if err := untar.Start(); err != nil {
+		return err
+	}
+	if err := archive.Run(); err != nil {
+		untar.Wait() // reap tar; the archive's failure is the one to report
+		return fmt.Errorf("git archive %s: %v\n%s", rev, err, archiveErr.Bytes())
+	}
+	if err := untar.Wait(); err != nil {
+		return fmt.Errorf("tar -x of %s: %v\n%s", rev, err, untarErr.Bytes())
 	}
 	return nil
 }
@@ -182,11 +218,14 @@ func pct(base, change float64) float64 {
 }
 
 // quartiles returns the first quartile, median and third quartile by
-// linear interpolation between order statistics.
+// linear interpolation between order statistics (zeros for no values).
 func quartiles(vs []float64) [3]float64 {
 	s := append([]float64(nil), vs...)
 	sort.Float64s(s)
 	var q [3]float64
+	if len(s) == 0 {
+		return q
+	}
 	for i, p := range []float64{0.25, 0.5, 0.75} {
 		pos := p * float64(len(s)-1)
 		lo := int(pos)
