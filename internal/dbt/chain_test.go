@@ -39,8 +39,9 @@ func runTraced(t *testing.T, c *minic.Compiled, cfg Config) (*guest.State, Stats
 func expandTrace(t *testing.T, m *mem.Memory, blocks []uint32) []uint32 {
 	t.Helper()
 	var pcs []uint32
+	var tx txctx
 	for _, bpc := range blocks {
-		insts, err := fetchBlockIn(m, bpc)
+		insts, err := tx.fetchBlock(m, bpc)
 		if err != nil {
 			t.Fatalf("decoding block at %#x: %v", bpc, err)
 		}

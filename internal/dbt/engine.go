@@ -470,6 +470,7 @@ type tblock struct {
 	// blocks that point here, so Invalidate can tear them down safely.
 	// seen marks the first execution (drives Stats.Blocks).
 	links    []blockLink
+	linkBuf  [2]blockLink // backs a basic block's links: no allocation
 	incoming []*blockLink
 	seen     bool
 
@@ -1136,20 +1137,20 @@ func (e *Engine) BlockListing(pc uint32) (string, error) {
 	return s, nil
 }
 
-// fetchBlockIn decodes guest instructions from pc up to and including
+// fetchBlock decodes guest instructions from pc up to and including
 // the terminator, reading code from m (the live memory on the demand
-// path, a code snapshot for pool jobs).
-func fetchBlockIn(m *mem.Memory, pc uint32) ([]guest.Inst, error) {
-	var out []guest.Inst
-	for len(out) < maxBlockInsts {
-		w := m.Read32(pc + uint32(len(out)*guest.InstBytes))
-		in, err := guest.Decode(w)
+// path, a code snapshot for pool jobs), into c.fetch, and returns an
+// exact-size copy for the tblock to keep.
+func (c *txctx) fetchBlock(m *mem.Memory, pc uint32) ([]guest.Inst, error) {
+	c.fetch = c.fetch[:0]
+	for len(c.fetch) < maxBlockInsts {
+		in, err := guest.Decode(m.Read32(pc + uint32(len(c.fetch)*guest.InstBytes)))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, in)
+		c.fetch = append(c.fetch, in)
 		if isTerminator(in) {
-			return out, nil
+			return own(c.fetch), nil
 		}
 	}
 	return nil, fmt.Errorf("block at %#x exceeds %d instructions without a terminator", pc, maxBlockInsts)

@@ -37,19 +37,19 @@ func manualEmittable(in guest.Inst) bool {
 // emitManual translates one instruction with its hand-written recipe.
 // Guest registers are accessed through the block mapping (or their
 // CPUState slots), using the temp pool for staging.
-func (tr *translator) emitManual(a *host.Asm, in guest.Inst, mapping map[guest.Reg]host.Reg) error {
-	regmap := tr.regmap(mapping)
+func (tr *translator) emitManual(tx *txctx, in guest.Inst) error {
+	a, mapping := &tx.asm, &tx.regs
 
 	// loadTo stages a guest register into a specific host register.
 	loadTo := func(dst host.Reg, r guest.Reg) {
 		a.SetCat(host.CatDataTransfer)
-		a.Emit(host.I(host.MOVL, host.R(dst), regmap(r)))
+		a.Emit(host.I(host.MOVL, host.R(dst), mapping.operand(r)))
 		a.SetCat(host.CatCompute)
 	}
 	// storeFrom writes a host register back to a guest register's home.
 	storeFrom := func(r guest.Reg, src host.Reg) {
 		a.SetCat(host.CatDataTransfer)
-		a.Emit(host.I(host.MOVL, regmap(r), host.R(src)))
+		a.Emit(host.I(host.MOVL, mapping.operand(r), host.R(src)))
 		a.SetCat(host.CatCompute)
 	}
 
@@ -65,7 +65,7 @@ func (tr *translator) emitManual(a *host.Asm, in guest.Inst, mapping map[guest.R
 			if list&(1<<uint(r)) == 0 {
 				continue
 			}
-			if hr, ok := mapping[r]; ok {
+			if hr, ok := mapping.get(r); ok {
 				a.Emit(host.I(host.MOVL, host.Mem(host.EAX, off), host.R(hr)))
 			} else {
 				a.Emit(host.I(host.MOVL, host.R(host.ECX), host.Mem(host.EBP, env.OffReg(int(r)))))
@@ -84,7 +84,7 @@ func (tr *translator) emitManual(a *host.Asm, in guest.Inst, mapping map[guest.R
 			if list&(1<<uint(r)) == 0 {
 				continue
 			}
-			if hr, ok := mapping[r]; ok {
+			if hr, ok := mapping.get(r); ok {
 				a.Emit(host.I(host.MOVL, host.R(hr), host.Mem(host.EAX, off)))
 			} else {
 				a.Emit(host.I(host.MOVL, host.R(host.ECX), host.Mem(host.EAX, off)))

@@ -501,7 +501,7 @@ func (e *Engine) Attached() bool { return e.svc != nil }
 // metadata — starts fresh and private. The elevation bit is recomputed
 // under the tenant's own ShadowElevate policy.
 func (e *Engine) adoptProto(pc uint32, p *tblock) *tblock {
-	return &tblock{
+	tb := &tblock{
 		hb:         p.hb,
 		insts:      p.insts,
 		nGuest:     p.nGuest,
@@ -510,7 +510,8 @@ func (e *Engine) adoptProto(pc uint32, p *tblock) *tblock {
 		uncovered:  p.uncovered,
 		rules:      p.rules,
 		flagsExact: p.flagsExact,
-		links:      directLinks(pc, p.insts),
 		elevated:   e.tr.elevates(p.rules),
 	}
+	tb.links = directLinks(pc, p.insts, &tb.linkBuf)
+	return tb
 }

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"runtime"
 
-	"paramdbt/internal/analysis"
 	"paramdbt/internal/core"
 	"paramdbt/internal/env"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 	"paramdbt/internal/obs"
-	"paramdbt/internal/rule"
 	"paramdbt/internal/tcg"
 	"paramdbt/internal/trace"
 )
@@ -385,28 +383,24 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 		return nil, fmt.Errorf("dbt: trace constituents not cached")
 	}
 	k := len(pcs)
-	var all []guest.Inst
-	for _, insts := range blocks {
-		all = append(all, insts...)
-	}
 
 	// Plan every constituent against the trace-wide register mapping.
 	// The binding arena must stay alive through emission of all blocks,
 	// so the whole trace is one txctx reset (one translation unit).
 	tx.reset()
-	plans := make([]blockPlan, k)
+	tx.fetch = tx.fetch[:0]
 	// Window fingerprints are position-independent, so the miss memo
 	// carries usefully across constituents within the unit.
-	for i := range blocks {
-		plans[i] = tr.planBlock(blocks[i], tx, nil)
+	for _, insts := range blocks {
+		tx.fetch = append(tx.fetch, insts...)
+		tx.bps = append(tx.bps, tr.planBlock(insts, tx, nil))
 	}
-	mapping := tr.allocRegs(all)
+	tr.allocRegs(tx.fetch, &tx.regs)
 	for i := range blocks {
-		tr.finishPlan(&plans[i], blocks[i], mapping)
+		tr.finishPlan(&tx.bps[i], blocks[i], &tx.regs)
 	}
 
-	a := host.NewAsm()
-	tr.emitPrologue(a, mapping)
+	tr.emitPrologue(tx)
 	sb := &sbMeta{
 		pcs:        pcs,
 		insts:      blocks,
@@ -415,27 +409,15 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 		cumSeq:     make([]uint64, k+1),
 		uncovered:  make([][]guest.Op, k),
 	}
-	var used []*rule.Template
 	var stubs []sbStub
 	covered, seq := uint64(0), uint64(0)
 	for i := range blocks {
 		insts := blocks[i]
-		bp := plans[i]
-		em, err := tr.emitBody(a, pcs[i], insts, bp.plans, mapping, nil)
+		bp := tx.bps[i]
+		u0 := len(tx.uncovered)
+		em, err := tr.emitBody(tx, pcs[i], insts, bp.plans, nil)
 		if err != nil {
 			return nil, fmt.Errorf("trace block %d @%#x: %w", i, pcs[i], err)
-		}
-		for _, t := range em.used {
-			dup := false
-			for _, u := range used {
-				if u == t {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				used = append(used, t)
-			}
 		}
 		n := len(insts)
 		term := insts[n-1]
@@ -443,9 +425,9 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 		bcov := em.covered
 		var termCovered bool
 		if i == k-1 {
-			termCovered, err = tr.emitTerminator(a, term, termPC, bp.plans, bp.termRule, mapping)
+			termCovered, err = tr.emitTerminator(tx, term, termPC, bp.plans, bp.termRule)
 		} else {
-			termCovered, err = tr.emitSeam(a, term, termPC, pcs[i+1], bp.plans, bp.termRule, mapping, i, &stubs)
+			termCovered, err = tr.emitSeam(tx, term, termPC, pcs[i+1], bp.plans, bp.termRule, i, &stubs)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("trace block %d @%#x terminator %q: %w", i, pcs[i], term, err)
@@ -461,7 +443,7 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 				bcov++
 			}
 		} else {
-			em.uncovered = append(em.uncovered, term.Op)
+			tx.uncovered = append(tx.uncovered, term.Op)
 			if bp.termRule != nil {
 				bcov--
 			}
@@ -471,17 +453,18 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 		sb.cumGuest[i+1] = sb.cumGuest[i] + uint64(n)
 		sb.cumCovered[i+1] = covered
 		sb.cumSeq[i+1] = seq
-		sb.uncovered[i] = em.uncovered
+		sb.uncovered[i] = own(tx.uncovered[u0:])
 	}
 
 	// Deferred side-exit stubs: report the seam, store mapped registers,
 	// exit to the off-trace pc. Execution resumes in the regular cache.
+	a := &tx.asm
 	for _, st := range stubs {
 		a.Bind(st.label)
 		a.SetCat(host.CatControl)
 		a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffSBExit), host.Imm(int32(st.seam))))
 		a.SetCat(host.CatCompute)
-		tr.exitTo(a, st.target, mapping)
+		tr.exitTo(tx, st.target)
 	}
 
 	// Cross-block optimization: NZCV stores a later constituent provably
@@ -497,14 +480,11 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 	if err != nil {
 		return nil, err
 	}
-	segs := make([]analysis.GuestSeg, k)
-	for i := range segs {
-		segs[i] = analysis.GuestSeg{PC: pcs[i], Insts: blocks[i]}
-	}
 	// Superblocks delegate/elide flags across seams by design, so the
 	// NZCV words are never exact at exits: validate everything else.
-	hb = tr.finishBlock(hb, segs, false)
+	hb = tr.finishBlock(hb, pcs, blocks, false)
 
+	used := own(tx.used)
 	return &tblock{
 		hb:     hb,
 		insts:  blocks[0],
@@ -525,7 +505,8 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 // through into the next block's body, the off-trace direction (if any)
 // branches to a deferred side-exit stub. Reports whether the guest
 // branch counts as rule-covered (same meaning as emitTerminator).
-func (tr *translator) emitSeam(a *host.Asm, term guest.Inst, termPC, next uint32, plans []iplan, termRule *iplan, mapping map[guest.Reg]host.Reg, seam int, stubs *[]sbStub) (bool, error) {
+func (tr *translator) emitSeam(tx *txctx, term guest.Inst, termPC, next uint32, plans []iplan, termRule *iplan, seam int, stubs *[]sbStub) (bool, error) {
+	a := &tx.asm
 	fall := termPC + guest.InstBytes
 	switch term.Op {
 	case guest.B:
@@ -578,14 +559,15 @@ func (tr *translator) emitSeam(a *host.Asm, term guest.Inst, termPC, next uint32
 			return true, nil
 		default:
 			start := a.Len()
-			g := tcg.NewGen(a.NewLabel)
+			g := &tx.g
+			g.Reset()
 			v := g.EvalCond(term.Cond)
 			br := tcg.Brnz // off-trace when the condition holds (next == fall)
 			if wantTaken {
 				br = tcg.Brz // off-trace when it does not (next == target)
 			}
 			g.Insts = append(g.Insts, tcg.Inst{Op: br, A: v, Label: lbl, Dst: -1})
-			if err := tr.lowerIR(a, g, mapping); err != nil {
+			if err := tr.lowerIR(tx, g); err != nil {
 				return false, err
 			}
 			retag(a, start, host.CatControl)
@@ -598,7 +580,7 @@ func (tr *translator) emitSeam(a *host.Asm, term guest.Inst, termPC, next uint32
 			return false, fmt.Errorf("trace follows %#x but call goes to %#x", next, target)
 		}
 		a.SetCat(host.CatControl)
-		if hr, ok := mapping[guest.LR]; ok {
+		if hr, ok := tx.regs.get(guest.LR); ok {
 			a.Emit(host.I(host.MOVL, host.R(hr), host.Imm(int32(fall))))
 		} else {
 			a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(int(guest.LR))), host.Imm(int32(fall))))
@@ -626,7 +608,8 @@ func sbLinks(stubs []sbStub, pcs []uint32, blocks [][]guest.Inst) []blockLink {
 		add(s.target)
 	}
 	k := len(pcs)
-	for _, l := range directLinks(pcs[k-1], blocks[k-1]) {
+	var buf [2]blockLink
+	for _, l := range directLinks(pcs[k-1], blocks[k-1], &buf) {
 		add(l.target)
 	}
 	return out

@@ -2,7 +2,7 @@ package dbt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"paramdbt/internal/analysis"
 	"paramdbt/internal/backend"
@@ -162,23 +162,85 @@ type iplan struct {
 	needsDeleg bool
 }
 
-// txctx is per-goroutine translation scratch: the candidate-free
-// lookup-window memo plus an arena of Binding slots, one per accepted
-// rule window. Lookups write into the next free slot (rule.LookupInto),
-// and the slot is kept only when the window is accepted — so a warm
-// arena makes the whole rule fast path allocation-free per block. The
-// engine owns one for the Run goroutine (Engine.tx); every pool worker
-// and blame-isolation trial carries its own.
+// txctx is per-goroutine translation scratch, reused by every unit (a
+// block or a superblock) its goroutine translates; its fields say what
+// it holds. Nothing a tblock keeps points into it: Finalize copies the
+// host code, and the decoded instructions, rules and uncovered opcodes
+// are copied out once per unit. So a unit allocates only what its
+// tblock keeps — those copies, the tblock, the host block and its
+// micro-ops, a label map if it binds labels, and a superblock's links
+// and trace bookkeeping. The engine owns one for the Run
+// goroutine (Engine.tx); every pool worker and blame-isolation trial
+// carries its own. Do not copy a used txctx: g and mapf hold its address.
 type txctx struct {
-	miss  rule.MissSet
-	binds []rule.Binding
-	n     int
+	miss  rule.MissSet   // lookup windows with no candidates
+	binds []rule.Binding // one slot per accepted rule window
+	n     int            // slots in use
+
+	fetch     []guest.Inst // the decoded block, or a trace's constituents end to end
+	plans     []iplan      // arena the unit's blockPlans are carved from
+	bps       []blockPlan  // a superblock's per-constituent plans
+	regs      regMap       // the unit's block- or trace-wide mapping
+	asm       host.Asm
+	g         tcg.Gen
+	mapf      func(guest.Reg) host.Operand // regs.operand, bound once
+	used      []*rule.Template             // distinct templates emitted, first use first
+	uncovered []guest.Op                   // opcodes emitted through TCG
 }
 
 // reset starts a new translation unit (one block, or one superblock).
 func (c *txctx) reset() {
 	c.miss.Reset()
 	c.n = 0
+	c.plans, c.bps = c.plans[:0], c.bps[:0]
+	c.used, c.uncovered = c.used[:0], c.uncovered[:0]
+	c.asm.Reset()
+	if c.mapf == nil {
+		c.mapf = c.regs.operand
+		c.g.NewLabel = c.asm.NewLabel
+	}
+}
+
+// plansFor carves n zeroed plans (pathTCG) from the arena. Growing the
+// arena leaves earlier plans in the old array, where their blockPlan
+// still points.
+func (c *txctx) plansFor(n int) []iplan {
+	c.plans = slices.Grow(c.plans, n)
+	c.plans = c.plans[:len(c.plans)+n]
+	p := c.plans[len(c.plans)-n:]
+	clear(p)
+	return p
+}
+
+// own copies scratch into an exact-size slice a tblock may keep (nil
+// when empty, as the appends it replaces left it).
+func own[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// regMap maps guest registers to host registers: bit r of set marks r
+// mapped, to reg[r].
+type regMap struct {
+	set uint16
+	reg [guest.NumRegs]host.Reg
+}
+
+func (m *regMap) get(r guest.Reg) (host.Reg, bool) { return m.reg[r], m.set&(1<<r) != 0 }
+
+func (m *regMap) put(r guest.Reg, h host.Reg) {
+	m.set |= 1 << r
+	m.reg[r] = h
+}
+
+// operand is r's home: its host register if mapped, else its slot.
+func (m *regMap) operand(r guest.Reg) host.Operand {
+	if hr, ok := m.get(r); ok {
+		return host.R(hr)
+	}
+	return host.Mem(host.EBP, env.OffReg(int(r)))
 }
 
 // slot returns the current scratch Binding (growing the arena on first
@@ -201,9 +263,9 @@ type blockPlan struct {
 
 // translate builds the host block for the guest block at pc, fetching
 // code from m (live memory on the demand path, a code snapshot for pool
-// workers). tx holds the per-goroutine translation scratch (miss memo +
-// binding arena). Translation is a pure function of the code bytes and
-// the translator, so concurrent callers produce identical blocks.
+// workers). tx holds the per-goroutine translation scratch. Translation
+// is a pure function of the code bytes and the translator, so concurrent
+// callers produce identical blocks.
 //
 // skip and cur are the guard layer's extension points (nil elsewhere):
 // skip excludes individual rule templates from retrieval (the
@@ -213,7 +275,7 @@ type blockPlan struct {
 // instantiated so a panic inside rule emission can be attributed to
 // the rule that caused it.
 func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*rule.Template) bool, cur **rule.Template) (*tblock, error) {
-	insts, err := fetchBlockIn(m, pc)
+	insts, err := tx.fetchBlock(m, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -224,21 +286,20 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 	// flag delegation.
 	tx.reset()
 	bp := tr.planBlock(insts, tx, skip)
-	mapping := tr.allocRegs(insts)
-	tr.finishPlan(&bp, insts, mapping)
+	tr.allocRegs(insts, &tx.regs)
+	tr.finishPlan(&bp, insts, &tx.regs)
 
 	// Pass 5: emission. Alongside the host code, record the block's rule
 	// provenance (the distinct templates whose code it contains) and
 	// whether its NZCV state stays exact in the CPUState — both feed the
 	// guard layer's shadow verification and blame isolation.
-	a := host.NewAsm()
-	tr.emitPrologue(a, mapping)
-	em, err := tr.emitBody(a, pc, insts, bp.plans, mapping, cur)
+	tr.emitPrologue(tx)
+	em, err := tr.emitBody(tx, pc, insts, bp.plans, cur)
 	if err != nil {
 		return nil, err
 	}
 	covered := em.covered
-	termCovered, err := tr.emitTerminator(a, term, pc+uint32((n-1)*guest.InstBytes), bp.plans, bp.termRule, mapping)
+	termCovered, err := tr.emitTerminator(tx, term, pc+uint32((n-1)*guest.InstBytes), bp.plans, bp.termRule)
 	if err != nil {
 		return nil, fmt.Errorf("terminator %q: %w", term, err)
 	}
@@ -252,7 +313,7 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 			covered++
 		}
 	} else {
-		em.uncovered = append(em.uncovered, term.Op)
+		tx.uncovered = append(tx.uncovered, term.Op)
 		if bp.termRule != nil {
 			// The branch of the matched branch-tail rule could not be
 			// emitted; its body still counted itself.
@@ -263,24 +324,26 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 	// The backend finalizes the complete assembled stream — rule bodies
 	// and TCG-lowered code alike — applying any legalization its encoder
 	// requires before the block becomes executable.
-	hb, err := tr.be.Finalize(a)
+	hb, err := tr.be.Finalize(&tx.asm)
 	if err != nil {
 		return nil, err
 	}
-	hb = tr.finishBlock(hb, []analysis.GuestSeg{{PC: pc, Insts: insts}}, em.flagsExact)
+	hb = tr.finishBlock(hb, []uint32{pc}, [][]guest.Inst{insts}, em.flagsExact)
 
-	return &tblock{
+	rules := own(tx.used)
+	tb := &tblock{
 		hb:         hb,
 		insts:      insts,
 		nGuest:     uint64(n),
 		nCovered:   covered,
 		nSeq:       em.seq,
-		uncovered:  em.uncovered,
-		links:      directLinks(pc, insts),
-		rules:      em.used,
+		uncovered:  own(tx.uncovered),
+		rules:      rules,
 		flagsExact: em.flagsExact,
-		elevated:   tr.elevates(em.used),
-	}, nil
+		elevated:   tr.elevates(rules),
+	}
+	tb.links = directLinks(pc, insts, &tb.linkBuf)
+	return tb, nil
 }
 
 // planBlock is pass 1: choose rule windows greedily (longest match
@@ -288,37 +351,34 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 // terminator when a branch-tail rule (compare-and-branch) matches it.
 func (tr *translator) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.Template) bool) blockPlan {
 	n := len(insts)
-	plans := make([]iplan, n)
-	plans[n-1] = iplan{kind: pathTerm}
+	plans := tx.plansFor(n)
+	plans[n-1].kind = pathTerm
 	bp := blockPlan{plans: plans}
 	if tr.rules == nil {
 		return bp
 	}
 	body := insts[:n-1]
 	for i := 0; i < len(body); {
-		in := body[i]
-		if in.Cond != guest.AL {
-			plans[i] = iplan{kind: pathTCG}
+		if body[i].Cond != guest.AL {
 			i++
 			continue
 		}
 		b := tx.slot()
 		tmpl, l := tr.rules.LookupInto(insts[i:], &tx.miss, skip, b)
 		usable, needsDeleg := tr.ruleUsable(tmpl)
-		if tmpl != nil && usable {
-			tx.keep()
-			plans[i] = iplan{kind: pathRule, tmpl: tmpl, bind: *b, needsDeleg: needsDeleg}
-			for j := 1; j < l; j++ {
-				plans[i+j] = iplan{kind: pathRuleTail}
-			}
-			if tmpl.BranchTail {
-				bp.termRule = &plans[i]
-			}
-			i += l
+		if !usable {
+			i++
 			continue
 		}
-		plans[i] = iplan{kind: pathTCG}
-		i++
+		tx.keep()
+		plans[i] = iplan{kind: pathRule, tmpl: tmpl, bind: *b, needsDeleg: needsDeleg}
+		for j := 1; j < l; j++ {
+			plans[i+j].kind = pathRuleTail
+		}
+		if tmpl.BranchTail {
+			bp.termRule = &plans[i]
+		}
+		i += l
 	}
 	return bp
 }
@@ -328,7 +388,7 @@ func (tr *translator) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.T
 // exceeds the temp pool, then plan condition-flag delegation for the
 // block's terminator branch; rules that required delegation but did
 // not get it fall back to TCG.
-func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping map[guest.Reg]host.Reg) {
+func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping *regMap) {
 	body := insts[:len(insts)-1]
 	plans := bp.plans
 	for i := range body {
@@ -336,7 +396,7 @@ func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping map[
 		if p.kind != pathRule {
 			continue
 		}
-		need := tr.stagingNeed(p.tmpl, p.bind, mapping)
+		need := tr.stagingNeed(p.tmpl, &p.bind, mapping)
 		if body[i].SetsFlags() {
 			need++ // flag materialization needs one free register
 		}
@@ -353,22 +413,20 @@ func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping map[
 }
 
 // emitted aggregates what emitBody produced for one basic block's body
-// (terminator accounting is the caller's, since seams and real
-// terminators differ).
+// besides the txctx's used/uncovered accumulators (terminator
+// accounting is the caller's, since seams and real terminators differ).
 type emitted struct {
 	covered, seq uint64
-	uncovered    []guest.Op
-	used         []*rule.Template
 	flagsExact   bool
 }
 
 // emitBody emits the body (all but the terminator) of one basic block
 // into the shared assembler.
-func (tr *translator) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans []iplan, mapping map[guest.Reg]host.Reg, cur **rule.Template) (emitted, error) {
+func (tr *translator) emitBody(tx *txctx, pc uint32, insts []guest.Inst, plans []iplan, cur **rule.Template) (emitted, error) {
 	em := emitted{flagsExact: true}
 	body := insts[:len(insts)-1]
 	for i := range body {
-		p := plans[i]
+		p := &plans[i]
 		if p.delegated {
 			em.flagsExact = false
 		}
@@ -377,20 +435,13 @@ func (tr *translator) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans
 			if p.tmpl.BranchTail {
 				em.flagsExact = false
 			}
-			seen := false
-			for _, t := range em.used {
-				if t == p.tmpl {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				em.used = append(em.used, p.tmpl)
+			if !slices.Contains(tx.used, p.tmpl) {
+				tx.used = append(tx.used, p.tmpl)
 			}
 			if cur != nil {
 				*cur = p.tmpl
 			}
-			if err := tr.emitRule(a, body[i], p, mapping); err != nil {
+			if err := tr.emitRule(tx, p); err != nil {
 				return em, fmt.Errorf("inst %d %q: %w", i, body[i], err)
 			}
 			if cur != nil {
@@ -405,14 +456,14 @@ func (tr *translator) emitBody(a *host.Asm, pc uint32, insts []guest.Inst, plans
 			// emitted by the head
 		case pathTCG:
 			if tr.opt.ManualABI && manualEmittable(body[i]) {
-				if err := tr.emitManual(a, body[i], mapping); err != nil {
+				if err := tr.emitManual(tx, body[i]); err != nil {
 					return em, fmt.Errorf("inst %d %q: %w", i, body[i], err)
 				}
 				em.covered++
 				continue
 			}
-			em.uncovered = append(em.uncovered, body[i].Op)
-			if err := tr.emitTCG(a, body[i], pc+uint32(i*guest.InstBytes), mapping); err != nil {
+			tx.uncovered = append(tx.uncovered, body[i].Op)
+			if err := tr.emitTCG(tx, body[i], pc+uint32(i*guest.InstBytes)); err != nil {
 				return em, fmt.Errorf("inst %d %q: %w", i, body[i], err)
 			}
 		}
@@ -435,10 +486,10 @@ func (tr *translator) elevates(used []*rule.Template) bool {
 }
 
 // directLinks returns the statically known successor slots of the block
-// at pc: the branch target and — for a conditional branch — the
+// at pc, in buf: the branch target and — for a conditional branch — the
 // fallthrough. Indirect terminators (bx, pop {pc}, mov pc) have no
 // static successors and never chain.
-func directLinks(pc uint32, insts []guest.Inst) []blockLink {
+func directLinks(pc uint32, insts []guest.Inst, buf *[2]blockLink) []blockLink {
 	n := len(insts)
 	term := insts[n-1]
 	termPC := pc + uint32((n-1)*guest.InstBytes)
@@ -447,11 +498,14 @@ func directLinks(pc uint32, insts []guest.Inst) []blockLink {
 	case guest.B:
 		target := fall + uint32(term.Ops[0].Imm)*guest.InstBytes
 		if term.Cond == guest.AL || target == fall {
-			return []blockLink{{target: target}}
+			buf[0] = blockLink{target: target}
+			return buf[:1:1]
 		}
-		return []blockLink{{target: fall}, {target: target}}
+		*buf = [2]blockLink{{target: fall}, {target: target}}
+		return buf[:]
 	case guest.BL:
-		return []blockLink{{target: fall + uint32(term.Ops[0].Imm)*guest.InstBytes}}
+		buf[0] = blockLink{target: fall + uint32(term.Ops[0].Imm)*guest.InstBytes}
+		return buf[:1:1]
 	}
 	return nil
 }
@@ -489,61 +543,52 @@ func demote(plans []iplan, head int) {
 	}
 }
 
-// allocRegs maps the most-used guest registers onto blockRegs.
-func (tr *translator) allocRegs(insts []guest.Inst) map[guest.Reg]host.Reg {
+// allocRegs maps the most-used guest registers onto blockRegs, in
+// order of use count, ties to the lower register.
+func (tr *translator) allocRegs(insts []guest.Inst, m *regMap) {
+	*m = regMap{}
 	if tr.opt.NoBlockRegAlloc {
-		return map[guest.Reg]host.Reg{}
+		return
 	}
 	var counts [guest.NumRegs]int
-	bump := func(r guest.Reg) {
-		if r != guest.PC {
+	var srcs [guest.NumRegs]guest.Reg
+	for i := range insts {
+		if d, ok := insts[i].DstReg(); ok {
+			counts[d]++
+		}
+		for _, r := range insts[i].SrcRegs(srcs[:0]) {
 			counts[r]++
 		}
 	}
-	for _, in := range insts {
-		if d, ok := in.DstReg(); ok {
-			bump(d)
+	counts[guest.PC] = 0
+	for _, hr := range tr.blockRegs {
+		best := 0
+		for r, c := range counts {
+			if c > counts[best] {
+				best = r
+			}
 		}
-		for _, r := range in.SrcRegs(nil) {
-			bump(r)
+		if counts[best] == 0 {
+			return
 		}
+		m.put(guest.Reg(best), hr)
+		counts[best] = 0
 	}
-	type rc struct {
-		r guest.Reg
-		c int
-	}
-	var list []rc
-	for r, c := range counts {
-		if c > 0 {
-			list = append(list, rc{guest.Reg(r), c})
-		}
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].c != list[j].c {
-			return list[i].c > list[j].c
-		}
-		return list[i].r < list[j].r
-	})
-	m := map[guest.Reg]host.Reg{}
-	for i := 0; i < len(list) && i < len(tr.blockRegs); i++ {
-		m[list[i].r] = tr.blockRegs[i]
-	}
-	return m
 }
 
 // stagingNeed counts temp-pool registers a rule application requires:
 // one per distinct unmapped bound guest register plus the template's
 // scratch demand.
-func (tr *translator) stagingNeed(t *rule.Template, b rule.Binding, mapping map[guest.Reg]host.Reg) int {
-	seen := map[guest.Reg]bool{}
+func (tr *translator) stagingNeed(t *rule.Template, b *rule.Binding, mapping *regMap) int {
+	var seen uint32
 	need := t.NScratch
 	for p, k := range t.Params {
 		if k != rule.PReg {
 			continue
 		}
 		r := b.Regs[p]
-		if _, mapped := mapping[r]; !mapped && !seen[r] {
-			seen[r] = true
+		if _, mapped := mapping.get(r); !mapped && seen&(1<<r) == 0 {
+			seen |= 1 << r
 			need++
 		}
 	}
@@ -611,39 +656,39 @@ func (tr *translator) planDelegation(insts []guest.Inst, plans []iplan) {
 }
 
 // emitPrologue loads mapped guest registers from the CPUState.
-func (tr *translator) emitPrologue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
+func (tr *translator) emitPrologue(tx *txctx) {
+	a := &tx.asm
 	a.SetCat(host.CatDataTransfer)
-	for _, gr := range sortedRegs(mapping) {
-		a.Emit(host.I(host.MOVL, host.R(mapping[gr]), host.Mem(host.EBP, env.OffReg(int(gr)))))
+	for gr := guest.Reg(0); gr < guest.NumRegs; gr++ {
+		if hr, ok := tx.regs.get(gr); ok {
+			a.Emit(host.I(host.MOVL, host.R(hr), host.Mem(host.EBP, env.OffReg(int(gr)))))
+		}
 	}
 	a.SetCat(host.CatCompute)
 }
 
-// emitEpilogue stores mapped guest registers back to the CPUState.
-func (tr *translator) emitEpilogue(a *host.Asm, mapping map[guest.Reg]host.Reg) {
+// emitEpilogue stores mapped guest registers back to the CPUState and
+// leaves the category at CatControl for the exit that follows.
+func (tr *translator) emitEpilogue(tx *txctx) {
+	a := &tx.asm
 	a.SetCat(host.CatDataTransfer)
-	for _, gr := range sortedRegs(mapping) {
-		a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(int(gr))), host.R(mapping[gr])))
+	for gr := guest.Reg(0); gr < guest.NumRegs; gr++ {
+		if hr, ok := tx.regs.get(gr); ok {
+			a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(int(gr))), host.R(hr)))
+		}
 	}
 	a.SetCat(host.CatControl)
 }
 
-func sortedRegs(m map[guest.Reg]host.Reg) []guest.Reg {
-	var out []guest.Reg
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // emitRule applies a matched rule: stage unmapped guest registers into
-// temp registers, instantiate the template, materialize flags unless
-// delegated, and write back.
-func (tr *translator) emitRule(a *host.Asm, head guest.Inst, p iplan, mapping map[guest.Reg]host.Reg) error {
-	t, b := p.tmpl, p.bind
+// temp registers, instantiate the template straight into the stream,
+// materialize flags unless delegated, and write back the staged
+// registers the rule writes.
+func (tr *translator) emitRule(tx *txctx, p *iplan) error {
+	a, t, b := &tx.asm, p.tmpl, &p.bind
 
-	free := append([]host.Reg(nil), tr.tempPool...)
+	var pool [host.NumRegs]host.Reg
+	free := append(pool[:0], tr.tempPool...)
 	take := func() (host.Reg, error) {
 		if len(free) == 0 {
 			return 0, fmt.Errorf("temp pool exhausted")
@@ -653,51 +698,40 @@ func (tr *translator) emitRule(a *host.Asm, head guest.Inst, p iplan, mapping ma
 		return r, nil
 	}
 
-	staged := map[guest.Reg]host.Reg{}
+	// view is the block mapping plus this window's staged registers.
+	view, staged := tx.regs, uint32(0)
 	a.SetCat(host.CatDataTransfer)
 	for pi, k := range t.Params {
 		if k != rule.PReg {
 			continue
 		}
 		gr := b.Regs[pi]
-		if _, mapped := mapping[gr]; mapped {
-			continue
-		}
-		if _, done := staged[gr]; done {
-			continue
+		if _, ok := view.get(gr); ok {
+			continue // mapped, or staged for an earlier parameter
 		}
 		hr, err := take()
 		if err != nil {
 			return err
 		}
-		staged[gr] = hr
+		view.put(gr, hr)
+		staged |= 1 << gr
 		a.Emit(host.I(host.MOVL, host.R(hr), host.Mem(host.EBP, env.OffReg(int(gr)))))
 	}
 	a.SetCat(host.CatCompute)
 
-	var scratch []host.Reg
+	var scratch [host.NumRegs]host.Reg
 	for i := 0; i < t.NScratch; i++ {
 		hr, err := take()
 		if err != nil {
 			return err
 		}
-		scratch = append(scratch, hr)
+		scratch[i] = hr
 	}
-
-	regOf := func(r guest.Reg) (host.Reg, bool) {
-		if hr, ok := mapping[r]; ok {
-			return hr, true
-		}
-		if hr, ok := staged[r]; ok {
-			return hr, true
-		}
-		return 0, false
-	}
-	insts, err := rule.InstantiateChecked(t, b, regOf, scratch, tr.be.CheckRuleInst)
+	insts, err := rule.AppendInstantiated(a.Insts(), t, b, view.get, scratch[:t.NScratch], tr.be.CheckRuleInst)
 	if err != nil {
 		return err
 	}
-	a.EmitAll(insts...)
+	a.Extend(insts)
 
 	// Branch-tail rules consume their flags in the terminator's jcc;
 	// everything else materializes unless delegated.
@@ -709,10 +743,20 @@ func (tr *translator) emitRule(a *host.Asm, head guest.Inst, p iplan, mapping ma
 		emitMaterialize(a, t, mr)
 	}
 
-	// Write back unmapped written guest registers.
+	// Write back the staged guest registers the rule writes, each once,
+	// in first-write order.
 	a.SetCat(host.CatDataTransfer)
-	for _, gr := range writtenRegs(t, b) {
-		if hr, ok := staged[gr]; ok {
+	for _, g := range t.Guest {
+		switch g.Op {
+		case guest.CMP, guest.CMN, guest.TST, guest.TEQ, guest.STR, guest.STRB:
+			continue
+		}
+		if len(g.Args) == 0 || g.Args[0].Kind != guest.KindReg {
+			continue
+		}
+		if gr := b.Regs[g.Args[0].Param]; staged&(1<<gr) != 0 {
+			staged &^= 1 << gr
+			hr, _ := view.get(gr)
 			a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(int(gr))), host.R(hr)))
 		}
 	}
@@ -745,52 +789,22 @@ func emitMaterialize(a *host.Asm, t *rule.Template, mr host.Reg) {
 	set(host.E, env.OffZ)
 }
 
-// writtenRegs lists the distinct guest registers the rule writes.
-func writtenRegs(t *rule.Template, b rule.Binding) []guest.Reg {
-	var out []guest.Reg
-	seen := map[guest.Reg]bool{}
-	for _, g := range t.Guest {
-		switch g.Op {
-		case guest.CMP, guest.CMN, guest.TST, guest.TEQ, guest.STR, guest.STRB:
-			continue
-		}
-		if len(g.Args) == 0 || g.Args[0].Kind != guest.KindReg {
-			continue
-		}
-		r := b.Regs[g.Args[0].Param]
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // lowerIR routes one generated IR sequence through the backend's
 // instruction emitter into the shared assembler — the single lowering
 // entry both the TCG fallback and the terminator's condition
-// evaluation use (they previously duplicated the NewGen/regmap/Lower
-// plumbing).
-func (tr *translator) lowerIR(a *host.Asm, g *tcg.Gen, mapping map[guest.Reg]host.Reg) error {
-	return tr.be.Lower(a, g, tr.regmap(mapping), tr.tempPool)
+// evaluation use.
+func (tr *translator) lowerIR(tx *txctx, g *tcg.Gen) error {
+	return tr.be.Lower(&tx.asm, g, tx.mapf, tr.tempPool)
 }
 
 // emitTCG lowers one guest instruction through the TCG pipeline.
-func (tr *translator) emitTCG(a *host.Asm, in guest.Inst, pc uint32, mapping map[guest.Reg]host.Reg) error {
-	g := tcg.NewGen(a.NewLabel)
+func (tr *translator) emitTCG(tx *txctx, in guest.Inst, pc uint32) error {
+	g := &tx.g
+	g.Reset()
 	if err := g.Translate(in, pc); err != nil {
 		return err
 	}
-	return tr.lowerIR(a, g, mapping)
-}
-
-func (tr *translator) regmap(mapping map[guest.Reg]host.Reg) func(guest.Reg) host.Operand {
-	return func(r guest.Reg) host.Operand {
-		if hr, ok := mapping[r]; ok {
-			return host.R(hr)
-		}
-		return host.Mem(host.EBP, env.OffReg(int(r)))
-	}
+	return tr.lowerIR(tx, g)
 }
 
 // emitTerminator ends the block: evaluate the branch, store mapped
@@ -800,9 +814,10 @@ func (tr *translator) regmap(mapping map[guest.Reg]host.Reg) func(guest.Reg) hos
 // branch-tail rule and for a delegated conditional branch — in both
 // cases no emulation code is emitted for it, only the universal exit
 // stubs.
-func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, plans []iplan, termRule *iplan, mapping map[guest.Reg]host.Reg) (bool, error) {
+func (tr *translator) emitTerminator(tx *txctx, term guest.Inst, pc uint32, plans []iplan, termRule *iplan) (bool, error) {
+	a := &tx.asm
 	fall := pc + guest.InstBytes
-	exitImm := func(target uint32) { tr.exitTo(a, target, mapping) }
+	exitImm := func(target uint32) { tr.exitTo(tx, target) }
 
 	switch term.Op {
 	case guest.HLT:
@@ -842,10 +857,11 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 			covered = true
 		default:
 			start := a.Len()
-			g := tcg.NewGen(a.NewLabel)
+			g := &tx.g
+			g.Reset()
 			v := g.EvalCond(term.Cond)
 			g.Insts = append(g.Insts, tcg.Inst{Op: tcg.Brnz, A: v, Label: taken, Dst: -1})
-			if err := tr.lowerIR(a, g, mapping); err != nil {
+			if err := tr.lowerIR(tx, g); err != nil {
 				return false, err
 			}
 			retag(a, start, host.CatControl)
@@ -858,7 +874,7 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 	case guest.BL:
 		target := pc + guest.InstBytes + uint32(term.Ops[0].Imm)*guest.InstBytes
 		a.SetCat(host.CatControl)
-		if hr, ok := mapping[guest.LR]; ok {
+		if hr, ok := tx.regs.get(guest.LR); ok {
 			a.Emit(host.I(host.MOVL, host.R(hr), host.Imm(int32(fall))))
 		} else {
 			a.Emit(host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(int(guest.LR))), host.Imm(int32(fall))))
@@ -869,9 +885,8 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 
 	case guest.BX:
 		r := term.Ops[0].Reg
-		if hr, ok := mapping[r]; ok {
-			tr.emitEpilogue(a, mapping)
-			a.SetCat(host.CatControl)
+		if hr, ok := tx.regs.get(r); ok {
+			tr.emitEpilogue(tx)
 			a.Emit(host.Exit(host.R(hr)))
 			a.SetCat(host.CatCompute)
 			return false, nil
@@ -879,8 +894,7 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 		a.SetCat(host.CatControl)
 		a.Emit(host.I(host.MOVL, host.R(host.EAX), host.Mem(host.EBP, env.OffReg(int(r)))))
 		a.SetCat(host.CatCompute)
-		tr.emitEpilogue(a, mapping)
-		a.SetCat(host.CatControl)
+		tr.emitEpilogue(tx)
 		a.Emit(host.Exit(host.R(host.EAX)))
 		a.SetCat(host.CatCompute)
 		return false, nil
@@ -891,16 +905,16 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 		list := term.Ops[0].List &^ (1 << uint(guest.PC))
 		if list != 0 {
 			sub := guest.NewInst(guest.POP, guest.Operand{Kind: guest.KindRegList, List: list})
-			if err := tr.emitTCG(a, sub, pc, mapping); err != nil {
+			if err := tr.emitTCG(tx, sub, pc); err != nil {
 				return false, err
 			}
 		}
 		bump := guest.NewInst(guest.ADD, guest.RegOp(guest.SP), guest.RegOp(guest.SP), guest.ImmOp(4))
-		if err := tr.emitTCG(a, bump, pc, mapping); err != nil {
+		if err := tr.emitTCG(tx, bump, pc); err != nil {
 			return false, err
 		}
 		a.SetCat(host.CatControl)
-		spOp := tr.regmap(mapping)(guest.SP)
+		spOp := tx.regs.operand(guest.SP)
 		if spOp.Kind == host.KindReg {
 			a.Emit(host.I(host.MOVL, host.R(host.EAX), host.Mem(spOp.Reg, -4)))
 		} else {
@@ -908,8 +922,7 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 			a.Emit(host.I(host.MOVL, host.R(host.EAX), host.Mem(host.EAX, -4)))
 		}
 		a.SetCat(host.CatCompute)
-		tr.emitEpilogue(a, mapping)
-		a.SetCat(host.CatControl)
+		tr.emitEpilogue(tx)
 		a.Emit(host.Exit(host.R(host.EAX)))
 		a.SetCat(host.CatCompute)
 		return false, nil
@@ -918,13 +931,10 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 	// PC-writing data instructions (mov pc, lr style).
 	if d, ok := term.DstReg(); ok && d == guest.PC && term.Op == guest.MOV &&
 		term.Cond == guest.AL && term.Ops[1].Kind == guest.KindReg {
-		src := term.Ops[1].Reg
 		a.SetCat(host.CatControl)
-		srcOp := tr.regmap(mapping)(src)
-		a.Emit(host.I(host.MOVL, host.R(host.EAX), srcOp))
+		a.Emit(host.I(host.MOVL, host.R(host.EAX), tx.regs.operand(term.Ops[1].Reg)))
 		a.SetCat(host.CatCompute)
-		tr.emitEpilogue(a, mapping)
-		a.SetCat(host.CatControl)
+		tr.emitEpilogue(tx)
 		a.Emit(host.Exit(host.R(host.EAX)))
 		a.SetCat(host.CatCompute)
 		return false, nil
@@ -936,11 +946,10 @@ func (tr *translator) emitTerminator(a *host.Asm, term guest.Inst, pc uint32, pl
 // exitTo emits one complete immediate exit path: epilogue (store mapped
 // guest registers) plus the exit_tb carrying the next guest pc (QEMU's
 // goto_tb stub). Shared by block terminators and superblock side exits.
-func (tr *translator) exitTo(a *host.Asm, target uint32, mapping map[guest.Reg]host.Reg) {
-	tr.emitEpilogue(a, mapping)
-	a.SetCat(host.CatControl)
-	a.Emit(host.Exit(host.Imm(int32(target))))
-	a.SetCat(host.CatCompute)
+func (tr *translator) exitTo(tx *txctx, target uint32) {
+	tr.emitEpilogue(tx)
+	tx.asm.Emit(host.Exit(host.Imm(int32(target))))
+	tx.asm.SetCat(host.CatCompute)
 }
 
 // retag rewrites the category of instructions emitted since start.

@@ -3,6 +3,7 @@ package dbt
 import (
 	"paramdbt/internal/analysis"
 	"paramdbt/internal/backend"
+	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 )
 
@@ -25,10 +26,15 @@ import (
 // Validation never fails a translation: a verdict other than proved
 // only suppresses optimization. The unoptimized stream remains covered
 // by the shadow-verification layer, which is what the refuted path's
-// "demonstrably falls back" acceptance criterion leans on.
-func (tr *translator) finishBlock(hb *host.Block, segs []analysis.GuestSeg, flagsExact bool) *host.Block {
+// "demonstrably falls back" acceptance criterion leans on. pcs and
+// blocks are the unit's constituents, one for a basic block.
+func (tr *translator) finishBlock(hb *host.Block, pcs []uint32, blocks [][]guest.Inst, flagsExact bool) *host.Block {
 	if !tr.opt.Peephole && !tr.opt.validateAll {
 		return hb
+	}
+	segs := make([]analysis.GuestSeg, len(pcs))
+	for i := range segs {
+		segs[i] = analysis.GuestSeg{PC: pcs[i], Insts: blocks[i]}
 	}
 	installed := hb
 	if opt, ok := tr.be.(backend.Optimizer); ok && tr.opt.Peephole {

@@ -578,17 +578,24 @@ func (c *CPU) readF(o *Operand) float32     { return math.Float32frombits(c.read
 func (c *CPU) writeF(o *Operand, v float32) { c.write(o, math.Float32bits(v)) }
 
 // Asm is a small emission helper used by all translators: append
-// instructions, allocate and bind labels, and finish into a Block.
+// instructions, allocate and bind labels, and finish into a Block. The
+// zero value is an empty assembler; Reset makes one reusable across
+// blocks without giving up its instruction buffer.
 type Asm struct {
 	insts  []Inst
-	labels map[int]int
+	labels map[int]int // nil until the first Bind
 	next   int
 	cat    Category
 }
 
 // NewAsm returns an empty assembler.
-func NewAsm() *Asm {
-	return &Asm{labels: make(map[int]int)}
+func NewAsm() *Asm { return &Asm{} }
+
+// Reset empties the assembler for the next block, keeping the
+// instruction buffer's capacity. The label map is dropped rather than
+// cleared, because the Block built last still holds it.
+func (a *Asm) Reset() {
+	*a = Asm{insts: a.insts[:0]}
 }
 
 // SetCat sets the category applied to subsequently emitted instructions.
@@ -613,8 +620,24 @@ func (a *Asm) NewLabel() int {
 	return a.next
 }
 
+// Extend installs insts — the stream Insts returned, with instructions
+// appended to it (the append idiom, for emitters that write straight
+// into the buffer) — and tags the appended ones with the current
+// category.
+func (a *Asm) Extend(insts []Inst) {
+	for i := len(a.insts); i < len(insts); i++ {
+		insts[i].Cat = a.cat
+	}
+	a.insts = insts
+}
+
 // Bind binds a label to the next emitted instruction.
-func (a *Asm) Bind(label int) { a.labels[label] = len(a.insts) }
+func (a *Asm) Bind(label int) {
+	if a.labels == nil {
+		a.labels = make(map[int]int)
+	}
+	a.labels[label] = len(a.insts)
+}
 
 // Len reports the number of instructions emitted so far.
 func (a *Asm) Len() int { return len(a.insts) }
@@ -637,5 +660,11 @@ func (a *Asm) SetProgram(insts []Inst, labels map[int]int) {
 	a.labels = labels
 }
 
-// Block finalizes into an executable block.
-func (a *Asm) Block() *Block { return NewBlock(a.insts, a.labels) }
+// Block finalizes into an executable block. The block gets its own
+// exact-size copy of the stream, so the assembler may be Reset and
+// reused.
+func (a *Asm) Block() *Block {
+	insts := make([]Inst, len(a.insts))
+	copy(insts, a.insts)
+	return NewBlock(insts, a.labels)
+}

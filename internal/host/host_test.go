@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -260,6 +261,45 @@ func TestAsmLabels(t *testing.T) {
 	}
 	if c.Executed[CatControl] != 1 {
 		t.Fatalf("control count = %d", c.Executed[CatControl])
+	}
+}
+
+// TestAsmReuse: a Reset assembler starts like a fresh one (label ids,
+// category, no label map) but keeps its buffer, and the blocks it built
+// earlier own their instructions and labels, so reuse never reaches
+// them. Extend tags what an emitter appended straight into the buffer.
+func TestAsmReuse(t *testing.T) {
+	a := NewAsm()
+	emit := func(n int32) *Block {
+		a.Reset()
+		l := a.NewLabel()
+		a.Emit(I(MOVL, R(EAX), Imm(n)))
+		a.SetCat(CatControl)
+		a.Bind(l)
+		a.Emit(Exit(Imm(n)))
+		return a.Block()
+	}
+	first := emit(1)
+	want := first.Listing()
+	second := emit(2)
+	if first.Listing() != want || fmt.Sprint(first.Labels()) != "map[1:1]" {
+		t.Fatalf("reuse changed an earlier block:\n%s\nlabels %v", first.Listing(), first.Labels())
+	}
+	if second.Insts[0].Src.Imm != 2 || second.Insts[0].Cat != CatCompute || fmt.Sprint(second.Labels()) != "map[1:1]" {
+		t.Fatalf("reset assembler did not start fresh:\n%s\nlabels %v", second.Listing(), second.Labels())
+	}
+	if cap(first.Insts) != len(first.Insts) {
+		t.Fatalf("block stream has cap %d for %d instructions", cap(first.Insts), len(first.Insts))
+	}
+
+	a.Reset()
+	if a.Emit(Exit(Imm(0))); a.Block().Labels() != nil {
+		t.Fatal("a block that binds no label got a label map")
+	}
+	a.SetCat(CatDataTransfer)
+	a.Extend(append(a.Insts(), I(MOVL, R(EAX), Imm(7)), I(MOVL, R(ECX), Imm(8))))
+	if got := a.Insts(); len(got) != 3 || got[0].Cat != CatCompute || got[1].Cat != CatDataTransfer || got[2].Cat != CatDataTransfer {
+		t.Fatalf("Extend: %v", got)
 	}
 }
 

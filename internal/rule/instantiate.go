@@ -23,55 +23,23 @@ func Instantiate(t *Template, b Binding, regOf func(guest.Reg) (host.Reg, bool),
 // that block instead of reaching the encoder. A nil check behaves
 // exactly like Instantiate.
 func InstantiateChecked(t *Template, b Binding, regOf func(guest.Reg) (host.Reg, bool), scratch []host.Reg, check func(host.Inst) error) ([]host.Inst, error) {
+	return AppendInstantiated(make([]host.Inst, 0, len(t.Host)), t, &b, regOf, scratch, check)
+}
+
+// AppendInstantiated is InstantiateChecked appending to out — the
+// translator instantiates straight into its assembler's stream — and
+// returning the extended slice. On error it returns nil; whatever it
+// wrote past len(out) is garbage.
+func AppendInstantiated(out []host.Inst, t *Template, b *Binding, regOf func(guest.Reg) (host.Reg, bool), scratch []host.Reg, check func(host.Inst) error) ([]host.Inst, error) {
 	if len(scratch) < t.NScratch {
 		return nil, fmt.Errorf("rule: need %d scratch registers, have %d", t.NScratch, len(scratch))
 	}
-	operand := func(a Arg) (host.Operand, error) {
-		switch a.Kind {
-		case guest.KindNone:
-			return host.Operand{}, nil
-		case guest.KindReg:
-			if a.Scratch >= 0 {
-				return host.R(scratch[a.Scratch]), nil
-			}
-			h, ok := regOf(b.Regs[a.Param])
-			if !ok {
-				return host.Operand{}, fmt.Errorf("rule: guest %v not register-resident", b.Regs[a.Param])
-			}
-			return host.R(h), nil
-		case guest.KindImm:
-			if a.Param >= 0 {
-				return host.Imm(b.Imms[a.Param]), nil
-			}
-			return host.Imm(a.Fixed), nil
-		case guest.KindMem:
-			base, ok := regOf(b.Regs[a.BaseParam])
-			if !ok {
-				return host.Operand{}, fmt.Errorf("rule: guest base %v not register-resident", b.Regs[a.BaseParam])
-			}
-			if a.HasIdx {
-				idx, ok := regOf(b.Regs[a.IdxParam])
-				if !ok {
-					return host.Operand{}, fmt.Errorf("rule: guest index %v not register-resident", b.Regs[a.IdxParam])
-				}
-				return host.MemIdx(base, idx, 1, 0), nil
-			}
-			disp := a.Disp
-			if a.DispParam >= 0 {
-				disp = b.Imms[a.DispParam]
-			}
-			return host.Mem(base, disp), nil
-		}
-		return host.Operand{}, fmt.Errorf("rule: bad slot kind %v", a.Kind)
-	}
-
-	out := make([]host.Inst, 0, len(t.Host))
 	for _, p := range t.Host {
-		dst, err := operand(p.Dst)
+		dst, err := instOperand(p.Dst, b, regOf, scratch)
 		if err != nil {
 			return nil, err
 		}
-		src, err := operand(p.Src)
+		src, err := instOperand(p.Src, b, regOf, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -87,6 +55,46 @@ func InstantiateChecked(t *Template, b Binding, regOf func(guest.Reg) (host.Reg,
 		metInstantiations.Inc()
 	}
 	return out, nil
+}
+
+// instOperand instantiates one host-pattern slot under b.
+func instOperand(a Arg, b *Binding, regOf func(guest.Reg) (host.Reg, bool), scratch []host.Reg) (host.Operand, error) {
+	switch a.Kind {
+	case guest.KindNone:
+		return host.Operand{}, nil
+	case guest.KindReg:
+		if a.Scratch >= 0 {
+			return host.R(scratch[a.Scratch]), nil
+		}
+		h, ok := regOf(b.Regs[a.Param])
+		if !ok {
+			return host.Operand{}, fmt.Errorf("rule: guest %v not register-resident", b.Regs[a.Param])
+		}
+		return host.R(h), nil
+	case guest.KindImm:
+		if a.Param >= 0 {
+			return host.Imm(b.Imms[a.Param]), nil
+		}
+		return host.Imm(a.Fixed), nil
+	case guest.KindMem:
+		base, ok := regOf(b.Regs[a.BaseParam])
+		if !ok {
+			return host.Operand{}, fmt.Errorf("rule: guest base %v not register-resident", b.Regs[a.BaseParam])
+		}
+		if a.HasIdx {
+			idx, ok := regOf(b.Regs[a.IdxParam])
+			if !ok {
+				return host.Operand{}, fmt.Errorf("rule: guest index %v not register-resident", b.Regs[a.IdxParam])
+			}
+			return host.MemIdx(base, idx, 1, 0), nil
+		}
+		disp := a.Disp
+		if a.DispParam >= 0 {
+			disp = b.Imms[a.DispParam]
+		}
+		return host.Mem(base, disp), nil
+	}
+	return host.Operand{}, fmt.Errorf("rule: bad slot kind %v", a.Kind)
 }
 
 // verifyRegs is the canonical parameter-to-register assignment used when

@@ -1,6 +1,7 @@
 package rule
 
 import (
+	"fmt"
 	"testing"
 
 	"paramdbt/internal/guest"
@@ -313,5 +314,45 @@ func TestCountByOrigin(t *testing.T) {
 	}
 	if s.GroupCount() != 1 {
 		t.Fatalf("GroupCount = %d", s.GroupCount())
+	}
+}
+
+var sinkInsts []host.Inst
+
+// TestInstantiateAllocations pins the instantiate path: the translator's
+// AppendInstantiated writes into a buffer it already has and allocates
+// nothing, and InstantiateChecked — which the benchmark's direct drive
+// times — allocates exactly its result (a wrapper that let the Binding
+// escape would add one, and nearly double the drive's ns per hit).
+func TestInstantiateAllocations(t *testing.T) {
+	tm := add3Template()
+	b := Binding{Regs: make([]guest.Reg, len(tm.Params)), Imms: make([]int32, len(tm.Params))}
+	for p := range tm.Params {
+		b.Regs[p] = guest.Reg(p)
+	}
+	regOf := func(r guest.Reg) (host.Reg, bool) { return host.Reg(r), true }
+	scratch := []host.Reg{host.EDI, host.ESI}
+	check := func(host.Inst) error { return nil }
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if sinkInsts, err = InstantiateChecked(tm, b, regOf, scratch, check); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("InstantiateChecked allocates %v times, want 1", n)
+	}
+	buf := make([]host.Inst, 0, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if sinkInsts, err = AppendInstantiated(buf, tm, &b, regOf, scratch, check); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendInstantiated into a large enough buffer allocates %v times, want 0", n)
+	}
+	want, _ := InstantiateChecked(tm, b, regOf, scratch, check)
+	got, _ := AppendInstantiated(buf[:0], tm, &b, regOf, scratch, check)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("AppendInstantiated = %v, InstantiateChecked = %v", got, want)
 	}
 }

@@ -163,6 +163,13 @@ func NewGen(newLabel func() int) *Gen {
 	return &Gen{NewLabel: newLabel}
 }
 
+// Reset empties the generator for the next instruction, keeping its
+// buffer and its label source.
+func (g *Gen) Reset() {
+	g.Insts = g.Insts[:0]
+	g.nextTemp = 0
+}
+
 // Temp allocates a fresh temp.
 func (g *Gen) Temp() int {
 	t := g.nextTemp
