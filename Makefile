@@ -132,15 +132,18 @@ test-serve:
 # (they share the host side's frame evaluation, pinned by
 # TestHStateFrame), the rewrite validator's mutants and its
 # differential over every candidate the twelve profiles produce, and
-# the engine's peephole and validation tests — functionally and under
-# the race detector — then the offline audit of the installed streams
-# with the rewrite verdicts reported apart, failing on any refutation.
+# the engine's peephole tests and the read path the audit walks
+# (TestValidateTranslations) — functionally and under the race
+# detector — then the offline audit of the installed streams on both
+# backends, risc with the rewrite verdicts reported apart, failing on
+# any refutation.
 test-validate:
 	$(GO) test -count=1 -run 'TestHStateFrame' ./internal/symexec
 	$(GO) test -count=1 -run 'TestValidate' ./internal/analysis
 	$(GO) test -count=1 -run 'TestPeephole|TestValidat' ./internal/dbt
 	$(GO) test -race -count=1 -run 'TestValidate' ./internal/analysis
 	$(GO) test -race -count=1 -run 'TestPeephole|TestValidat' ./internal/dbt
+	$(GO) run ./cmd/codeaudit -backend x86 -summary -fail-refuted
 	$(GO) run ./cmd/codeaudit -backend risc -peephole -summary -fail-refuted
 
 # Ten seconds of the host simulator's differential fuzzer: random

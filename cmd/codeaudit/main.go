@@ -1,9 +1,10 @@
 // Command codeaudit runs translation validation over every block the
-// workload suite translates: each benchmark executes under the engine
-// with Config.Validate="all", and every finalized host block (and
-// superblock) is symbolically checked against the guest reference
-// semantics by internal/analysis.ValidateBlock. The result is one JSON
-// report with a verdict per block:
+// workload suite translates: each benchmark executes under the engine,
+// then every host block (and superblock) the run installed is
+// symbolically checked against the guest reference semantics by
+// internal/analysis.ValidateBlock, offline (exp.Audit over
+// Engine.Translations). The result is one JSON report with a verdict
+// per block:
 //
 //	proved        every execution-path pair decided equivalent (the
 //	              report names the proof: structural, abstract, sweep)
@@ -22,9 +23,14 @@
 // With -peephole (risc), every peephole candidate also gets a rewrite
 // verdict — analysis.ValidateRewrite, the optimized stream against the
 // finalized one, which is what licenses the candidate's install — and
-// the guest verdicts then cover the streams actually installed. Rewrite
-// verdicts carry "obligation": "rewrite" in the JSON and are counted in
-// their own "rewrites" block, apart from the guest-vs-host counts.
+// the guest verdicts then cover the streams the engine would install.
+// Rewrite verdicts carry "obligation": "rewrite" in the JSON and are
+// counted in their own "rewrites" block, apart from the guest-vs-host
+// counts.
+//
+// Within each bench, blocks are listed in ascending head pc, a
+// candidate's rewrite verdict just before its guest verdict, so two
+// audits of one build emit byte-identical JSON.
 package main
 
 import (
@@ -109,25 +115,18 @@ func main() {
 		rep.Rewrites = &tally{ByProof: map[string]int{}}
 	}
 	for _, bench := range corpus.Names {
-		bb := benchBlocks{Bench: bench}
-		cfg := dbt.Config{
-			Rules:         full,
-			DelegateFlags: true,
-			Backend:       be,
-			Validate:      "all",
-			Peephole:      *peephole,
-			ValidateHook: func(r *analysis.BlockReport) {
-				bb.Blocks = append(bb.Blocks, r)
-				if r.Obligation == analysis.ObligationRewrite {
-					rep.Rewrites.add(r)
-				} else {
-					rep.add(r)
-				}
-			},
-		}
-		if _, err := corpus.Run(bench, cfg); err != nil {
+		e, _, err := corpus.RunEngine(bench, dbt.Config{Rules: full, DelegateFlags: true, Backend: be})
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "codeaudit: %s: %v\n", bench, err)
 			os.Exit(1)
+		}
+		bb := benchBlocks{Bench: bench, Blocks: exp.Audit(e, be, *peephole)}
+		for _, r := range bb.Blocks {
+			if r.Obligation == analysis.ObligationRewrite {
+				rep.Rewrites.add(r)
+			} else {
+				rep.add(r)
+			}
 		}
 		rep.Benches = append(rep.Benches, bb)
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"paramdbt/internal/backend"
-	"paramdbt/internal/dbt"
 	"paramdbt/internal/exp"
 )
 
@@ -37,15 +36,7 @@ func main() {
 	jsonPath := flag.String("json", "", "also write the selected sections as a JSON report to this file (\"-\" = stdout, text tables suppressed)")
 	beName := flag.String("backend", "", "host backend for all engine runs (default: $"+backend.EnvVar+" or x86); one of "+strings.Join(backend.Names(), ","))
 	artifactDir := flag.String("artifact-dir", "", "directory for the warmstart section's artifact store (default: a fresh temporary directory; an already-populated store would make the cold pass warm)")
-	validate := flag.String("validate", "", "translation-validation mode for all engine runs: off, optimized, or all (see dbt.Config.Validate)")
-	peephole := flag.Bool("peephole", false, "enable the rewrite-validated peephole optimizer for all engine runs")
 	flag.Parse()
-
-	if _, err := dbt.ParseValidate(*validate); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	be := backend.Default()
 	if *beName != "" {
@@ -73,8 +64,6 @@ func main() {
 		os.Exit(1)
 	}
 	corpus.Backend = be
-	corpus.Validate = *validate
-	corpus.Peephole = *peephole
 
 	report := &exp.Report{
 		Schema:  exp.ReportSchema,

@@ -140,15 +140,7 @@ func main() {
 	beName := flag.String("backend", "", "host backend to translate for (default: $"+backend.EnvVar+" or x86); one of "+strings.Join(backend.Names(), ","))
 	artifactDir := flag.String("artifact-dir", "", "warm-start artifact store: reuse a previously published rule pack instead of re-deriving, restore the code cache from a prior run of the same guest, and publish both back on a clean halt (see docs/PERSISTENCE.md)")
 	peephole := flag.Bool("peephole", false, "enable the backend's post-Finalize peephole optimizer; the optimized stream is installed only when it is proved equivalent to the unoptimized one (see docs/ANALYSIS.md)")
-	validate := flag.String("validate", "", "translation validation: \"optimized\" proves only peephole candidates against the stream they rewrote (the default when -peephole is set), \"all\" also proves every installed translation against its guest block, \"off\" disables")
 	flag.Parse()
-
-	validateAll, err := dbt.ParseValidate(*validate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	be := backend.Default()
 	if *beName != "" {
@@ -276,7 +268,6 @@ func main() {
 	cfg.SyncTraces = *syncTraces
 	cfg.ShadowRate = *shadowRate
 	cfg.Peephole = *peephole
-	cfg.Validate = *validate
 
 	if *quarFile != "" {
 		if cfg.Rules == nil {
@@ -372,7 +363,7 @@ func main() {
 	if cfg.Rules != nil {
 		fmt.Printf("rule table size    %d\n", cfg.Rules.Len())
 	}
-	if cfg.Peephole || validateAll {
+	if cfg.Peephole {
 		fmt.Printf("blocks validated   %d\n", st.BlocksValidated)
 		fmt.Printf("validate fallbacks %d\n", st.ValidateFallbacks)
 	}

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,13 +35,14 @@ func (r *peepholeRecorder) OptimizeBlock(b *host.Block) (*host.Block, backend.Op
 	return ob, st, err
 }
 
-// peepholeCase is one validated peephole candidate: the stream pair,
-// the engine's rewrite verdict, and the guest verdict (Validate:"all")
-// of the stream the engine then installed.
+// peepholeCase is one peephole candidate: the stream pair, its rewrite
+// verdict (ValidateRewrite over the pair), the stream the engine
+// installed for that unit, and that stream's guest verdict.
 type peepholeCase struct {
 	bench         string
 	before, after *host.Block
 	rewrite       *analysis.BlockReport
+	installed     *host.Block
 	guest         *analysis.BlockReport
 }
 
@@ -51,7 +53,7 @@ var (
 )
 
 // recordPeephole runs the twelve workload profiles on risc with the
-// peephole and full validation, once per test binary.
+// peephole, once per test binary, and validates what they produced.
 func recordPeephole(tb testing.TB) []peepholeCase {
 	tb.Helper()
 	peepholeOnce.Do(func() { peepholeCases, peepholeErr = buildPeepholeCases() })
@@ -70,53 +72,61 @@ func buildPeepholeCases() ([]peepholeCase, error) {
 	var cases []peepholeCase
 	for _, name := range c.Names {
 		rec := &peepholeRecorder{Backend: backend.MustLookup("risc")}
-		var reports [][2]*analysis.BlockReport
-		var pending *analysis.BlockReport
-		var hookErr error
-		cfg := dbt.Config{
-			Rules: full, DelegateFlags: true, Backend: rec, Peephole: true, Validate: "all",
-			ValidateHook: func(rep *analysis.BlockReport) {
-				switch {
-				case rep.Obligation == analysis.ObligationRewrite:
-					pending = rep
-				case pending != nil:
-					// The guest verdict that follows a rewrite verdict is
-					// the installed stream's.
-					if rep.PC != pending.PC && hookErr == nil {
-						hookErr = fmt.Errorf("%s: rewrite report at %#x followed by guest report at %#x", name, pending.PC, rep.PC)
-					}
-					reports = append(reports, [2]*analysis.BlockReport{pending, rep})
-					pending = nil
-				}
-			},
-		}
-		if _, err := c.Run(name, cfg); err != nil {
+		e, r, err := c.RunEngine(name, dbt.Config{Rules: full, DelegateFlags: true, Backend: rec, Peephole: true})
+		if err != nil {
 			return nil, err
 		}
-		if hookErr != nil {
-			return nil, hookErr
+		if n := r.Stats.BlocksValidated + r.Stats.ValidateFallbacks; n != uint64(len(rec.pairs)) {
+			return nil, fmt.Errorf("%s: %d recorded rewrites, %d engine verdicts", name, len(rec.pairs), n)
 		}
-		if len(reports) != len(rec.pairs) {
-			return nil, fmt.Errorf("%s: %d recorded rewrites, %d rewrite reports", name, len(rec.pairs), len(reports))
+		ts := e.Translations()
+		proved := uint64(0)
+		for _, p := range rec.pairs {
+			rep := analysis.ValidateRewrite(p[0], p[1])
+			if rep.Verdict == analysis.VerdictProved {
+				proved++
+			}
+			// The unit the candidate came from holds one of its two
+			// streams, whichever the engine installed.
+			var unit *dbt.Translation
+			for i := range ts {
+				if slices.Equal(ts[i].Host.Insts, p[0].Insts) || slices.Equal(ts[i].Host.Insts, p[1].Insts) {
+					unit = &ts[i]
+					break
+				}
+			}
+			if unit == nil {
+				return nil, fmt.Errorf("%s: no installed unit holds either stream of a candidate", name)
+			}
+			rep.PC = unit.Segs[0].PC
+			opts := analysis.ValidateOpts{CheckFlags: unit.FlagsExact, HaltPC: dbt.HaltPC}
+			cases = append(cases, peepholeCase{bench: name, before: p[0], after: p[1], rewrite: rep,
+				installed: unit.Host, guest: analysis.ValidateBlock(unit.Segs, unit.Host, opts)})
 		}
-		for i, p := range rec.pairs {
-			cases = append(cases, peepholeCase{bench: name, before: p[0], after: p[1], rewrite: reports[i][0], guest: reports[i][1]})
+		if proved != r.Stats.BlocksValidated {
+			return nil, fmt.Errorf("%s: %d rewrites proved offline, engine installed %d", name, proved, r.Stats.BlocksValidated)
 		}
 	}
 	return cases, nil
 }
 
-// TestValidateRewriteDifferential checks the rewrite verdicts the
-// engine reached on every risc block the twelve profiles translate with
-// the peephole against two other authorities: the guest-vs-host
-// validator on the optimized stream must never refute a proved rewrite,
-// and both streams of every proved rewrite must leave the same
-// guest-visible state on host CPUs from random images.
+// TestValidateRewriteDifferential checks the rewrite verdicts on every
+// peephole candidate the twelve risc profiles produce against three
+// other authorities: the engine installed the optimized stream exactly
+// for the proved candidates, the guest-vs-host validator on the
+// installed stream never refutes a proved rewrite, and both streams of
+// every proved rewrite leave the same guest-visible state on host CPUs
+// from random images.
 func TestValidateRewriteDifferential(t *testing.T) {
 	cases := recordPeephole(t)
 	proved := 0
 	for i, pc := range cases {
-		if pc.rewrite.Verdict != analysis.VerdictProved {
+		ok := pc.rewrite.Verdict == analysis.VerdictProved
+		if slices.Equal(pc.installed.Insts, pc.after.Insts) != ok {
+			t.Errorf("%s pc=%#x: rewrite %s, but the engine installed the %d-instruction stream (optimized %d, finalized %d)",
+				pc.bench, pc.rewrite.PC, pc.rewrite.Verdict, len(pc.installed.Insts), len(pc.after.Insts), len(pc.before.Insts))
+		}
+		if !ok {
 			continue
 		}
 		proved++

@@ -34,8 +34,10 @@
 package dbt
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"paramdbt/internal/analysis"
@@ -58,11 +60,11 @@ const HaltPC = 0xffffffff
 const maxBlockInsts = 512
 
 // Config selects the translation strategy; the experiment harness builds
-// one Engine per paper configuration. Rules, Backend and the six codegen
-// knobs (DelegateFlags, FlagWindow, NoBlockRegAlloc, ManualABI, Peephole,
-// Validate — see codegenOptions) are everything translation output
-// depends on besides the guest code bytes, and what a shared Service
-// compares at attach; every other field is per-engine policy.
+// one Engine per paper configuration. Rules, Backend and the five codegen
+// knobs (DelegateFlags, FlagWindow, NoBlockRegAlloc, ManualABI, Peephole —
+// see codegenOptions) are everything translation output depends on
+// besides the guest code bytes, and what a shared Service compares at
+// attach; every other field is per-engine policy.
 type Config struct {
 	// Rules is the rule store (nil for the pure-QEMU baseline).
 	Rules *rule.Store
@@ -236,22 +238,6 @@ type Config struct {
 	// dbt.validate_fallbacks. See docs/ANALYSIS.md "Licensing the
 	// peephole".
 	Peephole bool
-	// Validate selects translation-validation coverage: "", "off" and
-	// "optimized" are three spellings of "validate nothing beyond what
-	// Peephole requires", and "all" also validates every installed
-	// translation (blocks and superblocks, optimized or not) against its
-	// guest block, recording per-verdict analysis.validate_* counters —
-	// the offline audit cmd/codeaudit and the experiments harness'
-	// -validate mode run. Any other value is a programming error New
-	// panics on (see ParseValidate; the CLIs reject it as a usage error
-	// first).
-	Validate string
-	// ValidateHook, when non-nil, observes every translation-validation
-	// report the engine produces: peephole candidates' rewrite verdicts
-	// (BlockReport.Obligation "rewrite") and Validate:"all" installs'
-	// guest verdicts alike. cmd/codeaudit uses it to build its per-block
-	// report; it must not retain the host block beyond the call.
-	ValidateHook func(rep *analysis.BlockReport)
 }
 
 // Stats is a snapshot of the evaluation metrics. The live counts are
@@ -299,13 +285,11 @@ type Stats struct {
 	SMCSelfAborts    uint64
 	SBBuilderPanics  uint64
 
-	// Translation-validation counters (zero unless Config.Peephole or
-	// Config.Validate is set), one per validation report.
-	// BlocksValidated counts the proved ones: peephole candidates the
-	// rewrite proof licensed, and with Validate:"all" installed streams
-	// proved against their guest block. ValidateFallbacks counts the
-	// rest (inconclusive or refuted) — for a peephole candidate that
-	// means the engine kept the finalized stream.
+	// Translation-validation counters (zero unless Config.Peephole is
+	// set), one per peephole candidate. BlocksValidated counts the
+	// candidates the rewrite proof licensed (the optimized stream was
+	// installed), ValidateFallbacks the rest (inconclusive or refuted:
+	// the engine kept the finalized stream).
 	BlocksValidated   uint64
 	ValidateFallbacks uint64
 
@@ -1121,6 +1105,43 @@ func (e *Engine) Invalidate(pc uint32) bool {
 
 // CachedBlocks reports the number of translations currently cached.
 func (e *Engine) CachedBlocks() int { return e.cache.size() }
+
+// Translation is one installed unit of the code cache as the offline
+// audit reads it: what the translator was given and what it produced.
+type Translation struct {
+	// Segs are the unit's guest constituents, head first: one for a
+	// basic block, every trace block for a superblock.
+	Segs []analysis.GuestSeg
+	// Host is the installed host stream.
+	Host *host.Block
+	// FlagsExact reports that the stream keeps the CPUState NZCV words
+	// exact at every exit (never for a superblock), so a guest-vs-host
+	// check may compare them.
+	FlagsExact bool
+}
+
+// Translations lists every cached unit, sorted by head pc — the one
+// read path over what the engine installed (internal/exp.Audit proves
+// each against its guest block offline). Every field it reads is
+// immutable once a unit is cached, so a call during Run is race-free and
+// sees a point-in-time view per cache shard.
+func (e *Engine) Translations() []Translation {
+	var out []Translation
+	e.cache.each(func(pc uint32, tb *tblock) {
+		t := Translation{Host: tb.hb, FlagsExact: tb.flagsExact}
+		if tb.sb == nil {
+			t.Segs = []analysis.GuestSeg{{PC: pc, Insts: tb.insts}}
+		} else {
+			t.Segs = make([]analysis.GuestSeg, len(tb.sb.pcs))
+			for i, spc := range tb.sb.pcs {
+				t.Segs[i] = analysis.GuestSeg{PC: spc, Insts: tb.sb.insts[i]}
+			}
+		}
+		out = append(out, t)
+	})
+	slices.SortFunc(out, func(a, b Translation) int { return cmp.Compare(a.Segs[0].PC, b.Segs[0].PC) })
+	return out
+}
 
 // BlockListing translates (or fetches from cache) the block at pc and
 // returns its annotated host listing alongside the guest disassembly —

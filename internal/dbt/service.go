@@ -76,7 +76,7 @@ var (
 )
 
 // ServiceConfig configures a shared translation service. The
-// translation-shape fields (DelegateFlags … Validate) mirror Config:
+// translation-shape fields (DelegateFlags … Peephole) mirror Config:
 // a tenant engine attaches only when its own values resolve to the same
 // codegen options, because the prototypes the service hands out were
 // emitted under these knobs.
@@ -92,7 +92,6 @@ type ServiceConfig struct {
 	NoBlockRegAlloc bool
 	ManualABI       bool
 	Peephole        bool
-	Validate        string
 
 	// Workers is the number of translation worker goroutines (default
 	// 4). Negative means zero workers — nothing drains the queues; only
@@ -202,7 +201,7 @@ func NewService(cfg ServiceConfig) *Service {
 		reg = obs.NewRegistry()
 	}
 	// Exactly what ServiceConfig carries: no fault plan or per-engine
-	// observer (ValidateHook, ShadowElevate) reaches a shared prototype.
+	// observer (ShadowElevate) reaches a shared prototype.
 	tc := Config{
 		Rules:           cfg.Rules,
 		Backend:         cfg.Backend,
@@ -211,7 +210,6 @@ func NewService(cfg ServiceConfig) *Service {
 		NoBlockRegAlloc: cfg.NoBlockRegAlloc,
 		ManualABI:       cfg.ManualABI,
 		Peephole:        cfg.Peephole,
-		Validate:        cfg.Validate,
 	}
 	return &Service{
 		tr:       newTranslator(&tc, reg.Counter(MetBlocksValidated), reg.Counter(MetValidateFallbacks)),

@@ -339,7 +339,6 @@ func TestServiceIncompatibleTenant(t *testing.T) {
 		{"NoBlockRegAlloc", with(func(c *Config) { c.NoBlockRegAlloc = true })},
 		{"ManualABI", with(func(c *Config) { c.ManualABI = true })},
 		{"Peephole", with(func(c *Config) { c.Peephole = true })},
-		{"Validate all", with(func(c *Config) { c.Validate = "all" })},
 		{"different store", with(func(c *Config) { c.Rules = serveRules(t) })},
 		{"fault plan", with(func(c *Config) { c.Faults = faultinject.New(faultinject.Plan{}) })},
 	}
@@ -358,13 +357,11 @@ func TestServiceIncompatibleTenant(t *testing.T) {
 	}
 
 	accepted := []Config{
-		with(func(c *Config) { c.Validate = "off" }),
-		with(func(c *Config) { c.Validate = "optimized" }),
 		with(func(c *Config) { c.FlagWindow = 3 }), // the default, spelled out
 	}
 	for i, cfg := range accepted {
 		if e := startEngine(t, c, cfg); e.svc == nil {
-			t.Fatalf("equivalent spelling %d (Validate %q, FlagWindow %d) refused", i, cfg.Validate, cfg.FlagWindow)
+			t.Fatalf("equivalent spelling %d (FlagWindow %d) refused", i, cfg.FlagWindow)
 		}
 	}
 }
@@ -380,7 +377,6 @@ func TestConfigFieldsClassified(t *testing.T) {
 	for i := 0; i < ot.NumField(); i++ {
 		knobs[ot.Field(i).Name] = true
 	}
-	renamed := map[string]string{"Validate": "validateAll"} // enum resolved to a bool
 	identity := map[string]bool{"Rules": true, "Backend": true}
 	perEngine := map[string]bool{
 		"TranslateWorkers": true, "NoChain": true, "HotThreshold": true, "TraceMaxBlocks": true,
@@ -388,17 +384,13 @@ func TestConfigFieldsClassified(t *testing.T) {
 		"ShadowRate": true, "ShadowFirstN": true, "ShadowSeed": true, "ShadowElevatedRate": true,
 		"ShadowElevate": true, "AdaptiveShadow": true, "ShadowMinRate": true, "ShadowHalfLife": true,
 		"Service": true, "ArtifactDir": true, "InterpFallback": true, "Faults": true,
-		"NoWriteTrack": true, "ValidateHook": true,
+		"NoWriteTrack": true,
 	}
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {
 		name := ct.Field(i).Name
-		knob := name
-		if r, ok := renamed[name]; ok {
-			knob = r
-		}
 		classes := 0
-		for _, in := range []bool{knobs[knob], identity[name], perEngine[name]} {
+		for _, in := range []bool{knobs[name], identity[name], perEngine[name]} {
 			if in {
 				classes++
 			}
@@ -407,18 +399,16 @@ func TestConfigFieldsClassified(t *testing.T) {
 			t.Errorf("Config.%s is in %d classes, want exactly 1: add it to codegenOptions (and codegenOf) if it changes translation output, else to the per-engine list", name, classes)
 			continue
 		}
-		if !knobs[knob] {
+		if !knobs[name] {
 			continue
 		}
-		delete(knobs, knob)
+		delete(knobs, name)
 		var cfg Config
 		switch f := reflect.ValueOf(&cfg).Elem().Field(i); f.Kind() {
 		case reflect.Bool:
 			f.SetBool(true)
 		case reflect.Int:
 			f.SetInt(7)
-		case reflect.String:
-			f.SetString("all")
 		default:
 			t.Fatalf("Config.%s: unhandled knob kind %s", name, f.Kind())
 		}
@@ -431,29 +421,34 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 }
 
-// TestServiceValidationCountersVisible: the validator verdicts of
+// TestServiceValidationCountersVisible: the rewrite verdicts of
 // service-translated prototypes must land on the Service's registry (the
-// one /metrics serves), not on a registry nothing reads. With Validate
-// "all" every prototype gets a verdict, so the two counters together
-// account for every service translation.
+// one /metrics serves), not on the tenant's registry: the tenant counts
+// verdicts only for blocks it translated locally after an overload.
 func TestServiceValidationCountersVisible(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
 	par := serveRules(t)
-	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true, Validate: "all"})
-	e := startTenant(t, c, svc, Config{Validate: "all"})
+	risc := backend.MustLookup("risc")
+	svc := NewService(ServiceConfig{Rules: par, Backend: risc, DelegateFlags: true, Peephole: true})
+	e := startTenant(t, c, svc, Config{Backend: risc, Peephole: true})
 	if e.svc == nil {
 		t.Fatal("tenant did not attach")
 	}
-	if _, err := e.Run(env.CodeBase, 100_000_000); err != nil {
+	tst, err := e.Run(env.CodeBase, 100_000_000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, want, e.GuestState(), "validated tenant")
 	svc.Close() // speculation settled: the counters are final
 	st, reg := svc.Stats(), svc.Metrics()
 	verdicts := reg.Counter(MetBlocksValidated).Value() + reg.Counter(MetValidateFallbacks).Value()
-	if total := st.Translations + st.SpecTranslations; verdicts == 0 || verdicts < total {
-		t.Fatalf("service registry shows %d validator verdicts for %d translations", verdicts, total)
+	if verdicts == 0 {
+		t.Fatalf("service registry shows no validator verdicts for %d translations", st.Translations+st.SpecTranslations)
+	}
+	if st.Overloads == 0 && tst.BlocksValidated+tst.ValidateFallbacks != 0 {
+		t.Fatalf("tenant registry shows %d validator verdicts with no local fallback translation",
+			tst.BlocksValidated+tst.ValidateFallbacks)
 	}
 }
 

@@ -480,9 +480,7 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 	if err != nil {
 		return nil, err
 	}
-	// Superblocks delegate/elide flags across seams by design, so the
-	// NZCV words are never exact at exits: validate everything else.
-	hb = tr.finishBlock(hb, pcs, blocks, false)
+	hb = tr.finishBlock(hb)
 
 	used := own(tx.used)
 	return &tblock{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"paramdbt/internal/analysis"
 	"paramdbt/internal/backend"
 	"paramdbt/internal/core"
 	"paramdbt/internal/env"
@@ -28,46 +27,24 @@ type codegenOptions struct {
 	NoBlockRegAlloc bool
 	ManualABI       bool
 	Peephole        bool
-	validateAll     bool // Config.Validate, resolved by ParseValidate
 }
 
 // codegenOf is the one place the codegen knobs are read off a Config
-// (the FlagWindow default applied, the Validate enum resolved). A
-// Config field that changes translation output must be copied here — and
+// (the FlagWindow default applied). A Config field that changes translation output must be copied here — and
 // so into the attach comparison — or classified per-engine in
 // TestConfigFieldsClassified.
 func codegenOf(c *Config) codegenOptions {
-	all, err := ParseValidate(c.Validate)
-	if err != nil {
-		panic(err)
-	}
 	o := codegenOptions{
 		DelegateFlags:   c.DelegateFlags,
 		FlagWindow:      c.FlagWindow,
 		NoBlockRegAlloc: c.NoBlockRegAlloc,
 		ManualABI:       c.ManualABI,
 		Peephole:        c.Peephole,
-		validateAll:     all,
 	}
 	if o.FlagWindow == 0 {
 		o.FlagWindow = 3
 	}
 	return o
-}
-
-// ParseValidate resolves a Config.Validate spelling: "", "off" and
-// "optimized" all mean "validate only what Peephole requires" (false),
-// "all" validates every finalized translation (true). Anything else is
-// an error — the CLIs report it as a usage error, New panics on it — so
-// a typo can no longer silently mean off.
-func ParseValidate(mode string) (all bool, err error) {
-	switch mode {
-	case "", "off", "optimized":
-		return false, nil
-	case "all":
-		return true, nil
-	}
-	return false, fmt.Errorf("dbt: unknown Validate mode %q (want off, optimized or all)", mode)
 }
 
 // translator is the paper's pipeline — rule lookup, instantiate, TCG
@@ -89,15 +66,14 @@ type translator struct {
 	tempPool  []host.Reg
 
 	// Observers of the translation, none of which changes what is emitted
-	// for a healthy rule store: the validator's verdict counters (on the
-	// owner's registry), Config.ValidateHook, Config.ShadowElevate, and
-	// the fault injector's optimized-stream mutation (the adversarial
-	// hook the validator-rejects-broken-peephole tests use).
-	validated    *obs.Counter
-	fallbacks    *obs.Counter
-	validateHook func(*analysis.BlockReport)
-	elevate      func(*rule.Template) bool
-	mutateOpt    func(*host.Block) *host.Block
+	// for a healthy rule store: the rewrite validator's verdict counters
+	// (on the owner's registry), Config.ShadowElevate, and the fault
+	// injector's optimized-stream mutation (the adversarial hook the
+	// validator-rejects-broken-peephole tests use).
+	validated *obs.Counter
+	fallbacks *obs.Counter
+	elevate   func(*rule.Template) bool
+	mutateOpt func(*host.Block) *host.Block
 }
 
 // translatorID is everything translation output depends on besides the
@@ -127,10 +103,9 @@ func newTranslator(c *Config, validated, fallbacks *obs.Counter) *translator {
 	tr := &translator{
 		translatorID: translatorID{rules: c.Rules, backend: be.ID(), opt: codegenOf(c)},
 		be:           be, blockRegs: be.BlockRegs(), tempPool: be.TempPool(),
-		validated:    validated,
-		fallbacks:    fallbacks,
-		validateHook: c.ValidateHook,
-		elevate:      c.ShadowElevate,
+		validated: validated,
+		fallbacks: fallbacks,
+		elevate:   c.ShadowElevate,
 	}
 	if f, ok := c.Faults.(interface {
 		MutateOptimized(*host.Block) *host.Block
@@ -328,7 +303,7 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 	if err != nil {
 		return nil, err
 	}
-	hb = tr.finishBlock(hb, []uint32{pc}, [][]guest.Inst{insts}, em.flagsExact)
+	hb = tr.finishBlock(hb)
 
 	rules := own(tx.used)
 	tb := &tblock{

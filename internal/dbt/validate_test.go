@@ -76,38 +76,73 @@ func TestPeepholeInstallsNoFewer(t *testing.T) {
 	t.Logf("installed %d, fell back %d, %d host instructions", st.BlocksValidated, st.ValidateFallbacks, e.CPU.Total())
 }
 
-// TestValidateAllVerdicts runs both backends at Validate:"all" and
-// checks every report reaching the hook is stamped and every verdict
-// accounted: proved reports match dbt.blocks_validated, nothing is
-// refuted, and the guest result is untouched by validation.
-func TestValidateAllVerdicts(t *testing.T) {
-	c := compileT(t, testProgram())
+// TestValidateTranslations checks the read path the offline audit
+// walks, on both backends, with basic blocks only and with synchronous
+// superblock formation: Translations lists exactly the cached units in
+// ascending head-pc order, a superblock contributes every constituent
+// and never claims exact flags, the units prove against their guest
+// blocks with none refuted, and the guest result matches the
+// interpreter's.
+func TestValidateTranslations(t *testing.T) {
+	c := compileT(t, hotProgram())
 	want := interpret(t, c)
-	_, rules := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
+	_, rules := learnRules(t, hotProgram(), core.Config{Opcode: true, AddrMode: true})
 	for _, bn := range []string{"x86", "risc"} {
-		var proved, other uint64
-		cfg := Config{Rules: rules, DelegateFlags: true,
-			Backend: backend.MustLookup(bn), Validate: "all",
-			ValidateHook: func(rep *analysis.BlockReport) {
-				if rep.Backend != bn {
-					t.Errorf("report backend %q, want %q", rep.Backend, bn)
+		for _, arm := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"blocks", Config{}},
+			{"superblocks", Config{HotThreshold: 4, SyncTraces: true}},
+		} {
+			what := bn + "/" + arm.name
+			cfg := arm.cfg
+			cfg.Rules, cfg.DelegateFlags, cfg.Backend = rules, true, backend.MustLookup(bn)
+			e, _ := runEngine(t, c, cfg)
+			ts := e.Translations()
+			sameResult(t, want, e.GuestState(), what)
+			if len(ts) == 0 || len(ts) != e.CachedBlocks() {
+				t.Fatalf("%s: %d translations listed, %d cached", what, len(ts), e.CachedBlocks())
+			}
+			superblocks, proved := 0, 0
+			for i, tr := range ts {
+				head := tr.Segs[0].PC
+				if i > 0 && ts[i-1].Segs[0].PC >= head {
+					t.Fatalf("%s: head pc %#x listed after %#x", what, head, ts[i-1].Segs[0].PC)
 				}
-				if rep.Verdict == analysis.VerdictProved {
-					proved++
-				} else {
-					other++
-					if rep.Verdict == analysis.VerdictRefuted {
-						t.Errorf("%s: refuted block at pc=%#x: %s", bn, rep.PC, rep.Reason)
+				tb, ok := e.cache.get(head)
+				if !ok || tb.hb != tr.Host {
+					t.Fatalf("%s: pc=%#x: listed stream is not the cached one", what, head)
+				}
+				if tb.sb != nil {
+					superblocks++
+					if tr.FlagsExact || len(tr.Segs) != len(tb.sb.pcs) {
+						t.Fatalf("%s: superblock pc=%#x listed with %d of %d constituents, flagsExact %v",
+							what, head, len(tr.Segs), len(tb.sb.pcs), tr.FlagsExact)
 					}
+					for k, seg := range tr.Segs {
+						if seg.PC != tb.sb.pcs[k] || len(seg.Insts) != len(tb.sb.insts[k]) {
+							t.Fatalf("%s: superblock pc=%#x constituent %d is %#x, want %#x", what, head, k, seg.PC, tb.sb.pcs[k])
+						}
+					}
+				} else if len(tr.Segs) != 1 || tr.FlagsExact != tb.flagsExact {
+					t.Fatalf("%s: block pc=%#x listed with %d segments, flagsExact %v", what, head, len(tr.Segs), tr.FlagsExact)
 				}
-			}}
-		got, st := runProgram(t, c, cfg)
-		sameResult(t, want, got, bn+"/validate-all")
-		if proved == 0 || st.BlocksValidated != proved {
-			t.Fatalf("%s: hook saw %d proved, stats %d", bn, proved, st.BlocksValidated)
-		}
-		if st.ValidateFallbacks != other {
-			t.Fatalf("%s: hook saw %d non-proved, stats %d fallbacks", bn, other, st.ValidateFallbacks)
+				rep := analysis.ValidateBlock(tr.Segs, tr.Host, analysis.ValidateOpts{CheckFlags: tr.FlagsExact, HaltPC: HaltPC})
+				switch rep.Verdict {
+				case analysis.VerdictProved:
+					proved++
+				case analysis.VerdictRefuted:
+					t.Errorf("%s: refuted unit at pc=%#x: %s", what, head, rep.Reason)
+				}
+			}
+			if arm.cfg.HotThreshold > 0 && superblocks == 0 {
+				t.Fatalf("%s: no superblock formed: the constituent check exercised nothing", what)
+			}
+			if proved == 0 {
+				t.Fatalf("%s: no unit proved", what)
+			}
+			t.Logf("%s: %d of %d units proved, %d superblocks", what, proved, len(ts), superblocks)
 		}
 	}
 }
@@ -155,15 +190,9 @@ func TestValidatorRejectsBrokenPeephole(t *testing.T) {
 	want := interpret(t, c)
 	_, rules := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
 	faults := &optFaults{}
-	var proved uint64
 	cfg := Config{Rules: rules, DelegateFlags: true,
 		Backend:  backend.MustLookup("risc"),
-		Peephole: true, ShadowRate: 1, Faults: faults,
-		ValidateHook: func(rep *analysis.BlockReport) {
-			if rep.Verdict == analysis.VerdictProved {
-				proved++
-			}
-		}}
+		Peephole: true, ShadowRate: 1, Faults: faults}
 	got, st := runProgram(t, c, cfg)
 	sameResult(t, want, got, "broken-peephole")
 	if faults.mutated == 0 {
@@ -171,9 +200,6 @@ func TestValidatorRejectsBrokenPeephole(t *testing.T) {
 	}
 	if st.ValidateFallbacks == 0 {
 		t.Fatal("validator rejected no corrupted stream")
-	}
-	if st.BlocksValidated != proved {
-		t.Fatalf("stats installed %d, hook proved %d", st.BlocksValidated, proved)
 	}
 	if st.Divergences != 0 {
 		t.Fatalf("a corrupted stream escaped the validator: %d divergences", st.Divergences)

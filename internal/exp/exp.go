@@ -36,12 +36,6 @@ type Corpus struct {
 	// the per-run Config names one explicitly — it lets cmd/experiments
 	// route the whole suite through one backend with a single flag.
 	Backend backend.Backend
-	// Validate and Peephole, like Backend, are suite-wide defaults a
-	// per-run Config can override: cmd/experiments -validate/-peephole
-	// route every engine through translation validation and/or the
-	// validator-licensed peephole pass.
-	Validate string
-	Peephole bool
 }
 
 // BuildCorpus compiles and learns every benchmark once. scale sets the
@@ -104,19 +98,20 @@ type RunResult struct {
 
 // Run executes a benchmark under the given DBT configuration.
 func (c *Corpus) Run(name string, cfg dbt.Config) (RunResult, error) {
+	_, r, err := c.RunEngine(name, cfg)
+	return r, err
+}
+
+// RunEngine is Run that also returns the halted engine, for callers that
+// read what it installed (Engine.Translations; see Audit).
+func (c *Corpus) RunEngine(name string, cfg dbt.Config) (*dbt.Engine, RunResult, error) {
 	if cfg.Backend == nil {
 		cfg.Backend = c.Backend
-	}
-	if cfg.Validate == "" {
-		cfg.Validate = c.Validate
-	}
-	if !cfg.Peephole {
-		cfg.Peephole = c.Peephole
 	}
 	comp := c.Comp[name]
 	m := mem.New()
 	if _, err := comp.LoadGuest(m); err != nil {
-		return RunResult{}, err
+		return nil, RunResult{}, err
 	}
 	e := dbt.New(m, cfg)
 	init := &guest.State{Mem: m}
@@ -124,9 +119,9 @@ func (c *Corpus) Run(name string, cfg dbt.Config) (RunResult, error) {
 	e.SetGuestState(init)
 	st, err := e.Run(env.CodeBase, 4_000_000_000)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("%s: %w", name, err)
+		return nil, RunResult{}, fmt.Errorf("%s: %w", name, err)
 	}
-	return RunResult{Stats: st, Executed: e.CPU.Executed, Total: e.CPU.Total(),
+	return e, RunResult{Stats: st, Executed: e.CPU.Executed, Total: e.CPU.Total(),
 		R0: e.GuestState().R[guest.R0], Warm: e.WarmStats()}, nil
 }
 

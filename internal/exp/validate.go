@@ -10,17 +10,18 @@ import (
 	"paramdbt/internal/dbt"
 )
 
-// The translation-validation experiment runs the workload suite with
-// Config.Validate="all" under each backend, so every finalized block
-// (and superblock) is symbolically proved equivalent to its guest
-// semantics, and measures what the validator-licensed peephole
-// optimizer buys: the risc legalizer's host-instructions-per-guest-
-// instruction overhead with and without optimization. The acceptance
+// The translation-validation experiment runs the workload suite under
+// each backend and audits every installed translation offline (Audit),
+// so every finalized block (and superblock) is symbolically proved
+// equivalent to its guest semantics, and measures what the
+// validator-licensed peephole optimizer buys: the risc legalizer's
+// host-instructions-per-guest-instruction overhead with and without
+// optimization. The acceptance
 // invariants are a prove rate at or above 95% per backend and zero
 // refuted verdicts — a refutation would mean the translator emitted
 // wrong code and the validator caught it escaping.
 
-// ValidateRow is one benchmark under one backend at -validate all.
+// ValidateRow is one benchmark's audit under one backend.
 type ValidateRow struct {
 	Bench     string  `json:"bench"`
 	Blocks    uint64  `json:"blocks"`    // validations attempted
@@ -48,11 +49,44 @@ type ValidateSection struct {
 	Backends []ValidateResults `json:"backends"`
 }
 
-// ValidateExperiment runs every benchmark under each named backend with
-// full translation validation, counting per-verdict outcomes through
-// Config.ValidateHook (engine-local, independent of the obs switch),
-// then reruns the suite with the peephole optimizer enabled to measure
-// the translation-quality ratio it licenses.
+// Audit is the offline guest-vs-host translation validation: it proves
+// every unit e installed (Engine.Translations, in head-pc order) against
+// its guest block with analysis.ValidateBlock and returns the reports,
+// stamped with be's name and the unit's head pc. e must have run with
+// Peephole off, so each stream is the finalized one. With peephole,
+// Audit first replays the engine's install decision — be's
+// backend.Optimizer, then analysis.ValidateRewrite, the optimized stream
+// replacing the finalized one only when that proves — and the unit's
+// rewrite report precedes its guest report. Both validators sweep from
+// fixed seeds, so a rewrite verdict here is the one the engine reached
+// when it translated the unit with Peephole on.
+func Audit(e *dbt.Engine, be backend.Backend, peephole bool) []*analysis.BlockReport {
+	opt, _ := be.(backend.Optimizer)
+	var reps []*analysis.BlockReport
+	stamp := func(rep *analysis.BlockReport, pc uint32) *analysis.BlockReport {
+		rep.Backend, rep.PC = be.Name(), pc
+		reps = append(reps, rep)
+		return rep
+	}
+	for _, t := range e.Translations() {
+		pc, installed := t.Segs[0].PC, t.Host
+		if opt != nil && peephole {
+			if ob, st, err := opt.OptimizeBlock(t.Host); err == nil && st.Deleted() > 0 {
+				if stamp(analysis.ValidateRewrite(t.Host, ob), pc).Verdict == analysis.VerdictProved {
+					installed = ob
+				}
+			}
+		}
+		opts := analysis.ValidateOpts{CheckFlags: t.FlagsExact, HaltPC: dbt.HaltPC}
+		stamp(analysis.ValidateBlock(t.Segs, installed, opts), pc)
+	}
+	return reps
+}
+
+// ValidateExperiment runs every benchmark under each named backend and
+// audits what each run installed, counting per-verdict outcomes, then
+// reruns the suite with the peephole optimizer enabled to measure the
+// translation-quality ratio it licenses.
 func ValidateExperiment(c *Corpus, names []string) (*ValidateSection, error) {
 	sec := &ValidateSection{}
 	full, _ := core.Parameterize(c.Union(c.Names), core.Config{Opcode: true, AddrMode: true})
@@ -64,26 +98,20 @@ func ValidateExperiment(c *Corpus, names []string) (*ValidateSection, error) {
 		res := ValidateResults{Backend: be.Name()}
 		var baseHost, baseGuest, peepHost, peepGuest uint64
 		for _, bench := range c.Names {
-			row := ValidateRow{Bench: bench}
-			cfg := dbt.Config{
-				Rules:         full,
-				DelegateFlags: true,
-				Backend:       be,
-				Validate:      "all",
-				ValidateHook: func(rep *analysis.BlockReport) {
-					switch rep.Verdict {
-					case analysis.VerdictProved:
-						row.Proved++
-					case analysis.VerdictRefuted:
-						row.Refuted++
-					default:
-						row.Fallbacks++
-					}
-				},
-			}
-			r, err := c.Run(bench, cfg)
+			e, r, err := c.RunEngine(bench, dbt.Config{Rules: full, DelegateFlags: true, Backend: be})
 			if err != nil {
 				return nil, fmt.Errorf("validate %s: %w", be.Name(), err)
+			}
+			row := ValidateRow{Bench: bench}
+			for _, rep := range Audit(e, be, false) {
+				switch rep.Verdict {
+				case analysis.VerdictProved:
+					row.Proved++
+				case analysis.VerdictRefuted:
+					row.Refuted++
+				default:
+					row.Fallbacks++
+				}
 			}
 			baseHost += r.Total
 			baseGuest += r.Stats.GuestExec
@@ -125,7 +153,7 @@ func ValidateExperiment(c *Corpus, names []string) (*ValidateSection, error) {
 // RenderValidate formats the validation matrix.
 func RenderValidate(s *ValidateSection) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "translation validation (-validate all, union-trained rules)\n")
+	fmt.Fprintf(&b, "translation validation (offline audit of every installed translation, union-trained rules)\n")
 	for _, r := range s.Backends {
 		fmt.Fprintf(&b, "%-6s\n", r.Backend)
 		fmt.Fprintf(&b, "  %-12s %7s %7s %10s %8s %10s\n",
