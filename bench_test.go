@@ -338,9 +338,10 @@ func BenchmarkRuleLookup(b *testing.B) {
 }
 
 // BenchmarkLookupKey measures the allocation-free retrieval-key paths:
-// fingerprint computation over a block-sized window, a memoized-miss
-// lookup, and a hit lookup. The key and miss paths must report
-// 0 allocs/op — retrieval runs once per window position per block.
+// fingerprint computation over a block-sized window, a hit lookup, and
+// a miss that ends at the first prefix. All three report 0 allocs/op
+// (TestLookupIntoAllocs pins the lookups) — retrieval runs once per
+// window position per block.
 func BenchmarkLookupKey(b *testing.B) {
 	c := getCorpus(b)
 	full, _ := core.Parameterize(c.Union(c.Names), core.Config{Opcode: true, AddrMode: true})
@@ -375,25 +376,20 @@ func BenchmarkLookupKey(b *testing.B) {
 	})
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
-		var miss rule.MissSet
-		miss.Reset()
 		var bind rule.Binding
-		full.LookupInto(hit, &miss, nil, &bind) // warm the scratch binding
+		full.LookupInto(hit, nil, nil, &bind) // warm the scratch binding
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if t, _ := full.LookupInto(hit, &miss, nil, &bind); t == nil {
+			if t, _ := full.LookupInto(hit, nil, nil, &bind); t == nil {
 				b.Fatal("lookup failed")
 			}
 		}
 	})
-	b.Run("miss-memoized", func(b *testing.B) {
+	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
-		var miss rule.MissSet
-		miss.Reset()
-		full.LookupCached(missSeq, &miss) // pre-populate the memo
-		b.ResetTimer()
+		var bind rule.Binding
 		for i := 0; i < b.N; i++ {
-			if t, _, _ := full.LookupCached(missSeq, &miss); t != nil {
+			if t, _ := full.LookupInto(missSeq, nil, nil, &bind); t != nil {
 				b.Fatal("miss sequence matched")
 			}
 		}

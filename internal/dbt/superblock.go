@@ -389,8 +389,6 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 	// so the whole trace is one txctx reset (one translation unit).
 	tx.reset()
 	tx.fetch = tx.fetch[:0]
-	// Window fingerprints are position-independent, so the miss memo
-	// carries usefully across constituents within the unit.
 	for _, insts := range blocks {
 		tx.fetch = append(tx.fetch, insts...)
 		tx.bps = append(tx.bps, tr.planBlock(insts, tx, nil))

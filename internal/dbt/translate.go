@@ -95,9 +95,8 @@ func newTranslator(c *Config, validated, fallbacks *obs.Counter) *translator {
 		be = backend.Default()
 	}
 	if c.Rules != nil {
-		// Rekey retrieval fingerprints (and hence every MissSet memo)
-		// into the backend's namespace; quarantine state is
-		// backend-neutral and survives the rekey.
+		// Rekey retrieval fingerprints into the backend's namespace;
+		// quarantine state is backend-neutral and survives the rekey.
 		c.Rules.SetBackendID(be.ID())
 	}
 	tr := &translator{
@@ -148,7 +147,6 @@ type iplan struct {
 // goroutine (Engine.tx); every pool worker and blame-isolation trial
 // carries its own. Do not copy a used txctx: g and mapf hold its address.
 type txctx struct {
-	miss  rule.MissSet   // lookup windows with no candidates
 	binds []rule.Binding // one slot per accepted rule window
 	n     int            // slots in use
 
@@ -165,7 +163,6 @@ type txctx struct {
 
 // reset starts a new translation unit (one block, or one superblock).
 func (c *txctx) reset() {
-	c.miss.Reset()
 	c.n = 0
 	c.plans, c.bps = c.plans[:0], c.bps[:0]
 	c.used, c.uncovered = c.used[:0], c.uncovered[:0]
@@ -339,7 +336,7 @@ func (tr *translator) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.T
 			continue
 		}
 		b := tx.slot()
-		tmpl, l := tr.rules.LookupInto(insts[i:], &tx.miss, skip, b)
+		tmpl, l := tr.rules.LookupInto(insts[i:], nil, skip, b)
 		usable, needsDeleg := tr.ruleUsable(tmpl)
 		if !usable {
 			i++

@@ -4,16 +4,14 @@ import "paramdbt/internal/guest"
 
 // Rule-retrieval keys. The runtime hash lookup of §IV-D abstracts a
 // guest instruction window down to opcode, S bit and operand kinds
-// (including the memory sub-mode); the original implementation built a
-// string per candidate window on every lookup, which dominated the
-// allocation profile of block translation. The hot path now uses a
-// 64-bit FNV-1a fingerprint computed without allocation; the string form
-// (Key) survives only for Dump, debugging and serialization.
+// (including the memory sub-mode), as a 64-bit FNV-1a fingerprint
+// computed without allocation.
 //
 // The fingerprint is prefix-extendable: hashing window [0:l] equals
-// extending the hash of window [0:l-1] with instruction l-1, so Lookup
-// derives the keys of every candidate window length in one pass over
-// the longest window.
+// extending the hash of window [0:l-1] with instruction l-1. The store
+// indexes every prefix of every template key, so a lookup extends the
+// window one instruction at a time and stops at the first fingerprint
+// no template key starts with.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -49,11 +47,10 @@ func kindTok(k guest.OperandKind, hasIdx bool) byte {
 const KeyFpSeed = uint64(fnvOffset64)
 
 // KeyFpSeedFor returns the empty-window fingerprint seed for a host
-// backend id, namespacing every retrieval key (and the MissSet memo
-// derived from them) per backend: a table or cache warmed under one
-// backend can never alias a lookup made under another. Backend 0 keeps
-// the historical KeyFpSeed so existing fingerprints, benchmarks and
-// serialized dumps stay byte-identical.
+// backend id, namespacing every retrieval key per backend: a table or
+// cache warmed under one backend can never alias a lookup made under
+// another. Backend 0 keeps the historical KeyFpSeed so existing
+// fingerprints, benchmarks and serialized dumps stay byte-identical.
 func KeyFpSeedFor(bid uint8) uint64 {
 	if bid == 0 {
 		return KeyFpSeed
@@ -78,10 +75,11 @@ func ExtendKeyFp(h uint64, in guest.Inst) uint64 {
 	return fnvByte(h, ';')
 }
 
-// KeyFp fingerprints a guest instruction window. Two windows with equal
-// string Keys have equal fingerprints; collisions between distinct keys
-// are possible in principle but benign, because Match re-validates every
-// candidate against the concrete window.
+// KeyFp fingerprints a guest instruction window. Windows with the same
+// key shape have equal fingerprints; a collision between distinct
+// shapes would be benign, because Match re-validates every candidate
+// against the concrete window (and the shipped table is tested to have
+// none).
 func KeyFp(seq []guest.Inst) uint64 {
 	h := KeyFpSeed
 	for _, in := range seq {
@@ -90,13 +88,12 @@ func KeyFp(seq []guest.Inst) uint64 {
 	return h
 }
 
-// patKeyFp fingerprints a template's guest pattern with exactly the
-// token sequence KeyFp produces for the instructions it can match, so a
-// template is stored under the fingerprint of its windows.
-func patKeyFp(t *Template) uint64 { return patKeyFpSeed(t, KeyFpSeed) }
-
-// patKeyFpSeed is patKeyFp from an explicit (per-backend) seed.
-func patKeyFpSeed(t *Template, seed uint64) uint64 {
+// patKeyFps fingerprints every prefix of a template's key from a
+// (per-backend) seed, shortest first, with exactly the token sequence
+// ExtendKeyFp produces for the instructions the template can match: the
+// last fingerprint is the one the template is stored under.
+func patKeyFps(t *Template, seed uint64) []uint64 {
+	fps := make([]uint64, 0, t.GuestLen())
 	h := seed
 	for _, p := range t.Guest {
 		h = fnvByte(h, byte(p.Op))
@@ -107,6 +104,7 @@ func patKeyFpSeed(t *Template, seed uint64) uint64 {
 			h = fnvByte(h, kindTok(a.Kind, a.HasIdx))
 		}
 		h = fnvByte(h, ';')
+		fps = append(fps, h)
 	}
 	if t.BranchTail {
 		// The concrete tail is `b<cond> #imm`.
@@ -114,36 +112,14 @@ func patKeyFpSeed(t *Template, seed uint64) uint64 {
 		h = fnvByte(h, 0x80|byte(t.GCond))
 		h = fnvByte(h, 'i')
 		h = fnvByte(h, ';')
+		fps = append(fps, h)
 	}
-	return h
+	return fps
 }
 
-// MissSet memoizes window fingerprints known to have no candidate
-// templates at all. Whether a key's candidate list is empty depends only
-// on the key, so misses recorded for one window apply to every other
-// window with the same shape — the translator resets one MissSet per
-// block and skips repeated dead lookups within it. The zero value
-// memoizes nothing until Reset is called.
-type MissSet struct {
-	m map[uint64]struct{}
-}
+// MissSet is retired: lookups walk the prefix-closed index instead of
+// memoizing misses. It stays, empty, only while bench/ compiles against it.
+type MissSet struct{}
 
-// Reset clears the set (allocating the backing map on first use).
-func (s *MissSet) Reset() {
-	if s.m == nil {
-		s.m = make(map[uint64]struct{}, 64)
-		return
-	}
-	clear(s.m)
-}
-
-func (s *MissSet) has(fp uint64) bool {
-	_, ok := s.m[fp]
-	return ok
-}
-
-func (s *MissSet) add(fp uint64) {
-	if s.m != nil {
-		s.m[fp] = struct{}{}
-	}
-}
+// Reset does nothing; it stays only while bench/ calls it.
+func (*MissSet) Reset() {}

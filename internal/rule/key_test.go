@@ -1,6 +1,7 @@
 package rule
 
 import (
+	"sync"
 	"testing"
 
 	"paramdbt/internal/guest"
@@ -115,8 +116,9 @@ func TestKeyFpPrefixExtension(t *testing.T) {
 }
 
 // TestPatKeyFpMatchesConcreteWindows requires every template to be
-// stored under exactly the fingerprint of the windows it matches — the
-// invariant that makes fingerprint retrieval complete.
+// stored under exactly the fingerprint of the windows it matches, and
+// every prefix of its key to fingerprint like the same prefix of those
+// windows — the invariants that make the prefix walk complete.
 func TestPatKeyFpMatchesConcreteWindows(t *testing.T) {
 	prog := guest.MustAssemble(keyTestProg)
 	templates := keyTestTemplates()
@@ -132,11 +134,14 @@ func TestPatKeyFpMatchesConcreteWindows(t *testing.T) {
 				continue
 			}
 			hits++
-			if KeyFp(w) != patKeyFp(tm) {
-				t.Fatalf("template %q matches %q but patKeyFp != KeyFp", tm, Key(w))
+			fps := patKeyFps(tm, KeyFpSeed)
+			if len(fps) != l {
+				t.Fatalf("template %q: %d prefix fingerprints, want %d", tm, len(fps), l)
 			}
-			if Key(w) != patKey(tm) {
-				t.Fatalf("template %q matches %q but patKey %q != Key", tm, Key(w), patKey(tm))
+			for k := range fps {
+				if KeyFp(w[:k+1]) != fps[k] {
+					t.Fatalf("template %q matches %q but its length-%d prefix fingerprint differs", tm, Key(w), k+1)
+				}
 			}
 		}
 	}
@@ -146,9 +151,9 @@ func TestPatKeyFpMatchesConcreteWindows(t *testing.T) {
 }
 
 // TestLookupCompleteness cross-checks fingerprint retrieval against a
-// brute-force scan of every template: Lookup must find a match with the
-// same window length whenever any template matches, with and without
-// the per-block miss memo.
+// brute-force scan of every template, an oracle independent of the
+// index: a lookup must find a match with the same window length
+// whenever any template matches.
 func TestLookupCompleteness(t *testing.T) {
 	s := NewStore()
 	templates := keyTestTemplates()
@@ -158,8 +163,6 @@ func TestLookupCompleteness(t *testing.T) {
 		}
 	}
 	prog := guest.MustAssemble(keyTestProg)
-	var miss MissSet
-	miss.Reset()
 	found := 0
 	for i := range prog {
 		seq := prog[i:]
@@ -174,12 +177,8 @@ func TestLookupCompleteness(t *testing.T) {
 			}
 		}
 		tm, _, l := s.Lookup(seq)
-		tmc, _, lc := s.LookupCached(seq, &miss)
-		if l != want || lc != want {
-			t.Fatalf("at %d: Lookup len %d, cached %d, brute force %d", i, l, lc, want)
-		}
-		if (tm == nil) != (want == 0) || (tmc == nil) != (want == 0) {
-			t.Fatalf("at %d: template presence disagrees with brute force", i)
+		if l != want || (tm == nil) != (want == 0) {
+			t.Fatalf("at %d: Lookup (%v, %d), brute force length %d", i, tm, l, want)
 		}
 		if want > 0 {
 			found++
@@ -188,4 +187,91 @@ func TestLookupCompleteness(t *testing.T) {
 	if found == 0 {
 		t.Fatal("no window matched; test program is broken")
 	}
+}
+
+// TestLookupIntoAllocs pins retrieval at zero allocations on a warm
+// Binding: a hit, a miss at the first prefix, and a deep miss whose walk
+// reaches a full-length key and runs its candidate through the matcher.
+func TestLookupIntoAllocs(t *testing.T) {
+	s := NewStore()
+	for _, tm := range keyTestTemplates() {
+		s.Add(tm)
+	}
+	for _, c := range []struct {
+		name, src string
+		hit       bool
+	}{
+		{"hit", "eor r6, r1, r2\norr r6, r6, r1", true},
+		{"first-prefix miss", "hlt", false},
+		{"deep miss", "eor r6, r1, r2\norr r5, r5, r1", false},
+	} {
+		seq := guest.MustAssemble(c.src)
+		var b Binding
+		if tm, _ := s.LookupInto(seq, nil, nil, &b); (tm != nil) != c.hit {
+			t.Fatalf("%s: hit = %v, want %v", c.name, tm != nil, c.hit)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.LookupInto(seq, nil, nil, &b) }); n != 0 {
+			t.Errorf("%s: %v allocs per lookup, want 0", c.name, n)
+		}
+	}
+}
+
+// TestLookupRacesRekey runs lookups against SetBackendID flipping the
+// store between two backends' keyings: every lookup must see one index
+// in full — the result a quiescent store gives — never a torn mix.
+// Run under -race by make race-obs.
+func TestLookupRacesRekey(t *testing.T) {
+	s := NewStore()
+	for _, tm := range keyTestTemplates() {
+		s.Add(tm)
+	}
+	prog := guest.MustAssemble(keyTestProg)
+	type result struct {
+		t *Template
+		l int
+	}
+	want := make([]result, len(prog))
+	hits := 0
+	for i := range prog {
+		tm, _, l := s.Lookup(prog[i:])
+		want[i] = result{tm, l}
+		if tm != nil {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no window matched; test program is broken")
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.SetBackendID(uint8(n & 1))
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b Binding
+			for n := 0; n < 5000; n++ {
+				i := n % len(prog)
+				tm, l := s.LookupInto(prog[i:], nil, nil, &b)
+				if tm != want[i].t || l != want[i].l {
+					t.Errorf("window %d: got (%v, %d) mid-rekey, want (%v, %d)", i, tm, l, want[i].t, want[i].l)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
 }

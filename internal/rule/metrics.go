@@ -7,19 +7,17 @@ import "paramdbt/internal/obs"
 // dbt counters). Everything here is gated by obs.On(): retrieval stays
 // allocation-free and pays one atomic load while telemetry is off.
 const (
-	MetLookups        = "rule.lookups"        // LookupCached calls
+	MetLookups        = "rule.lookups"        // LookupInto calls
 	MetLookupHits     = "rule.lookup_hits"    // lookups that matched a template
-	MetMissMemoHits   = "rule.miss_memo_hits" // windows skipped via the MissSet
+	MetMissMemoHits   = "rule.miss_memo_hits" // retired, always 0; stays only while bench/ reads it
 	MetMatchAttempts  = "rule.match_attempts" // candidate templates run through Match
-	MetFpCollisions   = "rule.fp_collisions"  // candidates whose key fingerprint collided
 	MetInstantiations = "rule.instantiations" // Instantiate calls that emitted host code
 )
 
 var (
 	metLookups        = obs.Default.Counter(MetLookups)
 	metLookupHits     = obs.Default.Counter(MetLookupHits)
-	metMissMemoHits   = obs.Default.Counter(MetMissMemoHits)
+	_                 = obs.Default.Counter(MetMissMemoHits)
 	metMatchAttempts  = obs.Default.Counter(MetMatchAttempts)
-	metFpCollisions   = obs.Default.Counter(MetFpCollisions)
 	metInstantiations = obs.Default.Counter(MetInstantiations)
 )

@@ -42,7 +42,8 @@ func TestLookupFilteredSkip(t *testing.T) {
 	if tm == nil {
 		t.Fatal("precondition: rule should match")
 	}
-	got, _, _ := s.LookupFiltered(seq, nil, func(x *Template) bool { return x == tm })
+	var b Binding
+	got, _ := s.LookupInto(seq, nil, func(x *Template) bool { return x == tm }, &b)
 	if got == tm {
 		t.Fatal("skip predicate ignored")
 	}

@@ -11,93 +11,10 @@ import (
 	"paramdbt/internal/obs"
 )
 
-// Key computes the human-readable key of a guest instruction window:
-// opcode, S bit and operand kinds (including the memory sub-mode) per
-// instruction. This is the "guest instruction parameterization" step of
-// rule retrieval (paper §IV-D): the key abstracts register identities
-// and immediate values but keeps everything the matcher needs to narrow
-// candidates. The hot lookup path uses the allocation-free KeyFp
-// fingerprint of the same token sequence; the string form is kept for
-// Dump, debugging and serialization.
-func Key(seq []guest.Inst) string {
-	var b strings.Builder
-	for i, in := range seq {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%s", in.Op)
-		if in.Op == guest.B {
-			b.WriteString(in.Cond.String())
-		}
-		if in.S {
-			b.WriteByte('!')
-		}
-		for j := 0; j < in.N; j++ {
-			o := in.Ops[j]
-			b.WriteByte(',')
-			switch o.Kind {
-			case guest.KindReg:
-				b.WriteByte('r')
-			case guest.KindImm:
-				b.WriteByte('i')
-			case guest.KindMem:
-				if o.HasIdx {
-					b.WriteString("mx")
-				} else {
-					b.WriteString("md")
-				}
-			case guest.KindFReg:
-				b.WriteByte('f')
-			case guest.KindRegList:
-				b.WriteByte('l')
-			}
-		}
-	}
-	return b.String()
-}
-
-// patKey computes the same string key from the template's guest
-// pattern; like Key it exists for debugging — storage is keyed on
-// patKeyFp.
-func patKey(t *Template) string {
-	pats := t.Guest
-	var b strings.Builder
-	for i, p := range pats {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		fmt.Fprintf(&b, "%s", p.Op)
-		if p.S {
-			b.WriteByte('!')
-		}
-		for _, a := range p.Args {
-			b.WriteByte(',')
-			switch a.Kind {
-			case guest.KindReg:
-				b.WriteByte('r')
-			case guest.KindImm:
-				b.WriteByte('i')
-			case guest.KindMem:
-				if a.HasIdx {
-					b.WriteString("mx")
-				} else {
-					b.WriteString("md")
-				}
-			}
-		}
-	}
-	if t.BranchTail {
-		// Must render exactly like Key does for the concrete branch:
-		// mnemonic+condition plus its immediate-target operand.
-		fmt.Fprintf(&b, ";b%s,i", t.GCond)
-	}
-	return b.String()
-}
-
-// maxKeyWindow bounds the guest-window length the incremental-key
-// lookup handles with a fixed-size (stack-allocated) prefix-hash
-// buffer. Learned rules span a few instructions at most; Add enforces
-// the bound so retrieval can never silently miss a longer rule.
+// maxKeyWindow bounds the guest-window length the prefix walk handles
+// with a fixed-size (stack-allocated) candidate buffer. Learned rules
+// span a few instructions at most; Add enforces the bound so retrieval
+// can never silently miss a longer rule.
 const maxKeyWindow = 16
 
 // Store is the rule table: a hash map from guest-window key
@@ -129,12 +46,29 @@ type Store struct {
 // ruleIndex is one immutable snapshot of the retrieval index: the
 // per-backend key seed (see KeyFpSeedFor; zero means "unset" and
 // behaves as the default KeyFpSeed) and the fingerprint → candidates
-// map built under it. Lookups load the pointer once and work against a
-// consistent (seed, byKey) pair even while SetBackendID swaps in a
-// replacement.
+// map built under it. The map is prefix-closed: every prefix of every
+// template key is present, a prefix no template is keyed on with an
+// empty candidate list, so a lookup can stop extending its window at
+// the first absent fingerprint. Lookups load the pointer once and work
+// against a consistent (seed, byKey) pair even while SetBackendID
+// swaps in a replacement.
 type ruleIndex struct {
 	seed  uint64
 	byKey map[uint64][]*Template
+}
+
+// add files t under its key fingerprint and makes every shorter prefix
+// of the key present.
+func (ix *ruleIndex) add(t *Template) {
+	fps := patKeyFps(t, ix.keySeed())
+	for i, fp := range fps {
+		cands, ok := ix.byKey[fp]
+		if i == len(fps)-1 {
+			ix.byKey[fp] = append(cands, t)
+		} else if !ok {
+			ix.byKey[fp] = nil
+		}
+	}
 }
 
 // keySeed returns the index's effective retrieval-key seed.
@@ -163,8 +97,7 @@ func (s *Store) KeySeed() uint64 { return s.keySeed() }
 
 // SetBackendID rekeys the store for a host backend: retrieval-key
 // fingerprints are seeded per backend id (KeyFpSeedFor), so rule
-// lookups — and every MissSet memo and code-cache key derived from
-// them — can never alias across backends. The engine calls it at
+// lookups can never alias across backends. The engine calls it at
 // construction. Quarantine state is deliberately untouched: entries are
 // keyed by backend-neutral rule fingerprints, so a rule quarantined
 // under one backend stays quarantined when the engine restarts under
@@ -185,12 +118,11 @@ func (s *Store) SetBackendID(bid uint8) {
 	if seed == s.keySeed() {
 		return
 	}
-	byKey := make(map[uint64][]*Template, len(s.byFp))
+	ix := &ruleIndex{seed: seed, byKey: make(map[uint64][]*Template, len(s.byFp))}
 	for _, t := range s.All() {
-		k := patKeyFpSeed(t, seed)
-		byKey[k] = append(byKey[k], t)
+		ix.add(t)
 	}
-	s.idx.Store(&ruleIndex{seed: seed, byKey: byKey})
+	s.idx.Store(ix)
 }
 
 // Add inserts a template unless an identical one exists (the merging
@@ -208,9 +140,7 @@ func (s *Store) Add(t *Template) bool {
 		return false
 	}
 	s.byFp[fp] = t
-	ix := s.idx.Load()
-	k := patKeyFpSeed(t, ix.keySeed())
-	ix.byKey[k] = append(ix.byKey[k], t)
+	s.idx.Load().add(t)
 	if t.GuestLen() > s.maxLen {
 		s.maxLen = t.GuestLen()
 	}
@@ -335,79 +265,54 @@ func (s *Store) ApplyQuarantine(entries []QuarantineEntry) int {
 // longer windows (more context means better host code). It returns the
 // template, its binding and the number of guest instructions consumed.
 func (s *Store) Lookup(seq []guest.Inst) (*Template, Binding, int) {
-	return s.LookupFiltered(seq, nil, nil)
-}
-
-// LookupCached is Lookup with a caller-provided miss memo: window
-// shapes recorded as candidate-free are skipped without touching the
-// table. The translator passes one MissSet per block translation; nil
-// disables memoization. Key fingerprints for every candidate window
-// length are derived in a single pass (FNV prefix extension), so the
-// whole retrieval allocates nothing until a template actually matches
-// (or telemetry is enabled — the collision check below builds string
-// keys, but only inside the obs.On() branch).
-func (s *Store) LookupCached(seq []guest.Inst, miss *MissSet) (*Template, Binding, int) {
-	return s.LookupFiltered(seq, miss, nil)
-}
-
-// LookupFiltered is LookupCached with a caller-provided exclusion
-// predicate: candidates for which skip returns true are passed over as
-// if they did not match (the guard layer's blame isolation translates
-// trial blocks with one suspect rule excluded). Quarantined templates
-// are always excluded, on every lookup path. Note the miss memo stays
-// sound under both filters: a window is recorded as a miss only when
-// its fingerprint has no candidates at all, which is filter-independent.
-func (s *Store) LookupFiltered(seq []guest.Inst, miss *MissSet, skip func(*Template) bool) (*Template, Binding, int) {
 	var b Binding
-	t, l := s.LookupInto(seq, miss, skip, &b)
+	t, l := s.LookupInto(seq, nil, nil, &b)
 	if t == nil {
 		return nil, Binding{}, 0
 	}
 	return t, b, l
 }
 
-// LookupInto is the allocation-free core of the retrieval fast path:
-// LookupFiltered with a caller-provided Binding scratch. On a hit the
-// winning binding is left in b (whose slices are reused across calls,
-// so a warm scratch never allocates); on a miss b is truncated. The
-// translator keeps an arena of scratch Bindings — one slot per accepted
-// rule window — so block translation allocates nothing per lookup.
-func (s *Store) LookupInto(seq []guest.Inst, miss *MissSet, skip func(*Template) bool, b *Binding) (*Template, int) {
+// LookupInto is the allocation-free retrieval the translator runs at
+// every window start: Lookup with a caller-provided exclusion predicate
+// and Binding scratch. Candidates for which skip returns true are passed
+// over as if they did not match (the guard layer's blame isolation
+// translates trial blocks with one suspect rule excluded); quarantined
+// templates are always passed over. On a hit the winning binding is
+// left in b (whose slices are reused across calls, so a warm scratch
+// never allocates); on a miss b is truncated. The translator keeps an
+// arena of scratch Bindings — one slot per accepted rule window — so
+// block translation allocates nothing per lookup.
+//
+// The MissSet argument is ignored; it stays only while bench/ passes one.
+func (s *Store) LookupInto(seq []guest.Inst, _ *MissSet, skip func(*Template) bool, b *Binding) (*Template, int) {
 	telemetry := obs.On()
-	quarActive := s.quarN.Load() != 0
 	if telemetry {
 		metLookups.Inc()
 	}
 	// One index load for the whole retrieval: seed and map stay mutually
 	// consistent even if SetBackendID swaps in a rekeyed index mid-call.
+	// Walk the window one instruction at a time while its fingerprint is
+	// a prefix of some template key, noting the candidates met on the
+	// way; then try them longest window first.
 	ix := s.idx.Load()
-	max := s.maxLen
-	if max > len(seq) {
-		max = len(seq)
-	}
-	var fps [maxKeyWindow]uint64
+	var cands [maxKeyWindow][]*Template
+	n := min(s.maxLen, len(seq))
 	h := ix.keySeed()
-	for l := 1; l <= max; l++ {
-		h = ExtendKeyFp(h, seq[l-1])
-		fps[l-1] = h
+	l := 0
+	for l < n {
+		h = ExtendKeyFp(h, seq[l])
+		c, ok := ix.byKey[h]
+		if !ok {
+			break
+		}
+		cands[l] = c
+		l++
 	}
-	for l := max; l >= 1; l-- {
-		fp := fps[l-1]
-		if miss != nil && miss.has(fp) {
-			if telemetry {
-				metMissMemoHits.Inc()
-			}
-			continue
-		}
-		cands := ix.byKey[fp]
-		if len(cands) == 0 {
-			if miss != nil {
-				miss.add(fp)
-			}
-			continue
-		}
-		window := seq[:l]
-		for _, t := range cands {
+	b.Regs, b.Imms = b.Regs[:0], b.Imms[:0]
+	quarActive := s.quarN.Load() != 0
+	for ; l > 0; l-- {
+		for _, t := range cands[l-1] {
 			if quarActive {
 				if _, q := s.quar.Load(t); q {
 					continue
@@ -418,14 +323,8 @@ func (s *Store) LookupInto(seq []guest.Inst, miss *MissSet, skip func(*Template)
 			}
 			if telemetry {
 				metMatchAttempts.Inc()
-				// A candidate whose string key differs from the window's
-				// is a genuine 64-bit fingerprint collision, not a
-				// constraint mismatch. Expected to stay at zero.
-				if patKey(t) != Key(window) {
-					metFpCollisions.Inc()
-				}
 			}
-			if MatchInto(t, window, b) {
+			if MatchInto(t, seq[:l], b) {
 				if telemetry {
 					metLookupHits.Inc()
 				}
