@@ -595,11 +595,11 @@ func BenchmarkWarmstart(b *testing.B) {
 }
 
 // BenchmarkSMC prices the self-modifying-code safety layer. The
-// "tracked" and "untracked" arms run the exact superblock configuration
-// of BenchmarkDispatchChaining/superblocks on a guest that never writes
-// code — their gap is the write tracker's pure overhead (page lookups
-// on stores plus the fence check per dispatch; the bench's
-// mem.write32_tracked_ns layer metric prices the store half).
+// "tracked" arm runs the exact superblock configuration of
+// BenchmarkDispatchChaining/superblocks on a guest that never writes
+// code, so the write tracker's page lookups on stores and fence check
+// per dispatch are all it adds (the bench's mem.write32_tracked_ns layer
+// metric prices the store half against an untracked write).
 // The "smc-heavy" arm runs the hostile smc-async workload (an
 // instruction toggled every four iterations under asynchronous trace
 // formation) and reports what each hazard costs in invalidations and
@@ -611,26 +611,18 @@ func BenchmarkSMC(b *testing.B) {
 		Rules: full, DelegateFlags: true,
 		HotThreshold: 4, TraceBudget: 12, SyncTraces: true,
 	}
-	for _, bc := range []struct {
-		name string
-		cfg  dbt.Config
-	}{
-		{"tracked", sbCfg},
-		{"untracked", func() dbt.Config { c := sbCfg; c.NoWriteTrack = true; return c }()},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := c.Run("gcc", bc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Stats.SMCInvalidations != 0 || r.Stats.SMCSelfAborts != 0 {
-					b.Fatalf("non-modifying workload tripped SMC machinery: %+v", r.Stats)
-				}
-				b.ReportMetric(float64(r.Stats.GuestExec), "guest-insts")
+	b.Run("tracked", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r, err := c.Run("gcc", sbCfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if r.Stats.SMCInvalidations != 0 || r.Stats.SMCSelfAborts != 0 {
+				b.Fatalf("non-modifying workload tripped SMC machinery: %+v", r.Stats)
+			}
+			b.ReportMetric(float64(r.Stats.GuestExec), "guest-insts")
+		}
+	})
 	b.Run("smc-heavy", func(b *testing.B) {
 		var p workload.SMCProfile
 		for _, q := range workload.SMCProfiles() {

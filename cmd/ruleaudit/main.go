@@ -9,8 +9,9 @@
 //	              names the proof: structural, abstract, or sweep)
 //	unsound       a concrete witness instantiation is included, and has
 //	              been confirmed divergent by symexec's concrete replay
-//	inconclusive  neither proved nor refuted (candidates for elevated
-//	              shadow-verification rates, see docs/ROBUSTNESS.md)
+//	inconclusive  neither proved nor refuted (admitted; shadow
+//	              verification samples them like any rule, see
+//	              docs/ROBUSTNESS.md)
 //
 //	go run ./cmd/ruleaudit                 # audit, JSON to stdout
 //	go run ./cmd/ruleaudit -o audit.json   # write to a file

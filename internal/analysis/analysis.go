@@ -591,25 +591,6 @@ func (rep *StoreReport) UnsoundEntries() []rule.QuarantineEntry {
 	return out
 }
 
-// InconclusiveSet returns the fingerprints of inconclusive rules, the
-// population the guarded engine shadow-verifies at an elevated rate.
-func (rep *StoreReport) InconclusiveSet() map[string]bool {
-	out := map[string]bool{}
-	for _, rr := range rep.Rules {
-		if rr.Verdict == VerdictInconclusive {
-			out[rr.Fingerprint] = true
-		}
-	}
-	return out
-}
-
-// ElevateFunc adapts the inconclusive set to the dbt engine's
-// ShadowElevate hook.
-func (rep *StoreReport) ElevateFunc() func(*rule.Template) bool {
-	set := rep.InconclusiveSet()
-	return func(t *rule.Template) bool { return set[t.Fingerprint()] }
-}
-
 // Gate is the static admission gate for the learn pipeline: it rejects
 // a candidate template only on a confirmed-witness unsound verdict, so
 // sound and inconclusive rules flow through unchanged (inconclusive

@@ -263,28 +263,6 @@ func TestGate(t *testing.T) {
 	}
 }
 
-func TestInconclusiveElevation(t *testing.T) {
-	rep := &StoreReport{Rules: []RuleReport{
-		{Fingerprint: "aaaa", Verdict: VerdictInconclusive},
-		{Fingerprint: "bbbb", Verdict: VerdictSound},
-	}}
-	set := rep.InconclusiveSet()
-	if !set["aaaa"] || set["bbbb"] {
-		t.Fatalf("inconclusive set: %v", set)
-	}
-	elevate := rep.ElevateFunc()
-	tm := addRMW()
-	if elevate(tm) {
-		t.Fatal("sound rule elevated")
-	}
-	rep2 := &StoreReport{Rules: []RuleReport{
-		{Fingerprint: tm.Fingerprint(), Verdict: VerdictInconclusive},
-	}}
-	if !rep2.ElevateFunc()(tm) {
-		t.Fatal("inconclusive rule not elevated")
-	}
-}
-
 func TestDataflowClobber(t *testing.T) {
 	// Host writes p1, whose guest register the pattern never writes.
 	tm := &rule.Template{

@@ -7,8 +7,8 @@
 // witness instantiation the symbolic verifier confirms diverges) or
 // inconclusive. Verdicts feed the pipeline: unsound rules are
 // quarantined before execution, the learn pipeline rejects them at
-// admission, and inconclusive rules run under elevated
-// shadow-verification rates (see docs/ANALYSIS.md).
+// admission, and inconclusive rules are admitted and shadow-verified
+// like any other (see docs/ANALYSIS.md).
 package analysis
 
 import (

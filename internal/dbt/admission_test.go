@@ -70,38 +70,3 @@ func TestStaticAuditBlocksCorruptRule(t *testing.T) {
 			stats.Divergences, stats.QuarantinedRules)
 	}
 }
-
-// TestShadowElevateSamplesFlaggedBlocks wires the auditor's elevation
-// hook through the engine: with steady-state sampling off (FirstN only),
-// flagging every rule at ElevatedRate 1 must verify every execution of
-// every rule-built block, a strictly larger check count than the
-// warm-up-only baseline.
-func TestShadowElevateSamplesFlaggedBlocks(t *testing.T) {
-	c := compileT(t, testProgram())
-	want := interpret(t, c)
-	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
-
-	base := Config{Rules: par, DelegateFlags: true, ShadowFirstN: 1}
-	_, baseStats := runProgram(t, c, base)
-
-	elevated := base
-	elevated.ShadowElevatedRate = 1
-	elevated.ShadowElevate = func(*rule.Template) bool { return true }
-	got, stats := runProgram(t, c, elevated)
-	sameResult(t, want, got, "elevated run")
-	if stats.ShadowChecks <= baseStats.ShadowChecks {
-		t.Fatalf("elevation did not raise the check count: %d elevated vs %d baseline",
-			stats.ShadowChecks, baseStats.ShadowChecks)
-	}
-	if stats.Divergences != 0 {
-		t.Fatalf("clean elevated run diverged %d times", stats.Divergences)
-	}
-
-	// An engine-visible sanity: the loop body re-executes far more often
-	// than once, so elevating it must multiply checks well past the
-	// distinct-block count.
-	if stats.ShadowChecks < 2*baseStats.ShadowChecks {
-		t.Fatalf("elevated checks %d suspiciously close to baseline %d",
-			stats.ShadowChecks, baseStats.ShadowChecks)
-	}
-}

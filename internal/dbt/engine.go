@@ -152,35 +152,22 @@ type Config struct {
 	// interpreter from the same pre-block state and the two compared (see
 	// docs/ROBUSTNESS.md). 0 disables steady-state sampling; 1 verifies
 	// everything. Divergences are recovered (the interpreter result
-	// wins), blamed rules are quarantined and their blocks purged.
+	// wins), blamed rules are quarantined and their blocks purged. Any
+	// positive rate also verifies the first execution of every block —
+	// fresh translations are the risky ones — and lets Run execute a
+	// block on the reference interpreter when its translation fails
+	// persistently, instead of aborting the run.
 	ShadowRate float64
-	// ShadowFirstN always verifies the first N executions of every
-	// block regardless of ShadowRate (defaults to 1 whenever shadow
-	// verification is on — fresh translations are the risky ones).
-	ShadowFirstN uint64
 	// ShadowSeed seeds the sampling RNG for reproducible runs.
 	ShadowSeed int64
-	// ShadowElevatedRate is the sampling probability for blocks that
-	// contain at least one rule ShadowElevate flags — typically rules the
-	// static auditor left inconclusive (internal/analysis). Zero leaves
-	// flagged blocks at ShadowRate.
-	ShadowElevatedRate float64
-	// ShadowElevate marks rule templates whose blocks should be sampled
-	// at ShadowElevatedRate instead of ShadowRate. Evaluated once per
-	// template at translation time (see analysis.StoreReport.ElevateFunc
-	// for the canonical source).
-	ShadowElevate func(*rule.Template) bool
 	// AdaptiveShadow enables the per-tenant adaptive guard controller
 	// (guard.Controller, docs/SERVING.md): the effective shadow rate
 	// starts at ShadowRate and decays exponentially with consecutive
-	// verified-clean checks, snapping back to ShadowRate on any
-	// divergence or quarantine event. ShadowFirstN and
-	// ShadowElevatedRate are untouched — fresh translations and
-	// audit-flagged rules keep their own verification floors.
+	// verified-clean checks toward the controller's 0.01 floor, snapping
+	// back to ShadowRate on any divergence or quarantine event. The
+	// first-execution check is untouched: fresh translations are always
+	// verified.
 	AdaptiveShadow bool
-	// ShadowMinRate is the adaptive controller's rate floor (default
-	// 0.01). Only read when AdaptiveShadow is set.
-	ShadowMinRate float64
 	// ShadowHalfLife is how many consecutive clean checks halve the
 	// adaptive rate (default 64). Only read when AdaptiveShadow is set.
 	ShadowHalfLife uint64
@@ -208,27 +195,14 @@ type Config struct {
 	// cold start (see Engine.WarmStats).
 	ArtifactDir string
 
-	// InterpFallback lets Run execute a block on the reference
-	// interpreter when translation fails persistently, instead of
-	// aborting the run. New enables it automatically whenever shadow
-	// verification or fault injection is configured.
-	InterpFallback bool
 	// Faults, when non-nil, injects faults into translation, the code
 	// cache and the speculative workers (see internal/guard/faultinject
 	// and the FaultInjector interface). An injector that additionally
 	// implements CodePokes(n) gets to write guest code words before each
-	// block entry — the deterministic SMC campaigns (see smc.go).
+	// block entry — the deterministic SMC campaigns (see smc.go). Like
+	// shadow verification it turns on the reference-interpreter fallback
+	// for blocks whose translation fails persistently.
 	Faults FaultInjector
-
-	// NoWriteTrack disables guest-write tracking, the self-modifying-code
-	// safety layer (see smc.go and docs/ROBUSTNESS.md). Tracking is on by
-	// default and costs one pointer compare per guest store while no code
-	// page is dirty; this switch exists to measure that cost and must
-	// never be set for a guest that may write its own code. With shadow
-	// verification on, the tracker is still installed for its undo
-	// journal; only the code-page registration, the fence and self-range
-	// detection are off.
-	NoWriteTrack bool
 
 	// Peephole enables the post-Finalize peephole optimizer for backends
 	// that implement backend.Optimizer (today: risc). An optimized
@@ -407,13 +381,6 @@ type Engine struct {
 	sbPending  map[uint32]bool
 	sbInFlight int
 
-	// smcOn mirrors !Config.NoWriteTrack: the dispatch loop registers
-	// translated pages with Mem's write tracker and runs the SMC fence and
-	// self-abort machinery (see smc.go). A guarded engine installs the
-	// tracker either way — shadow verification reads the write sets of a
-	// sampled execution off its undo journal.
-	smcOn bool
-
 	// Warm-start persistence (nil/zero unless Config.ArtifactDir is
 	// set): art is the open store, artKey the engine's four-component
 	// lookup key, warm the restore outcome (see artifact.go).
@@ -441,11 +408,8 @@ type tblock struct {
 	// the shadow verifier may compare flags. Both are immutable after
 	// construction; execs counts executions and is owned by the
 	// goroutine driving Run, like seen.
-	// elevated marks blocks containing a rule Config.ShadowElevate
-	// flagged; the shadow sampler verifies them at ShadowElevatedRate.
 	rules      []*rule.Template
 	flagsExact bool
-	elevated   bool
 	execs      uint64
 
 	// links are the block's direct-exit slots (branch target and/or
@@ -531,14 +495,6 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	if cfg.HotThreshold > 0 && cfg.TraceMaxBlocks <= 0 {
 		cfg.TraceMaxBlocks = defaultTraceMaxBlocks
 	}
-	shadowOn := cfg.ShadowRate > 0 || cfg.ShadowFirstN > 0
-	if shadowOn && cfg.ShadowFirstN == 0 {
-		cfg.ShadowFirstN = 1
-	}
-	if shadowOn || cfg.Faults != nil {
-		// Guarded runs degrade gracefully instead of aborting.
-		cfg.InterpFallback = true
-	}
 	cpu := host.NewCPU(m)
 	cpu.R[host.EBP] = env.StateBase
 	cpu.R[host.ESP] = env.HostStackTop
@@ -552,17 +508,15 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	met := newEngineMetrics(reg)
 	tr := newTranslator(&cfg, met.blocksValidated, met.validateFallbacks)
 	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: newCodeCache(tr.be.ID()), tr: tr, met: met}
-	if shadowOn {
+	if cfg.ShadowRate > 0 {
 		e.guard = &guardState{sampler: guard.NewSampler(guard.Policy{
-			Rate:         cfg.ShadowRate,
-			FirstN:       cfg.ShadowFirstN,
-			Seed:         cfg.ShadowSeed,
-			ElevatedRate: cfg.ShadowElevatedRate,
+			Rate:   cfg.ShadowRate,
+			FirstN: 1,
+			Seed:   cfg.ShadowSeed,
 		})}
 		if cfg.AdaptiveShadow {
 			e.guard.ctrl = guard.NewController(guard.ControllerPolicy{
 				BaseRate: cfg.ShadowRate,
-				MinRate:  cfg.ShadowMinRate,
 				HalfLife: cfg.ShadowHalfLife,
 			})
 			e.guard.sampler.SetRate(e.guard.ctrl.Rate())
@@ -577,12 +531,8 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	}
 	// Install write tracking before the warm restore: restored
 	// translations register their pages exactly like demand-translated
-	// ones. Shadow verification needs the tracker for its journal even
-	// when NoWriteTrack turns the SMC machinery off.
-	e.smcOn = !cfg.NoWriteTrack
-	if e.smcOn || shadowOn {
-		m.EnableWriteTracking()
-	}
+	// ones.
+	m.EnableWriteTracking()
 	e.initArtifacts()
 	return e
 }
@@ -692,10 +642,11 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	ring := e.Cfg.Trace
 	traceBlock := e.Cfg.TraceBlock
 	faults := e.Cfg.Faults
-	interpFallback := e.Cfg.InterpFallback
 	hotOn := e.Cfg.HotThreshold > 0 && !noChain
 	guarded := e.guard != nil
-	smcOn := e.smcOn
+	// Guarded runs degrade gracefully instead of aborting: a block whose
+	// translation fails persistently runs on the reference interpreter.
+	interpFallback := guarded || faults != nil
 	var poker codePoker
 	if faults != nil {
 		poker, _ = faults.(codePoker)
@@ -717,7 +668,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		// holding translated code — invalidate every overlapping
 		// translation before following a chain link or dispatching, and
 		// break the chain (prev may itself have been invalidated).
-		if smcOn && e.Mem.CodeDirty() {
+		if e.Mem.CodeDirty() {
 			e.smcFence()
 			prev = nil
 		}
@@ -798,7 +749,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		if guarded {
 			tb.execs++
-			sampled = e.guard.sampler.SelectWith(tb.execs, tb.elevated)
+			sampled = e.guard.sampler.Select(tb.execs)
 		}
 		if hostSteps+fallbackSteps >= maxHostSteps {
 			return snapshot(), fmt.Errorf("dbt: host step budget exhausted at pc=%#x", pc)
@@ -808,7 +759,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			// is rolled back; the journal comes back armed for the
 			// translated pass.
 			e.shadowBegin(tb, pc)
-		} else if smcOn {
+		} else {
 			// Arm self-range detection and the undo journal for this
 			// execution (a no-op pair of clears when the translation has no
 			// guest stores).
@@ -820,7 +771,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			e.Mem.Write32(env.StateBase+env.OffSBExit, uint32(len(sb.pcs)-1))
 		}
 		res, xerr := e.CPU.Exec(tb.hb, maxHostSteps-hostSteps-fallbackSteps)
-		if smcOn && e.Mem.SMCSelfHit() {
+		if e.Mem.SMCSelfHit() {
 			// The translation stored into its own guest bytes: its host
 			// code was stale from that store on (this also covers xerr —
 			// garbled stale code may fail outright). Roll back, replay on
@@ -919,7 +870,7 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 		e.met.lookupNs.ObserveSince(t0)
 	}
 	if ok {
-		if e.smcOn && !tb.smcDone {
+		if !tb.smcDone {
 			// First dispatch of a worker-inserted translation: compute its
 			// SMC metadata and register its pages here, on the Run
 			// goroutine (superblocks get theirs in installSB).
@@ -965,7 +916,7 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 		e.Cfg.Trace.Record(obs.EvTranslate, pc)
 	}
 	tb = e.cache.putIfAbsent(pc, tb)
-	if e.smcOn && !tb.smcDone {
+	if !tb.smcDone {
 		e.initSMCMeta(pc, tb)
 	}
 	if on {

@@ -77,7 +77,7 @@ const trialExecBudget = 1 << 20
 const maxDivergenceLog = 32
 
 // guardState is the engine's shadow-verification state, present only
-// when Config enables it (ShadowRate/ShadowFirstN). ctrl is the
+// when Config.ShadowRate is positive. ctrl is the
 // adaptive shadow-rate controller, non-nil only under
 // Config.AdaptiveShadow; the Run goroutine feeds it through
 // guardClean/guardEvent.

@@ -129,7 +129,7 @@ func runRef(e *Engine, entry uint32, maxHostSteps uint64) (Stats, error) {
 		}
 		tb.execs++
 		var sc *refShadowCtx
-		if e.guard.sampler.SelectWith(tb.execs, tb.elevated) {
+		if e.guard.sampler.Select(tb.execs) {
 			sc = refBeginShadow(e, tb.execs)
 		}
 		res, xerr := e.CPU.Exec(tb.hb, maxHostSteps)

@@ -200,8 +200,8 @@ func NewService(cfg ServiceConfig) *Service {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	// Exactly what ServiceConfig carries: no fault plan or per-engine
-	// observer (ShadowElevate) reaches a shared prototype.
+	// Exactly what ServiceConfig carries: no fault plan reaches a shared
+	// prototype.
 	tc := Config{
 		Rules:           cfg.Rules,
 		Backend:         cfg.Backend,
@@ -496,8 +496,7 @@ func (e *Engine) Attached() bool { return e.svc != nil }
 // translation products (host code, decoded guest instructions, coverage
 // counts, rule provenance) are shared, while everything the Run
 // goroutine mutates — chain links, execution/hotness counters, SMC
-// metadata — starts fresh and private. The elevation bit is recomputed
-// under the tenant's own ShadowElevate policy.
+// metadata — starts fresh and private.
 func (e *Engine) adoptProto(pc uint32, p *tblock) *tblock {
 	tb := &tblock{
 		hb:         p.hb,
@@ -508,7 +507,6 @@ func (e *Engine) adoptProto(pc uint32, p *tblock) *tblock {
 		uncovered:  p.uncovered,
 		rules:      p.rules,
 		flagsExact: p.flagsExact,
-		elevated:   e.tr.elevates(p.rules),
 	}
 	tb.links = directLinks(pc, p.insts, &tb.linkBuf)
 	return tb

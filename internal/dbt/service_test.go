@@ -1,7 +1,14 @@
 package dbt
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -381,10 +388,8 @@ func TestConfigFieldsClassified(t *testing.T) {
 	perEngine := map[string]bool{
 		"TranslateWorkers": true, "NoChain": true, "HotThreshold": true, "TraceMaxBlocks": true,
 		"TraceBudget": true, "SyncTraces": true, "TraceBlock": true, "Metrics": true, "Trace": true,
-		"ShadowRate": true, "ShadowFirstN": true, "ShadowSeed": true, "ShadowElevatedRate": true,
-		"ShadowElevate": true, "AdaptiveShadow": true, "ShadowMinRate": true, "ShadowHalfLife": true,
-		"Service": true, "ArtifactDir": true, "InterpFallback": true, "Faults": true,
-		"NoWriteTrack": true,
+		"ShadowRate": true, "ShadowSeed": true, "AdaptiveShadow": true, "ShadowHalfLife": true,
+		"Service": true, "ArtifactDir": true, "Faults": true,
 	}
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {
@@ -419,6 +424,145 @@ func TestConfigFieldsClassified(t *testing.T) {
 	for k := range knobs {
 		t.Errorf("codegenOptions.%s has no Config field", k)
 	}
+}
+
+// TestConfigFieldsHaveSetters is the knob census: every dbt.Config
+// field must be set by some non-test .go file outside internal/dbt, and
+// every serve.Config field by one outside internal/serve. A knob only
+// tests set is a knob to delete, together with the code that honours it.
+// A setter is found syntactically: a key of a composite literal of the
+// struct's type, or the selector of an assignment's left-hand side in a
+// file importing the struct's package.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	const root = "../.."
+	allowed := map[string]bool{
+		// The paper's ablation knobs: BenchmarkAblationFlagWindow and
+		// BenchmarkAblationRegAlloc set them (EXPERIMENTS.md).
+		"FlagWindow":      true,
+		"NoBlockRegAlloc": true,
+	}
+	var dbtFields []string
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		dbtFields = append(dbtFields, ct.Field(i).Name)
+	}
+	for _, c := range []struct {
+		pkg, dir string
+		fields   []string
+	}{
+		{"paramdbt/internal/dbt", "internal/dbt", dbtFields},
+		{"paramdbt/internal/serve", "internal/serve", structFields(t, filepath.Join(root, "internal/serve/serve.go"), "Config")},
+	} {
+		set := configSetters(t, root, c.pkg, c.dir)
+		for _, f := range c.fields {
+			if !set[f] && !allowed[f] {
+				t.Errorf("%s.Config.%s is set by no non-test code outside %s: delete it or give it a caller", path.Base(c.pkg), f, c.dir)
+			}
+		}
+	}
+}
+
+// structFields lists the field names of the named struct type declared
+// in file.
+func structFields(t *testing.T, file, name string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, sp := range g.Specs {
+			ts, ok := sp.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != name {
+				continue
+			}
+			var out []string
+			for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+				for _, n := range fl.Names {
+					out = append(out, n.Name)
+				}
+			}
+			return out
+		}
+	}
+	t.Fatalf("%s declares no %s", file, name)
+	return nil
+}
+
+// configSetters returns the Config field names that non-test .go files
+// under root, outside skip, set: as keys of pkg.Config composite
+// literals, or as assignment targets x.Field in files importing pkg.
+func configSetters(t *testing.T, root, pkg, skip string) map[string]bool {
+	t.Helper()
+	set := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			rel, _ := filepath.Rel(root, p)
+			hidden := rel != "." && strings.HasPrefix(d.Name(), ".")
+			if rel == skip || hidden || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == pkg {
+				name = path.Base(pkg)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				sel, ok := n.Type.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Config" {
+					break
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != name {
+					break
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 // TestServiceValidationCountersVisible: the rewrite verdicts of
@@ -504,7 +648,7 @@ func TestAdaptiveShadowDecays(t *testing.T) {
 	}
 	e := New(m, Config{
 		Rules: par, DelegateFlags: true,
-		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 8, ShadowMinRate: 0.01,
+		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 8,
 	})
 	init := &guest.State{Mem: m}
 	init.R[guest.SP] = env.StackTop
@@ -538,7 +682,7 @@ func TestAdaptiveSnapsOnDivergence(t *testing.T) {
 
 	e := startEngine(t, c, Config{
 		Rules: par, DelegateFlags: true,
-		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 8, ShadowMinRate: 0.01,
+		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 8,
 	})
 	st, err := e.Run(env.CodeBase, 100_000_000)
 	if err != nil {
@@ -553,42 +697,6 @@ func TestAdaptiveSnapsOnDivergence(t *testing.T) {
 	}
 	if par.QuarantineLen() == 0 {
 		t.Fatal("nothing quarantined")
-	}
-}
-
-// TestAdaptiveElevatedRuleStaysElevated pins the PR 4 policy: decay
-// applies to the base rate only — blocks carrying ShadowElevate-flagged
-// rules keep verifying at ShadowElevatedRate no matter how far the
-// controller has decayed (see guard.Sampler.SelectWith).
-func TestAdaptiveElevatedRuleStaysElevated(t *testing.T) {
-	c := compileT(t, testProgram())
-	want := interpret(t, c)
-	par := serveRules(t)
-
-	// Elevate every rule the program uses: with the base rate decayed to
-	// the floor, shadow checks must still track every covered block.
-	e := startEngine(t, c, Config{
-		Rules: par, DelegateFlags: true,
-		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 2, ShadowMinRate: 0.01,
-		ShadowElevate: func(*rule.Template) bool { return true }, ShadowElevatedRate: 1,
-	})
-	st, err := e.Run(env.CodeBase, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, want, e.GuestState(), "elevated adaptive")
-	if now := e.ShadowRateNow(); now >= 1 {
-		t.Fatalf("base rate did not decay: %v", now)
-	}
-	// Every execution of an elevated (rule-covered) block is verified;
-	// with HalfLife 2 the base rate hits the floor almost immediately, so
-	// a fixed-floor sampler would check far fewer blocks than this.
-	if st.ShadowChecks == 0 || st.RuleCovered == 0 {
-		t.Fatalf("elevated blocks not verified: %+v", st)
-	}
-	minElevated := st.ShadowChecks >= uint64(st.Blocks)
-	if !minElevated {
-		t.Fatalf("shadow checks = %d with %d blocks; elevation did not hold", st.ShadowChecks, st.Blocks)
 	}
 }
 

@@ -382,28 +382,3 @@ func TestShadowPanicRollsBackSampledBlock(t *testing.T) {
 		t.Fatalf("journal still holds %d entries", e.Mem.JournalLen())
 	}
 }
-
-// TestShadowJournalsWithoutWriteTracking: NoWriteTrack turns the SMC
-// fence off, not the journal a guarded engine checks stores with — a
-// rule corrupted to store where the guest does not is still caught.
-func TestShadowJournalsWithoutWriteTracking(t *testing.T) {
-	c := compileT(t, testProgram())
-	want := interpret(t, c)
-	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
-	bad := corruptSpuriousStore(t, c, par)
-	e := startEngine(t, c, Config{Rules: par, DelegateFlags: true, ShadowRate: 1, NoWriteTrack: true})
-	st, err := e.Run(env.CodeBase, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, want, e.GuestState(), "spurious store, untracked")
-	if st.Divergences == 0 || !par.IsQuarantined(bad) {
-		t.Fatalf("spurious store not caught without write tracking: %+v", st)
-	}
-	if st.SMCInvalidations != 0 || st.SMCSelfAborts != 0 {
-		t.Fatalf("untracked engine ran the SMC machinery: %+v", st)
-	}
-	if New(mem.New(), Config{NoWriteTrack: true}).Mem.WriteTrackingEnabled() {
-		t.Fatal("an unguarded NoWriteTrack engine installed the tracker")
-	}
-}

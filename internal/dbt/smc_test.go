@@ -359,30 +359,6 @@ func TestSMCFaultPokes(t *testing.T) {
 	}
 }
 
-// TestSMCNoWriteTrackOptOut: NoWriteTrack disables the tracker for
-// guests known never to self-modify; a non-modifying program still runs
-// correctly and counts nothing.
-func TestSMCNoWriteTrackOptOut(t *testing.T) {
-	prog := guest.MustAssemble(`
-		mov r0, #0
-		mov r1, #0
-		mov r4, #10
-	loop:
-		add r0, r0, #3
-		add r1, r1, #1
-		cmp r1, r4
-		blt loop
-		hlt
-	`)
-	got, st := runSMC(t, prog, Config{ShadowRate: 1, NoWriteTrack: true})
-	if got.R[guest.R0] != 30 {
-		t.Fatalf("r0 = %d, want 30", got.R[guest.R0])
-	}
-	if st.SMCInvalidations != 0 || st.SMCSelfAborts != 0 {
-		t.Fatalf("untracked engine counted SMC events: %+v", st)
-	}
-}
-
 // TestSMCBuilderPanicRecovered: a panic inside a background superblock
 // job's translation must be absorbed by recoverTranslate — the single
 // recovery wrapper — surface as a failed result (not a crashed worker)

@@ -308,7 +308,7 @@ func (e *Engine) installSB(s *tblock, old *tblock) {
 	for _, pc := range sb.pcs {
 		e.sbIndex[pc] = append(e.sbIndex[pc], s)
 	}
-	if e.smcOn && !s.smcDone {
+	if !s.smcDone {
 		e.initSMCMetaSB(s)
 	}
 }
@@ -492,7 +492,6 @@ func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, t
 		// CPUState NZCV words are not exact at every exit; the shadow
 		// verifier compares registers and memory only.
 		flagsExact: false,
-		elevated:   tr.elevates(used),
 		sb:         sb,
 	}, nil
 }

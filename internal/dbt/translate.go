@@ -67,12 +67,11 @@ type translator struct {
 
 	// Observers of the translation, none of which changes what is emitted
 	// for a healthy rule store: the rewrite validator's verdict counters
-	// (on the owner's registry), Config.ShadowElevate, and the fault
-	// injector's optimized-stream mutation (the adversarial hook the
-	// validator-rejects-broken-peephole tests use).
+	// (on the owner's registry) and the fault injector's optimized-stream
+	// mutation (the adversarial hook the validator-rejects-broken-peephole
+	// tests use).
 	validated *obs.Counter
 	fallbacks *obs.Counter
-	elevate   func(*rule.Template) bool
 	mutateOpt func(*host.Block) *host.Block
 }
 
@@ -104,7 +103,6 @@ func newTranslator(c *Config, validated, fallbacks *obs.Counter) *translator {
 		be:           be, blockRegs: be.BlockRegs(), tempPool: be.TempPool(),
 		validated: validated,
 		fallbacks: fallbacks,
-		elevate:   c.ShadowElevate,
 	}
 	if f, ok := c.Faults.(interface {
 		MutateOptimized(*host.Block) *host.Block
@@ -302,7 +300,6 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 	}
 	hb = tr.finishBlock(hb)
 
-	rules := own(tx.used)
 	tb := &tblock{
 		hb:         hb,
 		insts:      insts,
@@ -310,9 +307,8 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 		nCovered:   covered,
 		nSeq:       em.seq,
 		uncovered:  own(tx.uncovered),
-		rules:      rules,
+		rules:      own(tx.used),
 		flagsExact: em.flagsExact,
-		elevated:   tr.elevates(rules),
 	}
 	tb.links = directLinks(pc, insts, &tb.linkBuf)
 	return tb, nil
@@ -441,20 +437,6 @@ func (tr *translator) emitBody(tx *txctx, pc uint32, insts []guest.Inst, plans [
 		}
 	}
 	return em, nil
-}
-
-// elevates reports whether any used rule is flagged for elevated-rate
-// shadow sampling.
-func (tr *translator) elevates(used []*rule.Template) bool {
-	if tr.elevate == nil {
-		return false
-	}
-	for _, t := range used {
-		if tr.elevate(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // directLinks returns the statically known successor slots of the block

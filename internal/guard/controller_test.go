@@ -79,13 +79,11 @@ func TestControllerPolicyDefaults(t *testing.T) {
 	}
 }
 
-// TestControllerElevatedRateFloor is the PR 4 re-elevation policy under
-// the adaptive controller: the controller decays only the sampler's
-// steady-state rate, so blocks built from quarantine-suspect (elevated)
-// rules keep sampling at ElevatedRate no matter how much background
-// confidence accumulated.
-func TestControllerElevatedRateFloor(t *testing.T) {
-	s := NewSampler(Policy{Rate: 1, FirstN: 0, Seed: 7, ElevatedRate: 1})
+// TestControllerDecaysSamplerRate: the controller decays only the
+// sampler's steady-state rate, and Select honours the decayed rate past
+// the FirstN warm-up.
+func TestControllerDecaysSamplerRate(t *testing.T) {
+	s := NewSampler(Policy{Rate: 1, FirstN: 0, Seed: 7})
 	c := NewController(ControllerPolicy{BaseRate: 1, MinRate: 0.001, HalfLife: 2})
 	for i := 0; i < 64; i++ {
 		c.OnClean()
@@ -94,19 +92,13 @@ func TestControllerElevatedRateFloor(t *testing.T) {
 	if s.Rate() != 0.001 {
 		t.Fatalf("sampler rate = %v, want decayed 0.001", s.Rate())
 	}
-	normal, elevated := 0, 0
+	selected := 0
 	for exec := uint64(1); exec <= 1000; exec++ {
-		if s.SelectWith(exec, false) {
-			normal++
-		}
-		if s.SelectWith(exec, true) {
-			elevated++
+		if s.Select(exec) {
+			selected++
 		}
 	}
-	if elevated != 1000 {
-		t.Fatalf("elevated selections = %d/1000, want every one (ElevatedRate 1)", elevated)
-	}
-	if normal > 50 {
-		t.Fatalf("normal selections = %d/1000, want close to the 0.001 rate", normal)
+	if selected > 50 {
+		t.Fatalf("selections = %d/1000, want close to the 0.001 rate", selected)
 	}
 }

@@ -37,11 +37,6 @@ type Policy struct {
 	// Seed makes the steady-state sampling deterministic (same seed,
 	// same block-execution sequence, same sample set).
 	Seed int64
-	// ElevatedRate is the sampling probability for blocks the caller
-	// marks elevated — typically blocks built from rules the static
-	// auditor could not prove sound (verdict "inconclusive"). Zero means
-	// "no elevation": elevated blocks fall back to Rate.
-	ElevatedRate float64
 }
 
 // Sampler implements a Policy. It is not safe for concurrent use; the
@@ -57,9 +52,19 @@ func NewSampler(pol Policy) *Sampler {
 }
 
 // Select reports whether the exec-th execution of a block (1-based)
-// should be shadow-verified.
+// should be shadow-verified: always within the FirstN warm-up, then with
+// probability Rate.
 func (s *Sampler) Select(exec uint64) bool {
-	return s.SelectWith(exec, false)
+	if exec <= s.pol.FirstN {
+		return true
+	}
+	if s.pol.Rate >= 1 {
+		return true
+	}
+	if s.pol.Rate <= 0 {
+		return false
+	}
+	return s.rng.Float64() < s.pol.Rate
 }
 
 // Rate reports the sampler's current steady-state rate. Like every
@@ -68,33 +73,10 @@ func (s *Sampler) Select(exec uint64) bool {
 func (s *Sampler) Rate() float64 { return s.pol.Rate }
 
 // SetRate replaces the sampler's steady-state rate. The FirstN warm-up
-// and ElevatedRate are deliberately untouched: an adaptive controller
-// decays only the background rate — fresh translations and
-// audit-flagged rules keep their own floors. Run-goroutine only.
+// is deliberately untouched: an adaptive controller decays only the
+// background rate — fresh translations keep their first-execution
+// check. Run-goroutine only.
 func (s *Sampler) SetRate(r float64) { s.pol.Rate = r }
-
-// SelectWith is Select with an elevation bit: when elevated is true and
-// the policy carries a positive ElevatedRate, that rate replaces the
-// steady-state Rate for this decision. The FirstN warm-up applies
-// either way. One rng drives both populations, so a run's sample
-// sequence stays deterministic under a fixed seed regardless of how
-// elevated and normal blocks interleave.
-func (s *Sampler) SelectWith(exec uint64, elevated bool) bool {
-	if exec <= s.pol.FirstN {
-		return true
-	}
-	rate := s.pol.Rate
-	if elevated && s.pol.ElevatedRate > 0 {
-		rate = s.pol.ElevatedRate
-	}
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	return s.rng.Float64() < rate
-}
 
 // Mismatch kinds.
 const (

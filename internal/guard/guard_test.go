@@ -58,54 +58,6 @@ func TestSamplerDeterministic(t *testing.T) {
 	}
 }
 
-func TestSamplerElevatedRate(t *testing.T) {
-	// Rate 0 with ElevatedRate 1: only elevated executions are picked
-	// (past the warm-up), and Select stays the non-elevated path.
-	s := NewSampler(Policy{Rate: 0, ElevatedRate: 1, FirstN: 1})
-	if !s.SelectWith(1, false) {
-		t.Fatal("FirstN warm-up must select regardless of elevation")
-	}
-	for exec := uint64(2); exec <= 50; exec++ {
-		if s.Select(exec) {
-			t.Fatalf("exec %d selected at rate 0 without elevation", exec)
-		}
-		if !s.SelectWith(exec, true) {
-			t.Fatalf("elevated exec %d not selected at elevated rate 1", exec)
-		}
-	}
-
-	// ElevatedRate 0 means no elevation configured: elevated blocks fall
-	// back to the steady-state rate.
-	s = NewSampler(Policy{Rate: 1, ElevatedRate: 0})
-	for exec := uint64(1); exec <= 20; exec++ {
-		if !s.SelectWith(exec, true) {
-			t.Fatalf("elevated exec %d must fall back to Rate 1", exec)
-		}
-	}
-}
-
-func TestSamplerElevatedRateProbabilistic(t *testing.T) {
-	// Elevated and normal draws share one rng; check both populations
-	// land near their configured rates under a fixed seed.
-	s := NewSampler(Policy{Rate: 0.1, ElevatedRate: 0.9, Seed: 7})
-	normal, elevated := 0, 0
-	for exec := uint64(1); exec <= 1000; exec++ {
-		if s.SelectWith(exec, exec%2 == 0) {
-			if exec%2 == 0 {
-				elevated++
-			} else {
-				normal++
-			}
-		}
-	}
-	if normal < 20 || normal > 90 {
-		t.Fatalf("normal population sampled %d/500 at rate 0.1", normal)
-	}
-	if elevated < 410 || elevated > 490 {
-		t.Fatalf("elevated population sampled %d/500 at rate 0.9", elevated)
-	}
-}
-
 func TestRunReferenceStraightLine(t *testing.T) {
 	insts := guest.MustAssemble("mov r0, #5\nadd r0, r0, #7\nb #0")
 	st := guest.NewState()

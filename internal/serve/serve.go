@@ -55,30 +55,26 @@ const (
 type Config struct {
 	// Scale is the workload dynamic-work multiplier (default 1).
 	Scale int
-	// Workers/QueueDepth/SpecDepth configure the shared translation
-	// queue (see dbt.ServiceConfig for defaults).
+	// Workers/QueueDepth configure the shared translation queue (see
+	// dbt.ServiceConfig for defaults).
 	Workers    int
 	QueueDepth int
-	SpecDepth  int
 
 	// ShadowRate is each tenant's starting shadow-verification rate
 	// (default 1: every tenant starts fully verified). NoShadow
-	// disables verification entirely (bench-only; the serving default
-	// keeps the guard on).
+	// disables verification entirely (paradbtd -shadow-rate 0; the
+	// serving default keeps the guard on).
 	ShadowRate float64
 	NoShadow   bool
-	// Adaptive enables the per-tenant guard controller (default on via
-	// NewServer unless NoAdaptive is set).
+	// NoAdaptive turns off the per-tenant guard controller, which is on
+	// by default and halves each tenant's rate every ShadowHalfLife
+	// consecutive clean checks (dbt.Config.ShadowHalfLife's default
+	// applies when zero).
 	NoAdaptive     bool
-	ShadowMinRate  float64
 	ShadowHalfLife uint64
 
 	// Backend is the host backend; nil selects backend.Default().
 	Backend backend.Backend
-	// Metrics, when non-nil, is the registry the serve.* and
-	// dbt.serve_* families register in; nil gives the server a private
-	// registry.
-	Metrics *obs.Registry
 	// FlushTo, when non-nil, receives a final JSON metrics snapshot
 	// when the server closes (the graceful-shutdown stats flush).
 	FlushTo io.Writer
@@ -122,17 +118,13 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	rules, _ := core.Parameterize(corpus.Union(corpus.Names), core.Config{Opcode: true, AddrMode: true})
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	svc := dbt.NewService(dbt.ServiceConfig{
 		Rules:         rules,
 		Backend:       cfg.Backend,
 		DelegateFlags: true,
 		Workers:       cfg.Workers,
 		QueueDepth:    cfg.QueueDepth,
-		SpecDepth:     cfg.SpecDepth,
 		Metrics:       reg,
 	})
 	return &Server{
@@ -204,7 +196,6 @@ func (s *Server) RunTenant(bench string) (TenantResult, error) {
 		ShadowRate:     rate,
 		ShadowSeed:     int64(id),
 		AdaptiveShadow: rate > 0 && !s.cfg.NoAdaptive,
-		ShadowMinRate:  s.cfg.ShadowMinRate,
 		ShadowHalfLife: s.cfg.ShadowHalfLife,
 		Service:        s.svc,
 	})
