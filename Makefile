@@ -6,20 +6,9 @@ GO ?= go
 # exactly what to install.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs bench-obs bench-serve bench-serve-check experiments linkcheck
+.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs bench-obs experiments linkcheck
 
 ci: lint build race test-backends test-faults test-persistence test-smc test-serve test-validate fuzz-host linkcheck bench
-
-# Opt-in serving-load gate: `CHECK_SERVE=1 make ci` re-drives the
-# 1000-tenant load harness and fails unless the shared service beats N
-# independent engines on translations and resident heap with zero
-# divergences (docs/SERVING.md) — counts and heap from one run on one
-# machine, not wall clock against a number recorded elsewhere. The
-# functional serving suite runs un-gated via test-serve; only the
-# minutes-long load run is opt-in.
-ifeq ($(CHECK_SERVE),1)
-ci: bench-serve bench-serve-check
-endif
 
 vet:
 	$(GO) vet ./...
@@ -185,20 +174,6 @@ N ?= 10
 bench-pairs:
 	$(GO) run ./tools/benchpairs -base $(BASE) -workload $(W) -n $(N)
 
-# Serving load measurement: drives 1000 concurrent tenants through one
-# shared translation service and through N independent engines, and
-# records both arms (translations, resident heap, run/queue-wait
-# latency quantiles, dedupe rate) in BENCH_serve.json.
-bench-serve:
-	$(GO) run ./tools/loadgen -tenants 1000 -out BENCH_serve.json
-
-# Regression gate for the serving result: fails unless the recorded
-# shared arm translated strictly less and resided in strictly less
-# heap than the independent arm, with zero divergences in both arms
-# and the adaptive controller demonstrably active.
-bench-serve-check:
-	$(GO) run ./tools/loadgen -check BENCH_serve.json
-
 # Static audit of every block the workload suite translates, via the
 # translation validator (JSON verdicts on stdout; see docs/ANALYSIS.md
 # "Translation validation").
@@ -207,7 +182,7 @@ codeaudit:
 
 # The disabled-telemetry overhead guard (must stay 0 allocs/op, ~sub-ns).
 bench-obs:
-	$(GO) test -run NONE -bench BenchmarkObsDisabledOverhead -benchmem .
+	$(GO) test -run NONE -bench BenchmarkObsDisabledOverhead -benchmem ./internal/obs
 
 experiments:
 	$(GO) run ./cmd/experiments

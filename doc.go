@@ -7,8 +7,8 @@
 // The implementation lives under internal/ (docs/ARCHITECTURE.md maps
 // the packages and the data flow; DESIGN.md records the system
 // inventory and rationale); cmd/ holds the executables and examples/
-// the runnable demos. The root package carries the benchmark harness
-// that regenerates every table and figure of the paper's evaluation
-// (bench_test.go). Runtime metrics and tracing are documented in
+// the runnable demos. cmd/experiments regenerates every table and
+// figure of the paper's evaluation, and bench/ is the end-to-end
+// performance benchmark. Runtime metrics and tracing are documented in
 // docs/OBSERVABILITY.md.
 package paramdbt

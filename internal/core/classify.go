@@ -11,8 +11,6 @@
 package core
 
 import (
-	"fmt"
-
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 	"paramdbt/internal/rule"
@@ -285,16 +283,3 @@ func hostRealizationUsesScratch(pats []rule.HPat, idx int) bool {
 	}
 	return false
 }
-
-// BiasNote documents why a kind is underivable, for diagnostics.
-func BiasNote(k OpKind) string {
-	switch k {
-	case KClz:
-		return "no single host instruction counts leading zeros"
-	case KAdc, KSbc, KRsc:
-		return "carry-in opcodes need the guest C flag, which rules cannot read"
-	}
-	return ""
-}
-
-var _ = fmt.Sprintf

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"paramdbt/internal/env"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 	"paramdbt/internal/mem"
@@ -342,121 +341,5 @@ func TestDumpMentionsOrigins(t *testing.T) {
 	d := out.Dump()
 	if !strings.Contains(d, "opcode-param") || !strings.Contains(d, "mode-param") {
 		t.Fatalf("origins missing in dump:\n%s", d)
-	}
-}
-
-func TestSequenceParameterization(t *testing.T) {
-	// A learned two-instruction rule (load-modify in one idiom) derives
-	// opcode variants of its ALU member under the Sequences extension.
-	seq := &rule.Template{
-		Guest: []rule.GPat{
-			{Op: guest.LDR, Args: []rule.Arg{rule.RegArg(0), rule.MemDispArg(1, 2)}},
-			{Op: guest.ADD, Args: []rule.Arg{rule.RegArg(3), rule.RegArg(3), rule.RegArg(0)}},
-		},
-		Host: []rule.HPat{
-			{Op: host.MOVL, Dst: rule.RegArg(0), Src: rule.MemDispArg(1, 2)},
-			{Op: host.ADDL, Dst: rule.RegArg(3), Src: rule.RegArg(0)},
-		},
-		Params: []rule.ParamKind{rule.PReg, rule.PReg, rule.PImm, rule.PReg},
-		Origin: rule.OriginLearned,
-	}
-	if res, ok := rule.Verify(seq); !ok {
-		t.Fatalf("sequence seed rejected: %s", res.Reason)
-	}
-
-	without, cw := Parameterize(seedStore(seq), Config{Opcode: true, AddrMode: true})
-	with, cs := Parameterize(seedStore(seq), Config{Opcode: true, AddrMode: true, Sequences: true})
-	if cs.Derived <= cw.Derived {
-		t.Fatalf("sequence extension derived nothing: %d vs %d", cs.Derived, cw.Derived)
-	}
-	// The ldr;eor variant must exist and verify.
-	found := false
-	for _, tm := range with.All() {
-		if tm.GuestLen() == 2 && tm.Guest[1].Op == guest.EOR && tm.Guest[0].Op == guest.LDR {
-			found = true
-			cp := *tm
-			if res, ok := rule.Verify(&cp); !ok {
-				t.Fatalf("derived sequence fails re-verification: %s", res.Reason)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("ldr;eor sequence not derived:\n%s", with.Dump())
-	}
-	// And must match a concrete window.
-	win := guest.MustAssemble("ldr r5, [r6, #8]\neor r2, r2, r5")
-	tm, _, n := with.Lookup(win)
-	if tm == nil || n != 2 {
-		t.Fatalf("derived sequence does not match (n=%d)", n)
-	}
-	if tm2, _, _ := without.Lookup(win); tm2 != nil && tm2.GuestLen() == 2 {
-		t.Fatal("sequence variant present without the extension")
-	}
-}
-
-func TestSequenceParameterizationSound(t *testing.T) {
-	// Random-state check of a derived ldr;sub sequence against the
-	// interpreter, mirroring the single-instruction soundness fuzz.
-	seq := &rule.Template{
-		Guest: []rule.GPat{
-			{Op: guest.LDR, Args: []rule.Arg{rule.RegArg(0), rule.MemDispArg(1, 2)}},
-			{Op: guest.ADD, Args: []rule.Arg{rule.RegArg(3), rule.RegArg(3), rule.RegArg(0)}},
-		},
-		Host: []rule.HPat{
-			{Op: host.MOVL, Dst: rule.RegArg(0), Src: rule.MemDispArg(1, 2)},
-			{Op: host.ADDL, Dst: rule.RegArg(3), Src: rule.RegArg(0)},
-		},
-		Params: []rule.ParamKind{rule.PReg, rule.PReg, rule.PImm, rule.PReg},
-		Origin: rule.OriginLearned,
-	}
-	if _, ok := rule.Verify(seq); !ok {
-		t.Fatal("seed rejected")
-	}
-	out, _ := Parameterize(seedStore(seq), Config{Opcode: true, Sequences: true})
-
-	win := guest.MustAssemble("ldr r5, [r6, #12]\nsub r2, r2, r5")
-	tm, b, n := out.Lookup(win)
-	if tm == nil || n != 2 {
-		t.Fatal("ldr;sub variant missing")
-	}
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		st := guest.NewState()
-		for i := 0; i < guest.NumRegs; i++ {
-			st.R[i] = r.Uint32()
-		}
-		st.R[guest.R6] = env.DataBase + uint32(r.Intn(32))*4
-		for i := 0; i < 64; i++ {
-			st.Mem.Write32(env.DataBase+uint32(i)*4, r.Uint32())
-		}
-		st.SetPC(env.CodeBase)
-		ref := st.Clone()
-		for _, in := range win {
-			if err := ref.Step(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dut := st.Clone()
-		cpu := host.NewCPU(dut.Mem)
-		assign := map[guest.Reg]host.Reg{guest.R5: host.EAX, guest.R6: host.ECX, guest.R2: host.EDX}
-		for gr, hr := range assign {
-			cpu.R[hr] = dut.R[gr]
-		}
-		hseq, err := rule.Instantiate(tm, b, func(gr guest.Reg) (host.Reg, bool) {
-			hr, ok := assign[gr]
-			return hr, ok
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hseq = append(hseq, host.Exit(host.Imm(0)))
-		if _, err := cpu.Exec(host.NewBlock(hseq, nil), 100); err != nil {
-			t.Fatal(err)
-		}
-		for gr, hr := range assign {
-			if ref.R[gr] != cpu.R[hr] {
-				t.Fatalf("trial %d: %v = %#x, want %#x", trial, gr, cpu.R[hr], ref.R[gr])
-			}
-		}
 	}
 }

@@ -14,9 +14,6 @@ import (
 type Config struct {
 	Opcode   bool // opcode parameterization
 	AddrMode bool // addressing-mode (and dependence-shape) parameterization
-	// Sequences extends opcode parameterization to multi-instruction
-	// learned rules — the paper's §V-D future-work item.
-	Sequences bool
 }
 
 // Counts reports the rule accounting of the paper's Table III.
@@ -344,13 +341,6 @@ func Parameterize(in *rule.Store, cfg Config) (*rule.Store, Counts) {
 				}
 			}
 		}
-	}
-
-	if cfg.Sequences {
-		d, rej := deriveSequences(in, out, guestSeen)
-		counts.Derived += d
-		counts.Rejected += rej
-		instances += d
 	}
 
 	counts.Instantiated = unparam + instances

@@ -309,11 +309,3 @@ func TestCodeCacheReuse(t *testing.T) {
 		t.Fatalf("code cache ineffective: %d blocks for %d guest insts", stats.Blocks, stats.GuestExec)
 	}
 }
-
-func TestFlagWindowZeroDisablesDelegation(t *testing.T) {
-	c := compileT(t, testProgram())
-	want := interpret(t, c)
-	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
-	got, _ := runProgram(t, c, Config{Rules: par, DelegateFlags: true, FlagWindow: -1})
-	sameResult(t, want, got, "window -1 (materialize everything)")
-}

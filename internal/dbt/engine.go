@@ -60,11 +60,11 @@ const HaltPC = 0xffffffff
 const maxBlockInsts = 512
 
 // Config selects the translation strategy; the experiment harness builds
-// one Engine per paper configuration. Rules, Backend and the five codegen
-// knobs (DelegateFlags, FlagWindow, NoBlockRegAlloc, ManualABI, Peephole —
-// see codegenOptions) are everything translation output depends on
-// besides the guest code bytes, and what a shared Service compares at
-// attach; every other field is per-engine policy.
+// one Engine per paper configuration. Rules, Backend and the three
+// codegen knobs (DelegateFlags, ManualABI, Peephole — see
+// codegenOptions) are everything translation output depends on besides
+// the guest code bytes, and what a shared Service compares at attach;
+// every other field is per-engine policy.
 type Config struct {
 	// Rules is the rule store (nil for the pure-QEMU baseline).
 	Rules *rule.Store
@@ -78,14 +78,6 @@ type Config struct {
 	// DelegateFlags enables condition-flag delegation and the use of
 	// derived flag-setting rules (the paper's "condition" factor).
 	DelegateFlags bool
-	// FlagWindow is the maximum setter-to-consumer distance (in guest
-	// instructions) delegation accepts; the paper fixes 3.
-	FlagWindow int
-	// NoBlockRegAlloc disables per-block guest-register allocation:
-	// every guest register access goes through its CPUState slot. Used
-	// by the register-allocation ablation bench (Table II's data-transfer
-	// overhead discussion).
-	NoBlockRegAlloc bool
 	// ManualABI adds the hand-written translations for the instructions
 	// learning can never cover (push/pop/clz/mla/umla, and the pure-stub
 	// control terminators) — the paper's §V-B2 path to ~100% coverage.
@@ -98,8 +90,8 @@ type Config struct {
 	// Results are deterministic: workers only pre-warm the code cache.
 	TranslateWorkers int
 	// NoChain disables translation-block chaining, forcing every block
-	// boundary back through the dispatcher — the ablation baseline for
-	// BenchmarkDispatchChaining.
+	// boundary back through the dispatcher — the ablation baseline the
+	// bench's nochain arm measures.
 	NoChain bool
 	// HotThreshold enables hot-trace superblock formation: a block whose
 	// entry count crosses the threshold is grown into a trace along its
@@ -236,7 +228,7 @@ type Stats struct {
 	// A warm-started engine restores its code cache in New, before any
 	// Run begins, so this stays near zero on a warm replay — the
 	// headline number of the warm-start comparison (experiments -only
-	// warmstart, BenchmarkWarmstart).
+	// warmstart).
 	Translations uint64
 
 	// Hot-trace superblock counters (zero unless Config.HotThreshold is

@@ -97,7 +97,6 @@ func TestFuzzDifferential(t *testing.T) {
 		{"qemu", Config{}},
 		{"learned", Config{Rules: trainStore}},
 		{"para", Config{Rules: par, DelegateFlags: true}},
-		{"para-noalloc", Config{Rules: par, DelegateFlags: true, NoBlockRegAlloc: true}},
 		{"para-manual", Config{Rules: par, DelegateFlags: true, ManualABI: true}},
 	}
 
@@ -136,13 +135,4 @@ func TestFuzzDifferential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestNoBlockRegAllocCorrect pins the state-resident ablation mode.
-func TestNoBlockRegAllocCorrect(t *testing.T) {
-	c := compileT(t, testProgram())
-	want := interpret(t, c)
-	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
-	got, _ := runProgram(t, c, Config{Rules: par, DelegateFlags: true, NoBlockRegAlloc: true})
-	sameResult(t, want, got, "no block regalloc")
 }

@@ -87,11 +87,9 @@ type ServiceConfig struct {
 	// Backend is the host backend; nil selects backend.Default().
 	Backend backend.Backend
 
-	DelegateFlags   bool
-	FlagWindow      int
-	NoBlockRegAlloc bool
-	ManualABI       bool
-	Peephole        bool
+	DelegateFlags bool
+	ManualABI     bool
+	Peephole      bool
 
 	// Workers is the number of translation worker goroutines (default
 	// 4). Negative means zero workers — nothing drains the queues; only
@@ -203,13 +201,11 @@ func NewService(cfg ServiceConfig) *Service {
 	// Exactly what ServiceConfig carries: no fault plan reaches a shared
 	// prototype.
 	tc := Config{
-		Rules:           cfg.Rules,
-		Backend:         cfg.Backend,
-		DelegateFlags:   cfg.DelegateFlags,
-		FlagWindow:      cfg.FlagWindow,
-		NoBlockRegAlloc: cfg.NoBlockRegAlloc,
-		ManualABI:       cfg.ManualABI,
-		Peephole:        cfg.Peephole,
+		Rules:         cfg.Rules,
+		Backend:       cfg.Backend,
+		DelegateFlags: cfg.DelegateFlags,
+		ManualABI:     cfg.ManualABI,
+		Peephole:      cfg.Peephole,
 	}
 	return &Service{
 		tr:       newTranslator(&tc, reg.Counter(MetBlocksValidated), reg.Counter(MetValidateFallbacks)),

@@ -324,7 +324,6 @@ func TestServicePurgeOnQuarantine(t *testing.T) {
 // fault plan disagrees with the service must be refused at attach and
 // run correctly on the local path — one case per codegen knob, so a knob
 // that stops reaching the attach comparison fails here by name.
-// Spellings that resolve to the same options must attach.
 func TestServiceIncompatibleTenant(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
@@ -342,8 +341,6 @@ func TestServiceIncompatibleTenant(t *testing.T) {
 		cfg  Config
 	}{
 		{"DelegateFlags", with(func(c *Config) { c.DelegateFlags = false })},
-		{"FlagWindow", with(func(c *Config) { c.FlagWindow = 2 })},
-		{"NoBlockRegAlloc", with(func(c *Config) { c.NoBlockRegAlloc = true })},
 		{"ManualABI", with(func(c *Config) { c.ManualABI = true })},
 		{"Peephole", with(func(c *Config) { c.Peephole = true })},
 		{"different store", with(func(c *Config) { c.Rules = serveRules(t) })},
@@ -361,15 +358,6 @@ func TestServiceIncompatibleTenant(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Tenants != 0 || st.Requests != 0 {
 		t.Fatalf("refused tenants still reached the service: %+v", st)
-	}
-
-	accepted := []Config{
-		with(func(c *Config) { c.FlagWindow = 3 }), // the default, spelled out
-	}
-	for i, cfg := range accepted {
-		if e := startEngine(t, c, cfg); e.svc == nil {
-			t.Fatalf("equivalent spelling %d (FlagWindow %d) refused", i, cfg.FlagWindow)
-		}
 	}
 }
 
@@ -412,8 +400,6 @@ func TestConfigFieldsClassified(t *testing.T) {
 		switch f := reflect.ValueOf(&cfg).Elem().Field(i); f.Kind() {
 		case reflect.Bool:
 			f.SetBool(true)
-		case reflect.Int:
-			f.SetInt(7)
 		default:
 			t.Fatalf("Config.%s: unhandled knob kind %s", name, f.Kind())
 		}
@@ -427,20 +413,15 @@ func TestConfigFieldsClassified(t *testing.T) {
 }
 
 // TestConfigFieldsHaveSetters is the knob census: every dbt.Config
-// field must be set by some non-test .go file outside internal/dbt, and
-// every serve.Config field by one outside internal/serve. A knob only
-// tests set is a knob to delete, together with the code that honours it.
-// A setter is found syntactically: a key of a composite literal of the
-// struct's type, or the selector of an assignment's left-hand side in a
-// file importing the struct's package.
+// field must be set by some non-test .go file outside internal/dbt,
+// every serve.Config field by one outside internal/serve, and every
+// core.Config field by one outside internal/core. A knob only tests set
+// is a knob to delete, together with the code that honours it. A setter
+// is found syntactically: a key of a composite literal of the struct's
+// type, or the selector of an assignment's left-hand side in a file
+// importing the struct's package.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	const root = "../.."
-	allowed := map[string]bool{
-		// The paper's ablation knobs: BenchmarkAblationFlagWindow and
-		// BenchmarkAblationRegAlloc set them (EXPERIMENTS.md).
-		"FlagWindow":      true,
-		"NoBlockRegAlloc": true,
-	}
 	var dbtFields []string
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {
@@ -452,10 +433,11 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}{
 		{"paramdbt/internal/dbt", "internal/dbt", dbtFields},
 		{"paramdbt/internal/serve", "internal/serve", structFields(t, filepath.Join(root, "internal/serve/serve.go"), "Config")},
+		{"paramdbt/internal/core", "internal/core", structFields(t, filepath.Join(root, "internal/core/param.go"), "Config")},
 	} {
 		set := configSetters(t, root, c.pkg, c.dir)
 		for _, f := range c.fields {
-			if !set[f] && !allowed[f] {
+			if !set[f] {
 				t.Errorf("%s.Config.%s is set by no non-test code outside %s: delete it or give it a caller", path.Base(c.pkg), f, c.dir)
 			}
 		}

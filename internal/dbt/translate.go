@@ -22,30 +22,26 @@ import (
 // why a worker-translated block is interchangeable with a
 // demand-translated one.
 type codegenOptions struct {
-	DelegateFlags   bool
-	FlagWindow      int
-	NoBlockRegAlloc bool
-	ManualABI       bool
-	Peephole        bool
+	DelegateFlags bool
+	ManualABI     bool
+	Peephole      bool
 }
 
-// codegenOf is the one place the codegen knobs are read off a Config
-// (the FlagWindow default applied). A Config field that changes translation output must be copied here — and
-// so into the attach comparison — or classified per-engine in
+// codegenOf is the one place the codegen knobs are read off a Config.
+// A Config field that changes translation output must be copied here —
+// and so into the attach comparison — or classified per-engine in
 // TestConfigFieldsClassified.
 func codegenOf(c *Config) codegenOptions {
-	o := codegenOptions{
-		DelegateFlags:   c.DelegateFlags,
-		FlagWindow:      c.FlagWindow,
-		NoBlockRegAlloc: c.NoBlockRegAlloc,
-		ManualABI:       c.ManualABI,
-		Peephole:        c.Peephole,
+	return codegenOptions{
+		DelegateFlags: c.DelegateFlags,
+		ManualABI:     c.ManualABI,
+		Peephole:      c.Peephole,
 	}
-	if o.FlagWindow == 0 {
-		o.FlagWindow = 3
-	}
-	return o
 }
+
+// flagWindow is the maximum setter-to-consumer distance, in guest
+// instructions, flag delegation accepts; the paper fixes 3.
+const flagWindow = 3
 
 // translator is the paper's pipeline — rule lookup, instantiate, TCG
 // fallback, flag delegation, backend Finalize, validate — as what it is:
@@ -501,9 +497,6 @@ func demote(plans []iplan, head int) {
 // order of use count, ties to the lower register.
 func (tr *translator) allocRegs(insts []guest.Inst, m *regMap) {
 	*m = regMap{}
-	if tr.opt.NoBlockRegAlloc {
-		return
-	}
 	var counts [guest.NumRegs]int
 	var srcs [guest.NumRegs]guest.Reg
 	for i := range insts {
@@ -575,8 +568,7 @@ func (tr *translator) planDelegation(insts []guest.Inst, plans []iplan) {
 	if !t.SetsFlags {
 		return
 	}
-	// Window check (paper: 3 instructions).
-	if n-1-setter > tr.opt.FlagWindow {
+	if n-1-setter > flagWindow {
 		return
 	}
 	// No other consumer may sit between setter and terminator, and the

@@ -254,20 +254,3 @@ func CorruptTemplates(ts []*rule.Template, n int) []string {
 	}
 	return out
 }
-
-// CorruptStore corrupts up to plan.CorruptRules learned templates in
-// the store (deterministic order) and returns their post-corruption
-// fingerprints. Prefer CorruptTemplates over the templates a prior run
-// actually used when the goal is a guaranteed divergence.
-func (i *Injector) CorruptStore(s *rule.Store) []string {
-	if i.plan.CorruptRules <= 0 {
-		return nil
-	}
-	var learned []*rule.Template
-	for _, t := range s.All() {
-		if t.Origin != rule.OriginManual {
-			learned = append(learned, t)
-		}
-	}
-	return CorruptTemplates(learned, i.plan.CorruptRules)
-}

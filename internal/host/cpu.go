@@ -91,9 +91,6 @@ func (c *CPU) Total() uint64 {
 	return c.Executed[CatCompute] + c.Executed[CatDataTransfer] + c.Executed[CatControl]
 }
 
-// ResetCounts zeroes the execution counters.
-func (c *CPU) ResetCounts() { c.Executed = [3]uint64{} }
-
 func (c *CPU) addr(o *Operand) uint32 {
 	a := uint32(o.Disp) + c.R[o.Base]
 	if o.Scale != 0 {

@@ -6,8 +6,8 @@
 // The layer is designed around one invariant: when metrics are disabled
 // (the default), instrumented hot paths pay a single atomic load and
 // nothing else — no allocation, no time.Now, no map lookup
-// (BenchmarkObsDisabledOverhead in the root package pins this). Call
-// sites therefore guard the expensive part behind On():
+// (BenchmarkObsDisabledOverhead pins this). Call sites therefore guard
+// the expensive part behind On():
 //
 //	if obs.On() {
 //		t0 := time.Now()

@@ -355,7 +355,3 @@ func flagFamOf(op guest.Op) FlagFam {
 		return FamLogic
 	}
 }
-
-// FlagFamOf exposes the family classification (used by the translator's
-// delegation logic for emulated instructions too).
-func FlagFamOf(op guest.Op) FlagFam { return flagFamOf(op) }

@@ -2,8 +2,8 @@
 // dbt.Service (rule store, prototype cache, batched translation queue)
 // fronted by per-request tenant engines, with per-tenant SLO accounting
 // on labeled obs metric families. cmd/paradbtd wraps it in an HTTP
-// server; tools/loadgen and the experiments serve section drive it
-// directly. See docs/SERVING.md.
+// server; the bench serve workload and the experiments serve section
+// drive it directly. See docs/SERVING.md.
 package serve
 
 import (

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // XOp is a symbolic expression operator.
@@ -567,13 +566,4 @@ func HasUnknown(e *Expr) bool {
 		return true
 	}
 	return HasUnknown(e.X) || HasUnknown(e.Y) || HasUnknown(e.Z)
-}
-
-// DebugDump renders several labeled expressions, for test failures.
-func DebugDump(pairs ...interface{}) string {
-	var b strings.Builder
-	for i := 0; i+1 < len(pairs); i += 2 {
-		fmt.Fprintf(&b, "%v: %v\n", pairs[i], pairs[i+1])
-	}
-	return b.String()
 }
