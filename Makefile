@@ -106,8 +106,8 @@ test-smc:
 	$(GO) test -race -count=1 -run TestSMC ./internal/workload ./internal/dbt
 
 # The multi-tenant serving suite (docs/SERVING.md): the shared
-# translation service's single-flight/backpressure/shutdown/quarantine
-# scenarios, the adaptive shadow controller, the rule-store reseed
+# translation service's single-flight/closed-service/no-goroutine/
+# quarantine scenarios, the adaptive shadow controller, the rule-store reseed
 # stress, and the serving layer's deterministic small-N load smoke —
 # functionally and under the race detector.
 test-serve:

@@ -1,14 +1,14 @@
 // Command paradbtd is the multi-tenant translation server daemon: one
-// shared translation service (rule store, prototype cache, batched
-// translation queue) serving workload runs for any number of tenants
-// over HTTP. See docs/SERVING.md.
+// shared translation service (rule store, single-flight prototype
+// cache) serving workload runs for any number of tenants over HTTP. See
+// docs/SERVING.md.
 //
 //	go run ./cmd/paradbtd -addr :8921
 //	curl 'localhost:8921/run?bench=mcf&tenants=64'
 //	curl localhost:8921/metrics
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight requests finish, the
-// translation queue drains, and the final metrics snapshot is written
+// translation service closes, and the final metrics snapshot is written
 // to stderr (or -flush).
 package main
 
@@ -32,8 +32,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8921", "listen address")
 	scale := flag.Int("scale", 1, "workload dynamic-work multiplier")
-	workers := flag.Int("workers", 0, "translation workers (0 = service default)")
-	queue := flag.Int("queue", 0, "demand queue depth (0 = service default)")
 	shadowRate := flag.Float64("shadow-rate", 1, "tenant starting shadow-verification rate")
 	noAdaptive := flag.Bool("no-adaptive", false, "disable the per-tenant adaptive guard controller")
 	halfLife := flag.Uint64("shadow-half-life", 0, "clean checks per rate halving (0 = default)")
@@ -41,13 +39,13 @@ func main() {
 	flushPath := flag.String("flush", "", "write the shutdown metrics snapshot here (default stderr)")
 	flag.Parse()
 
-	if err := run(*addr, *scale, *workers, *queue, *shadowRate, *noAdaptive, *halfLife, *backendName, *flushPath); err != nil {
+	if err := run(*addr, *scale, *shadowRate, *noAdaptive, *halfLife, *backendName, *flushPath); err != nil {
 		fmt.Fprintln(os.Stderr, "paradbtd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, scale, workers, queue int, shadowRate float64, noAdaptive bool, halfLife uint64, backendName, flushPath string) error {
+func run(addr string, scale int, shadowRate float64, noAdaptive bool, halfLife uint64, backendName, flushPath string) error {
 	obs.SetEnabled(true)
 
 	var be backend.Backend
@@ -69,8 +67,6 @@ func run(addr string, scale, workers, queue int, shadowRate float64, noAdaptive 
 
 	srv, err := serve.NewServer(serve.Config{
 		Scale:          scale,
-		Workers:        workers,
-		QueueDepth:     queue,
 		ShadowRate:     shadowRate,
 		NoShadow:       shadowRate == 0,
 		NoAdaptive:     noAdaptive,
@@ -103,7 +99,7 @@ func run(addr string, scale, workers, queue int, shadowRate float64, noAdaptive 
 	}
 
 	// Graceful shutdown: stop accepting, let in-flight /run requests
-	// finish, then drain the translation queue and flush final stats.
+	// finish, then close the translation service and flush final stats.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {

@@ -14,13 +14,15 @@
 // Translation itself is one immutable translator (translate.go): a pure
 // function of {code bytes, rule store, backend, codegenOptions} with no
 // guest memory, CPU or statistics of its own. The Engine holds one and
-// calls it on demand misses; everything that translates off the Run
-// goroutine — speculative successor pre-translation from a code snapshot
-// (Config.TranslateWorkers), asynchronous superblock formation, and the
-// shared Service's demand and speculative queues — runs as jobs on one
-// two-priority worker pool (pool.go) through one panic-to-PanicError
-// wrapper. The pool is dumb; staleness stays with the submitter
-// (first-writer-wins cache inserts, cacheGen-stamped superblock results).
+// calls it on demand misses, and a tenant of a shared Service runs the
+// service's translator on its own Run goroutine when it leads a
+// single-flight miss. Everything that translates off the Run goroutine
+// — speculative successor pre-translation from a code snapshot
+// (Config.TranslateWorkers) and asynchronous superblock formation —
+// runs as jobs on the engine's two-priority worker pool (pool.go)
+// through one panic-to-PanicError wrapper. The pool is dumb; staleness
+// stays with the submitter (first-writer-wins cache inserts,
+// cacheGen-stamped superblock results).
 //
 // Every evaluation metric — dynamic coverage, dispatch/chain traffic,
 // category-tagged host instruction counts — is counted on atomic
@@ -166,14 +168,15 @@ type Config struct {
 
 	// Service, when non-nil, attaches the engine to a shared translation
 	// service (see Service and docs/SERVING.md): demand misses are
-	// resolved through the service's single-flight batched queue and the
-	// engine adopts shared prototype translations instead of translating
-	// locally. The attachment is refused — silently, the engine then
-	// behaves exactly as without it — when the configurations disagree
-	// on anything translation-relevant (backend, rule store, codegen
-	// knobs) or when fault injection is configured (injected faults must
-	// stay inside one engine). Any service error (overload, shutdown,
-	// translation failure) falls back to the local translation path.
+	// resolved through the service's single-flight prototype cache and
+	// the engine adopts shared prototype translations instead of
+	// translating privately. The attachment is refused — silently, the
+	// engine then behaves exactly as without it — when the
+	// configurations disagree on anything translation-relevant (backend,
+	// rule store, codegen knobs) or when fault injection is configured
+	// (injected faults must stay inside one engine). Any service error
+	// (shutdown, translation failure) falls back to the local
+	// translation path.
 	Service *Service
 	// ArtifactDir, when non-empty, points the engine at a warm-start
 	// artifact store (internal/artifact; docs/PERSISTENCE.md). New
@@ -580,9 +583,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		return st
 	}
-	// A service-attached tenant never speculates privately: the service's
-	// workers already chase successors for it, shared across every tenant
-	// (see Service.speculate). The snapshot is code-only: translation
+	// A service-attached tenant never speculates: its misses are
+	// translated once for every tenant by the service's single-flight
+	// leader, on demand. The snapshot is code-only: translation
 	// reads nothing else, and cloning the full image made turning
 	// speculation on cost more than chaining ever saved on short runs.
 	if e.Cfg.TranslateWorkers > 0 && e.svc == nil {
@@ -875,14 +878,14 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 	}
 	tb = nil
 	if e.svc != nil {
-		// Shared-service path: the miss becomes a single-flight queue
-		// request; exactly one tenant per fresh translation is the leader
-		// and counts it, so summing dbt.translations across tenants
-		// equals the translation work actually performed. Any service
-		// error — backpressure, shutdown, a failed translation — falls
-		// through to the local path below, which owns error reporting and
-		// the guarded retry machinery.
-		if proto, leader, err := e.svc.request(e.tnt, pc); err == nil {
+		// Shared-service path: the miss becomes a single-flight request.
+		// Exactly one tenant per fresh translation is the leader — it
+		// translates here, with e.tx, and counts it — so summing
+		// dbt.translations across tenants equals the translation work
+		// actually performed. Any service error — shutdown, a failed
+		// translation — falls through to the local path below, which owns
+		// error reporting and the guarded retry machinery.
+		if proto, leader, err := e.svc.request(e.tnt, pc, &e.tx); err == nil {
 			tb = e.adoptProto(pc, proto)
 			if leader {
 				e.met.translations.Inc()
@@ -945,7 +948,7 @@ func (e *Engine) closeBackground() {
 	if e.bg == nil {
 		return
 	}
-	e.bg.close(false)
+	e.bg.close()
 	e.bg = nil
 	e.sbSpent -= e.sbInFlight
 	e.sbInFlight = 0

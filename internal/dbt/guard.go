@@ -484,30 +484,47 @@ func (e *Engine) tryTranslate(pc uint32) (tb *tblock, culprit *rule.Template, er
 // path when translation fails persistently. It returns the next pc
 // (HaltPC when the guest halted) and the instructions retired.
 func (e *Engine) interpFallbackBlock(pc uint32) (uint32, uint64, error) {
+	next, n, err := e.interpLive(pc, maxBlockInsts, "interpreter fallback", isTerminator)
+	if errors.Is(err, errInterpCap) {
+		err = fmt.Errorf("dbt: interpreter fallback exceeded %d instructions at pc=%#x", maxBlockInsts, pc)
+	}
+	return next, n, err
+}
+
+// errInterpCap reports that interpLive retired its instruction cap
+// without reaching its stop condition; callers word their own error.
+var errInterpCap = errors.New("dbt: interpreter cap reached")
+
+// interpLive runs the reference interpreter from pc over live memory,
+// decoding each instruction fresh at its fetch (so bytes the run itself
+// rewrites take effect at their next fetch), until the guest halts or
+// stop reports true after a retired instruction. It then writes the
+// state back and returns the next pc (HaltPC when halted) and the
+// instructions retired. Decode and step errors are prefixed with what;
+// after limit instructions without stopping it returns errInterpCap.
+// On any error the CPUState is left as it was.
+func (e *Engine) interpLive(pc uint32, limit uint64, what string, stop func(guest.Inst) bool) (uint32, uint64, error) {
 	st := new(guest.State)
 	readGuestState(e.Mem, st)
 	st.SetPC(pc)
-	var n uint64
-	for i := 0; i < maxBlockInsts; i++ {
-		w := e.Mem.Read32(st.PCVal())
-		in, derr := guest.Decode(w)
-		if derr != nil {
-			return 0, n, fmt.Errorf("dbt: interpreter fallback at pc=%#x: %w", st.PCVal(), derr)
+	for n := uint64(0); n < limit; {
+		in, err := guest.Decode(e.Mem.Read32(st.PCVal()))
+		if err == nil {
+			err = st.Step(in)
 		}
-		if serr := st.Step(in); serr != nil {
-			return 0, n, fmt.Errorf("dbt: interpreter fallback at pc=%#x: %w", st.PCVal(), serr)
+		if err != nil {
+			return 0, n, fmt.Errorf("dbt: %s at pc=%#x: %w", what, st.PCVal(), err)
 		}
 		n++
-		if st.Halted {
+		if st.Halted || stop(in) {
 			writeGuestState(e.Mem, st)
-			return HaltPC, n, nil
-		}
-		if isTerminator(in) {
-			writeGuestState(e.Mem, st)
+			if st.Halted {
+				return HaltPC, n, nil
+			}
 			return st.PCVal(), n, nil
 		}
 	}
-	return 0, n, fmt.Errorf("dbt: interpreter fallback exceeded %d instructions at pc=%#x", maxBlockInsts, pc)
+	return 0, limit, errInterpCap
 }
 
 // dropShard invalidates every translation in code-cache shard i (the

@@ -2,12 +2,11 @@ package dbt
 
 import "sync"
 
-// pool is the one background-translation executor: a fixed set of
+// pool is an engine's background-translation executor: a fixed set of
 // workers, each owning a txctx, fed by two bounded queues. hi jobs
-// (service demand requests, superblock formation) always run before lo
-// jobs (speculative successor translation). Submission never blocks — a
-// full queue reports false and the caller degrades (overload error,
-// dropped hint).
+// (superblock formation) always run before lo jobs (speculative
+// successor translation). Submission never blocks — a full queue
+// reports false and the caller drops the job.
 //
 // The pool is deliberately dumb: it knows nothing about caches,
 // generations or budgets. Whether a finished job's result is still
@@ -17,7 +16,6 @@ import "sync"
 type pool struct {
 	hi, lo chan job
 	quit   chan struct{}
-	drain  bool // set before quit closes: serve the queued hi jobs, then exit
 	wg     sync.WaitGroup
 }
 
@@ -55,13 +53,10 @@ func (p *pool) submit(q chan job, j job) bool {
 }
 
 // close stops the workers and waits for the jobs they are running — so
-// every cache insert a job makes is visible once close returns. With
-// drainHi each worker first serves the hi jobs still queued (callers may
-// be parked on them); queued lo jobs, and without drainHi queued hi
-// jobs, are abandoned unrun (a worker checks for close before each job,
+// every cache insert a job makes is visible once close returns. Queued
+// jobs are abandoned unrun (a worker checks for close before each job,
 // so at most the one it is running finishes).
-func (p *pool) close(drainHi bool) {
-	p.drain = drainHi
+func (p *pool) close() {
 	close(p.quit)
 	p.wg.Wait()
 }
@@ -70,17 +65,9 @@ func (p *pool) work() {
 	defer p.wg.Done()
 	var tx txctx
 	for {
-		// Closed: serve what hi still holds when draining, else abandon it.
+		// Closed: abandon whatever is still queued.
 		select {
 		case <-p.quit:
-			for p.drain {
-				select {
-				case j := <-p.hi:
-					j(&tx)
-				default:
-					return
-				}
-			}
 			return
 		default:
 		}
@@ -105,9 +92,10 @@ func (p *pool) work() {
 // rule template mid-instantiation, an injected fault, a translator bug)
 // into a *PanicError at pc — the single recovery wrapper every
 // translation that must not take its goroutine down goes through: the
-// guarded demand path (which retries and quarantines) and every pool job
-// (where the demand path owns real error reporting, so the error is
-// simply dropped or handed back).
+// guarded demand path (which retries and quarantines), the service's
+// single-flight leader (which hands the error to every waiter) and every
+// pool job (where the demand path owns real error reporting, so the
+// error is simply dropped).
 func recoverTranslate(pc uint32, f func() (*tblock, error)) (tb *tblock, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -188,13 +188,12 @@ func TestTranslateScratchAliasing(t *testing.T) {
 					errs <- checkScratchAliasing(sc, tx)
 				})
 			}
-			p.close(true)
-			close(errs)
-			for err := range errs {
-				if err != nil {
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
 					t.Error(err)
 				}
 			}
+			p.close()
 		})
 	}
 }

@@ -16,16 +16,12 @@ import (
 // Translation-service metric names (docs/OBSERVABILITY.md).
 const (
 	// Counters.
-	MetServeRequests         = "dbt.serve_requests"
-	MetServeCacheHits        = "dbt.serve_cache_hits"
-	MetServeDedupHits        = "dbt.serve_dedup_hits"
-	MetServeTranslations     = "dbt.serve_translations"
-	MetServeSpecTranslations = "dbt.serve_spec_translations"
-	MetServeOverloads        = "dbt.serve_overloads"
-	MetServeTenants          = "dbt.serve_tenants"
-	MetServePurged           = "dbt.serve_purged"
-	// Gauge (telemetry).
-	MetServeQueueDepth = "dbt.serve_queue_depth"
+	MetServeRequests     = "dbt.serve_requests"
+	MetServeCacheHits    = "dbt.serve_cache_hits"
+	MetServeDedupHits    = "dbt.serve_dedup_hits"
+	MetServeTranslations = "dbt.serve_translations"
+	MetServeTenants      = "dbt.serve_tenants"
+	MetServePurged       = "dbt.serve_purged"
 	// Histogram (telemetry).
 	MetServeWaitNs = "dbt.serve_wait_ns"
 )
@@ -35,45 +31,32 @@ const (
 type serviceMetrics struct {
 	reg *obs.Registry
 
-	requests         *obs.Counter
-	cacheHits        *obs.Counter
-	dedupHits        *obs.Counter
-	translations     *obs.Counter
-	specTranslations *obs.Counter
-	overloads        *obs.Counter
-	tenants          *obs.Counter
-	purged           *obs.Counter
-	queueDepth       *obs.Gauge
-	waitNs           *obs.Histogram
+	requests     *obs.Counter
+	cacheHits    *obs.Counter
+	dedupHits    *obs.Counter
+	translations *obs.Counter
+	tenants      *obs.Counter
+	purged       *obs.Counter
+	waitNs       *obs.Histogram
 }
 
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	return &serviceMetrics{
-		reg:              reg,
-		requests:         reg.Counter(MetServeRequests),
-		cacheHits:        reg.Counter(MetServeCacheHits),
-		dedupHits:        reg.Counter(MetServeDedupHits),
-		translations:     reg.Counter(MetServeTranslations),
-		specTranslations: reg.Counter(MetServeSpecTranslations),
-		overloads:        reg.Counter(MetServeOverloads),
-		tenants:          reg.Counter(MetServeTenants),
-		purged:           reg.Counter(MetServePurged),
-		queueDepth:       reg.Gauge(MetServeQueueDepth),
-		waitNs:           reg.Histogram(MetServeWaitNs),
+		reg:          reg,
+		requests:     reg.Counter(MetServeRequests),
+		cacheHits:    reg.Counter(MetServeCacheHits),
+		dedupHits:    reg.Counter(MetServeDedupHits),
+		translations: reg.Counter(MetServeTranslations),
+		tenants:      reg.Counter(MetServeTenants),
+		purged:       reg.Counter(MetServePurged),
+		waitNs:       reg.Histogram(MetServeWaitNs),
 	}
 }
 
-// Typed service errors. Engines treat any service error as "translate
-// locally": the service is an accelerator, never a correctness
-// dependency.
-var (
-	// ErrServiceOverloaded is returned when the bounded demand queue is
-	// full — the backpressure signal.
-	ErrServiceOverloaded = errors.New("dbt: translation service overloaded")
-	// ErrServiceClosed is returned for requests issued against a closed
-	// (or closing) service.
-	ErrServiceClosed = errors.New("dbt: translation service closed")
-)
+// ErrServiceClosed is returned for requests issued against a closed
+// service. Engines treat any service error as "translate locally": the
+// service is an accelerator, never a correctness dependency.
+var ErrServiceClosed = errors.New("dbt: translation service closed")
 
 // ServiceConfig configures a shared translation service. The
 // translation-shape fields (DelegateFlags … Peephole) mirror Config:
@@ -90,20 +73,6 @@ type ServiceConfig struct {
 	DelegateFlags bool
 	ManualABI     bool
 	Peephole      bool
-
-	// Workers is the number of translation worker goroutines (default
-	// 4). Negative means zero workers — nothing drains the queues; only
-	// tests use that to make backpressure deterministic.
-	Workers int
-	// QueueDepth bounds the demand queue (default 256). A demand
-	// request arriving at a full queue fails fast with
-	// ErrServiceOverloaded instead of parking the tenant.
-	QueueDepth int
-	// SpecDepth bounds the speculative queue (default 1024; negative
-	// disables speculation). Speculative jobs are dropped, not errored,
-	// when their queue is full, and workers only pick one up when no
-	// demand request is waiting.
-	SpecDepth int
 
 	// Metrics, when non-nil, is the registry the dbt.serve_* family
 	// registers in; nil gives the service a private registry (read it
@@ -123,15 +92,12 @@ type serviceKey struct {
 }
 
 // svcCall is one in-flight single-flight translation: the leader
-// enqueues it, every duplicate requester parks on done.
+// translates it, every duplicate requester parks on done.
 type svcCall struct {
-	key  serviceKey
-	snap *mem.Memory
 	done chan struct{}
 	// Results, valid after done is closed.
-	tb    *tblock
-	err   error
-	fresh bool // this call performed the translation (vs found it cached)
+	tb  *tblock
+	err error
 }
 
 // tenant is one engine's registration with the service: its code hash
@@ -142,12 +108,13 @@ type tenant struct {
 }
 
 // Service is the shared, read-mostly core of the multi-tenant
-// translator (docs/SERVING.md): one rule store, one prototype
-// translation cache, and one batched translation queue serve any number
-// of per-guest Engine facades. Tenants attach at construction
-// (Config.Service); a demand miss becomes a queue request that is
-// single-flight deduplicated on (code-hash, pc), so N tenants running
-// the same program translate each block once. Per-tenant state — guest
+// translator (docs/SERVING.md): one rule store and one prototype
+// translation cache serve any number of per-guest Engine facades.
+// Tenants attach at construction (Config.Service); a demand miss is
+// single-flight deduplicated on (code-hash, pc) — the first tenant to
+// miss translates the block on its own goroutine while the others wait
+// for it — so N tenants running the same program translate each block
+// once. The service owns no goroutines. Per-tenant state — guest
 // memory, architectural state, chaining, hotness, superblocks, shadow
 // verification, stats — stays in the Engine: the service hands out
 // immutable prototype blocks and each tenant adopts a lightweight clone
@@ -155,9 +122,9 @@ type tenant struct {
 //
 // All methods are safe for concurrent use.
 type Service struct {
-	// tr is the translator the workers share (with per-worker scratch),
-	// exactly as an engine's pool jobs share the engine's. Its validator
-	// verdict counters live on the service registry.
+	// tr is the translator every single-flight leader runs, with the
+	// leader's own scratch. Its validator verdict counters live on the
+	// service registry.
 	tr  *translator
 	met *serviceMetrics
 
@@ -167,33 +134,13 @@ type Service struct {
 	inflight map[serviceKey]*svcCall
 	snaps    map[uint64]*mem.Memory // code hash -> shared code snapshot
 
-	// pool runs demand requests as hi jobs and speculation as lo jobs (no
-	// lo queue when speculation is disabled). Its quit channel, closed as
-	// Close starts the drain, also releases tenants parked in request.
-	pool     *pool
-	closed   atomic.Bool
-	maxDepth atomic.Int64
+	closed atomic.Bool
 }
 
-// NewService builds a translation service and starts its workers.
-// Building the translator rekeys the rule store for the service's
-// backend, so build the service before (or concurrently with — the store
-// tolerates it) its tenants.
+// NewService builds a translation service. Building the translator
+// rekeys the rule store for the service's backend, so build the service
+// before (or concurrently with — the store tolerates it) its tenants.
 func NewService(cfg ServiceConfig) *Service {
-	workers := cfg.Workers
-	switch {
-	case workers == 0:
-		workers = 4
-	case workers < 0:
-		workers = 0
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	specDepth := cfg.SpecDepth
-	if specDepth == 0 {
-		specDepth = 1024
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -212,7 +159,6 @@ func NewService(cfg ServiceConfig) *Service {
 		met:      newServiceMetrics(reg),
 		inflight: map[serviceKey]*svcCall{},
 		snaps:    map[uint64]*mem.Memory{},
-		pool:     newPool(workers, cfg.QueueDepth, specDepth),
 	}
 }
 
@@ -227,11 +173,16 @@ func (s *Service) Backend() backend.Backend { return s.tr.be }
 func (s *Service) Rules() *rule.Store { return s.tr.rules }
 
 // ServiceStats is a point-in-time snapshot of the service counters.
+// Every request that does not fail is exactly one of a cache hit, a
+// dedup hit or a translation.
 type ServiceStats struct {
-	Requests         uint64 `json:"requests"`
-	CacheHits        uint64 `json:"cache_hits"`
-	DedupHits        uint64 `json:"dedup_hits"`
-	Translations     uint64 `json:"translations"`
+	Requests     uint64 `json:"requests"`
+	CacheHits    uint64 `json:"cache_hits"`
+	DedupHits    uint64 `json:"dedup_hits"`
+	Translations uint64 `json:"translations"`
+	// SpecTranslations, Overloads and MaxQueueDepth always read 0: the
+	// service neither speculates nor queues. They remain for readers
+	// that still report them.
 	SpecTranslations uint64 `json:"spec_translations"`
 	Overloads        uint64 `json:"overloads"`
 	Tenants          uint64 `json:"tenants"`
@@ -251,15 +202,12 @@ func (st ServiceStats) DedupRate() float64 {
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats {
 	return ServiceStats{
-		Requests:         s.met.requests.Value(),
-		CacheHits:        s.met.cacheHits.Value(),
-		DedupHits:        s.met.dedupHits.Value(),
-		Translations:     s.met.translations.Value(),
-		SpecTranslations: s.met.specTranslations.Value(),
-		Overloads:        s.met.overloads.Value(),
-		Tenants:          s.met.tenants.Value(),
-		Purged:           s.met.purged.Value(),
-		MaxQueueDepth:    s.maxDepth.Load(),
+		Requests:     s.met.requests.Value(),
+		CacheHits:    s.met.cacheHits.Value(),
+		DedupHits:    s.met.dedupHits.Value(),
+		Translations: s.met.translations.Value(),
+		Tenants:      s.met.tenants.Value(),
+		Purged:       s.met.purged.Value(),
 	}
 }
 
@@ -273,15 +221,10 @@ func (s *Service) CachedBlocks() int {
 // Closed reports whether Close has been called.
 func (s *Service) Closed() bool { return s.closed.Load() }
 
-// Close drains the service: no new demand requests are accepted,
-// workers finish every request already queued (tenants may be parked on
-// them), speculation is dropped, and the workers exit. Idempotent.
-func (s *Service) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	s.pool.close(true)
-}
+// Close stops the service accepting requests; later misses translate
+// locally. Leaders already translating finish on their own goroutines
+// and wake their followers, so there is nothing to drain. Idempotent.
+func (s *Service) Close() { s.closed.Store(true) }
 
 // attach registers an engine as a tenant. It returns nil — and the
 // engine translates locally, with no service — when the configurations
@@ -306,14 +249,18 @@ func (s *Service) attach(tr *translator, m *mem.Memory) *tenant {
 	return &tenant{code: code, snap: snap}
 }
 
-// request resolves one demand miss through the service. It returns the
-// prototype block, whether this caller's request caused the translation
-// (the leader of a fresh single-flight — exactly one caller per
-// translation sees leader=true, which keeps the tenants' summed
-// dbt.translations equal to the work actually done), and an error —
-// ErrServiceOverloaded on backpressure, ErrServiceClosed during
-// shutdown, or the translation failure itself.
-func (s *Service) request(t *tenant, pc uint32) (*tblock, bool, error) {
+// request resolves one demand miss through the service. A miss on the
+// prototype cache is single-flight: the first requester (the leader)
+// translates the block from the shared code snapshot on its own
+// goroutine with its scratch tx, publishes it, and wakes every duplicate
+// requester parked on the call. request returns the prototype block,
+// whether this caller was the leader (exactly one caller per translation
+// is, which keeps the tenants' summed dbt.translations equal to the work
+// actually done), and an error — ErrServiceClosed after Close, or the
+// translation failure itself, which the leader and every follower all
+// see. Translator panics come back as errors, and failed translations
+// are not cached, so a later request retries from scratch.
+func (s *Service) request(t *tenant, pc uint32, tx *txctx) (*tblock, bool, error) {
 	s.met.requests.Inc()
 	key := serviceKey{code: t.code, pc: pc}
 	if tb, ok := s.cache.Load(key); ok {
@@ -327,130 +274,47 @@ func (s *Service) request(t *tenant, pc uint32) (*tblock, bool, error) {
 	s.mu.Lock()
 	c, dup := s.inflight[key]
 	if !dup {
-		// Re-check under the lock: a worker may have finished (and
-		// retired the in-flight entry) since the fast-path probe.
+		// Re-check under the lock: a leader may have published (and
+		// retired its in-flight entry) since the fast-path probe.
 		if tb, ok := s.cache.Load(key); ok {
 			s.mu.Unlock()
 			s.met.cacheHits.Inc()
 			return tb.(*tblock), false, nil
 		}
-		c = &svcCall{key: key, snap: t.snap, done: make(chan struct{})}
+		c = &svcCall{done: make(chan struct{})}
 		s.inflight[key] = c
 	}
 	s.mu.Unlock()
-
-	if dup {
-		s.met.dedupHits.Inc()
-	} else if s.pool.submit(s.pool.hi, func(tx *txctx) { s.serve(c, tx) }) {
-		d := int64(len(s.pool.hi))
-		for {
-			cur := s.maxDepth.Load()
-			if d <= cur || s.maxDepth.CompareAndSwap(cur, d) {
-				break
-			}
-		}
-		if obs.On() {
-			s.met.queueDepth.Set(d)
-		}
-	} else {
-		// Backpressure: the queue is full. Retire the in-flight entry
-		// so duplicates are not parked behind a request that never
-		// entered the queue, and fail fast with the typed error.
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		c.err = ErrServiceOverloaded
-		close(c.done)
-		s.met.overloads.Inc()
-		return nil, false, ErrServiceOverloaded
-	}
 
 	on := obs.On()
 	var t0 time.Time
 	if on {
 		t0 = time.Now()
 	}
-	select {
-	case <-c.done:
-	case <-s.pool.quit:
+	if dup {
+		s.met.dedupHits.Inc()
+		<-c.done
+	} else {
+		// The in-flight entry is ours, so nothing else can publish key.
+		c.tb, c.err = recoverTranslate(pc, func() (*tblock, error) {
+			return s.tr.translate(t.snap, pc, tx, nil, nil)
+		})
+		if c.err == nil {
+			s.cache.Store(key, c.tb)
+			s.met.translations.Inc()
+		}
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		close(c.done)
 	}
 	if on {
 		s.met.waitNs.ObserveSince(t0)
 	}
-	select {
-	case <-c.done:
-	default:
-		// Shutdown raced the request. The call may still be served by the
-		// drain sweep (its result lands in the cache either way); the
-		// tenant just stops waiting and translates locally.
-		return nil, false, ErrServiceClosed
-	}
 	if c.err != nil {
 		return nil, false, c.err
 	}
-	return c.tb, !dup && c.fresh, nil
-}
-
-// resolve returns the prototype for key, translating it from the shared
-// code snapshot unless it is already cached. fresh reports that this
-// call's translation is the one that was published (first writer wins).
-// Translator panics come back as errors: a worker must survive any
-// single bad block. Failed translations are not cached, so a later
-// request retries from scratch.
-func (s *Service) resolve(key serviceKey, snap *mem.Memory, tx *txctx) (tb *tblock, fresh bool, err error) {
-	if v, ok := s.cache.Load(key); ok {
-		return v.(*tblock), false, nil
-	}
-	tb, err = recoverTranslate(key.pc, func() (*tblock, error) {
-		return s.tr.translate(snap, key.pc, tx, nil, nil)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if prev, loaded := s.cache.LoadOrStore(key, tb); loaded {
-		return prev.(*tblock), false, nil
-	}
-	return tb, true, nil
-}
-
-// serve is the demand (hi) job: resolve one request and wake every
-// waiter. Pool priority puts it ahead of all speculation, and Close
-// drains the queued ones before the workers exit.
-func (s *Service) serve(c *svcCall, tx *txctx) {
-	if obs.On() {
-		s.met.queueDepth.Set(int64(len(s.pool.hi)))
-	}
-	c.tb, c.fresh, c.err = s.resolve(c.key, c.snap, tx)
-	if c.fresh {
-		s.met.translations.Inc()
-		s.speculate(c.key.code, c.snap, c.tb)
-	}
-	s.mu.Lock()
-	delete(s.inflight, c.key)
-	s.mu.Unlock()
-	close(c.done)
-}
-
-// speculate offers the block's direct successors to the lo queue
-// (non-blocking: a full queue drops, it never backpressures; no queue at
-// all when speculation is disabled). Jobs are best-effort: errors are
-// dropped, the demand path will retry and report them.
-func (s *Service) speculate(code uint64, snap *mem.Memory, tb *tblock) {
-	if s.pool.lo == nil {
-		return
-	}
-	for i := range tb.links {
-		key := serviceKey{code: code, pc: tb.links[i].target}
-		if _, ok := s.cache.Load(key); ok {
-			continue
-		}
-		s.pool.submit(s.pool.lo, func(tx *txctx) {
-			if succ, fresh, _ := s.resolve(key, snap, tx); fresh {
-				s.met.specTranslations.Inc()
-				s.speculate(code, snap, succ)
-			}
-		})
-	}
+	return c.tb, !dup, nil
 }
 
 // purgeRules evicts every prototype built from any of the given rule

@@ -8,9 +8,11 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"paramdbt/internal/backend"
 	"paramdbt/internal/core"
@@ -54,7 +56,7 @@ func TestServiceSingleFlight(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
 	par := serveRules(t)
-	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true, SpecDepth: -1})
+	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true})
 	defer svc.Close()
 
 	e1 := startTenant(t, c, svc, Config{})
@@ -118,7 +120,8 @@ func TestServiceSingleFlight(t *testing.T) {
 
 // TestServiceTenantsShareWork checks the sharing win: N tenants running
 // the same program through one service translate each block once in
-// total, strictly less than N independent engines would.
+// total, strictly less than N independent engines would, and every
+// request is exactly one of a cache hit, a dedup hit or a translation.
 func TestServiceTenantsShareWork(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
@@ -156,47 +159,62 @@ func TestServiceTenantsShareWork(t *testing.T) {
 	if sum != st.Translations {
 		t.Fatalf("summed tenant translations = %d, service performed %d", sum, st.Translations)
 	}
-	total := st.Translations + st.SpecTranslations
+	if st.Requests != st.CacheHits+st.DedupHits+st.Translations {
+		t.Fatalf("requests=%d != cache %d + dedup %d + translations %d",
+			st.Requests, st.CacheHits, st.DedupHits, st.Translations)
+	}
+	if n := svc.CachedBlocks(); st.Translations != uint64(n) {
+		t.Fatalf("service translations = %d, %d prototypes cached", st.Translations, n)
+	}
 	independent := uint64(tenants) * soloStats.Translations
-	if total >= independent {
+	if st.Translations >= independent {
 		t.Fatalf("service translated %d blocks, %d independent engines would translate %d",
-			total, tenants, independent)
+			st.Translations, tenants, independent)
 	}
 	if st.DedupRate() == 0 {
 		t.Fatalf("no dedupe recorded across %d identical tenants: %+v", tenants, st)
 	}
 }
 
-// TestServiceOverloadFallsBack checks backpressure: with no workers and
-// the one-slot demand queue already full, every request fails fast with
-// the typed overload error and the tenant translates locally — the run
-// still finishes correctly.
-func TestServiceOverloadFallsBack(t *testing.T) {
+// TestServiceOwnsNoGoroutines: the service translates on its tenants'
+// goroutines, so building it, serving two concurrent tenants and closing
+// it leave the goroutine count where it was.
+func TestServiceOwnsNoGoroutines(t *testing.T) {
 	c := compileT(t, testProgram())
-	want := interpret(t, c)
 	par := serveRules(t)
-	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true, Workers: -1, QueueDepth: 1, SpecDepth: -1})
-	defer svc.Close()
-	// Fill the queue: nothing drains it (Workers < 0), so every tenant
-	// enqueue hits the full-queue branch deterministically.
-	svc.pool.hi <- func(*txctx) {}
 
-	e := startTenant(t, c, svc, Config{})
-	st, err := e.Run(env.CodeBase, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
+	before := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		for i := 0; runtime.NumGoroutine() > before; i++ {
+			if i == 200 {
+				t.Fatalf("%s: %d goroutines, %d before NewService", what, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
-	sameResult(t, want, e.GuestState(), "overloaded tenant")
-	ss := svc.Stats()
-	if ss.Overloads == 0 {
-		t.Fatal("full queue recorded no overloads")
+	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewService started %d goroutines", n-before)
 	}
-	if ss.Translations != 0 {
-		t.Fatalf("workerless service performed %d translations", ss.Translations)
+	engines := []*Engine{startTenant(t, c, svc, Config{}), startTenant(t, c, svc, Config{})}
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		wg.Add(1)
+		go func(e *Engine) {
+			defer wg.Done()
+			if _, err := e.Run(env.CodeBase, 100_000_000); err != nil {
+				t.Errorf("tenant run: %v", err)
+			}
+		}(e)
 	}
-	if st.Translations == 0 {
-		t.Fatal("tenant recorded no local fallback translations")
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
+	settled("after the run")
+	svc.Close()
+	settled("after Close")
 }
 
 // TestServiceClosedFallsBack: attach against a closed service is
@@ -231,45 +249,6 @@ func TestServiceClosedFallsBack(t *testing.T) {
 	sameResult(t, want, e2.GuestState(), "tenant outliving service")
 	if st.Translations == 0 {
 		t.Fatal("tenant of a closed service translated nothing locally")
-	}
-}
-
-// TestServiceShutdownDrains: demand requests queued when Close is
-// called are still served — Close returns only after the workers'
-// drain sweep has resolved (and woken) every queued call.
-func TestServiceShutdownDrains(t *testing.T) {
-	c := compileT(t, testProgram())
-	par := serveRules(t)
-	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true, Workers: 1, QueueDepth: 16, SpecDepth: -1})
-	e := startTenant(t, c, svc, Config{})
-	if e.svc == nil {
-		t.Fatal("tenant did not attach")
-	}
-
-	key := serviceKey{code: e.tnt.code, pc: env.CodeBase}
-	calls := make([]*svcCall, 8)
-	for i := range calls {
-		c := &svcCall{key: key, snap: e.tnt.snap, done: make(chan struct{})}
-		calls[i] = c
-		svc.pool.hi <- func(tx *txctx) { svc.serve(c, tx) }
-	}
-	svc.Close()
-
-	for i, cl := range calls {
-		select {
-		case <-cl.done:
-		default:
-			t.Fatalf("call %d not resolved by Close", i)
-		}
-		if cl.err != nil {
-			t.Fatalf("call %d: %v", i, cl.err)
-		}
-		if cl.tb == nil {
-			t.Fatalf("call %d resolved without a translation", i)
-		}
-	}
-	if _, ok := svc.cache.Load(key); !ok {
-		t.Fatal("drained translation not published to the prototype cache")
 	}
 }
 
@@ -549,8 +528,9 @@ func configSetters(t *testing.T, root, pkg, skip string) map[string]bool {
 
 // TestServiceValidationCountersVisible: the rewrite verdicts of
 // service-translated prototypes must land on the Service's registry (the
-// one /metrics serves), not on the tenant's registry: the tenant counts
-// verdicts only for blocks it translated locally after an overload.
+// one /metrics serves), not on the tenant's registry, even though the
+// tenant's own goroutine ran the translation as single-flight leader:
+// the tenant counts verdicts only for blocks it translated locally.
 func TestServiceValidationCountersVisible(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
@@ -566,14 +546,14 @@ func TestServiceValidationCountersVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, want, e.GuestState(), "validated tenant")
-	svc.Close() // speculation settled: the counters are final
+	svc.Close()
 	st, reg := svc.Stats(), svc.Metrics()
 	verdicts := reg.Counter(MetBlocksValidated).Value() + reg.Counter(MetValidateFallbacks).Value()
 	if verdicts == 0 {
-		t.Fatalf("service registry shows no validator verdicts for %d translations", st.Translations+st.SpecTranslations)
+		t.Fatalf("service registry shows no validator verdicts for %d translations", st.Translations)
 	}
-	if st.Overloads == 0 && tst.BlocksValidated+tst.ValidateFallbacks != 0 {
-		t.Fatalf("tenant registry shows %d validator verdicts with no local fallback translation",
+	if tst.BlocksValidated+tst.ValidateFallbacks != 0 {
+		t.Fatalf("tenant registry shows %d validator verdicts with no local translation",
 			tst.BlocksValidated+tst.ValidateFallbacks)
 	}
 }
@@ -683,9 +663,9 @@ func TestAdaptiveSnapsOnDivergence(t *testing.T) {
 }
 
 // TestStoreReseedStress hammers the rule store's atomic retrieval
-// index: service workers translate on one backend while misconfigured
-// tenants concurrently construct engines for the other backend over the
-// same store (each construction rekeys the index). Run under -race via
+// index: tenants translate through the service on one backend while
+// misconfigured tenants concurrently construct engines for the other
+// backend over the same store (each construction rekeys the index). Run under -race via
 // `make test-serve`.
 func TestStoreReseedStress(t *testing.T) {
 	c := compileT(t, testProgram())

@@ -1,6 +1,7 @@
 package dbt
 
 import (
+	"errors"
 	"fmt"
 
 	"paramdbt/internal/guest"
@@ -191,39 +192,21 @@ func smcReplayCap(tb *tblock) uint64 {
 func (e *Engine) smcSelfAbort(tb *tblock, pc uint32) (uint32, uint64, error) {
 	e.Mem.RollbackJournal() // also disarms: replay stores are authoritative
 	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
-	st := new(guest.State)
-	readGuestState(e.Mem, st)
-	st.SetPC(pc)
-	var n uint64
-	cap := smcReplayCap(tb)
-	for {
-		if n >= cap {
-			return 0, n, fmt.Errorf("dbt: smc replay from pc=%#x retired %d insts without reaching the faulting store", pc, n)
-		}
-		w := e.Mem.Read32(st.PCVal())
-		in, derr := guest.Decode(w)
-		if derr != nil {
-			return 0, n, fmt.Errorf("dbt: smc replay at pc=%#x: %w", st.PCVal(), derr)
-		}
-		if serr := st.Step(in); serr != nil {
-			return 0, n, fmt.Errorf("dbt: smc replay at pc=%#x: %w", st.PCVal(), serr)
-		}
-		n++
-		if st.Halted || e.Mem.CodeDirty() {
-			break
-		}
+	codeDirty := func(guest.Inst) bool { return e.Mem.CodeDirty() }
+	next, n, err := e.interpLive(pc, smcReplayCap(tb), "smc replay", codeDirty)
+	if errors.Is(err, errInterpCap) {
+		err = fmt.Errorf("dbt: smc replay from pc=%#x retired %d insts without reaching the faulting store", pc, n)
 	}
-	writeGuestState(e.Mem, st)
+	if err != nil {
+		return 0, n, err
+	}
 	e.met.smcSelfAborts.Inc()
 	e.met.guestInsts.Add(n)
 	if e.Cfg.Trace != nil {
 		e.Cfg.Trace.Record(obs.EvFallback, pc)
 	}
 	e.smcFence()
-	if st.Halted {
-		return HaltPC, n, nil
-	}
-	return st.PCVal(), n, nil
+	return next, n, nil
 }
 
 // codePoker is the optional fault-injection extension for deterministic

@@ -24,7 +24,9 @@ import (
 // v8 added the "serve" section (multi-tenant shared-service replay:
 // per-backend tenant-vs-baseline result matrix and service dedupe
 // counters).
-const ReportSchema = "paramdbt-experiments/v8"
+// v9 dropped the serve section's "service_spec_translations" (the
+// service no longer speculates).
+const ReportSchema = "paramdbt-experiments/v9"
 
 // Report is the machine-readable form of the experiment suite, written
 // by cmd/experiments -json in the same spirit as the checked-in

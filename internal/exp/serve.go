@@ -39,7 +39,6 @@ type ServeResults struct {
 	ServiceRequests  uint64     `json:"service_requests"`
 	ServiceShared    uint64     `json:"service_shared"` // cache + single-flight dedup hits
 	ServiceTranslate uint64     `json:"service_translations"`
-	ServiceSpec      uint64     `json:"service_spec_translations"`
 	DedupRate        float64    `json:"dedup_rate"`
 }
 
@@ -110,7 +109,6 @@ func ServeExperiment(c *Corpus, names []string, tenants int) (*ServeSection, err
 		res.ServiceRequests = st.Requests
 		res.ServiceShared = st.CacheHits + st.DedupHits
 		res.ServiceTranslate = st.Translations
-		res.ServiceSpec = st.SpecTranslations
 		res.DedupRate = st.DedupRate()
 		svc.Close()
 		sec.Backends = append(sec.Backends, res)
@@ -130,8 +128,8 @@ func RenderServe(s *ServeSection) string {
 			fmt.Fprintf(&b, "  %-12s %#10x %6v %12d %13d %13d\n",
 				row.Bench, row.R0, row.Match, row.Divergences, row.ShadowChecks, row.Translations)
 		}
-		fmt.Fprintf(&b, "  service: %d requests, %d shared (dedup %.3f), %d demand + %d speculative translations\n",
-			r.ServiceRequests, r.ServiceShared, r.DedupRate, r.ServiceTranslate, r.ServiceSpec)
+		fmt.Fprintf(&b, "  service: %d requests, %d shared (dedup %.3f), %d translations\n",
+			r.ServiceRequests, r.ServiceShared, r.DedupRate, r.ServiceTranslate)
 		if r.AllMatch && r.Divergences == 0 {
 			fmt.Fprintf(&b, "  all tenants byte-identical to single-tenant, 0 divergences\n")
 		}

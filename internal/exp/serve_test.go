@@ -9,8 +9,10 @@ import (
 // TestServeExperiment is the PR's acceptance gate for multi-tenant
 // serving: for every workload × backend, every tenant replayed through
 // the shared translation service must reproduce the single-tenant r0
-// byte-identically with zero divergences at shadow rate 1, and the
-// service must actually share work (nonzero dedupe).
+// byte-identically with zero divergences at shadow rate 1, the service
+// must actually share work (nonzero dedupe), and its accounting must
+// close: every request is shared or translated, and the service's
+// translations are exactly the ones the tenants led.
 func TestServeExperiment(t *testing.T) {
 	c, err := BuildCorpus(1)
 	if err != nil {
@@ -36,16 +38,24 @@ func TestServeExperiment(t *testing.T) {
 		if len(r.Rows) != len(c.Names) {
 			t.Errorf("%s: %d rows, want %d", r.Backend, len(r.Rows), len(c.Names))
 		}
+		var led uint64
 		for _, row := range r.Rows {
 			if row.ShadowChecks == 0 {
 				t.Errorf("%s/%s: tenants ran unverified", r.Backend, row.Bench)
 			}
+			led += row.Translations
 		}
 		if r.ServiceRequests == 0 || r.DedupRate == 0 {
 			t.Errorf("%s: tenants did not share through the service: %+v", r.Backend, r)
 		}
-		t.Logf("%-5s requests=%d shared=%d (%.3f) demand=%d spec=%d",
-			r.Backend, r.ServiceRequests, r.ServiceShared, r.DedupRate,
-			r.ServiceTranslate, r.ServiceSpec)
+		if r.ServiceRequests != r.ServiceShared+r.ServiceTranslate {
+			t.Errorf("%s: %d requests != %d shared + %d translations",
+				r.Backend, r.ServiceRequests, r.ServiceShared, r.ServiceTranslate)
+		}
+		if r.ServiceTranslate != led {
+			t.Errorf("%s: service made %d translations, tenants counted %d", r.Backend, r.ServiceTranslate, led)
+		}
+		t.Logf("%-5s requests=%d shared=%d (%.3f) translations=%d",
+			r.Backend, r.ServiceRequests, r.ServiceShared, r.DedupRate, r.ServiceTranslate)
 	}
 }

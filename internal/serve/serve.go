@@ -1,6 +1,6 @@
 // Package serve is the multi-tenant translation server: one shared
-// dbt.Service (rule store, prototype cache, batched translation queue)
-// fronted by per-request tenant engines, with per-tenant SLO accounting
+// dbt.Service (rule store, single-flight prototype cache) fronted by
+// per-request tenant engines, with per-tenant SLO accounting
 // on labeled obs metric families. cmd/paradbtd wraps it in an HTTP
 // server; the bench serve workload and the experiments serve section
 // drive it directly. See docs/SERVING.md.
@@ -55,10 +55,6 @@ const (
 type Config struct {
 	// Scale is the workload dynamic-work multiplier (default 1).
 	Scale int
-	// Workers/QueueDepth configure the shared translation queue (see
-	// dbt.ServiceConfig for defaults).
-	Workers    int
-	QueueDepth int
 
 	// ShadowRate is each tenant's starting shadow-verification rate
 	// (default 1: every tenant starts fully verified). NoShadow
@@ -123,8 +119,6 @@ func NewServer(cfg Config) (*Server, error) {
 		Rules:         rules,
 		Backend:       cfg.Backend,
 		DelegateFlags: true,
-		Workers:       cfg.Workers,
-		QueueDepth:    cfg.QueueDepth,
 		Metrics:       reg,
 	})
 	return &Server{
@@ -337,10 +331,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Close drains the translation service (queued demand requests are
-// served; see dbt.Service.Close) and, when Config.FlushTo is set,
-// writes the final metrics snapshot — the serving layer's graceful
-// shutdown. Idempotent; returns the flush error, if any.
+// Close closes the translation service (see dbt.Service.Close) and,
+// when Config.FlushTo is set, writes the final metrics snapshot — the
+// serving layer's graceful shutdown. Idempotent; returns the flush
+// error, if any.
 func (s *Server) Close() error {
 	s.closing.Do(func() {
 		s.closed.Store(true)
