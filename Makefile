@@ -95,12 +95,10 @@ test-persistence:
 
 # The self-modifying-code scenarios (docs/ROBUSTNESS.md "Self-modifying
 # code"): write-then-execute in the store's own block, cross-block
-# overwrite, overwrite mid-superblock and during async formation, the
-# fault-injected code pokes, the TraceBudget refund, the builder-panic
-# recovery and the artifact page-checksum reject — functionally and
-# under the race detector (the async scenarios run guest
-# self-modification against the background pool's superblock and
-# speculative jobs).
+# overwrite, overwrite mid-superblock and toggled during repeated trace
+# formation, the fault-injected code pokes, the TraceBudget refund, the
+# trace-formation panic recovery and the artifact page-checksum reject —
+# functionally and under the race detector.
 test-smc:
 	$(GO) test -count=1 -run TestSMC ./internal/workload ./internal/dbt
 	$(GO) test -race -count=1 -run TestSMC ./internal/workload ./internal/dbt

@@ -126,12 +126,10 @@ func main() {
 	rulesPath := flag.String("rules", "", "load the rule table from this file (JSON Lines, see rulegen -o) instead of training")
 	manual := flag.Bool("manual", false, "add the manual ABI/special-instruction translations (paper §V-B2)")
 	dumpBlocks := flag.Int("dump-blocks", 0, "print the first N translated blocks (guest disassembly + host listing)")
-	workers := flag.Int("workers", 0, "background translation workers (speculative successor translation)")
 	noChain := flag.Bool("no-chain", false, "disable translation-block chaining (dispatch every block boundary)")
 	hotThreshold := flag.Uint64("hot-threshold", 0, "form hot-trace superblocks once a block's entry count crosses this threshold (0 disables formation; needs chaining)")
 	traceMax := flag.Int("trace-max", 0, "cap trace growth at this many basic blocks (default 8 when -hot-threshold is set)")
 	traceBudget := flag.Int("trace-budget", 0, "cap how many traces the engine may form (0 = unlimited)")
-	syncTraces := flag.Bool("sync-traces", false, "translate traces on the dispatch loop instead of the background pool (deterministic, but formation latency stalls the run)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (JSON snapshot), /trace and /debug/pprof on this address (e.g. :6060); enables telemetry")
 	traceN := flag.Int("trace", 0, "record the last N block transitions in a ring buffer, dumped to stderr after the run and on panic")
 	shadowRate := flag.Float64("shadow-rate", 0, "shadow-verify this fraction of block executions against the reference interpreter (1 = every execution)")
@@ -260,12 +258,10 @@ func main() {
 	}
 	cfg.Backend = be
 	cfg.ManualABI = *manual
-	cfg.TranslateWorkers = *workers
 	cfg.NoChain = *noChain
 	cfg.HotThreshold = *hotThreshold
 	cfg.TraceMaxBlocks = *traceMax
 	cfg.TraceBudget = *traceBudget
-	cfg.SyncTraces = *syncTraces
 	cfg.ShadowRate = *shadowRate
 	cfg.Peephole = *peephole
 
@@ -388,8 +384,8 @@ func main() {
 		fmt.Printf("panics recovered   %d\n", st.PanicsRecovered)
 		fmt.Printf("interp fallbacks   %d\n", st.InterpFallbacks)
 		if inj != nil {
-			p, d, sh, w := inj.Counts()
-			fmt.Printf("injected faults    %d panics, %d decode errors, %d shard drops, %d worker kills\n", p, d, sh, w)
+			p, d, sh := inj.Counts()
+			fmt.Printf("injected faults    %d panics, %d decode errors, %d shard drops\n", p, d, sh)
 		}
 	}
 	if *quarFile != "" && cfg.Rules != nil {

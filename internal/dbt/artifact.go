@@ -179,7 +179,7 @@ func (e *Engine) restoreManifest(m *artifact.BlockManifest) {
 		if len(pcs) > e.Cfg.TraceMaxBlocks {
 			continue
 		}
-		htb, ok := e.cache.get(pcs[0])
+		htb, ok := e.cache[pcs[0]]
 		if !ok || htb.sb != nil {
 			continue
 		}
@@ -217,7 +217,7 @@ func (e *Engine) publishArtifacts() {
 			pageSet[k<<mem.PageBits] = true
 		}
 	}
-	e.cache.each(func(pc uint32, tb *tblock) {
+	for pc, tb := range e.cache {
 		if tb.sb != nil {
 			// A superblock owns its head's cache slot; record the trace AND
 			// the head as a plain block — restore needs the head's per-block
@@ -230,7 +230,7 @@ func (e *Engine) publishArtifacts() {
 			addPages(pc, pc+uint32(tb.nGuest)*guest.InstBytes)
 		}
 		m.Blocks = append(m.Blocks, pc)
-	})
+	}
 	// Record the digest of every page the recorded translations were
 	// decoded from; restore refuses the manifest if any differs (see
 	// verifyManifestPages).

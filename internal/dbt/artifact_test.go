@@ -32,14 +32,13 @@ func newArtEngine(t *testing.T, c *minic.Compiled, cfg Config) *Engine {
 
 // warmRoundTripCfg is the shared configuration for the warm-start
 // round-trip tests: full rules, flag delegation, shadow verification on
-// every block, synchronous trace formation.
+// every block, trace formation.
 func warmRoundTripCfg(rules *rule.Store, dir string) Config {
 	return Config{
 		Rules:         rules,
 		DelegateFlags: true,
 		ShadowRate:    1,
 		HotThreshold:  2,
-		SyncTraces:    true,
 		ArtifactDir:   dir,
 	}
 }

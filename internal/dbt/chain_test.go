@@ -149,30 +149,8 @@ func TestChainingTraceMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestTranslateWorkersDeterministic runs the same program with and
-// without background translation workers and requires identical
-// guest-visible results and metrics.
-func TestTranslateWorkersDeterministic(t *testing.T) {
-	prog := testProgram()
-	c := compileT(t, prog)
-	_, par := learnRules(t, prog, core.Config{Opcode: true, AddrMode: true})
-
-	base, baseStats := runProgram(t, c, Config{Rules: par, DelegateFlags: true})
-	for _, workers := range []int{1, 4} {
-		st, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, TranslateWorkers: workers})
-		sameResult(t, base, st, fmt.Sprintf("workers=%d", workers))
-		if stats.GuestExec != baseStats.GuestExec ||
-			stats.RuleCovered != baseStats.RuleCovered ||
-			stats.Blocks != baseStats.Blocks ||
-			stats.ChainedExits != baseStats.ChainedExits {
-			t.Fatalf("workers=%d: stats diverge: %+v vs %+v", workers, stats, baseStats)
-		}
-	}
-}
-
-// TestConcurrentEnginesRace is the -race stress test: several engines,
-// each with background translation workers, run concurrently over one
-// shared rule store.
+// TestConcurrentEnginesRace is the -race stress test: several engines
+// run concurrently over one shared rule store.
 func TestConcurrentEnginesRace(t *testing.T) {
 	prog := testProgram()
 	c := compileT(t, prog)
@@ -192,7 +170,7 @@ func TestConcurrentEnginesRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			e := New(m, Config{Rules: par, DelegateFlags: true, TranslateWorkers: 2})
+			e := New(m, Config{Rules: par, DelegateFlags: true})
 			init := &guest.State{Mem: m}
 			init.R[guest.SP] = env.StackTop
 			e.SetGuestState(init)
@@ -242,7 +220,7 @@ func TestInvalidateUnlinks(t *testing.T) {
 	var victim uint32
 	var link *blockLink
 	for pc := uint32(env.CodeBase); link == nil && pc < env.CodeBase+65536; pc += guest.InstBytes {
-		tb, ok := e.cache.get(pc)
+		tb, ok := e.cache[pc]
 		if !ok {
 			continue
 		}
@@ -263,7 +241,7 @@ func TestInvalidateUnlinks(t *testing.T) {
 	if link.to != nil {
 		t.Fatalf("incoming link to %#x survived invalidation", victim)
 	}
-	if _, ok := e.cache.get(victim); ok {
+	if _, ok := e.cache[victim]; ok {
 		t.Fatalf("block %#x still cached after invalidation", victim)
 	}
 	if e.Invalidate(victim) {
@@ -286,7 +264,7 @@ func TestInvalidateUnlinks(t *testing.T) {
 	if stats.Blocks == 0 {
 		t.Fatal("rerun did not retranslate the invalidated block")
 	}
-	if _, ok := e.cache.get(victim); !ok {
+	if _, ok := e.cache[victim]; !ok {
 		t.Fatalf("block %#x not retranslated", victim)
 	}
 }

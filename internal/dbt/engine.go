@@ -1,12 +1,12 @@
 // Package dbt implements the dynamic binary translator: a block-at-a-time
-// translation engine with a sharded code cache, translation-block
+// translation engine with a code cache, translation-block
 // chaining, per-block guest-register allocation, a rule-based fast path
 // fed by the (optionally parameterized) rule store, a TCG emulation
 // fallback for everything the rules do not cover, and condition-flag
 // delegation at rule-application time.
 //
 // Execution follows QEMU's dispatcher design: blocks are translated
-// once into the 16-shard code cache, and block exits with statically
+// once into the code cache, and block exits with statically
 // known successors are lazily patched into direct links so chained
 // execution skips the dispatcher entirely (Config.NoChain restores the
 // dispatch-every-block ablation baseline).
@@ -15,14 +15,12 @@
 // function of {code bytes, rule store, backend, codegenOptions} with no
 // guest memory, CPU or statistics of its own. The Engine holds one and
 // calls it on demand misses, and a tenant of a shared Service runs the
-// service's translator on its own Run goroutine when it leads a
-// single-flight miss. Everything that translates off the Run goroutine
-// — speculative successor pre-translation from a code snapshot
-// (Config.TranslateWorkers) and asynchronous superblock formation —
-// runs as jobs on the engine's two-priority worker pool (pool.go)
-// through one panic-to-PanicError wrapper. The pool is dumb; staleness
-// stays with the submitter (first-writer-wins cache inserts,
-// cacheGen-stamped superblock results).
+// service's translator when it leads a single-flight miss. The engine
+// starts no goroutines: every block it translates — demand misses,
+// service misses and hot-trace superblocks — is translated on the
+// goroutine driving Run, the first time it is needed, as QEMU does. So
+// only that goroutine touches the code cache, and the cache is one
+// plain map.
 //
 // Every evaluation metric — dynamic coverage, dispatch/chain traffic,
 // category-tagged host instruction counts — is counted on atomic
@@ -84,12 +82,7 @@ type Config struct {
 	// learning can never cover (push/pop/clz/mla/umla, and the pure-stub
 	// control terminators) — the paper's §V-B2 path to ~100% coverage.
 	ManualABI bool
-	// TranslateWorkers turns on speculative translation for the duration
-	// of each Run, with this many workers in the engine's background pool
-	// (0 = off; the pool then has the one worker asynchronous superblock
-	// formation needs): direct successor blocks discovered at block-emit
-	// time are translated ahead of execution from a code snapshot.
-	// Results are deterministic: workers only pre-warm the code cache.
+	// Deprecated: ignored; bench/layers.go still writes it.
 	TranslateWorkers int
 	// NoChain disables translation-block chaining, forcing every block
 	// boundary back through the dispatcher — the ablation baseline the
@@ -116,13 +109,7 @@ type Config struct {
 	// HotThreshold claim the budget, which on loopy workloads are the
 	// hottest ones.
 	TraceBudget int
-	// SyncTraces forms superblocks synchronously on the dispatch loop
-	// instead of handing them to the background pool.
-	// Deterministic — the superblock is installed before the head
-	// executes again — but puts trace translation latency on the run's
-	// critical path, which on short workloads costs more than the
-	// superblocks save. Tests that assert on formation timing use it;
-	// production runs should leave it off.
+	// Deprecated: ignored; bench/layers.go still writes it.
 	SyncTraces bool
 	// TraceBlock, when non-nil, is called with the guest pc of every
 	// block entered, in execution order (debug/test hook; the chaining
@@ -190,8 +177,8 @@ type Config struct {
 	// cold start (see Engine.WarmStats).
 	ArtifactDir string
 
-	// Faults, when non-nil, injects faults into translation, the code
-	// cache and the speculative workers (see internal/guard/faultinject
+	// Faults, when non-nil, injects faults into translation and the code
+	// cache (see internal/guard/faultinject
 	// and the FaultInjector interface). An injector that additionally
 	// implements CodePokes(n) gets to write guest code words before each
 	// block entry — the deterministic SMC campaigns (see smc.go). Like
@@ -247,9 +234,9 @@ type Stats struct {
 	// written; see docs/ROBUSTNESS.md "Self-modifying code").
 	// SMCInvalidations counts translations fenced out after guest writes
 	// into translated pages, SMCSelfAborts executions aborted because
-	// they stored into their own guest bytes, SBBuilderPanics background
-	// trace-formation panics absorbed (the trace is demoted to per-block
-	// execution instead of the worker dying).
+	// they stored into their own guest bytes, SBBuilderPanics
+	// trace-formation panics absorbed (the head backs off and keeps
+	// running its per-block translations instead of the run aborting).
 	SMCInvalidations uint64
 	SMCSelfAborts    uint64
 	SBBuilderPanics  uint64
@@ -328,7 +315,7 @@ type Engine struct {
 	Cfg   Config
 	Mem   *mem.Memory
 	CPU   *host.CPU
-	cache *codeCache
+	cache codeCache
 	tr    *translator // the pipeline itself: rules, backend, codegen knobs
 	tx    txctx       // translation scratch (Run goroutine only)
 	met   *engineMetrics
@@ -353,28 +340,8 @@ type Engine struct {
 	// formation is never retried there (see shadowCheck).
 	sbIndex map[uint32][]*tblock
 	sbBan   map[uint32]bool
-	// cacheGen counts invalidation events (Invalidate, quarantine
-	// purges); a background superblock result stamped with an older
-	// generation was translated from state that no longer holds and is
-	// discarded instead of installed.
-	cacheGen uint64
-	// sbSpent counts traces formed plus superblock jobs in flight against
-	// Config.TraceBudget (Run goroutine only).
+	// sbSpent counts installed superblocks against Config.TraceBudget.
 	sbSpent int
-
-	// Background translation (Run goroutine only). bg is the worker pool,
-	// started by background and closed by closeBackground. specCode is the
-	// code snapshot speculative jobs decode from — non-nil exactly while
-	// speculation is on (a Run with TranslateWorkers > 0, until the first
-	// guest code write). sbResults carries finished superblock jobs back
-	// to the dispatch loop, which alone may install over live cache
-	// entries; sbPending marks heads with a job queued, sbInFlight counts
-	// queued minus drained.
-	bg         *pool
-	specCode   *mem.Memory
-	sbResults  chan sbResult
-	sbPending  map[uint32]bool
-	sbInFlight int
 
 	// Warm-start persistence (nil/zero unless Config.ArtifactDir is
 	// set): art is the open store, artKey the engine's four-component
@@ -426,14 +393,11 @@ type tblock struct {
 	sbTries uint8
 	sb      *sbMeta
 
-	// SMC metadata (see smc.go), set once on the Run goroutine before
-	// the translation first executes: smcRanges are the guest [lo,hi)
-	// byte ranges the translation was decoded from (one per superblock
-	// constituent), hasStores whether it contains guest store
-	// instructions, smcDone that both are computed and the ranges'
-	// pages registered with the write tracker.
+	// SMC metadata (see smc.go), set when the translation is installed
+	// in the cache: smcRanges are the guest [lo,hi) byte ranges the
+	// translation was decoded from (one per superblock constituent),
+	// hasStores whether it contains guest store instructions.
 	hasStores bool
-	smcDone   bool
 	smcRanges [][2]uint32
 }
 
@@ -502,7 +466,7 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	}
 	met := newEngineMetrics(reg)
 	tr := newTranslator(&cfg, met.blocksValidated, met.validateFallbacks)
-	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: newCodeCache(tr.be.ID()), tr: tr, met: met}
+	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: codeCache{}, tr: tr, met: met}
 	if cfg.ShadowRate > 0 {
 		e.guard = &guardState{sampler: guard.NewSampler(guard.Policy{
 			Rate:   cfg.ShadowRate,
@@ -583,24 +547,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		return st
 	}
-	// A service-attached tenant never speculates: its misses are
-	// translated once for every tenant by the service's single-flight
-	// leader, on demand. The snapshot is code-only: translation
-	// reads nothing else, and cloning the full image made turning
-	// speculation on cost more than chaining ever saved on short runs.
-	if e.Cfg.TranslateWorkers > 0 && e.svc == nil {
-		e.specCode = e.Mem.CloneBelow(env.DataBase)
-	}
-	// Superblock jobs still in flight at exit are discarded with the pool
-	// and hand their TraceBudget claims back — a later Run on this engine
-	// may form those traces.
-	defer func() {
-		e.closeBackground()
-		e.specCode = nil
-		// Whatever the last execution armed: stores made between Runs are
-		// the caller's and must not pile up in the journal.
-		e.Mem.DisarmSMC()
-	}()
+	// Whatever the last execution armed: stores made between Runs are the
+	// caller's and must not pile up in the journal.
+	defer e.Mem.DisarmSMC()
 	pc := entry
 	var prev *tblock
 	sampled := false // the block in flight is being shadow-verified
@@ -666,13 +615,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		if e.Mem.CodeDirty() {
 			e.smcFence()
 			prev = nil
-		}
-		// Install any superblocks the background pool finished. Doing
-		// this before chain-follow/dispatch means a head installed here is
-		// entered through its superblock on this very iteration (installSB
-		// repoints the incoming chain links).
-		if e.sbInFlight > 0 {
-			e.drainSB()
 		}
 		var tb *tblock
 		chained := false
@@ -850,27 +792,20 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	return snapshot(), nil
 }
 
-// block returns the translated block at pc, translating on a miss and
-// seeding the speculative queue with the block's direct successors.
-// While obs is enabled it times the cache lookup and the demand
-// translation into the engine's histograms.
+// block returns the translated block at pc, translating and installing
+// it on a miss. While obs is enabled it times the cache lookup and the
+// demand translation into the engine's histograms.
 func (e *Engine) block(pc uint32) (*tblock, error) {
 	on := obs.On()
 	var t0 time.Time
 	if on {
 		t0 = time.Now()
 	}
-	tb, ok := e.cache.get(pc)
+	tb, ok := e.cache[pc]
 	if on {
 		e.met.lookupNs.ObserveSince(t0)
 	}
 	if ok {
-		if !tb.smcDone {
-			// First dispatch of a worker-inserted translation: compute its
-			// SMC metadata and register its pages here, on the Run
-			// goroutine (superblocks get theirs in installSB).
-			e.initSMCMeta(pc, tb)
-		}
 		return tb, nil
 	}
 	if on {
@@ -910,94 +845,12 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 	if e.Cfg.Trace != nil {
 		e.Cfg.Trace.Record(obs.EvTranslate, pc)
 	}
-	tb = e.cache.putIfAbsent(pc, tb)
-	if !tb.smcDone {
-		e.initSMCMeta(pc, tb)
-	}
+	e.cache[pc] = tb
+	e.initSMCMeta(pc, tb)
 	if on {
-		e.met.cachedBlocks.Set(int64(e.cache.size()))
-	}
-	if e.specCode != nil {
-		e.speculate(e.background(), e.specCode, tb)
+		e.met.cachedBlocks.Set(int64(len(e.cache)))
 	}
 	return tb, nil
-}
-
-// background returns the engine's worker pool, starting it on first use:
-// TranslateWorkers workers, or the single one asynchronous superblock
-// formation needs when speculation is off.
-func (e *Engine) background() *pool {
-	if e.bg == nil {
-		w, specDepth := e.Cfg.TranslateWorkers, specQueueDepth
-		if w < 1 {
-			w, specDepth = 1, 0 // formation only: no speculative queue
-		}
-		e.bg = newPool(w, sbQueueDepth, specDepth)
-		e.sbResults = make(chan sbResult, sbQueueDepth)
-		e.sbPending = map[uint32]bool{}
-	}
-	return e.bg
-}
-
-// closeBackground stops the pool, waiting out the jobs its workers are
-// running — so the cache holds every speculative insert once it returns —
-// and abandons everything queued or undrained: superblock jobs in flight
-// hand their TraceBudget claims back. The next submission starts a fresh
-// pool.
-func (e *Engine) closeBackground() {
-	if e.bg == nil {
-		return
-	}
-	e.bg.close()
-	e.bg = nil
-	e.sbSpent -= e.sbInFlight
-	e.sbInFlight = 0
-	e.sbResults, e.sbPending = nil, nil
-}
-
-// specQueueDepth bounds the engine's speculative (lo) queue.
-const specQueueDepth = 256
-
-// speculate queues the not-yet-translated direct successors of tb as lo
-// jobs on p, so workers translate ahead of the execution front and the
-// dispatch loop's next miss mostly hits a warm cache. Jobs decode from
-// code, the snapshot taken when the Run started, so guest stores never
-// race with speculative fetches; a worker-produced block is bit-identical
-// to the one demand translation would build, and the cache's
-// first-writer-wins insert keeps one canonical translation per pc. A
-// full queue drops the hint — speculation is best-effort. p and code are
-// arguments, not engine fields, because jobs re-enter here off the Run
-// goroutine.
-func (e *Engine) speculate(p *pool, code *mem.Memory, tb *tblock) {
-	for i := range tb.links {
-		pc := tb.links[i].target
-		if _, ok := e.cache.get(pc); ok {
-			continue
-		}
-		p.submit(p.lo, func(tx *txctx) {
-			// Fault injection loses individual jobs, never a worker — they
-			// also form superblocks — so only speculation degrades.
-			if f := e.Cfg.Faults; f != nil && f.FailSpecWorker() {
-				return
-			}
-			if _, ok := e.cache.get(pc); ok {
-				return
-			}
-			// A speculative target can be garbage (e.g. a computed pc the
-			// program never takes); errors and panics are dropped — if the
-			// pc is really executed, the demand path reports them.
-			succ, err := recoverTranslate(pc, func() (*tblock, error) {
-				return e.tr.translate(code, pc, tx, nil, nil)
-			})
-			if err != nil {
-				return
-			}
-			if obs.On() {
-				e.met.specTranslations.Inc()
-			}
-			e.speculate(p, code, e.cache.putIfAbsent(pc, succ)) // chase successors ahead of execution
-		})
-	}
 }
 
 // Invalidate removes the translation at pc (after guest code changes)
@@ -1013,16 +866,12 @@ func (e *Engine) Invalidate(pc uint32) bool {
 	if on {
 		t0 = time.Now()
 	}
-	tb := e.cache.remove(pc)
+	tb := e.cache[pc]
+	delete(e.cache, pc)
 	covering := e.sbIndex[pc]
 	if tb == nil && len(covering) == 0 {
 		return false
 	}
-	// In-flight superblock jobs were grown against the pre-invalidation
-	// cache and code image: stamp a new generation and discard them with
-	// the pool (closeBackground refunds their TraceBudget claims).
-	e.cacheGen++
-	e.closeBackground()
 	if len(covering) > 0 {
 		// teardownSB edits sbIndex[pc]; iterate a copy.
 		for _, s := range append([]*tblock(nil), covering...) {
@@ -1041,7 +890,7 @@ func (e *Engine) Invalidate(pc uint32) bool {
 	if on {
 		e.met.invalidateNs.ObserveSince(t0)
 		e.met.invalidations.Inc()
-		e.met.cachedBlocks.Set(int64(e.cache.size()))
+		e.met.cachedBlocks.Set(int64(len(e.cache)))
 	}
 	if e.Cfg.Trace != nil {
 		e.Cfg.Trace.Record(obs.EvInvalidate, pc)
@@ -1049,8 +898,9 @@ func (e *Engine) Invalidate(pc uint32) bool {
 	return true
 }
 
-// CachedBlocks reports the number of translations currently cached.
-func (e *Engine) CachedBlocks() int { return e.cache.size() }
+// CachedBlocks reports the number of translations currently cached. It
+// must not run concurrently with Run.
+func (e *Engine) CachedBlocks() int { return len(e.cache) }
 
 // Translation is one installed unit of the code cache as the offline
 // audit reads it: what the translator was given and what it produced.
@@ -1068,12 +918,11 @@ type Translation struct {
 
 // Translations lists every cached unit, sorted by head pc — the one
 // read path over what the engine installed (internal/exp.Audit proves
-// each against its guest block offline). Every field it reads is
-// immutable once a unit is cached, so a call during Run is race-free and
-// sees a point-in-time view per cache shard.
+// each against its guest block offline). Like Invalidate, it must not
+// run concurrently with Run.
 func (e *Engine) Translations() []Translation {
 	var out []Translation
-	e.cache.each(func(pc uint32, tb *tblock) {
+	for pc, tb := range e.cache {
 		t := Translation{Host: tb.hb, FlagsExact: tb.flagsExact}
 		if tb.sb == nil {
 			t.Segs = []analysis.GuestSeg{{PC: pc, Insts: tb.insts}}
@@ -1084,7 +933,7 @@ func (e *Engine) Translations() []Translation {
 			}
 		}
 		out = append(out, t)
-	})
+	}
 	slices.SortFunc(out, func(a, b Translation) int { return cmp.Compare(a.Segs[0].PC, b.Segs[0].PC) })
 	return out
 }
@@ -1093,6 +942,7 @@ func (e *Engine) Translations() []Translation {
 // returns its annotated host listing alongside the guest disassembly —
 // the debugging view of what the translator produced. The guest
 // disassembly reuses the decode results stored in the cached block.
+// Like Invalidate, it must not run concurrently with Run.
 func (e *Engine) BlockListing(pc uint32) (string, error) {
 	tb, err := e.block(pc)
 	if err != nil {
@@ -1105,8 +955,7 @@ func (e *Engine) BlockListing(pc uint32) (string, error) {
 }
 
 // fetchBlock decodes guest instructions from pc up to and including
-// the terminator, reading code from m (the live memory on the demand
-// path, a code snapshot for pool jobs), into c.fetch, and returns an
+// the terminator, reading code from m, into c.fetch, and returns an
 // exact-size copy for the tblock to keep.
 func (c *txctx) fetchBlock(m *mem.Memory, pc uint32) ([]guest.Inst, error) {
 	c.fetch = c.fetch[:0]

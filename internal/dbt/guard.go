@@ -33,13 +33,9 @@ type FaultInjector interface {
 	// DecodeError reports whether the demand translation at pc should
 	// fail as if the code bytes did not decode.
 	DecodeError(pc uint32) bool
-	// DropCacheShard reports whether a code-cache shard should be
-	// dropped at this dispatch, and which one.
+	// DropCacheShard reports whether a slice of the code cache should be
+	// dropped at this dispatch, and which one (see dropShard).
 	DropCacheShard() (int, bool)
-	// FailSpecWorker reports whether a speculative-translation job
-	// should be lost (polled per job). Only speculation degrades: the
-	// pool's workers survive, so superblock formation never stalls.
-	FailSpecWorker() bool
 }
 
 // ErrTranslatorPanic is the sentinel wrapped by every PanicError, so
@@ -48,10 +44,8 @@ type FaultInjector interface {
 var ErrTranslatorPanic = errors.New("translator panic")
 
 // PanicError is a panic converted into an error: by recoverTranslate
-// (guarded demand translation retries on it, pool jobs drop it) or by
-// Run's top-level recovery
-// (which leaves the CPUState PC pointing at the faulting block so the
-// run is resumable).
+// or by Run's top-level recovery (which leaves the CPUState PC pointing
+// at the faulting block so the run is resumable).
 type PanicError struct {
 	PC    uint32
 	Cause any
@@ -63,6 +57,23 @@ func (p *PanicError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrTranslatorPanic) work.
 func (p *PanicError) Unwrap() error { return ErrTranslatorPanic }
+
+// recoverTranslate runs one translation, converting a panic (a corrupted
+// rule template mid-instantiation, an injected fault, a translator bug)
+// into a *PanicError at pc — the single recovery wrapper every
+// translation that must not abort the run goes through: the guarded
+// demand path (which retries and quarantines), the service's
+// single-flight leader (which hands the error to every waiter) and
+// superblock formation (which backs the head off and keeps executing
+// its per-block translations).
+func recoverTranslate(pc uint32, f func() (*tblock, error)) (tb *tblock, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tb, err = nil, &PanicError{PC: pc, Cause: r}
+		}
+	}()
+	return f()
+}
 
 // maxTranslateAttempts bounds the quarantine-and-retry loop of guarded
 // translation; with fault injection active, retries also ride out
@@ -405,14 +416,15 @@ func (e *Engine) purgeRules(guilty []*rule.Template) {
 		// translation embedding a quarantined rule.
 		e.svc.purgeRules(set)
 	}
-	pcs := e.cache.pcsWhere(func(tb *tblock) bool {
+	var pcs []uint32
+	for pc, tb := range e.cache {
 		for _, t := range tb.rules {
 			if set[t] {
-				return true
+				pcs = append(pcs, pc)
+				break
 			}
 		}
-		return false
-	})
+	}
 	for _, p := range pcs {
 		e.Invalidate(p)
 	}
@@ -527,12 +539,19 @@ func (e *Engine) interpLive(pc uint32, limit uint64, what string, stop func(gues
 	return 0, limit, errInterpCap
 }
 
-// dropShard invalidates every translation in code-cache shard i (the
-// fault-injection "shard loss" scenario); chaining into the dropped
-// blocks is torn down by Invalidate. It reports how many translations
-// were dropped.
+// dropShard invalidates every cached translation whose pc hashes to
+// slice i of 16 (the fault-injection "shard loss" scenario); chaining
+// into the dropped blocks is torn down by Invalidate. It reports how
+// many translations were dropped.
 func (e *Engine) dropShard(i int) int {
-	pcs := e.cache.pcsInShard(i)
+	var pcs []uint32
+	for pc := range e.cache {
+		// Knuth's multiplicative hash; guest pcs are word-aligned, so the
+		// two low bits carry no information.
+		if int(((pc>>2)*2654435761)>>28) == i&15 {
+			pcs = append(pcs, pc)
+		}
+	}
 	for _, p := range pcs {
 		e.Invalidate(p)
 	}
@@ -555,14 +574,14 @@ func (e *Engine) Divergences() []guard.Divergence {
 func (e *Engine) CachedRuleTemplates() []*rule.Template {
 	seen := map[*rule.Template]bool{}
 	var out []*rule.Template
-	e.cache.each(func(_ uint32, tb *tblock) {
+	for _, tb := range e.cache {
 		for _, t := range tb.rules {
 			if !seen[t] {
 				seen[t] = true
 				out = append(out, t)
 			}
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint() < out[j].Fingerprint() })
 	return out
 }

@@ -282,14 +282,14 @@ func corruptSpuriousStore(t *testing.T, c *minic.Compiled, par *rule.Store) *rul
 	t.Helper()
 	warm, used := usedTemplates(t, c, par)
 	storeFree := map[*rule.Template]bool{}
-	warm.cache.each(func(_ uint32, tb *tblock) {
-		if !tb.smcDone || tb.hasStores {
-			return
+	for _, tb := range warm.cache {
+		if tb.hasStores {
+			continue
 		}
 		for _, r := range tb.rules {
 			storeFree[r] = true
 		}
-	})
+	}
 	for _, tm := range used {
 		p, ok := firstRegParam(tm)
 		if !ok || !storeFree[tm] || tm.BranchTail {

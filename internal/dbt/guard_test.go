@@ -210,7 +210,7 @@ func TestTranslatorPanicRecovery(t *testing.T) {
 	if stats.PanicsRecovered != 3 {
 		t.Fatalf("PanicsRecovered = %d, want 3", stats.PanicsRecovered)
 	}
-	panics, _, _, _ := inj.Counts()
+	panics, _, _ := inj.Counts()
 	if panics != 3 {
 		t.Fatalf("injector reports %d panics, want 3", panics)
 	}
@@ -292,7 +292,7 @@ func TestDropShardSurvives(t *testing.T) {
 	inj := faultinject.New(faultinject.Plan{Seed: 5, DropShards: 64, DropEvery: 2})
 	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj})
 	sameResult(t, want, got, "shard drops")
-	if _, _, drops, _ := inj.Counts(); drops == 0 {
+	if _, _, drops := inj.Counts(); drops == 0 {
 		t.Fatal("no shards were dropped")
 	}
 	if stats.GuestExec == 0 {
@@ -302,8 +302,8 @@ func TestDropShardSurvives(t *testing.T) {
 
 // TestFaultPlanCanned is the acceptance scenario behind `make
 // test-faults`: the canned plan in testdata corrupts a learned rule and
-// injects translator panics, decode errors, shard drops and a worker
-// failure into one run. The run must complete with the
+// injects translator panics, decode errors and shard drops into one
+// run. The run must complete with the
 // interpreter-correct final state, the corrupted rule in quarantine,
 // at least one recorded divergence and zero unrecovered panics (an
 // unrecovered panic surfaces as a Run error).
@@ -322,11 +322,10 @@ func TestFaultPlanCanned(t *testing.T) {
 
 	inj := faultinject.New(plan)
 	e := startEngine(t, c, Config{
-		Rules:            par,
-		DelegateFlags:    true,
-		ShadowRate:       1,
-		TranslateWorkers: 2,
-		Faults:           inj,
+		Rules:         par,
+		DelegateFlags: true,
+		ShadowRate:    1,
+		Faults:        inj,
 	})
 	stats, err := e.Run(env.CodeBase, 100_000_000)
 	if err != nil {
@@ -342,9 +341,9 @@ func TestFaultPlanCanned(t *testing.T) {
 	if stats.PanicsRecovered == 0 && plan.TranslatePanics > 0 {
 		t.Fatal("no injected panics were recovered")
 	}
-	panics, decodes, drops, workers := inj.Counts()
-	t.Logf("fault plan injected: %d panics, %d decode errors, %d shard drops, %d worker failures; stats: %+v",
-		panics, decodes, drops, workers, stats)
+	panics, decodes, drops := inj.Counts()
+	t.Logf("fault plan injected: %d panics, %d decode errors, %d shard drops; stats: %+v",
+		panics, decodes, drops, stats)
 }
 
 // TestInvalidateUnpatchesAllPredecessors is the chaining-teardown
@@ -371,7 +370,7 @@ func TestInvalidateUnpatchesAllPredecessors(t *testing.T) {
 	// Pick the block with the most patched incoming links.
 	var victim uint32
 	most := 0
-	e.cache.each(func(pc uint32, tb *tblock) {
+	for pc, tb := range e.cache {
 		n := 0
 		for _, l := range tb.incoming {
 			if l.to == tb {
@@ -382,23 +381,23 @@ func TestInvalidateUnpatchesAllPredecessors(t *testing.T) {
 			most = n
 			victim = pc
 		}
-	})
+	}
 	if most == 0 {
 		t.Fatal("no block has patched incoming links")
 	}
-	vt, _ := e.cache.get(victim)
+	vt, _ := e.cache[victim]
 
 	// Snapshot every link slot in the whole cache that points at the
 	// victim — including any the victim's own incoming list might have
 	// missed (that would itself be a bug this test should catch).
 	var pointing []*blockLink
-	e.cache.each(func(pc uint32, tb *tblock) {
+	for _, tb := range e.cache {
 		for i := range tb.links {
 			if tb.links[i].to == vt {
 				pointing = append(pointing, &tb.links[i])
 			}
 		}
-	})
+	}
 	if len(pointing) != most {
 		t.Fatalf("victim incoming list has %d links, cache scan found %d", most, len(pointing))
 	}
@@ -423,7 +422,7 @@ func TestInvalidateUnpatchesAllPredecessors(t *testing.T) {
 	if stats.ChainedExits == 0 {
 		t.Fatal("rerun never chained — links were not rebuilt")
 	}
-	if _, ok := e.cache.get(victim); !ok {
+	if _, ok := e.cache[victim]; !ok {
 		t.Fatalf("block %#x not retranslated on rerun", victim)
 	}
 }

@@ -29,7 +29,7 @@ const (
 	// docs/ROBUSTNESS.md "Self-modifying code"). Always counted.
 	MetSMCInvalidations = "dbt.smc_invalidations" // translations fenced out by guest code writes
 	MetSMCSelfAborts    = "dbt.smc_self_aborts"   // executions aborted for storing into their own bytes
-	MetSBBuilderPanics  = "dbt.sb_builder_panics" // background trace-formation panics absorbed
+	MetSBBuilderPanics  = "dbt.sb_builder_panics" // trace-formation panics absorbed
 
 	// Guarded-execution product counters (robustness layer; see
 	// docs/ROBUSTNESS.md). Always counted — they back the Stats guard
@@ -44,7 +44,6 @@ const (
 	MetRateSnaps         = "guard.rate_snaps"         // adaptive-controller snaps back to the base shadow rate
 
 	// Telemetry: only recorded while obs.On().
-	MetSpecTranslations   = "dbt.spec_translations"   // worker (speculative) translations
 	MetInvalidations      = "dbt.invalidations"       // Invalidate calls that removed a block
 	MetTraceInvalidations = "dbt.trace_invalidations" // superblocks torn down
 	MetChainPatches       = "dbt.chain_patches"       // direct-link slots patched
@@ -92,7 +91,6 @@ type engineMetrics struct {
 	rateSnaps         *obs.Counter
 
 	translations       *obs.Counter
-	specTranslations   *obs.Counter
 	invalidations      *obs.Counter
 	traceInvalidations *obs.Counter
 	chainPatches       *obs.Counter
@@ -130,7 +128,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		interpFallbacks:    reg.Counter(MetInterpFallbacks),
 		rateSnaps:          reg.Counter(MetRateSnaps),
 		translations:       reg.Counter(MetTranslations),
-		specTranslations:   reg.Counter(MetSpecTranslations),
 		invalidations:      reg.Counter(MetInvalidations),
 		traceInvalidations: reg.Counter(MetTraceInvalidations),
 		chainPatches:       reg.Counter(MetChainPatches),

@@ -69,11 +69,11 @@ func hottestStoringBlock(tb testing.TB, e *Engine) (uint32, *tblock) {
 	tb.Helper()
 	var pc uint32
 	var best *tblock
-	e.cache.each(func(p uint32, b *tblock) {
+	for p, b := range e.cache {
 		if b.sb == nil && b.hasStores && (best == nil || b.execs > best.execs) {
 			pc, best = p, b
 		}
-	})
+	}
 	if best == nil {
 		tb.Fatal("no cached block with guest stores")
 	}
@@ -159,11 +159,11 @@ func TestShadowUnverifiableEarnsNoTrust(t *testing.T) {
 	// Poison the decoded guest instructions the reference replays (the
 	// host code is untouched and still correct): every reference step now
 	// fails as an uninterpretable instruction.
-	e.cache.each(func(_ uint32, tb *tblock) {
+	for _, tb := range e.cache {
 		bad := append([]guest.Inst(nil), tb.insts...)
 		bad[0].Op = guest.Op(0xee)
 		tb.insts = bad
-	})
+	}
 	init := &guest.State{Mem: e.Mem}
 	init.R[guest.SP] = env.StackTop
 	e.SetGuestState(init)
@@ -206,11 +206,11 @@ func TestShadowRecoversByWriteSet(t *testing.T) {
 		var pc uint32
 		var tb *tblock
 		if super {
-			e.cache.each(func(p uint32, b *tblock) {
+			for p, b := range e.cache {
 				if b.sb != nil && b.hasStores {
 					pc, tb = p, b
 				}
-			})
+			}
 			if tb == nil {
 				t.Fatal("no superblock with guest stores was formed")
 			}
@@ -254,7 +254,7 @@ func TestShadowRecoversByWriteSet(t *testing.T) {
 		if e.Mem.JournalLen() != 0 {
 			t.Fatalf("super=%v: journal still holds %d entries", super, e.Mem.JournalLen())
 		}
-		if cur, ok := e.cache.get(pc); ok && cur == tb {
+		if cur, ok := e.cache[pc]; ok && cur == tb {
 			t.Fatalf("super=%v: diverged translation still cached", super)
 		}
 		if super && (!e.sbBan[pc] || !tb.sb.dead) {

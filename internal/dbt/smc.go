@@ -23,10 +23,8 @@ import (
 //   - the fence: before following a chain link or dispatching, the loop
 //     drains the tracker's dirty pages and invalidates every cached
 //     translation overlapping one (smcFence) — Engine.Invalidate tears
-//     down covering superblocks through sbIndex, unpatches chain links,
-//     bumps cacheGen so in-flight superblock results are discarded, and
-//     closes the background pool. The very next dispatch retranslates from
-//     the current bytes.
+//     down covering superblocks through sbIndex and unpatches chain
+//     links. The very next dispatch retranslates from the current bytes.
 //   - the self case: a store inside the executing translation's own
 //     guest ranges cannot wait for the fence — the stale host code is
 //     already running. The tracker's armed undo journal and self-range
@@ -57,11 +55,8 @@ func instHasStore(in guest.Inst) bool {
 
 // initSMCMeta computes a translation's SMC metadata — whether it
 // contains guest stores, and the guest address ranges it was decoded
-// from — and registers its pages with the write tracker. Called on the
-// Run goroutine the first time a translation is seen by the dispatcher
-// (which also covers blocks inserted by speculative workers: they are
-// only ever entered through a dispatch or a chain link patched after
-// one).
+// from — and registers its pages with the write tracker. Called when a
+// basic-block translation is installed in the cache.
 func (e *Engine) initSMCMeta(pc uint32, tb *tblock) {
 	lo, hi := pc, pc+uint32(tb.nGuest)*guest.InstBytes
 	tb.smcRanges = [][2]uint32{{lo, hi}}
@@ -72,7 +67,6 @@ func (e *Engine) initSMCMeta(pc uint32, tb *tblock) {
 		}
 	}
 	e.Mem.TrackRange(lo, hi)
-	tb.smcDone = true
 }
 
 // initSMCMetaSB is initSMCMeta for a superblock: one range per
@@ -94,7 +88,6 @@ func (e *Engine) initSMCMetaSB(tb *tblock) {
 			}
 		}
 	}
-	tb.smcDone = true
 }
 
 // smcOverlaps reports whether the translation's guest ranges touch any
@@ -119,35 +112,20 @@ func (e *Engine) smcFence() int {
 	if len(pages) == 0 {
 		return 0
 	}
-	// Speculative jobs translate from a snapshot of the code image taken
-	// when the Run started; the first guest code write makes it
-	// permanently stale. Demote to demand-only translation for the rest
-	// of the run (closing the pool waits out in-flight jobs, so the cache
-	// scan below sees every worker insert; superblock formation restarts
-	// the pool on its next submission).
-	if e.specCode != nil {
-		e.closeBackground()
-		e.specCode = nil
-	}
-	// Same staleness argument detaches a shared translation service:
-	// its prototypes were built from the code image this tenant
-	// registered at attach time, and that image just changed.
+	// A shared translation service's prototypes were built from the code
+	// image this tenant registered at attach time, and that image just
+	// changed: detach and translate locally from here on.
 	e.svc, e.tnt = nil, nil
 	set := make(map[uint32]bool, len(pages))
 	for _, k := range pages {
 		set[k] = true
 	}
 	var pcs []uint32
-	e.cache.each(func(pc uint32, tb *tblock) {
-		if tb.smcDone && smcOverlaps(tb, set) {
-			pcs = append(pcs, pc)
-		} else if !tb.smcDone {
-			// A worker-inserted translation the dispatcher has not seen
-			// yet: its ranges are unknown here and its snapshot may predate
-			// the write — drop it rather than reason about it.
+	for pc, tb := range e.cache {
+		if smcOverlaps(tb, set) {
 			pcs = append(pcs, pc)
 		}
-	})
+	}
 	for _, pc := range pcs {
 		e.Invalidate(pc)
 	}

@@ -1,7 +1,6 @@
 package dbt
 
 import (
-	"errors"
 	"testing"
 
 	"paramdbt/internal/artifact"
@@ -247,7 +246,7 @@ func TestSMCCrossBlockInvalidate(t *testing.T) {
 func TestSMCMidSuperblock(t *testing.T) {
 	p := smcProfile(t, "smc-sbmid")
 	got, st := runSMC(t, p.Prog, Config{
-		ShadowRate: 1, HotThreshold: p.HotThreshold, SyncTraces: p.SyncTraces,
+		ShadowRate: 1, HotThreshold: p.HotThreshold,
 	})
 	if got.R[guest.R0] != 1304 {
 		t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
@@ -271,7 +270,7 @@ func TestSMCMidSuperblock(t *testing.T) {
 func TestSMCBudgetRefund(t *testing.T) {
 	p := smcProfile(t, "smc-sbmid")
 	got, st := runSMC(t, p.Prog, Config{
-		ShadowRate: 1, HotThreshold: p.HotThreshold, SyncTraces: p.SyncTraces,
+		ShadowRate: 1, HotThreshold: p.HotThreshold,
 		TraceBudget: 1,
 	})
 	if got.R[guest.R0] != 1304 {
@@ -282,37 +281,20 @@ func TestSMCBudgetRefund(t *testing.T) {
 	}
 }
 
-// TestSMCAsyncFormation: repeated toggling of one instruction while the
-// background builder forms traces and speculative workers pre-translate.
-// Every stale in-flight artifact must be discarded (cacheGen) and the
-// result must still be exact.
-func TestSMCAsyncFormation(t *testing.T) {
-	p := smcProfile(t, "smc-async")
+// TestSMCToggleFormation: repeated toggling of one instruction while
+// trace formation keeps re-forming the loop. Every toggle must fence
+// out the stale translations and superblocks, and the result must
+// still be exact.
+func TestSMCToggleFormation(t *testing.T) {
+	p := smcProfile(t, "smc-toggle")
 	got, st := runSMC(t, p.Prog, Config{
 		ShadowRate: 1, HotThreshold: p.HotThreshold,
 	})
 	if got.R[guest.R0] != 597 {
 		t.Fatalf("r0 = %d, want 597", got.R[guest.R0])
 	}
-	if st.SMCInvalidations == 0 {
-		t.Fatalf("no invalidations recorded: %+v", st)
-	}
-	if st.Divergences != 0 {
-		t.Fatalf("shadow divergences: %+v", st)
-	}
-}
-
-// TestSMCConcurrentRace is the -race arm's main course: guest
-// self-modification with the asynchronous trace builder AND the
-// speculative translation pool running, so invalidation, worker
-// shutdown and in-flight discard all interleave with real goroutines.
-func TestSMCConcurrentRace(t *testing.T) {
-	p := smcProfile(t, "smc-async")
-	got, st := runSMC(t, p.Prog, Config{
-		ShadowRate: 1, HotThreshold: p.HotThreshold, TranslateWorkers: 2,
-	})
-	if got.R[guest.R0] != 597 {
-		t.Fatalf("r0 = %d, want 597", got.R[guest.R0])
+	if st.SMCInvalidations == 0 || st.TracesFormed == 0 {
+		t.Fatalf("no invalidations or no traces recorded: %+v", st)
 	}
 	if st.Divergences != 0 {
 		t.Fatalf("shadow divergences: %+v", st)
@@ -359,30 +341,48 @@ func TestSMCFaultPokes(t *testing.T) {
 	}
 }
 
-// TestSMCBuilderPanicRecovered: a panic inside a background superblock
-// job's translation must be absorbed by recoverTranslate — the single
-// recovery wrapper — surface as a failed result (not a crashed worker)
-// and increment dbt.sb_builder_panics.
+// TestSMCBuilderPanicRecovered: a panic inside trace translation must
+// cost only the trace. Until the first formation attempt, the hook
+// empties the decoded instructions of every block it sees enter, so
+// translateSuperblock indexes out of range — the kind of internal
+// inconsistency the recover exists to contain — and then restores them.
+// Run must absorb the panic (no error), count one dbt.sb_builder_panics,
+// go on forming traces and match the interpreter.
 func TestSMCBuilderPanicRecovered(t *testing.T) {
-	e := New(mem.New(), Config{})
-	var tx txctx
-	// Two constituents but only one instruction list: translateSuperblock
-	// indexes out of range, the kind of internal inconsistency the
-	// recover exists to contain.
-	pcs := []uint32{env.CodeBase, env.CodeBase + 4}
-	blocks := [][]guest.Inst{guest.MustAssemble("b skip\nskip:\nhlt")[:1]}
-	tb, err := recoverTranslate(env.CodeBase, func() (*tblock, error) {
-		return e.tr.translateSuperblock(pcs, blocks, &tx)
-	})
-	var pe *PanicError
-	if tb != nil || !errors.As(err, &pe) || pe.PC != env.CodeBase {
-		t.Fatalf("recoverTranslate = (%v, %v), want nil tb and a PanicError at the head", tb, err)
+	c := compileT(t, hotProgram())
+	want := interpret(t, c)
+	m := mem.New()
+	if _, err := c.LoadGuest(m); err != nil {
+		t.Fatal(err)
 	}
-	if r := e.buildSuperblock(env.CodeBase, 7, pcs, blocks, &tx); r.tb != nil || r.head != env.CodeBase || r.gen != 7 {
-		t.Fatalf("buildSuperblock = %+v, want a failed result for the head at gen 7", r)
+	var e *Engine
+	emptied := map[*tblock][]guest.Inst{}
+	hook := func(pc uint32) {
+		if emptied == nil {
+			return
+		}
+		if e.met.sbBuilderPanics.Value() > 0 {
+			for tb, insts := range emptied {
+				tb.insts = insts
+			}
+			emptied = nil
+			return
+		}
+		if tb := e.cache[pc]; tb.insts != nil {
+			emptied[tb], tb.insts = tb.insts, nil
+		}
 	}
-	if n := e.met.sbBuilderPanics.Value(); n != 1 {
-		t.Fatalf("sb_builder_panics = %d, want 1", n)
+	e = New(m, Config{HotThreshold: 2, TraceBlock: hook})
+	init := &guest.State{Mem: m}
+	init.R[guest.SP] = env.StackTop
+	e.SetGuestState(init)
+	st, err := e.Run(env.CodeBase, 100_000_000)
+	if err != nil {
+		t.Fatalf("trace-formation panic aborted the run: %v", err)
+	}
+	sameResult(t, want, e.GuestState(), "builder panic")
+	if st.SBBuilderPanics != 1 || st.TracesFormed == 0 {
+		t.Fatalf("SBBuilderPanics = %d, TracesFormed = %d; want 1 and > 0", st.SBBuilderPanics, st.TracesFormed)
 	}
 }
 

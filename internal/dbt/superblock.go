@@ -3,7 +3,6 @@ package dbt
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"paramdbt/internal/core"
 	"paramdbt/internal/env"
@@ -74,12 +73,9 @@ type sbMeta struct {
 
 // maybeSuperblock is the formation trigger, called on every entry to a
 // non-superblock translation while HotThreshold is set: count the
-// entry, and at the (backoff-scaled) threshold grow a trace and either
-// translate it inline (Config.SyncTraces) or hand it to the background
-// pool. Returns the block to execute — the new superblock when a
-// synchronous formation succeeded, tb unchanged otherwise (an
-// asynchronous superblock is entered on a later iteration, after the
-// dispatch loop drains the job's result).
+// entry, and at the (backoff-scaled) threshold grow a trace and
+// translate it on the spot. Returns the block to execute — the new
+// superblock when formation succeeded, tb unchanged otherwise.
 func (e *Engine) maybeSuperblock(pc uint32, tb *tblock) *tblock {
 	if tb.sbTries >= sbMaxTries {
 		return tb
@@ -94,24 +90,20 @@ func (e *Engine) maybeSuperblock(pc uint32, tb *tblock) *tblock {
 	if tb.hot < e.Cfg.HotThreshold<<tb.sbTries {
 		return tb
 	}
-	if e.Cfg.SyncTraces {
-		sbtb := e.formSuperblock(pc, tb)
-		if sbtb == nil {
-			tb.hot = 0
-			tb.sbTries++
-			return tb
-		}
-		return sbtb
+	sbtb := e.formSuperblock(pc, tb)
+	if sbtb == nil {
+		tb.hot = 0
+		tb.sbTries++
+		return tb
 	}
-	e.submitSuperblock(pc, tb)
-	return tb
+	return sbtb
 }
 
 // growTrace walks the chaining profile from head and returns the trace
 // pcs (nil/short when no trace forms: cold edges, indirect terminator).
 func (e *Engine) growTrace(head uint32) []uint32 {
 	return trace.Grow(head, e.Cfg.TraceMaxBlocks, func(pc uint32) []trace.Succ {
-		tb, ok := e.cache.get(pc)
+		tb, ok := e.cache[pc]
 		if !ok || tb.sb != nil || len(tb.links) == 0 {
 			return nil
 		}
@@ -124,9 +116,11 @@ func (e *Engine) growTrace(head uint32) []uint32 {
 }
 
 // formSuperblock grows the trace at head and translates and installs
-// the superblock synchronously. Nil when no trace forms (cold edges,
-// indirect terminator, banned head) or translation fails — the caller
-// backs off.
+// the superblock. Nil when no trace forms (cold edges, indirect
+// terminator, banned head) or translation fails — the caller backs off.
+// A panic in trace translation (e.g. a corrupted rule template) costs
+// only the trace: it is absorbed, counted into dbt.sb_builder_panics,
+// and the head keeps executing its per-block translations.
 func (e *Engine) formSuperblock(head uint32, htb *tblock) *tblock {
 	if e.sbBan[head] {
 		htb.sbTries = sbMaxTries
@@ -136,7 +130,12 @@ func (e *Engine) formSuperblock(head uint32, htb *tblock) *tblock {
 	if len(pcs) < 2 {
 		return nil
 	}
-	sbtb, err := e.tr.translateSuperblock(pcs, e.traceBlocks(pcs), &e.tx)
+	sbtb, err := recoverTranslate(head, func() (*tblock, error) {
+		return e.tr.translateSuperblock(pcs, e.traceBlocks(pcs), &e.tx)
+	})
+	if errors.Is(err, ErrTranslatorPanic) {
+		e.met.sbBuilderPanics.Inc()
+	}
 	if err != nil {
 		return nil
 	}
@@ -149,142 +148,17 @@ func (e *Engine) formSuperblock(head uint32, htb *tblock) *tblock {
 // traceBlocks collects the constituents' decoded instructions from
 // their cached per-block translations — growTrace only walks cached
 // blocks, so every pc is present and trace translation re-fetches and
-// re-decodes nothing. The insts slices are immutable after
-// construction, which also makes them safe to hand to a pool worker.
+// re-decodes nothing.
 func (e *Engine) traceBlocks(pcs []uint32) [][]guest.Inst {
 	blocks := make([][]guest.Inst, len(pcs))
 	for i, pc := range pcs {
-		tb, ok := e.cache.get(pc)
+		tb, ok := e.cache[pc]
 		if !ok {
 			return nil
 		}
 		blocks[i] = tb.insts
 	}
 	return blocks
-}
-
-// submitSuperblock is the asynchronous formation path: grow the trace
-// on the dispatch loop (a cheap link walk over profile data only the
-// Run goroutine may touch) and queue its translation — the expensive
-// part, ~two orders of magnitude more than a dispatch — as a hi job on
-// the background pool, the way tiered JITs run their optimizing compiler
-// on a separate thread. The job needs no guest-memory snapshot: it
-// carries the constituents' decoded instructions (immutable, lifted from
-// the cache here), and translation reads only those and the immutable
-// rule store. Its output is not a cache insert but a message back to the
-// Run goroutine, stamped with the cache generation the trace was grown
-// under. The head keeps executing its per-block translations until the
-// finished superblock is drained and installed, so trace translation
-// latency never stalls guest progress. Failures surface through the
-// drained result and back off exactly like synchronous formation.
-func (e *Engine) submitSuperblock(head uint32, htb *tblock) {
-	if e.sbBan[head] {
-		htb.sbTries = sbMaxTries
-		return
-	}
-	htb.hot = 0 // every outcome below re-heats the head from zero
-	if e.sbPending[head] {
-		return // a job for this head is already in flight
-	}
-	pcs := e.growTrace(head)
-	blocks := e.traceBlocks(pcs)
-	if len(pcs) < 2 || blocks == nil {
-		htb.sbTries++
-		return
-	}
-	p := e.background() // first: it makes sbResults and sbPending
-	results, gen := e.sbResults, e.cacheGen
-	// Jobs in flight are capped at the results buffer, so a job's send
-	// never blocks its worker. At the cap, or with the queue full, the
-	// hint is dropped without a backoff penalty — the head re-heats and
-	// resubmits once the workers catch up.
-	if e.sbInFlight < cap(results) && p.submit(p.hi, func(tx *txctx) {
-		results <- e.buildSuperblock(head, gen, pcs, blocks, tx)
-	}) {
-		e.sbPending[head] = true
-		e.sbInFlight++
-		// The job claims budget up front; failed or stale results refund
-		// it in finishSBResult, abandoned ones in closeBackground.
-		e.sbSpent++
-	}
-}
-
-// sbQueueDepth bounds superblock jobs in flight per engine.
-const sbQueueDepth = 32
-
-// buildSuperblock is the pool-worker half of asynchronous formation.
-// Panics (e.g. a corrupted rule template) become a result with tb nil:
-// finishSBResult refunds the budget claim and backs the head off, and
-// execution continues per-block — a panic in background trace formation
-// costs the superblock, never the process. Each absorbed panic counts
-// into dbt.sb_builder_panics (the counter is atomic; this runs off the
-// Run goroutine).
-func (e *Engine) buildSuperblock(head uint32, gen uint64, pcs []uint32, blocks [][]guest.Inst, tx *txctx) sbResult {
-	tb, err := recoverTranslate(head, func() (*tblock, error) {
-		return e.tr.translateSuperblock(pcs, blocks, tx)
-	})
-	if errors.Is(err, ErrTranslatorPanic) {
-		e.met.sbBuilderPanics.Inc()
-	}
-	return sbResult{head: head, gen: gen, tb: tb}
-}
-
-// drainSB installs every superblock the pool has finished. Called
-// from the dispatch loop only while jobs are in flight, so the idle
-// cost is one counter load. When jobs remain after the drain, the
-// dispatch goroutine yields its processor once: with GOMAXPROCS > 1
-// that is practically free, and on a single processor it is what lets
-// the workers run at all — a dispatch loop never blocks, so without
-// the yield background translation would only progress at the
-// runtime's coarse async-preemption ticks and finished superblocks
-// would land too late to matter.
-func (e *Engine) drainSB() {
-	for e.sbInFlight > 0 {
-		select {
-		case r := <-e.sbResults:
-			e.sbInFlight--
-			delete(e.sbPending, r.head)
-			e.finishSBResult(r)
-		default:
-			runtime.Gosched()
-			return
-		}
-	}
-}
-
-// finishSBResult applies one background result on the Run goroutine: the
-// asynchronous half of formSuperblock's install-or-back-off.
-func (e *Engine) finishSBResult(r sbResult) {
-	htb, ok := e.cache.get(r.head)
-	if !ok || htb.sb != nil {
-		e.sbSpent--
-		return // head invalidated or already covered meanwhile
-	}
-	if r.gen != e.cacheGen {
-		// Cache state changed since submission; re-heat and resubmit
-		// against the current world (no backoff penalty — nothing about
-		// the trace itself failed).
-		e.sbSpent--
-		htb.hot = 0
-		return
-	}
-	if r.tb == nil {
-		e.sbSpent--
-		htb.hot = 0
-		htb.sbTries++
-		return
-	}
-	e.installSB(r.tb, htb)
-	e.met.tracesFormed.Inc()
-}
-
-// sbResult is a superblock job's reply: gen stamps the cache generation
-// the trace was grown under, and tb is nil when translation failed (the
-// head backs off as in synchronous formation).
-type sbResult struct {
-	head uint32
-	gen  uint64
-	tb   *tblock
 }
 
 // installSB makes the superblock the head pc's cache entry and repoints
@@ -296,7 +170,7 @@ func (e *Engine) installSB(s *tblock, old *tblock) {
 	// The head already counted toward Stats.Blocks at its first entry;
 	// the superblock is a retranslation, not a new block.
 	s.seen = true
-	e.cache.put(head, s)
+	e.cache[head] = s
 	for _, l := range old.incoming {
 		l.to = s
 	}
@@ -308,9 +182,7 @@ func (e *Engine) installSB(s *tblock, old *tblock) {
 	for _, pc := range sb.pcs {
 		e.sbIndex[pc] = append(e.sbIndex[pc], s)
 	}
-	if !s.smcDone {
-		e.initSMCMetaSB(s)
-	}
+	e.initSMCMetaSB(s)
 }
 
 // teardownSB removes a superblock completely: the head cache entry (if
@@ -325,14 +197,13 @@ func (e *Engine) teardownSB(s *tblock) {
 	}
 	sb.dead = true
 	// Hand the trace's TraceBudget claim back: every installed superblock
-	// holds exactly one (formSuperblock, finishSBResult or the warm
-	// restore), and sb.dead makes this refund fire once. Without it,
+	// holds exactly one (formSuperblock or the warm restore), and sb.dead makes this refund fire once. Without it,
 	// invalidation-heavy guests (SMC) would leak the budget and stop
 	// re-forming traces that are still profitable after retranslation.
 	e.sbSpent--
 	head := sb.pcs[0]
-	if cur, ok := e.cache.get(head); ok && cur == s {
-		e.cache.remove(head)
+	if e.cache[head] == s {
+		delete(e.cache, head)
 	}
 	for _, l := range s.incoming {
 		l.to = nil
@@ -377,7 +248,7 @@ type sbStub struct {
 // constituents' decoded instructions (from their cached per-block
 // translations — nothing is re-fetched or re-decoded) and tx the
 // caller's arena; like translate, the function reads only those and the
-// rule store, so it is safe off the Run goroutine with a private arena.
+// rule store.
 func (tr *translator) translateSuperblock(pcs []uint32, blocks [][]guest.Inst, tx *txctx) (*tblock, error) {
 	if blocks == nil {
 		return nil, fmt.Errorf("dbt: trace constituents not cached")

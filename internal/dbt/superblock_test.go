@@ -2,9 +2,9 @@ package dbt
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"paramdbt/internal/backend"
 	"paramdbt/internal/core"
@@ -19,11 +19,6 @@ import (
 // low enough that the test programs' loops form traces within a run.
 func hotCfg(cfg Config) Config {
 	cfg.HotThreshold = 2
-	// Synchronous formation: these tests assert exact formation timing
-	// and post-run cache shape, which the background builder makes
-	// schedule-dependent. Async coverage lives in
-	// TestSuperblockAsyncFormation and the concurrent-engines race test.
-	cfg.SyncTraces = true
 	return cfg
 }
 
@@ -35,9 +30,7 @@ func hotCfg(cfg Config) Config {
 // seam into the helper, whose indirect return ends trace growth.
 func hotProgram() *minic.Program { return hotProgramN(60) }
 
-// hotProgramN is hotProgram with a configurable iteration count: the
-// async tests need the loop to run long enough that the background
-// builder always installs its superblock well before the run ends.
+// hotProgramN is hotProgram with a configurable iteration count.
 func hotProgramN(iters int32) *minic.Program {
 	helper := &minic.Func{
 		Name: "bump", NArgs: 1, NVars: 2,
@@ -187,7 +180,7 @@ func TestSuperblockInvalidateMidTrace(t *testing.T) {
 	if !sb.sb.dead {
 		t.Fatal("covering superblock not torn down")
 	}
-	if cur, ok := e.cache.get(head); ok && cur == sb {
+	if cur, ok := e.cache[head]; ok && cur == sb {
 		t.Fatal("superblock still installed at its head after mid-trace invalidate")
 	}
 	for _, pc := range sb.sb.pcs {
@@ -254,13 +247,13 @@ func TestSuperblockQuarantinePurge(t *testing.T) {
 	if !sb.sb.dead {
 		t.Fatal("superblock using the quarantined rule survived the purge")
 	}
-	e.cache.each(func(pc uint32, tb *tblock) {
+	for pc, tb := range e.cache {
 		for _, r := range tb.rules {
 			if r == bad {
 				t.Fatalf("cached block at %#x still uses the quarantined rule", pc)
 			}
 		}
-	})
+	}
 
 	init := &guest.State{Mem: e.Mem}
 	init.R[guest.SP] = env.StackTop
@@ -310,65 +303,40 @@ func TestSuperblockSelfLoopBacksOff(t *testing.T) {
 		t.Fatalf("self-looping block formed a trace: %+v", stats)
 	}
 	var most uint8
-	e.cache.each(func(pc uint32, tb *tblock) {
+	for _, tb := range e.cache {
 		if tb.sbTries > most {
 			most = tb.sbTries
 		}
-	})
+	}
 	if most < 2 {
 		t.Fatalf("formation retried %d times; backoff never re-armed", most)
 	}
 }
 
-// TestSuperblockAsyncFormation covers the default (background) path:
-// trace translation runs on the builder goroutine while dispatch keeps
-// executing, and the finished superblock is installed at a later
-// dispatch. Install timing is schedule-dependent and the install window
-// is the run's wall-clock length, which depends on how fast the host
-// simulator is and on what else the machine is doing — so the window is
-// not sized in guest iterations: the loop is rerun four times longer
-// each attempt until a trace was installed and executed, or a wall-clock
-// deadline passes. Every attempt, installed or not, must match the
-// unchained engine's guest-visible result, retired-instruction count
-// and coverage exactly.
-func TestSuperblockAsyncFormation(t *testing.T) {
-	// 512000 iterations is the longest loop that fits runProgram's host
-	// step budget; at the reference simulator speed it runs for about a
-	// second, a thousand times a superblock build.
-	const firstIters, lastIters = 2000, 512000
-	deadline := time.Now().Add(time.Minute)
-	for iters := int32(firstIters); ; iters *= 4 {
-		prog := hotProgramN(iters)
-		c := compileT(t, prog)
-		_, par := learnRules(t, prog, core.Config{Opcode: true, AddrMode: true})
-
-		uncfg := Config{Rules: par, DelegateFlags: true, NoChain: true}
-		want, wantStats := runProgram(t, c, uncfg)
-
-		async := Config{Rules: par, DelegateFlags: true, HotThreshold: 2}
-		got, stats := runProgram(t, c, async)
-		sameResult(t, want, got, "async formation")
-		if stats.GuestExec != wantStats.GuestExec {
-			t.Fatalf("GuestExec = %d, unchained retired %d", stats.GuestExec, wantStats.GuestExec)
-		}
-		if stats.Coverage() != wantStats.Coverage() {
-			t.Fatalf("coverage %f, unchained %f", stats.Coverage(), wantStats.Coverage())
-		}
-		if stats.TracesFormed > 0 && stats.SuperblockExecs > 0 {
-			return
-		}
-		if iters >= lastIters || time.Now().After(deadline) {
-			t.Fatalf("background builder never installed a trace in a %d-iteration run: %+v", iters, stats)
-		}
+// TestEngineStartsNoGoroutines: every translation the engine makes —
+// demand misses and hot-trace superblocks — runs on the goroutine
+// driving Run, so no block entry ever sees more goroutines than there
+// were before New.
+func TestEngineStartsNoGoroutines(t *testing.T) {
+	c := compileT(t, hotProgram())
+	want := interpret(t, c)
+	before := runtime.NumGoroutine()
+	most := 0
+	got, stats := runProgram(t, c, Config{HotThreshold: 2, TraceBlock: func(uint32) {
+		most = max(most, runtime.NumGoroutine())
+	}})
+	sameResult(t, want, got, "no goroutines")
+	if most > before {
+		t.Fatalf("%d goroutines during Run, %d before New", most, before)
+	}
+	if stats.TracesFormed == 0 {
+		t.Fatalf("no trace formed: %+v", stats)
 	}
 }
 
-// TestSuperblockConcurrentEnginesRace is the -race stress for the new
-// machinery: engines with background translation workers, hot-trace
-// profiling, and the background superblock builder run concurrently
-// over one shared rule store, so edge-hit profiling and install (Run
-// goroutine) overlap speculative translation (workers) and trace
-// translation (builder goroutine) on each engine.
+// TestSuperblockConcurrentEnginesRace is the -race stress for trace
+// formation: engines with hot-trace profiling and superblock formation
+// run concurrently over one shared rule store.
 func TestSuperblockConcurrentEnginesRace(t *testing.T) {
 	prog := hotProgramN(500)
 	c := compileT(t, prog)
@@ -388,9 +356,7 @@ func TestSuperblockConcurrentEnginesRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			// Async formation on purpose: no SyncTraces, so the builder
-			// goroutine races the dispatch loop under -race here.
-			e := New(m, Config{Rules: par, DelegateFlags: true, TranslateWorkers: 2, HotThreshold: 2})
+			e := New(m, Config{Rules: par, DelegateFlags: true, HotThreshold: 2})
 			init := &guest.State{Mem: m}
 			init.R[guest.SP] = env.StackTop
 			e.SetGuestState(init)

@@ -18,9 +18,7 @@ import (
 // codegenOptions is every knob that shapes translation output. It is
 // comparable on purpose: two translators with equal options over the
 // same rule store and backend emit identical host code for identical
-// guest bytes — which is the shared service's whole attach test, and
-// why a worker-translated block is interchangeable with a
-// demand-translated one.
+// guest bytes — which is the shared service's whole attach test.
 type codegenOptions struct {
 	DelegateFlags bool
 	ManualABI     bool
@@ -47,8 +45,8 @@ const flagWindow = 3
 // fallback, flag delegation, backend Finalize, validate — as what it is:
 // a pure function of {code bytes, rule store, backend, codegenOptions}.
 // It owns no guest memory, CPU, code cache or statistics, and is
-// immutable after construction, so the Run goroutine, the background
-// pool's workers and blame-isolation trials all call one instance
+// immutable after construction, so the Run goroutines of a service's
+// tenants and blame-isolation trials all call one instance
 // concurrently, each with its own txctx. Engine and Service each hold
 // one; equal translatorIDs mean interchangeable output.
 type translator struct {
@@ -138,8 +136,7 @@ type iplan struct {
 // tblock keeps — those copies, the tblock, the host block and its
 // micro-ops, a label map if it binds labels, and a superblock's links
 // and trace bookkeeping. The engine owns one for the Run
-// goroutine (Engine.tx); every pool worker and blame-isolation trial
-// carries its own. Do not copy a used txctx: g and mapf hold its address.
+// goroutine (Engine.tx); every blame-isolation trial carries its own. Do not copy a used txctx: g and mapf hold its address.
 type txctx struct {
 	binds []rule.Binding // one slot per accepted rule window
 	n     int            // slots in use
@@ -228,8 +225,8 @@ type blockPlan struct {
 }
 
 // translate builds the host block for the guest block at pc, fetching
-// code from m (live memory on the demand path, a code snapshot for pool
-// workers). tx holds the per-goroutine translation scratch. Translation
+// code from m (live memory on the demand path, the service's code
+// snapshot for a service miss). tx holds the per-goroutine translation scratch. Translation
 // is a pure function of the code bytes and the translator, so concurrent
 // callers produce identical blocks.
 //

@@ -93,7 +93,7 @@ func TestValidateTranslations(t *testing.T) {
 			cfg  Config
 		}{
 			{"blocks", Config{}},
-			{"superblocks", Config{HotThreshold: 4, SyncTraces: true}},
+			{"superblocks", Config{HotThreshold: 4}},
 		} {
 			what := bn + "/" + arm.name
 			cfg := arm.cfg
@@ -110,7 +110,7 @@ func TestValidateTranslations(t *testing.T) {
 				if i > 0 && ts[i-1].Segs[0].PC >= head {
 					t.Fatalf("%s: head pc %#x listed after %#x", what, head, ts[i-1].Segs[0].PC)
 				}
-				tb, ok := e.cache.get(head)
+				tb, ok := e.cache[head]
 				if !ok || tb.hb != tr.Host {
 					t.Fatalf("%s: pc=%#x: listed stream is not the cached one", what, head)
 				}
@@ -158,7 +158,6 @@ type optFaults struct{ mutated int }
 func (f *optFaults) TranslatePanic(uint32) bool  { return false }
 func (f *optFaults) DecodeError(uint32) bool     { return false }
 func (f *optFaults) DropCacheShard() (int, bool) { return 0, false }
-func (f *optFaults) FailSpecWorker() bool        { return false }
 func (f *optFaults) MutateOptimized(b *host.Block) *host.Block {
 	insts := append([]host.Inst(nil), b.Insts...)
 	hit := false

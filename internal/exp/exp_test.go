@@ -126,8 +126,7 @@ func TestFig11SpeedupOrdering(t *testing.T) {
 		cfg  dbt.Config
 	}{
 		{"no-chain", dbt.Config{Rules: full, DelegateFlags: true, NoChain: true}},
-		{"workers4", dbt.Config{Rules: full, DelegateFlags: true, TranslateWorkers: 4}},
-		{"superblocks", dbt.Config{Rules: full, DelegateFlags: true, HotThreshold: 4, TraceBudget: 12, SyncTraces: true}},
+		{"superblocks", dbt.Config{Rules: full, DelegateFlags: true, HotThreshold: 4, TraceBudget: 12}},
 	} {
 		r, err := c.Run("gcc", cc.cfg)
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 // interpreter — registers, flags and all guest memory below the CPUState
 // region. Each profile stresses one hazard: write-then-execute in the
 // store's own block, cross-block overwrite, overwrite mid-superblock,
-// and overwrite during asynchronous trace formation. The engines run
+// and overwrite toggled during repeated trace formation. The engines run
 // with the corpus's full parameterized rule table, so the invalidated
 // translations are the same rule-covered blocks the headline evaluation
 // executes. See docs/ROBUSTNESS.md "Self-modifying code".
@@ -79,13 +79,11 @@ func SMCExperiment(c *Corpus) (*SMCSection, error) {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		cfg := dbt.Config{
-			Rules:            rules,
-			Backend:          c.Backend,
-			DelegateFlags:    true,
-			ShadowRate:       1,
-			HotThreshold:     p.HotThreshold,
-			SyncTraces:       p.SyncTraces,
-			TranslateWorkers: p.Workers,
+			Rules:         rules,
+			Backend:       c.Backend,
+			DelegateFlags: true,
+			ShadowRate:    1,
+			HotThreshold:  p.HotThreshold,
 		}
 		e := dbt.New(m, cfg)
 		e.SetGuestState(&guest.State{Mem: m})

@@ -43,8 +43,7 @@ type TraceSection struct {
 const traceHotThreshold = 4
 
 // TraceExperiment re-runs every benchmark with superblock formation
-// enabled (synchronously, so the recorded statistics are deterministic)
-// and compares against the already-computed Flags reference results.
+// enabled and compares against the already-computed Flags reference results.
 func TraceExperiment(c *Corpus, rs []ModeResults) (*TraceSection, error) {
 	s := &TraceSection{HotThreshold: traceHotThreshold}
 	var shares, exits []float64
@@ -55,7 +54,6 @@ func TraceExperiment(c *Corpus, rs []ModeResults) (*TraceSection, error) {
 			Rules:         full,
 			DelegateFlags: true,
 			HotThreshold:  traceHotThreshold,
-			SyncTraces:    true,
 		}
 		run, err := c.Run(r.Name, cfg)
 		if err != nil {

@@ -66,7 +66,6 @@ func warmstartCfg(rules *rule.Store, dir string) dbt.Config {
 		DelegateFlags: true,
 		ShadowRate:    1,
 		HotThreshold:  warmHotThreshold,
-		SyncTraces:    true,
 		ArtifactDir:   dir,
 	}
 }

@@ -1,8 +1,8 @@
 // Package faultinject is the deterministic fault-injection harness for
 // the guarded-execution layer: a seedable Plan describes which faults
 // to inject — corrupted rule semantics, translator panics, decode
-// errors, dropped code-cache shards, killed speculative-translation
-// workers — and an Injector doles them out with atomic counters so the
+// errors, dropped code-cache shards, guest code overwrites — and an
+// Injector doles them out with atomic counters so the
 // same plan produces the same fault sequence on every run. The engine
 // consumes an Injector through the dbt.FaultInjector interface
 // (implemented structurally; this package never imports internal/dbt).
@@ -47,14 +47,10 @@ type Plan struct {
 	DropShards int `json:"dropShards,omitempty"`
 	DropEvery  int `json:"dropEvery,omitempty"`
 
-	// FailWorkers kills speculative-translation workers (each injection
-	// terminates one worker goroutine).
-	FailWorkers int `json:"failWorkers,omitempty"`
-
 	// SMCWrites overwrite guest code words at named block-entry
 	// ordinals, exercising the self-modifying-code fence from outside
 	// the guest (write-then-execute, cross-block overwrite,
-	// overwrite-mid-superblock, overwrite-during-async-formation — the
+	// overwrite-mid-superblock, overwrite-during-trace-formation — the
 	// campaign picks the ordinals). The engine applies them through its
 	// tracked store path immediately before the named entry, so each
 	// lands exactly where a guest store at the preceding block boundary
@@ -92,8 +88,7 @@ func LoadPlan(path string) (Plan, error) {
 }
 
 // Injector hands out the plan's faults. All methods are safe for
-// concurrent use (the spec-worker hooks run off the engine goroutine)
-// and deterministic given the plan: every decision comes from atomic
+// concurrent use and deterministic given the plan: every decision comes from atomic
 // counters and a seeded multiplicative hash, never from wall-clock or
 // shared global randomness.
 type Injector struct {
@@ -105,7 +100,6 @@ type Injector struct {
 	decodes   atomic.Int64
 	dropOps   atomic.Uint64
 	drops     atomic.Int64
-	workers   atomic.Int64
 }
 
 // New returns an injector for the plan.
@@ -189,18 +183,9 @@ func (i *Injector) CodePokes(n uint64) [][2]uint32 {
 	return out
 }
 
-// FailSpecWorker reports whether one speculative-translation worker
-// should terminate (called by each worker per job).
-func (i *Injector) FailSpecWorker() bool {
-	if i.plan.FailWorkers <= 0 {
-		return false
-	}
-	return i.workers.Add(1) <= int64(i.plan.FailWorkers)
-}
-
 // Counts reports how many faults of each kind were actually injected,
 // for test assertions and run summaries.
-func (i *Injector) Counts() (panics, decodes, drops, workers int64) {
+func (i *Injector) Counts() (panics, decodes, drops int64) {
 	clamp := func(v, max int64) int64 {
 		if v > max {
 			return max
@@ -209,8 +194,7 @@ func (i *Injector) Counts() (panics, decodes, drops, workers int64) {
 	}
 	return clamp(i.panics.Load(), int64(i.plan.TranslatePanics)),
 		clamp(i.decodes.Load(), int64(i.plan.DecodeErrors)),
-		clamp(i.drops.Load(), int64(i.plan.DropShards)),
-		clamp(i.workers.Load(), int64(i.plan.FailWorkers))
+		clamp(i.drops.Load(), int64(i.plan.DropShards))
 }
 
 // swapOp maps a host compute op to a same-shape, different-semantics

@@ -37,7 +37,7 @@ func TestTranslatePanicBudgetAndThinning(t *testing.T) {
 	if len(fired) != 2 || fired[0] != 3 || fired[1] != 6 {
 		t.Fatalf("panic injections at %v, want [3 6]", fired)
 	}
-	panics, _, _, _ := inj.Counts()
+	panics, _, _ := inj.Counts()
 	if panics != 2 {
 		t.Fatalf("Counts panics = %d, want 2", panics)
 	}
@@ -78,22 +78,6 @@ func TestDropCacheShardDeterministic(t *testing.T) {
 		if a[i] < 0 || a[i] > 15 {
 			t.Fatalf("shard %d out of range", a[i])
 		}
-	}
-}
-
-func TestFailSpecWorker(t *testing.T) {
-	inj := New(Plan{FailWorkers: 2})
-	n := 0
-	for i := 0; i < 10; i++ {
-		if inj.FailSpecWorker() {
-			n++
-		}
-	}
-	if n != 2 {
-		t.Fatalf("killed %d workers, want 2", n)
-	}
-	if inj.TranslatePanic(0) || inj.DecodeError(0) {
-		t.Fatal("faults not in the plan were injected")
 	}
 }
 

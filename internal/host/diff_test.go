@@ -153,7 +153,7 @@ func TestExecMatchesReferenceOnSuperblocks(t *testing.T) {
 		if _, err := comp.LoadGuest(m); err != nil {
 			t.Fatal(err)
 		}
-		e := dbt.New(m, dbt.Config{Rules: par, DelegateFlags: true, HotThreshold: 2, SyncTraces: true, Backend: rec})
+		e := dbt.New(m, dbt.Config{Rules: par, DelegateFlags: true, HotThreshold: 2, Backend: rec})
 		st := &guest.State{Mem: m}
 		st.R[guest.SP] = env.StackTop
 		e.SetGuestState(st)

@@ -21,11 +21,10 @@ package workload
 //	  the callee's translation before its next dispatch.
 //	smc-sbmid — overwrite mid-superblock: the store sits in a later
 //	  trace constituent and rewrites an instruction of the same trace,
-//	  after the superblock has formed (HotThreshold + SyncTraces).
-//	smc-async — periodic toggling between two encodings of the same
-//	  instruction while background formation keeps re-forming the
-//	  trace, so invalidations race in-flight formation (the cacheGen
-//	  discard seam) and speculation's stale-snapshot shutdown.
+//	  after the superblock has formed (HotThreshold).
+//	smc-toggle — periodic toggling between two encodings of the same
+//	  instruction while trace formation keeps re-forming the loop, so
+//	  every toggle tears down a freshly formed superblock.
 //
 // Every profile is architecturally deterministic: the DBT result must
 // equal a pure interpreter run instruction for instruction, which is
@@ -46,11 +45,8 @@ type SMCProfile struct {
 	Desc string
 	Prog []guest.Inst
 
-	// Engine shape for the scenario (zero values mean: no trace
-	// formation, no speculative workers).
+	// Engine shape for the scenario (zero means no trace formation).
 	HotThreshold uint64
-	SyncTraces   bool
-	Workers      int
 
 	// MaxGuestInsts bounds the reference-interpreter replay of the
 	// profile (and sizes the engine's host-step budget).
@@ -201,11 +197,11 @@ func smcSBMid() []guest.Inst {
 	})
 }
 
-// smcAsync: toggles the accumulate instruction between two encodings
+// smcToggle: toggles the accumulate instruction between two encodings
 // every 4 iterations (r1&7 == 0 picks variant B, r1&7 == 4 restores A)
-// while background superblock and speculative jobs keep working, so
-// invalidations land during in-flight trace formation.
-func smcAsync() []guest.Inst {
+// while trace formation keeps re-forming the loop, so invalidations
+// keep tearing down fresh superblocks.
+func smcToggle() []guest.Inst {
 	variantB := mustEncode("add r0, r0, #2")
 	variantA := mustEncode("add r0, r0, #1")
 	return genTwoPass(func(a *smcAsm, addrOf func(string) uint32) {
@@ -246,12 +242,12 @@ func SMCProfiles() []SMCProfile {
 		},
 		{
 			Name: "smc-sbmid", Desc: "overwrite mid-superblock",
-			Prog: smcSBMid(), HotThreshold: 4, SyncTraces: true,
+			Prog: smcSBMid(), HotThreshold: 4,
 			MaxGuestInsts: 1 << 20,
 		},
 		{
-			Name: "smc-async", Desc: "toggling overwrite during async trace formation",
-			Prog: smcAsync(), HotThreshold: 3, Workers: 2,
+			Name: "smc-toggle", Desc: "toggling overwrite during repeated trace formation",
+			Prog: smcToggle(), HotThreshold: 3,
 			MaxGuestInsts: 1 << 20,
 		},
 	}

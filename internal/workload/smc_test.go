@@ -25,7 +25,7 @@ func TestSMCProfilesInterpret(t *testing.T) {
 		"smc-sbmid": 49 + 251*5,
 		// A for i=1..7, then per 8-iteration period 4×(+2) and 4×(+1);
 		// 49 full periods cover i=8..399, and i=400 re-patches to B.
-		"smc-async": 7 + 49*12 + 2,
+		"smc-toggle": 7 + 49*12 + 2,
 	}
 	for _, p := range SMCProfiles() {
 		p := p
