@@ -6,7 +6,7 @@ GO ?= go
 # exactly what to install.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs bench-obs experiments linkcheck
+.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs emit-diff bench-obs experiments linkcheck
 
 ci: lint build race test-backends test-faults test-persistence test-smc test-serve test-validate fuzz-host linkcheck bench
 
@@ -171,6 +171,31 @@ W ?= steady
 N ?= 10
 bench-pairs:
 	$(GO) run ./tools/benchpairs -base $(BASE) -workload $(W) -n $(N)
+
+# Byte-identity of the emitted code against BASE: cmd/paradbt built
+# from `git archive BASE | tar -x` in a temporary directory and from
+# the working tree, then `-dump-blocks 100000` (guest disassembly plus
+# host listing of every block in code order) on each benchmark of
+# `paradbt -list`, under the default x86 para config and under
+# `-backend risc -peephole`. Fails naming the first benchmark whose
+# output differs.
+#   make emit-diff BASE=HEAD~1
+emit-diff:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/paradbt.base" ./cmd/paradbt); \
+	$(GO) build -o "$$tmp/paradbt.change" ./cmd/paradbt; \
+	for cfg in x86 risc; do \
+		flags=; [ $$cfg = risc ] && flags="-backend risc -peephole"; \
+		for b in $$("$$tmp/paradbt.change" -list); do \
+			for side in base change; do \
+				"$$tmp/paradbt.$$side" -bench $$b $$flags -dump-blocks 100000 >"$$tmp/$$side.out" 2>&1 || true; \
+			done; \
+			grep -q '^host code:' "$$tmp/change.out" || { echo "emit-diff: $$b ($$cfg) printed no listing"; cat "$$tmp/change.out"; exit 1; }; \
+			cmp -s "$$tmp/base.out" "$$tmp/change.out" || { echo "emit-diff: $$b ($$cfg) differs from $(BASE)"; exit 1; }; \
+		done; \
+	done; \
+	echo "emit-diff: every benchmark's listing is byte-identical to $(BASE) on x86 and risc -peephole"
 
 # Static audit of every block the workload suite translates, via the
 # translation validator (JSON verdicts on stdout; see docs/ANALYSIS.md

@@ -46,11 +46,6 @@ type WarmStats struct {
 // after New.
 func (e *Engine) WarmStats() WarmStats { return e.warm }
 
-// ArtifactKey returns the engine's four-component artifact key (zero
-// unless warm-start persistence is configured). Tests use it to corrupt
-// or cross-key specific artifacts.
-func (e *Engine) ArtifactKey() artifact.Key { return e.artKey }
-
 // initArtifacts opens the store and restores, called at the end of New.
 // Every failure degrades to a cold start: the error is recorded in
 // WarmStats, never surfaced from New — a damaged cache directory must
@@ -180,23 +175,15 @@ func (e *Engine) restoreManifest(m *artifact.BlockManifest) {
 			continue
 		}
 		htb, ok := e.cache[pcs[0]]
-		if !ok || htb.sb != nil {
+		if !ok || len(htb.segs) > 1 {
 			continue
 		}
-		blocks := e.traceBlocks(pcs)
-		if blocks == nil {
-			continue
+		// Translation validates every seam against the recorded successor,
+		// so a trace that does not match this code image fails here and is
+		// skipped — restore keeps the plain blocks.
+		if e.installTrace(pcs, htb) != nil {
+			e.warm.Traces++
 		}
-		// translateSuperblock validates every seam against the recorded
-		// successor, so a trace that does not match this code image fails
-		// here and is skipped — restore keeps the plain blocks.
-		sbtb, err := e.tr.translateSuperblock(pcs, blocks, &e.tx)
-		if err != nil {
-			continue
-		}
-		e.installSB(sbtb, htb)
-		e.sbSpent++
-		e.warm.Traces++
 	}
 }
 
@@ -218,16 +205,18 @@ func (e *Engine) publishArtifacts() {
 		}
 	}
 	for pc, tb := range e.cache {
-		if tb.sb != nil {
+		if len(tb.segs) > 1 {
 			// A superblock owns its head's cache slot; record the trace AND
 			// the head as a plain block — restore needs the head's per-block
 			// translation cached before it can re-grow the trace.
-			m.Traces = append(m.Traces, append([]uint32(nil), tb.sb.pcs...))
-			for i, hpc := range tb.sb.pcs {
-				addPages(hpc, hpc+uint32(len(tb.sb.insts[i]))*guest.InstBytes)
+			pcs := make([]uint32, len(tb.segs))
+			for i, s := range tb.segs {
+				pcs[i] = s.pc
 			}
-		} else {
-			addPages(pc, pc+uint32(tb.nGuest)*guest.InstBytes)
+			m.Traces = append(m.Traces, pcs)
+		}
+		for _, r := range tb.ranges {
+			addPages(r[0], r[1])
 		}
 		m.Blocks = append(m.Blocks, pc)
 	}

@@ -82,7 +82,7 @@ func TestWarmStartRoundTrip(t *testing.T) {
 	if w.Traces == 0 {
 		t.Fatal("warm engine restored no traces")
 	}
-	if e2.CachedBlocks() == 0 {
+	if len(e2.cache) == 0 {
 		t.Fatal("warm engine cache empty after restore")
 	}
 	st2, err := e2.Run(env.CodeBase, 100_000_000)

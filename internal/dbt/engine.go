@@ -351,54 +351,31 @@ type Engine struct {
 	warm   WarmStats
 }
 
-// tblock is one cached translation. The hb/insts/counter fields are
-// immutable after construction (safe to publish through the cache); the
-// link and seen fields are owned by the goroutine driving Run.
+// tblock is one cached translation: an immutable unit (see
+// translate.go), embedded by value so the dispatch loop reads it
+// without a pointer chase, plus the state the goroutine driving Run
+// mutates.
 type tblock struct {
-	hb        *host.Block
-	insts     []guest.Inst // decoded guest block, reused instead of re-decoding
-	nGuest    uint64
-	nCovered  uint64
-	nSeq      uint64
-	uncovered []guest.Op
+	unit
 
-	// rules lists the distinct rule templates whose host code this
-	// block contains — the provenance the guard layer's blame isolation
-	// walks when a shadow-verification divergence implicates the block.
-	// flagsExact reports that the block materializes every NZCV update
-	// into the CPUState words (no delegation, no branch-tail rule), so
-	// the shadow verifier may compare flags. Both are immutable after
-	// construction; execs counts executions and is owned by the
-	// goroutine driving Run, like seen.
-	rules      []*rule.Template
-	flagsExact bool
-	execs      uint64
-
-	// links are the block's direct-exit slots (branch target and/or
-	// fallthrough), patched lazily as targets get translated so chained
-	// execution skips the dispatcher. incoming records links in other
-	// blocks that point here, so Invalidate can tear them down safely.
-	// seen marks the first execution (drives Stats.Blocks).
+	// links are the unit's direct-exit slots (see unit.directLinks),
+	// patched lazily as targets get translated so chained execution skips
+	// the dispatcher. incoming records links in other blocks that point
+	// here, so Invalidate can tear them down safely.
 	links    []blockLink
-	linkBuf  [2]blockLink // backs a basic block's links: no allocation
+	linkBuf  [2]blockLink // backs up to two links: no allocation
 	incoming []*blockLink
-	seen     bool
 
-	// Superblock state, all owned by the goroutine driving Run: hot
-	// counts entries while formation is enabled (Config.HotThreshold),
-	// sbTries backs off repeated failed formation attempts at this head
-	// geometrically, and sb — non-nil only on a superblock translation —
-	// carries the trace-level bookkeeping (see superblock.go).
-	hot     uint64
+	// seen marks the first execution (drives Stats.Blocks); execs counts
+	// executions (shadow sampling). hot counts entries while formation is
+	// enabled (Config.HotThreshold), sbTries backs off repeated failed
+	// formation attempts at this head geometrically, and dead marks a
+	// torn-down superblock (a trace covering k pcs is indexed k times).
+	seen    bool
 	sbTries uint8
-	sb      *sbMeta
-
-	// SMC metadata (see smc.go), set when the translation is installed
-	// in the cache: smcRanges are the guest [lo,hi) byte ranges the
-	// translation was decoded from (one per superblock constituent),
-	// hasStores whether it contains guest store instructions.
-	hasStores bool
-	smcRanges [][2]uint32
+	dead    bool
+	execs   uint64
+	hot     uint64
 }
 
 // blockLink is one direct-exit slot: the static successor pc plus the
@@ -446,6 +423,18 @@ func (tb *tblock) patch(next uint32, to *tblock) int {
 		}
 	}
 	return n
+}
+
+// unlink tears down tb's chaining in both directions: no link reaches
+// it and none of its own is followed.
+func (tb *tblock) unlink() {
+	for _, l := range tb.incoming {
+		l.to = nil
+	}
+	tb.incoming = nil
+	for i := range tb.links {
+		tb.links[i].to = nil
+	}
 }
 
 // New creates an engine over the given memory. The CPUState block and
@@ -664,24 +653,26 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 				}
 			}
 		}
-		if hotOn && tb.sb == nil {
+		if hotOn && len(tb.segs) == 1 {
 			tb = e.maybeSuperblock(pc, tb)
 		}
 		if !tb.seen {
 			tb.seen = true
 			e.met.blocks.Inc()
 		}
-		sb := tb.sb
+		// A unit of k > 1 segments (a superblock) reports through the
+		// CPUState exit slot how many of them ran (see superblock.go).
+		k := len(tb.segs)
 		if ring != nil {
-			k := obs.EvDispatch
-			if sb != nil {
-				k = obs.EvSuperblock
+			ev := obs.EvDispatch
+			if k > 1 {
+				ev = obs.EvSuperblock
 			} else if chained {
-				k = obs.EvChained
+				ev = obs.EvChained
 			}
-			ring.Record(k, pc)
+			ring.Record(ev, pc)
 		}
-		if traceBlock != nil && sb == nil {
+		if traceBlock != nil {
 			traceBlock(pc)
 		}
 		if guarded {
@@ -700,12 +691,12 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			// Arm self-range detection and the undo journal for this
 			// execution (a no-op pair of clears when the translation has no
 			// guest stores).
-			e.Mem.ArmSMC(tb.hasStores, tb.smcRanges)
+			e.Mem.ArmSMC(tb.hasStores, tb.ranges)
 		}
-		if sb != nil {
+		if k > 1 {
 			// Arm the exit slot with the full-trace marker; side-exit
-			// stubs overwrite it with their seam index (see superblock.go).
-			e.Mem.Write32(env.StateBase+env.OffSBExit, uint32(len(sb.pcs)-1))
+			// stubs overwrite it with their seam index.
+			e.Mem.Write32(env.StateBase+env.OffSBExit, uint32(k-1))
 		}
 		res, xerr := e.CPU.Exec(tb.hb, maxHostSteps-hostSteps-fallbackSteps)
 		if e.Mem.SMCSelfHit() {
@@ -729,38 +720,30 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			return snapshot(), fmt.Errorf("dbt: executing block at %#x: %w\n%s", pc, xerr, tb.hb.Listing())
 		}
 		hostSteps += res.Steps
-		nexec := 0 // superblock: constituent blocks executed
 		if pend.execs++; pend.execs == publishEvery {
 			pend.publish(e.met)
 		}
-		if sb == nil {
-			pend.guest += tb.nGuest
-			pend.covered += tb.nCovered
-			pend.seq += tb.nSeq
-			for _, op := range tb.uncovered {
-				uncovered[op]++
-			}
-		} else {
-			nexec = int(e.Mem.Read32(env.StateBase+env.OffSBExit)) + 1
-			if nexec > len(sb.pcs) {
-				nexec = len(sb.pcs)
-			}
+		// The segments that ran: all of them, unless a side exit left the
+		// trace early. Their counts are cumulative, so the last one that
+		// ran carries the execution's totals.
+		ran := tb.segs
+		if k > 1 {
+			ran = ran[:min(int(e.Mem.Read32(env.StateBase+env.OffSBExit))+1, k)]
 			e.met.superblockExecs.Inc()
-			if nexec < len(sb.pcs) {
+			if len(ran) < k {
 				e.met.sideExits.Inc()
 			}
-			pend.guest += sb.cumGuest[nexec]
-			pend.covered += sb.cumCovered[nexec]
-			pend.seq += sb.cumSeq[nexec]
-			for j := 0; j < nexec; j++ {
-				for _, op := range sb.uncovered[j] {
-					uncovered[op]++
-				}
+		}
+		last := &ran[len(ran)-1]
+		pend.guest += last.nGuest
+		pend.covered += last.nCovered
+		pend.seq += last.nSeq
+		for j := range ran {
+			for _, op := range ran[j].uncovered {
+				uncovered[op]++
 			}
-			if traceBlock != nil {
-				for j := 0; j < nexec; j++ {
-					traceBlock(sb.pcs[j])
-				}
+			if j > 0 && traceBlock != nil {
+				traceBlock(ran[j].pc)
 			}
 		}
 		if sampled {
@@ -821,7 +804,7 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 		// translation — falls through to the local path below, which owns
 		// error reporting and the guarded retry machinery.
 		if proto, leader, err := e.svc.request(e.tnt, pc, &e.tx); err == nil {
-			tb = e.adoptProto(pc, proto)
+			tb = e.adoptProto(proto)
 			if leader {
 				e.met.translations.Inc()
 			}
@@ -845,12 +828,21 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 	if e.Cfg.Trace != nil {
 		e.Cfg.Trace.Record(obs.EvTranslate, pc)
 	}
-	e.cache[pc] = tb
-	e.initSMCMeta(pc, tb)
+	e.install(tb)
 	if on {
 		e.met.cachedBlocks.Set(int64(len(e.cache)))
 	}
 	return tb, nil
+}
+
+// install makes tb the cache entry for its head pc and registers the
+// pages its guest bytes live on with the write tracker, so guest stores
+// there reach the SMC fence (see smc.go).
+func (e *Engine) install(tb *tblock) {
+	e.cache[tb.segs[0].pc] = tb
+	for _, r := range tb.ranges {
+		e.Mem.TrackRange(r[0], r[1])
+	}
 }
 
 // Invalidate removes the translation at pc (after guest code changes)
@@ -879,13 +871,7 @@ func (e *Engine) Invalidate(pc uint32) bool {
 		}
 	}
 	if tb != nil {
-		for _, l := range tb.incoming {
-			l.to = nil
-		}
-		tb.incoming = nil
-		for i := range tb.links {
-			tb.links[i].to = nil
-		}
+		tb.unlink()
 	}
 	if on {
 		e.met.invalidateNs.ObserveSince(t0)
@@ -897,10 +883,6 @@ func (e *Engine) Invalidate(pc uint32) bool {
 	}
 	return true
 }
-
-// CachedBlocks reports the number of translations currently cached. It
-// must not run concurrently with Run.
-func (e *Engine) CachedBlocks() int { return len(e.cache) }
 
 // Translation is one installed unit of the code cache as the offline
 // audit reads it: what the translator was given and what it produced.
@@ -922,15 +904,10 @@ type Translation struct {
 // run concurrently with Run.
 func (e *Engine) Translations() []Translation {
 	var out []Translation
-	for pc, tb := range e.cache {
-		t := Translation{Host: tb.hb, FlagsExact: tb.flagsExact}
-		if tb.sb == nil {
-			t.Segs = []analysis.GuestSeg{{PC: pc, Insts: tb.insts}}
-		} else {
-			t.Segs = make([]analysis.GuestSeg, len(tb.sb.pcs))
-			for i, spc := range tb.sb.pcs {
-				t.Segs[i] = analysis.GuestSeg{PC: spc, Insts: tb.sb.insts[i]}
-			}
+	for _, tb := range e.cache {
+		t := Translation{Segs: make([]analysis.GuestSeg, len(tb.segs)), Host: tb.hb, FlagsExact: tb.flagsExact}
+		for i, s := range tb.segs {
+			t.Segs[i] = analysis.GuestSeg{PC: s.pc, Insts: s.insts}
 		}
 		out = append(out, t)
 	}
@@ -938,25 +915,28 @@ func (e *Engine) Translations() []Translation {
 	return out
 }
 
-// BlockListing translates (or fetches from cache) the block at pc and
-// returns its annotated host listing alongside the guest disassembly —
-// the debugging view of what the translator produced. The guest
-// disassembly reuses the decode results stored in the cached block.
-// Like Invalidate, it must not run concurrently with Run.
+// BlockListing translates (or fetches from cache) the unit at pc and
+// returns its annotated host listing alongside the guest disassembly of
+// every segment — the debugging view of what the translator produced.
+// The guest disassembly reuses the decode results stored in the cached
+// unit. Like Invalidate, it must not run concurrently with Run.
 func (e *Engine) BlockListing(pc uint32) (string, error) {
 	tb, err := e.block(pc)
 	if err != nil {
 		return "", err
 	}
-	s := fmt.Sprintf("guest block @%#x (%d insts, %d rule-covered):\n", pc, tb.nGuest, tb.nCovered)
-	s += guest.Disassemble(pc, tb.insts)
+	total := tb.segs[len(tb.segs)-1]
+	s := fmt.Sprintf("guest block @%#x (%d insts, %d rule-covered):\n", pc, total.nGuest, total.nCovered)
+	for _, sg := range tb.segs {
+		s += guest.Disassemble(sg.pc, sg.insts)
+	}
 	s += "host code:\n" + tb.hb.Listing()
 	return s, nil
 }
 
 // fetchBlock decodes guest instructions from pc up to and including
 // the terminator, reading code from m, into c.fetch, and returns an
-// exact-size copy for the tblock to keep.
+// exact-size copy for the unit to keep.
 func (c *txctx) fetchBlock(m *mem.Memory, pc uint32) ([]guest.Inst, error) {
 	c.fetch = c.fetch[:0]
 	for len(c.fetch) < maxBlockInsts {

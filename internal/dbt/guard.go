@@ -227,23 +227,19 @@ func (e *Engine) shadowBegin(tb *tblock, pc uint32) {
 	readGuestState(e.Mem, &sc.pre)
 	sc.ref = sc.pre
 	e.Mem.ArmSMC(true, nil)
-	if sb := tb.sb; sb == nil {
-		sc.refNext, sc.refErr = guard.RunReference(&sc.ref, pc, tb.insts, HaltPC)
-	} else {
-		// A superblock: step the trace's constituents until the
-		// reference's own control flow leaves it. If the translation left
-		// elsewhere, the comparison reports it.
-		sc.refNext, sc.refErr = pc, nil
-		for j := 0; j < len(sb.pcs) && sc.refNext == sb.pcs[j] && sc.refErr == nil; j++ {
-			sc.refNext, sc.refErr = guard.RunReference(&sc.ref, sb.pcs[j], sb.insts[j], HaltPC)
-		}
+	// Step the unit's segments until the reference's own control flow
+	// leaves it (a basic block: its one segment). If the translation left
+	// elsewhere, the comparison reports it.
+	sc.refNext, sc.refErr = pc, nil
+	for j := 0; j < len(tb.segs) && sc.refNext == tb.segs[j].pc && sc.refErr == nil; j++ {
+		sc.refNext, sc.refErr = guard.RunReference(&sc.ref, tb.segs[j].pc, tb.segs[j].insts, HaltPC)
 	}
 	sc.refWrites = e.Mem.JournalWrites(sc.refWrites[:0], env.StateBase)
 	e.Mem.RollbackJournal()
 	e.Mem.ClearDirty()
 	var self [][2]uint32
 	if tb.hasStores {
-		self = tb.smcRanges
+		self = tb.ranges
 	}
 	e.Mem.ArmSMC(true, self)
 }
@@ -289,15 +285,18 @@ func (e *Engine) shadowCheck(tb *tblock, pc, gotNext uint32) (uint32, shadowVerd
 	}
 	e.Mem.RollbackJournal() // live memory is the pre-block image again
 	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
+	// Blame isolation retranslates single basic blocks, so it cannot
+	// attribute a trace-level fault: a superblock blames no rule.
+	superblock := len(tb.segs) > 1
 	var guilty []*rule.Template
-	var blamed []string
-	if tb.sb == nil {
+	if !superblock {
 		guilty = e.isolateBlame(pc, tb)
-		for _, t := range guilty {
-			blamed = append(blamed, t.Fingerprint())
-			if e.Cfg.Rules.Quarantine(t, fmt.Sprintf("shadow divergence at pc=%#x", pc)) {
-				e.met.quarantined.Inc()
-			}
+	}
+	var blamed []string
+	for _, t := range guilty {
+		blamed = append(blamed, t.Fingerprint())
+		if e.Cfg.Rules.Quarantine(t, fmt.Sprintf("shadow divergence at pc=%#x", pc)) {
+			e.met.quarantined.Inc()
 		}
 	}
 	if len(e.guard.divergences) < maxDivergenceLog {
@@ -311,17 +310,15 @@ func (e *Engine) shadowCheck(tb *tblock, pc, gotNext uint32) (uint32, shadowVerd
 	// stores into translated code are fenced like any guest store.
 	applyWrites(e.Mem, sc.refWrites)
 	writeGuestState(e.Mem, &sc.ref)
-	if tb.sb == nil {
+	if !superblock {
 		// Drop every translation built from a now-quarantined rule so
 		// retranslation excludes it.
 		e.purgeRules(guilty)
 	} else {
 		// A superblock is torn down and its head banned from re-formation
-		// rather than blamed: blame isolation retranslates single basic
-		// blocks, so it cannot attribute a trace-level fault, and the
-		// constituent basic blocks stay cached — if one of them is
-		// individually mistranslated, its own sampled executions catch and
-		// quarantine it through the normal path.
+		// instead. The constituent basic blocks stay cached — if one of
+		// them is individually mistranslated, its own sampled executions
+		// catch and quarantine it through the normal path.
 		e.teardownSB(tb)
 		if e.sbBan == nil {
 			e.sbBan = map[uint32]bool{}

@@ -153,9 +153,9 @@ func TestTelemetryGatedByEnable(t *testing.T) {
 	if n := reg.Histogram(MetLookupNs).Count(); n != stOn.Dispatches {
 		t.Fatalf("lookup_ns samples = %d, want one per dispatch (%d)", n, stOn.Dispatches)
 	}
-	if reg.Gauge(MetCachedBlocks).Value() != int64(e2.CachedBlocks()) {
+	if reg.Gauge(MetCachedBlocks).Value() != int64(len(e2.cache)) {
 		t.Fatalf("cached_blocks gauge = %d, cache holds %d",
-			reg.Gauge(MetCachedBlocks).Value(), e2.CachedBlocks())
+			reg.Gauge(MetCachedBlocks).Value(), len(e2.cache))
 	}
 	if reg.Counter(MetChainPatches).Value() == 0 {
 		t.Fatal("no chain patches counted on a chaining run")
@@ -182,7 +182,7 @@ func TestInvalidateTelemetry(t *testing.T) {
 	if reg.Histogram(MetInvalidateNs).Count() != 1 {
 		t.Fatalf("invalidate_ns samples = %d, want 1", reg.Histogram(MetInvalidateNs).Count())
 	}
-	if reg.Gauge(MetCachedBlocks).Value() != int64(e.CachedBlocks()) {
+	if reg.Gauge(MetCachedBlocks).Value() != int64(len(e.cache)) {
 		t.Fatal("cached_blocks gauge not updated by Invalidate")
 	}
 	evs := ring.Events()

@@ -25,7 +25,7 @@ type scratchCase struct {
 	code *mem.Memory // a clone: safe to read from several goroutines
 	pcs  []uint32
 	rich uint32
-	sb   *sbMeta
+	sb   []seg // the trace's segments, pc and instructions only
 }
 
 // newScratchCase runs prog under cfg, with rules learned from prog
@@ -62,7 +62,9 @@ func newScratchCase(tb testing.TB, name string, prog *minic.Program, cfg Config)
 	for _, pc := range sc.pcs {
 		for _, s := range e.sbIndex[pc] {
 			if sc.sb == nil && len(s.hb.Labels()) > 0 {
-				sc.sb = s.sb
+				for _, sg := range s.segs {
+					sc.sb = append(sc.sb, seg{pc: sg.pc, insts: sg.insts})
+				}
 			}
 		}
 	}
@@ -73,7 +75,7 @@ func newScratchCase(tb testing.TB, name string, prog *minic.Program, cfg Config)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if score := len(b.rules) * len(b.uncovered) * len(b.hb.Labels()); score > best {
+		if score := len(b.rules) * len(b.segs[0].uncovered) * len(b.hb.Labels()); score > best {
 			best, sc.rich = score, pc
 		}
 	}
@@ -84,32 +86,31 @@ func newScratchCase(tb testing.TB, name string, prog *minic.Program, cfg Config)
 // else its richest block — with tx.
 func (sc scratchCase) unit(tx *txctx) (*tblock, error) {
 	if sc.sb != nil {
-		return sc.tr.translateSuperblock(sc.sb.pcs, sc.sb.insts, tx)
+		return sc.tr.translateUnit(&tblock{unit: unit{segs: append([]seg(nil), sc.sb...)}}, tx, nil, nil)
 	}
 	return sc.tr.translate(sc.code, sc.rich, tx, nil, nil)
 }
 
-// kept is everything a tblock keeps from its translation, deep-copied.
+// kept is everything a tblock keeps from its translation, deep-copied:
+// the segments print with their instructions, counts and emulated
+// opcodes.
 type kept struct {
-	host, labels, insts, links string
-	rules                      []*rule.Template
-	uncovered                  []guest.Op
-	sbUncovered                [][]guest.Op
+	host, labels, segs, links, ranges string
+	rules                             []*rule.Template
+	uncovered                         int
 }
 
 func keptOf(tb *tblock) kept {
 	k := kept{
-		host:      fmt.Sprint(tb.hb.Insts),
-		labels:    fmt.Sprint(tb.hb.Labels()),
-		insts:     fmt.Sprint(tb.insts),
-		links:     fmt.Sprint(tb.links),
-		rules:     append([]*rule.Template(nil), tb.rules...),
-		uncovered: append([]guest.Op(nil), tb.uncovered...),
+		host:   fmt.Sprint(tb.hb.Insts),
+		labels: fmt.Sprint(tb.hb.Labels()),
+		segs:   fmt.Sprint(tb.segs),
+		links:  fmt.Sprint(tb.links),
+		ranges: fmt.Sprint(tb.ranges),
+		rules:  append([]*rule.Template(nil), tb.rules...),
 	}
-	if tb.sb != nil {
-		for _, u := range tb.sb.uncovered {
-			k.sbUncovered = append(k.sbUncovered, append([]guest.Op(nil), u...))
-		}
+	for _, s := range tb.segs {
+		k.uncovered += len(s.uncovered)
 	}
 	return k
 }
@@ -123,7 +124,7 @@ func checkScratchAliasing(sc scratchCase, tx *txctx) error {
 		return err
 	}
 	want := keptOf(a)
-	if len(want.rules) == 0 || len(want.uncovered)+len(want.sbUncovered) == 0 || want.labels == "map[]" {
+	if len(want.rules) == 0 || want.uncovered == 0 || want.labels == "map[]" {
 		return fmt.Errorf("unit A has no rule, emulated opcode or label: %+v", want)
 	}
 	for _, pc := range sc.pcs {
@@ -201,14 +202,15 @@ func translateBlocks(tb testing.TB) (sc scratchCase, covered, tcgHeavy uint32) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if covered == 0 && b.nGuest > 1 && b.nCovered == b.nGuest {
+		s := b.segs[0]
+		if covered == 0 && s.nGuest > 1 && s.nCovered == s.nGuest {
 			covered = pc
 		}
 		stack := false
-		for _, in := range b.insts {
+		for _, in := range s.insts {
 			stack = stack || in.Op == guest.PUSH || in.Op == guest.POP || in.Op == guest.BL
 		}
-		if tcgHeavy == 0 && stack && len(b.uncovered) >= 2 {
+		if tcgHeavy == 0 && stack && len(s.uncovered) >= 2 {
 			tcgHeavy = pc
 		}
 	}

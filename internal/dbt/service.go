@@ -211,13 +211,6 @@ func (s *Service) Stats() ServiceStats {
 	}
 }
 
-// CachedBlocks reports the number of prototype translations resident.
-func (s *Service) CachedBlocks() int {
-	n := 0
-	s.cache.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
 // Closed reports whether Close has been called.
 func (s *Service) Closed() bool { return s.closed.Load() }
 
@@ -352,22 +345,16 @@ func (s *Service) purgeRules(guilty map[*rule.Template]bool) {
 // single-threaded state.
 func (e *Engine) Attached() bool { return e.svc != nil }
 
-// adoptProto wraps a service prototype for this tenant: the immutable
-// translation products (host code, decoded guest instructions, coverage
-// counts, rule provenance) are shared, while everything the Run
-// goroutine mutates — chain links, execution/hotness counters, SMC
-// metadata — starts fresh and private.
-func (e *Engine) adoptProto(pc uint32, p *tblock) *tblock {
-	tb := &tblock{
-		hb:         p.hb,
-		insts:      p.insts,
-		nGuest:     p.nGuest,
-		nCovered:   p.nCovered,
-		nSeq:       p.nSeq,
-		uncovered:  p.uncovered,
-		rules:      p.rules,
-		flagsExact: p.flagsExact,
-	}
-	tb.links = directLinks(pc, p.insts, &tb.linkBuf)
+// adoptProto wraps a service prototype for this tenant: a copy of its
+// immutable unit — host code, decoded guest instructions, coverage
+// counts, rule provenance and SMC metadata, all shared — plus fresh
+// private links and counters for everything the Run goroutine mutates.
+func (e *Engine) adoptProto(p *tblock) *tblock {
+	tb := &tblock{unit: p.unit}
+	// Run reads the segments and ranges on every execution: keep them in
+	// this tblock rather than in the prototype's.
+	tb.segs = append(tb.segBuf[:0], p.segs...)
+	tb.ranges = append(tb.rangeBuf[:0], p.ranges...)
+	tb.links = tb.directLinks(&tb.linkBuf)
 	return tb
 }

@@ -163,7 +163,9 @@ func TestServiceTenantsShareWork(t *testing.T) {
 		t.Fatalf("requests=%d != cache %d + dedup %d + translations %d",
 			st.Requests, st.CacheHits, st.DedupHits, st.Translations)
 	}
-	if n := svc.CachedBlocks(); st.Translations != uint64(n) {
+	n := 0
+	svc.cache.Range(func(any, any) bool { n++; return true })
+	if st.Translations != uint64(n) {
 		t.Fatalf("service translations = %d, %d prototypes cached", st.Translations, n)
 	}
 	independent := uint64(tenants) * soloStats.Translations

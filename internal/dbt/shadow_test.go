@@ -70,7 +70,7 @@ func hottestStoringBlock(tb testing.TB, e *Engine) (uint32, *tblock) {
 	var pc uint32
 	var best *tblock
 	for p, b := range e.cache {
-		if b.sb == nil && b.hasStores && (best == nil || b.execs > best.execs) {
+		if len(b.segs) == 1 && b.hasStores && (best == nil || b.execs > best.execs) {
 			pc, best = p, b
 		}
 	}
@@ -160,9 +160,9 @@ func TestShadowUnverifiableEarnsNoTrust(t *testing.T) {
 	// host code is untouched and still correct): every reference step now
 	// fails as an uninterpretable instruction.
 	for _, tb := range e.cache {
-		bad := append([]guest.Inst(nil), tb.insts...)
+		bad := append([]guest.Inst(nil), tb.segs[0].insts...)
 		bad[0].Op = guest.Op(0xee)
-		tb.insts = bad
+		tb.segs[0].insts = bad
 	}
 	init := &guest.State{Mem: e.Mem}
 	init.R[guest.SP] = env.StackTop
@@ -207,7 +207,7 @@ func TestShadowRecoversByWriteSet(t *testing.T) {
 		var tb *tblock
 		if super {
 			for p, b := range e.cache {
-				if b.sb != nil && b.hasStores {
+				if len(b.segs) > 1 && b.hasStores {
 					pc, tb = p, b
 				}
 			}
@@ -222,12 +222,8 @@ func TestShadowRecoversByWriteSet(t *testing.T) {
 		// What the interpreter makes of the block from this state.
 		want := entries[pc].WithMem(e.Mem.Clone())
 		wantNext := pc
-		if super {
-			for j := 0; j < len(tb.sb.pcs) && wantNext == tb.sb.pcs[j]; j++ {
-				wantNext, _ = guard.RunReference(want, tb.sb.pcs[j], tb.sb.insts[j], HaltPC)
-			}
-		} else {
-			wantNext, _ = guard.RunReference(want, pc, tb.insts, HaltPC)
+		for j := 0; j < len(tb.segs) && wantNext == tb.segs[j].pc; j++ {
+			wantNext, _ = guard.RunReference(want, tb.segs[j].pc, tb.segs[j].insts, HaltPC)
 		}
 		if len(want.Mem.DiffBelow(e.Mem, env.StateBase, 1)) == 0 {
 			t.Fatalf("super=%v: block at %#x stores nothing new from its entry state", super, pc)
@@ -257,7 +253,7 @@ func TestShadowRecoversByWriteSet(t *testing.T) {
 		if cur, ok := e.cache[pc]; ok && cur == tb {
 			t.Fatalf("super=%v: diverged translation still cached", super)
 		}
-		if super && (!e.sbBan[pc] || !tb.sb.dead) {
+		if super && (!e.sbBan[pc] || !tb.dead) {
 			t.Fatalf("superblock head %#x not banned and torn down", pc)
 		}
 	}
@@ -278,7 +274,7 @@ func TestShadowRecoversFromFrameStores(t *testing.T) {
 	const spill = env.StateBase + env.OffScratch
 	e.Mem.Write32(spill, 0x5151)
 	want := entries[pc].WithMem(e.Mem.Clone())
-	wantNext, _ := guard.RunReference(want, pc, tb.insts, HaltPC)
+	wantNext, _ := guard.RunReference(want, pc, tb.segs[0].insts, HaltPC)
 
 	// The block's own code behind frame stores of garbage into every
 	// guest register slot and the spill slot.

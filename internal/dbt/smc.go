@@ -17,9 +17,9 @@ import (
 //
 // Mechanism, in dispatch-loop order:
 //
-//   - registration: every translation that reaches the cache has the
-//     pages its guest bytes live on registered with the write tracker
-//     (initSMCMeta, installSB), so guest stores there are recorded.
+//   - registration: every unit that reaches the cache has the pages its
+//     guest ranges live on registered with the write tracker
+//     (Engine.install), so guest stores there are recorded.
 //   - the fence: before following a chain link or dispatching, the loop
 //     drains the tracker's dirty pages and invalidates every cached
 //     translation overlapping one (smcFence) — Engine.Invalidate tears
@@ -43,7 +43,7 @@ import (
 // treated the same way — the stale tail's effects are discarded either
 // way.
 
-// smcStores marks the guest opcodes that write memory; translations
+// instHasStore marks the guest opcodes that write memory; units
 // containing none skip journal arming entirely.
 func instHasStore(in guest.Inst) bool {
 	switch in.Op {
@@ -53,47 +53,10 @@ func instHasStore(in guest.Inst) bool {
 	return false
 }
 
-// initSMCMeta computes a translation's SMC metadata — whether it
-// contains guest stores, and the guest address ranges it was decoded
-// from — and registers its pages with the write tracker. Called when a
-// basic-block translation is installed in the cache.
-func (e *Engine) initSMCMeta(pc uint32, tb *tblock) {
-	lo, hi := pc, pc+uint32(tb.nGuest)*guest.InstBytes
-	tb.smcRanges = [][2]uint32{{lo, hi}}
-	for _, in := range tb.insts {
-		if instHasStore(in) {
-			tb.hasStores = true
-			break
-		}
-	}
-	e.Mem.TrackRange(lo, hi)
-}
-
-// initSMCMetaSB is initSMCMeta for a superblock: one range per
-// constituent (traces need not be address-contiguous).
-func (e *Engine) initSMCMetaSB(tb *tblock) {
-	sb := tb.sb
-	tb.smcRanges = make([][2]uint32, len(sb.pcs))
-	for i, hpc := range sb.pcs {
-		lo, hi := hpc, hpc+uint32(len(sb.insts[i]))*guest.InstBytes
-		tb.smcRanges[i] = [2]uint32{lo, hi}
-		e.Mem.TrackRange(lo, hi)
-		if tb.hasStores {
-			continue
-		}
-		for _, in := range sb.insts[i] {
-			if instHasStore(in) {
-				tb.hasStores = true
-				break
-			}
-		}
-	}
-}
-
-// smcOverlaps reports whether the translation's guest ranges touch any
-// of the dirty pages.
+// smcOverlaps reports whether the unit's guest ranges touch any of the
+// dirty pages.
 func smcOverlaps(tb *tblock, pages map[uint32]bool) bool {
-	for _, r := range tb.smcRanges {
+	for _, r := range tb.ranges {
 		for k := r[0] >> mem.PageBits; k <= (r[1]-1)>>mem.PageBits; k++ {
 			if pages[k] {
 				return true
@@ -144,18 +107,6 @@ func (e *Engine) smcFence() int {
 	return len(pcs)
 }
 
-// smcReplayCap bounds the interpreter replay of an aborted execution:
-// the faulting store re-occurs within the same straight-line path, so
-// the cap is the translation's own length (per constituent for a
-// superblock) plus slack for conditional skips.
-func smcReplayCap(tb *tblock) uint64 {
-	n := uint64(maxBlockInsts)
-	if tb.sb != nil {
-		n *= uint64(len(tb.sb.pcs))
-	}
-	return n + 8
-}
-
 // smcSelfAbort recovers from a translation that stored into its own
 // guest bytes: roll back every store of the aborted execution, replay
 // on the reference interpreter from the entry pc over live memory —
@@ -171,7 +122,10 @@ func (e *Engine) smcSelfAbort(tb *tblock, pc uint32) (uint32, uint64, error) {
 	e.Mem.RollbackJournal() // also disarms: replay stores are authoritative
 	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
 	codeDirty := func(guest.Inst) bool { return e.Mem.CodeDirty() }
-	next, n, err := e.interpLive(pc, smcReplayCap(tb), "smc replay", codeDirty)
+	// The faulting store re-occurs within the same straight-line path, so
+	// the replay is capped at the unit's longest possible run plus slack
+	// for conditional skips.
+	next, n, err := e.interpLive(pc, uint64(maxBlockInsts*len(tb.segs)+8), "smc replay", codeDirty)
 	if errors.Is(err, errInterpCap) {
 		err = fmt.Errorf("dbt: smc replay from pc=%#x retired %d insts without reaching the faulting store", pc, n)
 	}

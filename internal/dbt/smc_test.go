@@ -131,7 +131,7 @@ func TestSMCShadowReferencePassIsInvisible(t *testing.T) {
 
 	// The same execution, never sampled.
 	u, utb, upc, _ := setup(0)
-	u.Mem.ArmSMC(utb.hasStores, utb.smcRanges)
+	u.Mem.ArmSMC(utb.hasStores, utb.ranges)
 	if _, err := u.CPU.Exec(utb.hb, 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSMCSelfAbortUndoesFrameStores(t *testing.T) {
 		}
 	}
 
-	e.Mem.ArmSMC(tb.hasStores, tb.smcRanges)
+	e.Mem.ArmSMC(tb.hasStores, tb.ranges)
 	if f, journal := e.Mem.Frame(env.StateBase); f == nil || !journal {
 		t.Fatalf("CPUState page not on the journaled frame path (page %v, journal %v)", f != nil, journal)
 	}
@@ -344,7 +344,7 @@ func TestSMCFaultPokes(t *testing.T) {
 // TestSMCBuilderPanicRecovered: a panic inside trace translation must
 // cost only the trace. Until the first formation attempt, the hook
 // empties the decoded instructions of every block it sees enter, so
-// translateSuperblock indexes out of range — the kind of internal
+// trace translation indexes out of range — the kind of internal
 // inconsistency the recover exists to contain — and then restores them.
 // Run must absorb the panic (no error), count one dbt.sb_builder_panics,
 // go on forming traces and match the interpreter.
@@ -363,13 +363,13 @@ func TestSMCBuilderPanicRecovered(t *testing.T) {
 		}
 		if e.met.sbBuilderPanics.Value() > 0 {
 			for tb, insts := range emptied {
-				tb.insts = insts
+				tb.segs[0].insts = insts
 			}
 			emptied = nil
 			return
 		}
-		if tb := e.cache[pc]; tb.insts != nil {
-			emptied[tb], tb.insts = tb.insts, nil
+		if tb := e.cache[pc]; tb.segs[0].insts != nil {
+			emptied[tb], tb.segs[0].insts = tb.segs[0].insts, nil
 		}
 	}
 	e = New(m, Config{HotThreshold: 2, TraceBlock: hook})
@@ -407,7 +407,7 @@ func TestSMCArtifactPageReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, res := st.Get(artifact.KindBlocks, e1.ArtifactKey())
+	payload, res := st.Get(artifact.KindBlocks, e1.artKey)
 	if res != artifact.Hit {
 		t.Fatalf("published manifest not readable (result %d)", res)
 	}
@@ -423,7 +423,7 @@ func TestSMCArtifactPageReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(artifact.KindBlocks, e1.ArtifactKey(), tampered); err != nil {
+	if err := st.Put(artifact.KindBlocks, e1.artKey, tampered); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,7 +2,9 @@ package dbt
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,7 +66,10 @@ func hotProgramN(iters int32) *minic.Program {
 // reconstructed from the block-entry hook, which reports superblock
 // executions constituent by constituent — must match the reference
 // interpreter exactly, for both the pure-TCG and the parameterized
-// configuration, and traces must actually form and execute.
+// configuration, and traces must actually form and execute. Every
+// per-execution statistic — guest instructions, coverage, multi-insn
+// rule uses and the emulated-opcode breakdown — must equal the
+// unchained run's, side-exited (partial) executions included.
 func TestSuperblockTraceMatchesInterpreter(t *testing.T) {
 	prog := hotProgram()
 	c := compileT(t, prog)
@@ -107,7 +112,11 @@ func TestSuperblockTraceMatchesInterpreter(t *testing.T) {
 		if sbStats.GuestExec != uint64(len(want)) {
 			t.Fatalf("%s: GuestExec = %d, interpreter retired %d", label, sbStats.GuestExec, len(want))
 		}
-		if sbStats.GuestExec != unStats.GuestExec || sbStats.Coverage() != unStats.Coverage() {
+		if sbStats.SideExits == 0 {
+			t.Fatalf("%s: no superblock execution side-exited: %+v", label, sbStats)
+		}
+		if sbStats.GuestExec != unStats.GuestExec || sbStats.Coverage() != unStats.Coverage() ||
+			sbStats.SeqRuleUses != unStats.SeqRuleUses || !maps.Equal(sbStats.UncoveredOps, unStats.UncoveredOps) {
 			t.Fatalf("%s: superblock/unchained stats differ: %+v vs %+v", label, sbStats, unStats)
 		}
 		if sbSt.R[guest.R0] != unSt.R[guest.R0] || sbSt.R[guest.SP] != unSt.R[guest.SP] {
@@ -116,6 +125,49 @@ func TestSuperblockTraceMatchesInterpreter(t *testing.T) {
 		if sbStats.SuperblockShare() <= 0 {
 			t.Fatalf("%s: zero superblock share with %d executions", label, sbStats.SuperblockExecs)
 		}
+	}
+}
+
+// TestBlockListingSuperblockHead: the listing at a superblock's head
+// describes the whole unit — a header with the trace's instruction and
+// rule-covered counts, the sums of its constituent basic blocks', and
+// the disassembly of every constituent — not just the head block.
+func TestBlockListingSuperblockHead(t *testing.T) {
+	c := compileT(t, hotProgram())
+	_, par := learnRules(t, hotProgram(), core.Config{Opcode: true, AddrMode: true})
+	e, _ := runEngine(t, c, hotCfg(Config{Rules: par, DelegateFlags: true}))
+	traces := 0
+	for head, tb := range e.cache {
+		if len(tb.segs) < 2 {
+			continue
+		}
+		traces++
+		var insts, covered uint64
+		var lines []string
+		for _, s := range tb.segs {
+			b, err := e.tr.translate(e.Mem, s.pc, &txctx{}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insts += b.segs[0].nGuest
+			covered += b.segs[0].nCovered
+			lines = append(lines, strings.Split(strings.TrimSuffix(guest.Disassemble(s.pc, b.segs[0].insts), "\n"), "\n")...)
+		}
+		s, err := e.BlockListing(head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("guest block @%#x (%d insts, %d rule-covered):\n", head, insts, covered); !strings.HasPrefix(s, want) {
+			t.Errorf("superblock %#x: listing starts %q, want %q", head, s[:strings.IndexByte(s, '\n')+1], want)
+		}
+		for _, l := range lines {
+			if !strings.Contains(s, l+"\n") {
+				t.Errorf("superblock %#x: listing lacks %q", head, l)
+			}
+		}
+	}
+	if traces == 0 {
+		t.Fatal("no superblock formed")
 	}
 }
 
@@ -160,7 +212,7 @@ func TestSuperblockInvalidateMidTrace(t *testing.T) {
 	var sb *tblock
 	for pc, list := range e.sbIndex {
 		for _, s := range list {
-			if s.sb.pcs[0] != pc {
+			if s.segs[0].pc != pc {
 				victim, sb = pc, s
 				break
 			}
@@ -172,21 +224,21 @@ func TestSuperblockInvalidateMidTrace(t *testing.T) {
 	if sb == nil {
 		t.Fatal("no multi-block superblock formed")
 	}
-	head := sb.sb.pcs[0]
+	head := sb.segs[0].pc
 
 	if !e.Invalidate(victim) {
 		t.Fatalf("Invalidate(%#x) found nothing", victim)
 	}
-	if !sb.sb.dead {
+	if !sb.dead {
 		t.Fatal("covering superblock not torn down")
 	}
 	if cur, ok := e.cache[head]; ok && cur == sb {
 		t.Fatal("superblock still installed at its head after mid-trace invalidate")
 	}
-	for _, pc := range sb.sb.pcs {
-		for _, s := range e.sbIndex[pc] {
+	for _, sg := range sb.segs {
+		for _, s := range e.sbIndex[sg.pc] {
 			if s == sb {
-				t.Fatalf("sbIndex[%#x] still references the dead superblock", pc)
+				t.Fatalf("sbIndex[%#x] still references the dead superblock", sg.pc)
 			}
 		}
 	}
@@ -244,7 +296,7 @@ func TestSuperblockQuarantinePurge(t *testing.T) {
 		t.Fatal("rule already quarantined")
 	}
 	e.purgeRules([]*rule.Template{bad})
-	if !sb.sb.dead {
+	if !sb.dead {
 		t.Fatal("superblock using the quarantined rule survived the purge")
 	}
 	for pc, tb := range e.cache {

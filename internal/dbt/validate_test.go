@@ -101,8 +101,8 @@ func TestValidateTranslations(t *testing.T) {
 			e, _ := runEngine(t, c, cfg)
 			ts := e.Translations()
 			sameResult(t, want, e.GuestState(), what)
-			if len(ts) == 0 || len(ts) != e.CachedBlocks() {
-				t.Fatalf("%s: %d translations listed, %d cached", what, len(ts), e.CachedBlocks())
+			if len(ts) == 0 || len(ts) != len(e.cache) {
+				t.Fatalf("%s: %d translations listed, %d cached", what, len(ts), len(e.cache))
 			}
 			superblocks, proved := 0, 0
 			for i, tr := range ts {
@@ -114,19 +114,20 @@ func TestValidateTranslations(t *testing.T) {
 				if !ok || tb.hb != tr.Host {
 					t.Fatalf("%s: pc=%#x: listed stream is not the cached one", what, head)
 				}
-				if tb.sb != nil {
+				if len(tr.Segs) != len(tb.segs) || tr.FlagsExact != tb.flagsExact {
+					t.Fatalf("%s: unit pc=%#x listed with %d of %d segments, flagsExact %v",
+						what, head, len(tr.Segs), len(tb.segs), tr.FlagsExact)
+				}
+				for k, seg := range tr.Segs {
+					if seg.PC != tb.segs[k].pc || len(seg.Insts) != len(tb.segs[k].insts) {
+						t.Fatalf("%s: unit pc=%#x segment %d is %#x, want %#x", what, head, k, seg.PC, tb.segs[k].pc)
+					}
+				}
+				if len(tb.segs) > 1 {
 					superblocks++
-					if tr.FlagsExact || len(tr.Segs) != len(tb.sb.pcs) {
-						t.Fatalf("%s: superblock pc=%#x listed with %d of %d constituents, flagsExact %v",
-							what, head, len(tr.Segs), len(tb.sb.pcs), tr.FlagsExact)
+					if tr.FlagsExact {
+						t.Fatalf("%s: superblock pc=%#x listed flags-exact", what, head)
 					}
-					for k, seg := range tr.Segs {
-						if seg.PC != tb.sb.pcs[k] || len(seg.Insts) != len(tb.sb.insts[k]) {
-							t.Fatalf("%s: superblock pc=%#x constituent %d is %#x, want %#x", what, head, k, seg.PC, tb.sb.pcs[k])
-						}
-					}
-				} else if len(tr.Segs) != 1 || tr.FlagsExact != tb.flagsExact {
-					t.Fatalf("%s: block pc=%#x listed with %d segments, flagsExact %v", what, head, len(tr.Segs), tr.FlagsExact)
 				}
 				rep := analysis.ValidateBlock(tr.Segs, tr.Host, analysis.ValidateOpts{CheckFlags: tr.FlagsExact, HaltPC: HaltPC})
 				switch rep.Verdict {
