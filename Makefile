@@ -82,7 +82,7 @@ race-obs:
 # the write-set model test and the CompareWrites property test run a
 # second time under the race detector.
 test-faults:
-	$(GO) test -count=1 -run 'TestFaultPlanCanned|TestShadow|TestTranslatorPanicRecovery|TestRunPanicReturnsTypedError|TestInterpFallback|TestDropShardSurvives' ./internal/dbt
+	$(GO) test -count=1 -run 'TestFaultPlanCanned|TestShadow|TestTranslatorPanicRecovery|TestRunPanicReturnsTypedError|TestInterpFallback' ./internal/dbt
 	$(GO) test -race -count=1 -run 'TestShadow|TestJournalWrites|TestCompareWrites' ./internal/dbt ./internal/mem ./internal/guard
 
 # The warm-start persistence suite: the artifact store's hardening
@@ -175,10 +175,10 @@ bench-pairs:
 # Byte-identity of the emitted code against BASE: cmd/paradbt built
 # from `git archive BASE | tar -x` in a temporary directory and from
 # the working tree, then `-dump-blocks 100000` (guest disassembly plus
-# host listing of every block in code order) on each benchmark of
-# `paradbt -list`, under the default x86 para config and under
-# `-backend risc -peephole`. Fails naming the first benchmark whose
-# output differs.
+# host listing of every block in code order, then the run report) on
+# each benchmark of `paradbt -list`, under the default x86 para config
+# and under `-backend risc -peephole`. Fails naming the first benchmark
+# whose output differs or on which either paradbt fails.
 #   make emit-diff BASE=HEAD~1
 emit-diff:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -189,7 +189,8 @@ emit-diff:
 		flags=; [ $$cfg = risc ] && flags="-backend risc -peephole"; \
 		for b in $$("$$tmp/paradbt.change" -list); do \
 			for side in base change; do \
-				"$$tmp/paradbt.$$side" -bench $$b $$flags -dump-blocks 100000 >"$$tmp/$$side.out" 2>&1 || true; \
+				"$$tmp/paradbt.$$side" -bench $$b $$flags -dump-blocks 100000 >"$$tmp/$$side.out" 2>&1 || \
+					{ echo "emit-diff: $$b ($$cfg) paradbt.$$side failed"; tail -3 "$$tmp/$$side.out"; exit 1; }; \
 			done; \
 			grep -q '^host code:' "$$tmp/change.out" || { echo "emit-diff: $$b ($$cfg) printed no listing"; cat "$$tmp/change.out"; exit 1; }; \
 			cmp -s "$$tmp/base.out" "$$tmp/change.out" || { echo "emit-diff: $$b ($$cfg) differs from $(BASE)"; exit 1; }; \

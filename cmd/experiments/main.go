@@ -111,17 +111,17 @@ func main() {
 	if sel("fig11") {
 		section("Fig 11: speedup over QEMU")
 		report.Fig11 = exp.Fig11Data(loo)
-		render(exp.RenderFig11(loo))
+		render(exp.RenderFig11(report.Fig11))
 	}
 	if sel("fig12") {
 		section("Fig 12: dynamic coverage")
 		report.Fig12 = exp.Fig12Data(loo)
-		render(exp.RenderFig12(loo))
+		render(exp.RenderFig12(report.Fig12))
 	}
 	if sel("fig13") {
 		section("Fig 13: host instructions per guest instruction")
 		report.Fig13 = exp.Fig13Data(loo)
-		render(exp.RenderFig13(loo))
+		render(exp.RenderFig13(report.Fig13))
 	}
 	if sel("table2") {
 		section("Table II: host-instruction breakdown per guest instruction")
@@ -131,12 +131,12 @@ func main() {
 	if sel("fig14") {
 		section("Fig 14: coverage by parameterization factor")
 		report.Fig14 = exp.Fig14Data(loo)
-		render(exp.RenderFig14(loo))
+		render(exp.RenderFig14(report.Fig14))
 	}
 	if sel("fig15") {
 		section("Fig 15: speedup by parameterization factor")
 		report.Fig15 = exp.Fig15Data(loo)
-		render(exp.RenderFig15(loo))
+		render(exp.RenderFig15(report.Fig15))
 	}
 	if needLOO {
 		section("Uncovered instruction kinds (cf. the paper's seven)")
@@ -148,7 +148,7 @@ func main() {
 	if sel("dispatch") {
 		section("Dispatch & block chaining (full configuration)")
 		report.Dispatch = exp.DispatchData(loo)
-		render(exp.RenderDispatch(loo))
+		render(exp.RenderDispatch(report.Dispatch))
 	}
 
 	if sel("trace") {

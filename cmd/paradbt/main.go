@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -81,9 +82,23 @@ func serveMetrics(addr string) error {
 	return nil
 }
 
-// dump re-translates the benchmark's entry blocks and prints their
-// listings.
-func dump(corpus *exp.Corpus, bench string, cfg dbt.Config, n int) error {
+// loadRuleTable reads a rule table file (JSON Lines, see rulegen -o)
+// through the same admission gate as a warm-start rule pack: a table
+// file is outside input, and nothing enters the store that the local
+// auditor would refuse at learning time.
+func loadRuleTable(path string) (*rule.Store, learn.ImportStats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, learn.ImportStats{}, err
+	}
+	defer f.Close()
+	return learn.ImportPack(f, false)
+}
+
+// dump translates the benchmark's blocks in code order on a fresh
+// engine, up to n of them or the end of the loaded image, and writes
+// their listings to w.
+func dump(w io.Writer, corpus *exp.Corpus, bench string, cfg dbt.Config, n int) error {
 	m := mem.New()
 	comp := corpus.Comp[bench]
 	if _, err := comp.LoadGuest(m); err != nil {
@@ -94,12 +109,13 @@ func dump(corpus *exp.Corpus, bench string, cfg dbt.Config, n int) error {
 	init.R[guest.SP] = env.StackTop
 	e.SetGuestState(init)
 	pc := uint32(env.CodeBase)
-	for i := 0; i < n; i++ {
+	end := pc + uint32(len(comp.GuestInsts)*guest.InstBytes)
+	for i := 0; i < n && pc < end; i++ {
 		s, err := e.BlockListing(pc)
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
+		fmt.Fprintln(w, s)
 		// Walk forward past this block (next sequential block start).
 		insts := 0
 		for {
@@ -128,7 +144,6 @@ func main() {
 	dumpBlocks := flag.Int("dump-blocks", 0, "print the first N translated blocks (guest disassembly + host listing)")
 	noChain := flag.Bool("no-chain", false, "disable translation-block chaining (dispatch every block boundary)")
 	hotThreshold := flag.Uint64("hot-threshold", 0, "form hot-trace superblocks once a block's entry count crosses this threshold (0 disables formation; needs chaining)")
-	traceMax := flag.Int("trace-max", 0, "cap trace growth at this many basic blocks (default 8 when -hot-threshold is set)")
 	traceBudget := flag.Int("trace-budget", 0, "cap how many traces the engine may form (0 = unlimited)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (JSON snapshot), /trace and /debug/pprof on this address (e.g. :6060); enables telemetry")
 	traceN := flag.Int("trace", 0, "record the last N block transitions in a ring buffer, dumped to stderr after the run and on panic")
@@ -191,17 +206,13 @@ func main() {
 	var cfg dbt.Config
 	cfg.ArtifactDir = *artifactDir
 	if *rulesPath != "" {
-		f, err := os.Open(*rulesPath)
+		rules, istats, err := loadRuleTable(*rulesPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		cfg.Rules, err = rule.Load(f, false)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cfg.Rules = rules
+		fmt.Fprintf(os.Stderr, "rules: %d loaded, %d gate-rejected\n", istats.Loaded, istats.GateRejected)
 	} else if *mode != "qemu" {
 		// The pack key names everything that determines the rule table:
 		// backend, engine version, derivation mode, and the training set
@@ -260,7 +271,6 @@ func main() {
 	cfg.ManualABI = *manual
 	cfg.NoChain = *noChain
 	cfg.HotThreshold = *hotThreshold
-	cfg.TraceMaxBlocks = *traceMax
 	cfg.TraceBudget = *traceBudget
 	cfg.ShadowRate = *shadowRate
 	cfg.Peephole = *peephole
@@ -338,7 +348,7 @@ func main() {
 	}
 
 	if *dumpBlocks > 0 {
-		if err := dump(corpus, *bench, cfg, *dumpBlocks); err != nil {
+		if err := dump(os.Stdout, corpus, *bench, cfg, *dumpBlocks); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -384,8 +394,8 @@ func main() {
 		fmt.Printf("panics recovered   %d\n", st.PanicsRecovered)
 		fmt.Printf("interp fallbacks   %d\n", st.InterpFallbacks)
 		if inj != nil {
-			p, d, sh := inj.Counts()
-			fmt.Printf("injected faults    %d panics, %d decode errors, %d shard drops\n", p, d, sh)
+			p, d := inj.Counts()
+			fmt.Printf("injected faults    %d panics, %d decode errors\n", p, d)
 		}
 	}
 	if *quarFile != "" && cfg.Rules != nil {

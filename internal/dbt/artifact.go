@@ -171,7 +171,7 @@ func (e *Engine) restoreManifest(m *artifact.BlockManifest) {
 		if e.Cfg.TraceBudget > 0 && e.sbSpent >= e.Cfg.TraceBudget {
 			return
 		}
-		if len(pcs) > e.Cfg.TraceMaxBlocks {
+		if len(pcs) > traceMaxBlocks {
 			continue
 		}
 		htb, ok := e.cache[pcs[0]]

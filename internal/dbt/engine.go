@@ -45,6 +45,7 @@ import (
 	"paramdbt/internal/backend"
 	"paramdbt/internal/env"
 	"paramdbt/internal/guard"
+	"paramdbt/internal/guard/faultinject"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 	"paramdbt/internal/mem"
@@ -98,9 +99,6 @@ type Config struct {
 	// counting, so the feature's cold cost is zero. Formation needs the
 	// chaining profile, so NoChain also disables it.
 	HotThreshold uint64
-	// TraceMaxBlocks caps trace length in basic blocks (default 8 when
-	// HotThreshold is set).
-	TraceMaxBlocks int
 	// TraceBudget caps how many traces one engine may form (0 = no
 	// cap). Trace translation is paid on the run, so a budget keeps the
 	// long tail of barely-hot heads from costing more in translation
@@ -141,16 +139,12 @@ type Config struct {
 	ShadowRate float64
 	// ShadowSeed seeds the sampling RNG for reproducible runs.
 	ShadowSeed int64
-	// AdaptiveShadow enables the per-tenant adaptive guard controller
-	// (guard.Controller, docs/SERVING.md): the effective shadow rate
-	// starts at ShadowRate and decays exponentially with consecutive
-	// verified-clean checks toward the controller's 0.01 floor, snapping
-	// back to ShadowRate on any divergence or quarantine event. The
-	// first-execution check is untouched: fresh translations are always
-	// verified.
-	AdaptiveShadow bool
-	// ShadowHalfLife is how many consecutive clean checks halve the
-	// adaptive rate (default 64). Only read when AdaptiveShadow is set.
+	// ShadowHalfLife, when positive, makes the shadow rate adaptive
+	// (guard.Policy.HalfLife, docs/SERVING.md): it starts at ShadowRate,
+	// halves every ShadowHalfLife consecutive verified-clean checks down
+	// to guard.MinRate, and snaps back to ShadowRate on any divergence or
+	// quarantine event. Zero keeps ShadowRate fixed. The first-execution
+	// check is untouched: fresh translations are always verified.
 	ShadowHalfLife uint64
 
 	// Service, when non-nil, attaches the engine to a shared translation
@@ -177,14 +171,13 @@ type Config struct {
 	// cold start (see Engine.WarmStats).
 	ArtifactDir string
 
-	// Faults, when non-nil, injects faults into translation and the code
-	// cache (see internal/guard/faultinject
-	// and the FaultInjector interface). An injector that additionally
-	// implements CodePokes(n) gets to write guest code words before each
-	// block entry — the deterministic SMC campaigns (see smc.go). Like
-	// shadow verification it turns on the reference-interpreter fallback
-	// for blocks whose translation fails persistently.
-	Faults FaultInjector
+	// Faults, when non-nil, injects the plan's faults (see
+	// internal/guard/faultinject): translator panics and decode errors
+	// into demand translation, and guest code writes before block entries
+	// — the deterministic SMC campaigns (see smc.go). Like shadow
+	// verification it turns on the reference-interpreter fallback for
+	// blocks whose translation fails persistently.
+	Faults *faultinject.Injector
 
 	// Peephole enables the post-Finalize peephole optimizer for backends
 	// that implement backend.Optimizer (today: risc). An optimized
@@ -266,9 +259,9 @@ type Stats struct {
 	PanicsRecovered  uint64
 	InterpFallbacks  uint64
 
-	// RateSnaps counts adaptive-controller snap-backs to the base
-	// shadow rate (divergence or quarantine while AdaptiveShadow is
-	// on; always zero otherwise).
+	// RateSnaps counts adaptive snap-backs to the base shadow rate
+	// (divergence or quarantine while ShadowHalfLife is set; always zero
+	// otherwise).
 	RateSnaps uint64
 }
 
@@ -440,9 +433,6 @@ func (tb *tblock) unlink() {
 // New creates an engine over the given memory. The CPUState block and
 // host stack are established per the env layout.
 func New(m *mem.Memory, cfg Config) *Engine {
-	if cfg.HotThreshold > 0 && cfg.TraceMaxBlocks <= 0 {
-		cfg.TraceMaxBlocks = defaultTraceMaxBlocks
-	}
 	cpu := host.NewCPU(m)
 	cpu.R[host.EBP] = env.StateBase
 	cpu.R[host.ESP] = env.HostStackTop
@@ -458,17 +448,10 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: codeCache{}, tr: tr, met: met}
 	if cfg.ShadowRate > 0 {
 		e.guard = &guardState{sampler: guard.NewSampler(guard.Policy{
-			Rate:   cfg.ShadowRate,
-			FirstN: 1,
-			Seed:   cfg.ShadowSeed,
+			Rate:     cfg.ShadowRate,
+			HalfLife: cfg.ShadowHalfLife,
+			Seed:     cfg.ShadowSeed,
 		})}
-		if cfg.AdaptiveShadow {
-			e.guard.ctrl = guard.NewController(guard.ControllerPolicy{
-				BaseRate: cfg.ShadowRate,
-				HalfLife: cfg.ShadowHalfLife,
-			})
-			e.guard.sampler.SetRate(e.guard.ctrl.Rate())
-		}
 	}
 	if cfg.Service != nil && cfg.Faults == nil {
 		// A refused attachment leaves the engine a plain single-tenant
@@ -580,10 +563,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	// Guarded runs degrade gracefully instead of aborting: a block whose
 	// translation fails persistently runs on the reference interpreter.
 	interpFallback := guarded || faults != nil
-	var poker codePoker
-	if faults != nil {
-		poker, _ = faults.(codePoker)
-	}
 	var entries uint64         // block entries, the ordinal CodePokes keys on
 	hostSteps := e.CPU.Total() // budget is engine-lifetime host work
 	var fallbackSteps uint64   // interpreter-fallback work, counted against the budget
@@ -591,9 +570,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		// Deterministic SMC fault injection: apply this entry's guest code
 		// writes through the tracked store path, so they exercise exactly
 		// the machinery a guest store does.
-		if poker != nil {
+		if faults != nil {
 			entries++
-			for _, pw := range poker.CodePokes(entries) {
+			for _, pw := range faults.CodePokes(entries) {
 				e.Mem.Write32(pw[0], pw[1])
 			}
 		}
@@ -617,11 +596,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			chained = true
 			pend.chained++
 		} else {
-			if faults != nil {
-				if sh, ok := faults.DropCacheShard(); ok {
-					e.dropShard(sh)
-				}
-			}
 			pend.dispatches++
 			var terr error
 			tb, terr = e.block(pc)
@@ -749,9 +723,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		if sampled {
 			next, verdict := e.shadowCheck(tb, pc, res.NextPC)
 			sampled = false
-			// Feed the adaptive controller, if configured: clean checks
-			// decay the steady-state rate, a divergence snaps it back, and
-			// an execution that could not be verified does neither.
+			// Feed the sampler: under an adaptive rate clean checks decay
+			// it, a divergence snaps it back, and an execution that could
+			// not be verified does neither.
 			switch verdict {
 			case shadowClean:
 				e.guardClean()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"paramdbt/internal/env"
 	"paramdbt/internal/guard"
@@ -21,22 +20,6 @@ import (
 // rule quarantine and cache purging, panic-tolerant translation with
 // bounded retries, the reference-interpreter fallback for blocks that
 // persistently fail to translate, and the fault-injection hooks.
-
-// FaultInjector is the engine's fault-injection hook set
-// (Config.Faults). faultinject.Injector implements it structurally;
-// the interface lives here so internal/guard/faultinject never imports
-// internal/dbt.
-type FaultInjector interface {
-	// TranslatePanic reports whether the demand translation at pc
-	// should panic (recovered by the guarded translation path).
-	TranslatePanic(pc uint32) bool
-	// DecodeError reports whether the demand translation at pc should
-	// fail as if the code bytes did not decode.
-	DecodeError(pc uint32) bool
-	// DropCacheShard reports whether a slice of the code cache should be
-	// dropped at this dispatch, and which one (see dropShard).
-	DropCacheShard() (int, bool)
-}
 
 // ErrTranslatorPanic is the sentinel wrapped by every PanicError, so
 // callers can errors.Is their way to "a panic was converted to an
@@ -88,47 +71,37 @@ const trialExecBudget = 1 << 20
 const maxDivergenceLog = 32
 
 // guardState is the engine's shadow-verification state, present only
-// when Config.ShadowRate is positive. ctrl is the
-// adaptive shadow-rate controller, non-nil only under
-// Config.AdaptiveShadow; the Run goroutine feeds it through
-// guardClean/guardEvent.
+// when Config.ShadowRate is positive; the Run goroutine feeds the
+// sampler its verdicts through guardClean/guardEvent.
 type guardState struct {
 	sampler     *guard.Sampler
-	ctrl        *guard.Controller
 	divergences []guard.Divergence
 }
 
-// guardClean records one verified-clean shadow check with the adaptive
-// controller (no-op without one) and installs the decayed rate.
+// guardClean records one verified-clean shadow check with the sampler,
+// which decays an adaptive rate.
 func (e *Engine) guardClean() {
-	if e.guard == nil || e.guard.ctrl == nil {
-		return
-	}
-	e.guard.ctrl.OnClean()
-	e.guard.sampler.SetRate(e.guard.ctrl.Rate())
-	if obs.On() {
-		e.met.shadowRatePPM.Set(int64(e.guard.ctrl.Rate() * 1e6))
+	if e.guard.sampler.OnClean() && obs.On() {
+		e.met.shadowRatePPM.Set(int64(e.guard.sampler.Rate() * 1e6))
 	}
 }
 
-// guardEvent records a divergence or quarantine event with the adaptive
-// controller (no-op without one): accumulated confidence is discarded
-// and the shadow rate snaps back to the configured base.
+// guardEvent records a divergence or quarantine event with the sampler
+// (no-op without shadow verification): an adaptive rate discards its
+// accumulated confidence and snaps back to the configured base.
 func (e *Engine) guardEvent() {
-	if e.guard == nil || e.guard.ctrl == nil {
+	if e.guard == nil || !e.guard.sampler.OnEvent() {
 		return
 	}
-	e.guard.ctrl.OnEvent()
-	e.guard.sampler.SetRate(e.guard.ctrl.Rate())
 	e.met.rateSnaps.Inc()
 	if obs.On() {
-		e.met.shadowRatePPM.Set(int64(e.guard.ctrl.Rate() * 1e6))
+		e.met.shadowRatePPM.Set(int64(e.guard.sampler.Rate() * 1e6))
 	}
 }
 
 // ShadowRateNow reports the sampler's current steady-state shadow rate
-// — under AdaptiveShadow, the controller's decayed value; otherwise the
-// configured ShadowRate. Zero when shadow verification is off. Like the
+// — under ShadowHalfLife, the decayed value; otherwise the configured
+// ShadowRate. Zero when shadow verification is off. Like the
 // sampler itself it is owned by the Run goroutine: read it before,
 // after, or from within a run, not concurrently with one.
 func (e *Engine) ShadowRateNow() float64 {
@@ -429,14 +402,14 @@ func (e *Engine) purgeRules(guilty []*rule.Template) {
 
 // translateGuarded is demand translation with fault tolerance: panics
 // (real or injected) become PanicErrors, a panic attributable to a
-// specific rule quarantines it, and translation is retried with a
-// short linear backoff up to maxTranslateAttempts times.
+// specific rule quarantines it, and translation is retried, up to
+// maxTranslateAttempts times. Retries are immediate: nothing but the
+// quarantine and the injector's budget changes between attempts.
 func (e *Engine) translateGuarded(pc uint32) (*tblock, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxTranslateAttempts; attempt++ {
 		if attempt > 0 {
 			e.met.translateRetries.Inc()
-			time.Sleep(time.Duration(attempt) * 50 * time.Microsecond)
 		}
 		tb, culprit, err := e.tryTranslate(pc)
 		if err == nil {
@@ -449,8 +422,8 @@ func (e *Engine) translateGuarded(pc uint32) (*tblock, error) {
 			if culprit != nil && e.Cfg.Rules != nil {
 				if e.Cfg.Rules.Quarantine(culprit, fmt.Sprintf("translator panic at pc=%#x: %v", pc, pe.Cause)) {
 					e.met.quarantined.Inc()
-					// A quarantine is a trust event like a divergence: the
-					// adaptive controller snaps the shadow rate back to base.
+					// A quarantine is a trust event like a divergence: an
+					// adaptive shadow rate snaps back to base.
 					e.guardEvent()
 					if e.svc != nil {
 						e.svc.purgeRules(map[*rule.Template]bool{culprit: true})
@@ -534,25 +507,6 @@ func (e *Engine) interpLive(pc uint32, limit uint64, what string, stop func(gues
 		}
 	}
 	return 0, limit, errInterpCap
-}
-
-// dropShard invalidates every cached translation whose pc hashes to
-// slice i of 16 (the fault-injection "shard loss" scenario); chaining
-// into the dropped blocks is torn down by Invalidate. It reports how
-// many translations were dropped.
-func (e *Engine) dropShard(i int) int {
-	var pcs []uint32
-	for pc := range e.cache {
-		// Knuth's multiplicative hash; guest pcs are word-aligned, so the
-		// two low bits carry no information.
-		if int(((pc>>2)*2654435761)>>28) == i&15 {
-			pcs = append(pcs, pc)
-		}
-	}
-	for _, p := range pcs {
-		e.Invalidate(p)
-	}
-	return len(pcs)
 }
 
 // Divergences returns the recorded shadow-verification divergences

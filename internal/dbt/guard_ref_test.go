@@ -103,14 +103,8 @@ func refShadowCheck(e *Engine, tb *tblock, sc *refShadowCtx, pc, gotNext uint32)
 // runRef drives e from entry to HLT around the old checker.
 func runRef(e *Engine, entry uint32, maxHostSteps uint64) (Stats, error) {
 	base := e.met.base()
-	faults := e.Cfg.Faults
 	pc := entry
 	for pc != HaltPC {
-		if faults != nil {
-			if sh, ok := faults.DropCacheShard(); ok {
-				e.dropShard(sh)
-			}
-		}
 		e.met.dispatches.Inc()
 		tb, terr := e.block(pc)
 		if terr != nil {
@@ -320,10 +314,9 @@ func corruptStoredValue(t *testing.T, c *minic.Compiled, par *rule.Store) *rule.
 }
 
 // TestShadowMatchesCloneCheckerUnderFaults: every fault plan the suite
-// uses and a corrupted-rule matrix, chaining off on the product side so
-// both loops see the same dispatch ordinals (shard drops key on them),
-// speculation off on both (it moves demand-translation opportunities,
-// which translator panics and decode errors key on).
+// uses and a corrupted-rule matrix, at a fixed and an adaptive rate,
+// chaining off on the product side so both loops dispatch every block
+// entry alike.
 func TestShadowMatchesCloneCheckerUnderFaults(t *testing.T) {
 	canned, err := faultinject.LoadPlan("testdata/faultplan.json")
 	if err != nil {
@@ -348,14 +341,13 @@ func TestShadowMatchesCloneCheckerUnderFaults(t *testing.T) {
 		{"canned", &canned},
 		{"panics", &faultinject.Plan{TranslatePanics: 3}},
 		{"decode-errors", &faultinject.Plan{DecodeErrors: 5, DecodeEvery: 3}},
-		{"shard-drops", &faultinject.Plan{Seed: 5, DropShards: 64, DropEvery: 2}},
 	}
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
-	for _, adaptive := range []bool{false, true} {
+	for _, halfLife := range []uint64{0, 8} {
 		for _, cor := range corruptions {
 			for _, pl := range plans {
-				label := fmt.Sprintf("%s/%s/adaptive=%v", cor.name, pl.name, adaptive)
+				label := fmt.Sprintf("%s/%s/adaptive=%v", cor.name, pl.name, halfLife > 0)
 				var bad []*rule.Template
 				p, _ := runTwinEngines(t, label, c, func() Config {
 					_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
@@ -364,7 +356,7 @@ func TestShadowMatchesCloneCheckerUnderFaults(t *testing.T) {
 					}
 					cfg := Config{
 						Rules: par, DelegateFlags: true, NoChain: true,
-						ShadowRate: 1, AdaptiveShadow: adaptive, ShadowHalfLife: 8, ShadowSeed: 3,
+						ShadowRate: 1, ShadowHalfLife: halfLife, ShadowSeed: 3,
 					}
 					if pl.plan != nil {
 						cfg.Faults = faultinject.New(*pl.plan)

@@ -163,7 +163,7 @@ func TestQuarantinePersistsAcrossBackends(t *testing.T) {
 	}
 
 	// Restart under backend B (risc) from the persisted state.
-	loaded, err := rule.Load(bytes.NewReader(tbuf.Bytes()), false)
+	loaded, _, err := rule.LoadGated(bytes.NewReader(tbuf.Bytes()), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestTranslatorPanicRecovery(t *testing.T) {
 	if stats.PanicsRecovered != 3 {
 		t.Fatalf("PanicsRecovered = %d, want 3", stats.PanicsRecovered)
 	}
-	panics, _, _ := inj.Counts()
+	panics, _ := inj.Counts()
 	if panics != 3 {
 		t.Fatalf("injector reports %d panics, want 3", panics)
 	}
@@ -283,27 +283,9 @@ func TestInterpFallback(t *testing.T) {
 	}
 }
 
-// TestDropShardSurvives drops code-cache shards mid-run and checks the
-// engine retranslates through the loss with correct results.
-func TestDropShardSurvives(t *testing.T) {
-	c := compileT(t, testProgram())
-	want := interpret(t, c)
-	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
-	inj := faultinject.New(faultinject.Plan{Seed: 5, DropShards: 64, DropEvery: 2})
-	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj})
-	sameResult(t, want, got, "shard drops")
-	if _, _, drops := inj.Counts(); drops == 0 {
-		t.Fatal("no shards were dropped")
-	}
-	if stats.GuestExec == 0 {
-		t.Fatal("run retired no guest instructions")
-	}
-}
-
 // TestFaultPlanCanned is the acceptance scenario behind `make
 // test-faults`: the canned plan in testdata corrupts a learned rule and
-// injects translator panics, decode errors and shard drops into one
-// run. The run must complete with the
+// injects translator panics and decode errors into one run. The run must complete with the
 // interpreter-correct final state, the corrupted rule in quarantine,
 // at least one recorded divergence and zero unrecovered panics (an
 // unrecovered panic surfaces as a Run error).
@@ -341,9 +323,9 @@ func TestFaultPlanCanned(t *testing.T) {
 	if stats.PanicsRecovered == 0 && plan.TranslatePanics > 0 {
 		t.Fatal("no injected panics were recovered")
 	}
-	panics, decodes, drops := inj.Counts()
-	t.Logf("fault plan injected: %d panics, %d decode errors, %d shard drops; stats: %+v",
-		panics, decodes, drops, stats)
+	panics, decodes := inj.Counts()
+	t.Logf("fault plan injected: %d panics, %d decode errors; stats: %+v",
+		panics, decodes, stats)
 }
 
 // TestInvalidateUnpatchesAllPredecessors is the chaining-teardown

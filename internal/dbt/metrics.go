@@ -41,7 +41,7 @@ const (
 	MetPanicsUnrecovered = "guard.panics_unrecovered" // panics that aborted Run (returned as PanicError)
 	MetTranslateRetries  = "guard.translate_retries"  // guarded-translation retry attempts
 	MetInterpFallbacks   = "guard.interp_fallbacks"   // blocks executed by the reference interpreter
-	MetRateSnaps         = "guard.rate_snaps"         // adaptive-controller snaps back to the base shadow rate
+	MetRateSnaps         = "guard.rate_snaps"         // adaptive-rate snaps back to the base shadow rate
 
 	// Telemetry: only recorded while obs.On().
 	MetInvalidations      = "dbt.invalidations"       // Invalidate calls that removed a block

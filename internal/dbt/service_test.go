@@ -355,9 +355,9 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 	identity := map[string]bool{"Rules": true, "Backend": true}
 	perEngine := map[string]bool{
-		"TranslateWorkers": true, "NoChain": true, "HotThreshold": true, "TraceMaxBlocks": true,
+		"TranslateWorkers": true, "NoChain": true, "HotThreshold": true,
 		"TraceBudget": true, "SyncTraces": true, "TraceBlock": true, "Metrics": true, "Trace": true,
-		"ShadowRate": true, "ShadowSeed": true, "AdaptiveShadow": true, "ShadowHalfLife": true,
+		"ShadowRate": true, "ShadowSeed": true, "ShadowHalfLife": true,
 		"Service": true, "ArtifactDir": true, "Faults": true,
 	}
 	ct := reflect.TypeOf(Config{})
@@ -612,7 +612,7 @@ func TestAdaptiveShadowDecays(t *testing.T) {
 	}
 	e := New(m, Config{
 		Rules: par, DelegateFlags: true,
-		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 8,
+		ShadowRate: 1, ShadowHalfLife: 8,
 	})
 	init := &guest.State{Mem: m}
 	init.R[guest.SP] = env.StackTop
@@ -646,7 +646,7 @@ func TestAdaptiveSnapsOnDivergence(t *testing.T) {
 
 	e := startEngine(t, c, Config{
 		Rules: par, DelegateFlags: true,
-		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 8,
+		ShadowRate: 1, ShadowHalfLife: 8,
 	})
 	st, err := e.Run(env.CodeBase, 100_000_000)
 	if err != nil {

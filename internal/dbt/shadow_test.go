@@ -138,21 +138,23 @@ func BenchmarkShadowCheck(b *testing.B) {
 
 // TestShadowUnverifiableEarnsNoTrust: when the reference interpreter
 // cannot execute a sampled block, the execution was not verified — the
-// adaptive controller must neither count it clean (the parent did, and
-// decayed the rate on it) nor treat it as an event.
+// adaptive rate must neither count it clean (decaying the rate on it)
+// nor treat it as an event. The half-life is long enough that every
+// clean check still moves the rate, so an unchanged rate means no clean
+// check was counted.
 func TestShadowUnverifiableEarnsNoTrust(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
 	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
 	e := startEngine(t, c, Config{
 		Rules: par, DelegateFlags: true,
-		ShadowRate: 1, AdaptiveShadow: true, ShadowHalfLife: 1 << 20,
+		ShadowRate: 1, ShadowHalfLife: 1 << 20,
 	})
 	if _, err := e.Run(env.CodeBase, 100_000_000); err != nil {
 		t.Fatal(err)
 	}
-	clean, rate := e.guard.ctrl.Clean(), e.ShadowRateNow()
-	if clean == 0 {
+	rate := e.ShadowRateNow()
+	if rate >= 1 {
 		t.Fatal("first run earned no clean checks")
 	}
 
@@ -177,9 +179,6 @@ func TestShadowUnverifiableEarnsNoTrust(t *testing.T) {
 	}
 	if st.Divergences != 0 || st.RateSnaps != 0 || st.QuarantinedRules != 0 {
 		t.Fatalf("unverifiable checks counted as events: %+v", st)
-	}
-	if got := e.guard.ctrl.Clean(); got != clean {
-		t.Fatalf("clean count %d -> %d over %d unverifiable checks", clean, got, st.ShadowChecks)
 	}
 	if got := e.ShadowRateNow(); got != rate {
 		t.Fatalf("rate %v -> %v over unverifiable checks", rate, got)

@@ -140,15 +140,3 @@ func (e *Engine) smcSelfAbort(tb *tblock, pc uint32) (uint32, uint64, error) {
 	e.smcFence()
 	return next, n, nil
 }
-
-// codePoker is the optional fault-injection extension for deterministic
-// SMC campaigns: when Config.Faults also implements it, the dispatch
-// loop asks before every dispatch ordinal for guest code writes to
-// apply (on the Run goroutine, through the tracked store path — so the
-// pokes exercise exactly the fence machinery a guest store does).
-// faultinject.Injector implements it structurally.
-type codePoker interface {
-	// CodePokes returns the (addr, word) stores to apply before dispatch
-	// ordinal n (1-based). Must be a pure function of n for determinism.
-	CodePokes(n uint64) [][2]uint32
-}

@@ -42,9 +42,9 @@ import (
 // execution slot+1 is exactly the number of segments that ran, and the
 // last of them carries the execution's cumulative counts (see seg).
 
-// defaultTraceMaxBlocks caps trace growth when Config.TraceMaxBlocks is
-// unset (the NET family's usual 8-16 range; blocks here are short).
-const defaultTraceMaxBlocks = 8
+// traceMaxBlocks caps trace growth in basic blocks (the NET family's
+// usual 8-16 range; blocks here are short).
+const traceMaxBlocks = 8
 
 // sbMaxTries bounds formation attempts per head: each failure doubles
 // the hotness bar (threshold << tries), and after sbMaxTries failures
@@ -82,7 +82,7 @@ func (e *Engine) maybeSuperblock(pc uint32, tb *tblock) *tblock {
 // growTrace walks the chaining profile from head and returns the trace
 // pcs (nil/short when no trace forms: cold edges, indirect terminator).
 func (e *Engine) growTrace(head uint32) []uint32 {
-	return trace.Grow(head, e.Cfg.TraceMaxBlocks, func(pc uint32) []trace.Succ {
+	return trace.Grow(head, traceMaxBlocks, func(pc uint32) []trace.Succ {
 		tb, ok := e.cache[pc]
 		if !ok || len(tb.segs) > 1 || len(tb.links) == 0 {
 			return nil

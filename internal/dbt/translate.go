@@ -59,14 +59,9 @@ type translator struct {
 	blockRegs []host.Reg
 	tempPool  []host.Reg
 
-	// Observers of the translation, none of which changes what is emitted
-	// for a healthy rule store: the rewrite validator's verdict counters
-	// (on the owner's registry) and the fault injector's optimized-stream
-	// mutation (the adversarial hook the validator-rejects-broken-peephole
-	// tests use).
+	// The rewrite validator's verdict counters, on the owner's registry.
 	validated *obs.Counter
 	fallbacks *obs.Counter
-	mutateOpt func(*host.Block) *host.Block
 }
 
 // translatorID is everything translation output depends on besides the
@@ -92,18 +87,12 @@ func newTranslator(c *Config, validated, fallbacks *obs.Counter) *translator {
 		// quarantine state is backend-neutral and survives the rekey.
 		c.Rules.SetBackendID(be.ID())
 	}
-	tr := &translator{
+	return &translator{
 		translatorID: translatorID{rules: c.Rules, backend: be.ID(), opt: codegenOf(c)},
 		be:           be, blockRegs: be.BlockRegs(), tempPool: be.TempPool(),
 		validated: validated,
 		fallbacks: fallbacks,
 	}
-	if f, ok := c.Faults.(interface {
-		MutateOptimized(*host.Block) *host.Block
-	}); ok {
-		tr.mutateOpt = f.MutateOptimized
-	}
-	return tr
 }
 
 type pathKind uint8

@@ -34,11 +34,6 @@ func (tr *translator) finishBlock(hb *host.Block) *host.Block {
 	if err != nil || st.Deleted() == 0 {
 		return hb
 	}
-	if tr.mutateOpt != nil {
-		if nb := tr.mutateOpt(ob); nb != nil {
-			ob = nb
-		}
-	}
 	if analysis.ValidateRewrite(hb, ob).Verdict != analysis.VerdictProved {
 		tr.fallbacks.Inc()
 		return hb

@@ -148,19 +148,23 @@ func TestValidateTranslations(t *testing.T) {
 	}
 }
 
-// optFaults is a no-op FaultInjector that additionally corrupts every
-// peephole-optimized stream: every immediate exit target is bumped so
-// the stream exits to the wrong guest pc on whichever path runs — the
-// exact bug class translation validation exists to stop. (Corrupting
-// just one exit is not enough: that exit may sit on a dead path, which
-// the validator correctly proves vacuously equivalent.)
-type optFaults struct{ mutated int }
+// brokenPeephole is the risc backend with a broken peephole: every
+// stream its optimizer deletes from has every immediate exit target
+// bumped, so it exits to the wrong guest pc on whichever path runs —
+// the exact bug class translation validation exists to stop.
+// (Corrupting just one exit is not enough: that exit may sit on a dead
+// path, which the validator correctly proves vacuously equivalent.)
+type brokenPeephole struct {
+	backend.Backend
+	mutated int
+}
 
-func (f *optFaults) TranslatePanic(uint32) bool  { return false }
-func (f *optFaults) DecodeError(uint32) bool     { return false }
-func (f *optFaults) DropCacheShard() (int, bool) { return 0, false }
-func (f *optFaults) MutateOptimized(b *host.Block) *host.Block {
-	insts := append([]host.Inst(nil), b.Insts...)
+func (b *brokenPeephole) OptimizeBlock(hb *host.Block) (*host.Block, backend.OptStats, error) {
+	ob, st, err := b.Backend.(backend.Optimizer).OptimizeBlock(hb)
+	if err != nil || st.Deleted() == 0 {
+		return ob, st, err
+	}
+	insts := append([]host.Inst(nil), ob.Insts...)
 	hit := false
 	for i := range insts {
 		if insts[i].Op == host.ExitTB && insts[i].Dst.Kind == host.KindImm {
@@ -169,18 +173,18 @@ func (f *optFaults) MutateOptimized(b *host.Block) *host.Block {
 		}
 	}
 	if !hit {
-		return nil
+		return ob, st, nil
 	}
-	f.mutated++
-	labels := make(map[int]int, len(b.Labels()))
-	for id, idx := range b.Labels() {
+	b.mutated++
+	labels := make(map[int]int, len(ob.Labels()))
+	for id, idx := range ob.Labels() {
 		labels[id] = idx
 	}
-	return host.NewBlock(insts, labels)
+	return host.NewBlock(insts, labels), st, nil
 }
 
-// TestValidatorRejectsBrokenPeephole injects a fault that corrupts
-// every optimized stream post-peephole and checks the validator is the
+// TestValidatorRejectsBrokenPeephole runs a backend whose peephole
+// corrupts every optimized stream and checks the validator is the
 // arbiter of what installs: streams whose live paths were broken must
 // be rejected (fallbacks recorded), and anything it did prove — a
 // mutation can land entirely in dead code, which is genuinely benign —
@@ -189,14 +193,14 @@ func TestValidatorRejectsBrokenPeephole(t *testing.T) {
 	c := compileT(t, testProgram())
 	want := interpret(t, c)
 	_, rules := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
-	faults := &optFaults{}
+	be := &brokenPeephole{Backend: backend.MustLookup("risc")}
 	cfg := Config{Rules: rules, DelegateFlags: true,
-		Backend:  backend.MustLookup("risc"),
-		Peephole: true, ShadowRate: 1, Faults: faults}
+		Backend:  be,
+		Peephole: true, ShadowRate: 1}
 	got, st := runProgram(t, c, cfg)
 	sameResult(t, want, got, "broken-peephole")
-	if faults.mutated == 0 {
-		t.Fatal("fault injector never fired: test exercised nothing")
+	if be.mutated == 0 {
+		t.Fatal("broken peephole never fired: test exercised nothing")
 	}
 	if st.ValidateFallbacks == 0 {
 		t.Fatal("validator rejected no corrupted stream")

@@ -274,36 +274,26 @@ func Speedup(baseline, improved RunResult) float64 {
 }
 
 // RenderFig11 formats speedups over QEMU for w/o-para and para.
-func RenderFig11(rs []ModeResults) string {
+func RenderFig11(d *SpeedupSection) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %8s %8s\n", "Benchmark", "qemu", "w/o para", "para")
-	var wos, ps []float64
-	for _, r := range rs {
-		wo := Speedup(r.QEMU, r.Base)
-		p := Speedup(r.QEMU, r.Flags)
-		wos = append(wos, wo)
-		ps = append(ps, p)
-		fmt.Fprintf(&b, "%-12s %8.2f %8.2f %8.2f\n", r.Name, 1.0, wo, p)
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%-12s %8.2f %8.2f %8.2f\n", r.Name, 1.0, r.WithoutPara, r.Para)
 	}
-	fmt.Fprintf(&b, "%-12s %8.2f %8.2f %8.2f\n", "geomean", 1.0, Geomean(wos), Geomean(ps))
+	fmt.Fprintf(&b, "%-12s %8.2f %8.2f %8.2f\n", "geomean", 1.0, d.GeomeanWithoutPara, d.GeomeanPara)
 	return b.String()
 }
 
 // RenderFig12 formats dynamic coverage for w/o-para and para, plus the
 // §V-B2 manual-rules column that closes the remaining gap.
-func RenderFig12(rs []ModeResults) string {
+func RenderFig12(d *CoverageSection) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %10s %10s\n", "Benchmark", "w/o para", "para", "+manual")
-	var wos, ps, ms []float64
-	for _, r := range rs {
-		wo, p, m := r.Base.Stats.Coverage(), r.Flags.Stats.Coverage(), r.Manual.Stats.Coverage()
-		wos = append(wos, wo)
-		ps = append(ps, p)
-		ms = append(ms, m)
-		fmt.Fprintf(&b, "%-12s %9.1f%% %9.1f%% %9.1f%%\n", r.Name, 100*wo, 100*p, 100*m)
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%-12s %9.1f%% %9.1f%% %9.1f%%\n", r.Name, 100*r.WithoutPara, 100*r.Para, 100*r.Manual)
 	}
 	fmt.Fprintf(&b, "%-12s %9.1f%% %9.1f%% %9.1f%%\n", "geomean",
-		100*Geomean(wos), 100*Geomean(ps), 100*Geomean(ms))
+		100*d.GeomeanWithoutPara, 100*d.GeomeanPara, 100*d.GeomeanManual)
 	return b.String()
 }
 
@@ -313,18 +303,13 @@ func ratio(r RunResult) float64 {
 }
 
 // RenderFig13 formats the host-per-guest instruction expansion.
-func RenderFig13(rs []ModeResults) string {
+func RenderFig13(d *RatioSection) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %10s %8s\n", "Benchmark", "qemu", "w/o para", "para")
-	var qs, wos, ps []float64
-	for _, r := range rs {
-		q, wo, p := ratio(r.QEMU), ratio(r.Base), ratio(r.Flags)
-		qs = append(qs, q)
-		wos = append(wos, wo)
-		ps = append(ps, p)
-		fmt.Fprintf(&b, "%-12s %8.2f %10.2f %8.2f\n", r.Name, q, wo, p)
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%-12s %8.2f %10.2f %8.2f\n", r.Name, r.QEMU, r.WithoutPara, r.Para)
 	}
-	fmt.Fprintf(&b, "%-12s %8.2f %10.2f %8.2f\n", "geomean", Geomean(qs), Geomean(wos), Geomean(ps))
+	fmt.Fprintf(&b, "%-12s %8.2f %10.2f %8.2f\n", "geomean", d.GeomeanQEMU, d.GeomeanWithoutPara, d.GeomeanPara)
 	return b.String()
 }
 
@@ -383,39 +368,27 @@ func RenderTable2(rows []Table2Row) string {
 }
 
 // RenderFig14 formats the coverage ablation (w/o, +opcode, +mode, +cond).
-func RenderFig14(rs []ModeResults) string {
+func RenderFig14(d *AblationSection) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %9s %9s %10s %10s\n", "Benchmark", "w/o para", "opcode", "addr mode", "condition")
-	var a, o, m, f []float64
-	for _, r := range rs {
-		cov := []float64{r.Base.Stats.Coverage(), r.Op.Stats.Coverage(), r.Mode.Stats.Coverage(), r.Flags.Stats.Coverage()}
-		a = append(a, cov[0])
-		o = append(o, cov[1])
-		m = append(m, cov[2])
-		f = append(f, cov[3])
+	for _, r := range d.Rows {
 		fmt.Fprintf(&b, "%-12s %8.1f%% %8.1f%% %9.1f%% %9.1f%%\n", r.Name,
-			100*cov[0], 100*cov[1], 100*cov[2], 100*cov[3])
+			100*r.Base, 100*r.Opcode, 100*r.AddrMode, 100*r.Cond)
 	}
 	fmt.Fprintf(&b, "%-12s %8.1f%% %8.1f%% %9.1f%% %9.1f%%\n", "geomean",
-		100*Geomean(a), 100*Geomean(o), 100*Geomean(m), 100*Geomean(f))
+		100*d.GeomeanBase, 100*d.GeomeanOpcode, 100*d.GeomeanAddrMode, 100*d.GeomeanCond)
 	return b.String()
 }
 
 // RenderFig15 formats the speedup ablation over QEMU.
-func RenderFig15(rs []ModeResults) string {
+func RenderFig15(d *AblationSection) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %9s %9s %10s %10s\n", "Benchmark", "w/o para", "opcode", "addr mode", "condition")
-	var a, o, m, f []float64
-	for _, r := range rs {
-		sp := []float64{Speedup(r.QEMU, r.Base), Speedup(r.QEMU, r.Op), Speedup(r.QEMU, r.Mode), Speedup(r.QEMU, r.Flags)}
-		a = append(a, sp[0])
-		o = append(o, sp[1])
-		m = append(m, sp[2])
-		f = append(f, sp[3])
-		fmt.Fprintf(&b, "%-12s %9.2f %9.2f %10.2f %10.2f\n", r.Name, sp[0], sp[1], sp[2], sp[3])
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%-12s %9.2f %9.2f %10.2f %10.2f\n", r.Name, r.Base, r.Opcode, r.AddrMode, r.Cond)
 	}
 	fmt.Fprintf(&b, "%-12s %9.2f %9.2f %10.2f %10.2f\n", "geomean",
-		Geomean(a), Geomean(o), Geomean(m), Geomean(f))
+		d.GeomeanBase, d.GeomeanOpcode, d.GeomeanAddrMode, d.GeomeanCond)
 	return b.String()
 }
 
@@ -423,17 +396,14 @@ func RenderFig15(rs []ModeResults) string {
 // configuration per benchmark: distinct blocks, dispatcher round trips,
 // chained block exits, and the fraction of block transitions that
 // bypassed the dispatcher via translation-block chaining.
-func RenderDispatch(rs []ModeResults) string {
+func RenderDispatch(d *DispatchSection) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %11s %11s %9s\n", "Benchmark", "blocks", "dispatches", "chained", "%chained")
-	var rates []float64
-	for _, r := range rs {
-		st := r.Flags.Stats
-		rates = append(rates, st.ChainRate())
+	for _, r := range d.Rows {
 		fmt.Fprintf(&b, "%-12s %8d %11d %11d %8.1f%%\n",
-			r.Name, st.Blocks, st.Dispatches, st.ChainedExits, 100*st.ChainRate())
+			r.Name, r.Blocks, r.Dispatches, r.Chained, 100*r.ChainRate)
 	}
-	fmt.Fprintf(&b, "%-12s %8s %11s %11s %8.1f%%\n", "mean", "", "", "", 100*mean(rates))
+	fmt.Fprintf(&b, "%-12s %8s %11s %11s %8.1f%%\n", "mean", "", "", "", 100*d.MeanChainRate)
 	return b.String()
 }
 

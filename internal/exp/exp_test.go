@@ -308,11 +308,11 @@ func TestRendersNonEmpty(t *testing.T) {
 	rs := getLOO(t)
 	c := getCorpus(t)
 	for name, s := range map[string]string{
-		"fig11":  RenderFig11(rs),
-		"fig12":  RenderFig12(rs),
-		"fig13":  RenderFig13(rs),
-		"fig14":  RenderFig14(rs),
-		"fig15":  RenderFig15(rs),
+		"fig11":  RenderFig11(Fig11Data(rs)),
+		"fig12":  RenderFig12(Fig12Data(rs)),
+		"fig13":  RenderFig13(Fig13Data(rs)),
+		"fig14":  RenderFig14(Fig14Data(rs)),
+		"fig15":  RenderFig15(Fig15Data(rs)),
 		"table2": RenderTable2(Table2(rs)),
 		"table3": RenderTable3(Table3(c)),
 	} {

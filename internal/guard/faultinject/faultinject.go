@@ -1,11 +1,11 @@
 // Package faultinject is the deterministic fault-injection harness for
 // the guarded-execution layer: a seedable Plan describes which faults
 // to inject — corrupted rule semantics, translator panics, decode
-// errors, dropped code-cache shards, guest code overwrites — and an
-// Injector doles them out with atomic counters so the
-// same plan produces the same fault sequence on every run. The engine
-// consumes an Injector through the dbt.FaultInjector interface
-// (implemented structurally; this package never imports internal/dbt).
+// errors, guest code overwrites — and an Injector doles them out with
+// atomic counters so the same plan produces the same fault sequence on
+// every run. The engine takes an *Injector as dbt.Config.Faults; this
+// package imports only host and rule, so it never depends on the
+// engine.
 package faultinject
 
 import (
@@ -25,10 +25,6 @@ import (
 // opportunities (0 and 1 both mean every opportunity). See
 // docs/ROBUSTNESS.md for the format reference.
 type Plan struct {
-	// Seed drives every pseudo-random choice the injector makes
-	// (currently the shard picked by cache-shard drops).
-	Seed int64 `json:"seed,omitempty"`
-
 	// CorruptRules asks the harness to silently corrupt the host
 	// semantics of this many learned rules before the run (exercising
 	// shadow verification and quarantine). The injector itself cannot
@@ -42,10 +38,6 @@ type Plan struct {
 	// DecodeErrors makes demand translation fail with a decode error.
 	DecodeErrors int `json:"decodeErrors,omitempty"`
 	DecodeEvery  int `json:"decodeEvery,omitempty"`
-
-	// DropShards empties whole code-cache shards mid-run.
-	DropShards int `json:"dropShards,omitempty"`
-	DropEvery  int `json:"dropEvery,omitempty"`
 
 	// SMCWrites overwrite guest code words at named block-entry
 	// ordinals, exercising the self-modifying-code fence from outside
@@ -88,9 +80,8 @@ func LoadPlan(path string) (Plan, error) {
 }
 
 // Injector hands out the plan's faults. All methods are safe for
-// concurrent use and deterministic given the plan: every decision comes from atomic
-// counters and a seeded multiplicative hash, never from wall-clock or
-// shared global randomness.
+// concurrent use and deterministic given the plan: every decision comes
+// from atomic counters, never from wall-clock or randomness.
 type Injector struct {
 	plan Plan
 
@@ -98,8 +89,6 @@ type Injector struct {
 	panics    atomic.Int64  // panics injected so far
 	decodeOps atomic.Uint64
 	decodes   atomic.Int64
-	dropOps   atomic.Uint64
-	drops     atomic.Int64
 }
 
 // New returns an injector for the plan.
@@ -148,31 +137,11 @@ func (i *Injector) DecodeError(pc uint32) bool {
 	return true
 }
 
-// DropCacheShard reports whether a code-cache shard should be dropped
-// at this dispatch, and which one. The shard index is derived from the
-// seed and the drop ordinal, so a plan names a reproducible sequence.
-func (i *Injector) DropCacheShard() (int, bool) {
-	if i.plan.DropShards <= 0 {
-		return 0, false
-	}
-	op := i.dropOps.Add(1)
-	if !every(op, i.plan.DropEvery) {
-		return 0, false
-	}
-	n := i.drops.Add(1)
-	if n > int64(i.plan.DropShards) {
-		return 0, false
-	}
-	h := uint64(i.plan.Seed)*2654435761 + uint64(n)*0x9e3779b97f4a7c15
-	return int(h >> 60), true // top 4 bits: shard in [0,16)
-}
-
 // CodePokes returns the plan's guest code overwrites for block-entry
 // ordinal n (1-based) as (addr, word) pairs. A pure function of the
 // plan and n — no counters — so the sequence is identical on every run
 // and the method is trivially safe for concurrent use. The engine
-// discovers it by interface assertion (dbt's optional codePoker
-// extension of FaultInjector).
+// applies them before every block entry.
 func (i *Injector) CodePokes(n uint64) [][2]uint32 {
 	var out [][2]uint32
 	for _, w := range i.plan.SMCWrites {
@@ -185,7 +154,7 @@ func (i *Injector) CodePokes(n uint64) [][2]uint32 {
 
 // Counts reports how many faults of each kind were actually injected,
 // for test assertions and run summaries.
-func (i *Injector) Counts() (panics, decodes, drops int64) {
+func (i *Injector) Counts() (panics, decodes int64) {
 	clamp := func(v, max int64) int64 {
 		if v > max {
 			return max
@@ -193,8 +162,7 @@ func (i *Injector) Counts() (panics, decodes, drops int64) {
 		return v
 	}
 	return clamp(i.panics.Load(), int64(i.plan.TranslatePanics)),
-		clamp(i.decodes.Load(), int64(i.plan.DecodeErrors)),
-		clamp(i.drops.Load(), int64(i.plan.DropShards))
+		clamp(i.decodes.Load(), int64(i.plan.DecodeErrors))
 }
 
 // swapOp maps a host compute op to a same-shape, different-semantics

@@ -10,15 +10,17 @@ import (
 
 func TestParsePlan(t *testing.T) {
 	p, err := ParsePlan(strings.NewReader(
-		`{"seed":7,"corruptRules":1,"translatePanics":2,"panicEvery":3,"dropShards":4}`))
+		`{"corruptRules":1,"translatePanics":2,"panicEvery":3,"decodeErrors":4}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 7 || p.CorruptRules != 1 || p.TranslatePanics != 2 || p.PanicEvery != 3 || p.DropShards != 4 {
+	if p.CorruptRules != 1 || p.TranslatePanics != 2 || p.PanicEvery != 3 || p.DecodeErrors != 4 {
 		t.Fatalf("plan fields wrong: %+v", p)
 	}
-	if _, err := ParsePlan(strings.NewReader(`{"unknownKnob":1}`)); err == nil {
-		t.Fatal("unknown plan field accepted")
+	for _, unknown := range []string{`{"unknownKnob":1}`, `{"dropShards":4}`, `{"seed":7}`} {
+		if _, err := ParsePlan(strings.NewReader(unknown)); err == nil {
+			t.Fatalf("unknown plan field accepted: %s", unknown)
+		}
 	}
 	if _, err := ParsePlan(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage plan accepted")
@@ -37,7 +39,7 @@ func TestTranslatePanicBudgetAndThinning(t *testing.T) {
 	if len(fired) != 2 || fired[0] != 3 || fired[1] != 6 {
 		t.Fatalf("panic injections at %v, want [3 6]", fired)
 	}
-	panics, _, _ := inj.Counts()
+	panics, _ := inj.Counts()
 	if panics != 2 {
 		t.Fatalf("Counts panics = %d, want 2", panics)
 	}
@@ -53,31 +55,6 @@ func TestDecodeErrorBudget(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("decode errors injected %d times, want 3", n)
-	}
-}
-
-func TestDropCacheShardDeterministic(t *testing.T) {
-	run := func() []int {
-		inj := New(Plan{Seed: 99, DropShards: 4})
-		var shards []int
-		for op := 0; op < 8; op++ {
-			if sh, ok := inj.DropCacheShard(); ok {
-				shards = append(shards, sh)
-			}
-		}
-		return shards
-	}
-	a, b := run(), run()
-	if len(a) != 4 {
-		t.Fatalf("dropped %d shards, want 4", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("shard sequence not deterministic: %v vs %v", a, b)
-		}
-		if a[i] < 0 || a[i] > 15 {
-			t.Fatalf("shard %d out of range", a[i])
-		}
 	}
 }
 

@@ -21,62 +21,99 @@ package guard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 )
 
+// MinRate is the floor an adaptive rate decays toward — one
+// steady-state check per ~100 block executions even for a long-clean
+// tenant — or the base rate, when that is lower.
+const MinRate = 0.01
+
 // Policy selects which block executions are shadow-verified.
 type Policy struct {
-	// Rate is the steady-state sampling probability in [0,1]; 1 verifies
-	// every execution, 0 disables steady-state sampling.
+	// Rate is the base steady-state sampling probability in [0,1]; 1
+	// verifies every execution, 0 disables steady-state sampling.
 	Rate float64
-	// FirstN verifies the first N executions of every block
-	// unconditionally — new translations are the risky ones, so they are
-	// always checked at least once regardless of Rate.
-	FirstN uint64
+	// HalfLife, when positive, makes the rate adaptive: it halves every
+	// HalfLife consecutive clean checks, down to MinRate, and snaps back
+	// to Rate on any divergence or quarantine event. Zero keeps Rate
+	// fixed.
+	HalfLife uint64
 	// Seed makes the steady-state sampling deterministic (same seed,
 	// same block-execution sequence, same sample set).
 	Seed int64
 }
 
-// Sampler implements a Policy. It is not safe for concurrent use; the
-// engine drives it from the Run goroutine only.
+// Sampler implements a Policy: it selects the executions to verify and,
+// when the policy is adaptive, moves its own rate with the verdicts it
+// is told about. Verification cost thus scales down as confidence
+// accumulates, while a single bad event buys back full scrutiny. The
+// first execution of every block is verified whatever the rate — new
+// translations are the risky ones.
+//
+// It is not safe for concurrent use; the engine drives it from the Run
+// goroutine only, and each tenant owns its sampler — confidence earned
+// by one guest never discounts verification for another.
 type Sampler struct {
-	pol Policy
-	rng *rand.Rand
+	base, floor, rate float64
+	halfLife          uint64
+	clean             uint64 // consecutive clean checks since the last event
+	rng               *rand.Rand
 }
 
-// NewSampler returns a sampler for the policy.
+// NewSampler returns a sampler at the policy's base rate.
 func NewSampler(pol Policy) *Sampler {
-	return &Sampler{pol: pol, rng: rand.New(rand.NewSource(pol.Seed))}
+	return &Sampler{
+		base: pol.Rate, floor: min(MinRate, pol.Rate), rate: pol.Rate,
+		halfLife: pol.HalfLife,
+		rng:      rand.New(rand.NewSource(pol.Seed)),
+	}
 }
 
 // Select reports whether the exec-th execution of a block (1-based)
-// should be shadow-verified: always within the FirstN warm-up, then with
-// probability Rate.
+// should be shadow-verified: always the first, then with probability
+// Rate.
 func (s *Sampler) Select(exec uint64) bool {
-	if exec <= s.pol.FirstN {
+	if exec <= 1 || s.rate >= 1 {
 		return true
 	}
-	if s.pol.Rate >= 1 {
-		return true
-	}
-	if s.pol.Rate <= 0 {
+	if s.rate <= 0 {
 		return false
 	}
-	return s.rng.Float64() < s.pol.Rate
+	return s.rng.Float64() < s.rate
 }
 
-// Rate reports the sampler's current steady-state rate. Like every
-// Sampler method it is not concurrent-safe; read it from the Run
-// goroutine or after the run.
-func (s *Sampler) Rate() float64 { return s.pol.Rate }
+// Rate reports the current steady-state rate. Like every Sampler method
+// it is not concurrent-safe; read it from the Run goroutine or after the
+// run.
+func (s *Sampler) Rate() float64 { return s.rate }
 
-// SetRate replaces the sampler's steady-state rate. The FirstN warm-up
-// is deliberately untouched: an adaptive controller decays only the
-// background rate — fresh translations keep their first-execution
-// check. Run-goroutine only.
-func (s *Sampler) SetRate(r float64) { s.pol.Rate = r }
+// OnClean records one verified-clean shadow check. An adaptive rate
+// decays to max(MinRate, Rate · 2^(−clean/HalfLife)), monotonically
+// non-increasing between events. It reports whether the rate is
+// adaptive.
+func (s *Sampler) OnClean() bool {
+	if s.halfLife == 0 {
+		return false
+	}
+	s.clean++
+	s.rate = max(s.floor, s.base*math.Exp2(-float64(s.clean)/float64(s.halfLife)))
+	return true
+}
+
+// OnEvent records a divergence or quarantine event: an adaptive rate
+// discards its accumulated confidence and snaps back to the base rate.
+// It reports whether the rate snapped (false at a fixed rate).
+func (s *Sampler) OnEvent() bool {
+	if s.halfLife == 0 {
+		return false
+	}
+	s.clean = 0
+	s.rate = s.base
+	return true
+}
 
 // Mismatch kinds.
 const (

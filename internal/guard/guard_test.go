@@ -10,14 +10,14 @@ import (
 	"paramdbt/internal/mem"
 )
 
+// TestSamplerFirstN: the first execution of every block is verified
+// whatever the rate; later ones follow it.
 func TestSamplerFirstN(t *testing.T) {
-	s := NewSampler(Policy{Rate: 0, FirstN: 3})
-	for exec := uint64(1); exec <= 3; exec++ {
-		if !s.Select(exec) {
-			t.Fatalf("exec %d within FirstN not selected", exec)
-		}
+	s := NewSampler(Policy{Rate: 0})
+	if !s.Select(1) {
+		t.Fatal("first execution not selected at rate 0")
 	}
-	for exec := uint64(4); exec <= 100; exec++ {
+	for exec := uint64(2); exec <= 100; exec++ {
 		if s.Select(exec) {
 			t.Fatalf("exec %d selected with rate 0", exec)
 		}
@@ -55,6 +55,103 @@ func TestSamplerDeterministic(t *testing.T) {
 	// Rate 0.5 over 200 draws: loose bounds, deterministic via seed.
 	if hits < 60 || hits > 140 {
 		t.Fatalf("rate 0.5 produced %d/200 samples", hits)
+	}
+}
+
+// The adaptive rate (Policy.HalfLife > 0), the controller half of the
+// sampler.
+
+func TestControllerDecaysMonotonically(t *testing.T) {
+	s := NewSampler(Policy{Rate: 1, HalfLife: 8})
+	if s.Rate() != 1 {
+		t.Fatalf("initial rate = %v, want 1", s.Rate())
+	}
+	prev := s.Rate()
+	for i := 0; i < 200; i++ {
+		if !s.OnClean() {
+			t.Fatal("adaptive sampler reported a fixed rate")
+		}
+		r := s.Rate()
+		if r > prev {
+			t.Fatalf("rate rose from %v to %v after clean check %d", prev, r, i+1)
+		}
+		if r < MinRate {
+			t.Fatalf("rate %v fell below MinRate after clean check %d", r, i+1)
+		}
+		prev = r
+	}
+	if prev != MinRate {
+		t.Fatalf("rate after 200 clean checks = %v, want MinRate %v", prev, MinRate)
+	}
+	// One half-life of clean checks halves the rate (checked on a fresh
+	// sampler so the floor is not in play).
+	s = NewSampler(Policy{Rate: 1, HalfLife: 8})
+	for i := 0; i < 8; i++ {
+		s.OnClean()
+	}
+	if got := s.Rate(); got < 0.499 || got > 0.501 {
+		t.Fatalf("rate after one half-life = %v, want 0.5", got)
+	}
+}
+
+func TestControllerSnapsOnEvent(t *testing.T) {
+	s := NewSampler(Policy{Rate: 1, HalfLife: 4})
+	for i := 0; i < 100; i++ {
+		s.OnClean()
+	}
+	if s.Rate() != MinRate {
+		t.Fatalf("decayed rate = %v, want %v", s.Rate(), MinRate)
+	}
+	if !s.OnEvent() {
+		t.Fatal("adaptive rate did not report a snap")
+	}
+	if s.Rate() != 1 {
+		t.Fatalf("rate after event = %v, want snap back to 1", s.Rate())
+	}
+	// Confidence rebuilds from scratch after the snap.
+	s.OnClean()
+	if r := s.Rate(); r >= 1 || r <= 0.5 {
+		t.Fatalf("rate one clean check after snap = %v, want in (0.5, 1)", r)
+	}
+}
+
+// TestControllerPolicyDefaults: a zero HalfLife is a fixed rate that no
+// verdict moves, and a base rate below MinRate is its own floor.
+func TestControllerPolicyDefaults(t *testing.T) {
+	s := NewSampler(Policy{Rate: 0.5})
+	if s.OnClean() || s.OnEvent() {
+		t.Fatal("fixed rate reported itself adaptive")
+	}
+	if s.Rate() != 0.5 {
+		t.Fatalf("fixed rate moved to %v", s.Rate())
+	}
+	s = NewSampler(Policy{Rate: 0.005, HalfLife: 1})
+	for i := 0; i < 1000; i++ {
+		s.OnClean()
+	}
+	if s.Rate() != 0.005 {
+		t.Fatalf("floor below MinRate = %v, want the base rate 0.005", s.Rate())
+	}
+}
+
+// TestControllerDecaysSamplerRate: Select honours the decayed rate past
+// the first execution.
+func TestControllerDecaysSamplerRate(t *testing.T) {
+	s := NewSampler(Policy{Rate: 1, HalfLife: 2, Seed: 7})
+	for i := 0; i < 64; i++ {
+		s.OnClean()
+	}
+	if s.Rate() != MinRate {
+		t.Fatalf("sampler rate = %v, want decayed %v", s.Rate(), MinRate)
+	}
+	selected := 0
+	for exec := uint64(2); exec <= 1001; exec++ {
+		if s.Select(exec) {
+			selected++
+		}
+	}
+	if selected < 1 || selected > 50 {
+		t.Fatalf("selections = %d/1000, want close to the %v rate", selected, MinRate)
 	}
 }
 

@@ -45,7 +45,7 @@ func FuzzRuleDeserialize(f *testing.F) {
 	f.Add([]byte(`{"guest":[{"Op":250,"Args":[]}],"host":[{"Op":250,"Dst":{"Kind":0,"Param":-1,"DispParam":-1,"Scratch":-1},"Src":{"Kind":0,"Param":-1,"DispParam":-1,"Scratch":-1}}],"params":[],"gcond":99,"hcond":99}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data), false)
+		s, _, err := LoadGated(bytes.NewReader(data), false, nil)
 		if err != nil {
 			return // rejected cleanly — that is the contract
 		}
@@ -53,7 +53,7 @@ func FuzzRuleDeserialize(f *testing.F) {
 		if err := s.Save(&buf); err != nil {
 			t.Fatalf("accepted table failed to save: %v", err)
 		}
-		if _, err := Load(bytes.NewReader(buf.Bytes()), false); err != nil {
+		if _, _, err := LoadGated(bytes.NewReader(buf.Bytes()), false, nil); err != nil {
 			t.Fatalf("saved table failed to re-load: %v", err)
 		}
 	})

@@ -77,7 +77,7 @@ func TestQuarantinePersistRoundTrip(t *testing.T) {
 	if err := s.Save(&tbuf); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Load(bytes.NewReader(tbuf.Bytes()), false)
+	fresh, _, err := LoadGated(bytes.NewReader(tbuf.Bytes()), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestQuarantineSurvivesBackendRekey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh, err := Load(bytes.NewReader(tbuf.Bytes()), false)
+	fresh, _, err := LoadGated(bytes.NewReader(tbuf.Bytes()), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

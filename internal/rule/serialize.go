@@ -96,23 +96,17 @@ func (s *Store) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a JSON Lines rule table into a fresh store. When reverify
-// is set, every template is re-checked with the symbolic executor and
-// unsound entries are rejected — the defensive path for tables from
-// untrusted sources.
-func Load(r io.Reader, reverify bool) (*Store, error) {
-	out, _, err := LoadGated(r, reverify, nil)
-	return out, err
-}
-
-// LoadGated is Load with a caller-supplied admission predicate applied
-// to every structurally valid (and, under reverify, verified) template.
-// Templates the predicate refuses are skipped rather than failing the
-// load — a table carrying a handful of rules the local auditor refuses
-// is still usable — and the skip count is returned. Malformed entries
-// remain fatal: structural corruption means the table itself cannot be
-// trusted. learn.ImportPack wires the PR 4 static auditor through here
-// for warm-start rule packs.
+// LoadGated reads a JSON Lines rule table into a fresh store. When
+// reverify is set, every template is re-checked with the symbolic
+// executor and unsound entries are rejected — the defensive path for
+// tables from untrusted sources. The admission predicate, when non-nil,
+// is applied to every structurally valid (and, under reverify,
+// verified) template. Templates the predicate refuses are skipped
+// rather than failing the load — a table carrying a handful of rules
+// the local auditor refuses is still usable — and the skip count is
+// returned. Malformed entries remain fatal: structural corruption means
+// the table itself cannot be trusted. learn.ImportPack wires the static
+// admission audit through here for rule packs and rule table files.
 func LoadGated(r io.Reader, reverify bool, admit func(*Template) (ok bool, reason string)) (*Store, int, error) {
 	out := NewStore()
 	rejected := 0

@@ -56,7 +56,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, false)
+	loaded, _, err := LoadGated(&buf, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLoadWithReverify(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf, true); err != nil {
+	if _, _, err := LoadGated(&buf, true, nil); err != nil {
 		t.Fatalf("reverify of sound table failed: %v", err)
 	}
 }
@@ -97,10 +97,10 @@ func TestLoadRejectsUnsound(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Load(bytes.NewReader(data), false); err != nil {
+	if _, _, err := LoadGated(bytes.NewReader(data), false, nil); err != nil {
 		t.Fatalf("structural load should accept: %v", err)
 	}
-	if _, err := Load(bytes.NewReader(data), true); err == nil {
+	if _, _, err := LoadGated(bytes.NewReader(data), true, nil); err == nil {
 		t.Fatal("reverify accepted an unsound rule")
 	}
 }
@@ -117,14 +117,14 @@ func TestLoadRejectsCorruptIndices(t *testing.T) {
 		`{"guest":[{"Op":2,"Args":[{"Kind":1,"Param":0,"DispParam":-1,"Scratch":-1}]}],"host":[{"Op":1,"Dst":{"Kind":1,"Param":0,"DispParam":-1,"Scratch":-1},"Src":{"Kind":0,"Param":-1,"DispParam":-1,"Scratch":-1}}],"params":[0],"nonZeroImms":[0]}`,
 	}
 	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c), false); err == nil {
+		if _, _, err := LoadGated(strings.NewReader(c), false, nil); err == nil {
 			t.Errorf("case %d: corrupt table accepted", i)
 		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json"), false); err == nil {
+	if _, _, err := LoadGated(strings.NewReader("not json"), false, nil); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -62,10 +62,9 @@ type Config struct {
 	// serving default keeps the guard on).
 	ShadowRate float64
 	NoShadow   bool
-	// NoAdaptive turns off the per-tenant guard controller, which is on
-	// by default and halves each tenant's rate every ShadowHalfLife
-	// consecutive clean checks (dbt.Config.ShadowHalfLife's default
-	// applies when zero).
+	// NoAdaptive turns off the per-tenant adaptive shadow rate, which is
+	// on by default and halves each tenant's rate every ShadowHalfLife
+	// consecutive clean checks (default 64).
 	NoAdaptive     bool
 	ShadowHalfLife uint64
 
@@ -108,6 +107,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.ShadowRate == 0 && !cfg.NoShadow {
 		cfg.ShadowRate = 1
+	}
+	if cfg.ShadowHalfLife == 0 {
+		cfg.ShadowHalfLife = 64
 	}
 	corpus, err := exp.BuildCorpus(cfg.Scale)
 	if err != nil {
@@ -163,7 +165,7 @@ type TenantResult struct {
 
 // RunTenant executes the named workload as a fresh tenant: a private
 // engine (own guest memory, architectural state, code cache, shadow
-// controller) attached to the shared service, charged to a new tenant
+// sampler) attached to the shared service, charged to a new tenant
 // id in the per-tenant metric families. Safe to call concurrently; each
 // call is one tenant.
 func (s *Server) RunTenant(bench string) (TenantResult, error) {
@@ -179,9 +181,12 @@ func (s *Server) RunTenant(bench string) (TenantResult, error) {
 	if _, err := comp.LoadGuest(m); err != nil {
 		return TenantResult{}, err
 	}
-	rate := s.cfg.ShadowRate
+	rate, halfLife := s.cfg.ShadowRate, s.cfg.ShadowHalfLife
 	if s.cfg.NoShadow {
 		rate = 0
+	}
+	if s.cfg.NoAdaptive {
+		halfLife = 0
 	}
 	e := dbt.New(m, dbt.Config{
 		Rules:          s.svc.Rules(),
@@ -189,8 +194,7 @@ func (s *Server) RunTenant(bench string) (TenantResult, error) {
 		DelegateFlags:  true,
 		ShadowRate:     rate,
 		ShadowSeed:     int64(id),
-		AdaptiveShadow: rate > 0 && !s.cfg.NoAdaptive,
-		ShadowHalfLife: s.cfg.ShadowHalfLife,
+		ShadowHalfLife: halfLife,
 		Service:        s.svc,
 	})
 	init := &guest.State{Mem: m}
