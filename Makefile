@@ -97,11 +97,14 @@ test-persistence:
 # code"): write-then-execute in the store's own block, cross-block
 # overwrite, overwrite mid-superblock and toggled during repeated trace
 # formation, the fault-injected code pokes, the TraceBudget refund, the
-# trace-formation panic recovery and the artifact page-checksum reject —
+# trace-formation panic recovery and the artifact page-checksum reject,
+# each under interpret-first and translate-first — plus the
+# interpret-first tier's own tests (TestTier*: what it translates, what
+# it counts, and that interpreted stores bypass the undo journal) —
 # functionally and under the race detector.
 test-smc:
-	$(GO) test -count=1 -run TestSMC ./internal/workload ./internal/dbt
-	$(GO) test -race -count=1 -run TestSMC ./internal/workload ./internal/dbt
+	$(GO) test -count=1 -run 'TestSMC|TestTier' ./internal/workload ./internal/dbt
+	$(GO) test -race -count=1 -run 'TestSMC|TestTier' ./internal/workload ./internal/dbt
 
 # The multi-tenant serving suite (docs/SERVING.md): the shared
 # translation service's single-flight/closed-service/no-goroutine/

@@ -42,15 +42,8 @@ import (
 // guarantees the fault is live — the point of a -inject campaign with
 // corruptRules is to watch shadow verification catch it.
 func corruptUsedRules(corpus *exp.Corpus, bench string, cfg dbt.Config, n int) ([]string, error) {
-	m := mem.New()
-	if _, err := corpus.Comp[bench].LoadGuest(m); err != nil {
-		return nil, err
-	}
-	e := dbt.New(m, cfg)
-	init := &guest.State{Mem: m}
-	init.R[guest.SP] = env.StackTop
-	e.SetGuestState(init)
-	if _, err := e.Run(env.CodeBase, 4_000_000_000); err != nil {
+	e, _, err := corpus.RunEngine(bench, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("warm run for rule corruption: %w", err)
 	}
 	return faultinject.CorruptTemplates(e.CachedRuleTemplates(), n), nil
@@ -414,13 +407,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "quarantine: persisted %d rule(s) to %s\n", len(entries), *quarFile)
 	}
-	if len(st.UncoveredOps) > 0 {
+	if len(res.Uncovered) > 0 {
 		type kv struct {
 			op guest.Op
 			n  uint64
 		}
 		var ops []kv
-		for op, n := range st.UncoveredOps {
+		for op, n := range res.Uncovered {
 			ops = append(ops, kv{op, n})
 		}
 		sort.Slice(ops, func(i, j int) bool {

@@ -91,7 +91,10 @@ func main() {
 	}
 	fmt.Printf("reference checksum: %#x\n", ref.R[guest.R0])
 
+	// Translate every block at its first execution, as the paper's DBT
+	// does, so coverage and host instructions measure translated code.
 	run := func(cfg dbt.Config, label string) uint64 {
+		cfg.TranslateFirst = true
 		m := mem.New()
 		if _, err := comp.LoadGuest(m); err != nil {
 			log.Fatal(err)

@@ -156,7 +156,7 @@ func (e *Engine) restoreManifest(m *artifact.BlockManifest) {
 			e.warm.Err = fmt.Sprintf("manifest block pc %#x out of range", pc)
 			return
 		}
-		if _, err := e.block(pc); err != nil {
+		if _, err := e.block(pc, false); err != nil {
 			e.art.MarkReject()
 			e.warm.Rejects++
 			e.warm.Err = fmt.Sprintf("restoring block %#x: %v", pc, err)

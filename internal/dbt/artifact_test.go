@@ -40,6 +40,8 @@ func warmRoundTripCfg(rules *rule.Store, dir string) Config {
 		ShadowRate:    1,
 		HotThreshold:  2,
 		ArtifactDir:   dir,
+		// The round trip restores what the cold run translated: all of it.
+		TranslateFirst: true,
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"paramdbt/internal/rule"
 )
 
-// runTraced executes a compiled program and returns the final state,
+// runTraced executes a compiled program and returns the halted engine,
 // stats, and the pc of every block entered in execution order.
-func runTraced(t *testing.T, c *minic.Compiled, cfg Config) (*guest.State, Stats, []uint32) {
+func runTraced(t *testing.T, c *minic.Compiled, cfg Config) (*Engine, Stats, []uint32) {
 	t.Helper()
 	m := mem.New()
 	if _, err := c.LoadGuest(m); err != nil {
@@ -31,7 +31,7 @@ func runTraced(t *testing.T, c *minic.Compiled, cfg Config) (*guest.State, Stats
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e.GuestState(), stats, blocks
+	return e, stats, blocks
 }
 
 // expandTrace turns a block-entry trace into a per-instruction guest pc
@@ -98,11 +98,11 @@ func TestChainingTraceMatchesInterpreter(t *testing.T) {
 			label = "para"
 			cfg = Config{Rules: rules, DelegateFlags: true}
 		}
-		chSt, chStats, chBlocks := runTraced(t, c, cfg)
+		chE, chStats, chBlocks := runTraced(t, c, cfg)
 
 		uncfg := cfg
 		uncfg.NoChain = true
-		unSt, unStats, unBlocks := runTraced(t, c, uncfg)
+		unE, unStats, unBlocks := runTraced(t, c, uncfg)
 
 		m := mem.New()
 		if _, err := c.LoadGuest(m); err != nil {
@@ -123,6 +123,7 @@ func TestChainingTraceMatchesInterpreter(t *testing.T) {
 		}
 
 		// Guest-visible results identical between chained and unchained.
+		chSt, unSt := chE.GuestState(), unE.GuestState()
 		if chSt.R[guest.R0] != unSt.R[guest.R0] || chSt.R[guest.SP] != unSt.R[guest.SP] {
 			t.Fatalf("%s: chained/unchained final state differs", label)
 		}

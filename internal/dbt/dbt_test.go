@@ -16,6 +16,14 @@ import (
 // the final guest state plus stats.
 func runProgram(t *testing.T, c *minic.Compiled, cfg Config) (*guest.State, Stats) {
 	t.Helper()
+	e, stats := runEngine(t, c, cfg)
+	return e.GuestState(), stats
+}
+
+// runEngine is runProgram returning the halted engine itself, for tests
+// that read its host-instruction totals, translations or UncoveredOps.
+func runEngine(t *testing.T, c *minic.Compiled, cfg Config) (*Engine, Stats) {
+	t.Helper()
 	m := mem.New()
 	if _, err := c.LoadGuest(m); err != nil {
 		t.Fatal(err)
@@ -28,7 +36,7 @@ func runProgram(t *testing.T, c *minic.Compiled, cfg Config) (*guest.State, Stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e.GuestState(), stats
+	return e, stats
 }
 
 // interpret runs the oracle.

@@ -9,7 +9,10 @@
 // once into the code cache, and block exits with statically
 // known successors are lazily patched into direct links so chained
 // execution skips the dispatcher entirely (Config.NoChain restores the
-// dispatch-every-block ablation baseline).
+// dispatch-every-block ablation baseline). Unlike QEMU, a block is
+// translated only at its third execution: the first two run on the
+// reference interpreter, which costs less than translating code that
+// never runs again (Config.TranslateFirst restores QEMU's policy).
 //
 // Translation itself is one immutable translator (translate.go): a pure
 // function of {code bytes, rule store, backend, codegenOptions} with no
@@ -18,9 +21,8 @@
 // service's translator when it leads a single-flight miss. The engine
 // starts no goroutines: every block it translates — demand misses,
 // service misses and hot-trace superblocks — is translated on the
-// goroutine driving Run, the first time it is needed, as QEMU does. So
-// only that goroutine touches the code cache, and the cache is one
-// plain map.
+// goroutine driving Run, when it is needed. So only that goroutine
+// touches the code cache, and the cache is one plain map.
 //
 // Every evaluation metric — dynamic coverage, dispatch/chain traffic,
 // category-tagged host instruction counts — is counted on atomic
@@ -85,6 +87,19 @@ type Config struct {
 	ManualABI bool
 	// Deprecated: ignored; bench/layers.go still writes it.
 	TranslateWorkers int
+	// TranslateFirst translates every block the first time it runs, as
+	// QEMU does and as the paper measures: coverage, Fig. 11–15 and
+	// Table II are defined over translated code, so internal/exp sets it
+	// on every engine it builds. The default is interpret-first: a block
+	// with no translation runs on the reference interpreter for its first
+	// interpRuns executions and is translated at the next one, so code
+	// that runs once or twice never pays for a translation. Interpreted
+	// executions count in GuestExec, Blocks, Dispatches and the step
+	// budget, but not in RuleCovered, SeqRuleUses or UncoveredOps, and
+	// take no shadow check (they are their own reference). An engine
+	// attached to a Service always translates first: its translations
+	// are shared by every tenant.
+	TranslateFirst bool
 	// NoChain disables translation-block chaining, forcing every block
 	// boundary back through the dispatcher — the ablation baseline the
 	// bench's nochain arm measures.
@@ -193,6 +208,8 @@ type Config struct {
 // atomic obs counters owned by the engine (see metrics.go); Run returns
 // the delta accumulated during that run, and LiveStats reads the
 // engine-lifetime totals at any time, including concurrently with Run.
+// It is a plain comparable value; the per-opcode breakdown of a run's
+// emulated instructions is Engine.UncoveredOps.
 type Stats struct {
 	GuestExec   uint64 // dynamic guest instructions
 	RuleCovered uint64 // of which rule-translated (dynamic coverage)
@@ -241,10 +258,6 @@ type Stats struct {
 	// the engine kept the finalized stream).
 	BlocksValidated   uint64
 	ValidateFallbacks uint64
-
-	// UncoveredOps breaks down emulated instructions by opcode — the
-	// analysis behind the paper's "seven uncoverable instructions".
-	UncoveredOps map[guest.Op]uint64
 
 	// Guarded-execution counters (zero unless the guard layer is on;
 	// see docs/ROBUSTNESS.md). ShadowChecks counts verified block
@@ -317,6 +330,18 @@ type Engine struct {
 	// reference interpreter's result and write set, kept between
 	// shadowBegin and shadowCheck.
 	shadow shadowCtx
+
+	// runs counts the interpreted executions of every pc that has run
+	// without a translation (interpret-first; see Config.TranslateFirst).
+	// A pc's entry goes when the pc is translated. ist is the reference
+	// interpreter's state for those executions, reused so interpreting a
+	// block allocates nothing (Run goroutine only, like both fields).
+	runs map[uint32]uint8
+	ist  guest.State
+
+	// uncovered counts the last Run's emulated instructions by opcode
+	// (the uint8 opcode indexes it); UncoveredOps makes it a map.
+	uncovered [1 << 8]uint64
 
 	// svc/tnt are the shared translation service and this engine's
 	// tenant registration (nil when Config.Service is unset or the
@@ -477,9 +502,22 @@ func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 // counters are atomic. A running engine publishes its per-block counters
 // (guest instructions, rule coverage, dispatches, chained exits) every
 // publishEvery block executions, so mid-run they trail by at most that
-// many blocks; once Run returns they are exact. UncoveredOps is not part
-// of the live set (it is accumulated per run); the returned map is nil.
+// many blocks; once Run returns they are exact.
 func (e *Engine) LiveStats() Stats { return e.met.delta(statsBase{}) }
+
+// UncoveredOps breaks down the instructions the last Run emulated
+// through the TCG fallback by opcode — the analysis behind the paper's
+// "seven uncoverable instructions". Interpreted executions emulate
+// nothing and are not in it. Like Run it belongs to the Run goroutine.
+func (e *Engine) UncoveredOps() map[guest.Op]uint64 {
+	out := map[guest.Op]uint64{}
+	for op, n := range e.uncovered {
+		if n != 0 {
+			out[guest.Op(op)] = n
+		}
+	}
+	return out
+}
 
 // SetGuestState writes a guest architectural state into the CPUState.
 func (e *Engine) SetGuestState(st *guest.State) { writeGuestState(e.Mem, st) }
@@ -502,22 +540,15 @@ func (e *Engine) GuestState() *guest.State {
 func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error) {
 	base := e.met.base()
 	// Emulated instructions by opcode, bumped once per uncovered op of
-	// every block execution: an array indexed by the (uint8) opcode, made
-	// into Stats.UncoveredOps' map only when the run ends.
-	var uncovered [1 << 8]uint64
+	// every translated execution.
+	e.uncovered = [1 << 8]uint64{}
+	uncovered := &e.uncovered
 	// The per-block product counters, published every publishEvery block
 	// executions and here, on every way out of Run.
 	var pend runCounts
 	snapshot := func() Stats {
 		pend.publish(e.met)
-		st := e.met.delta(base)
-		st.UncoveredOps = map[guest.Op]uint64{}
-		for op, n := range uncovered {
-			if n != 0 {
-				st.UncoveredOps[guest.Op(op)] = n
-			}
-		}
-		return st
+		return e.met.delta(base)
 	}
 	// Whatever the last execution armed: stores made between Runs are the
 	// caller's and must not pile up in the journal.
@@ -559,6 +590,10 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	traceBlock := e.Cfg.TraceBlock
 	faults := e.Cfg.Faults
 	hotOn := e.Cfg.HotThreshold > 0 && !noChain
+	// A Service tenant translates first: its translations are shared, so
+	// a block costs one translation per fleet, not per run (DESIGN.md
+	// "Interpret first" has the serve pairs).
+	tier := !e.Cfg.TranslateFirst && e.svc == nil
 	guarded := e.guard != nil
 	// Guarded runs degrade gracefully instead of aborting: a block whose
 	// translation fails persistently runs on the reference interpreter.
@@ -598,10 +633,37 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		} else {
 			pend.dispatches++
 			var terr error
-			tb, terr = e.block(pc)
+			tb, terr = e.block(pc, tier)
+			if tb == nil && terr == nil {
+				// Interpret first: the block has not run often enough to be
+				// worth translating (see block). The interpreter is its own
+				// reference, so there is nothing to shadow-check.
+				if ring != nil {
+					ring.Record(obs.EvInterp, pc)
+				}
+				if traceBlock != nil {
+					traceBlock(pc)
+				}
+				if hostSteps+fallbackSteps >= maxHostSteps {
+					return snapshot(), fmt.Errorf("dbt: host step budget exhausted at pc=%#x", pc)
+				}
+				next, n, ierr := e.interpBlock(pc, "interpreter")
+				if ierr != nil {
+					return snapshot(), ierr
+				}
+				e.met.tierInterpBlocks.Inc()
+				pend.guest += n
+				fallbackSteps += n
+				if pend.execs++; pend.execs == publishEvery {
+					pend.publish(e.met)
+				}
+				prev = nil
+				pc = next
+				continue
+			}
 			if terr != nil {
 				if interpFallback {
-					next, n, ferr := e.interpFallbackBlock(pc)
+					next, n, ferr := e.interpBlock(pc, "interpreter fallback")
 					if ferr == nil {
 						e.met.interpFallbacks.Inc()
 						pend.guest += n
@@ -749,10 +811,21 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	return snapshot(), nil
 }
 
+// interpRuns is how many times interpret-first runs a block on the
+// reference interpreter before translating it (Config.TranslateFirst).
+// Translating a block costs about ten interpreted executions of it, so
+// code that runs once or twice — most of a program that runs each
+// function once — is cheaper never translated. DESIGN.md "Interpret
+// first" has the pairs that chose 2 over 4.
+const interpRuns = 2
+
 // block returns the translated block at pc, translating and installing
-// it on a miss. While obs is enabled it times the cache lookup and the
-// demand translation into the engine's histograms.
-func (e *Engine) block(pc uint32) (*tblock, error) {
+// it on a miss. With tier set (interpret-first), while pc has run fewer
+// than interpRuns times, a miss instead counts the run and returns nil
+// and no error, and the caller interprets the block. While obs is
+// enabled it times the cache lookup and the demand translation into the
+// engine's histograms.
+func (e *Engine) block(pc uint32, tier bool) (*tblock, error) {
 	on := obs.On()
 	var t0 time.Time
 	if on {
@@ -764,6 +837,17 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 	}
 	if ok {
 		return tb, nil
+	}
+	runs := e.runs[pc]
+	if tier && runs < interpRuns {
+		if e.runs == nil {
+			e.runs = map[uint32]uint8{}
+		}
+		e.runs[pc] = runs + 1
+		if runs == 0 {
+			e.met.blocks.Inc()
+		}
+		return nil, nil
 	}
 	if on {
 		t0 = time.Now()
@@ -803,17 +887,21 @@ func (e *Engine) block(pc uint32) (*tblock, error) {
 		e.Cfg.Trace.Record(obs.EvTranslate, pc)
 	}
 	e.install(tb)
+	// Interpreted runs already counted the block in Stats.Blocks.
+	tb.seen = runs > 0
 	if on {
 		e.met.cachedBlocks.Set(int64(len(e.cache)))
 	}
 	return tb, nil
 }
 
-// install makes tb the cache entry for its head pc and registers the
-// pages its guest bytes live on with the write tracker, so guest stores
-// there reach the SMC fence (see smc.go).
+// install makes tb the cache entry for its head pc, drops the pc's
+// interpret-first count, and registers the pages its guest bytes live
+// on with the write tracker, so guest stores there reach the SMC fence
+// (see smc.go).
 func (e *Engine) install(tb *tblock) {
 	e.cache[tb.segs[0].pc] = tb
+	delete(e.runs, tb.segs[0].pc)
 	for _, r := range tb.ranges {
 		e.Mem.TrackRange(r[0], r[1])
 	}
@@ -895,7 +983,7 @@ func (e *Engine) Translations() []Translation {
 // The guest disassembly reuses the decode results stored in the cached
 // unit. Like Invalidate, it must not run concurrently with Run.
 func (e *Engine) BlockListing(pc uint32) (string, error) {
-	tb, err := e.block(pc)
+	tb, err := e.block(pc, false)
 	if err != nil {
 		return "", err
 	}

@@ -20,9 +20,9 @@ func TestManualABIReachesFullCoverage(t *testing.T) {
 	want := interpret(t, c)
 	_, par := learnRules(t, trainProgram(), core.Config{Opcode: true, AddrMode: true})
 
-	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, ManualABI: true})
-	sameResult(t, want, got, "manual abi")
-	_, plain := runProgram(t, c, Config{Rules: par, DelegateFlags: true})
+	e, stats := runEngine(t, c, Config{Rules: par, DelegateFlags: true, ManualABI: true, TranslateFirst: true})
+	sameResult(t, want, e.GuestState(), "manual abi")
+	_, plain := runProgram(t, c, Config{Rules: par, DelegateFlags: true, TranslateFirst: true})
 	if stats.Coverage() <= plain.Coverage() {
 		t.Fatalf("manual rules did not raise coverage: %.3f vs %.3f",
 			stats.Coverage(), plain.Coverage())
@@ -31,7 +31,7 @@ func TestManualABIReachesFullCoverage(t *testing.T) {
 		t.Fatalf("manual coverage below 98%%: %.3f", stats.Coverage())
 	}
 	// Only the hlt terminator (and nothing ABI-related) may remain.
-	for op := range stats.UncoveredOps {
+	for op := range e.UncoveredOps() {
 		switch op {
 		case guest.HLT:
 		case guest.CLZ, guest.MLA, guest.UMLA, guest.PUSH, guest.POP,
@@ -64,17 +64,17 @@ func TestManualPushPopCorrect(t *testing.T) {
 	}
 	c := compileT(t, &minic.Program{Funcs: []*minic.Func{main, callee}})
 	want := interpret(t, c)
-	got, stats := runProgram(t, c, Config{ManualABI: true})
-	sameResult(t, want, got, "manual push/pop")
-	if stats.UncoveredOps[guest.PUSH] != 0 || stats.UncoveredOps[guest.POP] != 0 {
+	e, _ := runEngine(t, c, Config{ManualABI: true, TranslateFirst: true})
+	sameResult(t, want, e.GuestState(), "manual push/pop")
+	if unc := e.UncoveredOps(); unc[guest.PUSH] != 0 || unc[guest.POP] != 0 {
 		t.Fatal("push/pop still emulated")
 	}
 }
 
 // TestFuzzDifferential is the system-level fuzz: randomly generated
 // workload programs (fresh seeds, never used in training) run under
-// every engine configuration and must agree with the interpreter on the
-// caller-visible state.
+// every engine configuration, interpret-first and translate-first, and
+// must agree with the interpreter on the caller-visible state.
 func TestFuzzDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz differential is slow")
@@ -119,18 +119,26 @@ func TestFuzzDifferential(t *testing.T) {
 			t.Fatalf("trial %d: interp: %v", trial, err)
 		}
 		for _, cc := range configs {
-			got, _ := runProgram(t, c, cc.cfg)
-			if want.R[guest.R0] != got.R[guest.R0] {
-				t.Fatalf("trial %d cfg %s: r0 = %#x, want %#x",
-					trial, cc.name, got.R[guest.R0], want.R[guest.R0])
-			}
-			if want.R[guest.SP] != got.R[guest.SP] {
-				t.Fatalf("trial %d cfg %s: sp mismatch", trial, cc.name)
-			}
-			for i := 0; i < 128; i++ {
-				addr := env.DataBase + uint32(i*4)
-				if want.Mem.Read32(addr) != got.Mem.Read32(addr) {
-					t.Fatalf("trial %d cfg %s: data[%#x] mismatch", trial, cc.name, addr)
+			for _, first := range []bool{false, true} {
+				cfg := cc.cfg
+				cfg.TranslateFirst = first
+				got, st := runProgram(t, c, cfg)
+				if want.R[guest.R0] != got.R[guest.R0] {
+					t.Fatalf("trial %d cfg %s first=%v: r0 = %#x, want %#x",
+						trial, cc.name, first, got.R[guest.R0], want.R[guest.R0])
+				}
+				if want.R[guest.SP] != got.R[guest.SP] {
+					t.Fatalf("trial %d cfg %s first=%v: sp mismatch", trial, cc.name, first)
+				}
+				if st.GuestExec != want.InstCount {
+					t.Fatalf("trial %d cfg %s first=%v: GuestExec %d, interpreter %d",
+						trial, cc.name, first, st.GuestExec, want.InstCount)
+				}
+				for i := 0; i < 128; i++ {
+					addr := env.DataBase + uint32(i*4)
+					if want.Mem.Read32(addr) != got.Mem.Read32(addr) {
+						t.Fatalf("trial %d cfg %s first=%v: data[%#x] mismatch", trial, cc.name, first, addr)
+					}
 				}
 			}
 		}

@@ -461,14 +461,18 @@ func (e *Engine) tryTranslate(pc uint32) (tb *tblock, culprit *rule.Template, er
 	return tb, culprit, err
 }
 
-// interpFallbackBlock executes one guest block directly on the
-// reference interpreter over live memory — the graceful degradation
-// path when translation fails persistently. It returns the next pc
-// (HaltPC when the guest halted) and the instructions retired.
-func (e *Engine) interpFallbackBlock(pc uint32) (uint32, uint64, error) {
-	next, n, err := e.interpLive(pc, maxBlockInsts, "interpreter fallback", isTerminator)
+// interpBlock executes one guest block directly on the reference
+// interpreter over live memory: interpret-first's cold blocks, and the
+// graceful degradation path when translation fails persistently (what
+// names it in errors). It returns the next pc (HaltPC when the guest
+// halted) and the instructions retired. Whatever the last translated
+// execution armed is disarmed first: interpreter stores are
+// authoritative and must not be journaled.
+func (e *Engine) interpBlock(pc uint32, what string) (uint32, uint64, error) {
+	e.Mem.DisarmSMC()
+	next, n, err := e.interpLive(pc, maxBlockInsts, what, isTerminator)
 	if errors.Is(err, errInterpCap) {
-		err = fmt.Errorf("dbt: interpreter fallback exceeded %d instructions at pc=%#x", maxBlockInsts, pc)
+		err = fmt.Errorf("dbt: %s exceeded %d instructions at pc=%#x", what, maxBlockInsts, pc)
 	}
 	return next, n, err
 }
@@ -484,9 +488,10 @@ var errInterpCap = errors.New("dbt: interpreter cap reached")
 // state back and returns the next pc (HaltPC when halted) and the
 // instructions retired. Decode and step errors are prefixed with what;
 // after limit instructions without stopping it returns errInterpCap.
-// On any error the CPUState is left as it was.
+// On any error the CPUState is left as it was. The interpreter state is
+// the engine's one reused e.ist.
 func (e *Engine) interpLive(pc uint32, limit uint64, what string, stop func(guest.Inst) bool) (uint32, uint64, error) {
-	st := new(guest.State)
+	st := &e.ist
 	readGuestState(e.Mem, st)
 	st.SetPC(pc)
 	for n := uint64(0); n < limit; {

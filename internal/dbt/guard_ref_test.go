@@ -106,9 +106,9 @@ func runRef(e *Engine, entry uint32, maxHostSteps uint64) (Stats, error) {
 	pc := entry
 	for pc != HaltPC {
 		e.met.dispatches.Inc()
-		tb, terr := e.block(pc)
+		tb, terr := e.block(pc, false)
 		if terr != nil {
-			next, n, ferr := e.interpFallbackBlock(pc)
+			next, n, ferr := e.interpBlock(pc, "interpreter fallback")
 			if ferr != nil {
 				return e.met.delta(base), fmt.Errorf("translating block at %#x: %w", pc, terr)
 			}
@@ -165,6 +165,8 @@ func runTwinEngines(t *testing.T, label string, c *minic.Compiled, mk func() Con
 	t.Helper()
 	run := func(ref bool) twinOutcome {
 		cfg := mk()
+		// runRef translates every block at its first execution.
+		cfg.TranslateFirst = true
 		e := startEngine(t, c, cfg)
 		var st Stats
 		var err error
@@ -247,12 +249,13 @@ func TestShadowMatchesCloneCheckerOnProfiles(t *testing.T) {
 	}
 }
 
-// usedTemplates runs the program once faultlessly and returns the rule
-// templates the run used (fingerprint order) with the engine, whose
-// cache says which blocks used them.
+// usedTemplates runs the program once faultlessly, translating every
+// block as the twins do, and returns the rule templates the run used
+// (fingerprint order) with the engine, whose cache says which blocks
+// used them.
 func usedTemplates(t *testing.T, c *minic.Compiled, par *rule.Store) (*Engine, []*rule.Template) {
 	t.Helper()
-	warm := startEngine(t, c, Config{Rules: par, DelegateFlags: true})
+	warm := startEngine(t, c, Config{Rules: par, DelegateFlags: true, TranslateFirst: true})
 	if _, err := warm.Run(env.CodeBase, 100_000_000); err != nil {
 		t.Fatal(err)
 	}

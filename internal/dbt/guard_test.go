@@ -205,7 +205,7 @@ func TestTranslatorPanicRecovery(t *testing.T) {
 	want := interpret(t, c)
 	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
 	inj := faultinject.New(faultinject.Plan{TranslatePanics: 3})
-	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj})
+	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj, TranslateFirst: true})
 	sameResult(t, want, got, "panic recovery")
 	if stats.PanicsRecovered != 3 {
 		t.Fatalf("PanicsRecovered = %d, want 3", stats.PanicsRecovered)
@@ -273,7 +273,7 @@ func TestInterpFallback(t *testing.T) {
 	want := interpret(t, c)
 	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
 	inj := faultinject.New(faultinject.Plan{DecodeErrors: 1 << 30})
-	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj})
+	got, stats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj, TranslateFirst: true})
 	sameResult(t, want, got, "interp fallback")
 	if stats.InterpFallbacks == 0 {
 		t.Fatal("no interpreter fallbacks recorded")
@@ -304,10 +304,11 @@ func TestFaultPlanCanned(t *testing.T) {
 
 	inj := faultinject.New(plan)
 	e := startEngine(t, c, Config{
-		Rules:         par,
-		DelegateFlags: true,
-		ShadowRate:    1,
-		Faults:        inj,
+		Rules:          par,
+		DelegateFlags:  true,
+		ShadowRate:     1,
+		Faults:         inj,
+		TranslateFirst: true,
 	})
 	stats, err := e.Run(env.CodeBase, 100_000_000)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // runAsm executes hand-assembled guest code under the engine.
-func runAsm(t *testing.T, src string, cfg Config, init func(*guest.State)) (*guest.State, Stats) {
+func runAsm(t *testing.T, src string, cfg Config, init func(*guest.State)) (*guest.State, *Engine) {
 	t.Helper()
 	prog := guest.MustAssemble(src)
 	m := mem.New()
@@ -24,11 +24,10 @@ func runAsm(t *testing.T, src string, cfg Config, init func(*guest.State)) (*gue
 		init(st)
 	}
 	e.SetGuestState(st)
-	stats, err := e.Run(env.CodeBase, 10_000_000)
-	if err != nil {
+	if _, err := e.Run(env.CodeBase, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return e.GuestState(), stats
+	return e.GuestState(), e
 }
 
 // interpAsm runs the same code under the interpreter oracle.
@@ -73,15 +72,14 @@ func TestManualSpecialInstructions(t *testing.T) {
 			st.R[guest.R7] = r7
 		}
 		want := interpAsm(t, src, init)
-		got, stats := runAsm(t, src, Config{ManualABI: true}, init)
+		got, e := runAsm(t, src, Config{ManualABI: true, TranslateFirst: true}, init)
 		for _, reg := range []guest.Reg{guest.R3, guest.R4, guest.R5, guest.R6} {
 			if want.R[reg] != got.R[reg] {
 				t.Fatalf("trial %d: %v = %#x, want %#x", trial, reg, got.R[reg], want.R[reg])
 			}
 		}
-		if stats.UncoveredOps[guest.MLA] != 0 || stats.UncoveredOps[guest.UMLA] != 0 ||
-			stats.UncoveredOps[guest.CLZ] != 0 {
-			t.Fatalf("specials still emulated: %v", stats.UncoveredOps)
+		if unc := e.UncoveredOps(); unc[guest.MLA] != 0 || unc[guest.UMLA] != 0 || unc[guest.CLZ] != 0 {
+			t.Fatalf("specials still emulated: %v", unc)
 		}
 	}
 }
@@ -98,12 +96,12 @@ func TestManualSpecialsOffUseTCG(t *testing.T) {
 		st.R[guest.R0], st.R[guest.R1], st.R[guest.R2] = 123456, 789, 0xfffffff0
 	}
 	want := interpAsm(t, src, init)
-	got, stats := runAsm(t, src, Config{}, init)
+	got, e := runAsm(t, src, Config{TranslateFirst: true}, init)
 	if want.R[guest.R3] != got.R[guest.R3] || want.R[guest.R5] != got.R[guest.R5] {
 		t.Fatalf("tcg path wrong: r3=%#x/%#x r5=%d/%d",
 			got.R[guest.R3], want.R[guest.R3], got.R[guest.R5], want.R[guest.R5])
 	}
-	if stats.UncoveredOps[guest.MLA] == 0 || stats.UncoveredOps[guest.CLZ] == 0 {
+	if unc := e.UncoveredOps(); unc[guest.MLA] == 0 || unc[guest.CLZ] == 0 {
 		t.Fatal("specials unexpectedly covered without manual rules")
 	}
 }

@@ -15,6 +15,11 @@ const (
 	MetChainedExits = "dbt.chained_exits"  // block transitions over patched links
 	MetTranslations = "dbt.translations"   // demand translations (promoted from telemetry: warm-start efficacy is measured as cold-vs-warm translation counts)
 
+	// Interpret-first product counter (see Config.TranslateFirst): block
+	// executions run on the reference interpreter because the block had
+	// not yet run often enough to be translated. Not a Stats field.
+	MetTierInterpBlocks = "dbt.tier_interp_blocks"
+
 	// Hot-trace superblock product counters (see superblock.go).
 	MetTracesFormed    = "dbt.traces_formed"    // hot traces promoted to superblocks
 	MetSuperblockExecs = "dbt.superblock_execs" // block entries that ran a superblock
@@ -70,6 +75,8 @@ type engineMetrics struct {
 	dispatches   *obs.Counter
 	chainedExits *obs.Counter
 
+	tierInterpBlocks *obs.Counter
+
 	tracesFormed    *obs.Counter
 	superblockExecs *obs.Counter
 	sideExits       *obs.Counter
@@ -111,6 +118,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		blocks:             reg.Counter(MetBlocks),
 		dispatches:         reg.Counter(MetDispatches),
 		chainedExits:       reg.Counter(MetChainedExits),
+		tierInterpBlocks:   reg.Counter(MetTierInterpBlocks),
 		tracesFormed:       reg.Counter(MetTracesFormed),
 		superblockExecs:    reg.Counter(MetSuperblockExecs),
 		sideExits:          reg.Counter(MetSideExits),

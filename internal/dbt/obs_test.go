@@ -3,7 +3,6 @@ package dbt
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -168,7 +167,8 @@ func TestInvalidateTelemetry(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	ring := obs.NewTraceRing(512)
-	e := newTestEngine(t, Config{Trace: ring})
+	// The entry block runs once: only translate-first translates it.
+	e := newTestEngine(t, Config{Trace: ring, TranslateFirst: true})
 	if _, err := e.Run(env.CodeBase, 100_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTraceRingRecordsTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dispatch, chained, translate uint64
+	var dispatch, chained, translate, interp uint64
 	for _, ev := range ring.Events() {
 		switch ev.Kind {
 		case obs.EvDispatch:
@@ -210,14 +210,20 @@ func TestTraceRingRecordsTransitions(t *testing.T) {
 			chained++
 		case obs.EvTranslate:
 			translate++
+		case obs.EvInterp:
+			interp++
 		}
 	}
-	if dispatch != st.Dispatches || chained != st.ChainedExits {
-		t.Fatalf("trace mix dispatch=%d chained=%d, stats %d/%d",
-			dispatch, chained, st.Dispatches, st.ChainedExits)
+	// An interpreted entry goes through the dispatcher too.
+	if dispatch+interp != st.Dispatches || chained != st.ChainedExits {
+		t.Fatalf("trace mix dispatch=%d interp=%d chained=%d, stats %d/%d",
+			dispatch, interp, chained, st.Dispatches, st.ChainedExits)
 	}
-	if translate == 0 {
-		t.Fatal("no translate events recorded")
+	if translate == 0 || interp == 0 {
+		t.Fatalf("%d translate and %d interp events recorded, want both", translate, interp)
+	}
+	if interp != e.Metrics().Counter(MetTierInterpBlocks).Value() {
+		t.Fatalf("%d interp events, %s = %d", interp, MetTierInterpBlocks, e.Metrics().Counter(MetTierInterpBlocks).Value())
 	}
 	if !strings.Contains(ring.String(), "chained") {
 		t.Fatal("dump missing chained transitions")
@@ -237,9 +243,11 @@ func TestLiveStatsDuringRun(t *testing.T) {
 	c := compileT(t, hotProgramN(600))
 	// The host steps retired before each block entry: the budget that
 	// runs out exactly there.
+	// The budget counts interpreted instructions, which CPU.Total does not
+	// see: the runs that stop on it translate first.
 	var steps []uint64
 	var e *Engine
-	e = startEngine(t, c, Config{TraceBlock: func(uint32) { steps = append(steps, e.CPU.Total()) }})
+	e = startEngine(t, c, Config{TranslateFirst: true, TraceBlock: func(uint32) { steps = append(steps, e.CPU.Total()) }})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -271,12 +279,20 @@ func TestLiveStatsDuringRun(t *testing.T) {
 	}
 	sameLiveStats(t, "normal halt", e, st, len(steps))
 
+	// Interpreted executions are published like translated ones.
+	interpEntries := 0
+	e = startEngine(t, c, Config{TraceBlock: func(uint32) { interpEntries++ }})
+	if st, err = e.Run(env.CodeBase, 100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	sameLiveStats(t, "interpret-first halt", e, st, interpEntries)
+
 	// The runs below stop half way, after a publish.
 	entries := len(steps) / 2
 	if entries <= publishEvery || entries%publishEvery == 0 {
 		t.Fatalf("%d block entries: pick a program whose runs stop between publishes", len(steps))
 	}
-	e = startEngine(t, c, Config{})
+	e = startEngine(t, c, Config{TranslateFirst: true})
 	budget := steps[entries]
 	st, err = e.Run(env.CodeBase, budget)
 	if err == nil || !strings.Contains(err.Error(), "host step budget exhausted") {
@@ -285,7 +301,7 @@ func TestLiveStatsDuringRun(t *testing.T) {
 	sameLiveStats(t, "budget exhausted", e, st, entries+1)
 
 	blocks := 0
-	e = startEngine(t, c, Config{TraceBlock: func(uint32) {
+	e = startEngine(t, c, Config{TranslateFirst: true, TraceBlock: func(uint32) {
 		// Entry number blocks has been counted, blocks-1 executed.
 		live := e.LiveStats()
 		if blocks++; live.Dispatches+live.ChainedExits+publishEvery < uint64(blocks) {
@@ -308,8 +324,7 @@ func TestLiveStatsDuringRun(t *testing.T) {
 // the batched counters were flushed — and it retired something.
 func sameLiveStats(t *testing.T, what string, e *Engine, st Stats, entries int) {
 	t.Helper()
-	st.UncoveredOps = nil
-	if live := e.LiveStats(); !reflect.DeepEqual(live, st) || st.Dispatches+st.ChainedExits != uint64(entries) || st.GuestExec == 0 {
+	if live := e.LiveStats(); live != st || st.Dispatches+st.ChainedExits != uint64(entries) || st.GuestExec == 0 {
 		t.Fatalf("%s: LiveStats\n %+v\nreturned Stats (want %d block entries)\n %+v", what, live, entries, st)
 	}
 }

@@ -75,7 +75,7 @@ func TestServiceSingleFlight(t *testing.T) {
 		go func(e *Engine) {
 			defer wg.Done()
 			<-start
-			tb, err := e.block(env.CodeBase)
+			tb, err := e.block(env.CodeBase, false)
 			if err != nil {
 				t.Errorf("block: %v", err)
 				return
@@ -127,7 +127,9 @@ func TestServiceTenantsShareWork(t *testing.T) {
 	want := interpret(t, c)
 	par := serveRules(t)
 
-	solo, soloStats := runProgram(t, c, Config{Rules: par, DelegateFlags: true})
+	// Tenants translate first; so does the independent engine they are
+	// compared against.
+	solo, soloStats := runProgram(t, c, Config{Rules: par, DelegateFlags: true, TranslateFirst: true})
 	sameResult(t, want, solo, "solo baseline")
 
 	svc := NewService(ServiceConfig{Rules: par, DelegateFlags: true})
@@ -355,7 +357,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 	identity := map[string]bool{"Rules": true, "Backend": true}
 	perEngine := map[string]bool{
-		"TranslateWorkers": true, "NoChain": true, "HotThreshold": true,
+		"TranslateWorkers": true, "TranslateFirst": true, "NoChain": true, "HotThreshold": true,
 		"TraceBudget": true, "SyncTraces": true, "TraceBlock": true, "Metrics": true, "Trace": true,
 		"ShadowRate": true, "ShadowSeed": true, "ShadowHalfLife": true,
 		"Service": true, "ArtifactDir": true, "Faults": true,

@@ -330,7 +330,7 @@ func TestShadowRecoversFromFrameStores(t *testing.T) {
 func TestShadowPanicRollsBackSampledBlock(t *testing.T) {
 	c := compileT(t, testProgram())
 	e := startEngine(t, c, Config{ShadowRate: 1})
-	tb, err := e.block(env.CodeBase)
+	tb, err := e.block(env.CodeBase, false)
 	if err != nil {
 		t.Fatal(err)
 	}

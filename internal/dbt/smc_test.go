@@ -19,6 +19,21 @@ import (
 // They all run under `make test-smc`, including a -race arm — keep the
 // TestSMC name prefix, it is the gate's -run pattern.
 
+// bothPolicies runs f as two subtests, interpret-first and
+// translate-first (Config.TranslateFirst): SMC safety must hold whether
+// the code a store rewrites has been translated yet or not. An
+// assertion on a translate-path count that interpret-first cannot meet
+// says why next to it.
+func bothPolicies(t *testing.T, f func(t *testing.T, first bool)) {
+	for _, first := range []bool{false, true} {
+		name := "interpret-first"
+		if first {
+			name = "translate-first"
+		}
+		t.Run(name, func(t *testing.T) { f(t, first) })
+	}
+}
+
 // runSMC loads prog at CodeBase and runs it under cfg.
 func runSMC(t *testing.T, prog []guest.Inst, cfg Config) (*guest.State, Stats) {
 	t.Helper()
@@ -51,20 +66,22 @@ func smcProfile(t *testing.T, name string) workload.SMCProfile {
 // stale tail never run — and the run must still produce the
 // interpreter's result (r0 pinned by workload.TestSMCProfilesInterpret).
 func TestSMCSelfStorePreciseExit(t *testing.T) {
-	p := smcProfile(t, "smc-patch")
-	got, st := runSMC(t, p.Prog, Config{ShadowRate: 1})
-	if got.R[guest.R0] != 300 {
-		t.Fatalf("r0 = %d, want 300", got.R[guest.R0])
-	}
-	if st.SMCSelfAborts == 0 {
-		t.Fatalf("no self-aborts recorded: %+v", st)
-	}
-	if st.SMCInvalidations == 0 {
-		t.Fatalf("no invalidations recorded: %+v", st)
-	}
-	if st.Divergences != 0 {
-		t.Fatalf("shadow divergences: %+v", st)
-	}
+	bothPolicies(t, func(t *testing.T, first bool) {
+		p := smcProfile(t, "smc-patch")
+		got, st := runSMC(t, p.Prog, Config{ShadowRate: 1, TranslateFirst: first})
+		if got.R[guest.R0] != 300 {
+			t.Fatalf("r0 = %d, want 300", got.R[guest.R0])
+		}
+		if st.SMCSelfAborts == 0 {
+			t.Fatalf("no self-aborts recorded: %+v", st)
+		}
+		if st.SMCInvalidations == 0 {
+			t.Fatalf("no invalidations recorded: %+v", st)
+		}
+		if st.Divergences != 0 {
+			t.Fatalf("shadow divergences: %+v", st)
+		}
+	})
 }
 
 // TestSMCShadowReferencePassIsInvisible: a sampled execution runs the
@@ -98,7 +115,7 @@ func smcPatchEngine(t *testing.T, cfg Config) (*Engine, *tblock, uint32, guest.S
 	}
 	e.SetGuestState(&st)
 	pc := st.PCVal()
-	tb, err := e.block(pc)
+	tb, err := e.block(pc, false)
 	if err != nil || !tb.hasStores {
 		t.Fatalf("loop block at %#x: %v (hasStores %v)", pc, err, tb != nil && tb.hasStores)
 	}
@@ -224,42 +241,46 @@ func TestSMCSelfAbortUndoesFrameStores(t *testing.T) {
 // TestSMCCrossBlockInvalidate: a store into another block's bytes takes
 // the fence path (no self-abort) and the stale translation never runs.
 func TestSMCCrossBlockInvalidate(t *testing.T) {
-	p := smcProfile(t, "smc-cross")
-	got, st := runSMC(t, p.Prog, Config{ShadowRate: 1})
-	if got.R[guest.R0] != 420 {
-		t.Fatalf("r0 = %d, want 420", got.R[guest.R0])
-	}
-	if st.SMCInvalidations == 0 {
-		t.Fatalf("no invalidations recorded: %+v", st)
-	}
-	if st.SMCSelfAborts != 0 {
-		t.Fatalf("cross-block store should not self-abort: %+v", st)
-	}
-	if st.Divergences != 0 {
-		t.Fatalf("shadow divergences: %+v", st)
-	}
+	bothPolicies(t, func(t *testing.T, first bool) {
+		p := smcProfile(t, "smc-cross")
+		got, st := runSMC(t, p.Prog, Config{ShadowRate: 1, TranslateFirst: first})
+		if got.R[guest.R0] != 420 {
+			t.Fatalf("r0 = %d, want 420", got.R[guest.R0])
+		}
+		if st.SMCInvalidations == 0 {
+			t.Fatalf("no invalidations recorded: %+v", st)
+		}
+		if st.SMCSelfAborts != 0 {
+			t.Fatalf("cross-block store should not self-abort: %+v", st)
+		}
+		if st.Divergences != 0 {
+			t.Fatalf("shadow divergences: %+v", st)
+		}
+	})
 }
 
 // TestSMCMidSuperblock: the store sits mid-trace and rewrites a later
 // instruction of its own superblock; the abort must stop the superblock
 // at the store and the re-formed trace must compute the patched result.
 func TestSMCMidSuperblock(t *testing.T) {
-	p := smcProfile(t, "smc-sbmid")
-	got, st := runSMC(t, p.Prog, Config{
-		ShadowRate: 1, HotThreshold: p.HotThreshold,
+	bothPolicies(t, func(t *testing.T, first bool) {
+		p := smcProfile(t, "smc-sbmid")
+		got, st := runSMC(t, p.Prog, Config{
+			ShadowRate: 1, HotThreshold: p.HotThreshold, TranslateFirst: first,
+		})
+		if got.R[guest.R0] != 1304 {
+			t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
+		}
+		if st.TracesFormed == 0 {
+			t.Fatalf("no superblock formed: %+v", st)
+		}
+		if st.SMCSelfAborts == 0 {
+			t.Fatalf("no self-aborts recorded: %+v", st)
+		}
+		if st.Divergences != 0 {
+			t.Fatalf("shadow divergences: %+v", st)
+		}
 	})
-	if got.R[guest.R0] != 1304 {
-		t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
-	}
-	if st.TracesFormed == 0 {
-		t.Fatalf("no superblock formed: %+v", st)
-	}
-	if st.SMCSelfAborts == 0 {
-		t.Fatalf("no self-aborts recorded: %+v", st)
-	}
-	if st.Divergences != 0 {
-		t.Fatalf("shadow divergences: %+v", st)
-	}
 }
 
 // TestSMCBudgetRefund: with TraceBudget 1, re-forming the loop's
@@ -268,17 +289,19 @@ func TestSMCMidSuperblock(t *testing.T) {
 // before and after its iteration-50 patch, so a leak would pin the
 // second half to plain blocks.
 func TestSMCBudgetRefund(t *testing.T) {
-	p := smcProfile(t, "smc-sbmid")
-	got, st := runSMC(t, p.Prog, Config{
-		ShadowRate: 1, HotThreshold: p.HotThreshold,
-		TraceBudget: 1,
+	bothPolicies(t, func(t *testing.T, first bool) {
+		p := smcProfile(t, "smc-sbmid")
+		got, st := runSMC(t, p.Prog, Config{
+			ShadowRate: 1, HotThreshold: p.HotThreshold,
+			TraceBudget: 1, TranslateFirst: first,
+		})
+		if got.R[guest.R0] != 1304 {
+			t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
+		}
+		if st.TracesFormed < 2 {
+			t.Fatalf("superblock not re-formed after invalidation (TracesFormed = %d): %+v", st.TracesFormed, st)
+		}
 	})
-	if got.R[guest.R0] != 1304 {
-		t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
-	}
-	if st.TracesFormed < 2 {
-		t.Fatalf("superblock not re-formed after invalidation (TracesFormed = %d): %+v", st.TracesFormed, st)
-	}
 }
 
 // TestSMCToggleFormation: repeated toggling of one instruction while
@@ -286,19 +309,23 @@ func TestSMCBudgetRefund(t *testing.T) {
 // out the stale translations and superblocks, and the result must
 // still be exact.
 func TestSMCToggleFormation(t *testing.T) {
-	p := smcProfile(t, "smc-toggle")
-	got, st := runSMC(t, p.Prog, Config{
-		ShadowRate: 1, HotThreshold: p.HotThreshold,
+	bothPolicies(t, func(t *testing.T, first bool) {
+		p := smcProfile(t, "smc-toggle")
+		got, st := runSMC(t, p.Prog, Config{
+			ShadowRate: 1, HotThreshold: p.HotThreshold, TranslateFirst: first,
+		})
+		if got.R[guest.R0] != 597 {
+			t.Fatalf("r0 = %d, want 597", got.R[guest.R0])
+		}
+		// Interpret-first re-interprets each toggled block twice before
+		// retranslating it, so the loop head never gets hot enough to form.
+		if st.SMCInvalidations == 0 || first && st.TracesFormed == 0 {
+			t.Fatalf("no invalidations or no traces recorded: %+v", st)
+		}
+		if st.Divergences != 0 {
+			t.Fatalf("shadow divergences: %+v", st)
+		}
 	})
-	if got.R[guest.R0] != 597 {
-		t.Fatalf("r0 = %d, want 597", got.R[guest.R0])
-	}
-	if st.SMCInvalidations == 0 || st.TracesFormed == 0 {
-		t.Fatalf("no invalidations or no traces recorded: %+v", st)
-	}
-	if st.Divergences != 0 {
-		t.Fatalf("shadow divergences: %+v", st)
-	}
 }
 
 // TestSMCFaultPokes drives the fence from the outside: a faultinject
@@ -324,21 +351,24 @@ func TestSMCFaultPokes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Plan{
+	plan := faultinject.Plan{
 		SMCWrites: []faultinject.SMCWrite{
 			{Entry: 12, Addr: env.CodeBase + 3*guest.InstBytes, Word: word},
 		},
+	}
+	bothPolicies(t, func(t *testing.T, first bool) {
+		inj := faultinject.New(plan)
+		got, st := runSMC(t, prog, Config{ShadowRate: 1, NoChain: true, Faults: inj, TranslateFirst: first})
+		if got.R[guest.R0] != 11+9*2 {
+			t.Fatalf("r0 = %d, want %d", got.R[guest.R0], 11+9*2)
+		}
+		if st.SMCInvalidations == 0 {
+			t.Fatalf("poke did not invalidate: %+v", st)
+		}
+		if st.Divergences != 0 {
+			t.Fatalf("shadow divergences: %+v", st)
+		}
 	})
-	got, st := runSMC(t, prog, Config{ShadowRate: 1, NoChain: true, Faults: inj})
-	if got.R[guest.R0] != 11+9*2 {
-		t.Fatalf("r0 = %d, want %d", got.R[guest.R0], 11+9*2)
-	}
-	if st.SMCInvalidations == 0 {
-		t.Fatalf("poke did not invalidate: %+v", st)
-	}
-	if st.Divergences != 0 {
-		t.Fatalf("shadow divergences: %+v", st)
-	}
 }
 
 // TestSMCBuilderPanicRecovered: a panic inside trace translation must
@@ -349,41 +379,44 @@ func TestSMCFaultPokes(t *testing.T) {
 // Run must absorb the panic (no error), count one dbt.sb_builder_panics,
 // go on forming traces and match the interpreter.
 func TestSMCBuilderPanicRecovered(t *testing.T) {
-	c := compileT(t, hotProgram())
-	want := interpret(t, c)
-	m := mem.New()
-	if _, err := c.LoadGuest(m); err != nil {
-		t.Fatal(err)
-	}
-	var e *Engine
-	emptied := map[*tblock][]guest.Inst{}
-	hook := func(pc uint32) {
-		if emptied == nil {
-			return
+	bothPolicies(t, func(t *testing.T, first bool) {
+		c := compileT(t, hotProgram())
+		want := interpret(t, c)
+		m := mem.New()
+		if _, err := c.LoadGuest(m); err != nil {
+			t.Fatal(err)
 		}
-		if e.met.sbBuilderPanics.Value() > 0 {
-			for tb, insts := range emptied {
-				tb.segs[0].insts = insts
+		var e *Engine
+		emptied := map[*tblock][]guest.Inst{}
+		hook := func(pc uint32) {
+			if emptied == nil {
+				return
 			}
-			emptied = nil
-			return
+			if e.met.sbBuilderPanics.Value() > 0 {
+				for tb, insts := range emptied {
+					tb.segs[0].insts = insts
+				}
+				emptied = nil
+				return
+			}
+			// An interpreted entry has no translation to empty.
+			if tb := e.cache[pc]; tb != nil && tb.segs[0].insts != nil {
+				emptied[tb], tb.segs[0].insts = tb.segs[0].insts, nil
+			}
 		}
-		if tb := e.cache[pc]; tb.segs[0].insts != nil {
-			emptied[tb], tb.segs[0].insts = tb.segs[0].insts, nil
+		e = New(m, Config{HotThreshold: 2, TraceBlock: hook, TranslateFirst: first})
+		init := &guest.State{Mem: m}
+		init.R[guest.SP] = env.StackTop
+		e.SetGuestState(init)
+		st, err := e.Run(env.CodeBase, 100_000_000)
+		if err != nil {
+			t.Fatalf("trace-formation panic aborted the run: %v", err)
 		}
-	}
-	e = New(m, Config{HotThreshold: 2, TraceBlock: hook})
-	init := &guest.State{Mem: m}
-	init.R[guest.SP] = env.StackTop
-	e.SetGuestState(init)
-	st, err := e.Run(env.CodeBase, 100_000_000)
-	if err != nil {
-		t.Fatalf("trace-formation panic aborted the run: %v", err)
-	}
-	sameResult(t, want, e.GuestState(), "builder panic")
-	if st.SBBuilderPanics != 1 || st.TracesFormed == 0 {
-		t.Fatalf("SBBuilderPanics = %d, TracesFormed = %d; want 1 and > 0", st.SBBuilderPanics, st.TracesFormed)
-	}
+		sameResult(t, want, e.GuestState(), "builder panic")
+		if st.SBBuilderPanics != 1 || st.TracesFormed == 0 {
+			t.Fatalf("SBBuilderPanics = %d, TracesFormed = %d; want 1 and > 0", st.SBBuilderPanics, st.TracesFormed)
+		}
+	})
 }
 
 // TestSMCArtifactPageReject: a manifest whose recorded page digests no

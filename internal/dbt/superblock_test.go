@@ -84,11 +84,11 @@ func TestSuperblockTraceMatchesInterpreter(t *testing.T) {
 			label = "para"
 			cfg = Config{Rules: rules, DelegateFlags: true}
 		}
-		sbSt, sbStats, sbBlocks := runTraced(t, c, hotCfg(cfg))
+		sbE, sbStats, sbBlocks := runTraced(t, c, hotCfg(cfg))
 
 		uncfg := cfg
 		uncfg.NoChain = true
-		unSt, unStats, _ := runTraced(t, c, uncfg)
+		unE, unStats, _ := runTraced(t, c, uncfg)
 
 		m := mem.New()
 		if _, err := c.LoadGuest(m); err != nil {
@@ -116,10 +116,10 @@ func TestSuperblockTraceMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%s: no superblock execution side-exited: %+v", label, sbStats)
 		}
 		if sbStats.GuestExec != unStats.GuestExec || sbStats.Coverage() != unStats.Coverage() ||
-			sbStats.SeqRuleUses != unStats.SeqRuleUses || !maps.Equal(sbStats.UncoveredOps, unStats.UncoveredOps) {
+			sbStats.SeqRuleUses != unStats.SeqRuleUses || !maps.Equal(sbE.UncoveredOps(), unE.UncoveredOps()) {
 			t.Fatalf("%s: superblock/unchained stats differ: %+v vs %+v", label, sbStats, unStats)
 		}
-		if sbSt.R[guest.R0] != unSt.R[guest.R0] || sbSt.R[guest.SP] != unSt.R[guest.SP] {
+		if sbSt, unSt := sbE.GuestState(), unE.GuestState(); sbSt.R[guest.R0] != unSt.R[guest.R0] || sbSt.R[guest.SP] != unSt.R[guest.SP] {
 			t.Fatalf("%s: superblock/unchained final state differs", label)
 		}
 		if sbStats.SuperblockShare() <= 0 {

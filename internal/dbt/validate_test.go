@@ -6,31 +6,8 @@ import (
 	"paramdbt/internal/analysis"
 	"paramdbt/internal/backend"
 	"paramdbt/internal/core"
-	"paramdbt/internal/env"
-	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
-	"paramdbt/internal/mem"
-	"paramdbt/internal/minic"
 )
-
-// runEngine is runProgram plus the engine itself, so validation tests
-// can read the host-instruction totals.
-func runEngine(t *testing.T, c *minic.Compiled, cfg Config) (*Engine, Stats) {
-	t.Helper()
-	m := mem.New()
-	if _, err := c.LoadGuest(m); err != nil {
-		t.Fatal(err)
-	}
-	e := New(m, cfg)
-	init := &guest.State{Mem: m}
-	init.R[guest.SP] = env.StackTop
-	e.SetGuestState(init)
-	stats, err := e.Run(env.CodeBase, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, stats
-}
 
 // TestPeepholeEndToEnd runs the risc backend with the validator-gated
 // peephole under full shadow verification: the result must match the
@@ -66,7 +43,7 @@ func TestPeepholeInstallsNoFewer(t *testing.T) {
 	c := compileT(t, testProgram())
 	_, rules := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
 	e, st := runEngine(t, c, Config{Rules: rules, DelegateFlags: true,
-		Backend: backend.MustLookup("risc"), Peephole: true})
+		Backend: backend.MustLookup("risc"), Peephole: true, TranslateFirst: true})
 	if st.BlocksValidated < 8 {
 		t.Fatalf("peephole installed on %d blocks, want at least 8", st.BlocksValidated)
 	}

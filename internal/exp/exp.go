@@ -91,12 +91,19 @@ type RunResult struct {
 	Executed [3]uint64 // host instructions per category
 	Total    uint64
 	R0       uint32 // final guest r0 (the program's result value)
+	// Uncovered breaks the run's emulated instructions down by opcode
+	// (dbt.Engine.UncoveredOps).
+	Uncovered map[guest.Op]uint64
 	// Warm is the warm-start restore outcome (zero unless the Config
 	// named an ArtifactDir; see dbt.WarmStats).
 	Warm dbt.WarmStats
 }
 
-// Run executes a benchmark under the given DBT configuration.
+// Run executes a benchmark under the given DBT configuration, with
+// QEMU's translate-first policy: every engine this package builds
+// translates each block at its first execution (dbt.Config.TranslateFirst),
+// because coverage, the figures and the tables are defined over
+// translated code.
 func (c *Corpus) Run(name string, cfg dbt.Config) (RunResult, error) {
 	_, r, err := c.RunEngine(name, cfg)
 	return r, err
@@ -108,6 +115,7 @@ func (c *Corpus) RunEngine(name string, cfg dbt.Config) (*dbt.Engine, RunResult,
 	if cfg.Backend == nil {
 		cfg.Backend = c.Backend
 	}
+	cfg.TranslateFirst = true
 	comp := c.Comp[name]
 	m := mem.New()
 	if _, err := comp.LoadGuest(m); err != nil {
@@ -122,7 +130,7 @@ func (c *Corpus) RunEngine(name string, cfg dbt.Config) (*dbt.Engine, RunResult,
 		return nil, RunResult{}, fmt.Errorf("%s: %w", name, err)
 	}
 	return e, RunResult{Stats: st, Executed: e.CPU.Executed, Total: e.CPU.Total(),
-		R0: e.GuestState().R[guest.R0], Warm: e.WarmStats()}, nil
+		R0: e.GuestState().R[guest.R0], Uncovered: e.UncoveredOps(), Warm: e.WarmStats()}, nil
 }
 
 // Geomean computes the geometric mean of positive values.
@@ -505,7 +513,7 @@ func RenderTable3(counts core.Counts) string {
 func UncoveredKinds(rs []ModeResults) []string {
 	total := map[guest.Op]uint64{}
 	for _, r := range rs {
-		for op, n := range r.Flags.Stats.UncoveredOps {
+		for op, n := range r.Flags.Uncovered {
 			total[op] += n
 		}
 	}

@@ -31,12 +31,13 @@ type GuardSection struct {
 }
 
 // guardEngine loads bench into fresh memory and builds an engine. Like
-// Run, it defaults to the corpus-wide backend when the config names
-// none.
+// Run, it translates first and defaults to the corpus-wide backend when
+// the config names none.
 func (c *Corpus) guardEngine(bench string, cfg dbt.Config) (*dbt.Engine, error) {
 	if cfg.Backend == nil {
 		cfg.Backend = c.Backend
 	}
+	cfg.TranslateFirst = true
 	m := mem.New()
 	if _, err := c.Comp[bench].LoadGuest(m); err != nil {
 		return nil, err

@@ -84,6 +84,8 @@ func SMCExperiment(c *Corpus) (*SMCSection, error) {
 			DelegateFlags: true,
 			ShadowRate:    1,
 			HotThreshold:  p.HotThreshold,
+			// Like Run: the section counts translations and fences.
+			TranslateFirst: true,
 		}
 		e := dbt.New(m, cfg)
 		e.SetGuestState(&guest.State{Mem: m})

@@ -10,29 +10,34 @@ import (
 	"paramdbt/internal/rule"
 )
 
-// fixture builds a CompiledFunc with chosen variable locations, so
-// Abstract can be exercised on hand-picked candidate pairs.
-func fixture() *minic.CompiledFunc {
-	return &minic.CompiledFunc{
-		G: &minic.GuestFunc{Locs: map[int]minic.GLoc{
+// fixture builds the two halves of a function with chosen variable
+// locations, so Abstract can be exercised on hand-picked candidate
+// pairs.
+func fixture() (*minic.GuestFunc, *minic.HostFunc) {
+	return &minic.GuestFunc{Locs: map[int]minic.GLoc{
 			0: {InReg: true, Reg: guest.R4},
 			1: {InReg: true, Reg: guest.R5},
 			2: {InReg: true, Reg: guest.R6},
 			3: {InReg: true, Reg: guest.R7}, // host-spilled counterpart
 		}},
-		H: &minic.HostFunc{Locs: map[int]minic.HLoc{
+		&minic.HostFunc{Locs: map[int]minic.HLoc{
 			0: {InReg: true, Reg: host.EBX},
 			1: {InReg: true, Reg: host.ESI},
 			2: {InReg: true, Reg: host.EDI},
 			3: {Slot: 0}, // stack-resident on the host
-		}},
-	}
+		}}
+}
+
+// abstractFixture abstracts a candidate pair against fixture.
+func abstractFixture(gseq []guest.Inst, hseq []host.Inst) (*rule.Template, bool) {
+	g, h := fixture()
+	return Abstract(gseq, hseq, g, h)
 }
 
 func TestAbstractVarHomedRegs(t *testing.T) {
 	gseq := guest.MustAssemble("add r4, r4, r5")
 	hseq := []host.Inst{host.I(host.ADDL, host.R(host.EBX), host.R(host.ESI))}
-	tm, ok := Abstract(gseq, hseq, fixture())
+	tm, ok := abstractFixture(gseq, hseq)
 	if !ok {
 		t.Fatal("abstraction failed")
 	}
@@ -44,7 +49,7 @@ func TestAbstractVarHomedRegs(t *testing.T) {
 func TestAbstractSharedImmediateBecomesParam(t *testing.T) {
 	gseq := guest.MustAssemble("add r4, r4, #42")
 	hseq := []host.Inst{host.I(host.ADDL, host.R(host.EBX), host.Imm(42))}
-	tm, ok := Abstract(gseq, hseq, fixture())
+	tm, ok := abstractFixture(gseq, hseq)
 	if !ok {
 		t.Fatal("abstraction failed")
 	}
@@ -62,7 +67,7 @@ func TestAbstractUnsharedImmediateStaysFixed(t *testing.T) {
 		host.I(host.MOVL, host.R(host.EBX), host.R(host.ESI)),
 		host.I(host.SHLL, host.R(host.EBX), host.Imm(3)),
 	}
-	tm, ok := Abstract(gseq, hseq, fixture())
+	tm, ok := abstractFixture(gseq, hseq)
 	if !ok {
 		t.Fatal("abstraction failed")
 	}
@@ -84,7 +89,7 @@ func TestAbstractHostSpilledVarFails(t *testing.T) {
 		host.I(host.ADDL, host.R(host.EAX), host.R(host.ESI)),
 		host.I(host.MOVL, host.Mem(host.ESP, 0), host.R(host.EAX)),
 	}
-	tm, ok := Abstract(gseq, hseq, fixture())
+	tm, ok := abstractFixture(gseq, hseq)
 	if ok {
 		// If abstraction finds some structural reading, the verifier
 		// must still reject it — the candidate may never become a rule.
@@ -102,7 +107,7 @@ func TestAbstractScratchDetection(t *testing.T) {
 		host.I(host.ADDL, host.R(host.EAX), host.R(host.EDI)),
 		host.I(host.MOVL, host.R(host.EBX), host.R(host.EAX)),
 	}
-	tm, ok := Abstract(gseq, hseq, fixture())
+	tm, ok := abstractFixture(gseq, hseq)
 	if !ok {
 		t.Fatal("abstraction failed")
 	}
@@ -117,7 +122,7 @@ func TestAbstractReadBeforeWriteUnknownRegFails(t *testing.T) {
 	// Host reads EDX (no correspondence, never written): must fail.
 	gseq := guest.MustAssemble("add r4, r4, r5")
 	hseq := []host.Inst{host.I(host.ADDL, host.R(host.EBX), host.R(host.EDX))}
-	if _, ok := Abstract(gseq, hseq, fixture()); ok {
+	if _, ok := abstractFixture(gseq, hseq); ok {
 		t.Fatal("read of unknown host register accepted")
 	}
 }
@@ -125,7 +130,7 @@ func TestAbstractReadBeforeWriteUnknownRegFails(t *testing.T) {
 func TestAbstractLRRejected(t *testing.T) {
 	gseq := []guest.Inst{guest.NewInst(guest.MOV, guest.RegOp(guest.R4), guest.RegOp(guest.LR))}
 	hseq := []host.Inst{host.I(host.MOVL, host.R(host.EBX), host.R(host.EAX))}
-	if _, ok := Abstract(gseq, hseq, fixture()); ok {
+	if _, ok := abstractFixture(gseq, hseq); ok {
 		t.Fatal("LR-referencing candidate accepted")
 	}
 }

@@ -49,13 +49,20 @@ func FromCompiled(c *minic.Compiled, store *rule.Store) Stats {
 	telemetry := obs.On()
 	st := Stats{Statements: c.StmtCount}
 	abstracted := 0
-	for _, cf := range c.Funcs {
-		for _, pair := range cf.Pairs {
+	for i, cf := range c.Funcs {
+		// The host half exists only to learn from: compile it here, from
+		// the same optimized function, and drop it after. A function the
+		// host compiler rejects yields no candidates.
+		hf, err := minic.GenHost(cf.Fn, i)
+		if err != nil {
+			continue
+		}
+		for _, pair := range minic.ZipEntries(cf.G.Entries, hf.Entries) {
 			if !pair.Reliable {
 				continue
 			}
 			rawG := cf.G.Insts[pair.G.Start:pair.G.End]
-			rawH := cf.H.Insts[pair.H.Start:pair.H.End]
+			rawH := hf.Insts[pair.H.Start:pair.H.End]
 			// A statement ending in a conditional branch on both sides
 			// (compare-and-branch) yields a branch-tail candidate: the
 			// branch is part of the rule, its target is not.
@@ -66,7 +73,7 @@ func FromCompiled(c *minic.Compiled, store *rule.Store) Stats {
 				continue
 			}
 			st.Candidates++
-			tmpl, ok := Abstract(gseq, hseq, cf)
+			tmpl, ok := Abstract(gseq, hseq, cf.G, hf)
 			if !ok {
 				continue
 			}
@@ -154,19 +161,20 @@ func clipHost(seq []host.Inst) []host.Inst {
 }
 
 // Abstract lifts a concrete candidate pair into a parameterized
-// template using the compilers' variable-location maps. It fails (and
-// the candidate is dropped) whenever the one-to-one operand
-// correspondence the verifier requires cannot be established.
-func Abstract(gseq []guest.Inst, hseq []host.Inst, cf *minic.CompiledFunc) (*rule.Template, bool) {
+// template using the variable-location maps of the two compilations of
+// its function, g and h. It fails (and the candidate is dropped)
+// whenever the one-to-one operand correspondence the verifier requires
+// cannot be established.
+func Abstract(gseq []guest.Inst, hseq []host.Inst, g *minic.GuestFunc, h *minic.HostFunc) (*rule.Template, bool) {
 	// Guest register -> host register correspondence.
 	corr := map[guest.Reg]host.Reg{}
 	haveCorr := map[guest.Reg]bool{}
 	// Variable homes.
-	for v, gl := range cf.G.Locs {
+	for v, gl := range g.Locs {
 		if !gl.InReg {
 			continue
 		}
-		hl := cf.H.Locs[v]
+		hl := h.Locs[v]
 		if hl.InReg {
 			corr[gl.Reg] = hl.Reg
 			haveCorr[gl.Reg] = true

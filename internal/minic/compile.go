@@ -18,12 +18,13 @@ type LinePair struct {
 	Reliable bool
 }
 
-// CompiledFunc bundles both compilations of one function.
+// CompiledFunc is one compiled function: its optimized source and its
+// guest code. The host half is learning material only, so it is not
+// kept: GenHost(Fn, i) rebuilds it for function i, and ZipEntries
+// pairs the two line tables (internal/learn does both).
 type CompiledFunc struct {
-	Fn    *Func
-	G     *GuestFunc
-	H     *HostFunc
-	Pairs []LinePair
+	Fn *Func
+	G  *GuestFunc
 }
 
 // Compiled is a fully compiled program.
@@ -39,8 +40,8 @@ type Compiled struct {
 	FuncStart  []int
 }
 
-// Compile optimizes and compiles a program with both backends, builds
-// the line tables, and links the guest binary (entry stub + functions).
+// Compile optimizes a program, compiles it to guest code and links the
+// guest binary (entry stub + functions).
 func Compile(p *Program) (*Compiled, error) { return CompileWith(p, true) }
 
 // CompileWith compiles with the optimizer optionally disabled (-O0);
@@ -55,18 +56,12 @@ func CompileWith(p *Program, optimize bool) (*Compiled, error) {
 
 	c := &Compiled{Prog: p, StmtCount: total, Opt: opt, Gone: gone}
 
-	for i, f := range p.Funcs {
+	for _, f := range p.Funcs {
 		gf, err := GenGuest(f)
 		if err != nil {
 			return nil, fmt.Errorf("func %s: %w", f.Name, err)
 		}
-		hf, err := GenHost(f, i)
-		if err != nil {
-			return nil, fmt.Errorf("func %s: %w", f.Name, err)
-		}
-		cf := &CompiledFunc{Fn: f, G: gf, H: hf}
-		cf.Pairs = zipEntries(gf.Entries, hf.Entries)
-		c.Funcs = append(c.Funcs, cf)
+		c.Funcs = append(c.Funcs, &CompiledFunc{Fn: f, G: gf})
 	}
 
 	// Link: stub (bl main; hlt) followed by the functions.
@@ -96,9 +91,9 @@ func CompileWith(p *Program, optimize bool) (*Compiled, error) {
 	return c, nil
 }
 
-// zipEntries pairs guest and host line-table chunks per statement in
+// ZipEntries pairs guest and host line-table chunks per statement in
 // emission order.
-func zipEntries(g, h []GenEntry) []LinePair {
+func ZipEntries(g, h []GenEntry) []LinePair {
 	byStmtG := map[int][]GenEntry{}
 	byStmtH := map[int][]GenEntry{}
 	var order []int

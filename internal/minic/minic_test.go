@@ -209,7 +209,10 @@ func TestFlagFusionEmitsSBit(t *testing.T) {
 	}
 	// The host side must have elided the matching compare via Jcc after
 	// the subl.
-	hf := c.Funcs[0].H
+	hf, err := GenHost(c.Funcs[0].Fn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fusedJcc := false
 	for i := 1; i < len(hf.Insts); i++ {
 		if hf.Insts[i].Op == host.JCC && hf.Insts[i-1].Op == host.SUBL {
@@ -227,14 +230,19 @@ func TestLineTablePairsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := c.Funcs[0]
-	if len(cf.Pairs) == 0 {
+	hf, err := GenHost(cf.Fn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := ZipEntries(cf.G.Entries, hf.Entries)
+	if len(pairs) == 0 {
 		t.Fatal("empty line table")
 	}
-	for _, p := range cf.Pairs {
+	for _, p := range pairs {
 		if p.G.End <= p.G.Start || p.G.End > len(cf.G.Insts) {
 			t.Fatalf("bad guest interval %+v", p)
 		}
-		if p.H.End <= p.H.Start || p.H.End > len(cf.H.Insts) {
+		if p.H.End <= p.H.Start || p.H.End > len(hf.Insts) {
 			t.Fatalf("bad host interval %+v", p)
 		}
 	}
@@ -245,8 +253,12 @@ func TestVarLocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hf, err := GenHost(c.Funcs[0].Fn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := c.Funcs[0].G.Locs
-	h := c.Funcs[0].H.Locs
+	h := hf.Locs
 	if !g[0].InReg || g[0].Reg != guest.R4 {
 		t.Fatalf("guest v0 loc = %+v", g[0])
 	}

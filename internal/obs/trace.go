@@ -32,6 +32,10 @@ const (
 	// pc is the trace head); it replaces the EvDispatch/EvChained event
 	// the entry would otherwise record.
 	EvSuperblock
+	// EvInterp is a block entry run on the reference interpreter because
+	// the block had not yet run often enough to be translated
+	// (interpret-first; see dbt.Config.TranslateFirst).
+	EvInterp
 )
 
 // String names the kind for dumps.
@@ -51,6 +55,8 @@ func (k EventKind) String() string {
 		return "fallback"
 	case EvSuperblock:
 		return "superblock"
+	case EvInterp:
+		return "interp"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
