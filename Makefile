@@ -6,9 +6,9 @@ GO ?= go
 # exactly what to install.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-persistence test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs emit-diff bench-obs experiments linkcheck
+.PHONY: ci vet lint gofmt staticcheck obsgate counterdoc ruleaudit codeaudit build test test-backends race race-obs test-faults test-smc test-serve test-validate fuzz-host bench bench-e2e bench-pairs emit-diff bench-obs experiments linkcheck
 
-ci: lint build race test-backends test-faults test-persistence test-smc test-serve test-validate fuzz-host linkcheck bench
+ci: lint build race test-backends test-faults test-smc test-serve test-validate fuzz-host linkcheck bench
 
 vet:
 	$(GO) vet ./...
@@ -84,14 +84,6 @@ race-obs:
 test-faults:
 	$(GO) test -count=1 -run 'TestFaultPlanCanned|TestShadow|TestTranslatorPanicRecovery|TestRunPanicReturnsTypedError|TestInterpFallback' ./internal/dbt
 	$(GO) test -race -count=1 -run 'TestShadow|TestJournalWrites|TestCompareWrites' ./internal/dbt ./internal/mem ./internal/guard
-
-# The warm-start persistence suite: the artifact store's hardening
-# tests (corruption, key mismatches, quarantine-shard merge) plus the
-# engine round-trip tests proving a warm engine replays every workload
-# identically with zero demand translations (see docs/PERSISTENCE.md).
-test-persistence:
-	$(GO) test -count=1 ./internal/artifact
-	$(GO) test -count=1 -run 'TestWarmStart|TestWarmstartExperiment' ./internal/dbt ./internal/exp
 
 # The self-modifying-code scenarios (docs/ROBUSTNESS.md "Self-modifying
 # code"): write-then-execute in the store's own block, cross-block

@@ -30,12 +30,11 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "dynamic work multiplier (1 = reference input)")
-	only := flag.String("only", "", "comma-separated subset: table1,fig2,fig11,fig12,fig13,table2,fig14,fig15,fig16,table3,dispatch,trace,guard,analysis,backends,warmstart,smc,validate,serve")
+	only := flag.String("only", "", "comma-separated subset: table1,fig2,fig11,fig12,fig13,table2,fig14,fig15,fig16,table3,dispatch,trace,guard,analysis,backends,smc,validate,serve")
 	serveTenants := flag.Int("serve-tenants", 2, "concurrent tenants per workload in the serve section")
 	guardBench := flag.String("guard-bench", "mcf", "benchmark for the guard divergence/recovery experiment")
 	jsonPath := flag.String("json", "", "also write the selected sections as a JSON report to this file (\"-\" = stdout, text tables suppressed)")
 	beName := flag.String("backend", "", "host backend for all engine runs (default: $"+backend.EnvVar+" or x86); one of "+strings.Join(backend.Names(), ","))
-	artifactDir := flag.String("artifact-dir", "", "directory for the warmstart section's artifact store (default: a fresh temporary directory; an already-populated store would make the cold pass warm)")
 	flag.Parse()
 
 	be := backend.Default()
@@ -201,26 +200,6 @@ func main() {
 		}
 		report.Backends = b
 		render(exp.RenderBackends(b))
-	}
-	if sel("warmstart") {
-		section("Warm start: cold vs warm runs against one artifact store")
-		dir := *artifactDir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "paramdbt-warmstart-*")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "warmstart:", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-		}
-		w, err := exp.WarmstartExperiment(corpus, dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "warmstart:", err)
-			os.Exit(1)
-		}
-		report.Warmstart = w
-		render(exp.RenderWarmstart(w))
 	}
 	if sel("smc") {
 		section("Self-modifying code: engine vs interpreter, shadow rate 1")

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"paramdbt/internal/artifact"
 	"paramdbt/internal/backend"
 	"paramdbt/internal/core"
 	"paramdbt/internal/dbt"
@@ -76,16 +75,16 @@ func serveMetrics(addr string) error {
 }
 
 // loadRuleTable reads a rule table file (JSON Lines, see rulegen -o)
-// through the same admission gate as a warm-start rule pack: a table
-// file is outside input, and nothing enters the store that the local
-// auditor would refuse at learning time.
+// through the learning pipeline's admission gate (learn.ImportPack): a
+// table file is outside input, and nothing enters the store that the
+// local auditor would refuse at learning time.
 func loadRuleTable(path string) (*rule.Store, learn.ImportStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, learn.ImportStats{}, err
 	}
 	defer f.Close()
-	return learn.ImportPack(f, false)
+	return learn.ImportPack(f)
 }
 
 // dump translates the benchmark's blocks in code order on a fresh
@@ -144,7 +143,6 @@ func main() {
 	quarFile := flag.String("quarantine-file", "", "load previously quarantined rules from this file before the run and persist the quarantine set after it (JSON Lines)")
 	injectPath := flag.String("inject", "", "fault-injection plan (JSON, see docs/ROBUSTNESS.md); corruptRules entries are applied to rules the benchmark actually uses")
 	beName := flag.String("backend", "", "host backend to translate for (default: $"+backend.EnvVar+" or x86); one of "+strings.Join(backend.Names(), ","))
-	artifactDir := flag.String("artifact-dir", "", "warm-start artifact store: reuse a previously published rule pack instead of re-deriving, restore the code cache from a prior run of the same guest, and publish both back on a clean halt (see docs/PERSISTENCE.md)")
 	peephole := flag.Bool("peephole", false, "enable the backend's post-Finalize peephole optimizer; the optimized stream is installed only when it is proved equivalent to the unoptimized one (see docs/ANALYSIS.md)")
 	flag.Parse()
 
@@ -186,18 +184,7 @@ func main() {
 		train = corpus.Names
 	}
 
-	var artStore *artifact.Store
-	if *artifactDir != "" {
-		var err error
-		artStore, err = artifact.Open(*artifactDir, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	var cfg dbt.Config
-	cfg.ArtifactDir = *artifactDir
 	if *rulesPath != "" {
 		rules, istats, err := loadRuleTable(*rulesPath)
 		if err != nil {
@@ -207,54 +194,14 @@ func main() {
 		cfg.Rules = rules
 		fmt.Fprintf(os.Stderr, "rules: %d loaded, %d gate-rejected\n", istats.Loaded, istats.GateRejected)
 	} else if *mode != "qemu" {
-		// The pack key names everything that determines the rule table:
-		// backend, engine version, derivation mode, and the training set
-		// (leave-one-out packs exclude the benchmark under test, so they
-		// are keyed per benchmark). Anything else is a miss and the table
-		// is re-derived from the training binaries as usual.
-		trainTag := "loo-" + *bench
-		if *trainAll {
-			trainTag = "all"
-		}
-		packKey := artifact.Key{
-			Backend: be.ID(),
-			Version: dbt.EngineVersion + "#mode=" + *mode + "#train=" + trainTag,
-		}
-		if artStore != nil {
-			if payload, res := artStore.Get(artifact.KindRulePack, packKey); res == artifact.Hit {
-				rules, istats, err := learn.ImportPack(bytes.NewReader(payload), false)
-				if err != nil {
-					artStore.MarkReject()
-					fmt.Fprintln(os.Stderr, "artifact: rule pack rejected:", err)
-				} else {
-					cfg.Rules = rules
-					fmt.Fprintf(os.Stderr, "artifact: rule pack hit (%d rules imported, %d gate-rejected)\n",
-						istats.Loaded, istats.GateRejected)
-				}
-			}
-		}
-		if cfg.Rules == nil {
-			union := corpus.Union(train)
-			switch *mode {
-			case "learned":
-				cfg.Rules = union
-			case "opcode":
-				cfg.Rules, _ = core.Parameterize(union, core.Config{Opcode: true})
-			case "mode", "para":
-				cfg.Rules, _ = core.Parameterize(union, core.Config{Opcode: true, AddrMode: true})
-			}
-			if artStore != nil {
-				var buf bytes.Buffer
-				err := cfg.Rules.Save(&buf)
-				if err == nil {
-					err = artStore.Put(artifact.KindRulePack, packKey, buf.Bytes())
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "artifact: rule pack publish failed:", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "artifact: published rule pack (%d rules)\n", cfg.Rules.Len())
-				}
-			}
+		union := corpus.Union(train)
+		switch *mode {
+		case "learned":
+			cfg.Rules = union
+		case "opcode":
+			cfg.Rules, _ = core.Parameterize(union, core.Config{Opcode: true})
+		case "mode", "para":
+			cfg.Rules, _ = core.Parameterize(union, core.Config{Opcode: true, AddrMode: true})
 		}
 	}
 	if *mode == "para" || *rulesPath != "" {
@@ -267,26 +214,6 @@ func main() {
 	cfg.TraceBudget = *traceBudget
 	cfg.ShadowRate = *shadowRate
 	cfg.Peephole = *peephole
-
-	if *quarFile != "" {
-		if cfg.Rules == nil {
-			fmt.Fprintln(os.Stderr, "-quarantine-file requires a rule table (a non-qemu mode or -rules)")
-			os.Exit(1)
-		}
-		if f, err := os.Open(*quarFile); err == nil {
-			entries, lerr := rule.LoadQuarantine(f)
-			f.Close()
-			if lerr != nil {
-				fmt.Fprintln(os.Stderr, lerr)
-				os.Exit(1)
-			}
-			n := cfg.Rules.ApplyQuarantine(entries)
-			fmt.Fprintf(os.Stderr, "quarantine: re-demoted %d of %d persisted rules\n", n, len(entries))
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 
 	var inj *faultinject.Injector
 	if *injectPath != "" {
@@ -318,6 +245,30 @@ func main() {
 			}
 		}
 		cfg.Faults = inj
+	}
+
+	// The quarantine file applies after the plan's rule corruption: an
+	// entry names a rule as it was quarantined, so a corrupted rule
+	// persisted by an earlier run under the same plan matches only in
+	// its corrupted form.
+	if *quarFile != "" {
+		if cfg.Rules == nil {
+			fmt.Fprintln(os.Stderr, "-quarantine-file requires a rule table (a non-qemu mode or -rules)")
+			os.Exit(1)
+		}
+		if f, err := os.Open(*quarFile); err == nil {
+			entries, lerr := rule.LoadQuarantine(f)
+			f.Close()
+			if lerr != nil {
+				fmt.Fprintln(os.Stderr, lerr)
+				os.Exit(1)
+			}
+			n := cfg.Rules.ApplyQuarantine(entries)
+			fmt.Fprintf(os.Stderr, "quarantine: re-demoted %d of %d persisted rules\n", n, len(entries))
+		} else if !os.IsNotExist(err) {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	var ring *obs.TraceRing
@@ -356,7 +307,7 @@ func main() {
 	fmt.Printf("  data transfer    %d\n", res.Executed[1])
 	fmt.Printf("  control          %d\n", res.Executed[2])
 	fmt.Printf("dynamic coverage   %.1f%%\n", 100*st.Coverage())
-	fmt.Printf("translated blocks  %d\n", st.Blocks)
+	fmt.Printf("distinct blocks    %d\n", st.Blocks)
 	fmt.Printf("dispatches         %d\n", st.Dispatches)
 	fmt.Printf("chained exits      %d (%.1f%% of block transitions)\n", st.ChainedExits, 100*st.ChainRate())
 	if cfg.Rules != nil {
@@ -370,15 +321,6 @@ func main() {
 		fmt.Printf("traces formed      %d\n", st.TracesFormed)
 		fmt.Printf("superblock execs   %d (%.1f%% of block entries)\n", st.SuperblockExecs, 100*st.SuperblockShare())
 		fmt.Printf("side exits         %d (%.1f%% of superblock execs)\n", st.SideExits, 100*st.SideExitRate())
-	}
-	if *artifactDir != "" {
-		w := res.Warm
-		if w.Err != "" {
-			fmt.Fprintln(os.Stderr, "artifact:", w.Err)
-		}
-		fmt.Printf("warm start         %d blocks, %d traces restored (%d hit, %d miss, %d reject, %d quarantined)\n",
-			w.Blocks, w.Traces, w.Hits, w.Misses, w.Rejects, w.Quarantined)
-		fmt.Printf("demand translations %d\n", st.Translations)
 	}
 	if cfg.ShadowRate > 0 || cfg.Faults != nil {
 		fmt.Printf("shadow checks      %d\n", st.ShadowChecks)
@@ -401,7 +343,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := artifact.WriteFileAtomic(*quarFile, buf.Bytes(), 0o644); err != nil {
+		if err := rule.WriteFileAtomic(*quarFile, buf.Bytes(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

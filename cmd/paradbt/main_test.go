@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,7 +11,32 @@ import (
 	"paramdbt/internal/dbt"
 	"paramdbt/internal/exp"
 	"paramdbt/internal/guard/faultinject"
+	"paramdbt/internal/rule"
 )
+
+// TestMain runs the command itself when the test binary is started with
+// PARADBT_RUN_MAIN set, so tests can drive paradbt end to end through
+// its flags without building a second binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("PARADBT_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// paradbt runs the command with args and returns its stdout and stderr.
+func paradbt(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PARADBT_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("paradbt %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
 
 // TestRulesFileGoesThroughTheGate: a table file holding one rule whose
 // host semantics were silently corrupted loads with exactly that rule
@@ -68,5 +94,44 @@ func TestDumpStopsAtTheImageEnd(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "guest block @"); got != want {
 		t.Fatalf("dump listed %d blocks, the image holds %d", got, want)
+	}
+}
+
+// TestQuarantineFileRoundTrip: a run whose fault plan corrupts a used
+// rule catches it under shadow verification and persists it with
+// -quarantine-file; a second run under the same plan re-demotes it
+// from the file before the run starts, so it never diverges.
+func TestQuarantineFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "plan.json")
+	if err := os.WriteFile(plan, []byte(`{"corruptRules": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	quar := filepath.Join(dir, "quarantine.jsonl")
+	args := []string{"-bench", "mcf", "-mode", "para", "-inject", plan, "-quarantine-file", quar}
+
+	out, errOut := paradbt(t, args...)
+	if !strings.Contains(out, "divergences        1\n") || !strings.Contains(errOut, "quarantine: persisted 1 rule(s)") {
+		t.Fatalf("first run did not catch and persist the corrupted rule:\n%s%s", out, errOut)
+	}
+	f, err := os.Open(quar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := rule.LoadQuarantine(f)
+	f.Close()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("quarantine file holds %d entries (%v), want 1", len(entries), err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("the atomic write left litter: %v", ents)
+	}
+
+	out, errOut = paradbt(t, args...)
+	if !strings.Contains(errOut, "quarantine: re-demoted 1 of 1 persisted rules") {
+		t.Fatalf("second run did not re-demote the corrupted rule:\n%s", errOut)
+	}
+	if !strings.Contains(out, "divergences        0\n") {
+		t.Fatalf("the re-demoted rule still ran:\n%s", out)
 	}
 }

@@ -262,10 +262,56 @@ func TestInvalidateUnlinks(t *testing.T) {
 	if got.R[guest.R0] != want.R[guest.R0] {
 		t.Fatalf("after invalidate+rerun: r0 = %#x, want %#x", got.R[guest.R0], want.R[guest.R0])
 	}
-	if stats.Blocks == 0 {
+	if stats.Translations == 0 {
 		t.Fatal("rerun did not retranslate the invalidated block")
 	}
 	if _, ok := e.cache[victim]; !ok {
 		t.Fatalf("block %#x not retranslated", victim)
+	}
+}
+
+// TestBlocksCountEachPCOnce pins Stats.Blocks to distinct pcs per
+// engine: a rerun after every translation was invalidated retranslates
+// (and, interpret-first, reinterprets) the program's blocks, but enters
+// no pc the engine had not entered before.
+func TestBlocksCountEachPCOnce(t *testing.T) {
+	c := compileT(t, testProgram())
+	want := interpret(t, c)
+	for _, translateFirst := range []bool{true, false} {
+		e := startEngine(t, c, Config{TranslateFirst: translateFirst})
+		first, err := e.Run(env.CodeBase, 100_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Blocks == 0 {
+			t.Fatalf("translateFirst=%v: first run counted no blocks", translateFirst)
+		}
+		var pcs []uint32
+		for pc := range e.cache {
+			pcs = append(pcs, pc)
+		}
+		if len(pcs) == 0 {
+			t.Fatalf("translateFirst=%v: nothing translated", translateFirst)
+		}
+		for _, pc := range pcs {
+			e.Invalidate(pc)
+		}
+		init := &guest.State{Mem: e.Mem}
+		init.R[guest.SP] = env.StackTop
+		e.SetGuestState(init)
+		again, err := e.Run(env.CodeBase, 100_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, want, e.GuestState(), "rerun after invalidation")
+		if again.Translations == 0 {
+			t.Fatalf("translateFirst=%v: rerun retranslated nothing", translateFirst)
+		}
+		if again.Blocks != 0 {
+			t.Fatalf("translateFirst=%v: rerun counted %d blocks again (first run %d)", translateFirst, again.Blocks, first.Blocks)
+		}
+		if live := e.LiveStats().Blocks; live != first.Blocks {
+			t.Fatalf("translateFirst=%v: engine counted %d blocks, want %d", translateFirst, live, first.Blocks)
+		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"paramdbt/internal/analysis"
-	"paramdbt/internal/artifact"
 	"paramdbt/internal/backend"
 	"paramdbt/internal/env"
 	"paramdbt/internal/guard"
@@ -174,18 +173,6 @@ type Config struct {
 	// (shutdown, translation failure) falls back to the local
 	// translation path.
 	Service *Service
-	// ArtifactDir, when non-empty, points the engine at a warm-start
-	// artifact store (internal/artifact; docs/PERSISTENCE.md). New
-	// applies the store's quarantine shard to the rule table, then
-	// restores the translated blocks and superblock traces recorded for
-	// this exact (guest code, backend, rule table, engine version) key —
-	// through the normal translation path, so restored code is as
-	// verified as demand-translated code. A Run ending in a clean HLT
-	// publishes the cache contents and merges run-time quarantine
-	// demotions back into the shard. Every failure mode degrades to a
-	// cold start (see Engine.WarmStats).
-	ArtifactDir string
-
 	// Faults, when non-nil, injects the plan's faults (see
 	// internal/guard/faultinject): translator panics and decode errors
 	// into demand translation, and guest code writes before block entries
@@ -213,7 +200,7 @@ type Config struct {
 type Stats struct {
 	GuestExec   uint64 // dynamic guest instructions
 	RuleCovered uint64 // of which rule-translated (dynamic coverage)
-	Blocks      int    // distinct blocks executed (first entries)
+	Blocks      int    // distinct block pcs entered, each counted once per engine
 	SeqRuleUses uint64 // dynamic guest insts covered by multi-insn rules
 
 	// Dispatches counts dispatcher round trips: block entries that went
@@ -224,11 +211,9 @@ type Stats struct {
 	Dispatches   uint64
 	ChainedExits uint64
 
-	// Translations counts demand translations performed during the run.
-	// A warm-started engine restores its code cache in New, before any
-	// Run begins, so this stays near zero on a warm replay — the
-	// headline number of the warm-start comparison (experiments -only
-	// warmstart).
+	// Translations counts the demand translations this engine performed
+	// during the run (an attached tenant counts only those it led;
+	// superblocks count in TracesFormed).
 	Translations uint64
 
 	// Hot-trace superblock counters (zero unless Config.HotThreshold is
@@ -331,11 +316,14 @@ type Engine struct {
 	// shadowBegin and shadowCheck.
 	shadow shadowCtx
 
-	// runs counts the interpreted executions of every pc that has run
-	// without a translation (interpret-first; see Config.TranslateFirst).
-	// A pc's entry goes when the pc is translated. ist is the reference
-	// interpreter's state for those executions, reused so interpreting a
-	// block allocates nothing (Run goroutine only, like both fields).
+	// runs has an entry for every pc the engine has entered, so
+	// Stats.Blocks counts a pc once however often it is retranslated.
+	// The value counts the pc's interpreted executions since it was last
+	// translated (interpret-first; see Config.TranslateFirst): install
+	// resets it, so a pc retranslated after an invalidation is
+	// interpreted again first. ist is the reference interpreter's state
+	// for those executions, reused so interpreting a block allocates
+	// nothing (Run goroutine only, like both fields).
 	runs map[uint32]uint8
 	ist  guest.State
 
@@ -360,13 +348,6 @@ type Engine struct {
 	sbBan   map[uint32]bool
 	// sbSpent counts installed superblocks against Config.TraceBudget.
 	sbSpent int
-
-	// Warm-start persistence (nil/zero unless Config.ArtifactDir is
-	// set): art is the open store, artKey the engine's four-component
-	// lookup key, warm the restore outcome (see artifact.go).
-	art    *artifact.Store
-	artKey artifact.Key
-	warm   WarmStats
 }
 
 // tblock is one cached translation: an immutable unit (see
@@ -384,12 +365,11 @@ type tblock struct {
 	linkBuf  [2]blockLink // backs up to two links: no allocation
 	incoming []*blockLink
 
-	// seen marks the first execution (drives Stats.Blocks); execs counts
-	// executions (shadow sampling). hot counts entries while formation is
-	// enabled (Config.HotThreshold), sbTries backs off repeated failed
-	// formation attempts at this head geometrically, and dead marks a
-	// torn-down superblock (a trace covering k pcs is indexed k times).
-	seen    bool
+	// execs counts executions (shadow sampling). hot counts entries
+	// while formation is enabled (Config.HotThreshold), sbTries backs off
+	// repeated failed formation attempts at this head geometrically, and
+	// dead marks a torn-down superblock (a trace covering k pcs is
+	// indexed k times).
 	sbTries uint8
 	dead    bool
 	execs   uint64
@@ -470,7 +450,7 @@ func New(m *mem.Memory, cfg Config) *Engine {
 	}
 	met := newEngineMetrics(reg)
 	tr := newTranslator(&cfg, met.blocksValidated, met.validateFallbacks)
-	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: codeCache{}, tr: tr, met: met}
+	e := &Engine{Cfg: cfg, Mem: m, CPU: cpu, cache: codeCache{}, tr: tr, met: met, runs: map[uint32]uint8{}}
 	if cfg.ShadowRate > 0 {
 		e.guard = &guardState{sampler: guard.NewSampler(guard.Policy{
 			Rate:     cfg.ShadowRate,
@@ -485,11 +465,7 @@ func New(m *mem.Memory, cfg Config) *Engine {
 			e.svc, e.tnt = cfg.Service, t
 		}
 	}
-	// Install write tracking before the warm restore: restored
-	// translations register their pages exactly like demand-translated
-	// ones.
 	m.EnableWriteTracking()
-	e.initArtifacts()
 	return e
 }
 
@@ -598,9 +574,10 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	// Guarded runs degrade gracefully instead of aborting: a block whose
 	// translation fails persistently runs on the reference interpreter.
 	interpFallback := guarded || faults != nil
-	var entries uint64         // block entries, the ordinal CodePokes keys on
-	hostSteps := e.CPU.Total() // budget is engine-lifetime host work
-	var fallbackSteps uint64   // interpreter-fallback work, counted against the budget
+	var entries uint64 // block entries, the ordinal CodePokes keys on
+	// The budget is engine-lifetime work: host instructions, plus one
+	// step per interpreted guest instruction.
+	hostSteps := e.CPU.Total()
 	for pc != HaltPC {
 		// Deterministic SMC fault injection: apply this entry's guest code
 		// writes through the tracked store path, so they exercise exactly
@@ -634,49 +611,47 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			pend.dispatches++
 			var terr error
 			tb, terr = e.block(pc, tier)
-			if tb == nil && terr == nil {
-				// Interpret first: the block has not run often enough to be
-				// worth translating (see block). The interpreter is its own
+			if tb == nil {
+				// An interpreted entry: interpret-first has not translated
+				// the block yet (see block), or its translation failed
+				// persistently and a guarded run falls back to the
+				// reference interpreter. The interpreter is its own
 				// reference, so there is nothing to shadow-check.
+				ev, what, interps := obs.EvInterp, "interpreter", e.met.tierInterpBlocks
+				if terr != nil {
+					terr = fmt.Errorf("dbt: translating block at %#x: %w", pc, terr)
+					if !interpFallback {
+						return snapshot(), terr
+					}
+					ev, what, interps = obs.EvFallback, "interpreter fallback", e.met.interpFallbacks
+				}
 				if ring != nil {
-					ring.Record(obs.EvInterp, pc)
+					ring.Record(ev, pc)
 				}
 				if traceBlock != nil {
 					traceBlock(pc)
 				}
-				if hostSteps+fallbackSteps >= maxHostSteps {
+				if hostSteps >= maxHostSteps {
 					return snapshot(), fmt.Errorf("dbt: host step budget exhausted at pc=%#x", pc)
 				}
-				next, n, ierr := e.interpBlock(pc, "interpreter")
+				next, n, ierr := e.interpBlock(pc, what)
 				if ierr != nil {
+					if terr != nil {
+						// The fallback failed too: why translation failed
+						// is the cause worth reporting.
+						ierr = terr
+					}
 					return snapshot(), ierr
 				}
-				e.met.tierInterpBlocks.Inc()
+				interps.Inc()
 				pend.guest += n
-				fallbackSteps += n
+				hostSteps += n
 				if pend.execs++; pend.execs == publishEvery {
 					pend.publish(e.met)
 				}
 				prev = nil
 				pc = next
 				continue
-			}
-			if terr != nil {
-				if interpFallback {
-					next, n, ferr := e.interpBlock(pc, "interpreter fallback")
-					if ferr == nil {
-						e.met.interpFallbacks.Inc()
-						pend.guest += n
-						fallbackSteps += n
-						if ring != nil {
-							ring.Record(obs.EvFallback, pc)
-						}
-						prev = nil
-						pc = next
-						continue
-					}
-				}
-				return snapshot(), fmt.Errorf("dbt: translating block at %#x: %w", pc, terr)
 			}
 			if prev != nil && !noChain {
 				if obs.On() {
@@ -691,10 +666,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		}
 		if hotOn && len(tb.segs) == 1 {
 			tb = e.maybeSuperblock(pc, tb)
-		}
-		if !tb.seen {
-			tb.seen = true
-			e.met.blocks.Inc()
 		}
 		// A unit of k > 1 segments (a superblock) reports through the
 		// CPUState exit slot how many of them ran (see superblock.go).
@@ -715,7 +686,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			tb.execs++
 			sampled = e.guard.sampler.Select(tb.execs)
 		}
-		if hostSteps+fallbackSteps >= maxHostSteps {
+		if hostSteps >= maxHostSteps {
 			return snapshot(), fmt.Errorf("dbt: host step budget exhausted at pc=%#x", pc)
 		}
 		if sampled {
@@ -734,7 +705,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			// stubs overwrite it with their seam index.
 			e.Mem.Write32(env.StateBase+env.OffSBExit, uint32(k-1))
 		}
-		res, xerr := e.CPU.Exec(tb.hb, maxHostSteps-hostSteps-fallbackSteps)
+		res, xerr := e.CPU.Exec(tb.hb, maxHostSteps-hostSteps)
 		if e.Mem.SMCSelfHit() {
 			// The translation stored into its own guest bytes: its host
 			// code was stale from that store on (this also covers xerr —
@@ -745,8 +716,10 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			if aerr != nil {
 				return snapshot(), aerr
 			}
-			hostSteps = e.CPU.Total()
-			fallbackSteps += n
+			// The replay counts like an interpreted entry. The aborted
+			// pass counts its steps unless it failed outright (res is
+			// zero then), which leaves at most one block's worth out.
+			hostSteps += res.Steps + n
 			sampled = false
 			prev = nil
 			pc = next
@@ -805,9 +778,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	}
 	// Keep the architectural PC in the CPUState coherent.
 	e.Mem.Write32(env.StateBase+uint32(env.OffReg(int(guest.PC))), pc)
-	// A clean halt is the only point the cache is known-good end to end
-	// (every resident translation just carried the run): publish it.
-	e.publishArtifacts()
 	return snapshot(), nil
 }
 
@@ -822,9 +792,9 @@ const interpRuns = 2
 // block returns the translated block at pc, translating and installing
 // it on a miss. With tier set (interpret-first), while pc has run fewer
 // than interpRuns times, a miss instead counts the run and returns nil
-// and no error, and the caller interprets the block. While obs is
-// enabled it times the cache lookup and the demand translation into the
-// engine's histograms.
+// and no error, and the caller interprets the block. The first miss at
+// a pc counts it in Stats.Blocks. While obs is enabled it times the
+// cache lookup and the demand translation into the engine's histograms.
 func (e *Engine) block(pc uint32, tier bool) (*tblock, error) {
 	on := obs.On()
 	var t0 time.Time
@@ -838,16 +808,18 @@ func (e *Engine) block(pc uint32, tier bool) (*tblock, error) {
 	if ok {
 		return tb, nil
 	}
-	runs := e.runs[pc]
+	runs, entered := e.runs[pc]
+	if !entered {
+		e.met.blocks.Inc()
+	}
 	if tier && runs < interpRuns {
-		if e.runs == nil {
-			e.runs = map[uint32]uint8{}
-		}
 		e.runs[pc] = runs + 1
-		if runs == 0 {
-			e.met.blocks.Inc()
-		}
 		return nil, nil
+	}
+	if !entered {
+		// Marked before translating: a failed translation's fallback
+		// entry is an entry too.
+		e.runs[pc] = 0
 	}
 	if on {
 		t0 = time.Now()
@@ -887,21 +859,19 @@ func (e *Engine) block(pc uint32, tier bool) (*tblock, error) {
 		e.Cfg.Trace.Record(obs.EvTranslate, pc)
 	}
 	e.install(tb)
-	// Interpreted runs already counted the block in Stats.Blocks.
-	tb.seen = runs > 0
 	if on {
 		e.met.cachedBlocks.Set(int64(len(e.cache)))
 	}
 	return tb, nil
 }
 
-// install makes tb the cache entry for its head pc, drops the pc's
+// install makes tb the cache entry for its head pc, resets the pc's
 // interpret-first count, and registers the pages its guest bytes live
 // on with the write tracker, so guest stores there reach the SMC fence
 // (see smc.go).
 func (e *Engine) install(tb *tblock) {
 	e.cache[tb.segs[0].pc] = tb
-	delete(e.runs, tb.segs[0].pc)
+	e.runs[tb.segs[0].pc] = 0
 	for _, r := range tb.ranges {
 		e.Mem.TrackRange(r[0], r[1])
 	}

@@ -117,10 +117,6 @@ func runRef(e *Engine, entry uint32, maxHostSteps uint64) (Stats, error) {
 			pc = next
 			continue
 		}
-		if !tb.seen {
-			tb.seen = true
-			e.met.blocks.Inc()
-		}
 		tb.execs++
 		var sc *refShadowCtx
 		if e.guard.sampler.Select(tb.execs) {

@@ -3,6 +3,7 @@ package dbt
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"paramdbt/internal/backend"
@@ -280,6 +281,42 @@ func TestInterpFallback(t *testing.T) {
 	}
 	if stats.GuestExec == 0 {
 		t.Fatal("fallback run retired no guest instructions")
+	}
+}
+
+// TestInterpFallbackIsAnInterpretedEntry: a block the guarded engine
+// falls back to interpreting is one more interpreted entry — TraceBlock
+// sees it, Stats.Blocks counts its pc, and its work counts against the
+// step budget, so a budget below the program's work ends the run.
+func TestInterpFallbackIsAnInterpretedEntry(t *testing.T) {
+	c := compileT(t, testProgram())
+	want := interpret(t, c)
+	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
+	start := func(traceBlock func(uint32)) *Engine {
+		inj := faultinject.New(faultinject.Plan{DecodeErrors: 1 << 30})
+		return startEngine(t, c, Config{Rules: par, DelegateFlags: true, Faults: inj, TranslateFirst: true, TraceBlock: traceBlock})
+	}
+	var traced uint64
+	e := start(func(uint32) { traced++ })
+	stats, err := e.Run(env.CodeBase, 100_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, want, e.GuestState(), "interp fallback")
+	if stats.InterpFallbacks == 0 || stats.Translations != 0 {
+		t.Fatalf("want every entry a fallback: %+v", stats)
+	}
+	if entries := stats.Dispatches + stats.ChainedExits; traced != entries || traced != stats.InterpFallbacks {
+		t.Fatalf("TraceBlock saw %d entries, want %d (%d fallbacks)", traced, entries, stats.InterpFallbacks)
+	}
+	if stats.Blocks == 0 {
+		t.Fatal("fallback entries counted no blocks")
+	}
+
+	budget := stats.GuestExec / 2
+	_, err = start(nil).Run(env.CodeBase, budget)
+	if err == nil || !strings.Contains(err.Error(), "host step budget exhausted") {
+		t.Fatalf("budget %d of %d interpreted steps: err = %v, want the budget error", budget, stats.GuestExec, err)
 	}
 }
 

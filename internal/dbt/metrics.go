@@ -10,10 +10,10 @@ const (
 	MetGuestInsts   = "dbt.guest_insts"    // dynamic guest instructions retired
 	MetRuleCovered  = "dbt.rule_covered"   // of which rule-translated
 	MetSeqRuleInsts = "dbt.seq_rule_insts" // of which covered by multi-insn rules
-	MetBlocks       = "dbt.blocks"         // distinct blocks executed (first entries)
+	MetBlocks       = "dbt.blocks"         // distinct block pcs entered (once per engine)
 	MetDispatches   = "dbt.dispatches"     // dispatcher round trips
 	MetChainedExits = "dbt.chained_exits"  // block transitions over patched links
-	MetTranslations = "dbt.translations"   // demand translations (promoted from telemetry: warm-start efficacy is measured as cold-vs-warm translation counts)
+	MetTranslations = "dbt.translations"   // demand translations (Stats.Translations)
 
 	// Interpret-first product counter (see Config.TranslateFirst): block
 	// executions run on the reference interpreter because the block had

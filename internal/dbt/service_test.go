@@ -360,7 +360,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 		"TranslateWorkers": true, "TranslateFirst": true, "NoChain": true, "HotThreshold": true,
 		"TraceBudget": true, "SyncTraces": true, "TraceBlock": true, "Metrics": true, "Trace": true,
 		"ShadowRate": true, "ShadowSeed": true, "ShadowHalfLife": true,
-		"Service": true, "ArtifactDir": true, "Faults": true,
+		"Service": true, "Faults": true,
 	}
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {

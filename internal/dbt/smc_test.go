@@ -3,14 +3,11 @@ package dbt
 import (
 	"testing"
 
-	"paramdbt/internal/artifact"
-	"paramdbt/internal/core"
 	"paramdbt/internal/env"
 	"paramdbt/internal/guard/faultinject"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
 	"paramdbt/internal/mem"
-	"paramdbt/internal/obs"
 	"paramdbt/internal/workload"
 )
 
@@ -417,75 +414,4 @@ func TestSMCBuilderPanicRecovered(t *testing.T) {
 			t.Fatalf("SBBuilderPanics = %d, TracesFormed = %d; want 1 and > 0", st.SBBuilderPanics, st.TracesFormed)
 		}
 	})
-}
-
-// TestSMCArtifactPageReject: a manifest whose recorded page digests no
-// longer match live guest memory must be rejected outright (not treated
-// as a miss), because its translations predate the write tracker and
-// the fence can never catch them.
-func TestSMCArtifactPageReject(t *testing.T) {
-	c := compileT(t, hotProgram())
-	_, rules := learnRules(t, hotProgram(), core.Config{Opcode: true, AddrMode: true})
-	dir := t.TempDir()
-
-	e1 := newArtEngine(t, c, warmRoundTripCfg(rules, dir))
-	if _, err := e1.Run(env.CodeBase, 100_000_000); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tamper the recorded page sums in place: the payload stays
-	// structurally valid and key-addressable, only its claim about the
-	// guest image is now false.
-	st, err := artifact.Open(dir, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, res := st.Get(artifact.KindBlocks, e1.artKey)
-	if res != artifact.Hit {
-		t.Fatalf("published manifest not readable (result %d)", res)
-	}
-	m, err := artifact.DecodeManifest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Pages) == 0 {
-		t.Fatal("published manifest has no page sums")
-	}
-	m.Pages[0].Sum ^= 0xdeadbeef
-	tampered, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(artifact.KindBlocks, e1.artKey, tampered); err != nil {
-		t.Fatal(err)
-	}
-
-	_, rules2 := learnRules(t, hotProgram(), core.Config{Opcode: true, AddrMode: true})
-	e2 := newArtEngine(t, c, warmRoundTripCfg(rules2, dir))
-	w := e2.WarmStats()
-	if w.Rejects == 0 {
-		t.Fatalf("changed-page manifest not rejected: %+v", w)
-	}
-	if w.Blocks != 0 || w.Traces != 0 {
-		t.Fatalf("changed-page manifest partially restored: %+v", w)
-	}
-	if st2, err := e2.Run(env.CodeBase, 100_000_000); err != nil {
-		t.Fatal(err)
-	} else if st2.Translations == 0 {
-		t.Fatalf("rejecting engine should run cold: %+v", st2)
-	}
-}
-
-// TestSMCManifestWithoutPagesRejected: a manifest recording blocks but
-// no page digests predates the page-checksum scheme (or was stripped);
-// restore must refuse it rather than trust unverifiable translations.
-func TestSMCManifestWithoutPagesRejected(t *testing.T) {
-	e := New(mem.New(), Config{})
-	m := &artifact.BlockManifest{Blocks: []uint32{env.CodeBase}}
-	if err := e.verifyManifestPages(m); err == nil {
-		t.Fatal("manifest with blocks but no page sums verified")
-	}
-	if err := e.verifyManifestPages(&artifact.BlockManifest{}); err != nil {
-		t.Fatalf("empty manifest should verify: %v", err)
-	}
 }

@@ -143,9 +143,6 @@ func (e *Engine) installTrace(pcs []uint32, htb *tblock) *tblock {
 	if err != nil {
 		return nil
 	}
-	// The head already counted toward Stats.Blocks at its first entry;
-	// the superblock is a retranslation, not a new block.
-	s.seen = true
 	e.install(s)
 	for _, l := range htb.incoming {
 		l.to = s

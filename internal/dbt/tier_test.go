@@ -109,7 +109,8 @@ func TestTierRunOnceTranslatesNothing(t *testing.T) {
 // TestTierTranslatesOnThirdRun: the loop block runs interpRuns times on
 // the interpreter and is translated exactly once, at its next
 // execution, into the code translate-first installs at that pc. Its
-// count goes with the translation; Stats.Blocks counts it once.
+// count is reset by the translation, and its entry stays to mark the pc
+// entered; Stats.Blocks counts it once.
 func TestTierTranslatesOnThirdRun(t *testing.T) {
 	_, rules := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
 	want := interpAsm(t, tierLoop, nil)
@@ -119,8 +120,8 @@ func TestTierTranslatesOnThirdRun(t *testing.T) {
 		if st.Translations != 1 || len(e.cache) != 1 || e.cache[loop] == nil {
 			t.Fatalf("%d translations, cache %v; want the loop block at %#x only", st.Translations, e.cache, loop)
 		}
-		if _, counted := e.runs[loop]; counted {
-			t.Fatal("the translated pc kept its interpret-first count")
+		if runs, entered := e.runs[loop]; !entered || runs != 0 {
+			t.Fatalf("the translated pc's interpret-first count is %d (entered %v), want 0", runs, entered)
 		}
 		if st.GuestExec != want.InstCount || e.GuestState().R[guest.R1] != want.R[guest.R1] {
 			t.Fatalf("GuestExec %d, r1 %d; the interpreter retired %d with r1 %d",

@@ -94,9 +94,6 @@ type RunResult struct {
 	// Uncovered breaks the run's emulated instructions down by opcode
 	// (dbt.Engine.UncoveredOps).
 	Uncovered map[guest.Op]uint64
-	// Warm is the warm-start restore outcome (zero unless the Config
-	// named an ArtifactDir; see dbt.WarmStats).
-	Warm dbt.WarmStats
 }
 
 // Run executes a benchmark under the given DBT configuration, with
@@ -130,7 +127,7 @@ func (c *Corpus) RunEngine(name string, cfg dbt.Config) (*dbt.Engine, RunResult,
 		return nil, RunResult{}, fmt.Errorf("%s: %w", name, err)
 	}
 	return e, RunResult{Stats: st, Executed: e.CPU.Executed, Total: e.CPU.Total(),
-		R0: e.GuestState().R[guest.R0], Uncovered: e.UncoveredOps(), Warm: e.WarmStats()}, nil
+		R0: e.GuestState().R[guest.R0], Uncovered: e.UncoveredOps()}, nil
 }
 
 // Geomean computes the geometric mean of positive values.

@@ -26,7 +26,9 @@ import (
 // counters).
 // v9 dropped the serve section's "service_spec_translations" (the
 // service no longer speculates).
-const ReportSchema = "paramdbt-experiments/v9"
+// v10 dropped the "warmstart" section (the engine persists nothing; the
+// code-cache warm start did not pay, DESIGN.md "Does not pay").
+const ReportSchema = "paramdbt-experiments/v10"
 
 // Report is the machine-readable form of the experiment suite, written
 // by cmd/experiments -json in the same spirit as the checked-in
@@ -43,26 +45,25 @@ type Report struct {
 	// (empty means the default, x86).
 	Backend string `json:"backend,omitempty"`
 
-	Table1    []Table1Row       `json:"table1,omitempty"`
-	Fig2      []Fig2Point       `json:"fig2,omitempty"`
-	Fig11     *SpeedupSection   `json:"fig11,omitempty"`
-	Fig12     *CoverageSection  `json:"fig12,omitempty"`
-	Fig13     *RatioSection     `json:"fig13,omitempty"`
-	Table2    []Table2Row       `json:"table2,omitempty"`
-	Fig14     *AblationSection  `json:"fig14,omitempty"`
-	Fig15     *AblationSection  `json:"fig15,omitempty"`
-	Fig16     []Fig16Point      `json:"fig16,omitempty"`
-	Table3    *core.Counts      `json:"table3,omitempty"`
-	Dispatch  *DispatchSection  `json:"dispatch,omitempty"`
-	Trace     *TraceSection     `json:"trace,omitempty"`
-	Guard     *GuardSection     `json:"guard,omitempty"`
-	Analysis  *AnalysisSection  `json:"analysis,omitempty"`
-	Backends  *BackendsSection  `json:"backends,omitempty"`
-	Warmstart *WarmstartSection `json:"warmstart,omitempty"`
-	Smc       *SMCSection       `json:"smc,omitempty"`
-	Validate  *ValidateSection  `json:"validate,omitempty"`
-	Serve     *ServeSection     `json:"serve,omitempty"`
-	Uncovered []string          `json:"uncovered,omitempty"`
+	Table1    []Table1Row      `json:"table1,omitempty"`
+	Fig2      []Fig2Point      `json:"fig2,omitempty"`
+	Fig11     *SpeedupSection  `json:"fig11,omitempty"`
+	Fig12     *CoverageSection `json:"fig12,omitempty"`
+	Fig13     *RatioSection    `json:"fig13,omitempty"`
+	Table2    []Table2Row      `json:"table2,omitempty"`
+	Fig14     *AblationSection `json:"fig14,omitempty"`
+	Fig15     *AblationSection `json:"fig15,omitempty"`
+	Fig16     []Fig16Point     `json:"fig16,omitempty"`
+	Table3    *core.Counts     `json:"table3,omitempty"`
+	Dispatch  *DispatchSection `json:"dispatch,omitempty"`
+	Trace     *TraceSection    `json:"trace,omitempty"`
+	Guard     *GuardSection    `json:"guard,omitempty"`
+	Analysis  *AnalysisSection `json:"analysis,omitempty"`
+	Backends  *BackendsSection `json:"backends,omitempty"`
+	Smc       *SMCSection      `json:"smc,omitempty"`
+	Validate  *ValidateSection `json:"validate,omitempty"`
+	Serve     *ServeSection    `json:"serve,omitempty"`
+	Uncovered []string         `json:"uncovered,omitempty"`
 }
 
 // WriteJSON writes the report, indented, to w.

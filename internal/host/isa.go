@@ -22,8 +22,8 @@
 // Exec and nothing selects between two.
 //
 // A Block is immutable once NewBlock returns. Insts, Labels, Target and
-// Listing are the static view the validator, the peephole pass and the
-// artifact store read; Exec reads only the pre-decoded program; nothing
+// Listing are the static view the validator and the peephole pass
+// read; Exec reads only the pre-decoded program; nothing
 // writes either, so a Block may be shared by any number of CPUs and
 // goroutines. The per-Inst loop Exec used to be is kept in the tests
 // (ref_test.go) as the reference the differential tests and

@@ -13,19 +13,15 @@ type ImportStats struct {
 	GateRejected int // structurally valid templates the static audit refused
 }
 
-// ImportPack loads a warm-start rule pack (the KindRulePack artifact
-// payload — the same JSON Lines stream rule.Save writes) into a fresh
-// store, applying the AdmissionGate to every template exactly as the
-// learning pipeline does: a pack is an alternate rule SOURCE, not an
-// alternate trust path, so nothing enters the store the local auditor
-// would have refused at learning time. When reverify is set every
-// template is additionally re-checked with the symbolic executor — the
-// belt-and-braces path for a store directory writable by others.
-// Gate-refused templates are skipped and counted; structural corruption
-// fails the import (the artifact checksum already caught bit rot, so a
-// malformed pack means a producer bug, not transport damage).
-func ImportPack(r io.Reader, reverify bool) (*rule.Store, ImportStats, error) {
-	store, rejected, err := rule.LoadGated(r, reverify, AdmissionGate)
+// ImportPack loads a saved rule table (the JSON Lines stream rule.Save
+// writes; `rulegen -o`, `paradbt -rules`) into a fresh store, applying
+// the AdmissionGate to every template exactly as the learning pipeline
+// does: a saved table is an alternate rule SOURCE, not an alternate
+// trust path, so nothing enters the store the local auditor would have
+// refused at learning time. Gate-refused templates are skipped and
+// counted; structural corruption fails the import.
+func ImportPack(r io.Reader) (*rule.Store, ImportStats, error) {
+	store, rejected, err := rule.LoadGated(r, false, AdmissionGate)
 	if err != nil {
 		return nil, ImportStats{GateRejected: rejected}, err
 	}

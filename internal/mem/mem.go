@@ -426,9 +426,10 @@ func (m *Memory) RestoreBelow(src *Memory, limit uint32) {
 // hashing allocated pages in ascending address order. Pages that are
 // absent or all zero contribute nothing, so two images that differ only
 // in untouched (or explicitly zeroed) pages checksum identically —
-// matching read semantics, where both return zero. The artifact store
-// uses it to fingerprint the guest code region: a warm-start artifact
-// keyed on the checksum can never be applied to a different code image.
+// matching read semantics, where both return zero. The translation
+// service keys its per-program code snapshots on the checksum of the
+// guest code region, so tenants share a snapshot only when their code
+// images match.
 func (m *Memory) Checksum(lo, hi uint32) uint64 {
 	const (
 		offset64 = 14695981039346656037

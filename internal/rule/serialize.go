@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
@@ -189,6 +191,47 @@ func LoadQuarantine(r io.Reader) ([]QuarantineEntry, error) {
 		out = append(out, e)
 	}
 	return out, nil
+}
+
+// WriteFileAtomic writes data to path via a temp file in the same
+// directory, syncing before the rename so a crash at any point leaves
+// either the old content or the new — never a torn file. Same-directory
+// placement keeps the rename on one filesystem, where POSIX makes it
+// atomic. cmd/paradbt writes its quarantine file with it: a torn file
+// would silently drop demotions on the next run.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	f, err := os.CreateTemp(dir, base+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	cleanup := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return cleanup(err)
+	}
+	if err := f.Sync(); err != nil {
+		return cleanup(err)
+	}
+	if err := f.Chmod(perm); err != nil {
+		return cleanup(err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
 // guestCond clamps a deserialized guest condition code.

@@ -2,6 +2,8 @@ package rule
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,5 +151,25 @@ func TestCondClamping(t *testing.T) {
 	}
 	if hostCond(250) != host.CondNone {
 		t.Fatal("out-of-range host cond not clamped")
+	}
+}
+
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "f")
+	if err := WriteFileAtomic(p, []byte("one"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(p, []byte("two"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(p)
+	if err != nil || string(got) != "two" {
+		t.Fatalf("read %q, %v", got, err)
+	}
+	// No temp litter left behind.
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("dir entries: %v, %v", ents, err)
 	}
 }

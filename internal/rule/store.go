@@ -167,33 +167,6 @@ func (s *Store) All() []*Template {
 	return out
 }
 
-// Fingerprint64 digests the store's template set under its current
-// retrieval-key seed: 64-bit FNV-1a over the canonical template
-// fingerprints in deterministic (sorted) order, seeded by the
-// backend-namespaced key seed (KeyFpSeedFor, installed by
-// SetBackendID). Two stores agree iff they hold the same templates and
-// are keyed for the same backend — the component the artifact store
-// folds into its lookup keys, so a translation artifact produced under
-// one rule table or backend can never satisfy a lookup under another.
-// Quarantine state is deliberately excluded: demotions propagate
-// through the artifact store's quarantine shard instead of invalidating
-// every translation keyed on the table.
-func (s *Store) Fingerprint64() uint64 {
-	fps := make([]string, 0, len(s.byFp))
-	for fp := range s.byFp {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	h := s.keySeed()
-	for _, fp := range fps {
-		for i := 0; i < len(fp); i++ {
-			h = fnvByte(h, fp[i])
-		}
-		h = fnvByte(h, 0)
-	}
-	return h
-}
-
 // Quarantine demotes a template: it stays in the store (so Save and
 // the accounting still see it) but no lookup will return it until
 // Unquarantine. The reason is recorded for the persisted quarantine
@@ -248,14 +221,19 @@ func (s *Store) Quarantined() []QuarantineEntry {
 // ApplyQuarantine quarantines every store template whose fingerprint
 // appears in entries (a previously persisted quarantine set) and
 // reports how many matched. Entries for rules not in this store are
-// ignored — the quarantine file may outlive a retrained table.
+// ignored — the quarantine file may outlive a retrained table. A
+// template matches on its fingerprint now, as Quarantined records it,
+// not as it was added: a template corrupted in place (a fault plan's
+// corruptRules) matches the entry its corrupted form was saved under.
 func (s *Store) ApplyQuarantine(entries []QuarantineEntry) int {
-	n := 0
+	reasons := make(map[string]string, len(entries))
 	for _, e := range entries {
-		if t, ok := s.byFp[e.Fingerprint]; ok {
-			if s.Quarantine(t, e.Reason) {
-				n++
-			}
+		reasons[e.Fingerprint] = e.Reason
+	}
+	n := 0
+	for _, t := range s.byFp {
+		if reason, ok := reasons[t.Fingerprint()]; ok && s.Quarantine(t, reason) {
+			n++
 		}
 	}
 	return n

@@ -7,7 +7,12 @@
 // metric, each side's median and quartiles, the median of the per-pair
 // ratios change/base, and the pairs the change won. The machine's speed
 // drifts in waves minutes long; a ratio taken within one pair cancels
-// most of it, a median over each side's runs does not.
+// most of it, a median over each side's runs does not. What a pair does
+// not cancel is an order effect (the side that runs second may find a
+// warmer or a more crowded machine), so the ratio median is also given
+// over the change-first and the base-first pairs apart, and a metric
+// whose two halves point in opposite directions is flagged: its verdict
+// says more about run order than about the change.
 //
 //	go run ./tools/benchpairs -base HEAD~1 -workload steady -n 10
 //
@@ -141,12 +146,13 @@ func run(base, workload string, n int, seconds float64, seed int64) error {
 		fmt.Println()
 	}
 
-	fmt.Printf("\n%-12s %-8s %31s %31s %8s %27s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change",
-		"pair ratio median [q1, q3]", "pairs won/lost/tied")
+	fmt.Printf("\n%-12s %-8s %31s %31s %8s %27s %17s  %s\n", "metric", "unit", "base median [q1, q3]", "change median [q1, q3]", "change",
+		"pair ratio median [q1, q3]", "change/base first", "pairs won/lost/tied")
 	for _, m := range sp.EndToEnd {
 		v := values[m.Name]
 		won, lost, tied := 0, 0, 0
 		var ratios []float64
+		var byOrder [2][]float64 // ratios of the base-first and the change-first pairs
 		for i := range v[0] {
 			switch d := v[1][i] - v[0][i]; {
 			case d == 0:
@@ -157,12 +163,19 @@ func run(base, workload string, n int, seconds float64, seed int64) error {
 				lost++
 			}
 			if v[0][i] != 0 {
-				ratios = append(ratios, v[1][i]/v[0][i])
+				r := v[1][i] / v[0][i]
+				ratios = append(ratios, r)
+				byOrder[i%2] = append(byOrder[i%2], r)
 			}
 		}
 		bq, cq, rq := quartiles(v[0]), quartiles(v[1]), quartiles(ratios)
-		fmt.Printf("%-12s %-8s %12.4g [%7.4g, %7.4g] %12.4g [%7.4g, %7.4g] %+7.1f%% %9.4f [%6.4f, %6.4f]  %d/%d/%d (%s is better, bound %g)\n",
-			m.Name, m.Unit, bq[1], bq[0], bq[2], cq[1], cq[0], cq[2], pct(bq[1], cq[1]), rq[1], rq[0], rq[2], won, lost, tied, m.Better, m.Bound)
+		cf, bf, disagree := orderHalves(byOrder)
+		order := ""
+		if disagree {
+			order = "  ORDER: halves disagree"
+		}
+		fmt.Printf("%-12s %-8s %12.4g [%7.4g, %7.4g] %12.4g [%7.4g, %7.4g] %+7.1f%% %9.4f [%6.4f, %6.4f] %8.4f %8.4f  %d/%d/%d (%s is better, bound %g)%s\n",
+			m.Name, m.Unit, bq[1], bq[0], bq[2], cq[1], cq[0], cq[2], pct(bq[1], cq[1]), rq[1], rq[0], rq[2], cf, bf, won, lost, tied, m.Better, m.Bound, order)
 	}
 	for i, s := range sides {
 		fmt.Printf("fail share %s: %d/%d\n", s.name, failed[i], attempted[i])
@@ -215,6 +228,19 @@ func pct(base, change float64) float64 {
 		return 0
 	}
 	return (change - base) / base * 100
+}
+
+// orderHalves returns the median change/base ratio over the
+// change-first pairs and over the base-first pairs (byOrder holds the
+// base-first ratios, then the change-first ones), and whether the two
+// point in opposite directions: one half has the change ahead, the other
+// behind.
+func orderHalves(byOrder [2][]float64) (changeFirst, baseFirst float64, disagree bool) {
+	if len(byOrder[0]) == 0 || len(byOrder[1]) == 0 {
+		return 0, 0, false
+	}
+	baseFirst, changeFirst = quartiles(byOrder[0])[1], quartiles(byOrder[1])[1]
+	return changeFirst, baseFirst, (changeFirst-1)*(baseFirst-1) < 0
 }
 
 // quartiles returns the first quartile, median and third quartile by
