@@ -86,14 +86,17 @@ test-faults:
 	$(GO) test -race -count=1 -run 'TestShadow|TestJournalWrites|TestCompareWrites' ./internal/dbt ./internal/mem ./internal/guard
 
 # The self-modifying-code scenarios (docs/ROBUSTNESS.md "Self-modifying
-# code"): write-then-execute in the store's own block, cross-block
-# overwrite, overwrite mid-superblock and toggled during repeated trace
-# formation, the fault-injected code pokes, the TraceBudget refund, the
-# trace-formation panic recovery and the artifact page-checksum reject,
-# each under interpret-first and translate-first — plus the
-# interpret-first tier's own tests (TestTier*: what it translates, what
-# it counts, and that interpreted stores bypass the undo journal) —
-# functionally and under the race detector.
+# code"), functionally and under the race detector: the four SMC
+# profiles' interpreter results (TestSMCProfilesInterpret); in the
+# engine, write-then-execute in the store's own block with its precise
+# exit and rolled-back frame stores, cross-block overwrite, an
+# overwrite in a chained hot loop (smc-sbmid), an instruction of one
+# toggled between two encodings (smc-toggle) and the fault-injected
+# code pokes, each under interpret-first and translate-first, plus the
+# shadow reference pass leaving no trace; and the interpret-first
+# tier's own tests (TestTier*: what it translates, what it counts, that
+# shadow checks cover translated blocks only, that interpreted stores
+# bypass the undo journal and that service tenants translate first).
 test-smc:
 	$(GO) test -count=1 -run 'TestSMC|TestTier' ./internal/workload ./internal/dbt
 	$(GO) test -race -count=1 -run 'TestSMC|TestTier' ./internal/workload ./internal/dbt

@@ -1,7 +1,7 @@
 // Command codeaudit runs translation validation over every block the
 // workload suite translates: each benchmark executes under the engine,
-// then every host block (and superblock) the run installed is
-// symbolically checked against the guest reference semantics by
+// then every host block the run installed is symbolically checked
+// against the guest reference semantics by
 // internal/analysis.ValidateBlock, offline (exp.Audit over
 // Engine.Translations). The result is one JSON report with a verdict
 // per block:

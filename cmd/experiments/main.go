@@ -30,7 +30,7 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "dynamic work multiplier (1 = reference input)")
-	only := flag.String("only", "", "comma-separated subset: table1,fig2,fig11,fig12,fig13,table2,fig14,fig15,fig16,table3,dispatch,trace,guard,analysis,backends,smc,validate,serve")
+	only := flag.String("only", "", "comma-separated subset: table1,fig2,fig11,fig12,fig13,table2,fig14,fig15,fig16,table3,dispatch,guard,analysis,backends,smc,validate,serve")
 	serveTenants := flag.Int("serve-tenants", 2, "concurrent tenants per workload in the serve section")
 	guardBench := flag.String("guard-bench", "mcf", "benchmark for the guard divergence/recovery experiment")
 	jsonPath := flag.String("json", "", "also write the selected sections as a JSON report to this file (\"-\" = stdout, text tables suppressed)")
@@ -97,7 +97,7 @@ func main() {
 	}
 
 	needLOO := sel("fig11") || sel("fig12") || sel("fig13") || sel("table2") ||
-		sel("fig14") || sel("fig15") || sel("dispatch") || sel("trace")
+		sel("fig14") || sel("fig15") || sel("dispatch")
 	var loo []exp.ModeResults
 	if needLOO {
 		fmt.Fprintln(os.Stderr, "leave-one-out evaluation (5 configurations x 12 benchmarks)...")
@@ -148,17 +148,6 @@ func main() {
 		section("Dispatch & block chaining (full configuration)")
 		report.Dispatch = exp.DispatchData(loo)
 		render(exp.RenderDispatch(report.Dispatch))
-	}
-
-	if sel("trace") {
-		section("Hot traces: superblock formation & dispatch share")
-		tr, err := exp.TraceExperiment(corpus, loo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		report.Trace = tr
-		render(exp.RenderTrace(tr))
 	}
 
 	if sel("fig16") {

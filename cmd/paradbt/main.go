@@ -135,8 +135,6 @@ func main() {
 	manual := flag.Bool("manual", false, "add the manual ABI/special-instruction translations (paper §V-B2)")
 	dumpBlocks := flag.Int("dump-blocks", 0, "print the first N translated blocks (guest disassembly + host listing)")
 	noChain := flag.Bool("no-chain", false, "disable translation-block chaining (dispatch every block boundary)")
-	hotThreshold := flag.Uint64("hot-threshold", 0, "form hot-trace superblocks once a block's entry count crosses this threshold (0 disables formation; needs chaining)")
-	traceBudget := flag.Int("trace-budget", 0, "cap how many traces the engine may form (0 = unlimited)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (JSON snapshot), /trace and /debug/pprof on this address (e.g. :6060); enables telemetry")
 	traceN := flag.Int("trace", 0, "record the last N block transitions in a ring buffer, dumped to stderr after the run and on panic")
 	shadowRate := flag.Float64("shadow-rate", 0, "shadow-verify this fraction of block executions against the reference interpreter (1 = every execution)")
@@ -210,8 +208,6 @@ func main() {
 	cfg.Backend = be
 	cfg.ManualABI = *manual
 	cfg.NoChain = *noChain
-	cfg.HotThreshold = *hotThreshold
-	cfg.TraceBudget = *traceBudget
 	cfg.ShadowRate = *shadowRate
 	cfg.Peephole = *peephole
 
@@ -316,11 +312,6 @@ func main() {
 	if cfg.Peephole {
 		fmt.Printf("blocks validated   %d\n", st.BlocksValidated)
 		fmt.Printf("validate fallbacks %d\n", st.ValidateFallbacks)
-	}
-	if cfg.HotThreshold > 0 {
-		fmt.Printf("traces formed      %d\n", st.TracesFormed)
-		fmt.Printf("superblock execs   %d (%.1f%% of block entries)\n", st.SuperblockExecs, 100*st.SuperblockShare())
-		fmt.Printf("side exits         %d (%.1f%% of superblock execs)\n", st.SideExits, 100*st.SideExitRate())
 	}
 	if cfg.ShadowRate > 0 || cfg.Faults != nil {
 		fmt.Printf("shadow checks      %d\n", st.ShadowChecks)

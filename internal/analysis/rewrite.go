@@ -30,14 +30,13 @@ var rewriteSides = [2]string{"before", "after"}
 // rewriteWords lists the CPUState words a rewrite must preserve: every
 // word that is not translator-private. That is everything below the
 // spill area (guest registers r0-r15, the NZCV words, the float
-// registers) plus the superblock side-exit slot; the spill slots,
-// OffBorrow and OffLegal0/1 are free.
+// registers); the spill slots, OffBorrow and OffLegal0/1 are free.
 var rewriteWords = func() []uint32 {
 	var words []uint32
 	for off := uint32(0); off < env.OffScratch; off += 4 {
 		words = append(words, off)
 	}
-	return append(words, env.OffSBExit)
+	return words
 }()
 
 // ValidateRewrite proves (or fails to prove) that executing after is

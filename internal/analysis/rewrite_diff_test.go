@@ -98,10 +98,10 @@ func buildPeepholeCases() ([]peepholeCase, error) {
 			if unit == nil {
 				return nil, fmt.Errorf("%s: no installed unit holds either stream of a candidate", name)
 			}
-			rep.PC = unit.Segs[0].PC
+			rep.PC = unit.PC
 			opts := analysis.ValidateOpts{CheckFlags: unit.FlagsExact, HaltPC: dbt.HaltPC}
 			cases = append(cases, peepholeCase{bench: name, before: p[0], after: p[1], rewrite: rep,
-				installed: unit.Host, guest: analysis.ValidateBlock(unit.Segs, unit.Host, opts)})
+				installed: unit.Host, guest: analysis.ValidateBlock(unit.PC, unit.Insts, unit.Host, opts)})
 		}
 		if proved != r.Stats.BlocksValidated {
 			return nil, fmt.Errorf("%s: %d rewrites proved offline, engine installed %d", name, proved, r.Stats.BlocksValidated)
@@ -152,8 +152,7 @@ func TestValidateRewriteDifferential(t *testing.T) {
 // that guest registers often point into — and describes the first
 // difference in what the rewrite contract covers: exit PC, every
 // CPUState word that is not translator-private (guest registers, NZCV,
-// float registers, OffSBExit) and guest memory below the CPUState
-// frame.
+// float registers) and guest memory below the CPUState frame.
 func diffStreams(before, after *host.Block, seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	m := mem.New()
@@ -174,7 +173,6 @@ func diffStreams(before, after *host.Block, seed int64) string {
 	for _, off := range []uint32{env.OffN, env.OffZ, env.OffC, env.OffV} {
 		m.Write32(env.StateBase+off, uint32(rng.Intn(2)))
 	}
-	m.Write32(env.StateBase+env.OffSBExit, uint32(rng.Intn(4)))
 	for i := uint32(0); i < 128; i++ {
 		m.Write32(env.DataBase+4*i, rng.Uint32())
 	}
@@ -196,12 +194,8 @@ func diffStreams(before, after *host.Block, seed int64) string {
 		return fmt.Sprintf("next pc %#x vs %#x", r0.NextPC, r1.NextPC)
 	}
 	// Every CPUState word that is not translator-private: everything
-	// below the spill area, and the side-exit slot.
-	words := []uint32{env.OffSBExit}
+	// below the spill area.
 	for off := uint32(0); off < env.OffScratch; off += 4 {
-		words = append(words, off)
-	}
-	for _, off := range words {
 		if w, g := c0.Mem.Read32(env.StateBase+off), c1.Mem.Read32(env.StateBase+off); w != g {
 			return fmt.Sprintf("env%+d: %#x vs %#x", off, w, g)
 		}

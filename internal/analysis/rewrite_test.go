@@ -98,14 +98,14 @@ func TestValidateRewriteProvesPeepholeShapes(t *testing.T) {
 
 	keep := host.NewBlock([]host.Inst{
 		host.I(host.MOVL, host.R(host.EAX), host.Imm(2)),
-		host.I(host.MOVL, md(env.OffSBExit), host.R(host.EAX)),
+		host.I(host.MOVL, slot(3), host.R(host.EAX)),
 		host.I(host.MOVL, host.R(host.EBX), host.Imm(1)),
 		host.I(host.MOVL, md(env.OffN), host.R(host.EBX)),
 		host.I(host.MOVL, md(env.OffC), host.R(host.EBX)),
 		host.I(host.MOVL, md(env.OffLegal0), host.R(host.EBX)), // dead: deleted
 		host.Exit(host.Imm(0x2000)),
 	}, nil)
-	wantStructural(t, "sbexit-and-nzcv", ValidateRewrite(keep, peepholeT(t, keep)))
+	wantStructural(t, "guest-words", ValidateRewrite(keep, peepholeT(t, keep)))
 
 	alias := host.NewBlock(aliasShape(), nil)
 	wantStructural(t, "alias", ValidateRewrite(alias, peepholeT(t, alias)))
@@ -148,13 +148,13 @@ func TestValidateRewriteHostStackUnmodeled(t *testing.T) {
 	}
 }
 
-// rewriteBase is a two-path superblock-shaped stream touching everything
+// rewriteBase is a two-path stream touching everything
 // the rewrite contract covers: guest-register slots (r15 included), a
 // live guest load, two ordered guest stores followed by a load through
 // one of their addresses, a float-register move (lowered, as tcg lowers
 // FMOV, to a load and a store through the CPUState), a flag setter
-// feeding both a NZCV word and the branch, a side exit arming OffSBExit,
-// and two immediate exits.
+// feeding both a NZCV word and the branch, a guest-register store only
+// one path makes, and two immediate exits.
 func rewriteBase() ([]host.Inst, map[int]int) {
 	return []host.Inst{
 		host.I(host.MOVL, host.R(host.EAX), slot(1)),                            // 0
@@ -171,11 +171,11 @@ func rewriteBase() ([]host.Inst, map[int]int) {
 		host.I(host.CMPL, host.R(host.ECX), host.Imm(0)),                        // 11 flag setter
 		{Op: host.SETCC, Cond: host.E, Dst: host.R(host.EDX)},                   // 12
 		host.I(host.MOVL, host.Mem(host.EBP, env.OffZ), host.R(host.EDX)),       // 13
-		host.Jcc(host.NE, 1),                                                   // 14
-		host.I(host.MOVL, host.R(host.EDX), host.Imm(0)),                       // 15
-		host.I(host.MOVL, host.Mem(host.EBP, env.OffSBExit), host.R(host.EDX)), // 16 side exit
-		host.Exit(host.Imm(0x1000)),                                            // 17
-		host.Exit(host.Imm(0x2000)),                                            // 18 label 1
+		host.Jcc(host.NE, 1),                             // 14
+		host.I(host.MOVL, host.R(host.EDX), host.Imm(0)), // 15
+		host.I(host.MOVL, slot(5), host.R(host.EDX)),     // 16 one path's store
+		host.Exit(host.Imm(0x1000)),                      // 17
+		host.Exit(host.Imm(0x2000)),                      // 18 label 1
 	}, map[int]int{1: 18}
 }
 
@@ -201,12 +201,12 @@ func TestValidateRewriteRejectsMutants(t *testing.T) {
 	wantStructural(t, "identity", ValidateRewrite(before, before))
 
 	mutants := map[string]func() ([]host.Inst, map[int]int){
-		"deleted live guest-register slot store": func() ([]host.Inst, map[int]int) { return without(base, labels, 3) },
-		"deleted live load":                      func() ([]host.Inst, map[int]int) { return without(base, labels, 2) },
-		"deleted float-register store":           func() ([]host.Inst, map[int]int) { return without(base, labels, 9) },
-		"deleted r15 store":                      func() ([]host.Inst, map[int]int) { return without(base, labels, 10) },
-		"deleted flag setter":                    func() ([]host.Inst, map[int]int) { return without(base, labels, 11) },
-		"dropped OffSBExit store":                func() ([]host.Inst, map[int]int) { return without(base, labels, 16) },
+		"deleted live guest-register slot store":  func() ([]host.Inst, map[int]int) { return without(base, labels, 3) },
+		"deleted live load":                       func() ([]host.Inst, map[int]int) { return without(base, labels, 2) },
+		"deleted float-register store":            func() ([]host.Inst, map[int]int) { return without(base, labels, 9) },
+		"deleted r15 store":                       func() ([]host.Inst, map[int]int) { return without(base, labels, 10) },
+		"deleted flag setter":                     func() ([]host.Inst, map[int]int) { return without(base, labels, 11) },
+		"dropped one path's guest-register store": func() ([]host.Inst, map[int]int) { return without(base, labels, 16) },
 		"two guest stores swapped": func() ([]host.Inst, map[int]int) {
 			m := append([]host.Inst{}, base...)
 			m[4], m[5] = m[5], m[4]

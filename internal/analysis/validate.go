@@ -3,8 +3,8 @@
 //
 // The rule auditor (analysis.go) proves *templates* sound over their
 // immediate domain; this file proves the *emitted code* — after backend
-// lowering, the risc legalizer, superblock flag elision and the
-// peephole optimizer — still implements the guest block. The validator
+// lowering, the risc legalizer and the peephole optimizer — still
+// implements the guest block. The validator
 // symbolically executes both sides, the host side with the CPUState as
 // a symbolic frame so its effects come out in guest terms
 // (enumHostPaths), and decides each observable effect with the same
@@ -46,21 +46,12 @@ const (
 	VerdictRefuted = Verdict("refuted")
 )
 
-// GuestSeg is one constituent basic block of the translation unit under
-// validation: its guest PC and decoded instructions. Single blocks pass
-// one segment; superblocks pass their trace in order.
-type GuestSeg struct {
-	PC    uint32
-	Insts []guest.Inst
-}
-
 // ValidateOpts configures a block validation.
 type ValidateOpts struct {
 	// CheckFlags requires the CPUState NZCV words to be exact at every
 	// exit. Callers pass the translation's flagsExact property: blocks
-	// that delegate flags to a host branch (and all superblocks, whose
-	// seams consume flags across constituent boundaries) legitimately
-	// leave the words stale.
+	// that delegate flags to a host branch legitimately leave the words
+	// stale.
 	CheckFlags bool
 	// MaxPaths bounds path enumeration on either side (default 64).
 	MaxPaths int
@@ -111,37 +102,33 @@ const (
 )
 
 // ValidateBlock proves (or fails to prove) that executing hb on the
-// host machine is observably equivalent to interpreting segs on the
-// guest: exit PC, the guest register file r0-r14, the ordered
-// guest-visible store trace, the superblock side-exit slot, and — when
-// opts.CheckFlags — the NZCV words. Anything the symbolic evaluators
+// host machine is observably equivalent to interpreting the guest block
+// insts at pc: exit PC, the guest register file r0-r14, the ordered
+// guest-visible store trace, and — when opts.CheckFlags — the NZCV
+// words. Anything the symbolic evaluators
 // cannot model yields "inconclusive"; "refuted" is only returned with a
 // concretely confirmed witness attached.
 //
 // hb is finalized code: its backend's Finalize already admitted every
 // instruction, so it is evaluated under plain symexec host semantics,
 // and the caller stamps the report's backend.
-func ValidateBlock(segs []GuestSeg, hb *host.Block, opts ValidateOpts) *BlockReport {
+func ValidateBlock(pc uint32, insts []guest.Inst, hb *host.Block, opts ValidateOpts) *BlockReport {
 	if opts.MaxPaths <= 0 {
 		opts.MaxPaths = defaultMaxPaths
 	}
-	rep := &BlockReport{Verdict: VerdictInconclusive, HostInsts: len(hb.Insts)}
-	if len(segs) > 0 {
-		rep.PC = segs[0].PC
-	}
+	rep := &BlockReport{PC: pc, Verdict: VerdictInconclusive, HostInsts: len(hb.Insts)}
 	defer countVerdict(rep)
-	if len(segs) == 0 || len(hb.Insts) == 0 {
+	if len(insts) == 0 || len(hb.Insts) == 0 {
 		rep.Reason = "empty translation unit"
 		return rep
 	}
 
-	gps, why := enumGuestPaths(segs, opts)
+	gps, why := enumGuestPaths(pc, insts, opts)
 	if why != "" {
 		rep.Reason = "guest: " + why
 		return rep
 	}
-	multiseg := len(segs) > 1
-	words := guestWords(opts.CheckFlags, multiseg)
+	words := guestWords(opts.CheckFlags)
 	hps, why := enumHostPaths(hb, opts.MaxPaths, words)
 	if why != "" {
 		rep.Reason = "host: " + why
@@ -161,14 +148,14 @@ func ValidateBlock(segs []GuestSeg, hb *host.Block, opts ValidateOpts) *BlockRep
 	}
 	rep.Paths = len(gps)
 
-	groups, why := matchPaths(gps, hps, multiseg)
+	groups, why := matchPaths(gps, hps)
 	if why != "" {
 		rep.Reason = why
 		return rep
 	}
 
 	l := &ladder{rep: rep, best: ProofStructural, replay: func(vals map[string]uint32) bool {
-		return replayDiverges(segs, hb, opts, vals)
+		return replayDiverges(pc, insts, hb, opts, vals)
 	}}
 	for gi, group := range groups {
 		gp := gps[gi]
@@ -312,14 +299,14 @@ type gPath struct {
 	exitConst bool
 	exitPC    uint32
 	exitReg   guest.Reg
-	seam      int // side-exit seam index; -1 = reached the final segment
 
 	gs    *symexec.GState
 	preds []*symexec.Expr
 }
 
 type gWalker struct {
-	segs  []GuestSeg
+	pc    uint32
+	insts []guest.Inst
 	opts  ValidateOpts
 	paths []*gPath
 	fail  string
@@ -336,21 +323,16 @@ type gSucc struct {
 	exitReg   guest.Reg
 }
 
-func enumGuestPaths(segs []GuestSeg, opts ValidateOpts) ([]*gPath, string) {
-	for _, s := range segs {
-		if len(s.Insts) == 0 {
-			return nil, "empty segment"
-		}
-	}
-	w := &gWalker{segs: segs, opts: opts}
-	w.walk(0, 0, nil, nil)
+func enumGuestPaths(pc uint32, insts []guest.Inst, opts ValidateOpts) ([]*gPath, string) {
+	w := &gWalker{pc: pc, insts: insts, opts: opts}
+	w.walk(0, nil, nil)
 	if w.fail != "" {
 		return nil, w.fail
 	}
 	return w.paths, ""
 }
 
-func (w *gWalker) walk(si, ii int, insts []guest.Inst, decs []gDecision) {
+func (w *gWalker) walk(ii int, insts []guest.Inst, decs []gDecision) {
 	if w.fail != "" {
 		return
 	}
@@ -358,10 +340,9 @@ func (w *gWalker) walk(si, ii int, insts []guest.Inst, decs []gDecision) {
 		w.fail = "path explosion"
 		return
 	}
-	seg := w.segs[si]
-	n := len(seg.Insts)
+	n := len(w.insts)
 	for ; ii < n-1; ii++ {
-		in := seg.Insts[ii]
+		in := w.insts[ii]
 		if in.IsBranch() || (in.Op == guest.POP && in.N > 0 && in.Ops[0].List&(1<<uint(guest.PC)) != 0) {
 			w.fail = fmt.Sprintf("branch %q before block end", in)
 			return
@@ -378,7 +359,7 @@ func (w *gWalker) walk(si, ii int, insts []guest.Inst, decs []gDecision) {
 		if in.Cond != guest.AL {
 			// Skipped variant forks off; the executed variant continues
 			// in this frame.
-			w.walk(si, ii+1, cloneInsts(insts), append(cloneDecs(decs), gDecision{len(insts), in.Cond, false}))
+			w.walk(ii+1, cloneInsts(insts), append(cloneDecs(decs), gDecision{len(insts), in.Cond, false}))
 			if w.fail != "" {
 				return
 			}
@@ -387,58 +368,23 @@ func (w *gWalker) walk(si, ii int, insts []guest.Inst, decs []gDecision) {
 		insts = append(cloneInsts(insts), effects...)
 	}
 
-	term := seg.Insts[n-1]
-	tpc := seg.PC + uint32((n-1)*guest.InstBytes)
+	term := w.insts[n-1]
+	tpc := w.pc + uint32((n-1)*guest.InstBytes)
 	succs, why := termSuccessors(term, tpc, w.opts)
 	if why != "" {
 		w.fail = why
 		return
 	}
-	if si == len(w.segs)-1 {
-		for _, sc := range succs {
-			nd := cloneDecs(decs)
-			if sc.hasDec {
-				nd = append(nd, gDecision{len(insts), sc.decCond, sc.want})
-			}
-			w.finish(append(cloneInsts(insts), sc.effects...), nd, sc, -1)
-		}
-		return
-	}
-	// Non-final segment: exactly one successor must continue on-trace to
-	// the next segment's PC; the other (if any) is a side exit at seam si.
-	next := w.segs[si+1].PC
-	on := -1
-	for j, sc := range succs {
-		if sc.exitConst && sc.exitPC == next {
-			if on >= 0 {
-				w.fail = "ambiguous trace successor"
-				return
-			}
-			on = j
-		}
-	}
-	if on < 0 {
-		w.fail = fmt.Sprintf("trace successor %#x unreachable from %q", next, term)
-		return
-	}
-	for j, sc := range succs {
+	for _, sc := range succs {
 		nd := cloneDecs(decs)
 		if sc.hasDec {
 			nd = append(nd, gDecision{len(insts), sc.decCond, sc.want})
 		}
-		ni := append(cloneInsts(insts), sc.effects...)
-		if j == on {
-			w.walk(si+1, 0, ni, nd)
-			if w.fail != "" {
-				return
-			}
-		} else {
-			w.finish(ni, nd, sc, si)
-		}
+		w.finish(append(cloneInsts(insts), sc.effects...), nd, sc)
 	}
 }
 
-func (w *gWalker) finish(insts []guest.Inst, decs []gDecision, sc gSucc, seam int) {
+func (w *gWalker) finish(insts []guest.Inst, decs []gDecision, sc gSucc) {
 	if w.fail != "" {
 		return
 	}
@@ -452,11 +398,10 @@ func (w *gWalker) finish(insts []guest.Inst, decs []gDecision, sc gSucc, seam in
 		exitConst: sc.exitConst,
 		exitPC:    sc.exitPC,
 		exitReg:   sc.exitReg,
-		seam:      seam,
 	})
 }
 
-// termSuccessors expands a segment-terminating instruction into its
+// termSuccessors expands a block-terminating instruction into its
 // successor set: the executed direction (with any register effects
 // desugared into plain instructions) and, for conditional terminators,
 // the fall-through.
@@ -644,9 +589,7 @@ func (p *gPath) exitExpr() *symexec.Expr {
 	return p.gs.R[p.exitReg]
 }
 
-// effects is the path's side of its checks. The side-exit slot holds
-// the seam index on a side exit and is untouched (the engine arms it)
-// on-trace.
+// effects is the path's side of its checks.
 func (p *gPath) effects() effects {
 	e := effects{exitExpr: p.exitExpr(), gStores: p.gs.Stores}
 	for r := 0; r < 15; r++ {
@@ -654,11 +597,6 @@ func (p *gPath) effects() effects {
 	}
 	for i, f := range [4]*symexec.Expr{p.gs.N, p.gs.Z, p.gs.C, p.gs.V} {
 		e.words[nzcvWords[i]/4] = f
-	}
-	if p.seam >= 0 {
-		e.words[env.OffSBExit/4] = symexec.Const(uint32(p.seam))
-	} else {
-		e.words[env.OffSBExit/4] = envInitSym(env.OffSBExit)
 	}
 	return e
 }
@@ -808,8 +746,8 @@ func (w *hWalker) finish(decs []hDecision, exit host.Operand, s *symexec.HState)
 }
 
 // ungrounded is the guest-vs-host modeling-gap gate: every symbol in
-// the path's effects must be a guest register, a guest flag, or the
-// side-exit slot's initial value. Anything else (an uninitialized host
+// the path's effects must be a guest register or a guest flag. Anything
+// else (an uninitialized host
 // register, a host flag read before definition, an unexpected env slot)
 // means the evaluation could not ground the expression in guest terms,
 // and the reason says which symbol.
@@ -872,21 +810,21 @@ func allowedSym(s string) bool {
 		n, err := strconv.Atoi(s[1:])
 		return err == nil && n >= 0 && n < int(guest.NumRegs)
 	}
-	return s == "env"+strconv.Itoa(int(env.OffSBExit))
+	return false
 }
 
 // ---------------------------------------------------------------------
 // Path pairing.
 
 // matchPaths pairs each guest path with the host path implementing it,
-// keyed on exit PC and side-exit seam; ambiguity (several host paths
+// keyed on exit PC; ambiguity (several host paths
 // with the same exit) is broken by concrete predicate agreement.
 // matchPaths partitions the host paths over the guest paths: every host
 // path is claimed by exactly one guest path (a guest path may own
 // several host paths — the backends emit conditional branches whose
 // arms reconverge, e.g. a conditional guest branch whose target is its
 // own fall-through). Returns, per guest path, the owned host indices.
-func matchPaths(gps []*gPath, hps []*hPath, multiseg bool) ([][]int, string) {
+func matchPaths(gps []*gPath, hps []*hPath) ([][]int, string) {
 	if len(hps) < len(gps) {
 		return nil, fmt.Sprintf("path count mismatch: %d guest vs %d host", len(gps), len(hps))
 	}
@@ -894,7 +832,7 @@ func matchPaths(gps []*gPath, hps []*hPath, multiseg bool) ([][]int, string) {
 	for hi, hp := range hps {
 		var cands []int
 		for gi, gp := range gps {
-			if exitCompatible(gp, hp) && seamCompatible(gp, hp, multiseg) {
+			if exitCompatible(gp, hp) {
 				cands = append(cands, gi)
 			}
 		}
@@ -940,18 +878,6 @@ func exitCompatible(gp *gPath, hp *hPath) bool {
 		return nh.Op == symexec.XConst && nh.C == gp.exitPC
 	}
 	return nh.Op != symexec.XConst
-}
-
-func seamCompatible(gp *gPath, hp *hPath, multiseg bool) bool {
-	if !multiseg {
-		return true
-	}
-	ns := symexec.Normalize(hp.words[env.OffSBExit/4])
-	if gp.seam >= 0 {
-		return ns.Op == symexec.XConst && ns.C == uint32(gp.seam)
-	}
-	// On-trace: the slot must be untouched (the engine arms it).
-	return ns.Op == symexec.XSym && ns.Name == "env"+strconv.Itoa(int(env.OffSBExit))
 }
 
 // hostBelongs concretely tests whether the host path's predicate
@@ -1000,26 +926,22 @@ var guestSides = [2]string{"guest", "host"}
 var nzcvWords = [4]uint32{env.OffN, env.OffZ, env.OffC, env.OffV}
 
 // guestWords lists the CPUState words a guest-vs-host path pair
-// compares: r0-r14, the NZCV words when flags is set (the
-// translation's flagsExact property), and the side-exit slot when
-// sbExit is (superblocks).
-func guestWords(flags, sbExit bool) []uint32 {
-	words := make([]uint32, 0, 20)
+// compares: r0-r14, and the NZCV words when flags is set (the
+// translation's flagsExact property).
+func guestWords(flags bool) []uint32 {
+	words := make([]uint32, 0, 19)
 	for r := 0; r < 15; r++ {
 		words = append(words, uint32(env.OffReg(r)))
 	}
 	if flags {
 		words = append(words, nzcvWords[:]...)
 	}
-	if sbExit {
-		words = append(words, env.OffSBExit)
-	}
 	return words
 }
 
 // wordNames names the check of each CPUState word: the guest registers
-// r0-r15, the flag words n z c v, the float registers f0-f15, sbexit,
-// and env<offset> for the rest.
+// r0-r15, the flag words n z c v, the float registers f0-f15, and
+// env<offset> for the rest.
 var wordNames = func() (t [env.Size / 4]string) {
 	for i := range t {
 		off := uint32(4 * i)
@@ -1030,8 +952,6 @@ var wordNames = func() (t [env.Size / 4]string) {
 			t[i] = [4]string{"n", "z", "c", "v"}[(off-env.OffN)/4]
 		case off < env.OffF0+64:
 			t[i] = "f" + strconv.Itoa(int(off-env.OffF0)/4)
-		case off == env.OffSBExit:
-			t[i] = "sbexit"
 		default:
 			t[i] = "env" + strconv.Itoa(int(off))
 		}
@@ -1303,10 +1223,10 @@ func sampleSym(s string, rng *rand.Rand, trial int) uint32 {
 // Witness confirmation by concrete replay.
 
 // replayDiverges runs the witness machine state through the real host
-// simulator (executing hb) and the real guest interpreter (stepping
-// segs) and reports whether any architectural observation differs. Only
-// a true result licenses a refuted verdict.
-func replayDiverges(segs []GuestSeg, hb *host.Block, opts ValidateOpts, vals map[string]uint32) bool {
+// simulator (executing hb) and the real guest interpreter (stepping the
+// guest block insts at pc) and reports whether any architectural
+// observation differs. Only a true result licenses a refuted verdict.
+func replayDiverges(pc uint32, insts []guest.Inst, hb *host.Block, opts ValidateOpts, vals map[string]uint32) bool {
 	val := func(name string) uint32 { return vals[name] }
 
 	// Host side: a CPUState frame at StateBase seeded from the witness.
@@ -1321,9 +1241,6 @@ func replayDiverges(segs []GuestSeg, hb *host.Block, opts ValidateOpts, vals map
 	hm.Write32(env.StateBase+env.OffZ, val("fz")&1)
 	hm.Write32(env.StateBase+env.OffC, val("fc")&1)
 	hm.Write32(env.StateBase+env.OffV, val("fv")&1)
-	if len(segs) > 1 {
-		hm.Write32(env.StateBase+env.OffSBExit, uint32(len(segs)-1))
-	}
 	res, err := cpu.Exec(hb, replayMaxSteps)
 	if err != nil {
 		return false // cannot confirm
@@ -1339,30 +1256,18 @@ func replayDiverges(segs []GuestSeg, hb *host.Block, opts ValidateOpts, vals map
 		N: val("fn")&1 != 0, Z: val("fz")&1 != 0,
 		C: val("fc")&1 != 0, V: val("fv")&1 != 0,
 	}
-	seam := -1
-	exitPC := uint32(0)
-	for si := range segs {
-		st.SetPC(segs[si].PC)
-		for _, in := range segs[si].Insts {
-			if st.Halted {
-				break
-			}
-			if err := st.Step(in); err != nil {
-				return false
-			}
-		}
+	st.SetPC(pc)
+	for _, in := range insts {
 		if st.Halted {
-			exitPC = opts.HaltPC
 			break
 		}
-		exitPC = st.PCVal()
-		if si < len(segs)-1 {
-			if exitPC == segs[si+1].PC {
-				continue
-			}
-			seam = si
+		if err := st.Step(in); err != nil {
+			return false
 		}
-		break
+	}
+	exitPC := st.PCVal()
+	if st.Halted {
+		exitPC = opts.HaltPC
 	}
 
 	if res.NextPC != exitPC {
@@ -1380,15 +1285,6 @@ func replayDiverges(segs []GuestSeg, hb *host.Block, opts ValidateOpts, vals map
 			if hm.Read32(env.StateBase+offs[i]) != want[i] {
 				return true
 			}
-		}
-	}
-	if len(segs) > 1 {
-		want := uint32(len(segs) - 1)
-		if seam >= 0 {
-			want = uint32(seam)
-		}
-		if hm.Read32(env.StateBase+env.OffSBExit) != want {
-			return true
 		}
 	}
 	// Guest-visible memory: everything below the CPUState frame.

@@ -12,13 +12,12 @@ const testHaltPC uint32 = 0xffffffff
 
 func slot(r int) host.Operand { return host.Mem(host.EBP, env.OffR0+4*int32(r)) }
 
-// validateT runs the validator over one guest segment and a hand-built
+// validateT runs the validator over one guest block and a hand-built
 // host stream; labels maps block-local jump label ids to instruction
 // indices (nil for straight-line streams).
 func validateT(gseq []guest.Inst, pc uint32, insts []host.Inst, labels map[int]int) *BlockReport {
-	segs := []GuestSeg{{PC: pc, Insts: gseq}}
 	hb := host.NewBlock(insts, labels)
-	return ValidateBlock(segs, hb, ValidateOpts{HaltPC: testHaltPC})
+	return ValidateBlock(pc, gseq, hb, ValidateOpts{HaltPC: testHaltPC})
 }
 
 // branchTo builds a guest B instruction whose target, placed as the

@@ -21,7 +21,7 @@ import (
 //   - a backward liveness fixpoint over the block's resolved control
 //     flow, which deletes flag-transparent moves into dead registers
 //     and dead stores into translator-private CPUState slots (spills,
-//     OffBorrow, OffLegal0/1 — never guest-visible state or OffSBExit).
+//     OffBorrow, OffLegal0/1 — never guest-visible state).
 //
 // Every deleted instruction is a MOVL, which the host CPU executes
 // without touching EFLAGS, so the pass cannot perturb flag semantics;
@@ -100,10 +100,10 @@ func (riscBackend) OptimizeBlock(b *host.Block) (*host.Block, OptStats, error) {
 // privateSlot reports whether an EBP displacement addresses a
 // translator-private CPUState slot: spill homes, the tcg borrow slot
 // and the legalizer save slots. Guest-visible state (registers, NZCV,
-// float registers) and the engine-read OffSBExit slot are excluded —
-// stores there are the translation's semantics.
+// float registers) is excluded — stores there are the translation's
+// semantics.
 func privateSlot(disp int32) bool {
-	return disp >= env.OffScratch && disp < env.Size && disp != env.OffSBExit
+	return disp >= env.OffScratch && disp < env.Size
 }
 
 // plainSlot reports whether o is a scale-free EBP-relative memory

@@ -122,16 +122,16 @@ func TestPeepholeSemanticEquivalence(t *testing.T) {
 	}
 }
 
-// TestPeepholeKeepsSBExitAndNZCV pins the liveness boundary: stores
-// into the superblock side-exit slot and the guest-visible NZCV words
-// are the translation's semantics, never dead, even when the block
-// exits immediately after writing them and nothing reloads them.
-func TestPeepholeKeepsSBExitAndNZCV(t *testing.T) {
+// TestPeepholeKeepsGuestWords pins the liveness boundary: stores into
+// the guest-visible register and NZCV words are the translation's
+// semantics, never dead, even when the block exits immediately after
+// writing them and nothing reloads them.
+func TestPeepholeKeepsGuestWords(t *testing.T) {
 	// Hand-built post-legalize stream (risc encodes no imm-to-mem
 	// moves): materialize in registers, then store.
 	seq := []host.Inst{
 		host.I(host.MOVL, host.R(host.EAX), host.Imm(2)),
-		host.I(host.MOVL, host.Mem(host.EBP, env.OffSBExit), host.R(host.EAX)),
+		host.I(host.MOVL, host.Mem(host.EBP, env.OffReg(3)), host.R(host.EAX)),
 		host.I(host.MOVL, host.R(host.EBX), host.Imm(1)),
 		host.I(host.MOVL, host.Mem(host.EBP, env.OffN), host.R(host.EBX)),
 		host.I(host.MOVL, host.Mem(host.EBP, env.OffC), host.R(host.EBX)),
@@ -148,7 +148,7 @@ func TestPeepholeKeepsSBExitAndNZCV(t *testing.T) {
 	if st.Deleted() == 0 {
 		t.Fatal("dead private-slot store survived: pass exercised nothing")
 	}
-	keep := map[int32]bool{env.OffSBExit: false, env.OffN: false, env.OffC: false}
+	keep := map[int32]bool{env.OffReg(3): false, env.OffN: false, env.OffC: false}
 	for _, in := range ob.Insts {
 		if in.Op == host.MOVL && plainSlot(in.Dst) {
 			if _, ok := keep[in.Dst.Disp]; ok {

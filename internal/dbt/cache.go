@@ -1,7 +1,7 @@
 package dbt
 
-// codeCache maps a guest block pc to its installed unit; a superblock
-// owns its head pc's slot. The engine starts no goroutines, and the
+// codeCache maps a guest block pc to its installed unit. The engine
+// starts no goroutines, and the
 // methods that reach the cache from outside Run (Invalidate,
 // Translations, BlockListing) must not run concurrently with it, so one
 // goroutine at a time touches the cache and it needs no lock.

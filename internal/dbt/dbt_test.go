@@ -1,6 +1,8 @@
 package dbt
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"paramdbt/internal/core"
@@ -97,6 +99,41 @@ func testProgram() *minic.Program {
 			minic.If(minic.Cond{Op: minic.CmpGt, L: minic.V(0), R: minic.C(10)},
 				[]*minic.Stmt{minic.Assign(0, minic.B(minic.OpShl, minic.V(0), minic.C(1)))},
 				[]*minic.Stmt{minic.Assign(0, minic.B(minic.OpAdd, minic.V(0), minic.C(100)))}),
+			minic.Return(minic.V(0)),
+		},
+	}
+	return &minic.Program{Funcs: []*minic.Func{main, helper}}
+}
+
+// hotProgram's hot loop spans several basic blocks (testProgram's loop
+// body is one self-looping block): an if/else whose direction alternates
+// on roughly every iteration, and a call into a helper whose indirect
+// return goes back through the dispatcher.
+func hotProgram() *minic.Program { return hotProgramN(60) }
+
+// hotProgramN is hotProgram with a configurable iteration count.
+func hotProgramN(iters int32) *minic.Program {
+	helper := &minic.Func{
+		Name: "bump", NArgs: 1, NVars: 2,
+		Body: []*minic.Stmt{
+			minic.Return(minic.B(minic.OpAdd, minic.V(0), minic.C(3))),
+		},
+	}
+	main := &minic.Func{
+		Name: "main", NVars: 5,
+		Body: []*minic.Stmt{
+			minic.Assign(0, minic.C(0)),
+			minic.Assign(1, minic.C(iters)),
+			minic.Assign(2, minic.C(int32(env.DataBase))),
+			minic.While(minic.Cond{Op: minic.CmpNe, L: minic.V(1), R: minic.C(0)}, []*minic.Stmt{
+				minic.If(minic.Cond{Op: minic.CmpGt, L: minic.V(0), R: minic.V(1)},
+					[]*minic.Stmt{minic.Assign(0, minic.B(minic.OpSub, minic.V(0), minic.V(1)))},
+					[]*minic.Stmt{minic.Assign(0, minic.B(minic.OpAdd, minic.V(0), minic.V(1)))}),
+				minic.Call(4, 1, minic.V(0)),
+				minic.Store(minic.B(minic.OpAdd, minic.V(2), minic.C(8)), minic.V(4)),
+				minic.Assign(0, minic.LoadE(minic.B(minic.OpAdd, minic.V(2), minic.C(8)))),
+				minic.Assign(1, minic.B(minic.OpSub, minic.V(1), minic.C(1))),
+			}),
 			minic.Return(minic.V(0)),
 		},
 	}
@@ -315,5 +352,57 @@ func TestCodeCacheReuse(t *testing.T) {
 	// The 25-iteration loop must not retranslate its body.
 	if uint64(stats.Blocks) >= stats.GuestExec/2 {
 		t.Fatalf("code cache ineffective: %d blocks for %d guest insts", stats.Blocks, stats.GuestExec)
+	}
+}
+
+// TestEngineStartsNoGoroutines: every block the engine translates is
+// translated on the goroutine driving Run, so no goroutine appears
+// while it runs.
+func TestEngineStartsNoGoroutines(t *testing.T) {
+	c := compileT(t, hotProgram())
+	want := interpret(t, c)
+	before := runtime.NumGoroutine()
+	most := 0
+	got, stats := runProgram(t, c, Config{TraceBlock: func(uint32) {
+		most = max(most, runtime.NumGoroutine())
+	}})
+	sameResult(t, want, got, "no goroutines")
+	if most > before {
+		t.Fatalf("%d goroutines during Run, %d before New", most, before)
+	}
+	if stats.Translations == 0 {
+		t.Fatalf("nothing translated: %+v", stats)
+	}
+}
+
+// TestBenchOnlyFieldsAreInert pins what the bench's superblock and
+// workers4 arms measure: HotThreshold, TraceBudget, SyncTraces and
+// TranslateWorkers are ignored, so a run that sets them is the run that
+// does not — the same guest result, Stats and installed translations.
+func TestBenchOnlyFieldsAreInert(t *testing.T) {
+	c := compileT(t, hotProgram())
+	run := func(cfg Config) (*guest.State, Stats, []Translation) {
+		e, st := runEngine(t, c, cfg)
+		return e.GuestState(), st, e.Translations()
+	}
+	wantState, wantStats, wantTs := run(Config{})
+	gotState, gotStats, gotTs := run(Config{HotThreshold: 4, TraceBudget: 12, SyncTraces: true, TranslateWorkers: 4})
+	if gotState.R != wantState.R || gotState.Flags != wantState.Flags {
+		t.Fatalf("guest state\n%swant\n%s", gotState.Snapshot(), wantState.Snapshot())
+	}
+	if d := wantState.Mem.DiffBelow(gotState.Mem, env.StateBase, 1); len(d) > 0 {
+		t.Fatalf("guest memory differs at %#x", d[0])
+	}
+	if gotStats != wantStats {
+		t.Fatalf("stats\n%+v\nwant\n%+v", gotStats, wantStats)
+	}
+	if len(gotTs) != len(wantTs) {
+		t.Fatalf("%d translations, want %d", len(gotTs), len(wantTs))
+	}
+	for i, w := range wantTs {
+		g := gotTs[i]
+		if g.PC != w.PC || !reflect.DeepEqual(g.Insts, w.Insts) || g.FlagsExact != w.FlagsExact || g.Host.Listing() != w.Host.Listing() {
+			t.Fatalf("translation %d: pc %#x, want %#x, or its guest block, flags or host code differ", i, g.PC, w.PC)
+		}
 	}
 }

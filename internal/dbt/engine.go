@@ -19,9 +19,8 @@
 // guest memory, CPU or statistics of its own. The Engine holds one and
 // calls it on demand misses, and a tenant of a shared Service runs the
 // service's translator when it leads a single-flight miss. The engine
-// starts no goroutines: every block it translates — demand misses,
-// service misses and hot-trace superblocks — is translated on the
-// goroutine driving Run, when it is needed. So only that goroutine
+// starts no goroutines: every block it translates — demand misses and
+// service misses — is translated on the goroutine driving Run, when it is needed. So only that goroutine
 // touches the code cache, and the cache is one plain map.
 //
 // Every evaluation metric — dynamic coverage, dispatch/chain traffic,
@@ -42,7 +41,6 @@ import (
 	"slices"
 	"time"
 
-	"paramdbt/internal/analysis"
 	"paramdbt/internal/backend"
 	"paramdbt/internal/env"
 	"paramdbt/internal/guard"
@@ -103,23 +101,10 @@ type Config struct {
 	// boundary back through the dispatcher — the ablation baseline the
 	// bench's nochain arm measures.
 	NoChain bool
-	// HotThreshold enables hot-trace superblock formation: a block whose
-	// entry count crosses the threshold is grown into a trace along its
-	// hottest recorded direct-link edges and retranslated as one
-	// superblock with trace-wide register allocation, cross-block dead
-	// flag-store elimination and side-exit stubs (see superblock.go and
-	// docs/ARCHITECTURE.md "Hot traces & superblocks"). 0 — the default —
-	// disables formation entirely; the dispatch loop then skips all hot
-	// counting, so the feature's cold cost is zero. Formation needs the
-	// chaining profile, so NoChain also disables it.
+	// Deprecated: ignored; bench/layers.go still writes it. Hot-trace
+	// superblocks are gone (DESIGN.md "Hot traces: does not pay").
 	HotThreshold uint64
-	// TraceBudget caps how many traces one engine may form (0 = no
-	// cap). Trace translation is paid on the run, so a budget keeps the
-	// long tail of barely-hot heads from costing more in translation
-	// than their superblocks ever save — the same reason tiered JITs
-	// bound their compile queues. The earliest heads to cross
-	// HotThreshold claim the budget, which on loopy workloads are the
-	// hottest ones.
+	// Deprecated: ignored, like HotThreshold.
 	TraceBudget int
 	// Deprecated: ignored; bench/layers.go still writes it.
 	SyncTraces bool
@@ -212,29 +197,16 @@ type Stats struct {
 	ChainedExits uint64
 
 	// Translations counts the demand translations this engine performed
-	// during the run (an attached tenant counts only those it led;
-	// superblocks count in TracesFormed).
+	// during the run (an attached tenant counts only those it led).
 	Translations uint64
-
-	// Hot-trace superblock counters (zero unless Config.HotThreshold is
-	// set). TracesFormed counts traces promoted to superblocks,
-	// SuperblockExecs the block entries that ran a superblock (a subset
-	// of Dispatches+ChainedExits), SideExits the superblock runs that
-	// left the trace early through a side-exit stub.
-	TracesFormed    uint64
-	SuperblockExecs uint64
-	SideExits       uint64
 
 	// Self-modifying-code counters (zero unless guest code pages are
 	// written; see docs/ROBUSTNESS.md "Self-modifying code").
 	// SMCInvalidations counts translations fenced out after guest writes
 	// into translated pages, SMCSelfAborts executions aborted because
-	// they stored into their own guest bytes, SBBuilderPanics
-	// trace-formation panics absorbed (the head backs off and keeps
-	// running its per-block translations instead of the run aborting).
+	// they stored into their own guest bytes.
 	SMCInvalidations uint64
 	SMCSelfAborts    uint64
-	SBBuilderPanics  uint64
 
 	// Translation-validation counters (zero unless Config.Peephole is
 	// set), one per peephole candidate. BlocksValidated counts the
@@ -271,26 +243,6 @@ func (s Stats) ChainRate() float64 {
 		return 0
 	}
 	return float64(s.ChainedExits) / float64(total)
-}
-
-// SuperblockShare returns the fraction of block entries that ran a
-// hot-trace superblock.
-func (s Stats) SuperblockShare() float64 {
-	total := s.Dispatches + s.ChainedExits
-	if total == 0 {
-		return 0
-	}
-	return float64(s.SuperblockExecs) / float64(total)
-}
-
-// SideExitRate returns the fraction of superblock executions that left
-// the trace early through a side exit (high rates mean the profile that
-// formed the trace no longer matches execution).
-func (s Stats) SideExitRate() float64 {
-	if s.SuperblockExecs == 0 {
-		return 0
-	}
-	return float64(s.SideExits) / float64(s.SuperblockExecs)
 }
 
 // Coverage returns the dynamic coverage fraction.
@@ -338,16 +290,6 @@ type Engine struct {
 	// which the engine translates locally (see smcFence).
 	svc *Service
 	tnt *tenant
-
-	// Superblock bookkeeping (Run goroutine only): sbIndex maps every
-	// constituent pc of an installed superblock to the superblocks
-	// covering it, so Invalidate on a mid-trace pc tears the whole trace
-	// down; sbBan marks heads whose superblock shadow-diverged —
-	// formation is never retried there (see shadowCheck).
-	sbIndex map[uint32][]*tblock
-	sbBan   map[uint32]bool
-	// sbSpent counts installed superblocks against Config.TraceBudget.
-	sbSpent int
 }
 
 // tblock is one cached translation: an immutable unit (see
@@ -365,25 +307,15 @@ type tblock struct {
 	linkBuf  [2]blockLink // backs up to two links: no allocation
 	incoming []*blockLink
 
-	// execs counts executions (shadow sampling). hot counts entries
-	// while formation is enabled (Config.HotThreshold), sbTries backs off
-	// repeated failed formation attempts at this head geometrically, and
-	// dead marks a torn-down superblock (a trace covering k pcs is
-	// indexed k times).
-	sbTries uint8
-	dead    bool
-	execs   uint64
-	hot     uint64
+	// execs counts executions (shadow sampling).
+	execs uint64
 }
 
 // blockLink is one direct-exit slot: the static successor pc plus the
-// lazily patched pointer to its translation (nil until linked). hits
-// counts how often execution followed the edge — the profile trace
-// formation grows along (recorded only while HotThreshold is set).
+// lazily patched pointer to its translation (nil until linked).
 type blockLink struct {
 	target uint32
 	to     *tblock
-	hits   uint64
 }
 
 // follow returns the linked translation for next, if already patched.
@@ -394,17 +326,6 @@ func (tb *tblock) follow(next uint32) *tblock {
 		}
 	}
 	return nil
-}
-
-// bumpHit records that execution followed the edge to next — the
-// profile trace formation reads. Called only while HotThreshold is set.
-func (tb *tblock) bumpHit(next uint32) {
-	for i := range tb.links {
-		if tb.links[i].target == next {
-			tb.links[i].hits++
-			return
-		}
-	}
 }
 
 // patch records to as the translation of next in the matching link
@@ -565,7 +486,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 	ring := e.Cfg.Trace
 	traceBlock := e.Cfg.TraceBlock
 	faults := e.Cfg.Faults
-	hotOn := e.Cfg.HotThreshold > 0 && !noChain
 	// A Service tenant translates first: its translations are shared, so
 	// a block costs one translation per fleet, not per run (DESIGN.md
 	// "Interpret first" has the serve pairs).
@@ -599,9 +519,6 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		var tb *tblock
 		chained := false
 		if prev != nil && !noChain {
-			if hotOn {
-				prev.bumpHit(pc)
-			}
 			tb = prev.follow(pc)
 		}
 		if tb != nil {
@@ -664,17 +581,9 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 				}
 			}
 		}
-		if hotOn && len(tb.segs) == 1 {
-			tb = e.maybeSuperblock(pc, tb)
-		}
-		// A unit of k > 1 segments (a superblock) reports through the
-		// CPUState exit slot how many of them ran (see superblock.go).
-		k := len(tb.segs)
 		if ring != nil {
 			ev := obs.EvDispatch
-			if k > 1 {
-				ev = obs.EvSuperblock
-			} else if chained {
+			if chained {
 				ev = obs.EvChained
 			}
 			ring.Record(ev, pc)
@@ -698,12 +607,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			// Arm self-range detection and the undo journal for this
 			// execution (a no-op pair of clears when the translation has no
 			// guest stores).
-			e.Mem.ArmSMC(tb.hasStores, tb.ranges)
-		}
-		if k > 1 {
-			// Arm the exit slot with the full-trace marker; side-exit
-			// stubs overwrite it with their seam index.
-			e.Mem.Write32(env.StateBase+env.OffSBExit, uint32(k-1))
+			e.Mem.ArmSMC(tb.hasStores, tb.ranges[:])
 		}
 		res, xerr := e.CPU.Exec(tb.hb, maxHostSteps-hostSteps)
 		if e.Mem.SMCSelfHit() {
@@ -712,7 +616,7 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 			// garbled stale code may fail outright). Roll back, replay on
 			// the interpreter to the precise exit, fence, and resume
 			// through the dispatcher.
-			next, n, aerr := e.smcSelfAbort(tb, pc)
+			next, n, aerr := e.smcSelfAbort(pc)
 			if aerr != nil {
 				return snapshot(), aerr
 			}
@@ -732,28 +636,11 @@ func (e *Engine) Run(entry uint32, maxHostSteps uint64) (stats Stats, err error)
 		if pend.execs++; pend.execs == publishEvery {
 			pend.publish(e.met)
 		}
-		// The segments that ran: all of them, unless a side exit left the
-		// trace early. Their counts are cumulative, so the last one that
-		// ran carries the execution's totals.
-		ran := tb.segs
-		if k > 1 {
-			ran = ran[:min(int(e.Mem.Read32(env.StateBase+env.OffSBExit))+1, k)]
-			e.met.superblockExecs.Inc()
-			if len(ran) < k {
-				e.met.sideExits.Inc()
-			}
-		}
-		last := &ran[len(ran)-1]
-		pend.guest += last.nGuest
-		pend.covered += last.nCovered
-		pend.seq += last.nSeq
-		for j := range ran {
-			for _, op := range ran[j].uncovered {
-				uncovered[op]++
-			}
-			if j > 0 && traceBlock != nil {
-				traceBlock(ran[j].pc)
-			}
+		pend.guest += tb.nGuest
+		pend.covered += tb.nCovered
+		pend.seq += tb.nSeq
+		for _, op := range tb.uncovered {
+			uncovered[op]++
 		}
 		if sampled {
 			next, verdict := e.shadowCheck(tb, pc, res.NextPC)
@@ -865,24 +752,20 @@ func (e *Engine) block(pc uint32, tier bool) (*tblock, error) {
 	return tb, nil
 }
 
-// install makes tb the cache entry for its head pc, resets the pc's
+// install makes tb the cache entry for its pc, resets the pc's
 // interpret-first count, and registers the pages its guest bytes live
 // on with the write tracker, so guest stores there reach the SMC fence
 // (see smc.go).
 func (e *Engine) install(tb *tblock) {
-	e.cache[tb.segs[0].pc] = tb
-	e.runs[tb.segs[0].pc] = 0
-	for _, r := range tb.ranges {
-		e.Mem.TrackRange(r[0], r[1])
-	}
+	e.cache[tb.pc] = tb
+	e.runs[tb.pc] = 0
+	e.Mem.TrackRange(tb.ranges[0][0], tb.ranges[0][1])
 }
 
 // Invalidate removes the translation at pc (after guest code changes)
 // and tears down chaining safely: every link pointing at the stale
 // block is unpatched, so chained execution can no longer reach it, and
-// the next dispatch to pc retranslates. Any superblock whose trace
-// covers pc — head or mid-trace — is torn down with it: its host code
-// embeds the invalidated block's translation. It reports whether a
+// the next dispatch to pc retranslates. It reports whether a
 // translation existed. Invalidate must not run concurrently with Run.
 func (e *Engine) Invalidate(pc uint32) bool {
 	on := obs.On()
@@ -891,20 +774,11 @@ func (e *Engine) Invalidate(pc uint32) bool {
 		t0 = time.Now()
 	}
 	tb := e.cache[pc]
-	delete(e.cache, pc)
-	covering := e.sbIndex[pc]
-	if tb == nil && len(covering) == 0 {
+	if tb == nil {
 		return false
 	}
-	if len(covering) > 0 {
-		// teardownSB edits sbIndex[pc]; iterate a copy.
-		for _, s := range append([]*tblock(nil), covering...) {
-			e.teardownSB(s)
-		}
-	}
-	if tb != nil {
-		tb.unlink()
-	}
+	delete(e.cache, pc)
+	tb.unlink()
 	if on {
 		e.met.invalidateNs.ObserveSince(t0)
 		e.met.invalidations.Inc()
@@ -919,49 +793,41 @@ func (e *Engine) Invalidate(pc uint32) bool {
 // Translation is one installed unit of the code cache as the offline
 // audit reads it: what the translator was given and what it produced.
 type Translation struct {
-	// Segs are the unit's guest constituents, head first: one for a
-	// basic block, every trace block for a superblock.
-	Segs []analysis.GuestSeg
+	// PC and Insts are the guest block.
+	PC    uint32
+	Insts []guest.Inst
 	// Host is the installed host stream.
 	Host *host.Block
 	// FlagsExact reports that the stream keeps the CPUState NZCV words
-	// exact at every exit (never for a superblock), so a guest-vs-host
-	// check may compare them.
+	// exact at every exit, so a guest-vs-host check may compare them.
 	FlagsExact bool
 }
 
-// Translations lists every cached unit, sorted by head pc — the one
-// read path over what the engine installed (internal/exp.Audit proves
-// each against its guest block offline). Like Invalidate, it must not
-// run concurrently with Run.
+// Translations lists every cached unit, sorted by pc — the one read
+// path over what the engine installed (internal/exp.Audit proves each
+// against its guest block offline). Like Invalidate, it must not run
+// concurrently with Run.
 func (e *Engine) Translations() []Translation {
 	var out []Translation
 	for _, tb := range e.cache {
-		t := Translation{Segs: make([]analysis.GuestSeg, len(tb.segs)), Host: tb.hb, FlagsExact: tb.flagsExact}
-		for i, s := range tb.segs {
-			t.Segs[i] = analysis.GuestSeg{PC: s.pc, Insts: s.insts}
-		}
-		out = append(out, t)
+		out = append(out, Translation{PC: tb.pc, Insts: tb.insts, Host: tb.hb, FlagsExact: tb.flagsExact})
 	}
-	slices.SortFunc(out, func(a, b Translation) int { return cmp.Compare(a.Segs[0].PC, b.Segs[0].PC) })
+	slices.SortFunc(out, func(a, b Translation) int { return cmp.Compare(a.PC, b.PC) })
 	return out
 }
 
-// BlockListing translates (or fetches from cache) the unit at pc and
-// returns its annotated host listing alongside the guest disassembly of
-// every segment — the debugging view of what the translator produced.
-// The guest disassembly reuses the decode results stored in the cached
-// unit. Like Invalidate, it must not run concurrently with Run.
+// BlockListing translates (or fetches from cache) the block at pc and
+// returns its annotated host listing alongside its guest disassembly —
+// the debugging view of what the translator produced. The guest
+// disassembly reuses the decode results stored in the cached unit. Like
+// Invalidate, it must not run concurrently with Run.
 func (e *Engine) BlockListing(pc uint32) (string, error) {
 	tb, err := e.block(pc, false)
 	if err != nil {
 		return "", err
 	}
-	total := tb.segs[len(tb.segs)-1]
-	s := fmt.Sprintf("guest block @%#x (%d insts, %d rule-covered):\n", pc, total.nGuest, total.nCovered)
-	for _, sg := range tb.segs {
-		s += guest.Disassemble(sg.pc, sg.insts)
-	}
+	s := fmt.Sprintf("guest block @%#x (%d insts, %d rule-covered):\n", pc, tb.nGuest, tb.nCovered)
+	s += guest.Disassemble(tb.pc, tb.insts)
 	s += "host code:\n" + tb.hb.Listing()
 	return s, nil
 }

@@ -45,10 +45,8 @@ func (p *PanicError) Unwrap() error { return ErrTranslatorPanic }
 // rule template mid-instantiation, an injected fault, a translator bug)
 // into a *PanicError at pc — the single recovery wrapper every
 // translation that must not abort the run goes through: the guarded
-// demand path (which retries and quarantines), the service's
-// single-flight leader (which hands the error to every waiter) and
-// superblock formation (which backs the head off and keeps executing
-// its per-block translations).
+// demand path (which retries and quarantines) and the service's
+// single-flight leader (which hands the error to every waiter).
 func recoverTranslate(pc uint32, f func() (*tblock, error)) (tb *tblock, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -200,19 +198,15 @@ func (e *Engine) shadowBegin(tb *tblock, pc uint32) {
 	readGuestState(e.Mem, &sc.pre)
 	sc.ref = sc.pre
 	e.Mem.ArmSMC(true, nil)
-	// Step the unit's segments until the reference's own control flow
-	// leaves it (a basic block: its one segment). If the translation left
-	// elsewhere, the comparison reports it.
-	sc.refNext, sc.refErr = pc, nil
-	for j := 0; j < len(tb.segs) && sc.refNext == tb.segs[j].pc && sc.refErr == nil; j++ {
-		sc.refNext, sc.refErr = guard.RunReference(&sc.ref, tb.segs[j].pc, tb.segs[j].insts, HaltPC)
-	}
+	// If the translation leaves the block elsewhere than the reference,
+	// the comparison reports it.
+	sc.refNext, sc.refErr = guard.RunReference(&sc.ref, pc, tb.insts, HaltPC)
 	sc.refWrites = e.Mem.JournalWrites(sc.refWrites[:0], env.StateBase)
 	e.Mem.RollbackJournal()
 	e.Mem.ClearDirty()
 	var self [][2]uint32
 	if tb.hasStores {
-		self = tb.ranges
+		self = tb.ranges[:]
 	}
 	e.Mem.ArmSMC(true, self)
 }
@@ -224,8 +218,7 @@ func (e *Engine) shadowBegin(tb *tblock, pc uint32) {
 // shadowClean) and live memory is untouched. On divergence it records
 // the event, rolls the translated stores back, re-applies the
 // reference's, quarantines the blamed rules and purges every cached
-// block built from them (a superblock is instead torn down and its head
-// banned), and returns the corrected next pc — the caller must break
+// block built from them, and returns the corrected next pc — the caller must break
 // the chain (prev=nil) and continue from there.
 func (e *Engine) shadowCheck(tb *tblock, pc, gotNext uint32) (uint32, shadowVerdict) {
 	sc := &e.shadow
@@ -258,13 +251,7 @@ func (e *Engine) shadowCheck(tb *tblock, pc, gotNext uint32) (uint32, shadowVerd
 	}
 	e.Mem.RollbackJournal() // live memory is the pre-block image again
 	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
-	// Blame isolation retranslates single basic blocks, so it cannot
-	// attribute a trace-level fault: a superblock blames no rule.
-	superblock := len(tb.segs) > 1
-	var guilty []*rule.Template
-	if !superblock {
-		guilty = e.isolateBlame(pc, tb)
-	}
+	guilty := e.isolateBlame(pc, tb)
 	var blamed []string
 	for _, t := range guilty {
 		blamed = append(blamed, t.Fingerprint())
@@ -283,21 +270,9 @@ func (e *Engine) shadowCheck(tb *tblock, pc, gotNext uint32) (uint32, shadowVerd
 	// stores into translated code are fenced like any guest store.
 	applyWrites(e.Mem, sc.refWrites)
 	writeGuestState(e.Mem, &sc.ref)
-	if !superblock {
-		// Drop every translation built from a now-quarantined rule so
-		// retranslation excludes it.
-		e.purgeRules(guilty)
-	} else {
-		// A superblock is torn down and its head banned from re-formation
-		// instead. The constituent basic blocks stay cached — if one of
-		// them is individually mistranslated, its own sampled executions
-		// catch and quarantine it through the normal path.
-		e.teardownSB(tb)
-		if e.sbBan == nil {
-			e.sbBan = map[uint32]bool{}
-		}
-		e.sbBan[pc] = true
-	}
+	// Drop every translation built from a now-quarantined rule so
+	// retranslation excludes it.
+	e.purgeRules(guilty)
 	return sc.refNext, shadowDiverged
 }
 

@@ -28,7 +28,7 @@ import (
 // two images page by page, restore from the reference image on a
 // divergence. refShadowCheck is that body verbatim; runRef is the
 // smallest dispatch loop that can carry it — Run without chaining,
-// superblocks, speculation or the SMC machinery, none of which decides
+// speculation or the SMC machinery, none of which decides
 // which block executes next or how often. The differential tests below
 // run one engine through Run and one through runRef over the same
 // program, rules and faults and require the same verdicts, records,
@@ -52,7 +52,7 @@ func refShadowCheck(e *Engine, tb *tblock, sc *refShadowCtx, pc, gotNext uint32)
 	e.met.shadowChecks.Inc()
 	refMem := sc.preMem.Clone()
 	ref := sc.pre.WithMem(refMem)
-	refNext, err := guard.RunReference(ref, pc, tb.segs[0].insts, HaltPC)
+	refNext, err := guard.RunReference(ref, pc, tb.insts, HaltPC)
 	if err != nil {
 		return gotNext, false
 	}
@@ -126,9 +126,9 @@ func runRef(e *Engine, entry uint32, maxHostSteps uint64) (Stats, error) {
 		if xerr != nil {
 			return e.met.delta(base), fmt.Errorf("executing block at %#x: %w", pc, xerr)
 		}
-		e.met.guestInsts.Add(tb.segs[0].nGuest)
-		e.met.ruleCovered.Add(tb.segs[0].nCovered)
-		e.met.seqRuleInsts.Add(tb.segs[0].nSeq)
+		e.met.guestInsts.Add(tb.nGuest)
+		e.met.ruleCovered.Add(tb.nCovered)
+		e.met.seqRuleInsts.Add(tb.nSeq)
 		if sc != nil {
 			next, diverged := refShadowCheck(e, tb, sc, pc, res.NextPC)
 			if diverged {

@@ -20,11 +20,6 @@ const (
 	// not yet run often enough to be translated. Not a Stats field.
 	MetTierInterpBlocks = "dbt.tier_interp_blocks"
 
-	// Hot-trace superblock product counters (see superblock.go).
-	MetTracesFormed    = "dbt.traces_formed"    // hot traces promoted to superblocks
-	MetSuperblockExecs = "dbt.superblock_execs" // block entries that ran a superblock
-	MetSideExits       = "dbt.side_exits"       // superblock runs that left via a side exit
-
 	// Translation-validation product counters (see validate.go and
 	// docs/ANALYSIS.md "Translation validation"). Always counted.
 	MetBlocksValidated   = "dbt.blocks_validated"   // installed streams the validator proved
@@ -34,7 +29,6 @@ const (
 	// docs/ROBUSTNESS.md "Self-modifying code"). Always counted.
 	MetSMCInvalidations = "dbt.smc_invalidations" // translations fenced out by guest code writes
 	MetSMCSelfAborts    = "dbt.smc_self_aborts"   // executions aborted for storing into their own bytes
-	MetSBBuilderPanics  = "dbt.sb_builder_panics" // trace-formation panics absorbed
 
 	// Guarded-execution product counters (robustness layer; see
 	// docs/ROBUSTNESS.md). Always counted — they back the Stats guard
@@ -49,15 +43,14 @@ const (
 	MetRateSnaps         = "guard.rate_snaps"         // adaptive-rate snaps back to the base shadow rate
 
 	// Telemetry: only recorded while obs.On().
-	MetInvalidations      = "dbt.invalidations"       // Invalidate calls that removed a block
-	MetTraceInvalidations = "dbt.trace_invalidations" // superblocks torn down
-	MetChainPatches       = "dbt.chain_patches"       // direct-link slots patched
-	MetCachedBlocks       = "dbt.cached_blocks"       // gauge: translations resident in the cache
-	MetTranslateNs        = "dbt.translate_ns"        // histogram: demand-translation latency
-	MetLookupNs           = "dbt.lookup_ns"           // histogram: dispatcher code-cache lookup latency
-	MetChainNs            = "dbt.chain_ns"            // histogram: link-patch latency
-	MetInvalidateNs       = "dbt.invalidate_ns"       // histogram: invalidation + unchain latency
-	MetShadowRatePPM      = "guard.shadow_rate_ppm"   // gauge: current adaptive shadow rate, parts per million
+	MetInvalidations = "dbt.invalidations"     // Invalidate calls that removed a block
+	MetChainPatches  = "dbt.chain_patches"     // direct-link slots patched
+	MetCachedBlocks  = "dbt.cached_blocks"     // gauge: translations resident in the cache
+	MetTranslateNs   = "dbt.translate_ns"      // histogram: demand-translation latency
+	MetLookupNs      = "dbt.lookup_ns"         // histogram: dispatcher code-cache lookup latency
+	MetChainNs       = "dbt.chain_ns"          // histogram: link-patch latency
+	MetInvalidateNs  = "dbt.invalidate_ns"     // histogram: invalidation + unchain latency
+	MetShadowRatePPM = "guard.shadow_rate_ppm" // gauge: current adaptive shadow rate, parts per million
 )
 
 // engineMetrics holds the resolved metric instances so the hot path
@@ -77,16 +70,11 @@ type engineMetrics struct {
 
 	tierInterpBlocks *obs.Counter
 
-	tracesFormed    *obs.Counter
-	superblockExecs *obs.Counter
-	sideExits       *obs.Counter
-
 	blocksValidated   *obs.Counter
 	validateFallbacks *obs.Counter
 
 	smcInvalidations *obs.Counter
 	smcSelfAborts    *obs.Counter
-	sbBuilderPanics  *obs.Counter
 
 	shadowChecks      *obs.Counter
 	divergences       *obs.Counter
@@ -97,54 +85,48 @@ type engineMetrics struct {
 	interpFallbacks   *obs.Counter
 	rateSnaps         *obs.Counter
 
-	translations       *obs.Counter
-	invalidations      *obs.Counter
-	traceInvalidations *obs.Counter
-	chainPatches       *obs.Counter
-	cachedBlocks       *obs.Gauge
-	shadowRatePPM      *obs.Gauge
-	translateNs        *obs.Histogram
-	lookupNs           *obs.Histogram
-	chainNs            *obs.Histogram
-	invalidateNs       *obs.Histogram
+	translations  *obs.Counter
+	invalidations *obs.Counter
+	chainPatches  *obs.Counter
+	cachedBlocks  *obs.Gauge
+	shadowRatePPM *obs.Gauge
+	translateNs   *obs.Histogram
+	lookupNs      *obs.Histogram
+	chainNs       *obs.Histogram
+	invalidateNs  *obs.Histogram
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	return &engineMetrics{
-		reg:                reg,
-		guestInsts:         reg.Counter(MetGuestInsts),
-		ruleCovered:        reg.Counter(MetRuleCovered),
-		seqRuleInsts:       reg.Counter(MetSeqRuleInsts),
-		blocks:             reg.Counter(MetBlocks),
-		dispatches:         reg.Counter(MetDispatches),
-		chainedExits:       reg.Counter(MetChainedExits),
-		tierInterpBlocks:   reg.Counter(MetTierInterpBlocks),
-		tracesFormed:       reg.Counter(MetTracesFormed),
-		superblockExecs:    reg.Counter(MetSuperblockExecs),
-		sideExits:          reg.Counter(MetSideExits),
-		blocksValidated:    reg.Counter(MetBlocksValidated),
-		validateFallbacks:  reg.Counter(MetValidateFallbacks),
-		smcInvalidations:   reg.Counter(MetSMCInvalidations),
-		smcSelfAborts:      reg.Counter(MetSMCSelfAborts),
-		sbBuilderPanics:    reg.Counter(MetSBBuilderPanics),
-		shadowChecks:       reg.Counter(MetShadowChecks),
-		divergences:        reg.Counter(MetDivergences),
-		quarantined:        reg.Counter(MetQuarantined),
-		panicsRecovered:    reg.Counter(MetPanicsRecovered),
-		panicsUnrecovered:  reg.Counter(MetPanicsUnrecovered),
-		translateRetries:   reg.Counter(MetTranslateRetries),
-		interpFallbacks:    reg.Counter(MetInterpFallbacks),
-		rateSnaps:          reg.Counter(MetRateSnaps),
-		translations:       reg.Counter(MetTranslations),
-		invalidations:      reg.Counter(MetInvalidations),
-		traceInvalidations: reg.Counter(MetTraceInvalidations),
-		chainPatches:       reg.Counter(MetChainPatches),
-		cachedBlocks:       reg.Gauge(MetCachedBlocks),
-		shadowRatePPM:      reg.Gauge(MetShadowRatePPM),
-		translateNs:        reg.Histogram(MetTranslateNs),
-		lookupNs:           reg.Histogram(MetLookupNs),
-		chainNs:            reg.Histogram(MetChainNs),
-		invalidateNs:       reg.Histogram(MetInvalidateNs),
+		reg:               reg,
+		guestInsts:        reg.Counter(MetGuestInsts),
+		ruleCovered:       reg.Counter(MetRuleCovered),
+		seqRuleInsts:      reg.Counter(MetSeqRuleInsts),
+		blocks:            reg.Counter(MetBlocks),
+		dispatches:        reg.Counter(MetDispatches),
+		chainedExits:      reg.Counter(MetChainedExits),
+		tierInterpBlocks:  reg.Counter(MetTierInterpBlocks),
+		blocksValidated:   reg.Counter(MetBlocksValidated),
+		validateFallbacks: reg.Counter(MetValidateFallbacks),
+		smcInvalidations:  reg.Counter(MetSMCInvalidations),
+		smcSelfAborts:     reg.Counter(MetSMCSelfAborts),
+		shadowChecks:      reg.Counter(MetShadowChecks),
+		divergences:       reg.Counter(MetDivergences),
+		quarantined:       reg.Counter(MetQuarantined),
+		panicsRecovered:   reg.Counter(MetPanicsRecovered),
+		panicsUnrecovered: reg.Counter(MetPanicsUnrecovered),
+		translateRetries:  reg.Counter(MetTranslateRetries),
+		interpFallbacks:   reg.Counter(MetInterpFallbacks),
+		rateSnaps:         reg.Counter(MetRateSnaps),
+		translations:      reg.Counter(MetTranslations),
+		invalidations:     reg.Counter(MetInvalidations),
+		chainPatches:      reg.Counter(MetChainPatches),
+		cachedBlocks:      reg.Gauge(MetCachedBlocks),
+		shadowRatePPM:     reg.Gauge(MetShadowRatePPM),
+		translateNs:       reg.Histogram(MetTranslateNs),
+		lookupNs:          reg.Histogram(MetLookupNs),
+		chainNs:           reg.Histogram(MetChainNs),
+		invalidateNs:      reg.Histogram(MetInvalidateNs),
 	}
 }
 
@@ -180,9 +162,8 @@ func (r *runCounts) publish(m *engineMetrics) {
 type statsBase struct {
 	guest, covered, seq, blocks, disp, chained uint64
 	translations                               uint64
-	traces, sbExecs, sideExits                 uint64
 	validated, valFallbacks                    uint64
-	smcInval, smcAborts, sbPanics              uint64
+	smcInval, smcAborts                        uint64
 	shadow, diverged, quar, panRec, interpFB   uint64
 	rateSnaps                                  uint64
 }
@@ -196,14 +177,10 @@ func (m *engineMetrics) base() statsBase {
 		disp:         m.dispatches.Value(),
 		chained:      m.chainedExits.Value(),
 		translations: m.translations.Value(),
-		traces:       m.tracesFormed.Value(),
-		sbExecs:      m.superblockExecs.Value(),
-		sideExits:    m.sideExits.Value(),
 		validated:    m.blocksValidated.Value(),
 		valFallbacks: m.validateFallbacks.Value(),
 		smcInval:     m.smcInvalidations.Value(),
 		smcAborts:    m.smcSelfAborts.Value(),
-		sbPanics:     m.sbBuilderPanics.Value(),
 		shadow:       m.shadowChecks.Value(),
 		diverged:     m.divergences.Value(),
 		quar:         m.quarantined.Value(),
@@ -223,14 +200,10 @@ func (m *engineMetrics) delta(base statsBase) Stats {
 		Dispatches:        m.dispatches.Value() - base.disp,
 		ChainedExits:      m.chainedExits.Value() - base.chained,
 		Translations:      m.translations.Value() - base.translations,
-		TracesFormed:      m.tracesFormed.Value() - base.traces,
-		SuperblockExecs:   m.superblockExecs.Value() - base.sbExecs,
-		SideExits:         m.sideExits.Value() - base.sideExits,
 		BlocksValidated:   m.blocksValidated.Value() - base.validated,
 		ValidateFallbacks: m.validateFallbacks.Value() - base.valFallbacks,
 		SMCInvalidations:  m.smcInvalidations.Value() - base.smcInval,
 		SMCSelfAborts:     m.smcSelfAborts.Value() - base.smcAborts,
-		SBBuilderPanics:   m.sbBuilderPanics.Value() - base.sbPanics,
 		ShadowChecks:      m.shadowChecks.Value() - base.shadow,
 		Divergences:       m.divergences.Value() - base.diverged,
 		QuarantinedRules:  m.quarantined.Value() - base.quar,

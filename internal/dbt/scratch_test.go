@@ -16,16 +16,14 @@ import (
 )
 
 // scratchCase is a translator with the code it translates: every block
-// pc a run entered, first entry first, the richest of them (rules,
-// emulated opcodes and a label map) and — when the run formed one — a
-// superblock trace.
+// pc a run entered, first entry first, and the richest of them (rules,
+// emulated opcodes and a label map).
 type scratchCase struct {
 	name string
 	tr   *translator
 	code *mem.Memory // a clone: safe to read from several goroutines
 	pcs  []uint32
 	rich uint32
-	sb   []seg // the trace's segments, pc and instructions only
 }
 
 // newScratchCase runs prog under cfg, with rules learned from prog
@@ -59,15 +57,6 @@ func newScratchCase(tb testing.TB, name string, prog *minic.Program, cfg Config)
 	if _, err := e.Run(env.CodeBase, 100_000_000); err != nil {
 		tb.Fatal(err)
 	}
-	for _, pc := range sc.pcs {
-		for _, s := range e.sbIndex[pc] {
-			if sc.sb == nil && len(s.hb.Labels()) > 0 {
-				for _, sg := range s.segs {
-					sc.sb = append(sc.sb, seg{pc: sg.pc, insts: sg.insts})
-				}
-			}
-		}
-	}
 	sc.tr, sc.code = e.tr, m.Clone()
 	best := -1
 	for _, pc := range sc.pcs {
@@ -75,44 +64,37 @@ func newScratchCase(tb testing.TB, name string, prog *minic.Program, cfg Config)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if score := len(b.rules) * len(b.segs[0].uncovered) * len(b.hb.Labels()); score > best {
+		if score := len(b.rules) * len(b.uncovered) * len(b.hb.Labels()); score > best {
 			best, sc.rich = score, pc
 		}
 	}
 	return sc
 }
 
-// unit translates the case's unit A — its superblock if it has one,
-// else its richest block — with tx.
+// unit translates the case's unit A, its richest block, with tx.
 func (sc scratchCase) unit(tx *txctx) (*tblock, error) {
-	if sc.sb != nil {
-		return sc.tr.translateUnit(&tblock{unit: unit{segs: append([]seg(nil), sc.sb...)}}, tx, nil, nil)
-	}
 	return sc.tr.translate(sc.code, sc.rich, tx, nil, nil)
 }
 
 // kept is everything a tblock keeps from its translation, deep-copied:
-// the segments print with their instructions, counts and emulated
+// the guest block prints with its instructions, counts and emulated
 // opcodes.
 type kept struct {
-	host, labels, segs, links, ranges string
-	rules                             []*rule.Template
-	uncovered                         int
+	host, labels, block, links, ranges string
+	rules                              []*rule.Template
+	uncovered                          int
 }
 
 func keptOf(tb *tblock) kept {
-	k := kept{
-		host:   fmt.Sprint(tb.hb.Insts),
-		labels: fmt.Sprint(tb.hb.Labels()),
-		segs:   fmt.Sprint(tb.segs),
-		links:  fmt.Sprint(tb.links),
-		ranges: fmt.Sprint(tb.ranges),
-		rules:  append([]*rule.Template(nil), tb.rules...),
+	return kept{
+		host:      fmt.Sprint(tb.hb.Insts),
+		labels:    fmt.Sprint(tb.hb.Labels()),
+		block:     fmt.Sprint(tb.pc, tb.insts, tb.nGuest, tb.nCovered, tb.nSeq, tb.uncovered),
+		links:     fmt.Sprint(tb.links),
+		ranges:    fmt.Sprint(tb.ranges),
+		rules:     append([]*rule.Template(nil), tb.rules...),
+		uncovered: len(tb.uncovered),
 	}
-	for _, s := range tb.segs {
-		k.uncovered += len(s.uncovered)
-	}
-	return k
 }
 
 // checkScratchAliasing translates the case's unit A with tx, then
@@ -154,13 +136,9 @@ func scratchCases(t *testing.T) []scratchCase {
 		newScratchCase(t, "x86", testProgram(), Config{Backend: x86}),
 		newScratchCase(t, "risc", testProgram(), Config{Backend: risc}),
 		newScratchCase(t, "risc+peephole", testProgram(), Config{Backend: risc, Peephole: true}),
-		newScratchCase(t, "superblock", hotProgram(), hotCfg(Config{Backend: x86})),
 	}
 	if cases[2].tr.validated.Value() == 0 {
 		t.Fatal("risc+peephole: no optimized stream was installed, so the case misses the rewrite path")
-	}
-	if cases[3].sb == nil {
-		t.Fatal("superblock: the run formed no trace with a side exit")
 	}
 	return cases
 }
@@ -202,15 +180,14 @@ func translateBlocks(tb testing.TB) (sc scratchCase, covered, tcgHeavy uint32) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		s := b.segs[0]
-		if covered == 0 && s.nGuest > 1 && s.nCovered == s.nGuest {
+		if covered == 0 && b.nGuest > 1 && b.nCovered == b.nGuest {
 			covered = pc
 		}
 		stack := false
-		for _, in := range s.insts {
+		for _, in := range b.insts {
 			stack = stack || in.Op == guest.PUSH || in.Op == guest.POP || in.Op == guest.BL
 		}
-		if tcgHeavy == 0 && stack && len(s.uncovered) >= 2 {
+		if tcgHeavy == 0 && stack && len(b.uncovered) >= 2 {
 			tcgHeavy = pc
 		}
 	}

@@ -115,8 +115,7 @@ type tenant struct {
 // miss translates the block on its own goroutine while the others wait
 // for it — so N tenants running the same program translate each block
 // once. The service owns no goroutines. Per-tenant state — guest
-// memory, architectural state, chaining, hotness, superblocks, shadow
-// verification, stats — stays in the Engine: the service hands out
+// memory, architectural state, chaining, shadow verification, stats — stays in the Engine: the service hands out
 // immutable prototype blocks and each tenant adopts a lightweight clone
 // (shared host code and decode results, private link/profile state).
 //
@@ -351,10 +350,6 @@ func (e *Engine) Attached() bool { return e.svc != nil }
 // private links and counters for everything the Run goroutine mutates.
 func (e *Engine) adoptProto(p *tblock) *tblock {
 	tb := &tblock{unit: p.unit}
-	// Run reads the segments and ranges on every execution: keep them in
-	// this tblock rather than in the prototype's.
-	tb.segs = append(tb.segBuf[:0], p.segs...)
-	tb.ranges = append(tb.rangeBuf[:0], p.ranges...)
 	tb.links = tb.directLinks(&tb.linkBuf)
 	return tb
 }

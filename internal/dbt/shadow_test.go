@@ -63,14 +63,14 @@ func warmShadowEngine(tb testing.TB, c *minic.Compiled, cfg Config) (*Engine, ma
 	return e, entries
 }
 
-// hottestStoringBlock picks the cached basic block with guest stores
-// that executed most: testProgram's loop body.
+// hottestStoringBlock picks the cached block with guest stores that
+// executed most: testProgram's loop body.
 func hottestStoringBlock(tb testing.TB, e *Engine) (uint32, *tblock) {
 	tb.Helper()
 	var pc uint32
 	var best *tblock
 	for p, b := range e.cache {
-		if len(b.segs) == 1 && b.hasStores && (best == nil || b.execs > best.execs) {
+		if b.hasStores && (best == nil || b.execs > best.execs) {
 			pc, best = p, b
 		}
 	}
@@ -162,9 +162,9 @@ func TestShadowUnverifiableEarnsNoTrust(t *testing.T) {
 	// host code is untouched and still correct): every reference step now
 	// fails as an uninterpretable instruction.
 	for _, tb := range e.cache {
-		bad := append([]guest.Inst(nil), tb.segs[0].insts...)
+		bad := append([]guest.Inst(nil), tb.insts...)
 		bad[0].Op = guest.Op(0xee)
-		tb.segs[0].insts = bad
+		tb.insts = bad
 	}
 	init := &guest.State{Mem: e.Mem}
 	init.R[guest.SP] = env.StackTop
@@ -191,70 +191,44 @@ func TestShadowUnverifiableEarnsNoTrust(t *testing.T) {
 // TestShadowRecoversByWriteSet: a translation that does nothing at all
 // — no register, no store, exit to its own pc — must be reported and
 // replaced by exactly the reference interpreter's result, registers and
-// memory, with no pre-block copy to restore from. For a superblock the
-// recovery also tears the trace down and bans its head.
+// memory, with no pre-block copy to restore from.
 func TestShadowRecoversByWriteSet(t *testing.T) {
-	for _, super := range []bool{false, true} {
-		prog, cfg := testProgram(), Config{DelegateFlags: true}
-		if super {
-			prog, cfg = hotProgram(), hotCfg(cfg)
-		}
-		c := compileT(t, prog)
-		_, cfg.Rules = learnRules(t, prog, core.Config{Opcode: true, AddrMode: true})
-		e, entries := warmShadowEngine(t, c, cfg)
-		var pc uint32
-		var tb *tblock
-		if super {
-			for p, b := range e.cache {
-				if len(b.segs) > 1 && b.hasStores {
-					pc, tb = p, b
-				}
-			}
-			if tb == nil {
-				t.Fatal("no superblock with guest stores was formed")
-			}
-		} else {
-			pc, tb = hottestStoringBlock(t, e)
-		}
-		writeGuestState(e.Mem, entries[pc])
+	c := compileT(t, testProgram())
+	_, par := learnRules(t, testProgram(), core.Config{Opcode: true, AddrMode: true})
+	e, entries := warmShadowEngine(t, c, Config{Rules: par, DelegateFlags: true})
+	pc, tb := hottestStoringBlock(t, e)
+	writeGuestState(e.Mem, entries[pc])
 
-		// What the interpreter makes of the block from this state.
-		want := entries[pc].WithMem(e.Mem.Clone())
-		wantNext := pc
-		for j := 0; j < len(tb.segs) && wantNext == tb.segs[j].pc; j++ {
-			wantNext, _ = guard.RunReference(want, tb.segs[j].pc, tb.segs[j].insts, HaltPC)
-		}
-		if len(want.Mem.DiffBelow(e.Mem, env.StateBase, 1)) == 0 {
-			t.Fatalf("super=%v: block at %#x stores nothing new from its entry state", super, pc)
-		}
+	// What the interpreter makes of the block from this state.
+	want := entries[pc].WithMem(e.Mem.Clone())
+	wantNext, _ := guard.RunReference(want, pc, tb.insts, HaltPC)
+	if len(want.Mem.DiffBelow(e.Mem, env.StateBase, 1)) == 0 {
+		t.Fatalf("block at %#x stores nothing new from its entry state", pc)
+	}
 
-		tb.execs++
-		e.shadowBegin(tb, pc)
-		next, v := e.shadowCheck(tb, pc, pc) // the translated pass never ran
-		if v != shadowDiverged || next != wantNext {
-			t.Fatalf("super=%v: verdict %d next %#x, want diverged to %#x", super, v, next, wantNext)
-		}
-		got := e.GuestState()
-		want.R[guest.PC], got.R[guest.PC] = 0, 0 // exits are compared as next pcs
-		if got.R != want.R || got.F != want.F {
-			t.Fatalf("super=%v: recovered registers\n%swant\n%s", super, got.Snapshot(), want.Snapshot())
-		}
-		if d := want.Mem.DiffBelow(e.Mem, env.StateBase, 1); len(d) > 0 {
-			t.Fatalf("super=%v: recovered memory differs from the reference at %#x", super, d[0])
-		}
-		divs := e.Divergences()
-		if len(divs) != 1 || divs[0].PC != pc || len(divs[0].Mismatches) == 0 {
-			t.Fatalf("super=%v: divergence log %v", super, divs)
-		}
-		if e.Mem.JournalLen() != 0 {
-			t.Fatalf("super=%v: journal still holds %d entries", super, e.Mem.JournalLen())
-		}
-		if cur, ok := e.cache[pc]; ok && cur == tb {
-			t.Fatalf("super=%v: diverged translation still cached", super)
-		}
-		if super && (!e.sbBan[pc] || !tb.dead) {
-			t.Fatalf("superblock head %#x not banned and torn down", pc)
-		}
+	tb.execs++
+	e.shadowBegin(tb, pc)
+	next, v := e.shadowCheck(tb, pc, pc) // the translated pass never ran
+	if v != shadowDiverged || next != wantNext {
+		t.Fatalf("verdict %d next %#x, want diverged to %#x", v, next, wantNext)
+	}
+	got := e.GuestState()
+	want.R[guest.PC], got.R[guest.PC] = 0, 0 // exits are compared as next pcs
+	if got.R != want.R || got.F != want.F {
+		t.Fatalf("recovered registers\n%swant\n%s", got.Snapshot(), want.Snapshot())
+	}
+	if d := want.Mem.DiffBelow(e.Mem, env.StateBase, 1); len(d) > 0 {
+		t.Fatalf("recovered memory differs from the reference at %#x", d[0])
+	}
+	divs := e.Divergences()
+	if len(divs) != 1 || divs[0].PC != pc || len(divs[0].Mismatches) == 0 {
+		t.Fatalf("divergence log %v", divs)
+	}
+	if e.Mem.JournalLen() != 0 {
+		t.Fatalf("journal still holds %d entries", e.Mem.JournalLen())
+	}
+	if cur, ok := e.cache[pc]; ok && cur == tb {
+		t.Fatal("diverged translation still cached")
 	}
 }
 
@@ -273,7 +247,7 @@ func TestShadowRecoversFromFrameStores(t *testing.T) {
 	const spill = env.StateBase + env.OffScratch
 	e.Mem.Write32(spill, 0x5151)
 	want := entries[pc].WithMem(e.Mem.Clone())
-	wantNext, _ := guard.RunReference(want, pc, tb.segs[0].insts, HaltPC)
+	wantNext, _ := guard.RunReference(want, pc, tb.insts, HaltPC)
 
 	// The block's own code behind frame stores of garbage into every
 	// guest register slot and the spill slot.

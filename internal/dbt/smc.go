@@ -18,15 +18,15 @@ import (
 // Mechanism, in dispatch-loop order:
 //
 //   - registration: every unit that reaches the cache has the pages its
-//     guest ranges live on registered with the write tracker
+//     guest bytes live on registered with the write tracker
 //     (Engine.install), so guest stores there are recorded.
 //   - the fence: before following a chain link or dispatching, the loop
 //     drains the tracker's dirty pages and invalidates every cached
-//     translation overlapping one (smcFence) — Engine.Invalidate tears
-//     down covering superblocks through sbIndex and unpatches chain
-//     links. The very next dispatch retranslates from the current bytes.
+//     translation overlapping one (smcFence) — Engine.Invalidate
+//     unpatches its chain links. The very next dispatch retranslates
+//     from the current bytes.
 //   - the self case: a store inside the executing translation's own
-//     guest ranges cannot wait for the fence — the stale host code is
+//     guest bytes cannot wait for the fence — the stale host code is
 //     already running. The tracker's armed undo journal and self-range
 //     detection flag the execution (SMCSelfHit); smcSelfAbort then rolls
 //     every store of that execution back and replays the block on the
@@ -53,14 +53,13 @@ func instHasStore(in guest.Inst) bool {
 	return false
 }
 
-// smcOverlaps reports whether the unit's guest ranges touch any of the
+// smcOverlaps reports whether the unit's guest bytes touch any of the
 // dirty pages.
 func smcOverlaps(tb *tblock, pages map[uint32]bool) bool {
-	for _, r := range tb.ranges {
-		for k := r[0] >> mem.PageBits; k <= (r[1]-1)>>mem.PageBits; k++ {
-			if pages[k] {
-				return true
-			}
+	r := tb.ranges[0]
+	for k := r[0] >> mem.PageBits; k <= (r[1]-1)>>mem.PageBits; k++ {
+		if pages[k] {
+			return true
 		}
 	}
 	return false
@@ -118,14 +117,14 @@ func (e *Engine) smcFence() int {
 // every translation the store overlapped, including the aborted one.
 // Returns the resume pc (HaltPC if the replay halted) and the guest
 // instructions retired by the replay.
-func (e *Engine) smcSelfAbort(tb *tblock, pc uint32) (uint32, uint64, error) {
+func (e *Engine) smcSelfAbort(pc uint32) (uint32, uint64, error) {
 	e.Mem.RollbackJournal() // also disarms: replay stores are authoritative
 	e.Mem.ClearDirty()      // rolled-back stores left no real dirt
 	codeDirty := func(guest.Inst) bool { return e.Mem.CodeDirty() }
 	// The faulting store re-occurs within the same straight-line path, so
-	// the replay is capped at the unit's longest possible run plus slack
-	// for conditional skips.
-	next, n, err := e.interpLive(pc, uint64(maxBlockInsts*len(tb.segs)+8), "smc replay", codeDirty)
+	// the replay is capped at the longest possible block plus slack for
+	// conditional skips.
+	next, n, err := e.interpLive(pc, maxBlockInsts+8, "smc replay", codeDirty)
 	if errors.Is(err, errInterpCap) {
 		err = fmt.Errorf("dbt: smc replay from pc=%#x retired %d insts without reaching the faulting store", pc, n)
 	}

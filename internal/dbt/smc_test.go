@@ -145,7 +145,7 @@ func TestSMCShadowReferencePassIsInvisible(t *testing.T) {
 
 	// The same execution, never sampled.
 	u, utb, upc, _ := setup(0)
-	u.Mem.ArmSMC(utb.hasStores, utb.ranges)
+	u.Mem.ArmSMC(utb.hasStores, utb.ranges[:])
 	if _, err := u.CPU.Exec(utb.hb, 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSMCSelfAbortUndoesFrameStores(t *testing.T) {
 		}
 	}
 
-	e.Mem.ArmSMC(tb.hasStores, tb.ranges)
+	e.Mem.ArmSMC(tb.hasStores, tb.ranges[:])
 	if f, journal := e.Mem.Frame(env.StateBase); f == nil || !journal {
 		t.Fatalf("CPUState page not on the journaled frame path (page %v, journal %v)", f != nil, journal)
 	}
@@ -225,7 +225,7 @@ func TestSMCSelfAbortUndoesFrameStores(t *testing.T) {
 	if journaledStateWords(e.Mem) == 0 {
 		t.Fatal("the execution journaled no CPUState word")
 	}
-	next, _, err := e.smcSelfAbort(tb, pc)
+	next, _, err := e.smcSelfAbort(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,20 +256,17 @@ func TestSMCCrossBlockInvalidate(t *testing.T) {
 	})
 }
 
-// TestSMCMidSuperblock: the store sits mid-trace and rewrites a later
-// instruction of its own superblock; the abort must stop the superblock
-// at the store and the re-formed trace must compute the patched result.
+// TestSMCMidSuperblock (the smc-sbmid profile): the store sits in the
+// second block of a chained two-block hot loop and, from iteration 50,
+// rewrites an instruction two slots later in its own block. The abort
+// must stop that block at the store and the retranslated block must
+// compute the patched result.
 func TestSMCMidSuperblock(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, first bool) {
 		p := smcProfile(t, "smc-sbmid")
-		got, st := runSMC(t, p.Prog, Config{
-			ShadowRate: 1, HotThreshold: p.HotThreshold, TranslateFirst: first,
-		})
+		got, st := runSMC(t, p.Prog, Config{ShadowRate: 1, TranslateFirst: first})
 		if got.R[guest.R0] != 1304 {
 			t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
-		}
-		if st.TracesFormed == 0 {
-			t.Fatalf("no superblock formed: %+v", st)
 		}
 		if st.SMCSelfAborts == 0 {
 			t.Fatalf("no self-aborts recorded: %+v", st)
@@ -280,44 +277,19 @@ func TestSMCMidSuperblock(t *testing.T) {
 	})
 }
 
-// TestSMCBudgetRefund: with TraceBudget 1, re-forming the loop's
-// superblock after the SMC invalidation tears it down is only possible
-// if teardown refunds the budget claim. The smc-sbmid loop is hot both
-// before and after its iteration-50 patch, so a leak would pin the
-// second half to plain blocks.
-func TestSMCBudgetRefund(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, first bool) {
-		p := smcProfile(t, "smc-sbmid")
-		got, st := runSMC(t, p.Prog, Config{
-			ShadowRate: 1, HotThreshold: p.HotThreshold,
-			TraceBudget: 1, TranslateFirst: first,
-		})
-		if got.R[guest.R0] != 1304 {
-			t.Fatalf("r0 = %d, want 1304", got.R[guest.R0])
-		}
-		if st.TracesFormed < 2 {
-			t.Fatalf("superblock not re-formed after invalidation (TracesFormed = %d): %+v", st.TracesFormed, st)
-		}
-	})
-}
-
-// TestSMCToggleFormation: repeated toggling of one instruction while
-// trace formation keeps re-forming the loop. Every toggle must fence
-// out the stale translations and superblocks, and the result must
-// still be exact.
+// TestSMCToggleFormation (the smc-toggle profile): a chained two-block
+// hot loop toggles one instruction of its second block between two
+// encodings every four iterations. Every toggle must fence out the
+// stale translation, and the result must still be exact.
 func TestSMCToggleFormation(t *testing.T) {
 	bothPolicies(t, func(t *testing.T, first bool) {
 		p := smcProfile(t, "smc-toggle")
-		got, st := runSMC(t, p.Prog, Config{
-			ShadowRate: 1, HotThreshold: p.HotThreshold, TranslateFirst: first,
-		})
+		got, st := runSMC(t, p.Prog, Config{ShadowRate: 1, TranslateFirst: first})
 		if got.R[guest.R0] != 597 {
 			t.Fatalf("r0 = %d, want 597", got.R[guest.R0])
 		}
-		// Interpret-first re-interprets each toggled block twice before
-		// retranslating it, so the loop head never gets hot enough to form.
-		if st.SMCInvalidations == 0 || first && st.TracesFormed == 0 {
-			t.Fatalf("no invalidations or no traces recorded: %+v", st)
+		if st.SMCInvalidations == 0 {
+			t.Fatalf("no invalidations recorded: %+v", st)
 		}
 		if st.Divergences != 0 {
 			t.Fatalf("shadow divergences: %+v", st)
@@ -364,54 +336,6 @@ func TestSMCFaultPokes(t *testing.T) {
 		}
 		if st.Divergences != 0 {
 			t.Fatalf("shadow divergences: %+v", st)
-		}
-	})
-}
-
-// TestSMCBuilderPanicRecovered: a panic inside trace translation must
-// cost only the trace. Until the first formation attempt, the hook
-// empties the decoded instructions of every block it sees enter, so
-// trace translation indexes out of range — the kind of internal
-// inconsistency the recover exists to contain — and then restores them.
-// Run must absorb the panic (no error), count one dbt.sb_builder_panics,
-// go on forming traces and match the interpreter.
-func TestSMCBuilderPanicRecovered(t *testing.T) {
-	bothPolicies(t, func(t *testing.T, first bool) {
-		c := compileT(t, hotProgram())
-		want := interpret(t, c)
-		m := mem.New()
-		if _, err := c.LoadGuest(m); err != nil {
-			t.Fatal(err)
-		}
-		var e *Engine
-		emptied := map[*tblock][]guest.Inst{}
-		hook := func(pc uint32) {
-			if emptied == nil {
-				return
-			}
-			if e.met.sbBuilderPanics.Value() > 0 {
-				for tb, insts := range emptied {
-					tb.segs[0].insts = insts
-				}
-				emptied = nil
-				return
-			}
-			// An interpreted entry has no translation to empty.
-			if tb := e.cache[pc]; tb != nil && tb.segs[0].insts != nil {
-				emptied[tb], tb.segs[0].insts = tb.segs[0].insts, nil
-			}
-		}
-		e = New(m, Config{HotThreshold: 2, TraceBlock: hook, TranslateFirst: first})
-		init := &guest.State{Mem: m}
-		init.R[guest.SP] = env.StackTop
-		e.SetGuestState(init)
-		st, err := e.Run(env.CodeBase, 100_000_000)
-		if err != nil {
-			t.Fatalf("trace-formation panic aborted the run: %v", err)
-		}
-		sameResult(t, want, e.GuestState(), "builder panic")
-		if st.SBBuilderPanics != 1 || st.TracesFormed == 0 {
-			t.Fatalf("SBBuilderPanics = %d, TracesFormed = %d; want 1 and > 0", st.SBBuilderPanics, st.TracesFormed)
 		}
 	})
 }

@@ -117,24 +117,22 @@ type iplan struct {
 	needsDeleg bool
 }
 
-// txctx is per-goroutine translation scratch, reused by every unit its
+// txctx is per-goroutine translation scratch, reused by every block its
 // goroutine translates; its fields say what it holds. Nothing a unit
 // keeps points into it: Finalize copies the host code, and the decoded
 // instructions, rules and uncovered opcodes are copied out once per
-// unit. So a basic block allocates only what its tblock keeps — those
+// unit. So a block allocates only what its tblock keeps — those
 // copies, the tblock, the host block and its micro-ops and a label map
-// if it binds labels — and a superblock besides its segment list and
-// any links or ranges past the inline ones. The engine owns one for the
-// Run goroutine (Engine.tx); every blame-isolation trial carries its
-// own. Do not copy a used txctx: g and mapf hold its address.
+// if it binds labels. The engine owns one for the Run goroutine
+// (Engine.tx); every blame-isolation trial carries its own. Do not copy
+// a used txctx: g and mapf hold its address.
 type txctx struct {
 	binds []rule.Binding // one slot per accepted rule window
 	n     int            // slots in use
 
 	fetch     []guest.Inst // the block being decoded
-	plans     []iplan      // arena the unit's blockPlans are carved from
-	bps       []blockPlan  // the unit's per-segment plans
-	regs      regMap       // the unit-wide mapping
+	plans     []iplan      // the block's per-instruction plan
+	regs      regMap       // the block's register mapping
 	asm       host.Asm
 	g         tcg.Gen
 	mapf      func(guest.Reg) host.Operand // regs.operand, bound once
@@ -145,7 +143,6 @@ type txctx struct {
 // reset starts a new translation unit.
 func (c *txctx) reset() {
 	c.n = 0
-	c.plans, c.bps = c.plans[:0], c.bps[:0]
 	c.used, c.uncovered = c.used[:0], c.uncovered[:0]
 	c.asm.Reset()
 	if c.mapf == nil {
@@ -154,15 +151,11 @@ func (c *txctx) reset() {
 	}
 }
 
-// plansFor carves n zeroed plans (pathTCG) from the arena. Growing the
-// arena leaves earlier plans in the old array, where their blockPlan
-// still points.
+// plansFor returns n zeroed plans (pathTCG), reusing the scratch.
 func (c *txctx) plansFor(n int) []iplan {
-	c.plans = slices.Grow(c.plans, n)
-	c.plans = c.plans[:len(c.plans)+n]
-	p := c.plans[len(c.plans)-n:]
-	clear(p)
-	return p
+	c.plans = slices.Grow(c.plans[:0], n)[:n]
+	clear(c.plans)
+	return c.plans
 }
 
 // own copies scratch into an exact-size slice a unit may keep (nil
@@ -207,58 +200,50 @@ func (c *txctx) slot() *rule.Binding {
 
 func (c *txctx) keep() { c.n++ }
 
-// blockPlan is the per-instruction plan for one segment of a
-// translation unit, produced by planBlock and refined by finishPlan.
+// blockPlan is the per-instruction plan for one block, produced by
+// planBlock and refined by finishPlan.
 type blockPlan struct {
 	plans    []iplan
 	termRule *iplan
 }
 
-// unit is one immutable translation unit: an ordered list of guest
-// basic blocks (segments) translated into one host block. A basic block
-// is the unit with one segment; a hot trace's superblock has several
-// (see superblock.go). translateUnit sets every field and nothing writes
-// them after, so a unit is safe to share: service tenants copy a
-// prototype's unit by value (adoptProto).
+// unit is one immutable translation unit: a guest basic block and the
+// host block it was translated into. translate sets every field and
+// nothing writes them after, so a unit is safe to share: service tenants
+// copy a prototype's unit by value (adoptProto).
 type unit struct {
-	segs   []seg
-	segBuf [1]seg // backs a basic block's segs: no allocation
+	pc    uint32
+	insts []guest.Inst // decoded guest block, reused instead of re-decoding
 
 	hb *host.Block
 	// rules lists the distinct rule templates whose host code the unit
 	// contains — the provenance the guard layer's blame isolation walks
 	// when a shadow-verification divergence implicates the unit.
 	// flagsExact reports that the unit materializes every NZCV update into
-	// the CPUState words (no delegation, no branch-tail rule, no
-	// cross-block elision), so the shadow verifier may compare flags.
+	// the CPUState words (no delegation, no branch-tail rule), so the
+	// shadow verifier may compare flags.
 	rules      []*rule.Template
 	flagsExact bool
 
-	// SMC metadata (see smc.go): whether the unit contains guest store
-	// instructions, and the guest [lo,hi) byte ranges it was decoded from,
-	// one per segment (traces need not be address-contiguous).
-	hasStores bool
-	ranges    [][2]uint32
-	rangeBuf  [1][2]uint32
-}
-
-// seg is one guest basic block of a unit. nGuest, nCovered and nSeq are
-// cumulative — the unit's totals over segments 0..i — so the execution
-// accounting of a run that side-exits after segment i reads them
-// directly; uncovered is this segment's own emulated opcodes.
-type seg struct {
-	pc        uint32
-	insts     []guest.Inst // decoded guest block, reused instead of re-decoding
-	uncovered []guest.Op
-
+	// What one execution retires: guest instructions, of which
+	// rule-covered and covered by multi-instruction rules, and the
+	// opcodes emitted through TCG.
 	nGuest, nCovered, nSeq uint64
+	uncovered              []guest.Op
+
+	// SMC metadata (see smc.go): whether the unit contains guest store
+	// instructions, and the guest [lo,hi) byte range it was decoded from,
+	// as the one-range list mem.Memory.ArmSMC takes.
+	hasStores bool
+	ranges    [1][2]uint32
 }
 
 // translate fetches the guest block at pc from m (live memory on the
 // demand path, the service's code snapshot for a service miss) and
-// translates it as a one-segment unit. tx holds the per-goroutine
-// translation scratch. Translation is a pure function of the code bytes
-// and the translator, so concurrent callers produce identical blocks.
+// translates it into a unit, filling in tb's direct-exit links. tx holds
+// the per-goroutine translation scratch. Translation is a pure function
+// of the code bytes and the translator, so concurrent callers produce
+// identical blocks.
 //
 // skip and cur are the guard layer's extension points (nil elsewhere):
 // skip excludes individual rule templates from retrieval (the
@@ -272,96 +257,54 @@ func (tr *translator) translate(m *mem.Memory, pc uint32, tx *txctx, skip func(*
 	if err != nil {
 		return nil, err
 	}
-	tb := new(tblock)
-	tb.segBuf[0] = seg{pc: pc, insts: insts}
-	tb.segs = tb.segBuf[:]
-	return tr.translateUnit(tb, tx, skip, cur)
-}
-
-// translateUnit translates tb's segments — pc and decoded instructions
-// set, in execution order — as one host block, fills in the rest of the
-// unit and tb's direct-exit links, and returns tb. The last segment's
-// terminator exits; every earlier one is a trace seam (emitSeam). Like
-// translate, it reads only the segments and the rule store.
-func (tr *translator) translateUnit(tb *tblock, tx *txctx, skip func(*rule.Template) bool, cur **rule.Template) (*tblock, error) {
+	tb := &tblock{unit: unit{pc: pc, insts: insts}}
 	u := &tb.unit
-	segs := u.segs
-	k := len(segs)
+	n := len(insts)
 
 	// Passes 1-4: rule windows, register allocation, staging demotion,
-	// flag delegation — every segment planned against one unit-wide
-	// register mapping. The binding arena must stay alive through emission
-	// of all segments, so the unit is one txctx reset.
+	// flag delegation.
 	tx.reset()
-	for i := range segs {
-		tx.bps = append(tx.bps, tr.planBlock(segs[i].insts, tx, skip))
-	}
-	tr.allocRegs(segs, &tx.regs)
-	for i := range segs {
-		tr.finishPlan(&tx.bps[i], segs[i].insts, &tx.regs)
-	}
+	bp := tr.planBlock(insts, tx, skip)
+	tr.allocRegs(insts, &tx.regs)
+	tr.finishPlan(&bp, insts, &tx.regs)
 
 	// Pass 5: emission. Alongside the host code, record the unit's rule
-	// provenance (the distinct templates whose code it contains), whether
-	// its NZCV state stays exact in the CPUState — both feed the guard
-	// layer's shadow verification and blame isolation — and each
-	// segment's cumulative counts.
+	// provenance (the distinct templates whose code it contains) and
+	// whether its NZCV state stays exact in the CPUState — both feed the
+	// guard layer's shadow verification and blame isolation — and what one
+	// execution retires.
 	tr.emitPrologue(tx)
-	var stubs []sbStub
-	var nGuest, nCovered, nSeq uint64
-	u.flagsExact = true
-	u.ranges = u.rangeBuf[:0]
-	for i := range segs {
-		s, bp := &segs[i], &tx.bps[i]
-		u0 := len(tx.uncovered)
-		em, err := tr.emitBody(tx, s.pc, s.insts, bp.plans, cur)
-		if err != nil {
-			return nil, err
-		}
-		n := len(s.insts)
-		term := s.insts[n-1]
-		termPC := s.pc + uint32((n-1)*guest.InstBytes)
-		var termCovered bool
-		if i == k-1 {
-			termCovered, err = tr.emitTerminator(tx, term, termPC, bp.plans, bp.termRule)
-		} else {
-			termCovered, err = tr.emitSeam(tx, term, termPC, segs[i+1].pc, bp.plans, bp.termRule, i, &stubs)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("terminator %q: %w", term, err)
-		}
-		if !termCovered && tr.opt.ManualABI && manualTerminatorCovered(term) {
-			termCovered = true
-		}
-		if termCovered {
-			if bp.termRule == nil {
-				// Covered through delegation (a branch-tail rule's window
-				// already counted its own branch).
-				em.covered++
-			}
-		} else {
-			tx.uncovered = append(tx.uncovered, term.Op)
-			if bp.termRule != nil {
-				// The branch of the matched branch-tail rule could not be
-				// emitted; its body still counted itself.
-				em.covered--
-			}
-		}
-		nGuest, nCovered, nSeq = nGuest+uint64(n), nCovered+em.covered, nSeq+em.seq
-		s.nGuest, s.nCovered, s.nSeq = nGuest, nCovered, nSeq
-		s.uncovered = own(tx.uncovered[u0:])
-		u.flagsExact = u.flagsExact && em.flagsExact
-		u.hasStores = u.hasStores || slices.ContainsFunc(s.insts, instHasStore)
-		u.ranges = append(u.ranges, [2]uint32{s.pc, s.pc + uint32(n*guest.InstBytes)})
+	em, err := tr.emitBody(tx, pc, insts, bp.plans, cur)
+	if err != nil {
+		return nil, err
 	}
-	if k > 1 {
-		tr.finishTrace(tx, stubs)
-		// Seams delegate or consume flags across block boundaries and the
-		// elision pass removes interior materializations, so the CPUState
-		// NZCV words are not exact at every exit; the shadow verifier
-		// compares registers and memory only.
-		u.flagsExact = false
+	term := insts[n-1]
+	termCovered, err := tr.emitTerminator(tx, term, pc+uint32((n-1)*guest.InstBytes), bp.plans, bp.termRule)
+	if err != nil {
+		return nil, fmt.Errorf("terminator %q: %w", term, err)
 	}
+	if !termCovered && tr.opt.ManualABI && manualTerminatorCovered(term) {
+		termCovered = true
+	}
+	if termCovered {
+		if bp.termRule == nil {
+			// Covered through delegation (a branch-tail rule's window
+			// already counted its own branch).
+			em.covered++
+		}
+	} else {
+		tx.uncovered = append(tx.uncovered, term.Op)
+		if bp.termRule != nil {
+			// The branch of the matched branch-tail rule could not be
+			// emitted; its body still counted itself.
+			em.covered--
+		}
+	}
+	u.nGuest, u.nCovered, u.nSeq = uint64(n), em.covered, em.seq
+	u.uncovered = own(tx.uncovered)
+	u.flagsExact = em.flagsExact
+	u.hasStores = slices.ContainsFunc(insts, instHasStore)
+	u.ranges[0] = [2]uint32{pc, pc + uint32(n*guest.InstBytes)}
 
 	// The backend finalizes the complete assembled stream — rule bodies
 	// and TCG-lowered code alike — applying any legalization its encoder
@@ -413,11 +356,10 @@ func (tr *translator) planBlock(insts []guest.Inst, tx *txctx, skip func(*rule.T
 	return bp
 }
 
-// finishPlan is passes 3-4 over one segment, given the unit-wide
-// register mapping: demote rules whose operand staging exceeds the temp
-// pool, then plan condition-flag delegation for the segment's
-// terminator branch; rules that required delegation but did not get it
-// fall back to TCG.
+// finishPlan is passes 3-4 over one block, given its register mapping:
+// demote rules whose operand staging exceeds the temp pool, then plan
+// condition-flag delegation for the block's terminator branch; rules
+// that required delegation but did not get it fall back to TCG.
 func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping *regMap) {
 	body := insts[:len(insts)-1]
 	plans := bp.plans
@@ -442,16 +384,16 @@ func (tr *translator) finishPlan(bp *blockPlan, insts []guest.Inst, mapping *reg
 	}
 }
 
-// emitted aggregates what emitBody produced for one segment's body
-// besides the txctx's used/uncovered accumulators (terminator
-// accounting is translateUnit's).
+// emitted aggregates what emitBody produced for a block's body besides
+// the txctx's used/uncovered accumulators (terminator accounting is
+// translate's).
 type emitted struct {
 	covered, seq uint64
 	flagsExact   bool
 }
 
-// emitBody emits the body (all but the terminator) of one segment into
-// the shared assembler.
+// emitBody emits the body (all but the terminator) of a block into the
+// assembler.
 func (tr *translator) emitBody(tx *txctx, pc uint32, insts []guest.Inst, plans []iplan, cur **rule.Template) (emitted, error) {
 	em := emitted{flagsExact: true}
 	body := insts[:len(insts)-1]
@@ -502,47 +444,21 @@ func (tr *translator) emitBody(tx *txctx, pc uint32, insts []guest.Inst, plans [
 }
 
 // directLinks returns the unit's statically known successor slots, in
-// buf while they fit: each side exit's off-trace pc, then the last
-// segment's branch target and — for a conditional branch — its
-// fallthrough, deduplicated, so a superblock's exits chain exactly like
-// a basic block's. Indirect terminators (bx, pop {pc}, mov pc) have no
-// static successors and never chain.
+// buf: a direct branch's target and — for a conditional branch — its
+// fallthrough first. Indirect terminators (bx, pop {pc}, mov pc) have
+// no static successors and never chain.
 func (u *unit) directLinks(buf *[2]blockLink) []blockLink {
+	term := u.insts[len(u.insts)-1]
+	if term.Op != guest.B && term.Op != guest.BL {
+		return nil
+	}
+	fall := u.pc + uint32(len(u.insts)*guest.InstBytes)
+	target := fall + uint32(term.Ops[0].Imm)*guest.InstBytes
 	out := buf[:0]
-	add := func(t uint32) {
-		for i := range out {
-			if out[i].target == t {
-				return
-			}
-		}
-		out = append(out, blockLink{target: t})
+	if term.Op == guest.B && term.Cond != guest.AL && target != fall {
+		out = append(out, blockLink{target: fall})
 	}
-	last := len(u.segs) - 1
-	for i := range u.segs {
-		s := &u.segs[i]
-		term := s.insts[len(s.insts)-1]
-		if term.Op != guest.B && term.Op != guest.BL {
-			continue
-		}
-		fall := s.pc + uint32(len(s.insts)*guest.InstBytes)
-		target := fall + uint32(term.Ops[0].Imm)*guest.InstBytes
-		cond := term.Op == guest.B && term.Cond != guest.AL && target != fall
-		switch {
-		case i == last && cond:
-			add(fall)
-			add(target)
-		case i == last:
-			add(target)
-		case cond:
-			// A side exit: the direction the trace does not follow.
-			if u.segs[i+1].pc == target {
-				add(fall)
-			} else {
-				add(target)
-			}
-		}
-	}
-	return out
+	return append(out, blockLink{target: target})
 }
 
 // ruleUsable applies the static gating rules: flag-setting derived rules
@@ -578,20 +494,18 @@ func demote(plans []iplan, head int) {
 	}
 }
 
-// allocRegs maps the unit's most-used guest registers onto blockRegs,
-// in order of use count over every segment, ties to the lower register.
-func (tr *translator) allocRegs(segs []seg, m *regMap) {
+// allocRegs maps the block's most-used guest registers onto blockRegs,
+// in order of use count, ties to the lower register.
+func (tr *translator) allocRegs(insts []guest.Inst, m *regMap) {
 	*m = regMap{}
 	var counts [guest.NumRegs]int
 	var srcs [guest.NumRegs]guest.Reg
-	for _, s := range segs {
-		for i := range s.insts {
-			if d, ok := s.insts[i].DstReg(); ok {
-				counts[d]++
-			}
-			for _, r := range s.insts[i].SrcRegs(srcs[:0]) {
-				counts[r]++
-			}
+	for i := range insts {
+		if d, ok := insts[i].DstReg(); ok {
+			counts[d]++
+		}
+		for _, r := range insts[i].SrcRegs(srcs[:0]) {
+			counts[r]++
 		}
 	}
 	counts[guest.PC] = 0
@@ -864,7 +778,7 @@ func (tr *translator) emitTerminator(tx *txctx, term guest.Inst, pc uint32, plan
 			return false, nil
 		}
 		taken := a.NewLabel()
-		covered, err := tr.emitCondJump(tx, term.Cond, plans, termRule, taken, false)
+		covered, err := tr.emitCondJump(tx, term.Cond, plans, termRule, taken)
 		if err != nil {
 			return false, err
 		}
@@ -939,13 +853,12 @@ func (tr *translator) emitTerminator(tx *txctx, term guest.Inst, pc uint32, plan
 }
 
 // emitCondJump emits the jump of a conditional guest branch to label
-// lbl, taken when the guest condition holds — or, with invert, when it
-// does not. The host condition comes from the matched branch-tail rule
+// lbl, taken when the guest condition holds. The host condition comes from the matched branch-tail rule
 // (whose host code left EFLAGS ready), from the delegated flag setter,
 // or else from TCG's evaluation of the CPUState flag words. It reports
 // whether the branch counts as rule-covered: true for the first two,
 // where no emulation code is emitted for it.
-func (tr *translator) emitCondJump(tx *txctx, cond guest.Cond, plans []iplan, termRule *iplan, lbl int, invert bool) (bool, error) {
+func (tr *translator) emitCondJump(tx *txctx, cond guest.Cond, plans []iplan, termRule *iplan, lbl int) (bool, error) {
 	a := &tx.asm
 	delegatedFrom := -1
 	for i := range plans {
@@ -967,19 +880,12 @@ func (tr *translator) emitCondJump(tx *txctx, cond guest.Cond, plans []iplan, te
 		g := &tx.g
 		g.Reset()
 		v := g.EvalCond(cond)
-		br := tcg.Brnz
-		if invert {
-			br = tcg.Brz
-		}
-		g.Insts = append(g.Insts, tcg.Inst{Op: br, A: v, Label: lbl, Dst: -1})
+		g.Insts = append(g.Insts, tcg.Inst{Op: tcg.Brnz, A: v, Label: lbl, Dst: -1})
 		if err := tr.lowerIR(tx, g); err != nil {
 			return false, err
 		}
 		retag(a, start, host.CatControl)
 		return false, nil
-	}
-	if invert {
-		hc = negCond(hc)
 	}
 	a.SetCat(host.CatControl)
 	a.Emit(host.Jcc(hc, lbl))
@@ -997,7 +903,7 @@ func (tr *translator) emitLink(tx *txctx, ret uint32) {
 
 // exitTo emits one complete immediate exit path: epilogue (store mapped
 // guest registers) plus the exit_tb carrying the next guest pc (QEMU's
-// goto_tb stub). Shared by block terminators and superblock side exits.
+// goto_tb stub).
 func (tr *translator) exitTo(tx *txctx, target uint32) {
 	tr.emitEpilogue(tx)
 	tx.asm.Emit(host.Exit(host.Imm(int32(target))))

@@ -54,74 +54,46 @@ func TestPeepholeInstallsNoFewer(t *testing.T) {
 }
 
 // TestValidateTranslations checks the read path the offline audit
-// walks, on both backends, with basic blocks only and with synchronous
-// superblock formation: Translations lists exactly the cached units in
-// ascending head-pc order, a superblock contributes every constituent
-// and never claims exact flags, the units prove against their guest
-// blocks with none refuted, and the guest result matches the
-// interpreter's.
+// walks, on both backends: Translations lists exactly the cached units
+// in ascending pc order, each with its own guest block, the units prove
+// against their guest blocks with none refuted, and the guest result
+// matches the interpreter's.
 func TestValidateTranslations(t *testing.T) {
 	c := compileT(t, hotProgram())
 	want := interpret(t, c)
 	_, rules := learnRules(t, hotProgram(), core.Config{Opcode: true, AddrMode: true})
 	for _, bn := range []string{"x86", "risc"} {
-		for _, arm := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"blocks", Config{}},
-			{"superblocks", Config{HotThreshold: 4}},
-		} {
-			what := bn + "/" + arm.name
-			cfg := arm.cfg
-			cfg.Rules, cfg.DelegateFlags, cfg.Backend = rules, true, backend.MustLookup(bn)
-			e, _ := runEngine(t, c, cfg)
-			ts := e.Translations()
-			sameResult(t, want, e.GuestState(), what)
-			if len(ts) == 0 || len(ts) != len(e.cache) {
-				t.Fatalf("%s: %d translations listed, %d cached", what, len(ts), len(e.cache))
-			}
-			superblocks, proved := 0, 0
-			for i, tr := range ts {
-				head := tr.Segs[0].PC
-				if i > 0 && ts[i-1].Segs[0].PC >= head {
-					t.Fatalf("%s: head pc %#x listed after %#x", what, head, ts[i-1].Segs[0].PC)
-				}
-				tb, ok := e.cache[head]
-				if !ok || tb.hb != tr.Host {
-					t.Fatalf("%s: pc=%#x: listed stream is not the cached one", what, head)
-				}
-				if len(tr.Segs) != len(tb.segs) || tr.FlagsExact != tb.flagsExact {
-					t.Fatalf("%s: unit pc=%#x listed with %d of %d segments, flagsExact %v",
-						what, head, len(tr.Segs), len(tb.segs), tr.FlagsExact)
-				}
-				for k, seg := range tr.Segs {
-					if seg.PC != tb.segs[k].pc || len(seg.Insts) != len(tb.segs[k].insts) {
-						t.Fatalf("%s: unit pc=%#x segment %d is %#x, want %#x", what, head, k, seg.PC, tb.segs[k].pc)
-					}
-				}
-				if len(tb.segs) > 1 {
-					superblocks++
-					if tr.FlagsExact {
-						t.Fatalf("%s: superblock pc=%#x listed flags-exact", what, head)
-					}
-				}
-				rep := analysis.ValidateBlock(tr.Segs, tr.Host, analysis.ValidateOpts{CheckFlags: tr.FlagsExact, HaltPC: HaltPC})
-				switch rep.Verdict {
-				case analysis.VerdictProved:
-					proved++
-				case analysis.VerdictRefuted:
-					t.Errorf("%s: refuted unit at pc=%#x: %s", what, head, rep.Reason)
-				}
-			}
-			if arm.cfg.HotThreshold > 0 && superblocks == 0 {
-				t.Fatalf("%s: no superblock formed: the constituent check exercised nothing", what)
-			}
-			if proved == 0 {
-				t.Fatalf("%s: no unit proved", what)
-			}
-			t.Logf("%s: %d of %d units proved, %d superblocks", what, proved, len(ts), superblocks)
+		e, _ := runEngine(t, c, Config{Rules: rules, DelegateFlags: true, Backend: backend.MustLookup(bn)})
+		ts := e.Translations()
+		sameResult(t, want, e.GuestState(), bn)
+		if len(ts) == 0 || len(ts) != len(e.cache) {
+			t.Fatalf("%s: %d translations listed, %d cached", bn, len(ts), len(e.cache))
 		}
+		proved := 0
+		for i, tr := range ts {
+			if i > 0 && ts[i-1].PC >= tr.PC {
+				t.Fatalf("%s: pc %#x listed after %#x", bn, tr.PC, ts[i-1].PC)
+			}
+			tb, ok := e.cache[tr.PC]
+			if !ok || tb.hb != tr.Host {
+				t.Fatalf("%s: pc=%#x: listed stream is not the cached one", bn, tr.PC)
+			}
+			if len(tr.Insts) != len(tb.insts) || tr.FlagsExact != tb.flagsExact {
+				t.Fatalf("%s: unit pc=%#x listed with %d of %d instructions, flagsExact %v",
+					bn, tr.PC, len(tr.Insts), len(tb.insts), tr.FlagsExact)
+			}
+			rep := analysis.ValidateBlock(tr.PC, tr.Insts, tr.Host, analysis.ValidateOpts{CheckFlags: tr.FlagsExact, HaltPC: HaltPC})
+			switch rep.Verdict {
+			case analysis.VerdictProved:
+				proved++
+			case analysis.VerdictRefuted:
+				t.Errorf("%s: refuted unit at pc=%#x: %s", bn, tr.PC, rep.Reason)
+			}
+		}
+		if proved == 0 {
+			t.Fatalf("%s: no unit proved", bn)
+		}
+		t.Logf("%s: %d of %d units proved", bn, proved, len(ts))
 	}
 }
 

@@ -39,15 +39,8 @@ const (
 	OffLegal0 = OffBorrow + 4
 	OffLegal1 = OffBorrow + 8
 
-	// OffSBExit is the superblock exit slot: before dispatching a
-	// superblock the engine writes the index of its final constituent
-	// block here, and every side-exit stub overwrites it with its own
-	// seam index — so after execution the slot names exactly how far
-	// along the trace the run got (see internal/dbt superblocks).
-	OffSBExit = OffLegal1 + 4
-
 	// Size is the total CPUState size in bytes.
-	Size = OffSBExit + 4
+	Size = OffLegal1 + 4
 )
 
 // OffReg returns the CPUState offset of guest register i.

@@ -107,9 +107,9 @@ func TestFig11SpeedupOrdering(t *testing.T) {
 	}
 
 	// Speed is host instructions retired. On gcc, the dispatch-only
-	// knobs must leave it and coverage exactly as the chained reference
-	// has them, and superblocks must form and cut it. gcc never writes
-	// its code, so no arm may trip the SMC machinery.
+	// NoChain knob must leave it and coverage exactly as the chained
+	// reference has them. gcc never writes its code, so the run may not
+	// trip the SMC machinery.
 	c := getCorpus(t)
 	var ref RunResult
 	for _, r := range rs {
@@ -121,36 +121,19 @@ func TestFig11SpeedupOrdering(t *testing.T) {
 		t.Fatal("gcc: reference run recorded no chained exits")
 	}
 	full, _ := core.Parameterize(c.Union(c.Others("gcc")), core.Config{Opcode: true, AddrMode: true})
-	for _, cc := range []struct {
-		name string
-		cfg  dbt.Config
-	}{
-		{"no-chain", dbt.Config{Rules: full, DelegateFlags: true, NoChain: true}},
-		{"superblocks", dbt.Config{Rules: full, DelegateFlags: true, HotThreshold: 4, TraceBudget: 12}},
-	} {
-		r, err := c.Run("gcc", cc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Stats.GuestExec != ref.Stats.GuestExec || r.R0 != ref.R0 {
-			t.Fatalf("gcc %s: guest-visible result diverges from reference", cc.name)
-		}
-		if r.Stats.SMCInvalidations != 0 || r.Stats.SMCSelfAborts != 0 {
-			t.Fatalf("gcc %s: non-modifying workload tripped SMC machinery: %+v", cc.name, r.Stats)
-		}
-		if cc.cfg.HotThreshold > 0 {
-			if r.Stats.TracesFormed == 0 || r.Stats.SuperblockExecs == 0 {
-				t.Fatalf("gcc %s: no superblocks formed: %+v", cc.name, r.Stats)
-			}
-			if r.Total >= ref.Total {
-				t.Fatalf("gcc %s: host instructions %d, not below chained %d", cc.name, r.Total, ref.Total)
-			}
-			continue
-		}
-		if r.Stats.Coverage() != ref.Stats.Coverage() || r.Total != ref.Total {
-			t.Fatalf("gcc %s: coverage %.4f / host instructions %d, reference %.4f / %d",
-				cc.name, r.Stats.Coverage(), r.Total, ref.Stats.Coverage(), ref.Total)
-		}
+	r, err := c.Run("gcc", dbt.Config{Rules: full, DelegateFlags: true, NoChain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.GuestExec != ref.Stats.GuestExec || r.R0 != ref.R0 {
+		t.Fatal("gcc no-chain: guest-visible result diverges from reference")
+	}
+	if r.Stats.SMCInvalidations != 0 || r.Stats.SMCSelfAborts != 0 {
+		t.Fatalf("gcc no-chain: non-modifying workload tripped SMC machinery: %+v", r.Stats)
+	}
+	if r.Stats.Coverage() != ref.Stats.Coverage() || r.Total != ref.Total {
+		t.Fatalf("gcc no-chain: coverage %.4f / host instructions %d, reference %.4f / %d",
+			r.Stats.Coverage(), r.Total, ref.Stats.Coverage(), ref.Total)
 	}
 }
 

@@ -28,7 +28,10 @@ import (
 // service no longer speculates).
 // v10 dropped the "warmstart" section (the engine persists nothing; the
 // code-cache warm start did not pay, DESIGN.md "Does not pay").
-const ReportSchema = "paramdbt-experiments/v10"
+// v11 dropped the "trace" section and the smc rows' "traces_formed" (hot
+// traces did not pay and are gone, DESIGN.md "Hot traces: does not
+// pay").
+const ReportSchema = "paramdbt-experiments/v11"
 
 // Report is the machine-readable form of the experiment suite, written
 // by cmd/experiments -json in the same spirit as the checked-in
@@ -56,7 +59,6 @@ type Report struct {
 	Fig16     []Fig16Point     `json:"fig16,omitempty"`
 	Table3    *core.Counts     `json:"table3,omitempty"`
 	Dispatch  *DispatchSection `json:"dispatch,omitempty"`
-	Trace     *TraceSection    `json:"trace,omitempty"`
 	Guard     *GuardSection    `json:"guard,omitempty"`
 	Analysis  *AnalysisSection `json:"analysis,omitempty"`
 	Backends  *BackendsSection `json:"backends,omitempty"`

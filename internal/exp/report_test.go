@@ -57,18 +57,13 @@ func TestReportRoundTrip(t *testing.T) {
 		Fig14:    Fig14Data(rs),
 		Fig15:    Fig15Data(rs),
 		Dispatch: DispatchData(rs),
-		Trace: &TraceSection{
-			HotThreshold: 4,
-			Rows: []TraceRow{
-				{Name: "alpha", TracesFormed: 12, SuperblockShare: 0.42,
-					SideExitRate: 0.11, HostInsts: 380, HostInstsChained: 400,
-					ResultMatch: true},
-				{Name: "beta", TracesFormed: 9, SuperblockShare: 0.36,
-					SideExitRate: 0.08, HostInsts: 390, HostInstsChained: 400,
-					ResultMatch: true},
+		Smc: &SMCSection{
+			ShadowRate: 1,
+			Rows: []SMCRow{
+				{Name: "smc-patch", Desc: "write-then-execute in own block", GuestInsts: 1234,
+					SMCInvalidations: 2, SMCSelfAborts: 1, Match: true},
 			},
-			MeanSuperblockShare: 0.39,
-			MeanSideExitRate:    0.095,
+			AllMatch: true,
 		},
 		Table3: &counts,
 		Analysis: &AnalysisSection{
@@ -115,7 +110,7 @@ func TestReportRoundTrip(t *testing.T) {
 			t.Fatalf("unset section %q serialized", absent)
 		}
 	}
-	for _, present := range []string{"schema", "backend", "fig11", "dispatch", "trace", "table3", "analysis", "backends"} {
+	for _, present := range []string{"schema", "backend", "fig11", "dispatch", "smc", "table3", "analysis", "backends"} {
 		if _, ok := raw[present]; !ok {
 			t.Fatalf("section %q missing", present)
 		}

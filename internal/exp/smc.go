@@ -18,8 +18,9 @@ import (
 // demands bit-identical final state against the pure reference
 // interpreter — registers, flags and all guest memory below the CPUState
 // region. Each profile stresses one hazard: write-then-execute in the
-// store's own block, cross-block overwrite, overwrite mid-superblock,
-// and overwrite toggled during repeated trace formation. The engines run
+// store's own block, cross-block overwrite, overwrite in the later block
+// of a chained hot loop, and an instruction of such a loop toggled
+// between two encodings. The engines run
 // with the corpus's full parameterized rule table, so the invalidated
 // translations are the same rule-covered blocks the headline evaluation
 // executes. See docs/ROBUSTNESS.md "Self-modifying code".
@@ -32,7 +33,6 @@ type SMCRow struct {
 	GuestInsts       uint64 `json:"guest_insts"`       // dynamic guest instructions, engine run
 	SMCInvalidations uint64 `json:"smc_invalidations"` // translations fenced out by code writes
 	SMCSelfAborts    uint64 `json:"smc_self_aborts"`   // executions aborted at their own store
-	TracesFormed     uint64 `json:"traces_formed"`     // superblocks formed during the run
 	Divergences      uint64 `json:"divergences"`       // shadow divergences (expect 0)
 
 	Mismatches int  `json:"mismatches"` // register/flag/memory deltas vs the interpreter
@@ -83,7 +83,6 @@ func SMCExperiment(c *Corpus) (*SMCSection, error) {
 			Backend:       c.Backend,
 			DelegateFlags: true,
 			ShadowRate:    1,
-			HotThreshold:  p.HotThreshold,
 			// Like Run: the section counts translations and fences.
 			TranslateFirst: true,
 		}
@@ -103,7 +102,6 @@ func SMCExperiment(c *Corpus) (*SMCSection, error) {
 			GuestInsts:       st.GuestExec,
 			SMCInvalidations: st.SMCInvalidations,
 			SMCSelfAborts:    st.SMCSelfAborts,
-			TracesFormed:     st.TracesFormed,
 			Divergences:      st.Divergences,
 			Mismatches:       len(mis),
 			Match:            len(mis) == 0 && st.Divergences == 0,
@@ -119,16 +117,16 @@ func SMCExperiment(c *Corpus) (*SMCSection, error) {
 // RenderSMC formats the self-modifying-code report.
 func RenderSMC(s *SMCSection) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %8s %7s %7s %7s %8s %6s  %s\n",
-		"Workload", "insts", "inval", "aborts", "traces", "diverge", "state", "scenario")
+	fmt.Fprintf(&b, "%-10s %8s %7s %7s %8s %6s  %s\n",
+		"Workload", "insts", "inval", "aborts", "diverge", "state", "scenario")
 	for _, r := range s.Rows {
 		ok := "match"
 		if !r.Match {
 			ok = "DIFFER"
 		}
-		fmt.Fprintf(&b, "%-10s %8d %7d %7d %7d %8d %6s  %s\n",
+		fmt.Fprintf(&b, "%-10s %8d %7d %7d %8d %6s  %s\n",
 			r.Name, r.GuestInsts, r.SMCInvalidations, r.SMCSelfAborts,
-			r.TracesFormed, r.Divergences, ok, r.Desc)
+			r.Divergences, ok, r.Desc)
 	}
 	fmt.Fprintf(&b, "shadow rate %g, all states %s\n", s.ShadowRate,
 		map[bool]string{true: "identical to the reference interpreter", false: "NOT identical — investigate"}[s.AllMatch])

@@ -6,9 +6,9 @@ import (
 )
 
 // TestSMCExperimentReproducible: every engine in the SMC section
-// translates and forms its traces on the dispatch loop, so two runs of
-// the section must report identical rows — invalidation and trace
-// counts included — and every row must match the interpreter.
+// translates on the dispatch loop, so two runs of the section must
+// report identical rows — invalidation counts included — and every row
+// must match the interpreter.
 func TestSMCExperimentReproducible(t *testing.T) {
 	c := getCorpus(t)
 	a, err := SMCExperiment(c)

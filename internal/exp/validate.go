@@ -12,7 +12,7 @@ import (
 
 // The translation-validation experiment runs the workload suite under
 // each backend and audits every installed translation offline (Audit),
-// so every finalized block (and superblock) is symbolically proved
+// so every finalized block is symbolically proved
 // equivalent to its guest semantics, and measures what the
 // validator-licensed peephole optimizer buys: the risc legalizer's
 // host-instructions-per-guest-instruction overhead with and without
@@ -69,7 +69,7 @@ func Audit(e *dbt.Engine, be backend.Backend, peephole bool) []*analysis.BlockRe
 		return rep
 	}
 	for _, t := range e.Translations() {
-		pc, installed := t.Segs[0].PC, t.Host
+		pc, installed := t.PC, t.Host
 		if opt != nil && peephole {
 			if ob, st, err := opt.OptimizeBlock(t.Host); err == nil && st.Deleted() > 0 {
 				if stamp(analysis.ValidateRewrite(t.Host, ob), pc).Verdict == analysis.VerdictProved {
@@ -78,7 +78,7 @@ func Audit(e *dbt.Engine, be backend.Backend, peephole bool) []*analysis.BlockRe
 			}
 		}
 		opts := analysis.ValidateOpts{CheckFlags: t.FlagsExact, HaltPC: dbt.HaltPC}
-		stamp(analysis.ValidateBlock(t.Segs, installed, opts), pc)
+		stamp(analysis.ValidateBlock(t.PC, t.Insts, installed, opts), pc)
 	}
 	return reps
 }

@@ -41,9 +41,8 @@ type Plan struct {
 
 	// SMCWrites overwrite guest code words at named block-entry
 	// ordinals, exercising the self-modifying-code fence from outside
-	// the guest (write-then-execute, cross-block overwrite,
-	// overwrite-mid-superblock, overwrite-during-trace-formation — the
-	// campaign picks the ordinals). The engine applies them through its
+	// the guest (write-then-execute, cross-block overwrite, overwrite
+	// in a chained hot loop — the campaign picks the ordinals). The engine applies them through its
 	// tracked store path immediately before the named entry, so each
 	// lands exactly where a guest store at the preceding block boundary
 	// would.

@@ -647,16 +647,6 @@ func (a *Asm) Insts() []Inst { return a.insts }
 // remap bindings onto the rewritten indices.
 func (a *Asm) Labels() map[int]int { return a.labels }
 
-// SetProgram replaces the emitted stream and label bindings wholesale —
-// the hook for whole-stream rewrite passes (the superblock dead
-// flag-store elimination) that run between emission and the backend's
-// Finalize. Label ids stay valid; bindings must be remapped onto the
-// new stream by the rewriting pass.
-func (a *Asm) SetProgram(insts []Inst, labels map[int]int) {
-	a.insts = insts
-	a.labels = labels
-}
-
 // Block finalizes into an executable block. The block gets its own
 // exact-size copy of the stream, so the assembler may be Reset and
 // reused.

@@ -11,15 +11,12 @@ import (
 	"paramdbt/internal/exp"
 	"paramdbt/internal/guest"
 	"paramdbt/internal/host"
-	"paramdbt/internal/learn"
 	"paramdbt/internal/mem"
-	"paramdbt/internal/minic"
-	"paramdbt/internal/rule"
 )
 
 // recorder is a backend that keeps every block it finalizes: installed
 // as Config.Backend it collects exactly the host code an engine run
-// translates to, blocks and superblocks alike.
+// translates to.
 type recorder struct {
 	backend.Backend
 	blocks []*host.Block
@@ -102,72 +99,6 @@ func TestExecMatchesReferenceOnTranslatedCode(t *testing.T) {
 			total += len(rec.blocks)
 		}
 		t.Logf("%s: %d blocks, %.1f frame micro-ops per block", be, total, float64(frames)/float64(total))
-	}
-}
-
-// hotProgram is the superblock tests' loop (internal/dbt): an if/else
-// seam that side-exits on alternating iterations and a call seam into a
-// helper, hot enough to form traces at threshold 2.
-func hotProgram() *minic.Program {
-	helper := &minic.Func{
-		Name: "bump", NArgs: 1, NVars: 2,
-		Body: []*minic.Stmt{
-			minic.Return(minic.B(minic.OpAdd, minic.V(0), minic.C(3))),
-		},
-	}
-	main := &minic.Func{
-		Name: "main", NVars: 5,
-		Body: []*minic.Stmt{
-			minic.Assign(0, minic.C(0)),
-			minic.Assign(1, minic.C(60)),
-			minic.Assign(2, minic.C(int32(env.DataBase))),
-			minic.While(minic.Cond{Op: minic.CmpNe, L: minic.V(1), R: minic.C(0)}, []*minic.Stmt{
-				minic.If(minic.Cond{Op: minic.CmpGt, L: minic.V(0), R: minic.V(1)},
-					[]*minic.Stmt{minic.Assign(0, minic.B(minic.OpSub, minic.V(0), minic.V(1)))},
-					[]*minic.Stmt{minic.Assign(0, minic.B(minic.OpAdd, minic.V(0), minic.V(1)))}),
-				minic.Call(4, 1, minic.V(0)),
-				minic.Store(minic.B(minic.OpAdd, minic.V(2), minic.C(8)), minic.V(4)),
-				minic.Assign(0, minic.LoadE(minic.B(minic.OpAdd, minic.V(2), minic.C(8)))),
-				minic.Assign(1, minic.B(minic.OpSub, minic.V(1), minic.C(1))),
-			}),
-			minic.Return(minic.V(0)),
-		},
-	}
-	return &minic.Program{Funcs: []*minic.Func{main, helper}}
-}
-
-// TestExecMatchesReferenceOnSuperblocks covers the translations with
-// side-exit stubs and seams: hotProgram with synchronous trace formation
-// on both backends.
-func TestExecMatchesReferenceOnSuperblocks(t *testing.T) {
-	comp, err := minic.Compile(hotProgram())
-	if err != nil {
-		t.Fatal(err)
-	}
-	learned := rule.NewStore()
-	learn.FromCompiled(comp, learned)
-	par, _ := core.Parameterize(learned, core.Config{Opcode: true, AddrMode: true})
-	for _, be := range backend.Names() {
-		rec := &recorder{Backend: backend.MustLookup(be)}
-		m := mem.New()
-		if _, err := comp.LoadGuest(m); err != nil {
-			t.Fatal(err)
-		}
-		e := dbt.New(m, dbt.Config{Rules: par, DelegateFlags: true, HotThreshold: 2, Backend: rec})
-		st := &guest.State{Mem: m}
-		st.R[guest.SP] = env.StackTop
-		e.SetGuestState(st)
-		stats, err := e.Run(env.CodeBase, 100_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.TracesFormed == 0 {
-			t.Fatalf("%s: no superblock formed", be)
-		}
-		for i, b := range rec.blocks {
-			twinSweep(t, fmt.Sprintf("%s superblock run, block %d", be, i), b)
-		}
-		t.Logf("%s: %d blocks, %d traces", be, len(rec.blocks), stats.TracesFormed)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 //     modifying itself.
 //   - the undo journal: while armed, every store records the prior
 //     value. Translated host code is straight-line per execution (block
-//     and superblock translations contain no backward branches — loops
-//     re-enter through the dispatcher), so the journal is bounded by
+//     translations contain no backward branches — loops re-enter
+//     through the dispatcher), so the journal is bounded by
 //     one translation's length and RollbackJournal can restore the
 //     exact memory image at block entry. The engine then replays the
 //     block on the reference interpreter up to the faulting store,

@@ -28,10 +28,6 @@ const (
 	// EvFallback is a block executed by the reference interpreter
 	// because translation failed persistently at the event's pc.
 	EvFallback
-	// EvSuperblock is an entry into a hot-trace superblock (the event's
-	// pc is the trace head); it replaces the EvDispatch/EvChained event
-	// the entry would otherwise record.
-	EvSuperblock
 	// EvInterp is a block entry run on the reference interpreter because
 	// the block had not yet run often enough to be translated
 	// (interpret-first; see dbt.Config.TranslateFirst).
@@ -53,8 +49,6 @@ func (k EventKind) String() string {
 		return "diverge"
 	case EvFallback:
 		return "fallback"
-	case EvSuperblock:
-		return "superblock"
 	case EvInterp:
 		return "interp"
 	}

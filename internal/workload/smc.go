@@ -19,12 +19,14 @@ package workload
 //	smc-cross — cross-block overwrite: a loop patches the first
 //	  instruction of a bl-called function; the fence must invalidate
 //	  the callee's translation before its next dispatch.
-//	smc-sbmid — overwrite mid-superblock: the store sits in a later
-//	  trace constituent and rewrites an instruction of the same trace,
-//	  after the superblock has formed (HotThreshold).
-//	smc-toggle — periodic toggling between two encodings of the same
-//	  instruction while trace formation keeps re-forming the loop, so
-//	  every toggle tears down a freshly formed superblock.
+//	smc-sbmid — overwrite in a chained hot loop: the loop is two blocks
+//	  joined by a direct branch, and from iteration 50 the store in the
+//	  second block rewrites an instruction two slots after it, long
+//	  after both blocks are translated and chained. (The name is from
+//	  when such a loop became one superblock.)
+//	smc-toggle — periodic toggling between two encodings of one
+//	  instruction in the second block of a chained two-block hot loop,
+//	  so the loop keeps being fenced out and retranslated.
 //
 // Every profile is architecturally deterministic: the DBT result must
 // equal a pure interpreter run instruction for instruction, which is
@@ -38,15 +40,12 @@ import (
 	"paramdbt/internal/guest"
 )
 
-// SMCProfile is one self-modifying workload: the program (loaded at
-// env.CodeBase) plus the engine configuration its scenario needs.
+// SMCProfile is one self-modifying workload: the program, loaded at
+// env.CodeBase.
 type SMCProfile struct {
 	Name string
 	Desc string
 	Prog []guest.Inst
-
-	// Engine shape for the scenario (zero means no trace formation).
-	HotThreshold uint64
 
 	// MaxGuestInsts bounds the reference-interpreter replay of the
 	// profile (and sizes the engine's host-step budget).
@@ -171,24 +170,24 @@ func smcCross() []guest.Inst {
 	})
 }
 
-// smcSBMid: the trace loop→bodyb forms a superblock well before
-// iteration 50; the patching store sits in the second constituent and
-// rewrites an instruction of the same trace, two slots later.
+// smcSBMid: the loop is two blocks, loop→bodyb, chained well before
+// iteration 50; the patching store sits in bodyb and rewrites an
+// instruction of the same block, two slots later.
 func smcSBMid() []guest.Inst {
 	patched := mustEncode("add r0, r0, #5")
 	return genTwoPass(func(a *smcAsm, addrOf func(string) uint32) {
 		a.ins("mov r0, #0")
 		a.ins("mov r1, #0")
 		a.loadConst("r4", 300) // iterations
-		a.ins("mov r9, #50")   // patch iteration — after formation
+		a.ins("mov r9, #50")   // patch iteration — long after translation
 		a.loadConst("r5", addrOf("tgt"))
 		a.loadConst("r6", patched)
 		a.label("loop")
 		a.ins("add r1, r1, #1")
 		a.ins("cmp r1, r9")
-		a.ins("b bodyb") // forces the trace's second constituent
+		a.ins("b bodyb") // ends the loop's first block
 		a.label("bodyb")
-		a.ins("streq r6, [r5]") // mid-superblock self-modifying store
+		a.ins("streq r6, [r5]") // the self-modifying store
 		a.mark("tgt")
 		a.ins("add r0, r0, #1") // rewritten to add #5 at iteration 50
 		a.ins("cmp r1, r4")
@@ -198,9 +197,9 @@ func smcSBMid() []guest.Inst {
 }
 
 // smcToggle: toggles the accumulate instruction between two encodings
-// every 4 iterations (r1&7 == 0 picks variant B, r1&7 == 4 restores A)
-// while trace formation keeps re-forming the loop, so invalidations
-// keep tearing down fresh superblocks.
+// every 4 iterations (r1&7 == 0 picks variant B, r1&7 == 4 restores A),
+// so invalidations keep fencing out the loop's freshly retranslated
+// second block.
 func smcToggle() []guest.Inst {
 	variantB := mustEncode("add r0, r0, #2")
 	variantA := mustEncode("add r0, r0, #1")
@@ -214,7 +213,7 @@ func smcToggle() []guest.Inst {
 		a.loadConst("r7", variantA)
 		a.label("loop")
 		a.ins("add r1, r1, #1")
-		a.ins("b part2") // forces a two-block trace
+		a.ins("b part2") // ends the loop's first block
 		a.label("part2")
 		a.ins("tst r1, r10")
 		a.ins("streq r6, [r5]") // every 8th iteration: variant B
@@ -241,14 +240,12 @@ func SMCProfiles() []SMCProfile {
 			Prog: smcCross(), MaxGuestInsts: 1 << 20,
 		},
 		{
-			Name: "smc-sbmid", Desc: "overwrite mid-superblock",
-			Prog: smcSBMid(), HotThreshold: 4,
-			MaxGuestInsts: 1 << 20,
+			Name: "smc-sbmid", Desc: "overwrite in a chained hot loop",
+			Prog: smcSBMid(), MaxGuestInsts: 1 << 20,
 		},
 		{
-			Name: "smc-toggle", Desc: "toggling overwrite during repeated trace formation",
-			Prog: smcToggle(), HotThreshold: 3,
-			MaxGuestInsts: 1 << 20,
+			Name: "smc-toggle", Desc: "toggling overwrite in a chained hot loop",
+			Prog: smcToggle(), MaxGuestInsts: 1 << 20,
 		},
 	}
 }
